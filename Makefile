@@ -6,7 +6,7 @@ PR ?= 3
 # final `total:` line of `go tool cover -func`.
 COVER_BASELINE ?= 68.0
 
-.PHONY: build test race race-tiny cover cover-check bench bench-smoke bench-compare trace-smoke top-smoke check-smoke lint
+.PHONY: build test race race-tiny cover cover-check bench bench-smoke bench-compare bench-host bench-recover trace-smoke top-smoke check-smoke lint
 
 build:
 	go build ./...
@@ -76,6 +76,17 @@ bench-smoke:
 # but never gates — CI machines vary, allocator traffic does not.
 bench-compare:
 	go run ./cmd/slimio-bench -exp all -compare BENCH_$(PR).json
+
+# Host-clock benchmark of the simulator itself (BENCHMARK.json is its
+# contract, bench/README.md its manual): five workloads in child processes,
+# reports under bench/out/.
+bench-host:
+	go run ./bench
+
+# The recovery path's micro-benchmarks with allocation counts: snapshot
+# decode, WAL decode, and engine-level recovery on both backends.
+bench-recover:
+	go test -run '^$$' -bench 'Recover|Reader|Decode' -benchmem ./internal/snapshot ./internal/wal ./internal/imdb
 
 # Bounded-budget crash-consistency check on both backends (used by CI as a
 # blocking step): enumerate the crash-point lattice of the smoke workload,

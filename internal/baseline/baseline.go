@@ -304,7 +304,7 @@ func (b *Backend) Recover(env *sim.Env) (*imdb.Recovered, error) {
 	// is the source of truth and need not hold framed records.
 	if b.fs.CrashMounted() {
 		open := rec.WALSegments[len(rec.WALSegments)-1]
-		_, prefix, corrupt := wal.DecodeStream(open)
+		prefix, corrupt := wal.ValidPrefix(open)
 		if corrupt {
 			rec.WALTruncatedAt = prefix
 			rec.Degraded = append(rec.Degraded, fmt.Sprintf("%s: decode stopped on non-zero garbage at byte %d of %d", b.walFile.Name(), prefix, len(open)))

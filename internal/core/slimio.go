@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/imdb"
@@ -748,7 +749,7 @@ func (b *Backend) recover(env *sim.Env, want *imdb.SnapshotKind) (*imdb.Recovere
 	// partial page program) or real mid-segment corruption — both record
 	// where the durable prefix ends; only a clean zero tail leaves
 	// WALTruncatedAt at -1.
-	_, consumed, corrupt := wal.DecodeStream(openRaw)
+	consumed, corrupt := wal.ValidPrefix(openRaw)
 	if corrupt {
 		out.WALTruncatedAt = consumed
 		out.Degraded = append(out.Degraded, fmt.Sprintf("open wal segment: decode stopped on non-zero garbage at byte %d of %d", consumed, len(openRaw)))
@@ -822,6 +823,7 @@ func (b *Backend) readWALRaw(env *sim.Env, start int64) (out []byte, note string
 // unreadable ones (zero-filled; bad counts only real device failures so
 // recovery can report the degradation).
 func (b *Backend) readRingPages(env *sim.Env, start, n int64) (out []byte, bad int64, err error) {
+	out = make([]byte, 0, n*b.pageSize)
 	for _, run := range splitWrap(b.lay.walStart, b.lay.walPages, start, n) {
 		data, err := b.walRing.Read(env, run.start, run.n)
 		if err != nil {
@@ -846,13 +848,17 @@ func (b *Backend) readRingPages(env *sim.Env, start, n int64) (out []byte, bad i
 }
 
 // appendPage appends a device page, zero-padding short (tail) pages so
-// byte offsets stay page-aligned for the decoder.
+// byte offsets stay page-aligned for the decoder. Callers that know their
+// page count size dst up front; otherwise dst at least doubles when full, so
+// a log of any length is copied O(1) times, not once per 1.25x regrowth.
 func appendPage(dst, pg []byte, pageSize int64) []byte {
-	dst = append(dst, pg...)
-	for i := int64(len(pg)); i < pageSize; i++ {
-		dst = append(dst, 0)
+	end := len(dst) + int(pageSize)
+	if end > cap(dst) {
+		dst = slices.Grow(dst, max(cap(dst), int(pageSize)))
 	}
-	return dst
+	page := dst[len(dst):end]
+	clear(page[copy(page, pg):])
+	return dst[:end]
 }
 
 // readSequential reads n pages from lpa with a double-buffered read-ahead

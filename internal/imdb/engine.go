@@ -909,6 +909,8 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 			var raw int64
 			for _, ent := range batch {
 				raw += int64(snapshot.EntrySize(ent.Key, ent.Value))
+				// The store adopts the value: it is a view of the chunk's
+				// own inflate buffer, which nothing else writes to.
 				e.store.Set(string(ent.Key), ent.Value)
 				entries++
 			}
@@ -929,7 +931,9 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 			case wal.OpDel:
 				e.store.Delete(string(r.Key))
 			default:
-				e.store.Set(string(r.Key), r.Value)
+				// Records are views of seg; copy the value so the live
+				// store never pins (or aliases) a whole log segment.
+				e.store.Set(string(r.Key), bytes.Clone(r.Value))
 			}
 			walRecords++
 			env.Work("insert", cost.InsertPerEntry)

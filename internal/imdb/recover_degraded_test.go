@@ -195,3 +195,32 @@ func TestRecoverDegradedCorruptWALFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverReplayAllocBudget pins the engine's side of the recovery copy
+// rule: replaying a WAL record allocates its key string and its value copy,
+// nothing else — no per-record decode copies, no digest. Records overwrite a
+// handful of keys so the store's own growth stays out of the count, and the
+// fixed cost of a recovery run (engine, process, result slice growth) is
+// measured on a short segment and subtracted.
+func TestRecoverReplayAllocBudget(t *testing.T) {
+	segment := func(n int) []byte {
+		var seg []byte
+		for i := 0; i < n; i++ {
+			seg = wal.AppendRecord(seg, wal.OpSet, []byte(fmt.Sprintf("k%d", i%8)), bytes.Repeat([]byte{byte(i)}, 512))
+		}
+		return seg
+	}
+	const short, long = 64, 4096
+	run := func(seg []byte) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, _, recs := recoverCanned(t, &Recovered{WALSegments: [][]byte{seg}, WALTruncatedAt: -1}); recs == 0 {
+				t.Fatal("nothing replayed")
+			}
+		})
+	}
+	base, full := run(segment(short)), run(segment(long))
+	if perRecord := (full - base) / (long - short); perRecord > 2.01 {
+		t.Fatalf("WAL replay allocates %.2f per record (%.0f for %d records vs %.0f for %d), budget 2: key string + value copy",
+			perRecord, full, long, base, short)
+	}
+}

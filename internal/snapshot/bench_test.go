@@ -42,27 +42,67 @@ func BenchmarkWriter(b *testing.B) {
 	}
 }
 
-func BenchmarkReader(b *testing.B) {
-	entries := benchEntries(256)
-	var stream bytes.Buffer
-	w, _ := NewWriter(0, func(chunk []byte, rawBytes int) error {
-		stream.Write(chunk)
+// benchImage frames entries and reports how many payload chunks that took.
+func benchImage(tb testing.TB, entries []Entry) (img []byte, chunks int) {
+	tb.Helper()
+	w, err := NewWriter(0, func(chunk []byte, rawBytes int) error {
+		img = append(img, chunk...)
+		chunks++
 		return nil
 	})
-	for _, e := range entries {
-		_ = w.Add(e.Key, e.Value)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	_ = w.Close()
-	b.SetBytes(int64(stream.Len()))
+	for _, e := range entries {
+		if err := w.Add(e.Key, e.Value); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return img, chunks - 2 // the magic and the trailer are emitted too
+}
+
+func readImage(tb testing.TB, img []byte) {
+	r := NewReader(bytes.NewReader(img))
+	for {
+		if _, err := r.Next(); err == io.EOF {
+			return
+		} else if err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReader(b *testing.B) {
+	img, _ := benchImage(b, benchEntries(256))
+	b.SetBytes(int64(len(img)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := NewReader(bytes.NewReader(stream.Bytes()))
-		for {
-			if _, err := r.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
-		}
+		readImage(b, img)
+	}
+}
+
+// TestReaderAllocBudget pins the recovery-side hot call: in steady state
+// Next allocates the chunk's raw buffer and its entry slice, nothing per
+// entry and nothing per refill. The fixed cost of a Reader (the inflater,
+// the input buffer) is measured on a short image and subtracted. Values are
+// constant bytes so the deflate blocks need no long-code link tables, which
+// compress/flate allocates per block on its own account.
+func TestReaderAllocBudget(t *testing.T) {
+	entries := make([]Entry, 1024)
+	for i := range entries {
+		entries[i] = Entry{Key: []byte(fmt.Sprintf("key:%08d", i)), Value: bytes.Repeat([]byte{byte(i)}, 4096)}
+	}
+	short, shortChunks := benchImage(t, entries[:32])
+	long, longChunks := benchImage(t, entries)
+	base := testing.AllocsPerRun(5, func() { readImage(t, short) })
+	full := testing.AllocsPerRun(5, func() { readImage(t, long) })
+	perChunk := (full - base) / float64(longChunks-shortChunks)
+	if perChunk > 2 {
+		t.Fatalf("Reader.Next allocates %.2f per chunk in steady state (%.0f over %d chunks vs %.0f over %d), budget 2",
+			perChunk, full, longChunks, base, shortChunks)
 	}
 }

@@ -2,8 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -68,6 +73,9 @@ func FuzzDecode(f *testing.F) {
 	huge := append([]byte(nil), valid[:len(Magic)]...)
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0) // absurd lengths
 	f.Add(huge)
+	for _, h := range hostileImages(f) {
+		f.Add(h.img)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64<<10 {
@@ -77,8 +85,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		ents, err := decodeAll(data)
 		for _, e := range ents {
-			// Entries must be self-contained copies, not aliases into a
-			// scratch buffer the reader reuses.
+			// Entries are views of a chunk buffer the reader never reuses,
+			// so they stay intact across later Next calls (the second pass
+			// below compares them byte for byte).
 			if e.Key == nil {
 				t.Fatal("decoded entry with nil key")
 			}
@@ -137,5 +146,71 @@ func TestFuzzSeedRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeAll(img[:len(img)/2]); err == nil || err == io.EOF {
 		t.Fatalf("torn image: err = %v, want decode failure", err)
+	}
+}
+
+// chunkImage frames payload as a one-chunk image whose header declares the
+// given lengths; the CRC is always honest, so the length checks (not the
+// checksum) are what a lying header runs into.
+func chunkImage(tb testing.TB, payload []byte, rawLen, compLen uint32) []byte {
+	tb.Helper()
+	var comp bytes.Buffer
+	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := fw.Write(payload); err != nil {
+		tb.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	img := append([]byte(nil), Magic...)
+	img = binary.LittleEndian.AppendUint32(img, rawLen)
+	img = binary.LittleEndian.AppendUint32(img, compLen)
+	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(comp.Bytes()))
+	return append(img, comp.Bytes()...)
+}
+
+type hostileImage struct {
+	name    string
+	img     []byte
+	wantErr string // substring of the error Next must return
+}
+
+// hostileImages are headers that lie about a length the reader sizes a
+// buffer from. Each must fail cleanly and cheaply.
+func hostileImages(tb testing.TB) []hostileImage {
+	entry := appendEntry(nil, []byte("k"), bytes.Repeat([]byte("v"), 991)) // 1000 raw bytes
+	body := chunkImage(tb, entry, 0, 0)[len(Magic)+12:]
+	n := uint32(len(body))
+	return []hostileImage{
+		{"raw length 4 GiB over a small body", chunkImage(tb, entry, 0xFFFFFFFF, n), "more than"},
+		{"compressed length 4 GiB over a short image", chunkImage(tb, entry, 1000, 0xFFFFFFFF), "truncated image"},
+		{"stream inflates past the declared length", chunkImage(tb, entry, 500, n), "declares 500 raw bytes, got 1000"},
+		{"stream ends before the declared length", chunkImage(tb, entry, 2000, n), "declares 2000 raw bytes, got 1000"},
+	}
+}
+
+// TestHostileLengthsFailCheaply: a declared length is untrusted input. The
+// reader must reject each lie with the right error and without sizing an
+// allocation from it — the budget is a constant (one input buffer, one
+// inflater), nowhere near the gigabytes the headers claim.
+func TestHostileLengthsFailCheaply(t *testing.T) {
+	const budget = 256 << 10
+	for _, h := range hostileImages(t) {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		ents, err := decodeAll(h.img)
+		runtime.ReadMemStats(&ms1)
+		if err == nil || err == io.EOF || !strings.Contains(err.Error(), h.wantErr) {
+			t.Errorf("%s: err = %v, want one containing %q", h.name, err, h.wantErr)
+		}
+		if len(ents) != 0 {
+			t.Errorf("%s: %d entries decoded from a lying chunk", h.name, len(ents))
+		}
+		if got := ms1.TotalAlloc - ms0.TotalAlloc; got > budget {
+			t.Errorf("%s: allocated %d bytes decoding a %d-byte image, budget %d", h.name, got, len(h.img), budget)
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Magic opens every snapshot image.
@@ -157,11 +158,26 @@ func (w *Writer) RawBytes() int64 { return w.rawTotal }
 // CompressedBytes reports compressed payload bytes emitted.
 func (w *Writer) CompressedBytes() int64 { return w.compTotal }
 
+// maxInflateRatio bounds how far deflate can expand its input: a
+// length/distance pair costs at least two bits and yields at most 258 bytes
+// (1032:1). A chunk header declaring more raw bytes than that is corrupt and
+// is rejected before a buffer is sized from it.
+const maxInflateRatio = 1032
+
 // Reader incrementally decodes a snapshot image from a sequential byte
 // source (for example a recovery read-ahead buffer).
+//
+// Each chunk is inflated once into a buffer of its own, and the entries Next
+// returns are views of that buffer. The reader never touches it again, so a
+// caller may keep (adopt) the slices; keeping any one of them keeps the whole
+// chunk alive.
 type Reader struct {
 	src       io.Reader
-	buf       []byte
+	buf       []byte // buf[pos:] is read from src but not yet consumed
+	pos       int
+	comp      bytes.Reader  // the current chunk's compressed bytes, feeding inf
+	inf       io.ReadCloser // one inflater, reset per chunk (flate.Resetter)
+	spill     [256]byte     // where inflate counts bytes past the declared length
 	sawHeader bool
 	done      bool
 	entries   int64
@@ -171,12 +187,21 @@ type Reader struct {
 // NewReader wraps a sequential source of snapshot bytes.
 func NewReader(src io.Reader) *Reader { return &Reader{src: src} }
 
+// fill makes at least n unconsumed bytes available at buf[pos:]. n comes from
+// an untrusted header, so the buffer grows only as bytes actually arrive.
 func (r *Reader) fill(n int) error {
+	if len(r.buf)-r.pos >= n {
+		return nil
+	}
+	r.buf = r.buf[:copy(r.buf, r.buf[r.pos:])]
+	r.pos = 0
 	for len(r.buf) < n {
-		tmp := make([]byte, 64<<10)
-		m, err := r.src.Read(tmp)
+		if len(r.buf) == cap(r.buf) {
+			r.buf = slices.Grow(r.buf, max(cap(r.buf), DefaultChunkSize)) // at least doubles
+		}
+		m, err := r.src.Read(r.buf[len(r.buf):cap(r.buf)])
+		r.buf = r.buf[:len(r.buf)+m]
 		if m > 0 {
-			r.buf = append(r.buf, tmp[:m]...)
 			continue
 		}
 		if err == io.EOF {
@@ -191,6 +216,40 @@ func (r *Reader) fill(n int) error {
 	return nil
 }
 
+// inflate decompresses comp into a fresh buffer of the declared length; the
+// stream must produce exactly that many bytes.
+func (r *Reader) inflate(comp []byte, rawLen uint32) ([]byte, error) {
+	if uint64(rawLen) > uint64(len(comp))*maxInflateRatio {
+		return nil, fmt.Errorf("snapshot: chunk declares %d raw bytes, more than %d compressed bytes can hold", rawLen, len(comp))
+	}
+	r.comp.Reset(comp)
+	if r.inf == nil {
+		r.inf = flate.NewReader(&r.comp)
+	} else if err := r.inf.(flate.Resetter).Reset(&r.comp, nil); err != nil {
+		return nil, fmt.Errorf("snapshot: decompress: %w", err)
+	}
+	raw := make([]byte, rawLen)
+	got := 0
+	for {
+		dst := r.spill[:]
+		if got < len(raw) {
+			dst = raw[got:]
+		}
+		m, err := r.inf.Read(dst)
+		got += m
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: decompress: %w", err)
+		}
+	}
+	if got != len(raw) {
+		return nil, fmt.Errorf("snapshot: chunk declares %d raw bytes, got %d", rawLen, got)
+	}
+	return raw, nil
+}
+
 // Next returns the next batch of entries (one chunk's worth), or io.EOF
 // after the trailer. It validates the per-chunk CRC and, at the end, the
 // declared entry count.
@@ -202,19 +261,20 @@ func (r *Reader) Next() ([]Entry, error) {
 		if err := r.fill(len(Magic)); err != nil {
 			return nil, err
 		}
-		if !bytes.Equal(r.buf[:len(Magic)], Magic) {
+		if !bytes.Equal(r.buf[r.pos:r.pos+len(Magic)], Magic) {
 			return nil, fmt.Errorf("snapshot: bad magic")
 		}
-		r.buf = r.buf[len(Magic):]
+		r.pos += len(Magic)
 		r.sawHeader = true
 	}
 	if err := r.fill(12); err != nil {
 		return nil, err
 	}
-	rawLen := binary.LittleEndian.Uint32(r.buf[0:4])
-	compLen := binary.LittleEndian.Uint32(r.buf[4:8])
-	crcOrCount := binary.LittleEndian.Uint32(r.buf[8:12])
-	r.buf = r.buf[12:]
+	hdr := r.buf[r.pos : r.pos+12]
+	rawLen := binary.LittleEndian.Uint32(hdr[0:4])
+	compLen := binary.LittleEndian.Uint32(hdr[4:8])
+	crcOrCount := binary.LittleEndian.Uint32(hdr[8:12])
+	r.pos += 12
 	if rawLen == 0 {
 		// Trailer.
 		r.done = true
@@ -227,37 +287,39 @@ func (r *Reader) Next() ([]Entry, error) {
 	if err := r.fill(int(compLen)); err != nil {
 		return nil, err
 	}
-	comp := r.buf[:compLen]
+	comp := r.buf[r.pos : r.pos+int(compLen)]
 	if crc32.ChecksumIEEE(comp) != crcOrCount {
 		return nil, fmt.Errorf("snapshot: chunk CRC mismatch")
 	}
-	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(comp)))
+	raw, err := r.inflate(comp, rawLen)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: decompress: %w", err)
+		return nil, err
 	}
-	r.buf = r.buf[compLen:]
-	if len(raw) != int(rawLen) {
-		return nil, fmt.Errorf("snapshot: chunk declares %d raw bytes, got %d", rawLen, len(raw))
-	}
+	r.pos += int(compLen)
 
-	var out []Entry
-	for len(raw) > 0 {
-		if len(raw) < 8 {
+	// Validate the framing and count the entries, then slice them out.
+	n := 0
+	for rest := raw; len(rest) > 0; n++ {
+		if len(rest) < 8 {
 			return nil, fmt.Errorf("snapshot: truncated entry header")
 		}
-		kl := binary.LittleEndian.Uint32(raw[0:4])
-		vl := binary.LittleEndian.Uint32(raw[4:8])
+		kl := binary.LittleEndian.Uint32(rest[0:4])
+		vl := binary.LittleEndian.Uint32(rest[4:8])
 		total := 8 + int(kl) + int(vl)
-		if len(raw) < total {
+		if len(rest) < total {
 			return nil, fmt.Errorf("snapshot: truncated entry body")
 		}
-		out = append(out, Entry{
-			Key:   append([]byte(nil), raw[8:8+kl]...),
-			Value: append([]byte(nil), raw[8+kl:total]...),
-		})
-		raw = raw[total:]
+		rest = rest[total:]
 	}
-	r.entries += int64(len(out))
+	out := make([]Entry, n)
+	for i := range out {
+		k := 8 + int(binary.LittleEndian.Uint32(raw[0:4]))
+		v := k + int(binary.LittleEndian.Uint32(raw[4:8]))
+		// Capacity-limited, so appending to one view cannot reach the next.
+		out[i] = Entry{Key: raw[8:k:k], Value: raw[k:v:v]}
+		raw = raw[v:]
+	}
+	r.entries += int64(n)
 	return out, nil
 }
 

@@ -33,6 +33,23 @@ func TestDecodeStreamGarbageTail(t *testing.T) {
 	}
 }
 
+// A page of zeros after the last record is not a clean tail when anything
+// non-zero follows it: the stop is still at the first bad frame, and it is
+// corruption.
+func TestDecodeStreamZeroPageThenGarbage(t *testing.T) {
+	buf := stream(3)
+	want := int64(len(buf))
+	buf = append(buf, make([]byte, 4096)...)
+	buf = append(buf, 0x5A, 0xA5, 0x01)
+	recs, prefix, corrupt := DecodeStream(buf)
+	if len(recs) != 3 || prefix != want || !corrupt {
+		t.Fatalf("recs=%d prefix=%d corrupt=%v, want 3/%d/true", len(recs), prefix, corrupt, want)
+	}
+	if p, c := ValidPrefix(buf); p != want || !c {
+		t.Fatalf("ValidPrefix = %d/%v, want %d/true", p, c, want)
+	}
+}
+
 func TestDecodeStreamStopsAtMidSegmentFlip(t *testing.T) {
 	one := stream(1)
 	buf := stream(4)
@@ -55,12 +72,22 @@ func FuzzDecode(f *testing.F) {
 	f.Add(stream(4)[:37])                                                             // torn mid-frame
 	f.Add([]byte{recordMagic, 1, 255, 255, 255, 255, 255, 255, 255, 255, 0, 0, 0, 0}) // absurd lengths
 	f.Fuzz(func(t *testing.T, data []byte) {
+		before := append([]byte(nil), data...)
 		recs, prefix, corrupt := DecodeStream(data)
+		if !bytes.Equal(data, before) {
+			t.Fatal("decoding wrote to its input")
+		}
 		if prefix < 0 || prefix > int64(len(data)) {
 			t.Fatalf("prefix %d outside buffer of %d bytes", prefix, len(data))
 		}
 		var re []byte
 		for _, r := range recs {
+			// A record is a view of the bytes at its offset, nothing else.
+			k := len(re) + headerSize
+			v := k + len(r.Key)
+			if v+len(r.Value) > len(data) || !bytes.Equal(r.Key, data[k:v]) || !bytes.Equal(r.Value, data[v:v+len(r.Value)]) {
+				t.Fatalf("record at byte %d differs from the input at its offset", len(re))
+			}
 			re = AppendRecord(re, r.Op, r.Key, r.Value)
 		}
 		if int64(len(re)) != prefix || !bytes.Equal(re, data[:prefix]) {
@@ -76,10 +103,13 @@ func FuzzDecode(f *testing.F) {
 		if corrupt != wantCorrupt {
 			t.Fatalf("corrupt=%v but tail non-zero=%v", corrupt, wantCorrupt)
 		}
-		// DecodeAll must agree with DecodeStream.
+		// DecodeAll and the validate-only scan must agree with DecodeStream.
 		recs2, truncated := DecodeAll(data)
 		if len(recs2) != len(recs) || truncated != corrupt {
 			t.Fatalf("DecodeAll diverges from DecodeStream")
+		}
+		if p, c := ValidPrefix(data); p != prefix || c != corrupt {
+			t.Fatalf("ValidPrefix = %d/%v, DecodeStream = %d/%v", p, c, prefix, corrupt)
 		}
 	})
 }

@@ -7,6 +7,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -63,7 +64,9 @@ var ErrTornRecord = fmt.Errorf("wal: torn or corrupt record")
 
 // Decode parses one record at the front of buf. It returns the record and
 // the number of bytes consumed, or ErrTornRecord (n==0) when the frame is
-// incomplete or corrupt.
+// incomplete or corrupt. The record's Key and Value are views of buf, not
+// copies: they stay valid as long as buf is left alone, and a caller that
+// keeps one keeps all of buf alive.
 func Decode(buf []byte) (rec Record, n int, err error) {
 	if len(buf) < headerSize {
 		return rec, 0, ErrTornRecord
@@ -73,47 +76,66 @@ func Decode(buf []byte) (rec Record, n int, err error) {
 	}
 	keyLen := binary.LittleEndian.Uint32(buf[2:6])
 	valLen := binary.LittleEndian.Uint32(buf[6:10])
-	total := headerSize + int(keyLen) + int(valLen)
+	keyEnd := headerSize + int(keyLen)
+	total := keyEnd + int(valLen)
 	if int(keyLen) > 1<<24 || int(valLen) > 1<<28 || len(buf) < total {
 		return rec, 0, ErrTornRecord
 	}
-	want := binary.LittleEndian.Uint32(buf[10:14])
-	crc := crc32.NewIEEE()
-	crc.Write(buf[:10])
-	crc.Write(buf[headerSize:total])
-	if crc.Sum32() != want {
+	crc := crc32.Update(0, crc32.IEEETable, buf[:10])
+	crc = crc32.Update(crc, crc32.IEEETable, buf[headerSize:total])
+	if crc != binary.LittleEndian.Uint32(buf[10:14]) {
 		return rec, 0, ErrTornRecord
 	}
 	rec.Op = Op(buf[1])
-	rec.Key = append([]byte(nil), buf[headerSize:headerSize+int(keyLen)]...)
-	rec.Value = append([]byte(nil), buf[headerSize+int(keyLen):total]...)
+	rec.Key = buf[headerSize:keyEnd:keyEnd]
+	rec.Value = buf[keyEnd:total:total]
 	return rec, total, nil
 }
 
-// DecodeStream parses records until the buffer ends or a bad frame stops it.
-// It returns the valid record prefix, the byte offset where decoding stopped
-// (the durable-prefix length; len(buf) when the whole buffer decoded), and
-// whether the stop looked like corruption. A trailing run of zero bytes is a
-// clean unwritten tail (corrupt=false); any non-zero garbage after the last
-// valid frame — a torn page program, flipped bits mid-segment — reports
-// corrupt=true so recovery can distinguish "expected crash artifact" from
-// "data loss past this point".
-func DecodeStream(buf []byte) (recs []Record, prefix int64, corrupt bool) {
+// cleanTail reports whether b is all zero bytes: the unwritten remainder of
+// a page rather than the debris of a torn or corrupted frame.
+func cleanTail(b []byte) bool {
+	// Every byte equals its successor and the first is zero: one memequal
+	// over the slice shifted against itself instead of a byte loop.
+	return len(b) == 0 || (b[0] == 0 && bytes.Equal(b[1:], b[:len(b)-1]))
+}
+
+// scan decodes frames from the front of buf, handing each record to visit,
+// until the buffer ends or a bad frame stops it. It returns the byte offset
+// where decoding stopped (the durable-prefix length; len(buf) when the whole
+// buffer decoded) and whether the stop looked like corruption: a trailing run
+// of zero bytes is a clean unwritten tail, anything else is not.
+func scan(buf []byte, visit func(Record)) (prefix int64, corrupt bool) {
 	off := 0
 	for off < len(buf) {
 		rec, n, err := Decode(buf[off:])
 		if err != nil {
-			for _, b := range buf[off:] {
-				if b != 0 {
-					return recs, int64(off), true
-				}
-			}
-			return recs, int64(off), false
+			return int64(off), !cleanTail(buf[off:])
 		}
-		recs = append(recs, rec)
+		visit(rec)
 		off += n
 	}
-	return recs, int64(off), false
+	return int64(off), false
+}
+
+// DecodeStream parses records until the buffer ends or a bad frame stops it.
+// It returns the valid record prefix (views of buf, see Decode), the byte
+// offset where decoding stopped (the durable-prefix length; len(buf) when the
+// whole buffer decoded), and whether the stop looked like corruption. A
+// trailing run of zero bytes is a clean unwritten tail (corrupt=false); any
+// non-zero garbage after the last valid frame — a torn page program, flipped
+// bits mid-segment — reports corrupt=true so recovery can distinguish
+// "expected crash artifact" from "data loss past this point".
+func DecodeStream(buf []byte) (recs []Record, prefix int64, corrupt bool) {
+	prefix, corrupt = scan(buf, func(r Record) { recs = append(recs, r) })
+	return recs, prefix, corrupt
+}
+
+// ValidPrefix is DecodeStream without the records: the same frame checks,
+// reporting only where the durable prefix ends and whether it ended on
+// corruption. Backends use it to place their append position.
+func ValidPrefix(buf []byte) (prefix int64, corrupt bool) {
+	return scan(buf, func(Record) {})
 }
 
 // DecodeAll parses records until the buffer ends or a torn frame is hit,
