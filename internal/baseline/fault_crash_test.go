@@ -10,10 +10,20 @@
 package baseline_test
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"github.com/slimio/slimio/internal/crashmc"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/crash_seeds.golden from this run instead of comparing")
+
+// goldenSeeds is how many leading seeds are pinned to the committed golden
+// (the -short corpus, so every test mode checks it).
+const goldenSeeds = 12
 
 // TestSeededCrashHarnessBaseline sweeps the seed corpus. Each seed derives
 // its own workload and power-cut instant; the aggregate must include torn
@@ -26,6 +36,7 @@ func TestSeededCrashHarnessBaseline(t *testing.T) {
 		seeds = 12
 	}
 	var torn, lossy int64
+	var golden strings.Builder
 	for seed := int64(1); seed <= seeds; seed++ {
 		res, v, err := crashmc.RunSeed(crashmc.Baseline, seed)
 		if err != nil {
@@ -33,6 +44,10 @@ func TestSeededCrashHarnessBaseline(t *testing.T) {
 		}
 		if v != nil {
 			t.Errorf("seed %d: oracle violation: %v", seed, v)
+		}
+		if seed <= goldenSeeds {
+			fmt.Fprintf(&golden, "seed=%d cut=%d appended=%d acked=%d recovered=%d digest=%016x faults=%+v\n",
+				seed, int64(res.Cut), res.Appended, res.Acked, res.Recovered, res.Digest, res.Faults)
 		}
 		torn += res.Faults.TornPrograms
 		if res.Recovered < res.Appended {
@@ -44,6 +59,24 @@ func TestSeededCrashHarnessBaseline(t *testing.T) {
 	}
 	if lossy == 0 {
 		t.Error("no seed lost an unsynced tail: every cut landed after quiescence")
+	}
+
+	// Run-to-run determinism (below) cannot see a change that shifts every
+	// cut the same way in every run; the committed outcomes can.
+	const path = "testdata/crash_seeds.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if golden.String() != string(want) {
+		t.Errorf("%s differs from this run (regenerate with -update only for an intended behaviour change):\n--- got\n%s--- want\n%s",
+			path, golden.String(), want)
 	}
 }
 

@@ -246,4 +246,5 @@ func TestIsolationDeterminismSerialAndParallel(t *testing.T) {
 	if serial1 != concurrent {
 		t.Errorf("parallel isolation run diverges from serial:\n%s\nvs\n%s", serial1, concurrent)
 	}
+	checkGolden(t, "isolation_tiny", serial1)
 }

@@ -20,21 +20,24 @@ import (
 // running the table serially or with every cell concurrent must produce the
 // same dump, byte for byte.
 func TestTelemetryDumpSerialParallelIdentical(t *testing.T) {
-	run := func(parallel int) []byte {
+	run := func(parallel int) ([]byte, string) {
 		sc := TinyScale()
 		sc.Parallel = parallel
 		sc.Telemetry = telemetry.NewRegistry(0)
-		if _, err := RunTable3(sc); err != nil {
+		res, err := RunTable3(sc)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		if err := sc.Telemetry.ExportJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return buf.Bytes(), res.String()
 	}
-	serial := run(1)
-	parallel := run(0)
+	serial, table := run(1)
+	parallel, _ := run(0)
+	// Sampling only reads state, so the telemetered table is the plain one.
+	checkGolden(t, "table3_tiny", table)
 	if err := telemetry.ValidateDump(serial); err != nil {
 		t.Fatalf("serial dump invalid: %v", err)
 	}
