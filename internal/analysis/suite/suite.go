@@ -18,7 +18,7 @@
 //     slice retained past its Release is silent cross-request corruption.
 //   - refflow proves the bufpool ownership contract flow-sensitively on
 //     the packages that hold or hand off pooled references (wal, uring,
-//     kernelio, ssd, fdp, ftl, nand, snapshot, core, crashmc, exp): a ref
+//     kernelio, ssd, fdp, nand, snapshot, core, crashmc, exp): a ref
 //     that can leak at function exit, a double Release, or a use after
 //     Release is a finding, with //slimio:owns and //slimio:borrows
 //     declaring transfers across function boundaries (see DESIGN.md
@@ -89,7 +89,7 @@ func floatScoped(path string) bool {
 // analysis tooling itself and the leaf packages that never see a bufpool
 // ref stay out of scope.
 var refflowDirs = []string{
-	"wal", "uring", "kernelio", "ssd", "fdp", "ftl", "nand",
+	"wal", "uring", "kernelio", "ssd", "fdp", "nand",
 	"snapshot", "core", "crashmc", "exp", "telemetry",
 }
 

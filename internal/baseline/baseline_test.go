@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/slimio/slimio/internal/ftl"
+	"github.com/slimio/slimio/internal/fdp"
 	"github.com/slimio/slimio/internal/imdb"
 	"github.com/slimio/slimio/internal/kernelio"
 	"github.com/slimio/slimio/internal/nand"
@@ -28,8 +28,12 @@ func newRig(t *testing.T, prof kernelio.Profile) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	conv, err := fdp.NewConventional(arr, fdp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := sim.NewEngine()
-	dev := ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+	dev := ssd.New(conv, ssd.Config{})
 	fs := kernelio.NewFilesystem(eng, dev, prof, kernelio.SchedNone, kernelio.DefaultCosts())
 	be, err := New(fs)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/slimio/slimio/internal/fdp"
-	"github.com/slimio/slimio/internal/ftl"
 	"github.com/slimio/slimio/internal/imdb"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
@@ -37,7 +36,11 @@ func newConvDevice(t *testing.T, blocksPerDie int) *ssd.Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+	f, err := fdp.NewConventional(arr, fdp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ssd.New(f, ssd.Config{})
 }
 
 type rig struct {

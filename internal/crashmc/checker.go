@@ -54,7 +54,7 @@ type Result struct {
 func Check(cfg Config) (*Result, error) {
 	w := cfg.Workload.withDefaults()
 	lr := &latticeRecorder{}
-	full, err := runOnce(cfg.Target, w, 0, lr, lr.mark)
+	full, err := runOnce(cfg.Target.Kind(), []Workload{w}, 0, lr, lr.mark, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func Check(cfg Config) (*Result, error) {
 
 	// Sanity cut zero: with no crash at all, recovery must reproduce the
 	// complete history (anything else is a bug regardless of crash points).
-	if v := checkOracle(cfg.Target, full.End, full.Hist, full.Rec); v != nil {
+	if v := checkOracle(cfg.Target, full.End, full.Engines[0].Hist, full.Engines[0].Rec); v != nil {
 		v.Code = "full-run/" + v.Code
 		res.Violations = append(res.Violations, *v)
 		if cfg.StopAtFirst {
@@ -80,13 +80,13 @@ func Check(cfg Config) (*Result, error) {
 	res.LatticeSize = len(lattice)
 	for _, cp := range sampleLattice(lattice, cfg.Budget) {
 		tele := flights.Cell(fmt.Sprintf("%s/cut-%d", cfg.Target, int64(cp.T)))
-		out, err := runOnceTele(cfg.Target, w, cp.T, nil, nil, tele)
+		out, err := runOnce(cfg.Target.Kind(), []Workload{w}, cp.T, nil, nil, tele)
 		if err != nil {
 			return nil, err
 		}
 		res.CutsChecked++
 		res.Faults.Add(out.Faults)
-		if v := checkOracle(cfg.Target, cp.T, out.Hist, out.Rec); v != nil {
+		if v := checkOracle(cfg.Target, cp.T, out.Engines[0].Hist, out.Engines[0].Rec); v != nil {
 			tele.DumpFlight("oracle violation: " + v.Code) //nolint:errcheck // the violation is the headline
 			res.Violations = append(res.Violations, *v)
 			if cfg.StopAtFirst {

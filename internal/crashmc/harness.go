@@ -32,6 +32,7 @@ import (
 	"github.com/slimio/slimio/internal/fault"
 	"github.com/slimio/slimio/internal/imdb"
 	"github.com/slimio/slimio/internal/sim"
+	"github.com/slimio/slimio/internal/ssd"
 	"github.com/slimio/slimio/internal/telemetry"
 	"github.com/slimio/slimio/internal/wal"
 )
@@ -250,37 +251,68 @@ const (
 	slotBytes   = 1 << 20
 )
 
-// runOutcome is everything one replay produces: the client-visible history
-// up to the cut, the recovered state, and the injected-fault stats.
+// engineOutcome is one engine's share of a replay: what its client observed
+// up to the cut and what its recovery produced.
+type engineOutcome struct {
+	Hist *History
+	Rec  *imdb.Recovered
+}
+
+// summary condenses the outcome for seed-corpus comparison.
+func (e engineOutcome) summary() TenantOutcome {
+	recs := decodeSegments(e.Rec)
+	return TenantOutcome{
+		Appended:  len(e.Hist.Ops),
+		Acked:     e.Hist.Acked,
+		Recovered: len(recs),
+		Digest:    digestRecords(recs),
+	}
+}
+
+// runOutcome is everything one replay produces: per engine, the
+// client-visible history up to the cut and the recovered state; plus the
+// injected-fault stats.
 type runOutcome struct {
-	Hist   *History
-	Rec    *imdb.Recovered
-	Faults fault.Stats
+	// Engines has one entry per workload, in order (exactly one for a
+	// single-engine replay).
+	Engines []engineOutcome
+	Faults  fault.Stats
 	// End is the cut instant, or the natural end of a full run.
 	End sim.Time
 }
 
-// runOnce builds a fresh stack for tgt, drives the workload, and recovers.
-// cut == 0 runs to completion (the recording pass); cut > 0 pulls power at
-// that instant (in-flight programs tear, nothing past it executes) before
-// recovering on a fresh engine over the frozen device.
-func runOnce(tgt Target, w Workload, cut sim.Time, rec fault.Recorder, mark func(string, sim.Time)) (*runOutcome, error) {
-	return runOnceTele(tgt, w, cut, rec, mark, nil)
+// seedWorkloads derives the per-tenant schedules of a seeded crash run. The
+// op budget divides the single-engine workload length so the total write
+// volume (and checker wall time) stays comparable, and tenants get distinct
+// seeds: correlated schedules would put every tenant at the same phase at
+// any cut. One tenant is exactly Workload{Seed: seed, Ops: DefaultOps}.
+func seedWorkloads(seed int64, tenants int) []Workload {
+	ws := make([]Workload, tenants)
+	for i := range ws {
+		ws[i] = Workload{Seed: seed + int64(i)*7717, Ops: max(1, DefaultOps/tenants)}
+	}
+	return ws
 }
 
-// runOnceTele is runOnce with an optional telemetry cell whose flight ring
-// records the replay's per-layer state. Only cut > 0 replays may be
-// instrumented: the sampling tick reschedules itself, so a run-to-drain
-// engine (cut == 0) would never stop.
-func runOnceTele(tgt Target, w Workload, cut sim.Time, rec fault.Recorder, mark func(string, sim.Time), tele *telemetry.Cell) (*runOutcome, error) {
+// runOnce builds a fresh stack of kind with one engine mount per workload
+// (several share the device as tenants), drives every workload concurrently
+// on the one simulation engine, and recovers each mount on a fresh engine.
+// cut == 0 runs to completion (the recording pass); cut > 0 pulls power on
+// the whole device at that instant (in-flight programs tear, nothing past it
+// executes) before recovering over the frozen device. rec and mark harvest
+// device-level and client-visible boundaries for the lattice. tele, when
+// non-nil, is a telemetry cell whose flight ring records the replay's
+// per-layer state; only cut > 0 replays may be instrumented: the sampling
+// tick reschedules itself, so a run-to-drain engine would never stop.
+func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Recorder, mark func(string, sim.Time), tele *telemetry.Cell) (*runOutcome, error) {
 	sc := exp.Scale{
 		Name:          "crashmc",
 		DeviceBytes:   deviceBytes,
-		SlotBytes:     slotBytes,
+		SlotBytes:     slotBytes / int64(len(ws)),
 		FaultRecorder: rec,
 	}
 	eng := sim.NewEngine()
-	st, err := exp.BuildStack(eng, tgt.Kind(), sc)
+	st, err := exp.BuildStackN(eng, kind, len(ws), sc)
 	if err != nil {
 		return nil, err
 	}
@@ -291,70 +323,80 @@ func runOnceTele(tgt Target, w Workload, cut sim.Time, rec fault.Recorder, mark 
 		exp.AttachStackTelemetry(st, tele)
 		tele.Start(eng)
 	}
+	// Each engine's backend, and the device (the whole one, or a tenant's
+	// window of it) its reopened successor mounts.
+	backends, devs := make([]imdb.Backend, len(ws)), make([]*ssd.Device, len(ws))
+	if len(ws) == 1 {
+		backends[0], devs[0] = st.Backend, st.Dev
+	}
+	for i, t := range st.Tenants {
+		backends[i], devs[i] = t.Slim, t.Dev
+	}
 	pageSize := st.Dev.PageSize()
-	hist := &History{}
-	cs := &clientState{buf: wal.NewBuffer(st.Pool())}
-	eng.Spawn("client", func(env *sim.Env) {
-		drive(env, st.Backend, w, pageSize, cs, hist, mark)
-	})
-	end := cut
+	out := &runOutcome{Engines: make([]engineOutcome, len(ws))}
+	clients := make([]*clientState, len(ws))
+	for i, w := range ws {
+		hist := &History{}
+		out.Engines[i].Hist = hist
+		clients[i] = &clientState{buf: wal.NewBuffer(st.Pool())}
+		eng.Spawn(fmt.Sprintf("client%d", i), func(env *sim.Env) {
+			drive(env, backends[i], w, pageSize, clients[i], hist, mark)
+		})
+	}
+	out.End = cut
 	if cut > 0 {
 		eng.RunUntil(cut)
 		eng.Stop()
 	} else {
-		end = eng.Run()
+		out.End = eng.Run()
 	}
 	// Power restored: recovery reads a healthy, frozen device.
 	st.Dev.FTL().Array().SetFaultHook(nil)
 
 	eng2 := sim.NewEngine()
 	defer eng2.Shutdown()
-	var be2 imdb.Backend
-	switch tgt {
-	case SlimIO:
-		nbe, err := core.New(eng2, st.Dev, core.Config{SlotPages: slotBytes / int64(pageSize)})
-		if err != nil {
-			return nil, fmt.Errorf("crashmc: %s reopen (cut %v): %w", tgt, cut, err)
+	reopened := make([]interface {
+		imdb.Backend
+		Close()
+	}, len(ws))
+	for i := range reopened {
+		if st.FS != nil {
+			reopened[i], err = baseline.Remount(st.FS.Remount(eng2))
+		} else {
+			reopened[i], err = core.New(eng2, devs[i], core.Config{SlotPages: sc.SlotBytes / int64(pageSize)})
 		}
-		be2 = nbe
-	case Baseline:
-		nbe, err := baseline.Remount(st.FS.Remount(eng2))
 		if err != nil {
-			return nil, fmt.Errorf("crashmc: %s remount (cut %v): %w", tgt, cut, err)
+			return nil, fmt.Errorf("crashmc: %s engine %d reopen (cut %v): %w", kind, i, cut, err)
 		}
-		be2 = nbe
-	default:
-		return nil, fmt.Errorf("crashmc: unknown target %d", tgt)
 	}
-	var recd *imdb.Recovered
-	var recErr error
-	eng2.Spawn("recover", func(env *sim.Env) {
-		recd, recErr = be2.Recover(env)
-	})
+	recErrs := make([]error, len(ws))
+	for i, be := range reopened {
+		eng2.Spawn(fmt.Sprintf("recover%d", i), func(env *sim.Env) {
+			out.Engines[i].Rec, recErrs[i] = be.Recover(env)
+		})
+	}
 	eng2.Run()
-	if recErr != nil {
-		return nil, fmt.Errorf("crashmc: %s recover (cut %v): %w", tgt, cut, recErr)
+	for i, err := range recErrs {
+		if err != nil {
+			return nil, fmt.Errorf("crashmc: %s engine %d recover (cut %v): %w", kind, i, cut, err)
+		}
+		if out.Engines[i].Rec == nil {
+			return nil, fmt.Errorf("crashmc: %s engine %d recovery produced nothing (cut %v)", kind, i, cut)
+		}
 	}
-	if recd == nil {
-		return nil, fmt.Errorf("crashmc: %s recovery produced nothing (cut %v)", tgt, cut)
+	// Teardown: release everything both generations (the cut one and the
+	// recovery one) still hold, then require the data plane quiescent — a
+	// non-zero count is a leaked reference somewhere on the zero-copy write
+	// path, and every replay of the crash-point lattice runs this check.
+	for i := range clients {
+		clients[i].close()
+		reopened[i].Close()
 	}
-	// Teardown: release everything both stacks (the cut one and the recovery
-	// one) still hold, then require the data plane quiescent — a non-zero
-	// count is a leaked reference somewhere on the zero-copy write path, and
-	// every replay of the crash-point lattice runs this check.
-	cs.close()
-	switch nbe := be2.(type) {
-	case *core.Backend:
-		nbe.Close()
-	case *baseline.Backend:
-		nbe.Close()
+	if err := st.Teardown(); err != nil {
+		return nil, fmt.Errorf("crashmc: %s: %w (cut %v)", kind, err, cut)
 	}
-	st.Close()
-	if n := st.Pool().InFlight(); n != 0 {
-		return nil, fmt.Errorf("crashmc: %s: %d pooled segments leaked after teardown (cut %v)", tgt, n, cut)
-	}
-	st.Pool().Close()
-	return &runOutcome{Hist: hist, Rec: recd, Faults: st.Fault.Stats(), End: end}, nil
+	out.Faults = st.Fault.Stats()
+	return out, nil
 }
 
 // SeedResult summarizes one seeded crash run; two runs with the same seed
@@ -368,33 +410,41 @@ type SeedResult struct {
 	Faults    fault.Stats
 }
 
-// RunSeed replicates the PR-1 seeded crash harness on the shared
-// model-checker machinery: a recording pass measures the workload's span,
-// the seed picks one cut inside it, and the replay is judged by the full
+// runSeed replicates the PR-1 seeded crash harness on the shared
+// model-checker machinery: a recording pass measures the workloads' span,
+// the seed picks one cut inside it, and the replay at that cut is returned
+// for the caller to judge with the full durability oracle.
+func runSeed(kind exp.BackendKind, seed int64, tenants int) (sim.Time, *runOutcome, error) {
+	ws := seedWorkloads(seed, tenants)
+	full, err := runOnce(kind, ws, 0, nil, nil, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	// A distinct stream for the cut draw, so it is not correlated with the
+	// workloads' first value-size draws.
+	next := rng(^seed)
+	cut := sim.Time(1 + next()%uint64(full.End))
+	out, err := runOnce(kind, ws, cut, nil, nil, nil)
+	return cut, out, err
+}
+
+// RunSeed is the single-engine seeded crash run, judged by the full
 // durability oracle rather than only the WAL-prefix check. It backs the
 // deduplicated seed-corpus tests in internal/core and internal/baseline.
 func RunSeed(tgt Target, seed int64) (SeedResult, *Violation, error) {
-	w := Workload{Seed: seed, Ops: DefaultOps}
-	full, err := runOnce(tgt, w, 0, nil, nil)
+	cut, out, err := runSeed(tgt.Kind(), seed, 1)
 	if err != nil {
 		return SeedResult{}, nil, err
 	}
-	// A distinct stream for the cut draw, so it is not correlated with the
-	// workload's first value-size draw.
-	next := rng(^seed)
-	cut := sim.Time(1 + next()%uint64(full.End))
-	out, err := runOnce(tgt, w, cut, nil, nil)
-	if err != nil {
-		return SeedResult{}, nil, err
-	}
-	recs := decodeSegments(out.Rec)
+	e := out.Engines[0]
+	u := e.summary()
 	res := SeedResult{
 		Cut:       cut,
-		Appended:  len(out.Hist.Ops),
-		Acked:     out.Hist.Acked,
-		Recovered: len(recs),
-		Digest:    digestRecords(recs),
+		Appended:  u.Appended,
+		Acked:     u.Acked,
+		Recovered: u.Recovered,
+		Digest:    u.Digest,
 		Faults:    out.Faults,
 	}
-	return res, checkOracle(tgt, cut, out.Hist, out.Rec), nil
+	return res, checkOracle(tgt, cut, e.Hist, e.Rec), nil
 }

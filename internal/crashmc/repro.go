@@ -77,9 +77,9 @@ func (r *Repro) Replay() (*Violation, error) {
 	}
 	w := Workload{Seed: r.Seed, Ops: r.Ops, Mutation: Mutation(r.Mutation)}
 	cut := sim.Time(r.CutNanos)
-	out, err := runOnce(tgt, w, cut, nil, nil)
+	out, err := runOnce(tgt.Kind(), []Workload{w}, cut, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return checkOracle(tgt, cut, out.Hist, out.Rec), nil
+	return checkOracle(tgt, cut, out.Engines[0].Hist, out.Engines[0].Rec), nil
 }

@@ -21,11 +21,11 @@ func Shrink(tgt Target, w Workload, cut sim.Time) (Workload, *Violation, error) 
 	fails := func(ops int) (*Violation, error) {
 		w2 := w
 		w2.Ops = ops
-		out, err := runOnce(tgt, w2, cut, nil, nil)
+		out, err := runOnce(tgt.Kind(), []Workload{w2}, cut, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		return checkOracle(tgt, cut, out.Hist, out.Rec), nil
+		return checkOracle(tgt, cut, out.Engines[0].Hist, out.Engines[0].Rec), nil
 	}
 	best, err := fails(w.Ops)
 	if err != nil {

@@ -1,13 +1,8 @@
 package crashmc
 
 import (
-	"fmt"
-
-	"github.com/slimio/slimio/internal/core"
 	"github.com/slimio/slimio/internal/exp"
-	"github.com/slimio/slimio/internal/imdb"
 	"github.com/slimio/slimio/internal/sim"
-	"github.com/slimio/slimio/internal/wal"
 )
 
 // TenantOutcome is one tenant's share of a multi-tenant crash run: what its
@@ -27,138 +22,25 @@ type TenantSeedResult struct {
 }
 
 // RunTenantSeed is the multi-tenant sibling of RunSeed: it mounts `tenants`
-// SlimIO backends on one shared device via exp.BuildTenantStack, drives each
-// with its own seed-derived workload, pulls power on the whole device at a
+// SlimIO backends on one shared device of kind (exp.SlimIOFDP leases each a
+// placement-ID range, exp.SlimIOConv shares one stream), drives each with
+// its own seed-derived workload, pulls power on the whole device at a
 // seed-drawn instant, then recovers every tenant independently and judges
 // each against the SlimIO durability oracle. The point: a shared outage must
 // not let one tenant's in-flight state corrupt another's durable prefix,
 // under either placement mode.
-func RunTenantSeed(placement exp.TenantPlacement, seed int64, tenants int) (TenantSeedResult, []*Violation, error) {
-	if tenants < 2 {
-		tenants = 2
-	}
-	// Per-tenant op budgets divide the single-tenant workload length so the
-	// total write volume (and checker wall time) stays comparable.
-	ops := DefaultOps / tenants
-	if ops < 1 {
-		ops = 1
-	}
-	full, err := runTenantOnce(placement, seed, tenants, ops, 0)
-	if err != nil {
-		return TenantSeedResult{}, nil, err
-	}
-	// Distinct stream for the cut draw, uncorrelated with the workloads.
-	next := rng(^seed)
-	cut := sim.Time(1 + next()%uint64(full.end))
-	out, err := runTenantOnce(placement, seed, tenants, ops, cut)
+func RunTenantSeed(kind exp.BackendKind, seed int64, tenants int) (TenantSeedResult, []*Violation, error) {
+	cut, out, err := runSeed(kind, seed, max(2, tenants))
 	if err != nil {
 		return TenantSeedResult{}, nil, err
 	}
 	res := TenantSeedResult{Cut: cut}
 	var violations []*Violation
-	for i := 0; i < tenants; i++ {
-		recs := decodeSegments(out.recs[i])
-		res.Tenants = append(res.Tenants, TenantOutcome{
-			Appended:  len(out.hists[i].Ops),
-			Acked:     out.hists[i].Acked,
-			Recovered: len(recs),
-			Digest:    digestRecords(recs),
-		})
-		if v := checkOracle(SlimIO, cut, out.hists[i], out.recs[i]); v != nil {
+	for _, e := range out.Engines {
+		res.Tenants = append(res.Tenants, e.summary())
+		if v := checkOracle(SlimIO, cut, e.Hist, e.Rec); v != nil {
 			violations = append(violations, v)
 		}
 	}
 	return res, violations, nil
-}
-
-// tenantRunOutcome is one multi-tenant replay: per-tenant histories and
-// recoveries, plus the run's end instant.
-type tenantRunOutcome struct {
-	hists []*History
-	recs  []*imdb.Recovered
-	end   sim.Time
-}
-
-// runTenantOnce builds a fresh tenant stack, drives every tenant's workload
-// concurrently on the one engine, and recovers each tenant on a fresh engine
-// over the frozen shared device. cut == 0 runs to completion.
-func runTenantOnce(placement exp.TenantPlacement, seed int64, tenants, ops int, cut sim.Time) (*tenantRunOutcome, error) {
-	sc := exp.Scale{
-		Name:        "crashmc-tenant",
-		DeviceBytes: deviceBytes,
-		SlotBytes:   slotBytes / int64(tenants),
-	}
-	eng := sim.NewEngine()
-	ts, err := exp.BuildTenantStack(eng, placement, tenants, sc)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Shutdown()
-	if cut > 0 {
-		ts.ArmPowerCut(cut)
-	}
-	pageSize := ts.Dev.PageSize()
-	hists := make([]*History, tenants)
-	clients := make([]*clientState, tenants)
-	for i, t := range ts.Tenants {
-		i, t := i, t
-		hists[i] = &History{}
-		clients[i] = &clientState{buf: wal.NewBuffer(ts.Pool())}
-		// Distinct per-tenant seeds: tenants must not issue correlated
-		// schedules, or a cut would always land at the same phase for all.
-		w := Workload{Seed: seed + int64(i)*7717, Ops: ops}
-		eng.Spawn(fmt.Sprintf("tenant%d-client", i), func(env *sim.Env) {
-			drive(env, t.Slim, w, pageSize, clients[i], hists[i], nil)
-		})
-	}
-	end := cut
-	if cut > 0 {
-		eng.RunUntil(cut)
-		eng.Stop()
-	} else {
-		end = eng.Run()
-	}
-	// Power restored: every tenant's recovery reads the healthy, frozen
-	// shared device through its own namespace window.
-	ts.Dev.FTL().Array().SetFaultHook(nil)
-
-	eng2 := sim.NewEngine()
-	defer eng2.Shutdown()
-	recs := make([]*imdb.Recovered, tenants)
-	recErrs := make([]error, tenants)
-	backends := make([]*core.Backend, tenants)
-	for i, t := range ts.Tenants {
-		nbe, err := core.New(eng2, t.Dev, core.Config{SlotPages: sc.SlotBytes / int64(pageSize)})
-		if err != nil {
-			return nil, fmt.Errorf("crashmc: tenant%d reopen (cut %v): %w", i, cut, err)
-		}
-		backends[i] = nbe
-	}
-	for i := range backends {
-		i := i
-		eng2.Spawn(fmt.Sprintf("recover%d", i), func(env *sim.Env) {
-			recs[i], recErrs[i] = backends[i].Recover(env)
-		})
-	}
-	eng2.Run()
-	for i, err := range recErrs {
-		if err != nil {
-			return nil, fmt.Errorf("crashmc: tenant%d recover (cut %v): %w", i, cut, err)
-		}
-		if recs[i] == nil {
-			return nil, fmt.Errorf("crashmc: tenant%d recovery produced nothing (cut %v)", i, cut)
-		}
-	}
-	// Teardown mirrors runOnce: release both generations' references, then
-	// require the shared data plane quiescent.
-	for i := range clients {
-		clients[i].close()
-		backends[i].Close()
-	}
-	ts.Close()
-	if n := ts.Pool().InFlight(); n != 0 {
-		return nil, fmt.Errorf("crashmc: tenant stack: %d pooled segments leaked after teardown (cut %v)", n, cut)
-	}
-	ts.Pool().Close()
-	return &tenantRunOutcome{hists: hists, recs: recs, end: end}, nil
 }

@@ -29,9 +29,9 @@ func noteGolden(b *strings.Builder, seed int64, res TenantSeedResult) {
 // checkGolden pins got to testdata/tenant_seeds_<placement>.golden: the
 // determinism test below cannot see a change that shifts every cut the same
 // way in every run; the committed outcomes can.
-func checkGolden(t *testing.T, placement exp.TenantPlacement, got string) {
+func checkGolden(t *testing.T, kind exp.BackendKind, got string) {
 	t.Helper()
-	path := "testdata/tenant_seeds_" + placement.String() + ".golden"
+	path := "testdata/tenant_seeds_" + exp.PlacementLabel(kind) + ".golden"
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -59,7 +59,7 @@ func TestTenantSeededCrashFDP(t *testing.T) {
 	var appended, lossy int
 	var golden strings.Builder
 	for seed := int64(1); seed <= seeds; seed++ {
-		res, vs, err := RunTenantSeed(exp.TenantFDP, seed, 2)
+		res, vs, err := RunTenantSeed(exp.SlimIOFDP, seed, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -90,7 +90,7 @@ func TestTenantSeededCrashFDP(t *testing.T) {
 	if lossy == 0 {
 		t.Error("no cut ever lost an unsynced tail: every cut landed after quiescence")
 	}
-	checkGolden(t, exp.TenantFDP, golden.String())
+	checkGolden(t, exp.SlimIOFDP, golden.String())
 }
 
 // The shared-PID baseline runs the identical SlimIO write path, so its
@@ -98,7 +98,7 @@ func TestTenantSeededCrashFDP(t *testing.T) {
 func TestTenantSeededCrashSharedBaseline(t *testing.T) {
 	var golden strings.Builder
 	for seed := int64(1); seed <= goldenSeeds; seed++ {
-		res, vs, err := RunTenantSeed(exp.TenantShared, seed, 2)
+		res, vs, err := RunTenantSeed(exp.SlimIOConv, seed, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -107,17 +107,17 @@ func TestTenantSeededCrashSharedBaseline(t *testing.T) {
 		}
 		noteGolden(&golden, seed, res)
 	}
-	checkGolden(t, exp.TenantShared, golden.String())
+	checkGolden(t, exp.SlimIOConv, golden.String())
 }
 
 // Same seed, same cut, same per-tenant recovery — bit for bit.
 func TestTenantSeededCrashDeterminism(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		a, av, err := RunTenantSeed(exp.TenantFDP, seed, 2)
+		a, av, err := RunTenantSeed(exp.SlimIOFDP, seed, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		b, bv, err := RunTenantSeed(exp.TenantFDP, seed, 2)
+		b, bv, err := RunTenantSeed(exp.SlimIOFDP, seed, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -215,25 +215,17 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 	return res, nil
 }
 
-// ReleaseHeavy tears down the cell's stack — the SlimIO rings and tail
-// buffers, the kernel page cache, staged block-layer requests, and the NAND
-// array's stored pages — then asserts the data plane quiescent: a non-zero
-// pool in-flight count after teardown is a leaked reference somewhere on the
-// zero-copy write path. Once quiescent the pool itself is closed, handing
-// its backing chunks (a device-capacity footprint) to bufpool's process-wide
-// chunk cache for the next cell. Finally it drops the references that keep
-// the whole simulated device (hundreds of MB of real page bytes) alive: the
-// stack and the RPS series. Table runners call it once a cell's metrics are
+// ReleaseHeavy tears down the cell's stack (Stack.Teardown: a leaked pool
+// reference is an error), then drops the references that keep the whole
+// simulated device (hundreds of MB of real page bytes) alive: the stack and
+// the RPS series. Table runners call it once a cell's metrics are
 // extracted, so a multi-cell experiment never holds more than one stack at
 // a time.
 func (res *CellResult) ReleaseHeavy() error {
 	var err error
 	if st := res.Stack; st != nil {
-		st.Close()
-		if n := st.Pool().InFlight(); n != 0 {
-			err = fmt.Errorf("exp: %s: %d pooled segments leaked after teardown", res.Label, n)
-		} else {
-			st.Pool().Close()
+		if err = st.Teardown(); err != nil {
+			err = fmt.Errorf("exp: %s: %w", res.Label, err)
 		}
 	}
 	res.Stack = nil

@@ -36,6 +36,12 @@ func TestBuildStackAllKinds(t *testing.T) {
 	if _, err := BuildStack(sim.NewEngine(), BackendKind(99), TinyScale()); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
+	if _, err := BuildStackN(sim.NewEngine(), BaselineF2FS, 2, TinyScale()); err == nil {
+		t.Fatal("multi-tenant kernel-path stack accepted")
+	}
+	if _, err := BuildStackN(sim.NewEngine(), SlimIOFDP, 0, TinyScale()); err == nil {
+		t.Fatal("zero-tenant stack accepted")
+	}
 }
 
 func TestFilePIDMapping(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/slimio/slimio/internal/fdp"
 	"github.com/slimio/slimio/internal/imdb"
 	"github.com/slimio/slimio/internal/metrics"
 	"github.com/slimio/slimio/internal/sim"
@@ -29,7 +30,8 @@ type TenantRow struct {
 // IsolationCell is one placement mode's result: the device-global WAF and
 // every tenant's row.
 type IsolationCell struct {
-	Placement TenantPlacement
+	// Kind is the stack every tenant ran; PlacementLabel names it in reports.
+	Kind      BackendKind
 	DeviceWAF float64
 	Rows      []TenantRow
 }
@@ -47,17 +49,18 @@ func (c *IsolationCell) QuietWorstWAF() float64 {
 }
 
 // IsolationResult is the multi-tenant isolation experiment: the same tenant
-// mix run twice, on the shared-PID baseline and under per-tenant FDP leases.
+// mix run twice, on the shared-PID baseline (SlimIOConv) and under per-tenant
+// FDP leases (SlimIOFDP).
 type IsolationResult struct {
 	Tenants int
 	Noisy   bool
 	Cells   []*IsolationCell // shared-pid first, per-tenant-fdp second
 }
 
-// Cell returns the cell for placement p (nil if absent).
-func (r *IsolationResult) Cell(p TenantPlacement) *IsolationCell {
+// Cell returns the cell that ran stack kind (nil if absent).
+func (r *IsolationResult) Cell(kind BackendKind) *IsolationCell {
 	for _, c := range r.Cells {
-		if c.Placement == p {
+		if c.Kind == kind {
 			return c
 		}
 	}
@@ -74,17 +77,18 @@ func (r *IsolationResult) String() string {
 	fmt.Fprintf(&b, "%-16s %-10s %-8s %10s %10s %10s %8s %12s\n",
 		"Placement", "Tenant", "Role", "Ops", "HostPages", "GCCopies", "WAF", "SET p99")
 	for _, c := range r.Cells {
+		placement := PlacementLabel(c.Kind)
 		for _, row := range c.Rows {
 			gc := "-"
 			if row.GCCopies >= 0 {
 				gc = fmt.Sprintf("%d", row.GCCopies)
 			}
 			fmt.Fprintf(&b, "%-16s %-10s %-8s %10d %10d %10s %8.2f %10dus\n",
-				c.Placement, row.Tenant, row.Role, row.Ops, row.HostPages, gc,
+				placement, row.Tenant, row.Role, row.Ops, row.HostPages, gc,
 				row.WAF, int64(row.SetP99)/int64(sim.Microsecond))
 		}
 		fmt.Fprintf(&b, "%-16s %-10s %-8s %10s %10s %10s %8.2f\n",
-			c.Placement, "(device)", "", "", "", "", c.DeviceWAF)
+			placement, "(device)", "", "", "", "", c.DeviceWAF)
 	}
 	return b.String()
 }
@@ -100,10 +104,10 @@ func RunIsolation(sc Scale, tenants int, noisy bool) (*IsolationResult, error) {
 	if tenants < 2 {
 		tenants = 2
 	}
-	placements := []TenantPlacement{TenantShared, TenantFDP}
-	out := &IsolationResult{Tenants: tenants, Noisy: noisy, Cells: make([]*IsolationCell, len(placements))}
-	err := runCells(len(placements), sc.Parallel, func(i int) error {
-		cell, err := runIsolationCell(placements[i], tenants, noisy, sc)
+	kinds := []BackendKind{SlimIOConv, SlimIOFDP}
+	out := &IsolationResult{Tenants: tenants, Noisy: noisy, Cells: make([]*IsolationCell, len(kinds))}
+	err := runCells(len(kinds), sc.Parallel, func(i int) error {
+		cell, err := runIsolationCell(kinds[i], tenants, noisy, sc)
 		if err != nil {
 			return err
 		}
@@ -143,12 +147,12 @@ func isolationWorkload(idx, tenants int, noisy bool, sc Scale) (workload.Config,
 	return wl, "steady"
 }
 
-// runIsolationCell runs one placement mode: build the tenant stack, drive
-// every tenant's workload concurrently on the one engine, and roll up the
-// per-tenant attribution.
-func runIsolationCell(placement TenantPlacement, tenants int, noisy bool, sc Scale) (*IsolationCell, error) {
+// runIsolationCell runs one placement mode: build the multi-tenant stack,
+// drive every tenant's workload concurrently on the one engine, and roll up
+// the per-tenant attribution.
+func runIsolationCell(kind BackendKind, tenants int, noisy bool, sc Scale) (*IsolationCell, error) {
 	eng := sim.NewEngine()
-	label := "isolation/" + placement.String()
+	label := "isolation/" + PlacementLabel(kind)
 	costM0 := cellCostStart(sc.CellCosts)
 	if sc.Trace != nil {
 		sc.tracer = sc.Trace.Tracer(label)
@@ -167,19 +171,19 @@ func runIsolationCell(placement TenantPlacement, tenants int, noisy bool, sc Sca
 	// Per-tenant sizing: each tenant owns 1/tenants of the device, so its
 	// snapshot slots and WAL-snapshot trigger shrink by the same factor.
 	// Beyond two tenants the shared device grows proportionally (every
-	// tenant keeps a half-scale droplet): each tenant pins TenantPIDs open
+	// tenant keeps a half-scale droplet): each tenant pins tenantPIDs open
 	// reclaim units, so the RU count must grow with the tenant count.
 	tsc := sc
 	tsc.SlotBytes = sc.SlotBytes / int64(tenants)
 	if tenants > 2 {
 		tsc.DeviceBytes = sc.DeviceBytes / 2 * int64(tenants)
 	}
-	ts, err := BuildTenantStack(eng, placement, tenants, tsc)
+	ts, err := BuildStackN(eng, kind, tenants, tsc)
 	if err != nil {
 		return nil, err
 	}
 
-	AttachTenantTelemetry(ts, tele)
+	AttachStackTelemetry(ts, tele)
 	tele.SetTracer(ts.Trace)
 	tele.Start(eng)
 
@@ -240,7 +244,7 @@ func runIsolationCell(placement TenantPlacement, tenants int, noisy bool, sc Sca
 	}
 	eng.Run()
 
-	cell := &IsolationCell{Placement: placement, DeviceWAF: ts.Dev.Stats().WAF()}
+	cell := &IsolationCell{Kind: kind, DeviceWAF: ts.Dev.Stats().WAF()}
 	for i, t := range ts.Tenants {
 		row := TenantRow{
 			Tenant:    t.Name,
@@ -251,8 +255,8 @@ func runIsolationCell(placement TenantPlacement, tenants int, noisy bool, sc Sca
 			WAF:       ts.TenantWAF(t),
 			SetP99:    runs[i].p99.P99(),
 		}
-		if t.Lease != nil && ts.Alloc != nil {
-			for _, u := range ts.Alloc.Rollup(ts.FDP.Stats()) {
+		if t.Lease != nil {
+			for _, u := range ts.Alloc.Rollup(ts.Dev.FTL().(*fdp.FTL).Stats()) {
 				if u.Tenant == t.Name {
 					row.GCCopies = u.GCCopies
 					row.HostPages = u.HostWrites
@@ -262,11 +266,9 @@ func runIsolationCell(placement TenantPlacement, tenants int, noisy bool, sc Sca
 		cell.Rows = append(cell.Rows, row)
 	}
 
-	ts.Close()
-	if n := ts.Pool().InFlight(); n != 0 {
-		return nil, fmt.Errorf("exp: %s: %d pooled segments leaked after teardown", label, n)
+	if err := ts.Teardown(); err != nil {
+		return nil, fmt.Errorf("exp: %s: %w", label, err)
 	}
-	ts.Pool().Close()
 	eng.Shutdown()
 	cellCostEnd(sc.CellCosts, label, costM0)
 	return cell, nil

@@ -25,11 +25,11 @@ type tenantChurnOutcome struct {
 // region once on its snapshot stream and runs an RU-aligned circular log
 // with whole-region trims on its WAL stream — the quiet tenant whose
 // lifetimes are perfectly separated.
-func runTenantChurn(t *testing.T, placement TenantPlacement) tenantChurnOutcome {
+func runTenantChurn(t *testing.T, kind BackendKind) tenantChurnOutcome {
 	t.Helper()
 	onePage := bufpool.Borrowed(make([]byte, 4096))
 	eng := sim.NewEngine()
-	ts, err := BuildTenantStack(eng, placement, 2, TinyScale())
+	ts, err := BuildStackN(eng, kind, 2, TinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,18 +86,19 @@ func runTenantChurn(t *testing.T, placement TenantPlacement) tenantChurnOutcome 
 	out.noisyWAF = ts.TenantWAF(noisy)
 	out.deviceWAF = ts.Dev.Stats().WAF()
 	out.quietHost = quiet.NS.HostWritePages()
-	out.reclaims = ts.FDP.Stats().RUsReclaimed
+	out.reclaims = ts.Dev.FTL().(ruIntrospect).Stats().RUsReclaimed
 	out.quietGC = -1
 	if quiet.Lease != nil {
-		for _, u := range ts.Alloc.Rollup(ts.FDP.Stats()) {
+		for _, u := range ts.Alloc.Rollup(ts.Dev.FTL().(ruIntrospect).Stats()) {
 			if u.Tenant == quiet.Name {
 				out.quietGC = u.GCCopies
 				out.quietHost = u.HostWrites
 			}
 		}
 	}
-	ts.Close()
-	ts.Pool().Close()
+	if err := ts.Teardown(); err != nil {
+		t.Error(err)
+	}
 	eng.Shutdown()
 	return out
 }
@@ -109,8 +110,8 @@ func runTenantChurn(t *testing.T, placement TenantPlacement) tenantChurnOutcome 
 // baseline drags it up by at least 1.2x — the noisy neighbor's churn forces
 // reclaim to copy the quiet tenant's long-lived pages.
 func TestTenantIsolationWAFSplit(t *testing.T) {
-	fdp := runTenantChurn(t, TenantFDP)
-	shared := runTenantChurn(t, TenantShared)
+	fdp := runTenantChurn(t, SlimIOFDP)
+	shared := runTenantChurn(t, SlimIOConv)
 	t.Logf("fdp:    quiet %.3f noisy %.3f device %.3f reclaims %d quietGC %d",
 		fdp.quietWAF, fdp.noisyWAF, fdp.deviceWAF, fdp.reclaims, fdp.quietGC)
 	t.Logf("shared: quiet %.3f noisy %.3f device %.3f reclaims %d",
@@ -158,26 +159,26 @@ func TestIsolationExperiment(t *testing.T) {
 	if res.Tenants != 2 || len(res.Cells) != 2 {
 		t.Fatalf("result shape: %d tenants, %d cells", res.Tenants, len(res.Cells))
 	}
-	fdpCell := res.Cell(TenantFDP)
-	sharedCell := res.Cell(TenantShared)
+	fdpCell := res.Cell(SlimIOFDP)
+	sharedCell := res.Cell(SlimIOConv)
 	if fdpCell == nil || sharedCell == nil {
 		t.Fatal("missing placement cell")
 	}
 	for _, c := range res.Cells {
 		if len(c.Rows) != 2 {
-			t.Fatalf("%s: %d rows", c.Placement, len(c.Rows))
+			t.Fatalf("%s: %d rows", PlacementLabel(c.Kind), len(c.Rows))
 		}
 		if c.Rows[0].Role != "noisy" || c.Rows[1].Role != "steady" {
-			t.Fatalf("%s: roles %q/%q", c.Placement, c.Rows[0].Role, c.Rows[1].Role)
+			t.Fatalf("%s: roles %q/%q", PlacementLabel(c.Kind), c.Rows[0].Role, c.Rows[1].Role)
 		}
 		for _, row := range c.Rows {
 			if row.Ops == 0 || row.HostPages == 0 || row.SetP99 == 0 {
-				t.Fatalf("%s %s: empty row %+v", c.Placement, row.Tenant, row)
+				t.Fatalf("%s %s: empty row %+v", PlacementLabel(c.Kind), row.Tenant, row)
 			}
 		}
 		// The noisy tenant gets double the per-tenant op budget.
 		if c.Rows[0].Ops != 2*c.Rows[1].Ops {
-			t.Fatalf("%s: noisy ops %d, steady ops %d, want 2:1", c.Placement, c.Rows[0].Ops, c.Rows[1].Ops)
+			t.Fatalf("%s: noisy ops %d, steady ops %d, want 2:1", PlacementLabel(c.Kind), c.Rows[0].Ops, c.Rows[1].Ops)
 		}
 	}
 	for _, row := range sharedCell.Rows {

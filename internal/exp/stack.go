@@ -76,6 +76,16 @@ func (k BackendKind) String() string {
 	}
 }
 
+// kernelPath reports whether k runs the baseline backend over kernelio (as
+// opposed to the SlimIO backend over io_uring passthru).
+func (k BackendKind) kernelPath() bool {
+	switch k {
+	case BaselineEXT4, BaselineF2FS, BaselineF2FSPrio, FDPAwareFS:
+		return true
+	}
+	return false
+}
+
 // Scale sizes a scenario. All paper quantities shrink by a common factor.
 type Scale struct {
 	Name        string
@@ -185,25 +195,56 @@ func TinyScale() Scale {
 	}
 }
 
-// Stack is one assembled storage system.
+// Stack is one assembled storage system: one device, and on it either one
+// persistence backend (Backend, with FS or Slim naming its path) or, for a
+// multi-tenant stack, the co-located engines' backends listed in Tenants.
 type Stack struct {
-	Kind    BackendKind
-	Eng     *sim.Engine
+	Kind BackendKind
+	Eng  *sim.Engine
+	// Dev is the whole device (device-global stats and telemetry). A
+	// single-engine stack's backend sits directly on it.
 	Dev     *ssd.Device
 	Backend imdb.Backend
 	// FS is non-nil for kernel-path stacks.
 	FS *kernelio.Filesystem
-	// Slim is non-nil for SlimIO stacks.
+	// Slim is non-nil for single-engine SlimIO stacks.
 	Slim *core.Backend
-	// Fault is the device fault plan, non-nil only when the scale requests
-	// fault injection (crash harnesses also use it to schedule power cuts).
+	// Fault is the device fault plan (crash harnesses also use it to
+	// schedule power cuts).
 	Fault *fault.Plan
 	// Trace is the resolved per-cell tracer (nil when tracing is off).
 	Trace *vtrace.Tracer
+	// Tenants is non-empty only on a multi-tenant stack; Backend, FS and
+	// Slim are nil there.
+	Tenants []*Tenant
+	// Alloc is the PID-lease allocator of a multi-tenant stack on an FDP
+	// device (nil otherwise).
+	Alloc *fdp.PIDAllocator
 }
 
 // BuildStack assembles the device and persistence backend for kind.
 func BuildStack(eng *sim.Engine, kind BackendKind, sc Scale) (*Stack, error) {
+	return BuildStackN(eng, kind, 1, sc)
+}
+
+// BuildStackN assembles one device for kind and mounts tenants persistence
+// backends on it. One tenant is the ordinary single-engine stack: its backend
+// sits directly on Stack.Dev. More than one (SlimIO kinds only) is the
+// cloud-consolidation scenario the isolation experiment measures: each
+// tenant gets an equal LPA window of the shared device through an
+// ssd.Namespace, and on an FDP device an exclusive lease of tenantPIDs
+// placement identifiers (the device is sized with MaxPIDs =
+// tenants×tenantPIDs). Scale.SlotBytes sizes each tenant's snapshot slots, so
+// multi-tenant callers shrink it by the tenant count first. All tenants run
+// on the one sim.Engine, so the interleaving is deterministic like any
+// single-engine cell.
+func BuildStackN(eng *sim.Engine, kind BackendKind, tenants int, sc Scale) (*Stack, error) {
+	if tenants < 1 {
+		return nil, fmt.Errorf("exp: stack needs at least one tenant, got %d", tenants)
+	}
+	if tenants > 1 && kind.kernelPath() {
+		return nil, fmt.Errorf("exp: %s: multi-tenant stacks mount SlimIO backends only", kind)
+	}
 	geo := nand.DefaultGeometry(sc.DeviceBytes)
 	lat := nand.DefaultLatencies()
 	arr, err := nand.New(geo, lat)
@@ -213,7 +254,11 @@ func BuildStack(eng *sim.Engine, kind BackendKind, sc Scale) (*Stack, error) {
 	arr.SetClock(eng)
 	tr := sc.tracer
 	if tr == nil && sc.Trace != nil {
-		tr = sc.Trace.Tracer(kind.String())
+		label := kind.String()
+		if tenants > 1 {
+			label = PlacementLabel(kind)
+		}
+		tr = sc.Trace.Tracer(label)
 	}
 	arr.SetTracer(tr)
 	st := &Stack{Kind: kind, Eng: eng, Trace: tr}
@@ -233,27 +278,33 @@ func BuildStack(eng *sim.Engine, kind BackendKind, sc Scale) (*Stack, error) {
 		arr.SetFaultHook(plan)
 	}
 
-	// The conventional baseline device is the same line-based FTL with a
-	// single placement stream (FEMU reclaims superblocks spanning all dies;
-	// that is what makes mixed lifetimes expensive).
-	newConv := func() (*ssd.Device, error) {
-		f, err := fdp.NewConventional(arr, fdp.Config{Metrics: sc.Metrics, Trace: tr})
-		if err != nil {
-			return nil, err
-		}
-		return ssd.New(f, ssd.Config{Metrics: sc.Metrics, Trace: tr}), nil
-	}
-	newFDP := func() (*ssd.Device, error) {
-		f, err := fdp.New(arr, fdp.Config{Metrics: sc.Metrics, Trace: tr})
-		if err != nil {
-			return nil, err
-		}
-		return ssd.New(f, ssd.Config{Metrics: sc.Metrics, Trace: tr}), nil
-	}
-	slotPages := sc.SlotBytes / int64(geo.PageSize)
-
+	// One FTL below everything: the conventional baseline device is the same
+	// line-based FTL with a single placement stream (FEMU reclaims
+	// superblocks spanning all dies; that is what makes mixed lifetimes
+	// expensive), so device kind is the only thing placement changes.
+	devCfg := fdp.Config{Metrics: sc.Metrics, Trace: tr}
+	var ftl ssd.FTL
 	switch kind {
-	case BaselineEXT4, BaselineF2FS, BaselineF2FSPrio, FDPAwareFS:
+	case BaselineEXT4, BaselineF2FS, BaselineF2FSPrio, SlimIOConv:
+		ftl, err = fdp.NewConventional(arr, devCfg)
+	case FDPAwareFS, SlimIOFDP, SlimIONoSQPoll:
+		if tenants > 1 {
+			devCfg.MaxPIDs = tenants * tenantPIDs
+			if st.Alloc, err = fdp.NewPIDAllocator(devCfg.MaxPIDs); err != nil {
+				return nil, err
+			}
+		}
+		ftl, err = fdp.New(arr, devCfg)
+	default:
+		return nil, fmt.Errorf("exp: unknown backend kind %d", kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	front := ssd.Config{Metrics: sc.Metrics, Trace: tr}
+	st.Dev = ssd.New(ftl, front)
+
+	if kind.kernelPath() {
 		prof := kernelio.F2FS()
 		if kind == BaselineEXT4 {
 			prof = kernelio.EXT4()
@@ -262,76 +313,53 @@ func BuildStack(eng *sim.Engine, kind BackendKind, sc Scale) (*Stack, error) {
 		if kind == BaselineF2FSPrio {
 			mode = kernelio.SchedSyncPriority
 		}
-		if kind == FDPAwareFS {
-			dev, err := newFDP()
-			if err != nil {
-				return nil, err
-			}
-			st.Dev = dev
-		} else {
-			dev, err := newConv()
-			if err != nil {
-				return nil, err
-			}
-			st.Dev = dev
-		}
 		st.FS = kernelio.NewFilesystem(eng, st.Dev, prof, mode, kernelio.DefaultCosts())
 		st.FS.SetTracer(tr)
 		if kind == FDPAwareFS {
-			st.FS.SetPlacementHint(tenantFilePID(0))
+			st.FS.SetPlacementHint(filePID)
 		}
 		be, err := baseline.New(st.FS)
 		if err != nil {
 			return nil, err
 		}
 		st.Backend = be
-
-	case SlimIOFDP, SlimIOConv, SlimIONoSQPoll:
-		if kind == SlimIOConv {
-			dev, err := newConv()
-			if err != nil {
-				return nil, err
-			}
-			st.Dev = dev
-		} else {
-			dev, err := newFDP()
-			if err != nil {
-				return nil, err
-			}
-			st.Dev = dev
-		}
-		cfg := core.Config{SlotPages: slotPages, Trace: tr}
+	} else {
+		cfg := core.Config{SlotPages: sc.SlotBytes / int64(geo.PageSize), Trace: tr}
 		if kind == SlimIONoSQPoll {
 			cfg.SnapshotRingSet = true
 			cfg.SnapshotRing = uring.Config{SQPoll: false}
 		}
-		be, err := core.New(eng, st.Dev, cfg)
-		if err != nil {
+		if tenants == 1 {
+			be, err := core.New(eng, st.Dev, cfg)
+			if err != nil {
+				return nil, err
+			}
+			st.Slim = be
+			st.Backend = be
+		} else if err := st.mountTenants(tenants, cfg, front); err != nil {
 			return nil, err
 		}
-		st.Slim = be
-		st.Backend = be
-
-	default:
-		return nil, fmt.Errorf("exp: unknown backend kind %d", kind)
 	}
 	return st, nil
 }
 
-// Pool returns the stack's shared page-buffer pool (one per cell, owned by
-// the NAND array; every layer up to the engine's WAL buffer encodes into it).
+// Pool returns the stack's shared page-buffer pool (one per device, owned by
+// the NAND array; every layer up to each engine's WAL buffer encodes into it).
 func (st *Stack) Pool() *bufpool.Pool {
 	return st.Dev.FTL().Array().Pool()
 }
 
 // Close releases every pooled segment the stack still holds: the SlimIO
-// backend's rings and tail buffers, the kernel path's page cache and staged
+// backends' rings and tail buffers, the kernel path's page cache and staged
 // block-layer requests, and the NAND array's stored pages. Teardown only —
 // afterwards Pool().InFlight() counts exactly the segments leaked by layers
-// above the stack (zero when the engine released its buffers too).
+// above the stack (zero when the engines released their buffers too).
 func (st *Stack) Close() {
 	if st.Slim != nil {
 		st.Slim.Close()
+	}
+	for _, t := range st.Tenants {
+		t.Slim.Close()
 	}
 	if be, ok := st.Backend.(*baseline.Backend); ok {
 		// Releases the chain of a WALAppend frozen by a power cut, then
@@ -345,8 +373,23 @@ func (st *Stack) Close() {
 	st.Dev.FTL().Array().ReleaseStored()
 }
 
+// Teardown closes the stack and asserts the data plane quiescent: a non-zero
+// pool in-flight count after Close is a leaked reference somewhere on the
+// zero-copy write path. Once quiescent the pool itself is closed, handing
+// its backing chunks (a device-capacity footprint) to bufpool's process-wide
+// chunk cache for the next stack.
+func (st *Stack) Teardown() error {
+	st.Close()
+	if n := st.Pool().InFlight(); n != 0 {
+		return fmt.Errorf("%d pooled segments leaked after teardown", n)
+	}
+	st.Pool().Close()
+	return nil
+}
+
 // ArmPowerCut schedules a power cut at virtual time at: programs completing
-// after it tear. It installs the fault hook if BuildStack skipped it (a
+// after it tear, for every tenant at once — they share the device, so they
+// share the outage. It installs the fault hook if the builder skipped it (a
 // power cut alone activates an otherwise-zero plan).
 func (st *Stack) ArmPowerCut(at sim.Time) {
 	st.Fault.SchedulePowerCut(at)
@@ -366,13 +409,4 @@ func filePID(name string) uint32 {
 	default:
 		return 0
 	}
-}
-
-// tenantFilePID is the tenant-offset variant of filePID: lifetime class c
-// maps to base+c inside the tenant's leased placement range, and unknown
-// file names fall back to the tenant's own local stream base+0 — never to
-// another tenant's PIDs. base 0 is exactly filePID (the single-tenant
-// ablation).
-func tenantFilePID(base uint32) func(string) uint32 {
-	return func(name string) uint32 { return base + filePID(name) }
 }

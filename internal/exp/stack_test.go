@@ -28,15 +28,4 @@ func TestFilePIDTable(t *testing.T) {
 			t.Errorf("filePID(%q) = %d, want %d", c.name, got, c.want)
 		}
 	}
-
-	// The tenant-offset variant shifts every class by the lease base and
-	// keeps the unknown-name fallback inside the tenant's own range.
-	for _, base := range []uint32{0, 5, 10} {
-		pid := tenantFilePID(base)
-		for _, c := range cases {
-			if got := pid(c.name); got != base+c.want {
-				t.Errorf("tenantFilePID(%d)(%q) = %d, want %d", base, c.name, got, base+c.want)
-			}
-		}
-	}
 }

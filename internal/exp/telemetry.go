@@ -26,8 +26,12 @@ type ruIntrospect interface {
 // GC page counters — the decomposed live-WAF series), FDP (free reclaim
 // units, reclaim counts, per-RU valid-page occupancy), SSD retries, the
 // buffer pool's in-flight count, and the path-specific layers (kernel
-// filesystem or SlimIO rings). All gauges are created here, before the cell
-// starts, so the flight ring and the export see one fixed, sorted schema.
+// filesystem or SlimIO rings). A multi-tenant stack adds, per tenant, its
+// host write volume and live WAF in integer hundredths (a conventional
+// device cannot attribute GC, so every tenant reads the device-global WAF
+// there — which is the finding). All gauges are created here, before the
+// cell starts, so the flight ring and the export see one fixed, sorted
+// schema.
 //
 // A nil cell (telemetry off) makes this a no-op; the stack stays untouched
 // and allocation-free. Probes only read state, so attaching telemetry never
@@ -139,6 +143,14 @@ func AttachStackTelemetry(st *Stack, cell *telemetry.Cell) {
 	pool := st.Pool()
 	cell.AddProbe(func(now sim.Time) {
 		io := st.Dev.IOStats()
+		for _, t := range st.Tenants {
+			// Tenants issue their commands through their own front-ends.
+			tio := t.Dev.IOStats()
+			io.ReadRetries += tio.ReadRetries
+			io.WriteRetries += tio.WriteRetries
+			io.ReadFailures += tio.ReadFailures
+			io.WriteFailures += tio.WriteFailures
+		}
 		gReadRetries.Set(now, io.ReadRetries)
 		gWriteRetries.Set(now, io.WriteRetries)
 		gReadFail.Set(now, io.ReadFailures)
@@ -170,47 +182,17 @@ func AttachStackTelemetry(st *Stack, cell *telemetry.Cell) {
 		attachRingTelemetry(cell, "uring.wal", func() *uring.Ring { return st.Slim.WALRing() })
 		attachRingTelemetry(cell, "uring.snap", func() *uring.Ring { return st.Slim.SnapshotRing() })
 	}
-}
 
-// AttachTenantTelemetry registers a multi-tenant stack's probes on cell:
-// the shared-device gauges of AttachStackTelemetry's FTL/FDP/pool sections
-// plus, per tenant, its host write volume and live WAF in integer
-// hundredths (the shared baseline cannot attribute GC, so every tenant
-// reads the device-global WAF there — which is the finding). All gauges are
-// created before the cell starts, so the schema is fixed; a nil cell is a
-// no-op.
-func AttachTenantTelemetry(ts *TenantStack, cell *telemetry.Cell) {
-	if ts == nil || cell == nil {
-		return
+	if len(st.Tenants) > 0 {
+		gTenants := cell.Gauge("tenant.count")
+		cell.AddProbe(func(now sim.Time) { gTenants.Set(now, int64(len(st.Tenants))) })
 	}
-
-	gHostW := cell.Gauge("ftl.host_write_pages")
-	gNANDW := cell.Gauge("ftl.nand_write_pages")
-	gGCCopied := cell.Gauge("ftl.gc_copied_pages")
-	gFreeRUs := cell.Gauge("fdp.free_rus")
-	gReclaimed := cell.Gauge("fdp.rus_reclaimed")
-	gInFlight := cell.Gauge("bufpool.inflight")
-	gTenants := cell.Gauge("tenant.count")
-	pool := ts.Pool()
-	cell.AddProbe(func(now sim.Time) {
-		fs := ts.Dev.Stats()
-		gHostW.Set(now, fs.HostWritePages)
-		gNANDW.Set(now, fs.NANDWritePages)
-		gGCCopied.Set(now, fs.GCCopiedPages)
-		gFreeRUs.Set(now, int64(ts.FDP.FreeRUs()))
-		rs := ts.FDP.Stats()
-		gReclaimed.Set(now, rs.RUsReclaimed)
-		gInFlight.Set(now, int64(pool.InFlight()))
-		gTenants.Set(now, int64(len(ts.Tenants)))
-	})
-
-	for _, t := range ts.Tenants {
-		t := t
-		gPages := cell.Gauge(fmt.Sprintf("%s.host_pages", t.Name))
-		gWAF := cell.Gauge(fmt.Sprintf("%s.waf_x100", t.Name))
+	for _, t := range st.Tenants {
+		gPages := cell.Gauge(t.Name + ".host_pages")
+		gWAF := cell.Gauge(t.Name + ".waf_x100")
 		cell.AddProbe(func(now sim.Time) {
 			gPages.Set(now, t.NS.HostWritePages())
-			gWAF.Set(now, ts.TenantWAFx100(t))
+			gWAF.Set(now, st.TenantWAFx100(t))
 		})
 	}
 }

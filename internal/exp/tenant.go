@@ -3,47 +3,35 @@ package exp
 import (
 	"fmt"
 
-	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/core"
-	"github.com/slimio/slimio/internal/fault"
 	"github.com/slimio/slimio/internal/fdp"
-	"github.com/slimio/slimio/internal/nand"
-	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/ssd"
-	"github.com/slimio/slimio/internal/vtrace"
 )
 
-// TenantPlacement selects how co-located tenants share one device.
-type TenantPlacement int
-
-const (
-	// TenantShared is the noisy-neighbor baseline: a conventional
-	// single-stream FTL, so every tenant's lifetimes mix in shared reclaim
-	// units and GC bills its copies to everyone.
-	TenantShared TenantPlacement = iota
-	// TenantFDP leases each tenant an exclusive placement-ID range on an
-	// FDP FTL: same-lifetime data stays in per-tenant reclaim units and a
-	// quiet tenant's WAF is untouched by its neighbors.
-	TenantFDP
-)
-
-func (p TenantPlacement) String() string {
-	if p == TenantFDP {
-		return "per-tenant-fdp"
+// PlacementLabel names what kind means for co-located tenants, the
+// isolation experiment's variable: "shared-pid" is the noisy-neighbor
+// baseline (SlimIOConv's single-stream FTL mixes every tenant's lifetimes in
+// shared reclaim units and GC bills its copies to everyone),
+// "per-tenant-fdp" leases each tenant an exclusive placement-ID range
+// (same-lifetime data stays in per-tenant reclaim units and a quiet tenant's
+// WAF is untouched by its neighbors). Both run the identical SlimIO write
+// path.
+func PlacementLabel(kind BackendKind) string {
+	if kind == SlimIOConv {
+		return "shared-pid"
 	}
-	return "shared-pid"
+	return "per-tenant-fdp"
 }
 
-// TenantPIDs is the per-tenant placement-stream count: SlimIO's four
+// tenantPIDs is the per-tenant placement-stream count: SlimIO's four
 // lifetime classes (WAL, WAL-snapshot, on-demand, metadata) plus the
 // reserved local stream 0 that unknown lifetimes fall back to.
-const TenantPIDs = 5
+const tenantPIDs = 5
 
-// Tenant is one mounted engine-backend pair of a TenantStack.
+// Tenant is one mounted engine backend of a multi-tenant Stack.
 type Tenant struct {
-	Index int
-	Name  string
-	// Lease is the tenant's PID range (nil on the shared baseline).
+	Name string
+	// Lease is the tenant's PID range (nil on a conventional device).
 	Lease *fdp.PIDLease
 	// NS is the tenant's LPA window + PID remapping over the shared FTL.
 	NS *ssd.Namespace
@@ -53,154 +41,45 @@ type Tenant struct {
 	Slim *core.Backend
 }
 
-// TenantStack mounts N independent SlimIO backends on ONE shared device —
-// the cloud-consolidation scenario the isolation experiment measures. All
-// tenants run on one sim.Engine, so the interleaving is deterministic like
-// any single-tenant cell.
-type TenantStack struct {
-	Placement TenantPlacement
-	Eng       *sim.Engine
-	// Dev is the whole shared device (device-global stats and telemetry).
-	Dev *ssd.Device
-	// FDP is the shared FTL's reclaim-unit introspection surface (the FDP
-	// FTL or its conventional variant — both expose it).
-	FDP ruIntrospect
-	// Alloc is the PID-lease allocator (nil on the shared baseline).
-	Alloc *fdp.PIDAllocator
-	// Fault is the shared device's fault plan (crash harnesses arm power
-	// cuts through it).
-	Fault *fault.Plan
-	// Trace is the resolved per-cell tracer (nil when tracing is off).
-	Trace   *vtrace.Tracer
-	Tenants []*Tenant
-}
-
-// BuildTenantStack assembles one shared device and mounts tenants SlimIO
-// backends on it. Each tenant gets an equal LPA window; under TenantFDP each
-// also leases TenantPIDs placement identifiers (the device is sized with
-// MaxPIDs = tenants×TenantPIDs). Scale.SlotBytes sizes each tenant's
-// snapshot slots, so multi-tenant callers typically shrink it by the tenant
-// count first.
-func BuildTenantStack(eng *sim.Engine, placement TenantPlacement, tenants int, sc Scale) (*TenantStack, error) {
-	if tenants < 1 {
-		return nil, fmt.Errorf("exp: tenant stack needs at least one tenant, got %d", tenants)
-	}
-	geo := nand.DefaultGeometry(sc.DeviceBytes)
-	lat := nand.DefaultLatencies()
-	arr, err := nand.New(geo, lat)
-	if err != nil {
-		return nil, err
-	}
-	arr.SetClock(eng)
-	tr := sc.tracer
-	if tr == nil && sc.Trace != nil {
-		tr = sc.Trace.Tracer(placement.String())
-	}
-	arr.SetTracer(tr)
-	ts := &TenantStack{Placement: placement, Eng: eng, Trace: tr}
-
-	plan := fault.NewPlan(fault.Config{
-		Seed:           sc.FaultSeed,
-		ReadErrRate:    sc.ReadErrRate,
-		ProgramErrRate: sc.ProgramErrRate,
-		EraseErrRate:   sc.EraseErrRate,
-		Metrics:        sc.Metrics,
-	})
-	plan.SetRecorder(sc.FaultRecorder)
-	ts.Fault = plan
-	if plan.Active() {
-		arr.SetFaultHook(plan)
-	}
-
-	// One shared FTL below every tenant: the experimental variable is
-	// placement only, so both modes run the identical SlimIO write path.
-	var shared ssd.FTL
-	switch placement {
-	case TenantFDP:
-		f, err := fdp.New(arr, fdp.Config{MaxPIDs: tenants * TenantPIDs, Metrics: sc.Metrics, Trace: tr})
-		if err != nil {
-			return nil, err
-		}
-		alloc, err := fdp.NewPIDAllocator(tenants * TenantPIDs)
-		if err != nil {
-			return nil, err
-		}
-		ts.Alloc = alloc
-		ts.FDP = f
-		shared = f
-	case TenantShared:
-		f, err := fdp.NewConventional(arr, fdp.Config{Metrics: sc.Metrics, Trace: tr})
-		if err != nil {
-			return nil, err
-		}
-		ts.FDP = f
-		shared = f
-	default:
-		return nil, fmt.Errorf("exp: unknown tenant placement %d", placement)
-	}
-	ts.Dev = ssd.New(shared, ssd.Config{Metrics: sc.Metrics, Trace: tr})
-
-	window := shared.Capacity() / int64(tenants)
-	slotPages := sc.SlotBytes / int64(geo.PageSize)
-	for i := 0; i < tenants; i++ {
-		t := &Tenant{Index: i, Name: fmt.Sprintf("tenant%d", i)}
+// mountTenants gives each of n tenants an equal LPA window of st.Dev (plus a
+// PID lease when the device has an allocator), its own device front-end
+// configured like the whole device's, and a SlimIO backend on it.
+func (st *Stack) mountTenants(n int, cfg core.Config, front ssd.Config) error {
+	shared := st.Dev.FTL()
+	window := shared.Capacity() / int64(n)
+	for i := 0; i < n; i++ {
+		t := &Tenant{Name: fmt.Sprintf("tenant%d", i)}
 		var mapPID func(uint32) uint32
-		if ts.Alloc != nil {
-			lease, err := ts.Alloc.Acquire(t.Name, TenantPIDs)
+		if st.Alloc != nil {
+			lease, err := st.Alloc.Acquire(t.Name, tenantPIDs)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			t.Lease = lease
 			mapPID = lease.PID
 		}
 		ns, err := ssd.NewNamespace(shared, int64(i)*window, window, mapPID)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t.NS = ns
-		t.Dev = ssd.New(ns, ssd.Config{Metrics: sc.Metrics, Trace: tr})
-		be, err := core.New(eng, t.Dev, core.Config{SlotPages: slotPages, Trace: tr})
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s backend: %w", t.Name, err)
+		t.Dev = ssd.New(ns, front)
+		if t.Slim, err = core.New(st.Eng, t.Dev, cfg); err != nil {
+			return fmt.Errorf("exp: %s backend: %w", t.Name, err)
 		}
-		t.Slim = be
-		ts.Tenants = append(ts.Tenants, t)
+		st.Tenants = append(st.Tenants, t)
 	}
-	return ts, nil
-}
-
-// Pool returns the stack's shared page-buffer pool (one per device; every
-// tenant's write path encodes into it).
-func (ts *TenantStack) Pool() *bufpool.Pool {
-	return ts.Dev.FTL().Array().Pool()
-}
-
-// Close releases every pooled segment the stack still holds: each tenant's
-// rings and tail buffers, then the shared NAND array's stored pages.
-// Teardown only — afterwards Pool().InFlight() counts exactly the segments
-// leaked by layers above the stack.
-func (ts *TenantStack) Close() {
-	for _, t := range ts.Tenants {
-		t.Slim.Close()
-	}
-	ts.Dev.FTL().Array().ReleaseStored()
-}
-
-// ArmPowerCut schedules a power cut at virtual time at, for every tenant at
-// once — they share the device, so they share the outage.
-func (ts *TenantStack) ArmPowerCut(at sim.Time) {
-	ts.Fault.SchedulePowerCut(at)
-	ts.Dev.FTL().Array().SetFaultHook(ts.Fault)
+	return nil
 }
 
 // tenantCounters returns tenant t's host-written and total NAND-written
-// page counts. Under per-tenant FDP both roll up over t's lease; on the
-// shared baseline attribution is impossible (every write shares stream 0),
-// so each tenant is billed the device-global amplification prorated onto
-// its own host volume.
-func (ts *TenantStack) tenantCounters(t *Tenant) (host, nand int64) {
-	if t.Lease != nil && ts.Alloc != nil {
-		s := ts.FDP.Stats()
+// page counts. With a lease both roll up over t's PIDs; on a conventional
+// device attribution is impossible (every write shares stream 0), so each
+// tenant is billed the device-global amplification prorated onto its own
+// host volume.
+func (st *Stack) tenantCounters(t *Tenant) (host, nand int64) {
+	if t.Lease != nil {
+		s := st.Dev.FTL().(*fdp.FTL).Stats() // a lease implies the FDP FTL
 		for off := 0; off < t.Lease.Count; off++ {
 			pid := t.Lease.Base + uint32(off)
 			host += s.HostWritesByPID[pid]
@@ -208,7 +87,7 @@ func (ts *TenantStack) tenantCounters(t *Tenant) (host, nand int64) {
 		}
 		return host, nand
 	}
-	fs := ts.Dev.Stats()
+	fs := st.Dev.Stats()
 	h := t.NS.HostWritePages()
 	if fs.HostWritePages == 0 {
 		return h, h
@@ -217,8 +96,8 @@ func (ts *TenantStack) tenantCounters(t *Tenant) (host, nand int64) {
 }
 
 // TenantWAF reports tenant t's own write-amplification factor.
-func (ts *TenantStack) TenantWAF(t *Tenant) float64 {
-	host, nand := ts.tenantCounters(t)
+func (st *Stack) TenantWAF(t *Tenant) float64 {
+	host, nand := st.tenantCounters(t)
 	if host == 0 {
 		return 1
 	}
@@ -227,8 +106,8 @@ func (ts *TenantStack) TenantWAF(t *Tenant) float64 {
 
 // TenantWAFx100 is TenantWAF in integer hundredths (integer arithmetic
 // only, for the telemetry plane's diffable gauges).
-func (ts *TenantStack) TenantWAFx100(t *Tenant) int64 {
-	host, nand := ts.tenantCounters(t)
+func (st *Stack) TenantWAFx100(t *Tenant) int64 {
+	host, nand := st.tenantCounters(t)
 	if host == 0 {
 		return 100
 	}

@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"github.com/slimio/slimio/internal/bufpool"
-	"github.com/slimio/slimio/internal/ftl"
 	"github.com/slimio/slimio/internal/metrics"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
@@ -31,9 +30,40 @@ const (
 	maxReadRetries    = 4
 )
 
-// Stats extends the conventional FTL counters with RU-level reclaim info.
+// BaseStats is the placement-agnostic FTL accounting the device front-end
+// reports (ssd.Device.Stats): every translation layer behind ssd.FTL — the
+// FDP FTL, its conventional single-stream variant, a tenant namespace —
+// returns it from BaseStats().
+type BaseStats struct {
+	HostWritePages int64 // page programs requested by the host
+	HostReadPages  int64
+	NANDWritePages int64 // actual page programs, including GC migration
+	GCCopiedPages  int64
+	GCErasedBlocks int64
+	GCRuns         int64
+	GCBusy         sim.Duration // die time consumed by GC reads/programs/erases
+
+	// Fault-handling counters; all stay zero on a perfect device.
+	ProgramFailures     int64 // NAND program failures survived by remapping
+	RetiredBlocks       int64 // blocks taken out of service
+	RetireMigratedPages int64 // valid pages moved off retired blocks
+	GCReadRetries       int64 // re-reads of transiently failing pages
+	LostPages           int64 // LPAs dropped after unrecoverable reads
+	EraseFailures       int64 // erases that failed (block retired instead)
+	TornWrites          int64 // programs interrupted by power loss
+}
+
+// WAF reports the write amplification factor (1.0 when no host writes yet).
+func (s BaseStats) WAF() float64 {
+	if s.HostWritePages == 0 {
+		return 1
+	}
+	return float64(s.NANDWritePages) / float64(s.HostWritePages)
+}
+
+// Stats extends the base counters with RU-level reclaim info.
 type Stats struct {
-	ftl.Stats
+	BaseStats
 	RUsReclaimed      int64
 	RUsReclaimedEmpty int64 // reclaimed with zero valid copies (the FDP win)
 	HostWritesByPID   map[uint32]int64
@@ -270,9 +300,9 @@ func (f *FTL) Stats() Stats {
 	return s
 }
 
-// BaseStats returns the conventional-FTL-compatible counters, satisfying the
-// shared device interface.
-func (f *FTL) BaseStats() ftl.Stats { return f.stats.Stats }
+// BaseStats returns the placement-agnostic counters, satisfying the shared
+// device interface.
+func (f *FTL) BaseStats() BaseStats { return f.stats.BaseStats }
 
 // Array exposes the NAND array beneath the FTL.
 func (f *FTL) Array() *nand.Array { return f.arr }
@@ -474,7 +504,10 @@ func (f *FTL) migrateProgram(now sim.Time, pid uint32, data bufpool.Ref) (nand.P
 }
 
 // drainRetired migrates every LPA stranded on a retired block into its
-// stream's open RU. See the ftl package for the termination argument.
+// stream's open RU. Migration program failures retire further blocks and
+// re-queue; the loop terminates because retirements are bounded by the block
+// count (the guard catches modelling bugs). Unrecoverable source reads drop
+// the single LPA and are counted as LostPages.
 func (f *FTL) drainRetired(now sim.Time) (sim.Time, error) {
 	guard, limit := 0, 16*int(f.arr.Geometry().Pages())
 	for len(f.pending) > 0 {

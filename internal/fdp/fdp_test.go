@@ -244,6 +244,14 @@ func TestStatsByPID(t *testing.T) {
 	if f.Stats().HostWritesByPID[1] != 3 {
 		t.Fatal("Stats leaked internal map")
 	}
+	// No reclaim ran, so the device reports WAF exactly 1 — as does a device
+	// that has not been written at all.
+	if base := f.BaseStats(); base.HostWritePages != 6 || base.WAF() != 1.0 {
+		t.Fatalf("base stats = %+v (WAF %v), want 6 host pages at WAF 1", base, base.WAF())
+	}
+	if (BaseStats{}).WAF() != 1.0 {
+		t.Fatal("WAF of zero stats must be 1.0")
+	}
 }
 
 func TestUsageSnapshot(t *testing.T) {

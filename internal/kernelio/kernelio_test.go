@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"github.com/slimio/slimio/internal/bufpool"
-	"github.com/slimio/slimio/internal/ftl"
+	"github.com/slimio/slimio/internal/fdp"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/ssd"
@@ -20,15 +20,26 @@ type rig struct {
 	fs  *Filesystem
 }
 
-func newRig(t *testing.T, prof Profile, mode SchedMode) *rig {
+// newConvDevice builds the conventional (single-stream) SSD the kernel path
+// runs on in every experiment.
+func newConvDevice(t *testing.T, geo nand.Geometry) *ssd.Device {
 	t.Helper()
-	geo := nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 32, PagesPerBlock: 16, PageSize: 512}
 	arr, err := nand.New(geo, nand.DefaultLatencies())
 	if err != nil {
 		t.Fatal(err)
 	}
+	f, err := fdp.NewConventional(arr, fdp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ssd.New(f, ssd.Config{})
+}
+
+func newRig(t *testing.T, prof Profile, mode SchedMode) *rig {
+	t.Helper()
+	geo := nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 32, PagesPerBlock: 16, PageSize: 512}
+	dev := newConvDevice(t, geo)
 	eng := sim.NewEngine()
-	dev := ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
 	return &rig{eng: eng, dev: dev, fs: NewFilesystem(eng, dev, prof, mode, DefaultCosts())}
 }
 
@@ -295,9 +306,8 @@ func TestDirtyThrottlingStallsFastWriter(t *testing.T) {
 	costs.DirtyBackgroundPages = 64
 	costs.DirtyThrottlePages = 256
 	geo := nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 32, PagesPerBlock: 16, PageSize: 512}
-	arr, _ := nand.New(geo, nand.DefaultLatencies())
 	eng := sim.NewEngine()
-	dev := ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+	dev := newConvDevice(t, geo)
 	r := &rig{eng: eng, dev: dev, fs: NewFilesystem(eng, dev, F2FS(), SchedNone, costs)}
 	page := bytes.Repeat([]byte("t"), 512)
 	r.run(t, func(env *sim.Env) {
@@ -324,9 +334,8 @@ func TestSyncPrioritySchedulerFavorsFsync(t *testing.T) {
 	// it must dispatch before the backlog; under none it waits its turn.
 	latency := func(mode SchedMode) sim.Duration {
 		geo := nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 32, PagesPerBlock: 16, PageSize: 512}
-		arr, _ := nand.New(geo, nand.DefaultLatencies())
 		eng := sim.NewEngine()
-		dev := ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+		dev := newConvDevice(t, geo)
 		sched := NewScheduler(eng, dev, mode, DefaultCosts())
 		var lat sim.Duration
 		eng.Spawn("submitter", func(env *sim.Env) {
@@ -523,9 +532,8 @@ func TestSchedulerStats(t *testing.T) {
 func TestENOSPC(t *testing.T) {
 	// Tiny device: writing beyond capacity must surface ENOSPC.
 	geo := nand.Geometry{Channels: 1, DiesPerChannel: 1, BlocksPerDie: 8, PagesPerBlock: 16, PageSize: 512}
-	arr, _ := nand.New(geo, nand.DefaultLatencies())
 	eng := sim.NewEngine()
-	dev := ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+	dev := newConvDevice(t, geo)
 	fs := NewFilesystem(eng, dev, F2FS(), SchedNone, DefaultCosts())
 	var sawErr bool
 	eng.Spawn("filler", func(env *sim.Env) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/slimio/slimio/internal/ftl"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/ssd"
@@ -14,12 +13,8 @@ import (
 func newRemountRig(t *testing.T) (*sim.Engine, *ssd.Device, *Filesystem) {
 	t.Helper()
 	geo := nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 16, PagesPerBlock: 8, PageSize: 512}
-	arr, err := nand.New(geo, nand.DefaultLatencies())
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := sim.NewEngine()
-	dev := ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+	dev := newConvDevice(t, geo)
 	return eng, dev, NewFilesystem(eng, dev, F2FS(), SchedNone, DefaultCosts())
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"github.com/slimio/slimio/internal/bufpool"
-	"github.com/slimio/slimio/internal/ftl"
+	"github.com/slimio/slimio/internal/fdp"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 )
@@ -97,7 +97,7 @@ func (n *Namespace) PageSize() int { return n.inner.PageSize() }
 // BaseStats reports the whole shared device's counters (namespaces share
 // the FTL, so host/NAND page totals are device-global; per-namespace write
 // volume is HostWritePages).
-func (n *Namespace) BaseStats() ftl.Stats { return n.inner.BaseStats() }
+func (n *Namespace) BaseStats() fdp.BaseStats { return n.inner.BaseStats() }
 
 // Array exposes the shared NAND array.
 func (n *Namespace) Array() *nand.Array { return n.inner.Array() }

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"github.com/slimio/slimio/internal/fault"
-	"github.com/slimio/slimio/internal/ftl"
+	"github.com/slimio/slimio/internal/fdp"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 )
@@ -32,7 +32,11 @@ func newRetryDevice(t *testing.T) (*nand.Array, *Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return arr, New(ftl.New(arr, ftl.Config{}), Config{})
+	f, err := fdp.NewConventional(arr, fdp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arr, New(f, Config{})
 }
 
 // Two transient read failures must cost exactly two retries, succeed on the

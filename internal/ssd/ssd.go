@@ -1,5 +1,5 @@
-// Package ssd provides the NVMe-style front-end shared by both flash
-// translation layers: page-granular read/write/deallocate commands with an
+// Package ssd provides the NVMe-style front-end over a flash translation
+// layer: page-granular read/write/deallocate commands with an
 // optional FDP placement identifier, per-command controller overhead, and a
 // preconditioning helper that puts a device under garbage-collection
 // pressure for the paper's "under GC" scenarios.
@@ -14,16 +14,17 @@ import (
 	"math/rand"
 
 	"github.com/slimio/slimio/internal/bufpool"
-	"github.com/slimio/slimio/internal/ftl"
+	"github.com/slimio/slimio/internal/fdp"
 	"github.com/slimio/slimio/internal/metrics"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/vtrace"
 )
 
-// FTL is the translation-layer contract the device front-end drives. Both
-// ftl.FTL (conventional) and fdp.FTL (flexible data placement) satisfy it;
-// the conventional FTL simply ignores the placement identifier.
+// FTL is the translation-layer contract the device front-end drives.
+// fdp.FTL (flexible data placement), fdp.Conventional (the same FTL with one
+// placement stream, which ignores the identifier) and a tenant's Namespace
+// window over either satisfy it.
 //
 // Write borrows data for the duration of the call: the NAND layer retains
 // pooled segments it stores and the caller keeps its own reference, so the
@@ -34,7 +35,7 @@ type FTL interface {
 	Deallocate(lpa, count int64) error
 	Capacity() int64
 	PageSize() int
-	BaseStats() ftl.Stats
+	BaseStats() fdp.BaseStats
 	Array() *nand.Array
 	Mapped(lpa int64) bool
 }
@@ -169,7 +170,7 @@ func (d *Device) Capacity() int64 { return d.ftl.Capacity() }
 func (d *Device) PageSize() int { return d.ftl.PageSize() }
 
 // Stats reports host-visible FTL counters.
-func (d *Device) Stats() ftl.Stats { return d.ftl.BaseStats() }
+func (d *Device) Stats() fdp.BaseStats { return d.ftl.BaseStats() }
 
 // WritePages issues one write command covering len(pages) consecutive
 // logical pages starting at lpa, tagged with pid, and returns the command's

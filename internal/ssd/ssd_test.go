@@ -7,7 +7,6 @@ import (
 
 	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/fdp"
-	"github.com/slimio/slimio/internal/ftl"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 )
@@ -19,7 +18,11 @@ func newConvDevice(t *testing.T) *Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(ftl.New(arr, ftl.Config{}), Config{})
+	f, err := fdp.NewConventional(arr, fdp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(f, Config{})
 }
 
 func newFDPDevice(t *testing.T) *Device {
@@ -36,10 +39,11 @@ func newFDPDevice(t *testing.T) *Device {
 	return New(f, Config{})
 }
 
-// Compile-time interface checks for both FTLs.
+// Compile-time interface checks for every translation layer behind a Device.
 var (
-	_ FTL = (*ftl.FTL)(nil)
 	_ FTL = (*fdp.FTL)(nil)
+	_ FTL = (*fdp.Conventional)(nil)
+	_ FTL = (*Namespace)(nil)
 )
 
 func pages(n, size int, tag byte) [][]byte {
@@ -153,9 +157,11 @@ func TestPreconditionCreatesGCPressure(t *testing.T) {
 	if err := Precondition(dev, dev.Capacity()/2, dev.Capacity(), 0.95, 2, rng); err != nil {
 		t.Fatal(err)
 	}
-	// Now hammer the lower half; GC should kick in quickly.
+	// Now hammer the lower quarter. Reclaim is line-based: it first runs when
+	// an open reclaim unit fills with the free pool at its low watermark, so
+	// the overwrite volume must walk the whole 8-RU device, not one block.
 	now := sim.Time(0)
-	for i := 0; i < int(dev.Capacity()); i++ {
+	for i := 0; i < 2*int(dev.Capacity()); i++ {
 		done, err := dev.WritePages(now, int64(i%int(dev.Capacity()/4)), refs(pages(1, 128, 'h')), 0)
 		if err != nil {
 			t.Fatal(err)

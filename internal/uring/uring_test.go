@@ -6,7 +6,6 @@ import (
 
 	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/fdp"
-	"github.com/slimio/slimio/internal/ftl"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/ssd"
@@ -19,14 +18,16 @@ func newDev(t *testing.T, useFDP bool) *ssd.Device {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var f ssd.FTL
 	if useFDP {
-		f, err := fdp.New(arr, fdp.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ssd.New(f, ssd.Config{})
+		f, err = fdp.New(arr, fdp.Config{})
+	} else {
+		f, err = fdp.NewConventional(arr, fdp.Config{})
 	}
-	return ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ssd.New(f, ssd.Config{})
 }
 
 func pages(n int, tag byte) [][]byte {

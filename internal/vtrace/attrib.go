@@ -38,8 +38,7 @@ func classify(layer, name string) Class {
 	switch {
 	case strings.Contains(name, "queue"), strings.HasSuffix(name, ".wait"), strings.Contains(name, "throttle"):
 		return Queue
-	case layer == "ftl" && strings.Contains(name, "gc"),
-		layer == "fdp" && strings.Contains(name, "reclaim"):
+	case layer == "fdp" && strings.Contains(name, "reclaim"):
 		return GC
 	default:
 		return Service

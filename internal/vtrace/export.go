@@ -23,7 +23,6 @@ var layerOrder = []string{
 	"kernelio", // syscall / filesystem / page-cache stage
 	"sched",    // block-layer dispatch
 	"ssd",      // NVMe command layer
-	"ftl",      // conventional FTL (incl. GC)
 	"fdp",      // FDP placement (incl. reclaim)
 	"nand",     // page program/read, block erase
 	"fault",    // injected-fault instants

@@ -160,7 +160,6 @@ func TestClassify(t *testing.T) {
 		{"imdb", "queue", Queue},
 		{"imdb", "commit.wait", Queue},
 		{"kernelio", "throttle", Queue},
-		{"ftl", "gc", GC},
 		{"fdp", "reclaim", GC},
 		{"nand", "program", Service},
 		{"ssd", "write", Service},
