@@ -1,12 +1,9 @@
-# PR number for the committed benchmark snapshot (BENCH_<PR>.json).
-PR ?= 3
-
 # Total-statement coverage floor for `make cover-check` (CI blocking step).
 # Measured with -short; re-record by running `make cover` and reading the
 # final `total:` line of `go tool cover -func`.
 COVER_BASELINE ?= 68.0
 
-.PHONY: build test race race-tiny cover cover-check bench bench-smoke bench-compare bench-host bench-recover trace-smoke top-smoke check-smoke lint
+.PHONY: build test race race-tiny cover cover-check bench-smoke bench-host bench-recover trace-smoke top-smoke check-smoke lint
 
 build:
 	go build ./...
@@ -59,27 +56,14 @@ lint:
 		echo "govulncheck not installed; skipping (non-blocking)"; \
 	fi
 
-# Regenerate every table/figure at small scale and record per-experiment
-# wall-clock, allocator traffic, and virtual-time throughput. The snapshot
-# is committed per PR so the suite's perf trajectory is tracked in-repo.
-bench:
-	go run ./cmd/slimio-bench -exp all -benchjson BENCH_$(PR).json
-
 # Compile and single-shot every benchmark without running tests: catches
 # benchmark-only regressions cheaply (used by CI).
 bench-smoke:
 	go test -short -run XXX -bench . -benchtime=1x ./...
 
-# Re-run the suite and diff its allocator traffic against the committed
-# BENCH_$(PR).json: more than 15% growth in any experiment's allocs or
-# alloc_bytes fails (used by CI as a blocking step). Wall clock is printed
-# but never gates — CI machines vary, allocator traffic does not.
-bench-compare:
-	go run ./cmd/slimio-bench -exp all -compare BENCH_$(PR).json
-
-# Host-clock benchmark of the simulator itself (BENCHMARK.json is its
-# contract, bench/README.md its manual): five workloads in child processes,
-# reports under bench/out/.
+# Host-clock benchmark of the simulator itself — the repo's one performance
+# ledger (BENCHMARK.json is its contract, bench/README.md its manual): five
+# workloads in child processes, reports under bench/out/.
 bench-host:
 	go run ./bench
 

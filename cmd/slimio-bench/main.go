@@ -1,5 +1,8 @@
-// Command slimio-bench regenerates the paper's tables and figures at a
-// chosen scale and prints them in the paper's row format.
+// Command slimio-bench regenerates the paper's evaluation — Tables 1-5 and
+// Figures 2, 4, 5 — at a chosen scale and prints it in the paper's row
+// format. It is the only front door to those artifacts: the figure CSV
+// series (-series), per-layer latency attribution (-vtrace) and telemetry
+// dumps (-telemetry) all come from the same runs.
 //
 // Usage:
 //
@@ -7,16 +10,17 @@
 //	slimio-bench -exp table3              # one experiment
 //	slimio-bench -exp table3 -scale tiny  # quick run
 //	slimio-bench -exp table3 -device 1024 -ops 200000 -keys 40000
-//	slimio-bench -tenants 4 -noisy       # multi-tenant isolation experiment
+//	slimio-bench -exp fig4 -series plots/ # Figure 4 RPS timelines as CSV
+//	slimio-bench -exp ablation            # SlimIO's mechanisms one at a time
+//	slimio-bench -tenants 4 -noisy        # multi-tenant isolation experiment
 //
 // Experiments: table1 table2 table3 table4 table5 fig2 fig4 fig5 all, plus
-// isolation (selected by -tenants; not part of "all" so the committed
-// BENCH_*.json baselines keep their experiment set).
+// ablation and isolation (the latter also selected by -tenants). "all" is the
+// paper's evaluation; those two go beyond it and run only when named.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +40,7 @@ import (
 
 func main() {
 	var (
-		expName = flag.String("exp", "all", "experiment: table1..table5, fig2, fig4, fig5, all")
+		expName = flag.String("exp", "all", "experiment: table1..table5, fig2, fig4, fig5, all (the paper's evaluation), or ablation, isolation (beyond it)")
 		scale   = flag.String("scale", "small", "scale preset: tiny or small")
 		device  = flag.Int64("device", 0, "override device size in MiB")
 		keys    = flag.Int64("keys", 0, "override key range")
@@ -44,15 +48,13 @@ func main() {
 		reps    = flag.Int("reps", 0, "override repetitions")
 		trigger = flag.Int64("trigger", 0, "override WAL-snapshot trigger in MiB")
 		window  = exp.SimDurationFlag("window", 0, "override figure 4/5 window (virtual time)")
+		series  = flag.String("series", "", "write the figure 4/5 runtime-RPS series as fig<N>-<system>.csv into this directory")
 		tenants = flag.Int("tenants", 0, "run the multi-tenant isolation experiment with this many co-located engines (adds exp \"isolation\")")
 		noisy   = flag.Bool("noisy", false, "make tenant 0 a Zipf-heavy overwriter in the isolation experiment")
 
 		parallel   = flag.Int("parallel", 0, "experiment cells run concurrently (0 = GOMAXPROCS, 1 = serial)")
 		vtraceOut  = flag.String("vtrace", "", "trace the run and write a Chrome trace-event JSON file (requires a single -exp)")
 		teleDir    = flag.String("telemetry", "", "sample per-layer telemetry and write telemetry.json, metrics.prom, and per-cell CSVs into this directory (requires a single -exp)")
-		benchJSON  = flag.String("benchjson", "", "write per-experiment wall-clock/allocs/throughput records to this JSON file")
-		compare    = flag.String("compare", "", "compare this run's allocator traffic against a committed BENCH_*.json and fail on regression")
-		tolerance  = flag.Float64("tolerance", 0.15, "allowed fractional allocs/alloc_bytes growth before -compare fails")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 
@@ -130,10 +132,9 @@ func main() {
 		}
 		return false
 	}
-	// The isolation experiment is opt-in via -tenants (or an explicit -exp
-	// isolation); "all" deliberately excludes it so the committed bench
-	// baselines keep their experiment set. -tenants alone (no explicit
-	// -exp) runs just the isolation experiment.
+	// "all" is the paper's evaluation. The ablation and isolation experiments
+	// go beyond it and run only when named: -exp ablation, -exp isolation or
+	// -tenants (which alone, with no explicit -exp, runs just isolation).
 	expSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "exp" {
@@ -149,15 +150,10 @@ func main() {
 		*tenants = 2
 	}
 	has := func(name string) bool {
-		if name == "isolation" {
+		if name == "ablation" || name == "isolation" {
 			return hasExact(name)
 		}
-		for _, w := range wanted {
-			if w == name || w == "all" {
-				return true
-			}
-		}
-		return false
+		return hasExact(name) || hasExact("all")
 	}
 
 	if *vtraceOut != "" {
@@ -182,44 +178,19 @@ func main() {
 		sc.Telemetry.FlightDir = *teleDir
 	}
 
-	// Per-cell alloc attribution needs serial cells: MemStats deltas are
-	// process-wide, so concurrent cells would bill each other's traffic.
-	var cellSink *exp.CellCostSink
-	if (*benchJSON != "" || *compare != "") && (*parallel == 1 || runtime.GOMAXPROCS(0) == 1) {
-		cellSink = &exp.CellCostSink{}
-		sc.CellCosts = cellSink
-	}
-
 	start := time.Now()
-	report := benchReport{Scale: sc.Name, Parallel: *parallel, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	run := func(name string, fn func() (fmt.Stringer, error)) {
 		if !has(name) {
 			return
 		}
-		var m0 runtime.MemStats
-		runtime.ReadMemStats(&m0)
 		t0 := time.Now()
 		out, err := fn()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
-		wall := time.Since(t0).Seconds()
-		var m1 runtime.MemStats
-		runtime.ReadMemStats(&m1)
-		rec := benchRecord{
-			Name:        name,
-			WallSeconds: wall,
-			Allocs:      int64(m1.Mallocs - m0.Mallocs),
-			AllocBytes:  int64(m1.TotalAlloc - m0.TotalAlloc),
-			VirtualRPS:  virtualRPS(out),
-		}
-		if cellSink != nil {
-			rec.Cells = cellSink.Drain()
-		}
-		report.Experiments = append(report.Experiments, rec)
 		fmt.Println(out.String())
-		fmt.Printf("(%s finished in %.1fs wall time)\n\n", name, wall)
+		fmt.Printf("(%s finished in %.1fs wall time)\n\n", name, time.Since(t0).Seconds())
 		// Each experiment holds a full simulated device (real page bytes);
 		// return the memory before building the next one.
 		debug.FreeOSMemory()
@@ -231,8 +202,9 @@ func main() {
 	run("table3", func() (fmt.Stringer, error) { return exp.RunTable3(sc) })
 	run("table4", func() (fmt.Stringer, error) { return exp.RunTable4(sc) })
 	run("table5", func() (fmt.Stringer, error) { return exp.RunTable5(sc) })
-	run("fig4", func() (fmt.Stringer, error) { return runFigure(4, sc, figWindow) })
-	run("fig5", func() (fmt.Stringer, error) { return runFigure(5, sc, figWindow) })
+	run("fig4", func() (fmt.Stringer, error) { return runFigure(4, sc, figWindow, *series) })
+	run("fig5", func() (fmt.Stringer, error) { return runFigure(5, sc, figWindow, *series) })
+	run("ablation", func() (fmt.Stringer, error) { return exp.RunAblation(sc) })
 	run("isolation", func() (fmt.Stringer, error) { return exp.RunIsolation(sc, *tenants, *noisy) })
 	printFaultCounters(ctr)
 	if sc.Trace != nil {
@@ -248,88 +220,6 @@ func main() {
 		}
 	}
 	fmt.Printf("total wall time %.1fs\n", time.Since(start).Seconds())
-
-	report.TotalWallSeconds = time.Since(start).Seconds()
-	if *benchJSON != "" {
-		buf, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*benchJSON, buf, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-	}
-	if *compare != "" {
-		if err := compareReports(*compare, &report, *tolerance); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-}
-
-// benchReport is the -benchjson payload: the perf trajectory of the suite,
-// tracked as a committed BENCH_<n>.json per PR.
-type benchReport struct {
-	Scale            string        `json:"scale"`
-	Parallel         int           `json:"parallel"`
-	GoMaxProcs       int           `json:"gomaxprocs"`
-	Experiments      []benchRecord `json:"experiments"`
-	TotalWallSeconds float64       `json:"total_wall_seconds"`
-}
-
-// benchRecord is one experiment's cost: wall clock, allocator traffic, and
-// the virtual-time throughput the simulated systems achieved. Cells breaks
-// the allocator traffic down per experiment cell (serial runs only), so a
-// regression is attributable to one configuration rather than one table.
-type benchRecord struct {
-	Name        string         `json:"name"`
-	WallSeconds float64        `json:"wall_seconds"`
-	Allocs      int64          `json:"allocs"`
-	AllocBytes  int64          `json:"alloc_bytes"`
-	VirtualRPS  float64        `json:"virtual_rps,omitempty"`
-	Cells       []exp.CellCost `json:"cells,omitempty"`
-}
-
-// virtualRPS extracts a representative virtual-time request rate from an
-// experiment result (mean over rows/systems), 0 where the experiment does
-// not measure one.
-func virtualRPS(out fmt.Stringer) float64 {
-	mean := func(vals []float64) float64 {
-		if len(vals) == 0 {
-			return 0
-		}
-		var s float64
-		for _, v := range vals {
-			s += v
-		}
-		return s / float64(len(vals))
-	}
-	switch r := out.(type) {
-	case *exp.Table1Result:
-		var vals []float64
-		for _, row := range r.Rows {
-			vals = append(vals, row.RPS)
-		}
-		return mean(vals)
-	case *exp.OverallResult:
-		var vals []float64
-		for _, row := range r.Rows {
-			vals = append(vals, row.Result.AvgRPS)
-		}
-		return mean(vals)
-	case *figureReport:
-		var vals []float64
-		for _, tr := range []*exp.TimelineResult{r.base, r.slim} {
-			vals = append(vals, tr.Summarize(r.warmup).MeanRPS)
-		}
-		return mean(vals)
-	default:
-		return 0
-	}
 }
 
 // printFaultCounters summarizes injected faults and how the stack absorbed
@@ -408,31 +298,46 @@ func writeTrace(path string, reg *vtrace.Registry) error {
 	return nil
 }
 
+// figureReport is the text summary of one runtime-RPS figure.
 type figureReport struct {
-	name       string
-	base, slim *exp.TimelineResult
-	warmup     sim.Duration
+	name    string
+	systems []*exp.TimelineResult // baseline, then SlimIO
+	warmup  sim.Duration
 }
 
-func runFigure(n int, sc exp.Scale, window sim.Duration) (fmt.Stringer, error) {
-	var base, slim *exp.TimelineResult
-	var err error
-	if n == 4 {
-		base, slim, err = exp.RunFigure4(sc, window)
-	} else {
-		base, slim, err = exp.RunFigure5(sc, window)
+// runFigure runs Figure n's two timelines; a non-empty seriesDir also gets
+// each system's full per-interval series as fig<n>-<system>.csv.
+func runFigure(n int, sc exp.Scale, window sim.Duration, seriesDir string) (fmt.Stringer, error) {
+	figure := exp.RunFigure4
+	if n == 5 {
+		figure = exp.RunFigure5
 	}
+	base, slim, err := figure(sc, window)
 	if err != nil {
 		return nil, err
 	}
-	return &figureReport{name: fmt.Sprintf("Figure %d", n), base: base, slim: slim, warmup: window / 5}, nil
+	f := &figureReport{name: fmt.Sprintf("Figure %d", n), systems: []*exp.TimelineResult{base, slim}, warmup: window / 5}
+	if seriesDir == "" {
+		return f, nil
+	}
+	if err := os.MkdirAll(seriesDir, 0o755); err != nil {
+		return nil, err
+	}
+	for _, tr := range f.systems {
+		path := filepath.Join(seriesDir, fmt.Sprintf("fig%d-%s.csv", n, tr.Kind))
+		if err := os.WriteFile(path, []byte(tr.Series.CSV()), 0o644); err != nil {
+			return nil, err
+		}
+		fmt.Printf("wrote %s (WAF %.2f, %d GC runs)\n", path, tr.WAF, tr.GCRuns)
+	}
+	return f, nil
 }
 
 func (f *figureReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: Runtime RPS summary (use slimio-trace for the full series)\n", f.name)
+	fmt.Fprintf(&b, "%s: Runtime RPS summary (-series DIR writes the full series)\n", f.name)
 	fmt.Fprintf(&b, "%-16s %12s %12s %10s %8s %8s\n", "System", "Mean RPS", "Min RPS", "Floor", "Dips", "WAF")
-	for _, tr := range []*exp.TimelineResult{f.base, f.slim} {
+	for _, tr := range f.systems {
 		s := tr.Summarize(f.warmup)
 		floor := 0.0
 		if s.MeanRPS > 0 {
@@ -440,6 +345,15 @@ func (f *figureReport) String() string {
 		}
 		fmt.Fprintf(&b, "%-16s %12.0f %12.0f %9.0f%% %8d %8.2f\n",
 			tr.Kind, s.MeanRPS, s.MinRPS, 100*floor, s.Nosedives, tr.WAF)
+	}
+	// A traced run (-vtrace) also gets the per-layer attribution, as
+	// OverallResult.String prints it for the tables.
+	for _, tr := range f.systems {
+		if tr.Trace == nil {
+			continue
+		}
+		fmt.Fprintf(&b, "\nLatency attribution — %s:\n", tr.Kind)
+		b.WriteString(vtrace.Compute(tr.Trace).Format())
 	}
 	return b.String()
 }

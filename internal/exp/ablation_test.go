@@ -1,24 +1,63 @@
 package exp
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/slimio/slimio/internal/fdp"
 	"github.com/slimio/slimio/internal/imdb"
-	"github.com/slimio/slimio/internal/workload"
 )
 
+// ablationTiny is one RunAblation(TinyScale()) shared by the tests that only
+// read CellResult fields (table rows are released, so their Stack is gone).
+var ablationTiny = sync.OnceValues(func() (*OverallResult, error) {
+	return RunAblation(TinyScale())
+})
+
+func ablationRow(t *testing.T, kind BackendKind) *CellResult {
+	t.Helper()
+	res, err := ablationTiny()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Rows {
+		if r.Kind == kind {
+			return r.Result
+		}
+	}
+	t.Fatalf("ablation table has no %v row", kind)
+	return nil
+}
+
+// runTinyCell runs the ablation's cell for kind on its own, keeping the
+// stack for tests that inspect it.
 func runTinyCell(t *testing.T, kind BackendKind) *CellResult {
 	t.Helper()
-	sc := TinyScale()
-	res, err := RunCell(CellConfig{
-		Kind: kind, Policy: imdb.PeriodicalLog, Scale: sc,
-		Workload: workload.RedisBench(0, sc.KeyRange), OnDemandPerRep: true,
-	})
+	cfg := redisBenchCell(TinyScale())
+	cfg.Kind, cfg.Policy = kind, imdb.PeriodicalLog
+	res, err := RunCell(cfg)
 	if err != nil {
 		t.Fatalf("%v: %v", kind, err)
 	}
 	return res
+}
+
+// TestAblationTinyGolden pins the ablation table: four rows, System labels
+// within the column OverallResult.String pads them to.
+func TestAblationTinyGolden(t *testing.T) {
+	res, err := ablationTiny()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 4 {
+		t.Fatalf("ablation table has %d rows, want 4", len(res.Rows))
+	}
+	for _, r := range res.Rows {
+		if len(r.System) > 9 {
+			t.Errorf("System label %q wider than the 9-character column", r.System)
+		}
+	}
+	checkGolden(t, "ablation_tiny", res.String())
 }
 
 // The FDP-aware-filesystem ablation must actually separate lifetimes: its
@@ -44,7 +83,7 @@ func TestAblationFDPAwareFSSeparatesLifetimes(t *testing.T) {
 // Disabling SQPOLL must put syscalls back on the Snapshot-Path while the
 // system still works end to end.
 func TestAblationNoSQPollStillWorks(t *testing.T) {
-	res := runTinyCell(t, SlimIONoSQPoll)
+	res := ablationRow(t, SlimIONoSQPoll)
 	if len(res.Snapshots) == 0 {
 		t.Fatal("no snapshots completed")
 	}
@@ -77,7 +116,7 @@ func TestAblationPassthruOnlyFunctional(t *testing.T) {
 // The sync-priority scheduler ablation runs and keeps fsync latency at or
 // below the FIFO scheduler's (that is its whole point).
 func TestAblationSchedulerPriority(t *testing.T) {
-	prio := runTinyCell(t, BaselineF2FSPrio)
+	prio := ablationRow(t, BaselineF2FSPrio)
 	none := runTinyCell(t, BaselineF2FS)
 	if prio.AvgRPS <= 0 || none.AvgRPS <= 0 {
 		t.Fatal("degenerate runs")

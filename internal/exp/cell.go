@@ -86,6 +86,27 @@ type CellResult struct {
 	cellHists
 }
 
+// observeCell is the prologue every cell runner shares: it resolves the
+// cell's tracer and telemetry cell from the run's registries under label
+// (nil when the registry is unset; BuildStackN picks the tracer up from sc),
+// and returns the flight recorder's last trigger for the caller to defer — a
+// panicking cell (including the engine's deadlock panic) dumps its trailing
+// samples and spans before the panic propagates.
+func (sc *Scale) observeCell(label string) (tracer *vtrace.Tracer, tele *telemetry.Cell, onPanic func()) {
+	if sc.Trace != nil {
+		sc.tracer = sc.Trace.Tracer(label)
+	}
+	if sc.Telemetry != nil {
+		tele = sc.Telemetry.Cell(label)
+	}
+	return sc.tracer, tele, func() {
+		if r := recover(); r != nil {
+			tele.DumpFlight(fmt.Sprintf("panic: %v", r)) //nolint:errcheck // repanicking
+			panic(r)
+		}
+	}
+}
+
 // RunCell builds the stack, runs Reps repetitions of the workload, and
 // collects the cell metrics.
 func RunCell(cfg CellConfig) (*CellResult, error) {
@@ -95,26 +116,8 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 		label = fmt.Sprintf("%s/%s", cfg.Kind, cfg.Policy)
 	}
 	sc := cfg.Scale
-	costM0 := cellCostStart(sc.CellCosts)
-	var tracer *vtrace.Tracer
-	if sc.Trace != nil {
-		tracer = sc.Trace.Tracer(label)
-		sc.tracer = tracer
-	}
-	var tele *telemetry.Cell
-	if sc.Telemetry != nil {
-		tele = sc.Telemetry.Cell(label)
-		sc.tele = tele
-	}
-	// The flight recorder's last trigger: a panicking cell (including the
-	// engine's deadlock panic) dumps its trailing samples and spans before
-	// the panic propagates.
-	defer func() {
-		if r := recover(); r != nil {
-			tele.DumpFlight(fmt.Sprintf("panic: %v", r)) //nolint:errcheck // repanicking
-			panic(r)
-		}
-	}()
+	tracer, tele, onPanic := sc.observeCell(label)
+	defer onPanic()
 	st, err := BuildStack(eng, cfg.Kind, sc)
 	if err != nil {
 		return nil, err
@@ -211,7 +214,6 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 	res.SetP999 = res.setHist.P999()
 	res.GetP999 = res.getHist.P999()
 	splitPhases(res)
-	cellCostEnd(sc.CellCosts, label, costM0)
 	return res, nil
 }
 

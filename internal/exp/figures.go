@@ -155,33 +155,47 @@ type TimelineResult struct {
 	Trace *vtrace.Tracer
 }
 
-// RunTimeline runs an open-ended redis-benchmark workload for a fixed
-// virtual window, with periodic On-Demand-Snapshots, and returns the
-// per-interval request-rate series. gcPressure injects sustained device GC
-// for the whole window, as a conventional device in long-run steady state
-// experiences (the paper's Figure 4 regime).
-func RunTimeline(kind BackendKind, sc Scale, window sim.Duration, odsEvery sim.Duration, gcPressure bool) (*TimelineResult, error) {
-	costM0 := cellCostStart(sc.CellCosts)
+// timelineSpec is one system of a runtime-RPS figure. gcPressure injects
+// sustained device GC for the whole window, as a conventional device in
+// long-run steady state experiences (the paper's Figure 4 regime).
+type timelineSpec struct {
+	kind       BackendKind
+	gcPressure bool
+}
+
+// runTimeline runs an open-ended redis-benchmark workload for a fixed
+// virtual window, with an On-Demand-Snapshot every quarter window, and
+// returns the per-interval request-rate series. The cell's tracer and
+// telemetry label is the kind's name.
+func runTimeline(s timelineSpec, sc Scale, window sim.Duration) (*TimelineResult, error) {
 	eng := sim.NewEngine()
-	st, err := BuildStack(eng, kind, sc)
+	tracer, tele, onPanic := sc.observeCell(s.kind.String())
+	defer onPanic()
+	st, err := BuildStack(eng, s.kind, sc)
 	if err != nil {
 		return nil, err
 	}
-	if gcPressure {
+	if s.gcPressure {
 		st.Dev.InjectGCPressure(eng, gcPressureDuty, gcPressurePeriod)
 	}
 	series := metrics.NewSeries(sc.RPSInterval)
 	db := imdb.New(eng, st.Backend, imdb.Config{
 		Policy:             imdb.PeriodicalLog,
 		WALSnapshotTrigger: sc.WALTriggerBytes,
-		Trace:              st.Trace,
+		Trace:              tracer,
 		Pool:               st.Pool(),
 	}, series)
 	db.Start()
+
+	AttachStackTelemetry(st, tele)
+	attachEngineTelemetry(db, tele)
+	tele.SetTracer(tracer)
+	tele.Start(eng)
+
 	wl := workload.RedisBench(0, sc.KeyRange)
 	wl.Ops = 0 // open-ended
 	workload.Start(eng, db, wl)
-	if odsEvery > 0 {
+	if odsEvery := window / 4; odsEvery > 0 {
 		eng.SpawnDaemon("ods-ticker", func(env *sim.Env) {
 			for {
 				env.Sleep(odsEvery)
@@ -190,17 +204,19 @@ func RunTimeline(kind BackendKind, sc Scale, window sim.Duration, odsEvery sim.D
 		})
 	}
 	eng.RunUntil(sim.Time(window))
+	tele.Stop()
 	out := &TimelineResult{
-		Kind:      kind,
+		Kind:      s.kind,
 		Series:    series,
 		Snapshots: db.Stats().Snapshots,
 		WAF:       st.Dev.Stats().WAF(),
 		GCRuns:    st.Dev.Stats().GCRuns,
-		Trace:     st.Trace,
+		Trace:     tracer,
 	}
-	// Tear the run down so its goroutines release the simulated device.
+	// Tear the run down so its goroutines release the simulated device. No
+	// Stack.Teardown leak check here: the window cuts an open-ended workload
+	// mid-operation, so the engine's open WAL segment is still held.
 	eng.Shutdown()
-	cellCostEnd(sc.CellCosts, "timeline/"+kind.String(), costM0)
 	return out, nil
 }
 
@@ -208,35 +224,23 @@ func RunTimeline(kind BackendKind, sc Scale, window sim.Duration, odsEvery sim.D
 // RPS on a conventional SSD under GC pressure — the baseline's page cache
 // absorbs GC stalls while SlimIO's direct writes nosedive.
 func RunFigure4(sc Scale, window sim.Duration) (baselineT, slimT *TimelineResult, err error) {
-	return runTimelinePair(sc,
-		timelineSpec{BaselineF2FS, window, window / 4, true},
-		timelineSpec{SlimIOConv, window, window / 4, true})
+	return runTimelinePair(sc, window, timelineSpec{BaselineF2FS, true}, timelineSpec{SlimIOConv, true})
 }
 
 // RunFigure5 regenerates Figure 5: baseline vs SlimIO-on-FDP — with
 // lifetime separation the runtime RPS stays in a stable band except during
 // snapshots.
 func RunFigure5(sc Scale, window sim.Duration) (baselineT, slimT *TimelineResult, err error) {
-	return runTimelinePair(sc,
-		timelineSpec{BaselineF2FS, window, window / 4, true},
-		timelineSpec{SlimIOFDP, window, window / 4, false})
+	return runTimelinePair(sc, window, timelineSpec{BaselineF2FS, true}, timelineSpec{SlimIOFDP, false})
 }
 
-// timelineSpec parameterizes one RunTimeline call for the pair scheduler.
-type timelineSpec struct {
-	kind       BackendKind
-	window     sim.Duration
-	odsEvery   sim.Duration
-	gcPressure bool
-}
-
-// runTimelinePair runs two independent timeline cells under the parallel
-// cell scheduler, preserving (baseline, slim) result order.
-func runTimelinePair(sc Scale, specs ...timelineSpec) (*TimelineResult, *TimelineResult, error) {
-	results := make([]*TimelineResult, len(specs))
+// runTimelinePair runs a figure's two independent timeline cells under the
+// parallel cell scheduler, preserving (baseline, slim) result order.
+func runTimelinePair(sc Scale, window sim.Duration, base, slim timelineSpec) (*TimelineResult, *TimelineResult, error) {
+	specs := [2]timelineSpec{base, slim}
+	var results [2]*TimelineResult
 	err := runCells(len(specs), sc.Parallel, func(i int) error {
-		s := specs[i]
-		tr, err := RunTimeline(s.kind, sc, s.window, s.odsEvery, s.gcPressure)
+		tr, err := runTimeline(specs[i], sc, window)
 		if err != nil {
 			return err
 		}

@@ -153,20 +153,8 @@ func isolationWorkload(idx, tenants int, noisy bool, sc Scale) (workload.Config,
 func runIsolationCell(kind BackendKind, tenants int, noisy bool, sc Scale) (*IsolationCell, error) {
 	eng := sim.NewEngine()
 	label := "isolation/" + PlacementLabel(kind)
-	costM0 := cellCostStart(sc.CellCosts)
-	if sc.Trace != nil {
-		sc.tracer = sc.Trace.Tracer(label)
-	}
-	if sc.Telemetry != nil {
-		sc.tele = sc.Telemetry.Cell(label)
-	}
-	tele := sc.tele
-	defer func() {
-		if r := recover(); r != nil {
-			tele.DumpFlight(fmt.Sprintf("panic: %v", r)) //nolint:errcheck // repanicking
-			panic(r)
-		}
-	}()
+	_, tele, onPanic := sc.observeCell(label)
+	defer onPanic()
 
 	// Per-tenant sizing: each tenant owns 1/tenants of the device, so its
 	// snapshot slots and WAL-snapshot trigger shrink by the same factor.
@@ -270,6 +258,5 @@ func runIsolationCell(kind BackendKind, tenants int, noisy bool, sc Scale) (*Iso
 		return nil, fmt.Errorf("exp: %s: %w", label, err)
 	}
 	eng.Shutdown()
-	cellCostEnd(sc.CellCosts, label, costM0)
 	return cell, nil
 }

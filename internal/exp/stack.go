@@ -126,17 +126,12 @@ type Scale struct {
 	// serial harness.
 	Parallel int
 
-	// CellCosts, when non-nil, records each cell's host-side allocator
-	// traffic for the bench report. Attach only to serial runs — see
-	// CellCostSink.
-	CellCosts *CellCostSink
-
 	// Trace, when non-nil, enables virtual-time span tracing: every cell
 	// records into its own tracer (labelled by cell) in this registry,
 	// threaded through every stack layer from the engine down to the NAND
 	// timelines. Nil keeps the hot path allocation-free.
 	Trace *vtrace.Registry
-	// tracer is the per-cell tracer resolved by RunCell; BuildStack falls
+	// tracer is the per-cell tracer resolved by observeCell; BuildStack falls
 	// back to Trace.Tracer(kind.String()) when a stack is built directly.
 	tracer *vtrace.Tracer
 
@@ -146,8 +141,6 @@ type Scale struct {
 	// virtual-time tick into its own telemetry.Cell, labelled like the
 	// tracer. Nil keeps every hot path allocation-free.
 	Telemetry *telemetry.Registry
-	// tele is the per-cell telemetry cell resolved by RunCell.
-	tele *telemetry.Cell
 }
 
 // SmallScale is the default: ~1/500 of the paper's volume, seconds to run.

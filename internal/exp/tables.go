@@ -144,7 +144,7 @@ func (t *Table2Result) String() string {
 	return b.String()
 }
 
-// OverallRow is one system row of Tables 3/4.
+// OverallRow is one system row of an OverallResult.
 type OverallRow struct {
 	Policy  imdb.LogPolicy
 	System  string
@@ -156,61 +156,89 @@ type OverallRow struct {
 	Attrib *vtrace.Attribution
 }
 
-// OverallResult holds the full Table 3 or Table 4.
+// OverallResult holds the full Table 3, Table 4 or ablation table.
 type OverallResult struct {
-	Title   string
-	HasWAF  bool
-	HasGet  bool
-	Rows    []OverallRow
-	WAFNote string
+	Title  string
+	HasWAF bool
+	HasGet bool
+	Rows   []OverallRow
 }
 
-// RunTable3 regenerates Table 3: the overall redis-benchmark evaluation —
-// both logging policies, baseline (F2FS on a conventional SSD) vs SlimIO
-// (passthru on FDP), with per-repetition On-Demand-Snapshots.
-func RunTable3(sc Scale) (*OverallResult, error) {
-	out := &OverallResult{Title: "Table 3: Overall Evaluation with Redis Benchmark Workload", HasWAF: true}
-	type spec struct {
-		pol  imdb.LogPolicy
-		kind BackendKind
-	}
-	var specs []spec
-	for _, pol := range []imdb.LogPolicy{imdb.PeriodicalLog, imdb.AlwaysLog} {
-		for _, kind := range []BackendKind{BaselineF2FS, SlimIOFDP} {
-			specs = append(specs, spec{pol, kind})
-		}
-	}
-	rows := make([]OverallRow, len(specs))
-	err := runCells(len(specs), sc.Parallel, func(i int) error {
+// overallSpec is one row of an OverallResult: the stack, the logging policy
+// and the row's System label — at most 9 characters, the width
+// OverallResult.String pads that column to.
+type overallSpec struct {
+	policy imdb.LogPolicy
+	kind   BackendKind
+	system string
+}
+
+// paperRows is the row set of Tables 3 and 4: both logging policies,
+// baseline (F2FS on a conventional SSD) vs SlimIO (passthru on FDP).
+var paperRows = []overallSpec{
+	{imdb.PeriodicalLog, BaselineF2FS, "Baseline"},
+	{imdb.PeriodicalLog, SlimIOFDP, "SlimIO"},
+	{imdb.AlwaysLog, BaselineF2FS, "Baseline"},
+	{imdb.AlwaysLog, SlimIOFDP, "SlimIO"},
+}
+
+// ablationRows takes SlimIO's mechanisms one at a time, which the paper
+// argues only verbally: the rings on a conventional SSD (syscall relief
+// without GC relief — Figure 4's configuration as a table row), the kernel
+// path on an FDP SSD with an FDP-aware filesystem (GC relief without syscall
+// relief), SlimIO with syscall-mode submission on the Snapshot-Path (the
+// SQPOLL share of the win), and the baseline under a sync-priority I/O
+// scheduler instead of 'none' (the §4 argument that such schedulers
+// deprioritize snapshot writes).
+var ablationRows = []overallSpec{
+	{imdb.PeriodicalLog, SlimIOConv, "Passthru"},
+	{imdb.PeriodicalLog, FDPAwareFS, "FDP-only"},
+	{imdb.PeriodicalLog, SlimIONoSQPoll, "NoSQPoll"},
+	{imdb.PeriodicalLog, BaselineF2FSPrio, "SchedPrio"},
+}
+
+// runOverall fills out with one row per spec: each cell is tmpl with the
+// spec's kind and policy, run under the parallel cell scheduler and released
+// once its metrics are extracted.
+func runOverall(out *OverallResult, tmpl CellConfig, specs []overallSpec) (*OverallResult, error) {
+	out.Rows = make([]OverallRow, len(specs))
+	err := runCells(len(specs), tmpl.Scale.Parallel, func(i int) error {
 		s := specs[i]
-		res, err := RunCell(CellConfig{
-			Kind: s.kind, Policy: s.pol, Scale: sc,
-			Workload:       workload.RedisBench(0, sc.KeyRange),
-			OnDemandPerRep: true,
-		})
+		cfg := tmpl
+		cfg.Kind, cfg.Policy = s.kind, s.policy
+		res, err := RunCell(cfg)
 		if err != nil {
 			return err
-		}
-		name := "Baseline"
-		if s.kind == SlimIOFDP {
-			name = "SlimIO"
 		}
 		res.Stack.Eng.Shutdown()
 		if err := res.ReleaseHeavy(); err != nil {
 			return err
 		}
-		row := OverallRow{Policy: s.pol, System: name, Kind: s.kind, Result: res}
+		row := OverallRow{Policy: s.policy, System: s.system, Kind: s.kind, Result: res, GetP999: res.GetP999}
 		if res.Trace != nil {
 			row.Attrib = vtrace.Compute(res.Trace)
 		}
-		rows[i] = row
+		out.Rows[i] = row
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = rows
 	return out, nil
+}
+
+// redisBenchCell is the cell template of Table 3 and the ablation: the
+// redis-benchmark workload with per-repetition On-Demand-Snapshots.
+func redisBenchCell(sc Scale) CellConfig {
+	return CellConfig{Scale: sc, Workload: workload.RedisBench(0, sc.KeyRange), OnDemandPerRep: true}
+}
+
+// RunTable3 regenerates Table 3: the overall redis-benchmark evaluation —
+// both logging policies, baseline vs SlimIO, with per-repetition
+// On-Demand-Snapshots.
+func RunTable3(sc Scale) (*OverallResult, error) {
+	out := &OverallResult{Title: "Table 3: Overall Evaluation with Redis Benchmark Workload", HasWAF: true}
+	return runOverall(out, redisBenchCell(sc), paperRows)
 }
 
 // RunTable4 regenerates Table 4: the YCSB-A evaluation — zipfian 50/50
@@ -218,48 +246,17 @@ func RunTable3(sc Scale) (*OverallResult, error) {
 // pressure).
 func RunTable4(sc Scale) (*OverallResult, error) {
 	out := &OverallResult{Title: "Table 4: Overall Evaluation with YCSB-A Workload", HasGet: true}
-	ycsbScale := sc
-	if ycsbScale.ValueSize == 0 {
-		ycsbScale.ValueSize = 2048
+	if sc.ValueSize == 0 {
+		sc.ValueSize = 2048
 	}
-	type spec struct {
-		pol  imdb.LogPolicy
-		kind BackendKind
-	}
-	var specs []spec
-	for _, pol := range []imdb.LogPolicy{imdb.PeriodicalLog, imdb.AlwaysLog} {
-		for _, kind := range []BackendKind{BaselineF2FS, SlimIOFDP} {
-			specs = append(specs, spec{pol, kind})
-		}
-	}
-	rows := make([]OverallRow, len(specs))
-	err := runCells(len(specs), sc.Parallel, func(i int) error {
-		s := specs[i]
-		res, err := RunCell(CellConfig{
-			Kind: s.kind, Policy: s.pol, Scale: ycsbScale,
-			Workload: workload.YCSBA(0, ycsbScale.KeyRange),
-			Preload:  true,
-		})
-		if err != nil {
-			return err
-		}
-		name := "Baseline"
-		if s.kind == SlimIOFDP {
-			name = "SlimIO"
-		}
-		row := OverallRow{Policy: s.pol, System: name, Kind: s.kind, Result: res, GetP999: res.getHist.P999()}
-		res.Stack.Eng.Shutdown()
-		if err := res.ReleaseHeavy(); err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = rows
-	return out, nil
+	return runOverall(out, CellConfig{Scale: sc, Workload: workload.YCSBA(0, sc.KeyRange), Preload: true}, paperRows)
+}
+
+// RunAblation runs the ablation table (beyond the paper): Table 3's
+// Periodical-Log cell on each of the four ablationRows stacks.
+func RunAblation(sc Scale) (*OverallResult, error) {
+	out := &OverallResult{Title: "Ablation: SlimIO's mechanisms one at a time (redis-benchmark, Periodical-Log)", HasWAF: true}
+	return runOverall(out, redisBenchCell(sc), ablationRows)
 }
 
 func (t *OverallResult) String() string {

@@ -12,6 +12,7 @@ import (
 	"github.com/slimio/slimio/internal/imdb"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/telemetry"
+	"github.com/slimio/slimio/internal/vtrace"
 	"github.com/slimio/slimio/internal/workload"
 )
 
@@ -44,6 +45,42 @@ func TestTelemetryDumpSerialParallelIdentical(t *testing.T) {
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("telemetry dump differs between serial (%d bytes) and parallel (%d bytes) runs",
 			len(serial), len(parallel))
+	}
+}
+
+// TestFigureTelemetryCells: the timeline cells of Figures 4/5 go through the
+// same prologue as table cells, so a telemetered, traced figure run exports
+// one cell per system carrying both the stack's and the engine's gauges.
+func TestFigureTelemetryCells(t *testing.T) {
+	sc := TinyScale()
+	sc.Telemetry = telemetry.NewRegistry(0)
+	sc.Trace = vtrace.NewRegistry()
+	if _, _, err := RunFigure5(sc, 300*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sc.Telemetry.ExportJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// ParseDump is ValidateDump that keeps the result.
+	dump, err := telemetry.ParseDump(buf.Bytes())
+	if err != nil {
+		t.Fatalf("figure dump invalid: %v", err)
+	}
+	want := []string{BaselineF2FS.String(), SlimIOFDP.String()}
+	if len(dump.Cells) != len(want) {
+		t.Fatalf("dump has %d cells, want %v", len(dump.Cells), want)
+	}
+	for i := range dump.Cells {
+		c := &dump.Cells[i]
+		if c.Label != want[i] {
+			t.Errorf("cell %d labelled %q, want %q", i, c.Label, want[i])
+		}
+		for _, gauge := range []string{"imdb.wal_buf_bytes", "ftl.host_write_pages"} {
+			if c.Column(gauge) < 0 {
+				t.Errorf("cell %q has no %s gauge", c.Label, gauge)
+			}
+		}
 	}
 }
 
