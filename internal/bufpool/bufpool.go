@@ -10,12 +10,16 @@
 // reference may read the bytes; only the producer that acquired the segment
 // may write, and only append-only: bytes at offsets below any byte range
 // that has been handed to another holder (a drained wal.Chain, a submitted
-// device write) are immutable until every reference is released. Each holder
-// releases exactly once (Release), or — when the release happens because a
-// NAND block erase recycled the stored page — with ReleaseAt, which parks
-// the segment in a virtual-time quarantine until every in-flight reader
-// horizon has passed (the same rule the PR-2 nand page arena enforced; that
-// arena is folded into this pool).
+// device write) are immutable until every reference is released. A producer
+// that must overwrite such bytes — the kernel-path page cache, which shares
+// each flushed page's segment with the NAND array — copies on write: it
+// moves to a fresh segment and releases its reference to the shared one.
+// Each holder releases exactly once (Release), or — when the release is the
+// NAND array dropping a stored page, which lives until the page is
+// invalidated or its block erased — with ReleaseAt, which parks the segment
+// in a virtual-time quarantine until every in-flight reader horizon has
+// passed (the same rule the PR-2 nand page arena enforced; that arena is
+// folded into this pool).
 //
 // Releasing a reference you do not hold panics: refcounts never go
 // negative, and under `-race` builds the panic carries the recorded
@@ -77,7 +81,7 @@ func New(segSize int) *Pool {
 
 // SetClock attaches the simulation clock. Without a clock the pool still
 // recycles plainly-released segments but keeps quarantined ones parked
-// forever (standalone unit tests don't erase blocks).
+// forever (always safe, just less economical).
 func (p *Pool) SetClock(c Clock) { p.clock = c }
 
 // SegSize reports the fixed segment size.
@@ -191,9 +195,10 @@ func (s *Segment) Release() {
 }
 
 // ReleaseAt drops a reference like Release but records that the backing
-// bytes may still be read until the virtual instant ready (a block erase
-// recycles stored pages only after every read horizon has passed). The
-// latest deadline wins when several stored copies of the segment erase.
+// bytes may still be read until the virtual instant ready (the NAND array
+// recycles a discarded or erased page only after every read horizon has
+// passed). The latest deadline wins when several stored copies of the
+// segment go.
 func (s *Segment) ReleaseAt(ready sim.Time) {
 	if ready > s.ready {
 		s.ready = ready

@@ -369,8 +369,17 @@ func (f *FTL) invalidate(lpa int64) {
 		return
 	}
 	f.l2p[lpa] = nand.InvalidPPA
-	f.p2l[old] = -1
-	f.rus[f.ruOf[f.arr.BlockOf(old)]].valid--
+	f.unmapPage(old)
+}
+
+// unmapPage retires a mapped physical page: nothing can address it until its
+// block erases, so the array drops its bytes now instead of at the erase. A
+// migration calls it only after the destination program has retained the
+// stored segment (migrateProgram(StoredRef(src))).
+func (f *FTL) unmapPage(ppa nand.PPA) {
+	f.p2l[ppa] = -1
+	f.rus[f.ruOf[f.arr.BlockOf(ppa)]].valid--
+	f.arr.Discard(ppa)
 }
 
 // nextPPA returns the next physical page of an open RU, striping across its
@@ -535,8 +544,7 @@ func (f *FTL) drainRetired(now sim.Time) (sim.Time, error) {
 		if err != nil {
 			return now, err
 		}
-		f.p2l[src] = -1
-		f.rus[f.ruOf[f.arr.BlockOf(src)]].valid--
+		f.unmapPage(src)
 		f.l2p[lpa] = dst
 		f.p2l[dst] = lpa
 		f.rus[f.ruOf[f.arr.BlockOf(dst)]].valid++
@@ -681,7 +689,7 @@ func (f *FTL) reclaim(now sim.Time) (done sim.Time, reclaimed bool, err error) {
 					continue
 				}
 				// Re-program the stored segment itself (no copy): the
-				// destination retains it, the victim's erase releases it.
+				// destination retains it, then the source drops its share.
 				dst, wdone, err := f.migrateProgram(rdone, victim.pid, f.arr.StoredRef(src))
 				if err != nil {
 					return now, false, fmt.Errorf("fdp: reclaim program: %w", err)
@@ -689,8 +697,7 @@ func (f *FTL) reclaim(now sim.Time) (done sim.Time, reclaimed bool, err error) {
 				if wdone > end {
 					end = wdone
 				}
-				f.p2l[src] = -1
-				victim.valid--
+				f.unmapPage(src)
 				f.l2p[lpa] = dst
 				f.p2l[dst] = lpa
 				f.rus[f.ruOf[f.arr.BlockOf(dst)]].valid++

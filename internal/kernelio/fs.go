@@ -37,13 +37,41 @@ type cachePage struct {
 	data     []byte
 	dirty    bool
 	inflight bool
+	// shared is set once a writeback has handed out a second reference to
+	// seg (the block scheduler's, then the NAND page's): from then on the
+	// bytes are immutable and a write must take a private copy first. It
+	// stays set after the device drops its reference, because a device read
+	// may still alias the bytes until the pool's quarantine expires.
+	shared bool
 }
 
-// free returns the page's pooled segment. The page must not be used after.
+// free drops the cache's reference to the page's pooled segment (the device
+// may hold its own). The page must not be used after.
 func (pg *cachePage) free() {
 	pg.seg.Release()
 	pg.seg = nil
 	pg.data = nil
+}
+
+// writebackRef returns the page's bytes as a device write payload: one more
+// reference to the page's own segment, which the block scheduler takes over
+// at Submit and the NAND array retains on program — no writeback copy.
+//
+//slimio:owns return
+func (pg *cachePage) writebackRef() bufpool.Ref {
+	pg.seg.Retain()
+	pg.shared = true
+	return bufpool.Ref{Seg: pg.seg, B: pg.data}
+}
+
+// unshare gives a shared page private bytes again before a write: the page
+// moves to a fresh segment holding a copy, and the cache's reference to the
+// old one — which the device keeps reading — is dropped.
+func (fs *Filesystem) unshare(pg *cachePage) {
+	s := fs.pool.Get()
+	copy(s.Bytes(), pg.data)
+	pg.seg.Release()
+	pg.seg, pg.data, pg.shared = s, s.Bytes(), false
 }
 
 // File is an open file on the simulated filesystem. Dirty pages are never
@@ -128,10 +156,11 @@ type Filesystem struct {
 	// background flusher. Shared with the scheduler via SetTracer.
 	trace *vtrace.Tracer
 
-	// pool is the device stack's shared page-buffer pool. Cache pages and
-	// writeback copies both live in it; writeback submissions transfer their
-	// references to the block scheduler, which releases them once the device
-	// has consumed the request.
+	// pool is the device stack's shared page-buffer pool. Cache pages live in
+	// it, and writeback shares them: a submission carries one more reference
+	// to the cache page's own segment (cachePage.writebackRef), which the
+	// block scheduler releases once the device has consumed the request and
+	// retained what it stores.
 	pool *bufpool.Pool
 
 	// commitRec is the reusable journal-commit record payload, submitted to
@@ -139,16 +168,20 @@ type Filesystem struct {
 	commitRec []byte
 }
 
-// newCachePage hands out a zeroed pooled page. Zeroing is load-bearing: the
-// pool recycles segments, and a stale tail persisted past the file's logical
-// end would read back after a crash as mid-page garbage — which WAL decoding
-// classifies as corruption — instead of the clean all-zero tail an unwritten
-// page is expected to show.
-func (fs *Filesystem) newCachePage() *cachePage {
+// newCachePage hands out a pooled page holding src at byte offset off and
+// zeros everywhere else, and reports how many bytes of src fitted. Zeroing
+// what src does not cover is load-bearing: the pool recycles segments, and a
+// stale tail persisted past the file's logical end would read back after a
+// crash as mid-page garbage — which WAL decoding classifies as corruption —
+// instead of the clean all-zero tail an unwritten page is expected to show.
+// A full-page src leaves nothing to clear.
+func (fs *Filesystem) newCachePage(off int64, src []byte) (*cachePage, int) {
 	s := fs.pool.Get()
 	b := s.Bytes()
-	clear(b)
-	return &cachePage{seg: s, data: b}
+	clear(b[:off])
+	n := copy(b[off:], src)
+	clear(b[off+int64(n):])
+	return &cachePage{seg: s, data: b}, n
 }
 
 // NewFilesystem mounts a fresh filesystem on dev, using the given scheduler
@@ -414,13 +447,18 @@ func (f *File) Write(env *sim.Env, off int64, data []byte) error {
 
 	pos := 0
 	for idx := firstIdx; idx <= lastIdx; idx++ {
-		pg := f.pages[idx]
-		if pg == nil {
-			pg = fs.newCachePage()
-			f.pages[idx] = pg
-		}
 		pageOff := off + int64(pos) - idx*ps
-		n := copy(pg.data[pageOff:], data[pos:])
+		pg := f.pages[idx]
+		var n int
+		if pg == nil {
+			pg, n = fs.newCachePage(pageOff, data[pos:])
+			f.pages[idx] = pg
+		} else {
+			if pg.shared {
+				fs.unshare(pg)
+			}
+			n = copy(pg.data[pageOff:], data[pos:])
+		}
 		pos += n
 		if !pg.dirty {
 			pg.dirty = true
@@ -478,10 +516,7 @@ func (f *File) collectDirty(max int) ([]ssd.PageWrite, []*cachePage) {
 		pg.inflight = true
 		f.inflightN++
 		f.fs.dirtyCount--
-		s := f.fs.pool.Get()
-		data := s.Bytes()[:len(pg.data)]
-		copy(data, pg.data)
-		out = append(out, ssd.PageWrite{LPA: lpa, Data: bufpool.Ref{Seg: s, B: data}, PID: f.fs.pidOf(f.name)})
+		out = append(out, ssd.PageWrite{LPA: lpa, Data: pg.writebackRef(), PID: f.fs.pidOf(f.name)})
 		flushed = append(flushed, pg)
 	}
 	f.dirtyIdx = keep
@@ -677,11 +712,11 @@ func (f *File) fillFrom(env *sim.Env, idx int64) error {
 					return err
 				}
 			}
-			pg := fs.newCachePage()
+			var stored []byte // a hole reads as zeros
 			if len(data) > 0 {
-				copy(pg.data, data[0])
+				stored = data[0]
 			}
-			f.pages[idx+i] = pg
+			f.pages[idx+i], _ = fs.newCachePage(0, stored)
 		}
 		return nil
 	}
@@ -690,9 +725,7 @@ func (f *File) fillFrom(env *sim.Env, idx int64) error {
 		return err
 	}
 	for i := int64(0); i < run; i++ {
-		pg := fs.newCachePage()
-		copy(pg.data, pages[i])
-		f.pages[idx+i] = pg
+		f.pages[idx+i], _ = fs.newCachePage(0, pages[i])
 	}
 	return nil
 }
@@ -836,10 +869,7 @@ func (fs *Filesystem) writeback(env *sim.Env) {
 				fs.dirtyCount--
 				// Remove from the file's own dirty list lazily: collectDirty
 				// skips non-dirty entries.
-				s := fs.pool.Get()
-				data := s.Bytes()[:len(pg.data)]
-				copy(data, pg.data)
-				batch = append(batch, ssd.PageWrite{LPA: lpa, Data: bufpool.Ref{Seg: s, B: data}, PID: fs.pidOf(ref.f.name)})
+				batch = append(batch, ssd.PageWrite{LPA: lpa, Data: pg.writebackRef(), PID: fs.pidOf(ref.f.name)})
 				touched = append(touched, ref.f)
 				flushed = append(flushed, pg)
 			}

@@ -22,12 +22,12 @@ import (
 	"github.com/slimio/slimio/internal/vtrace"
 )
 
-// quarantineSlack pads the read horizon when an erased page's segment is
-// released back to the buffer pool. Read results are handed to consumers as
-// aliases at the read's completion time; every consumer in this repository
-// copies the bytes out within the same-timestamp event cascade plus
-// sub-microsecond ring/handler work (≤ ~300 ns), so a microsecond-scale pad
-// is far more than enough.
+// quarantineSlack pads the read horizon when a discarded or erased page's
+// segment is released back to the buffer pool. Read results are handed to
+// consumers as aliases at the read's completion time; every consumer in this
+// repository copies the bytes out within the same-timestamp event cascade
+// plus sub-microsecond ring/handler work (≤ ~300 ns), so a microsecond-scale
+// pad is far more than enough.
 const quarantineSlack = 10 * sim.Microsecond
 
 // Status is an NVMe-style command status code, surfaced alongside Go errors
@@ -254,16 +254,19 @@ type Array struct {
 	dies   []sim.Timeline
 	chans  []sim.Timeline
 	blocks []blockState // indexed by die*BlocksPerDie + block
-	data   [][]byte     // indexed by PPA; nil = unwritten since last erase
+	// data holds the stored bytes per PPA; nil = holds nothing readable:
+	// unwritten since the last erase, failed to program, or discarded.
+	data [][]byte
 	// segs holds, per PPA, the pooled segment backing data[ppa] (nil for
-	// torn images, which are plain Go memory dropped to the GC on erase).
-	// Each stored page holds one reference, released on erase through the
-	// pool's virtual-time quarantine.
+	// torn images, which are plain Go memory dropped to the GC). Each stored
+	// page holds one reference, released through the pool's virtual-time
+	// quarantine when the FTL discards the page or its block erases,
+	// whichever comes first.
 	segs []*bufpool.Segment
 	pool *bufpool.Pool
 	// readHorizon is the latest completion time over all reads so far: no
 	// outstanding read alias can be consumed after it (plus handler slack).
-	// It gates recycling of erased pages' buffers; see pageArena.
+	// It gates recycling of discarded and erased pages' buffers.
 	readHorizon sim.Time
 	// clock, when set, reports the engine's current execution instant —
 	// required to recycle buffers, because op `now` arguments can run ahead
@@ -281,10 +284,10 @@ type Clock interface {
 	Now() sim.Time
 }
 
-// SetClock attaches the simulation clock, enabling recycling of erased
-// pages' segments through the buffer pool. Without a clock the pool still
-// batches allocations in chunks but never reuses a quarantined segment
-// (always safe, just less economical).
+// SetClock attaches the simulation clock, enabling recycling of discarded
+// and erased pages' segments through the buffer pool. Without a clock the
+// pool still batches allocations in chunks but never reuses a quarantined
+// segment (always safe, just less economical).
 func (a *Array) SetClock(c Clock) {
 	a.clock = c
 	a.pool.SetClock(c)
@@ -390,9 +393,9 @@ func (a *Array) EraseCount(die, block int) int64 {
 //
 // The returned slice aliases the stored page: it is valid until the caller's
 // next simulation yield after the completion time, by which point the bytes
-// must have been copied out (erased-page buffers are recycled once the clock
-// passes the read horizon). Every consumer in this repository copies
-// immediately on completion.
+// must have been copied out (the buffers of discarded and erased pages are
+// recycled once the clock passes the read horizon). Every consumer in this
+// repository copies immediately on completion.
 func (a *Array) Read(now sim.Time, ppa PPA) (data []byte, done sim.Time, err error) {
 	if err := a.checkPPA(ppa); err != nil {
 		return nil, now, err
@@ -438,10 +441,12 @@ func (a *Array) Read(now sim.Time, ppa PPA) (data []byte, done sim.Time, err err
 //
 // Ownership: when data.Seg is non-nil the array stores the bytes by alias
 // and retains one reference on the segment (released, quarantined, when the
-// block erases). The producer must treat data.B as immutable for as long as
-// any reference exists — the wal chain's append-only discipline. A borrowed
-// ref (data.Seg == nil) is copied into a pool segment, so one-shot callers
-// (metadata records, preconditioning) need no pool plumbing.
+// page is discarded or its block erases). Whoever else holds a reference —
+// the wal chain, the kernel-path page cache — must treat data.B as immutable
+// for as long as the array's reference exists: the wal chain only appends
+// past it, the page cache copies on write. A borrowed ref (data.Seg == nil)
+// is copied into a pool segment, so one-shot callers (metadata records,
+// preconditioning) need no pool plumbing.
 //
 //slimio:borrows data
 func (a *Array) Program(now sim.Time, ppa PPA, data bufpool.Ref) (done sim.Time, err error) {
@@ -485,14 +490,14 @@ func (a *Array) Program(now sim.Time, ppa PPA, data bufpool.Ref) (done sim.Time,
 	}
 	if data.Seg != nil {
 		// Zero-copy store: alias the producer's pooled bytes and hold a
-		// reference until the block erases.
+		// reference until the page is discarded or the block erases.
 		data.Seg.Retain()
 		a.segs[ppa] = data.Seg
 		a.data[ppa] = data.B
 		return done, nil
 	}
 	// Borrowed bytes: copy into a pool segment so later caller mutation
-	// cannot corrupt "flash" contents. The pool recycles erased pages'
+	// cannot corrupt "flash" contents. The pool recycles dead pages'
 	// segments instead of allocating per program; the reclaim gate is the
 	// engine clock, not `now` (see Array.clock).
 	s := a.pool.Get()
@@ -506,7 +511,7 @@ func (a *Array) Program(now sim.Time, ppa PPA, data bufpool.Ref) (done sim.Time,
 // StoredRef returns a pooled view of the page stored at ppa (Seg nil for
 // torn images). GC and retirement migration use it to re-program live data
 // onto fresh media without copying: Program retains the segment again for
-// the destination page, and the source block's erase releases its share.
+// the destination page before the source page's share is discarded.
 func (a *Array) StoredRef(ppa PPA) bufpool.Ref {
 	return bufpool.Ref{Seg: a.segs[ppa], B: a.data[ppa]}
 }
@@ -516,13 +521,30 @@ func (a *Array) StoredRef(ppa PPA) bufpool.Ref {
 // and all results are extracted — so the pool's in-flight count can be
 // asserted zero; the array is no longer readable afterwards.
 func (a *Array) ReleaseStored() {
-	for i, s := range a.segs {
-		if s != nil {
-			s.Release()
-			a.segs[i] = nil
-		}
-		a.data[i] = nil
+	for ppa := range a.segs {
+		a.release(PPA(ppa), 0)
 	}
+}
+
+// Discard drops the bytes stored at ppa: the FTL calls it when it unmaps the
+// page, after which nothing can address the page until its block erases, so
+// the host process need not keep its image. The page stays consumed (program
+// order and erase-before-program are untouched); only Read and StoredRef see
+// the difference. A page that holds nothing is left alone.
+func (a *Array) Discard(ppa PPA) {
+	a.release(ppa, a.readHorizon.Add(quarantineSlack))
+}
+
+// release drops page ppa's bytes and the reference behind them. The stored
+// alias may still back an in-flight read until the read horizon passes; the
+// pool quarantines the segment until reusable (0 = no quarantine). Torn
+// images drop to the garbage collector.
+func (a *Array) release(ppa PPA, reusable sim.Time) {
+	if s := a.segs[ppa]; s != nil {
+		s.ReleaseAt(reusable)
+		a.segs[ppa] = nil
+	}
+	a.data[ppa] = nil
 }
 
 // Erase wipes a block, making all its pages programmable again, and returns
@@ -552,14 +574,7 @@ func (a *Array) Erase(now sim.Time, die, block int) (done sim.Time, err error) {
 	base := a.PPAOf(die, block, 0)
 	reusable := a.readHorizon.Add(quarantineSlack)
 	for p := 0; p < a.geo.PagesPerBlock; p++ {
-		ppa := base + PPA(p)
-		if s := a.segs[ppa]; s != nil {
-			// The stored alias may still back an in-flight read until the
-			// read horizon passes; the pool quarantines until then.
-			s.ReleaseAt(reusable)
-			a.segs[ppa] = nil
-		}
-		a.data[ppa] = nil // torn images drop to the garbage collector
+		a.release(base+PPA(p), reusable)
 	}
 	var eraseStart sim.Time
 	eraseStart, done = a.dies[die].Reserve(now, a.lat.BlockErase)

@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/slimio/slimio/internal/bufpool"
@@ -101,5 +102,110 @@ func TestEraseReleasesStoredExactlyOnce(t *testing.T) {
 	}
 	if n := pool.InFlight(); n != 0 {
 		t.Fatalf("%d segments in flight after teardown", n)
+	}
+}
+
+type manualClock struct{ now sim.Time }
+
+func (c *manualClock) Now() sim.Time { return c.now }
+
+// Discard releases the stored page's reference into the read quarantine, not
+// straight to the free list: an alias returned by a Read that is still in
+// flight when the page is overwritten (and so discarded) must keep its bytes
+// until the read completes, and the pool must not hand the segment out again
+// before the clock has passed that completion plus slack.
+func TestDiscardQuarantinesReadAlias(t *testing.T) {
+	a := testArray(t)
+	clk := &manualClock{}
+	a.SetClock(clk)
+	pool := a.Pool()
+	want := page("live", a.geo.PageSize)
+	ppa := a.PPAOf(0, 0, 0)
+	pdone, err := a.Program(0, ppa, bufpool.Borrowed(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := a.StoredRef(ppa).Seg
+	clk.now = pdone
+	alias, rdone, err := a.Read(clk.now, ppa)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a.Discard(ppa)
+	if ref := a.StoredRef(ppa); ref.Seg != nil || ref.B != nil {
+		t.Fatal("discarded page still holds bytes")
+	}
+	if n := pool.InFlight(); n != 0 {
+		t.Fatalf("InFlight = %d after discarding the only stored page, want 0", n)
+	}
+	if _, _, err := a.Read(clk.now, ppa); err == nil {
+		t.Fatal("read of a discarded page succeeded")
+	}
+	if got := a.NextProgramPage(0, 0); got != 1 {
+		t.Fatalf("discard moved the block's program pointer to %d, want 1 (page stays consumed)", got)
+	}
+
+	// Up to the read's completion the segment must stay parked: every Get
+	// carves fresh memory and the alias keeps its bytes.
+	clk.now = rdone
+	for i := 0; i < 4; i++ {
+		s := pool.Get()
+		if s == seg {
+			t.Fatalf("discarded segment handed out at t=%v, before the aliasing read completed", clk.now)
+		}
+		clear(s.Bytes())
+		defer s.Release()
+	}
+	if !bytes.Equal(alias, want) {
+		t.Fatal("read alias changed before the read's completion time")
+	}
+
+	// Past the horizon plus slack the segment is recycled.
+	clk.now = rdone.Add(2 * quarantineSlack)
+	s := pool.Get()
+	defer s.Release()
+	if s != seg {
+		t.Fatal("discarded segment was not recycled once the quarantine expired")
+	}
+}
+
+// Discard on a page that holds no pooled bytes — never programmed, already
+// discarded, or torn — must leave the pool alone: a second release of a
+// segment panics in bufpool, so passing IS the proof.
+func TestDiscardOfEmptyPageIsNoOp(t *testing.T) {
+	a := testArray(t)
+	pool := a.Pool()
+	a.Discard(a.PPAOf(1, 0, 0)) // unwritten
+
+	stored := a.PPAOf(0, 0, 0)
+	if _, err := a.Program(0, stored, bufpool.Borrowed(page("x", a.geo.PageSize))); err != nil {
+		t.Fatal(err)
+	}
+	a.Discard(stored)
+	a.Discard(stored) // already discarded
+
+	a.SetFaultHook(&scriptHook{programDec: ProgramDecision{
+		Outcome: ProgramTorn, Torn: page("torn", a.geo.PageSize/2),
+	}})
+	torn := a.PPAOf(0, 0, 1)
+	if _, err := a.Program(0, torn, bufpool.Borrowed(page("y", a.geo.PageSize))); !IsTornWrite(err) {
+		t.Fatalf("err = %v, want interrupted-write status", err)
+	}
+	a.SetFaultHook(nil)
+	a.Discard(torn) // plain Go memory: dropped to the garbage collector
+	if ref := a.StoredRef(torn); ref.B != nil {
+		t.Fatal("discarded torn page still holds its image")
+	}
+
+	if n := pool.InFlight(); n != 0 {
+		t.Fatalf("InFlight = %d, want 0", n)
+	}
+	if _, err := a.Erase(0, 0, 0); err != nil { // must skip the discarded slots
+		t.Fatal(err)
+	}
+	a.ReleaseStored()
+	if n := pool.InFlight(); n != 0 {
+		t.Fatalf("InFlight = %d after erase + teardown, want 0", n)
 	}
 }
