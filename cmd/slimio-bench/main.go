@@ -13,10 +13,11 @@
 //	slimio-bench -exp fig4 -series plots/ # Figure 4 RPS timelines as CSV
 //	slimio-bench -exp ablation            # SlimIO's mechanisms one at a time
 //	slimio-bench -tenants 4 -noisy        # multi-tenant isolation experiment
+//	slimio-bench -exp inspect -scale tiny # device state: slots, RUs, per-PID writes, reclaim log, wear
 //
 // Experiments: table1 table2 table3 table4 table5 fig2 fig4 fig5 all, plus
-// ablation and isolation (the latter also selected by -tenants). "all" is the
-// paper's evaluation; those two go beyond it and run only when named.
+// ablation, isolation (also selected by -tenants) and inspect. "all" is the
+// paper's evaluation; those three go beyond it and run only when named.
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,14 +42,14 @@ import (
 
 func main() {
 	var (
-		expName = flag.String("exp", "all", "experiment: table1..table5, fig2, fig4, fig5, all (the paper's evaluation), or ablation, isolation (beyond it)")
-		scale   = flag.String("scale", "small", "scale preset: tiny or small")
+		expName = flag.String("exp", "", "comma-separated experiments: table1..table5, fig2, fig4, fig5, all (the paper's evaluation, the default), or ablation, isolation, inspect (beyond it)")
+		scale   = flag.String("scale", "small", "scale preset: tiny, small or paper")
 		device  = flag.Int64("device", 0, "override device size in MiB")
 		keys    = flag.Int64("keys", 0, "override key range")
 		ops     = flag.Int64("ops", 0, "override operations per repetition")
 		reps    = flag.Int("reps", 0, "override repetitions")
 		trigger = flag.Int64("trigger", 0, "override WAL-snapshot trigger in MiB")
-		window  = exp.SimDurationFlag("window", 0, "override figure 4/5 window (virtual time)")
+		window  = exp.SimDurationFlag(flag.CommandLine, "window", 3*sim.Second, "figure 4/5 window (virtual time)")
 		series  = flag.String("series", "", "write the figure 4/5 runtime-RPS series as fig<N>-<system>.csv into this directory")
 		tenants = flag.Int("tenants", 0, "run the multi-tenant isolation experiment with this many co-located engines (adds exp \"isolation\")")
 		noisy   = flag.Bool("noisy", false, "make tenant 0 a Zipf-heavy overwriter in the isolation experiment")
@@ -92,9 +94,10 @@ func main() {
 		}()
 	}
 
-	sc := exp.SmallScale()
-	if *scale == "tiny" {
-		sc = exp.TinyScale()
+	sc, err := exp.ScaleByName(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if *device > 0 {
 		sc.DeviceBytes = *device << 20
@@ -111,10 +114,6 @@ func main() {
 	if *trigger > 0 {
 		sc.WALTriggerBytes = *trigger << 20
 	}
-	figWindow := 3 * sim.Second
-	if *window > 0 {
-		figWindow = *window
-	}
 	ctr := &metrics.Counter{}
 	sc.FaultSeed = *faultSeed
 	sc.ReadErrRate = *readErr
@@ -123,89 +122,45 @@ func main() {
 	sc.Metrics = ctr
 	sc.Parallel = *parallel
 
-	wanted := strings.Split(*expName, ",")
-	hasExact := func(name string) bool {
-		for _, w := range wanted {
-			if w == name {
-				return true
-			}
-		}
-		return false
-	}
-	// "all" is the paper's evaluation. The ablation and isolation experiments
-	// go beyond it and run only when named: -exp ablation, -exp isolation or
-	// -tenants (which alone, with no explicit -exp, runs just isolation).
-	expSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "exp" {
-			expSet = true
-		}
-	})
-	if *tenants > 0 && !expSet {
-		wanted = []string{"isolation"}
-	} else if *tenants > 0 && !hasExact("isolation") {
-		wanted = append(wanted, "isolation")
-	}
-	if hasExact("isolation") && *tenants <= 0 {
-		*tenants = 2
-	}
-	has := func(name string) bool {
-		if name == "ablation" || name == "isolation" {
-			return hasExact(name)
-		}
-		return hasExact(name) || hasExact("all")
-	}
-
+	single := ""
 	if *vtraceOut != "" {
-		// One registry per run: tracer labels are per-cell, and reusing a
-		// label across experiments would interleave unrelated runs in one
-		// lane, so tracing is limited to a single experiment.
-		if len(wanted) != 1 || wanted[0] == "all" {
-			fmt.Fprintln(os.Stderr, "-vtrace requires exactly one -exp experiment")
-			os.Exit(2)
-		}
+		single = "-vtrace"
+	} else if *teleDir != "" {
+		single = "-telemetry"
+	}
+	wanted, err := resolveExperiments(*expName, *tenants, single)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if *vtraceOut != "" {
 		sc.Trace = vtrace.NewRegistry()
 	}
 	if *teleDir != "" {
-		// Same labelling rule as -vtrace: telemetry cells are per-cell-label.
-		if len(wanted) != 1 || wanted[0] == "all" {
-			fmt.Fprintln(os.Stderr, "-telemetry requires exactly one -exp experiment")
-			os.Exit(2)
-		}
 		sc.Telemetry = telemetry.NewRegistry(0)
 		// Failures mid-run (unrecovered faults, cell panics) dump their
 		// flight rings next to the telemetry artifacts.
 		sc.Telemetry.FlightDir = *teleDir
 	}
 
+	args := runArgs{sc: sc, window: *window, series: *series, tenants: *tenants, noisy: *noisy}
 	start := time.Now()
-	run := func(name string, fn func() (fmt.Stringer, error)) {
-		if !has(name) {
-			return
+	for _, e := range experiments {
+		if !slices.Contains(wanted, e.name) {
+			continue
 		}
 		t0 := time.Now()
-		out, err := fn()
+		out, err := e.run(args)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println(out.String())
-		fmt.Printf("(%s finished in %.1fs wall time)\n\n", name, time.Since(t0).Seconds())
+		fmt.Printf("(%s finished in %.1fs wall time)\n\n", e.name, time.Since(t0).Seconds())
 		// Each experiment holds a full simulated device (real page bytes);
 		// return the memory before building the next one.
 		debug.FreeOSMemory()
 	}
-
-	run("table1", func() (fmt.Stringer, error) { return exp.RunTable1(sc) })
-	run("table2", func() (fmt.Stringer, error) { return exp.RunTable2(sc) })
-	run("fig2", func() (fmt.Stringer, error) { return exp.RunFigure2(sc) })
-	run("table3", func() (fmt.Stringer, error) { return exp.RunTable3(sc) })
-	run("table4", func() (fmt.Stringer, error) { return exp.RunTable4(sc) })
-	run("table5", func() (fmt.Stringer, error) { return exp.RunTable5(sc) })
-	run("fig4", func() (fmt.Stringer, error) { return runFigure(4, sc, figWindow, *series) })
-	run("fig5", func() (fmt.Stringer, error) { return runFigure(5, sc, figWindow, *series) })
-	run("ablation", func() (fmt.Stringer, error) { return exp.RunAblation(sc) })
-	run("isolation", func() (fmt.Stringer, error) { return exp.RunIsolation(sc, *tenants, *noisy) })
 	printFaultCounters(ctr)
 	if sc.Trace != nil {
 		if err := writeTrace(*vtraceOut, sc.Trace); err != nil {
@@ -220,6 +175,79 @@ func main() {
 		}
 	}
 	fmt.Printf("total wall time %.1fs\n", time.Since(start).Seconds())
+}
+
+// runArgs is what the command line hands an experiment.
+type runArgs struct {
+	sc      exp.Scale
+	window  sim.Duration // figures 4 and 5
+	series  string       // figures 4 and 5
+	tenants int          // isolation
+	noisy   bool         // isolation
+}
+
+// experiments lists every -exp name in run order. The paper ones are what
+// "all" expands to; the rest go beyond the paper and run only when named.
+var experiments = []struct {
+	name  string
+	paper bool
+	run   func(a runArgs) (fmt.Stringer, error)
+}{
+	{"table1", true, func(a runArgs) (fmt.Stringer, error) { return exp.RunTable1(a.sc) }},
+	{"table2", true, func(a runArgs) (fmt.Stringer, error) { return exp.RunTable2(a.sc) }},
+	{"fig2", true, func(a runArgs) (fmt.Stringer, error) { return exp.RunFigure2(a.sc) }},
+	{"table3", true, func(a runArgs) (fmt.Stringer, error) { return exp.RunTable3(a.sc) }},
+	{"table4", true, func(a runArgs) (fmt.Stringer, error) { return exp.RunTable4(a.sc) }},
+	{"table5", true, func(a runArgs) (fmt.Stringer, error) { return exp.RunTable5(a.sc) }},
+	{"fig4", true, func(a runArgs) (fmt.Stringer, error) { return runFigure(4, a.sc, a.window, a.series) }},
+	{"fig5", true, func(a runArgs) (fmt.Stringer, error) { return runFigure(5, a.sc, a.window, a.series) }},
+	{"ablation", false, func(a runArgs) (fmt.Stringer, error) { return exp.RunAblation(a.sc) }},
+	{"isolation", false, func(a runArgs) (fmt.Stringer, error) { return exp.RunIsolation(a.sc, a.tenants, a.noisy) }},
+	{"inspect", false, func(a runArgs) (fmt.Stringer, error) { return exp.RunInspect(a.sc) }},
+}
+
+// resolveExperiments turns the comma-separated -exp value (empty: not given)
+// into the experiments to run, in run order. -tenants selects isolation:
+// alone it runs just that, beside an -exp it adds it. A non-empty single
+// names the flag (-vtrace or -telemetry) that allows only one experiment:
+// tracer and telemetry labels are per-cell, and reusing a label across
+// experiments would interleave unrelated runs in one lane.
+func resolveExperiments(expFlag string, tenants int, single string) ([]string, error) {
+	switch {
+	case expFlag == "" && tenants > 0:
+		expFlag = "isolation"
+	case expFlag == "":
+		expFlag = "all"
+	case tenants > 0:
+		expFlag += ",isolation"
+	}
+	want := map[string]bool{}
+	for _, n := range strings.Split(expFlag, ",") {
+		known := n == "all"
+		for _, e := range experiments {
+			if e.name == n || (n == "all" && e.paper) {
+				want[e.name] = true
+				known = true
+			}
+		}
+		if !known {
+			valid := make([]string, len(experiments))
+			for i, e := range experiments {
+				valid[i] = e.name
+			}
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", n, strings.Join(valid, ", "))
+		}
+	}
+	var out []string
+	for _, e := range experiments {
+		if want[e.name] {
+			out = append(out, e.name)
+		}
+	}
+	if single != "" && len(out) != 1 {
+		return nil, fmt.Errorf("%s requires exactly one -exp experiment", single)
+	}
+	return out, nil
 }
 
 // printFaultCounters summarizes injected faults and how the stack absorbed

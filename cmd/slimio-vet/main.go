@@ -9,11 +9,6 @@
 //	slimio-vet -list              # one-line summary of every pass
 //	slimio-vet -explain maporder  # a pass's full rationale
 //
-// The binary also speaks the `go vet -vettool` protocol (-V=full, -flags,
-// and single *.cfg arguments), so it can run inside the build cache:
-//
-//	go vet -vettool=$(go env GOPATH)/bin/slimio-vet ./...
-//
 // Suppress an intentional violation with a trailing or preceding comment:
 //
 //	//slimio:allow <pass> <reason>
@@ -36,20 +31,13 @@ import (
 
 func main() {
 	var (
-		jsonOut   = flag.Bool("json", false, "emit findings as JSON on stdout")
-		sarifOut  = flag.String("sarif", "", "also write findings as SARIF 2.1.0 to the named file")
-		explain   = flag.String("explain", "", "print the named pass's rationale and exit (\"all\" for every pass)")
-		list      = flag.Bool("list", false, "list passes with one-line summaries and exit")
-		flagsMode = flag.Bool("flags", false, "describe flags in JSON (go vet protocol)")
+		jsonOut  = flag.Bool("json", false, "emit findings as JSON on stdout")
+		sarifOut = flag.String("sarif", "", "also write findings as SARIF 2.1.0 to the named file")
+		explain  = flag.String("explain", "", "print the named pass's rationale and exit (\"all\" for every pass)")
+		list     = flag.Bool("list", false, "list passes with one-line summaries and exit")
 	)
-	flag.Var(versionFlag{}, "V", "print version and exit (go vet protocol)")
 	flag.Parse()
 
-	if *flagsMode {
-		// We expose no flags that alter analysis results to go vet.
-		fmt.Println("[]")
-		return
-	}
 	if *list {
 		for _, sa := range suite.All {
 			fmt.Printf("%-14s %s\n", sa.Name, strings.SplitN(sa.Doc, "\n", 2)[0])
@@ -65,11 +53,6 @@ func main() {
 	}
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		// Invoked by `go vet -vettool`.
-		unitcheckerMain(args[0])
-		return
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}

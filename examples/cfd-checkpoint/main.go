@@ -12,47 +12,47 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
-	"github.com/slimio/slimio/internal/baseline"
-	"github.com/slimio/slimio/internal/core"
-	"github.com/slimio/slimio/internal/fdp"
+	"github.com/slimio/slimio/internal/exp"
 	"github.com/slimio/slimio/internal/imdb"
-	"github.com/slimio/slimio/internal/kernelio"
-	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
-	"github.com/slimio/slimio/internal/ssd"
 )
 
 const (
-	ranks          = 8    // simulated MPI ranks
-	fieldsPerRank  = 4    // pressure, 3× velocity components
-	chunkBytes     = 4096 // one field tile
-	timesteps      = 120
-	checkpointEach = 40
+	ranks         = 8    // simulated MPI ranks
+	fieldsPerRank = 4    // pressure, 3× velocity components
+	chunkBytes    = 4096 // one field tile
 )
 
 type result struct {
-	name          string
 	elapsed       sim.Duration
 	checkpointDur sim.Duration
 	waf           float64
 }
 
-func runWorkflow(name string, mkStack func(eng *sim.Engine) (imdb.Backend, *ssd.Device)) result {
+// runWorkflow runs the workflow on one stack of the evaluation's builder: a
+// 96 MiB device with 12 MiB SlimIO snapshot slots.
+func runWorkflow(kind exp.BackendKind, timesteps, checkpointEach int) (result, error) {
+	var res result
 	eng := sim.NewEngine()
-	be, dev := mkStack(eng)
-	db := imdb.New(eng, be, imdb.Config{Policy: imdb.PeriodicalLog}, nil)
+	st, err := exp.BuildStack(eng, kind, exp.Scale{DeviceBytes: 96 << 20, SlotBytes: 12 << 20})
+	if err != nil {
+		return res, err
+	}
+	db := imdb.New(eng, st.Backend, imdb.Config{Policy: imdb.PeriodicalLog, Pool: st.Pool()}, nil)
 	db.Start()
 
 	rng := rand.New(rand.NewSource(7))
 	tile := make([]byte, chunkBytes)
 	rng.Read(tile[:chunkBytes/2]) // half-compressible field data
 
-	var res result
-	res.name = name
+	var runErr error
 	eng.Spawn("workflow", func(env *sim.Env) {
+		defer db.Shutdown(env)
 		start := env.Now()
 		for step := 0; step < timesteps; step++ {
 			// Each rank publishes its updated field tiles for the next
@@ -61,16 +61,16 @@ func runWorkflow(name string, mkStack func(eng *sim.Engine) (imdb.Backend, *ssd.
 			for rank := 0; rank < ranks; rank++ {
 				for f := 0; f < fieldsPerRank; f++ {
 					key := fmt.Sprintf("step:%d/rank:%d/field:%d", step%2, rank, f)
-					if err := db.Set(env, key, tile); err != nil {
-						log.Fatal(err)
+					if runErr = db.Set(env, key, tile); runErr != nil {
+						return
 					}
 				}
 			}
 			// Neighbour exchange: each rank reads its neighbours' tiles.
 			for rank := 0; rank < ranks; rank++ {
 				key := fmt.Sprintf("step:%d/rank:%d/field:0", step%2, (rank+1)%ranks)
-				if _, err := db.Get(env, key); err != nil {
-					log.Fatal(err)
+				if _, runErr = db.Get(env, key); runErr != nil {
+					return
 				}
 			}
 			// Periodic restart checkpoint of all transient state.
@@ -81,62 +81,46 @@ func runWorkflow(name string, mkStack func(eng *sim.Engine) (imdb.Backend, *ssd.
 			}
 		}
 		res.elapsed = env.Now().Sub(start)
-		db.Shutdown(env)
 	})
 	eng.Run()
+	if runErr != nil {
+		return res, runErr
+	}
 
 	for _, ev := range db.Stats().Snapshots {
 		res.checkpointDur += ev.Duration
 	}
-	res.waf = dev.Stats().WAF()
-	return res
+	res.waf = st.Dev.Stats().WAF()
+	// Tear down: a leaked page buffer anywhere on the write path is an error.
+	eng.Shutdown()
+	return res, st.Teardown()
 }
 
 func main() {
-	deviceBytes := int64(96 << 20)
-
-	baselineStack := func(eng *sim.Engine) (imdb.Backend, *ssd.Device) {
-		arr, err := nand.New(nand.DefaultGeometry(deviceBytes), nand.DefaultLatencies())
-		if err != nil {
-			log.Fatal(err)
-		}
-		conv, err := fdp.NewConventional(arr, fdp.Config{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		dev := ssd.New(conv, ssd.Config{})
-		fs := kernelio.NewFilesystem(eng, dev, kernelio.F2FS(), kernelio.SchedNone, kernelio.DefaultCosts())
-		be, err := baseline.New(fs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return be, dev
+	if err := run(os.Stdout, 120, 40); err != nil {
+		log.Fatal(err)
 	}
-	slimioStack := func(eng *sim.Engine) (imdb.Backend, *ssd.Device) {
-		arr, err := nand.New(nand.DefaultGeometry(deviceBytes), nand.DefaultLatencies())
-		if err != nil {
-			log.Fatal(err)
-		}
-		f, err := fdp.New(arr, fdp.Config{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		dev := ssd.New(f, ssd.Config{})
-		be, err := core.New(eng, dev, core.Config{SlotPages: 3072})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return be, dev
-	}
+}
 
-	fmt.Printf("CFD transient-data workflow: %d ranks x %d fields x %d timesteps, checkpoint every %d steps\n\n",
+// run compares the two backends over timesteps steps with a checkpoint every
+// checkpointEach, reporting to w.
+func run(w io.Writer, timesteps, checkpointEach int) error {
+	fmt.Fprintf(w, "CFD transient-data workflow: %d ranks x %d fields x %d timesteps, checkpoint every %d steps\n\n",
 		ranks, fieldsPerRank, timesteps, checkpointEach)
-	fmt.Printf("%-10s %14s %18s %18s %8s\n", "backend", "workflow time", "steps/sec", "checkpoint time", "WAF")
-	for _, r := range []result{
-		runWorkflow("baseline", baselineStack),
-		runWorkflow("slimio", slimioStack),
+	fmt.Fprintf(w, "%-10s %14s %18s %18s %8s\n", "backend", "workflow time", "steps/sec", "checkpoint time", "WAF")
+	for _, b := range []struct {
+		name string
+		kind exp.BackendKind
+	}{
+		{"baseline", exp.BaselineF2FS}, // kernel path, F2FS, conventional SSD
+		{"slimio", exp.SlimIOFDP},      // passthru onto an FDP SSD
 	} {
+		r, err := runWorkflow(b.kind, timesteps, checkpointEach)
+		if err != nil {
+			return fmt.Errorf("%s: %w", b.name, err)
+		}
 		stepsPerSec := float64(timesteps) / r.elapsed.Seconds()
-		fmt.Printf("%-10s %14v %18.1f %18v %8.2f\n", r.name, r.elapsed, stepsPerSec, r.checkpointDur, r.waf)
+		fmt.Fprintf(w, "%-10s %14v %18.1f %18v %8.2f\n", b.name, r.elapsed, stepsPerSec, r.checkpointDur, r.waf)
 	}
+	return nil
 }

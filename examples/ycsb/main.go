@@ -9,7 +9,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"github.com/slimio/slimio/internal/exp"
 	"github.com/slimio/slimio/internal/imdb"
@@ -20,15 +22,22 @@ func main() {
 	ops := flag.Int64("ops", 20000, "operations per run")
 	records := flag.Int64("records", 3000, "preloaded record count")
 	flag.Parse()
+	if err := run(os.Stdout, *ops, *records); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run drives ops operations over records preloaded records against both
+// backends, reporting to w.
+func run(w io.Writer, ops, records int64) error {
 	sc := exp.TinyScale()
-	sc.OpsPerRep = *ops
-	sc.KeyRange = *records
+	sc.OpsPerRep = ops
+	sc.KeyRange = records
 	sc.Reps = 1
 	sc.ValueSize = 2048
 
-	fmt.Printf("YCSB-A: %d records x 2 KiB, %d ops, 50/50 GET:SET, zipfian\n\n", *records, *ops)
-	fmt.Printf("%-14s %12s %12s %12s %14s %14s\n",
+	fmt.Fprintf(w, "YCSB-A: %d records x 2 KiB, %d ops, 50/50 GET:SET, zipfian\n\n", records, ops)
+	fmt.Fprintf(w, "%-14s %12s %12s %12s %14s %14s\n",
 		"backend", "avg RPS", "snapshots", "snap time", "SET p99.9", "GET p99.9")
 	for _, kind := range []exp.BackendKind{exp.BaselineF2FS, exp.SlimIOFDP} {
 		res, err := exp.RunCell(exp.CellConfig{
@@ -39,10 +48,16 @@ func main() {
 			Preload:  true,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-14s %12.0f %12d %12v %14v %14v\n",
+		fmt.Fprintf(w, "%-14s %12.0f %12d %12v %14v %14v\n",
 			kind, res.AvgRPS, len(res.Snapshots), res.MeanSnapshotTime,
 			res.SetP999, res.GetP999)
+		// Tear the cell's stack down: a leaked page buffer is an error.
+		res.Stack.Eng.Shutdown()
+		if err := res.ReleaseHeavy(); err != nil {
+			return err
+		}
 	}
+	return nil
 }

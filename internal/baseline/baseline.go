@@ -143,9 +143,6 @@ func Remount(fs *kernelio.Filesystem) (*Backend, error) {
 	return b, nil
 }
 
-// Filesystem exposes the underlying filesystem (for stats).
-func (b *Backend) Filesystem() *kernelio.Filesystem { return b.fs }
-
 // Label names the backend for reports.
 func (b *Backend) Label() string { return "baseline/" + b.fs.Profile().Name }
 

@@ -22,7 +22,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/slimio/slimio/internal/uring"
 	"github.com/slimio/slimio/internal/vtrace"
 )
 
@@ -65,26 +64,25 @@ type Config struct {
 	// SlotPages is the size of each of the three snapshot slots. Default:
 	// one fifth of the device, leaving the rest for the WAL ring.
 	SlotPages int64
-	// WALRing configures the WAL-Path (default: interrupt-driven io_uring,
-	// syscall per submission batch).
-	WALRing uring.Config
-	// SnapshotRing configures each Snapshot-Path (default: SQPOLL, so the
-	// snapshot process never issues a syscall, §4.1).
-	SnapshotRing uring.Config
-	// SnapshotRingSet marks SnapshotRing as explicitly configured (so a
-	// deliberate all-defaults ring is possible in ablations).
-	SnapshotRingSet bool
-	// RecoveryReadAhead is the sequential read-ahead window, in pages, of
-	// the recovery reader (default 256).
-	RecoveryReadAhead int64
-	// MaxWALInflight bounds in-flight WAL-Path write commands before the
-	// writer blocks on the oldest completion (default 64).
-	MaxWALInflight int
+	// SnapshotNoSQPoll makes each Snapshot-Path submit by syscall, like the
+	// WAL-Path (interrupt-driven io_uring, one syscall per submission
+	// batch). The default is SQPOLL, so the snapshot process never issues a
+	// syscall (§4.1); the SQPOLL ablation turns it off.
+	SnapshotNoSQPoll bool
 	// Trace, when non-nil, records core-layer spans (wal.append, wal.sync,
-	// slot.write, slot.commit, meta.write) and is propagated into both ring
-	// configs so uring command spans nest underneath. Nil disables tracing.
+	// slot.write, slot.commit, meta.write) and is propagated into both rings
+	// so uring command spans nest underneath. Nil disables tracing.
 	Trace *vtrace.Tracer
 }
+
+const (
+	// recoveryReadAhead is the sequential read-ahead window, in pages, of
+	// the recovery reader.
+	recoveryReadAhead int64 = 256
+	// maxWALInflight bounds in-flight WAL-Path write commands before the
+	// writer blocks on the oldest completion.
+	maxWALInflight = 64
+)
 
 func (c *Config) fillDefaults(capacity int64) {
 	if c.MetaPages <= 0 {
@@ -93,17 +91,6 @@ func (c *Config) fillDefaults(capacity int64) {
 	if c.SlotPages <= 0 {
 		c.SlotPages = capacity / 5
 	}
-	if !c.SnapshotRingSet {
-		c.SnapshotRing.SQPoll = true
-	}
-	if c.RecoveryReadAhead <= 0 {
-		c.RecoveryReadAhead = 256
-	}
-	if c.MaxWALInflight <= 0 {
-		c.MaxWALInflight = 64
-	}
-	c.WALRing.Trace = c.Trace
-	c.SnapshotRing.Trace = c.Trace
 }
 
 // layout is the computed LBA partitioning.

@@ -50,7 +50,7 @@ type Backend struct {
 	// outstanding holds completion signals of in-flight async WAL writes;
 	// WALSync reaps them (the paper's dedicated CQ-handling thread keeps
 	// the main process from ever blocking on individual submissions). The
-	// set is bounded by Config.MaxWALInflight: when the device falls behind
+	// set is bounded by maxWALInflight: when the device falls behind
 	// (e.g. garbage collection on a non-FDP drive), the writer blocks on
 	// the oldest completion — the direct-write exposure of Figure 4.
 	outstanding []*sim.Signal
@@ -77,7 +77,7 @@ func New(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Backend, error) {
 		lay:      lay,
 		pageSize: int64(dev.PageSize()),
 		pool:     dev.FTL().Array().Pool(),
-		walRing:  uring.NewRing(eng, dev, "wal-path", cfg.WALRing),
+		walRing:  uring.NewRing(eng, dev, "wal-path", uring.Config{Trace: cfg.Trace}),
 	}
 	if b.pool.SegSize() != dev.PageSize() {
 		return nil, fmt.Errorf("core: pool segment size %d != device page size %d", b.pool.SegSize(), dev.PageSize())
@@ -111,9 +111,6 @@ func (b *Backend) Label() string { return "slimio" }
 
 // Stats returns cumulative backend counters.
 func (b *Backend) Stats() Stats { return b.stats }
-
-// Device exposes the device below (for FTL stats).
-func (b *Backend) Device() *ssd.Device { return b.dev }
 
 // WALRing exposes the WAL-Path ring (for stats).
 func (b *Backend) WALRing() *uring.Ring { return b.walRing }
@@ -212,7 +209,7 @@ func (b *Backend) WALAppend(env *sim.Env, data wal.Chain) error {
 
 	// Bounded submission: reap oldest completions when too many commands
 	// are in flight.
-	for len(b.outstanding) > b.cfg.MaxWALInflight {
+	for len(b.outstanding) > maxWALInflight {
 		sig := b.outstanding[0]
 		b.outstanding = b.outstanding[1:]
 		t := env.Now()
@@ -625,7 +622,8 @@ func (b *Backend) BeginSnapshot(env *sim.Env, kind imdb.SnapshotKind) (imdb.Snap
 		return nil, fmt.Errorf("core: no Reserve slot available")
 	}
 	b.snapGen++
-	ring := uring.NewRing(b.eng, b.dev, fmt.Sprintf("snapshot-path-%d", b.snapGen), b.cfg.SnapshotRing)
+	ring := uring.NewRing(b.eng, b.dev, fmt.Sprintf("snapshot-path-%d", b.snapGen),
+		uring.Config{SQPoll: !b.cfg.SnapshotNoSQPoll, Trace: b.cfg.Trace})
 	sink := &slotSink{be: b, ring: ring, kind: kind, slot: slot}
 	b.sinks = append(b.sinks, sink)
 	return sink, nil
@@ -777,7 +775,7 @@ func (b *Backend) recover(env *sim.Env, want *imdb.SnapshotKind) (*imdb.Recovere
 // exhausted below) also ends the scan — everything durable before it is the
 // recoverable prefix — and is reported in the returned note.
 func (b *Backend) readWALRaw(env *sim.Env, start int64) (out []byte, note string) {
-	ra := b.cfg.RecoveryReadAhead
+	ra := recoveryReadAhead
 	remaining := b.lay.walPages - b.sealedPages()
 	for off := int64(0); off < remaining; {
 		n := ra
@@ -868,7 +866,7 @@ func appendPage(dst, pg []byte, pageSize int64) []byte {
 // already exhausted below this layer) are zero-filled and counted in bad.
 func (b *Backend) readSequential(env *sim.Env, lpa, n int64) (out []byte, bad int64, err error) {
 	out = make([]byte, 0, n*b.pageSize)
-	ra := b.cfg.RecoveryReadAhead
+	ra := recoveryReadAhead
 	issue := func(off int64) *sim.Signal {
 		cnt := ra
 		if off+cnt > n {

@@ -82,14 +82,13 @@ func ParseTarget(s string) (Target, error) {
 // mutation test).
 type Mutation int
 
+// The zero Mutation is the honest harness.
 const (
-	// MutNone is the honest harness.
-	MutNone Mutation = iota
 	// MutAckOnAppend claims durability at WALAppend return without waiting
 	// for WALSync — the classic forgot-to-fsync bug. Any cut between an
 	// append's return and the covering sync's completion then loses
 	// "acked" records, which the oracle must flag.
-	MutAckOnAppend
+	MutAckOnAppend Mutation = iota + 1
 )
 
 // DefaultOps is the standard workload length (matches the PR-1 harness).

@@ -20,7 +20,7 @@ func ablationRow(t *testing.T, kind BackendKind) *CellResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.rows {
 		if r.Kind == kind {
 			return r.Result
 		}
@@ -49,10 +49,10 @@ func TestAblationTinyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("ablation table has %d rows, want 4", len(res.Rows))
+	if len(res.rows) != 4 {
+		t.Fatalf("ablation table has %d rows, want 4", len(res.rows))
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.rows {
 		if len(r.System) > 9 {
 			t.Errorf("System label %q wider than the 9-character column", r.System)
 		}
@@ -75,8 +75,8 @@ func TestAblationFDPAwareFSSeparatesLifetimes(t *testing.T) {
 	if byPID[2] == 0 && byPID[3] == 0 {
 		t.Error("no snapshot stream writes (PID 2/3)")
 	}
-	if res.WAF != 1.0 {
-		t.Errorf("FDP-aware FS WAF = %v, want 1.00", res.WAF)
+	if res.waf != 1.0 {
+		t.Errorf("FDP-aware FS WAF = %v, want 1.00", res.waf)
 	}
 }
 
@@ -96,8 +96,8 @@ func TestAblationNoSQPollStillWorks(t *testing.T) {
 	if ringBusy == 0 {
 		t.Error("no ring-side CPU billed on the snapshot path")
 	}
-	if res.WAF != 1.0 {
-		t.Errorf("WAF = %v, want 1.00 (FDP still on)", res.WAF)
+	if res.waf != 1.0 {
+		t.Errorf("WAF = %v, want 1.00 (FDP still on)", res.waf)
 	}
 }
 

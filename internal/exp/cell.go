@@ -20,36 +20,36 @@ type CellConfig struct {
 	// Workload is the per-repetition driver; its Ops field is overridden
 	// by Scale.OpsPerRep.
 	Workload workload.Config
-	// OnDemandPerRep triggers an On-Demand-Snapshot at the end of every
+	// onDemandPerRep triggers an On-Demand-Snapshot at the end of every
 	// repetition (the redis-benchmark protocol of §5.1).
-	OnDemandPerRep bool
-	// DisableWALSnapshots turns off the size trigger (for WAL-only and
+	onDemandPerRep bool
+	// disableWALSnapshots turns off the size trigger (for WAL-only and
 	// snapshot-only studies).
-	DisableWALSnapshots bool
+	disableWALSnapshots bool
 	// Preload inserts the whole keyspace before measuring (YCSB load
 	// phase; also used by snapshot-only studies).
 	Preload bool
-	// SnapshotOnly replaces client traffic with a single On-Demand-Snapshot
+	// snapshotOnly replaces client traffic with a single On-Demand-Snapshot
 	// over a preloaded dataset (the paper's "Snapshot Only" scenario).
-	SnapshotOnly bool
-	// OnDemandMidRun triggers one On-Demand-Snapshot once ~40% of each
+	snapshotOnly bool
+	// onDemandMidRun triggers one On-Demand-Snapshot once ~40% of each
 	// repetition's operations have completed, so it overlaps live traffic
 	// (the paper's "Snapshot & WAL" scenario).
-	OnDemandMidRun bool
-	// GCPressure puts the device under sustained garbage collection for the
+	onDemandMidRun bool
+	// gcPressure puts the device under sustained garbage collection for the
 	// whole run (the paper's "under GC" scenario). At 1/500 scale the
 	// free-space dynamics behind organic steady-state GC cannot form, so
 	// the controller work is injected on the dies (see DESIGN.md).
-	GCPressure bool
-	// TraceLabel overrides the cell's tracer label (default "Kind/Policy").
+	gcPressure bool
+	// traceLabel overrides the cell's tracer label (default "Kind/Policy").
 	// Runners that launch several cells with the same kind and policy must
 	// set it: concurrent cells sharing a registry label would share one
 	// tracer, which is both a data race and a scrambled trace.
-	TraceLabel string
+	traceLabel string
 }
 
 // Injected GC intensity: fraction of every die occupied by internal GC work
-// while GCPressure is on, and the injection granule.
+// while gcPressure is on, and the injection granule.
 const (
 	gcPressureDuty   = 0.6
 	gcPressurePeriod = 2 * sim.Millisecond
@@ -58,16 +58,16 @@ const (
 // CellResult aggregates everything a table row needs.
 type CellResult struct {
 	Label  string
-	Config CellConfig
+	config CellConfig
 
 	// Phase-split request rates (ops/s of virtual time).
-	WALOnlyRPS float64
-	SnapRPS    float64
+	walOnlyRPS float64
+	snapRPS    float64
 	AvgRPS     float64
 
 	// Memory (bytes): steady state and snapshot-period peak.
-	WALOnlyMem int64
-	SnapMem    int64
+	walOnlyMem int64
+	snapMem    int64
 
 	SetP999 sim.Duration
 	GetP999 sim.Duration
@@ -75,15 +75,16 @@ type CellResult struct {
 	Snapshots        []imdb.SnapshotEvent
 	MeanSnapshotTime sim.Duration
 
-	WAF      float64
-	Duration sim.Duration
-	Series   *metrics.Series
-	Engine   imdb.Stats
+	waf      float64
+	duration sim.Duration
+	series   *metrics.Series
+	engine   imdb.Stats
 	Stack    *Stack
 	// Trace is the cell's span tracer (nil when Scale.Trace is unset).
-	Trace *vtrace.Tracer
+	trace *vtrace.Tracer
 
-	cellHists
+	// Per-operation latencies, merged across repetitions.
+	setHist, getHist metrics.Histogram
 }
 
 // observeCell is the prologue every cell runner shares: it resolves the
@@ -111,7 +112,7 @@ func (sc *Scale) observeCell(label string) (tracer *vtrace.Tracer, tele *telemet
 // collects the cell metrics.
 func RunCell(cfg CellConfig) (*CellResult, error) {
 	eng := sim.NewEngine()
-	label := cfg.TraceLabel
+	label := cfg.traceLabel
 	if label == "" {
 		label = fmt.Sprintf("%s/%s", cfg.Kind, cfg.Policy)
 	}
@@ -125,7 +126,7 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 	series := metrics.NewSeries(cfg.Scale.RPSInterval)
 
 	dbCfg := imdb.Config{Policy: cfg.Policy, Trace: tracer, Pool: st.Pool()}
-	if !cfg.DisableWALSnapshots {
+	if !cfg.disableWALSnapshots {
 		dbCfg.WALSnapshotTrigger = cfg.Scale.WALTriggerBytes
 	}
 	db := imdb.New(eng, st.Backend, dbCfg, series)
@@ -143,15 +144,15 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 	}
 
 	stopGC := func() {}
-	if cfg.GCPressure {
+	if cfg.gcPressure {
 		stopGC = st.Dev.InjectGCPressure(eng, gcPressureDuty, gcPressurePeriod)
 	}
 
-	res := &CellResult{Label: label, Config: cfg, Series: series, Stack: st, Trace: tracer}
+	res := &CellResult{Label: label, config: cfg, series: series, Stack: st, trace: tracer}
 	var runErr error
 	var endAt sim.Time
 	eng.Spawn("driver", func(env *sim.Env) {
-		if cfg.Preload || cfg.SnapshotOnly {
+		if cfg.Preload || cfg.snapshotOnly {
 			if err := workload.Preload(env, db, wl); err != nil {
 				runErr = err
 				stopGC()
@@ -159,7 +160,7 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 				return
 			}
 		}
-		if cfg.SnapshotOnly {
+		if cfg.snapshotOnly {
 			trig := db.TriggerSnapshot(imdb.OnDemandSnapshot)
 			trig.Reply.Wait(env)
 			db.WaitNoSnapshot(env)
@@ -173,7 +174,7 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 			repWL := wl
 			repWL.Seed = wl.Seed + int64(rep)*1000003
 			runner := workload.Start(env.Engine(), db, repWL)
-			if cfg.OnDemandMidRun {
+			if cfg.onDemandMidRun {
 				target := repWL.Ops * 2 / 5
 				for runner.Result().Ops < target {
 					env.Sleep(5 * sim.Millisecond)
@@ -182,8 +183,10 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 				trig.Reply.Wait(env)
 			}
 			runner.Done.Wait(env)
-			mergeResult(res, runner.Result())
-			if cfg.OnDemandPerRep {
+			r := runner.Result()
+			res.setHist.Merge(&r.SetLatency)
+			res.getHist.Merge(&r.GetLatency)
+			if cfg.onDemandPerRep {
 				trig := db.TriggerSnapshot(imdb.OnDemandSnapshot)
 				trig.Reply.Wait(env)
 				db.WaitNoSnapshot(env)
@@ -202,14 +205,14 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 		return nil, runErr
 	}
 
-	res.Duration = endAt.Sub(0)
-	res.Engine = db.Stats()
-	res.Snapshots = res.Engine.Snapshots
-	res.WAF = st.Dev.Stats().WAF()
-	res.WALOnlyMem = res.Engine.BaseMemory
-	res.SnapMem = res.Engine.PeakMemory
-	if res.SnapMem < res.WALOnlyMem {
-		res.SnapMem = res.WALOnlyMem
+	res.duration = endAt.Sub(0)
+	res.engine = db.Stats()
+	res.Snapshots = res.engine.Snapshots
+	res.waf = st.Dev.Stats().WAF()
+	res.walOnlyMem = res.engine.BaseMemory
+	res.snapMem = res.engine.PeakMemory
+	if res.snapMem < res.walOnlyMem {
+		res.snapMem = res.walOnlyMem
 	}
 	res.SetP999 = res.setHist.P999()
 	res.GetP999 = res.getHist.P999()
@@ -231,26 +234,14 @@ func (res *CellResult) ReleaseHeavy() error {
 		}
 	}
 	res.Stack = nil
-	res.Series = nil
+	res.series = nil
 	return err
-}
-
-// mergeResult folds one repetition's latency data into the cell.
-func mergeResult(res *CellResult, r *workload.Result) {
-	res.setHist.Merge(&r.SetLatency)
-	res.getHist.Merge(&r.GetLatency)
-}
-
-// internal histograms live on the result so repetitions can merge.
-type cellHists struct {
-	setHist metrics.Histogram
-	getHist metrics.Histogram
 }
 
 // splitPhases computes WAL-only vs WAL&Snapshot request rates from the RPS
 // series and the snapshot intervals, plus the mean snapshot duration.
 func splitPhases(res *CellResult) {
-	interval := res.Series.Interval()
+	interval := res.series.Interval()
 	inSnap := func(i int) bool {
 		bStart := sim.Time(int64(i) * int64(interval))
 		bEnd := bStart.Add(interval)
@@ -265,28 +256,28 @@ func splitPhases(res *CellResult) {
 	var snapBuckets, walBuckets int
 	// Only whole buckets count: the trailing partial bucket would dilute
 	// whichever phase it lands in.
-	lastBucket := int(int64(res.Duration) / int64(interval))
-	if lastBucket > res.Series.Len() {
-		lastBucket = res.Series.Len()
+	lastBucket := int(int64(res.duration) / int64(interval))
+	if lastBucket > res.series.Len() {
+		lastBucket = res.series.Len()
 	}
 	for i := 0; i < lastBucket; i++ {
 		if inSnap(i) {
-			snapOps += res.Series.Count(i)
+			snapOps += res.series.Count(i)
 			snapBuckets++
 		} else {
-			walOps += res.Series.Count(i)
+			walOps += res.series.Count(i)
 			walBuckets++
 		}
 	}
 	secs := interval.Seconds()
 	if walBuckets > 0 {
-		res.WALOnlyRPS = float64(walOps) / (float64(walBuckets) * secs)
+		res.walOnlyRPS = float64(walOps) / (float64(walBuckets) * secs)
 	}
 	if snapBuckets > 0 {
-		res.SnapRPS = float64(snapOps) / (float64(snapBuckets) * secs)
+		res.snapRPS = float64(snapOps) / (float64(snapBuckets) * secs)
 	}
-	if res.Duration > 0 {
-		res.AvgRPS = float64(walOps+snapOps) / res.Duration.Seconds()
+	if res.duration > 0 {
+		res.AvgRPS = float64(walOps+snapOps) / res.duration.Seconds()
 	}
 	var total sim.Duration
 	for _, ev := range res.Snapshots {

@@ -18,15 +18,15 @@ func cellDigest(res *CellResult) string {
 	f := func(name string, v float64) { fmt.Fprintf(&b, "%s=%016x ", name, math.Float64bits(v)) }
 	d := func(name string, v int64) { fmt.Fprintf(&b, "%s=%d ", name, v) }
 	f("avgRPS", res.AvgRPS)
-	f("walRPS", res.WALOnlyRPS)
-	f("snapRPS", res.SnapRPS)
-	f("waf", res.WAF)
+	f("walRPS", res.walOnlyRPS)
+	f("snapRPS", res.snapRPS)
+	f("waf", res.waf)
 	d("setP999", int64(res.SetP999))
 	d("getP999", int64(res.GetP999))
-	d("walMem", res.WALOnlyMem)
-	d("snapMem", res.SnapMem)
+	d("walMem", res.walOnlyMem)
+	d("snapMem", res.snapMem)
 	d("meanSnap", int64(res.MeanSnapshotTime))
-	d("dur", int64(res.Duration))
+	d("dur", int64(res.duration))
 	d("snapshots", int64(len(res.Snapshots)))
 	for i, ev := range res.Snapshots {
 		fmt.Fprintf(&b, "snap%d=%d+%d ", i, int64(ev.Start), int64(ev.Duration))
@@ -55,7 +55,7 @@ func TestDeterminismSerialAndParallel(t *testing.T) {
 			res, err := RunCell(CellConfig{
 				Kind: kinds[i], Policy: imdb.PeriodicalLog, Scale: sc,
 				Workload:       workload.RedisBench(0, sc.KeyRange),
-				OnDemandPerRep: true,
+				onDemandPerRep: true,
 			})
 			if err != nil {
 				return err

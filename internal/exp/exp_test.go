@@ -64,22 +64,22 @@ func TestRunCellBasicInvariants(t *testing.T) {
 	sc := TinyScale()
 	res, err := RunCell(CellConfig{
 		Kind: SlimIOFDP, Policy: imdb.PeriodicalLog, Scale: sc,
-		Workload: workload.RedisBench(0, sc.KeyRange), OnDemandPerRep: true,
+		Workload: workload.RedisBench(0, sc.KeyRange), onDemandPerRep: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AvgRPS <= 0 || res.Duration <= 0 {
+	if res.AvgRPS <= 0 || res.duration <= 0 {
 		t.Fatalf("degenerate result: %+v", res)
 	}
 	if len(res.Snapshots) == 0 {
 		t.Fatal("no snapshots")
 	}
-	if res.SnapMem < res.WALOnlyMem {
+	if res.snapMem < res.walOnlyMem {
 		t.Fatal("peak memory below base")
 	}
-	if res.WAF != 1.0 {
-		t.Fatalf("SlimIO-on-FDP WAF = %v, want 1.00", res.WAF)
+	if res.waf != 1.0 {
+		t.Fatalf("SlimIO-on-FDP WAF = %v, want 1.00", res.waf)
 	}
 	if res.SetP999 <= 0 {
 		t.Fatal("no latency data")
@@ -91,7 +91,7 @@ func TestRunCellDeterminism(t *testing.T) {
 	run := func() (*CellResult, error) {
 		return RunCell(CellConfig{
 			Kind: BaselineF2FS, Policy: imdb.PeriodicalLog, Scale: sc,
-			Workload: workload.RedisBench(0, sc.KeyRange), OnDemandPerRep: true,
+			Workload: workload.RedisBench(0, sc.KeyRange), onDemandPerRep: true,
 		})
 	}
 	a, err := run()
@@ -102,7 +102,7 @@ func TestRunCellDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Duration != b.Duration || a.AvgRPS != b.AvgRPS || a.SetP999 != b.SetP999 || a.WAF != b.WAF {
+	if a.duration != b.duration || a.AvgRPS != b.AvgRPS || a.SetP999 != b.SetP999 || a.waf != b.waf {
 		t.Fatalf("nondeterministic cells:\n%+v\n%+v", a, b)
 	}
 }
@@ -115,11 +115,11 @@ func TestTable1ShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if len(res.rows) != 4 {
+		t.Fatalf("rows = %d", len(res.rows))
 	}
-	byKey := map[string]Table1Row{}
-	for _, r := range res.Rows {
+	byKey := map[string]table1Row{}
+	for _, r := range res.rows {
 		byKey[r.FS+"/"+r.Phase] = r
 	}
 	for _, fs := range []string{"ext4", "f2fs"} {
@@ -148,11 +148,11 @@ func TestTable2ShapeHolds(t *testing.T) {
 	}
 	// Paper: 11.53% -> 13.61%. Assert a meaningful share that grows under
 	// concurrent WAL traffic.
-	if res.SnapshotOnlyPct <= 2 || res.SnapshotOnlyPct >= 40 {
-		t.Errorf("snapshot-only fs share = %.2f%%, want single-to-low-double digits", res.SnapshotOnlyPct)
+	if res.snapshotOnlyPct <= 2 || res.snapshotOnlyPct >= 40 {
+		t.Errorf("snapshot-only fs share = %.2f%%, want single-to-low-double digits", res.snapshotOnlyPct)
 	}
-	if res.SnapshotWALPct < res.SnapshotOnlyPct {
-		t.Errorf("fs share did not grow under WAL: %.2f%% -> %.2f%%", res.SnapshotOnlyPct, res.SnapshotWALPct)
+	if res.snapshotWALPct < res.snapshotOnlyPct {
+		t.Errorf("fs share did not grow under WAL: %.2f%% -> %.2f%%", res.snapshotOnlyPct, res.snapshotWALPct)
 	}
 	if s := res.String(); !strings.Contains(s, "Table 2") {
 		t.Error("missing render")
@@ -167,10 +167,10 @@ func TestFigure2ShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Scenarios) != 3 {
-		t.Fatalf("scenarios = %d", len(res.Scenarios))
+	if len(res.scenarios) != 3 {
+		t.Fatalf("scenarios = %d", len(res.scenarios))
 	}
-	only, withWAL, underGC := res.Scenarios[0], res.Scenarios[1], res.Scenarios[2]
+	only, withWAL, underGC := res.scenarios[0], res.scenarios[1], res.scenarios[2]
 	// 2a: the kernel path consumes a noticeable share even alone.
 	if share := pct(only.KernelPath, only.Duration); share < 5 || share > 35 {
 		t.Errorf("snapshot-only kernel share = %.1f%%, want ~15%%", share)
@@ -208,11 +208,11 @@ func TestTable3ShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if len(res.rows) != 4 {
+		t.Fatalf("rows = %d", len(res.rows))
 	}
 	get := func(pol imdb.LogPolicy, sys string) *CellResult {
-		for _, r := range res.Rows {
+		for _, r := range res.rows {
 			if r.Policy == pol && r.System == sys {
 				return r.Result
 			}
@@ -222,8 +222,8 @@ func TestTable3ShapeHolds(t *testing.T) {
 	}
 	for _, pol := range []imdb.LogPolicy{imdb.PeriodicalLog, imdb.AlwaysLog} {
 		base, slim := get(pol, "Baseline"), get(pol, "SlimIO")
-		if slim.WALOnlyRPS <= base.WALOnlyRPS {
-			t.Errorf("%v: SlimIO WAL-only RPS %v not above baseline %v", pol, slim.WALOnlyRPS, base.WALOnlyRPS)
+		if slim.walOnlyRPS <= base.walOnlyRPS {
+			t.Errorf("%v: SlimIO WAL-only RPS %v not above baseline %v", pol, slim.walOnlyRPS, base.walOnlyRPS)
 		}
 		if slim.AvgRPS <= base.AvgRPS {
 			t.Errorf("%v: SlimIO avg RPS not above baseline", pol)
@@ -231,10 +231,10 @@ func TestTable3ShapeHolds(t *testing.T) {
 		if slim.MeanSnapshotTime >= base.MeanSnapshotTime {
 			t.Errorf("%v: SlimIO snapshot %v not faster than baseline %v", pol, slim.MeanSnapshotTime, base.MeanSnapshotTime)
 		}
-		if slim.WAF != 1.0 {
-			t.Errorf("%v: SlimIO WAF %v != 1.00", pol, slim.WAF)
+		if slim.waf != 1.0 {
+			t.Errorf("%v: SlimIO WAF %v != 1.00", pol, slim.waf)
 		}
-		if base.WAF < 1.0 {
+		if base.waf < 1.0 {
 			t.Errorf("%v: baseline WAF below 1", pol)
 		}
 	}
@@ -252,14 +252,14 @@ func TestTable4ShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(pol imdb.LogPolicy, sys string) OverallRow {
-		for _, r := range res.Rows {
+	get := func(pol imdb.LogPolicy, sys string) overallRow {
+		for _, r := range res.rows {
 			if r.Policy == pol && r.System == sys {
 				return r
 			}
 		}
 		t.Fatalf("missing row")
-		return OverallRow{}
+		return overallRow{}
 	}
 	for _, pol := range []imdb.LogPolicy{imdb.PeriodicalLog, imdb.AlwaysLog} {
 		base, slim := get(pol, "Baseline"), get(pol, "SlimIO")
@@ -283,10 +283,10 @@ func TestTable5ShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if len(res.rows) != 2 {
+		t.Fatalf("rows = %d", len(res.rows))
 	}
-	base, slim := res.Rows[0], res.Rows[1]
+	base, slim := res.rows[0], res.rows[1]
 	if base.Entries == 0 || slim.Entries == 0 {
 		t.Fatal("recovery loaded nothing")
 	}

@@ -11,8 +11,8 @@ import (
 	"github.com/slimio/slimio/internal/workload"
 )
 
-// Figure2Scenario is one bar group of Figure 2.
-type Figure2Scenario struct {
+// figure2Scenario is one bar group of Figure 2.
+type figure2Scenario struct {
 	Name string
 	// 2a: snapshot time distribution.
 	Duration   sim.Duration
@@ -27,7 +27,7 @@ type Figure2Scenario struct {
 
 // Figure2Result reproduces Figure 2's three scenarios on the baseline.
 type Figure2Result struct {
-	Scenarios []Figure2Scenario
+	scenarios []figure2Scenario
 }
 
 // RunFigure2 regenerates Figure 2: snapshot duration distribution (2a) and
@@ -37,11 +37,11 @@ func RunFigure2(sc Scale) (*Figure2Result, error) {
 	// One shortened repetition: WAL-Snapshots are off, so the log must fit.
 	sc.Reps = 1
 	sc.OpsPerRep /= 2
-	run := func(name string, cfg CellConfig) (Figure2Scenario, error) {
-		cfg.TraceLabel = "fig2/" + name
+	run := func(name string, cfg CellConfig) (figure2Scenario, error) {
+		cfg.traceLabel = "fig2/" + name
 		res, err := RunCell(cfg)
 		if err != nil {
-			return Figure2Scenario{}, err
+			return figure2Scenario{}, err
 		}
 		var ev *imdb.SnapshotEvent
 		for i := range res.Snapshots {
@@ -50,9 +50,9 @@ func RunFigure2(sc Scale) (*Figure2Result, error) {
 			}
 		}
 		if ev == nil {
-			return Figure2Scenario{}, fmt.Errorf("exp: scenario %s produced no on-demand snapshot", name)
+			return figure2Scenario{}, fmt.Errorf("exp: scenario %s produced no on-demand snapshot", name)
 		}
-		s := Figure2Scenario{
+		s := figure2Scenario{
 			Name:       name,
 			Duration:   ev.Duration,
 			InMemory:   ev.InMemoryTime(),
@@ -70,30 +70,30 @@ func RunFigure2(sc Scale) (*Figure2Result, error) {
 		}
 		// WAL throughput while the snapshot ran: logged bytes per op times
 		// the concurrent request rate (zero in the snapshot-only scenario).
-		if !cfg.SnapshotOnly {
+		if !cfg.snapshotOnly {
 			recordBytes := float64(8 + 14 + cfg.Workload.ValueSize)
 			if cfg.Scale.ValueSize > 0 {
 				recordBytes = float64(8 + 14 + cfg.Scale.ValueSize)
 			}
-			s.WALTput = res.SnapRPS * recordBytes
+			s.WALTput = res.snapRPS * recordBytes
 		}
 		res.Stack.Eng.Shutdown()
 		if err := res.ReleaseHeavy(); err != nil {
-			return Figure2Scenario{}, err
+			return figure2Scenario{}, err
 		}
 		return s, nil
 	}
 	base := CellConfig{
 		Kind: BaselineF2FS, Policy: imdb.PeriodicalLog, Scale: sc,
-		Workload: workload.RedisBench(0, sc.KeyRange), DisableWALSnapshots: true,
+		Workload: workload.RedisBench(0, sc.KeyRange), disableWALSnapshots: true,
 	}
 	only := base
-	only.SnapshotOnly = true
+	only.snapshotOnly = true
 	withWAL := base
-	withWAL.OnDemandMidRun = true
+	withWAL.onDemandMidRun = true
 	withWAL.Preload = true // identical dataset across scenarios
 	underGC := withWAL
-	underGC.GCPressure = true
+	underGC.gcPressure = true
 	scenarios := []struct {
 		name string
 		cfg  CellConfig
@@ -102,13 +102,13 @@ func RunFigure2(sc Scale) (*Figure2Result, error) {
 		{"Snapshot & WAL", withWAL},
 		{"Snapshot & WAL (under GC)", underGC},
 	}
-	out := &Figure2Result{Scenarios: make([]Figure2Scenario, len(scenarios))}
+	out := &Figure2Result{scenarios: make([]figure2Scenario, len(scenarios))}
 	err := runCells(len(scenarios), sc.Parallel, func(i int) error {
 		s, err := run(scenarios[i].name, scenarios[i].cfg)
 		if err != nil {
 			return err
 		}
-		out.Scenarios[i] = s
+		out.scenarios[i] = s
 		return nil
 	})
 	if err != nil {
@@ -121,7 +121,7 @@ func (f *Figure2Result) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Figure 2a: Snapshot Time Distribution (baseline, F2FS)")
 	fmt.Fprintf(&b, "%-26s %12s %12s %14s %12s\n", "Scenario", "Duration", "In-memory", "Kernel path", "SSD wait")
-	for _, s := range f.Scenarios {
+	for _, s := range f.scenarios {
 		fmt.Fprintf(&b, "%-26s %12s %7s(%3.0f%%) %9s(%3.0f%%) %7s(%3.0f%%)\n",
 			s.Name, s.Duration,
 			s.InMemory, pct(s.InMemory, s.Duration),
@@ -130,7 +130,7 @@ func (f *Figure2Result) String() string {
 	}
 	fmt.Fprintln(&b, "Figure 2b: Throughput Analysis (MB/s)")
 	fmt.Fprintf(&b, "%-26s %14s %14s %14s\n", "Scenario", "Snapshot", "WAL", "Ideal")
-	for _, s := range f.Scenarios {
+	for _, s := range f.scenarios {
 		fmt.Fprintf(&b, "%-26s %14.1f %14.1f %14.1f\n", s.Name, s.SnapshotTput/(1<<20), s.WALTput/(1<<20), s.IdealTput/(1<<20))
 	}
 	return b.String()
@@ -148,7 +148,7 @@ type TimelineResult struct {
 	Kind   BackendKind
 	Series *metrics.Series
 	// Snapshots observed during the window (to mark snapshot periods).
-	Snapshots []imdb.SnapshotEvent
+	snapshots []imdb.SnapshotEvent
 	WAF       float64
 	GCRuns    int64
 	// Trace is the cell's span tracer (nil when Scale.Trace is unset).
@@ -208,7 +208,7 @@ func runTimeline(s timelineSpec, sc Scale, window sim.Duration) (*TimelineResult
 	out := &TimelineResult{
 		Kind:      s.kind,
 		Series:    series,
-		Snapshots: db.Stats().Snapshots,
+		snapshots: db.Stats().Snapshots,
 		WAF:       st.Dev.Stats().WAF(),
 		GCRuns:    st.Dev.Stats().GCRuns,
 		Trace:     tracer,
@@ -259,7 +259,7 @@ type TimelineSummary struct {
 	MeanRPS     float64
 	MinRPS      float64 // over non-snapshot, post-warmup buckets
 	Nosedives   int     // non-snapshot buckets below 10% of the mean
-	WarmBuckets int
+	warmBuckets int
 }
 
 // Summarize computes the stability metrics of a trace, ignoring a warmup
@@ -271,7 +271,7 @@ func (tr *TimelineResult) Summarize(warmup sim.Duration) TimelineSummary {
 	inSnap := func(i int) bool {
 		bStart := sim.Time(int64(i) * int64(interval))
 		bEnd := bStart.Add(interval)
-		for _, ev := range tr.Snapshots {
+		for _, ev := range tr.snapshots {
 			if ev.Start < bEnd && ev.End > bStart {
 				return true
 			}
@@ -285,13 +285,13 @@ func (tr *TimelineResult) Summarize(warmup sim.Duration) TimelineSummary {
 		}
 		r := tr.Series.Rate(i)
 		total += r
-		s.WarmBuckets++
+		s.warmBuckets++
 		if s.MinRPS < 0 || r < s.MinRPS {
 			s.MinRPS = r
 		}
 	}
-	if s.WarmBuckets > 0 {
-		s.MeanRPS = total / float64(s.WarmBuckets)
+	if s.warmBuckets > 0 {
+		s.MeanRPS = total / float64(s.warmBuckets)
 	}
 	for i := first; i < tr.Series.Len(); i++ {
 		if !inSnap(i) && tr.Series.Rate(i) < 0.1*s.MeanRPS {

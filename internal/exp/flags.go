@@ -31,15 +31,10 @@ func (v *simDurationValue) Set(s string) error {
 	return nil
 }
 
-// SimDurationFlag registers a virtual-time duration flag on the default
-// command-line flag set and returns a pointer to the parsed sim.Duration.
-// All cmd/ tools use this for simulated-time windows and intervals.
-func SimDurationFlag(name string, def sim.Duration, usage string) *sim.Duration {
-	return SimDurationFlagSet(flag.CommandLine, name, def, usage)
-}
-
-// SimDurationFlagSet is SimDurationFlag on an explicit flag set.
-func SimDurationFlagSet(fs *flag.FlagSet, name string, def sim.Duration, usage string) *sim.Duration {
+// SimDurationFlag registers a virtual-time duration flag on fs and returns a
+// pointer to the parsed sim.Duration, for simulated-time windows and
+// intervals.
+func SimDurationFlag(fs *flag.FlagSet, name string, def sim.Duration, usage string) *sim.Duration {
 	d := def
 	fs.Var((*simDurationValue)(&d), name, usage)
 	return &d

@@ -9,7 +9,7 @@ import (
 
 func TestSimDurationFlag(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	d := SimDurationFlagSet(fs, "window", 3*sim.Second, "w")
+	d := SimDurationFlag(fs, "window", 3*sim.Second, "w")
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestSimDurationFlag(t *testing.T) {
 	}
 
 	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	d = SimDurationFlagSet(fs, "window", 0, "w")
+	d = SimDurationFlag(fs, "window", 0, "w")
 	if err := fs.Parse([]string{"-window", "250ms"}); err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +31,13 @@ func TestSimDurationFlag(t *testing.T) {
 
 	fs = flag.NewFlagSet("t", flag.ContinueOnError)
 	fs.SetOutput(discard{})
-	SimDurationFlagSet(fs, "window", 0, "w")
+	SimDurationFlag(fs, "window", 0, "w")
 	if err := fs.Parse([]string{"-window", "-5s"}); err == nil {
 		t.Errorf("negative duration accepted")
 	}
 	fs = flag.NewFlagSet("t", flag.ContinueOnError)
 	fs.SetOutput(discard{})
-	SimDurationFlagSet(fs, "window", 0, "w")
+	SimDurationFlag(fs, "window", 0, "w")
 	if err := fs.Parse([]string{"-window", "bogus"}); err == nil {
 		t.Errorf("malformed duration accepted")
 	}

@@ -13,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run
 // The run-to-run determinism tests only prove a build agrees with itself; a
 // refactor that shifts every event the same way in every run would pass
 // them, and fails here. Regenerate (only for an intended behaviour change)
-// with `go test ./internal/exp -run 'Golden|Identical|IsolationDeterminism' -update`.
+// with `go test ./internal/exp -run 'Golden|Identical|IsolationDeterminism|InspectReport' -update`.
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name+".golden")

@@ -11,10 +11,10 @@ import (
 	"github.com/slimio/slimio/internal/workload"
 )
 
-// TenantRow is one tenant's share of an isolation cell: host write volume,
+// tenantRow is one tenant's share of an isolation cell: host write volume,
 // the GC copies billed to its placement streams (unattributable on the
 // shared baseline), its own WAF, and its SET tail latency.
-type TenantRow struct {
+type tenantRow struct {
 	Tenant string
 	Role   string // "noisy" or "steady"
 	Ops    int64
@@ -27,56 +27,34 @@ type TenantRow struct {
 	SetP99   sim.Duration
 }
 
-// IsolationCell is one placement mode's result: the device-global WAF and
+// isolationCell is one placement mode's result: the device-global WAF and
 // every tenant's row.
-type IsolationCell struct {
+type isolationCell struct {
 	// Kind is the stack every tenant ran; PlacementLabel names it in reports.
 	Kind      BackendKind
 	DeviceWAF float64
-	Rows      []TenantRow
-}
-
-// QuietWorstWAF returns the highest WAF among the steady tenants — the
-// number the isolation claim is about.
-func (c *IsolationCell) QuietWorstWAF() float64 {
-	worst := 0.0
-	for _, r := range c.Rows {
-		if r.Role == "steady" && r.WAF > worst {
-			worst = r.WAF
-		}
-	}
-	return worst
+	Rows      []tenantRow
 }
 
 // IsolationResult is the multi-tenant isolation experiment: the same tenant
 // mix run twice, on the shared-PID baseline (SlimIOConv) and under per-tenant
 // FDP leases (SlimIOFDP).
 type IsolationResult struct {
-	Tenants int
-	Noisy   bool
-	Cells   []*IsolationCell // shared-pid first, per-tenant-fdp second
-}
-
-// Cell returns the cell that ran stack kind (nil if absent).
-func (r *IsolationResult) Cell(kind BackendKind) *IsolationCell {
-	for _, c := range r.Cells {
-		if c.Kind == kind {
-			return c
-		}
-	}
-	return nil
+	tenants int
+	noisy   bool
+	cells   []*isolationCell // shared-pid first, per-tenant-fdp second
 }
 
 func (r *IsolationResult) String() string {
 	var b strings.Builder
 	mix := "all steady"
-	if r.Noisy {
+	if r.noisy {
 		mix = "tenant0 noisy"
 	}
-	fmt.Fprintf(&b, "Isolation: %d co-located engines, one device (%s)\n", r.Tenants, mix)
+	fmt.Fprintf(&b, "Isolation: %d co-located engines, one device (%s)\n", r.tenants, mix)
 	fmt.Fprintf(&b, "%-16s %-10s %-8s %10s %10s %10s %8s %12s\n",
 		"Placement", "Tenant", "Role", "Ops", "HostPages", "GCCopies", "WAF", "SET p99")
-	for _, c := range r.Cells {
+	for _, c := range r.cells {
 		placement := PlacementLabel(c.Kind)
 		for _, row := range c.Rows {
 			gc := "-"
@@ -105,13 +83,13 @@ func RunIsolation(sc Scale, tenants int, noisy bool) (*IsolationResult, error) {
 		tenants = 2
 	}
 	kinds := []BackendKind{SlimIOConv, SlimIOFDP}
-	out := &IsolationResult{Tenants: tenants, Noisy: noisy, Cells: make([]*IsolationCell, len(kinds))}
+	out := &IsolationResult{tenants: tenants, noisy: noisy, cells: make([]*isolationCell, len(kinds))}
 	err := runCells(len(kinds), sc.Parallel, func(i int) error {
 		cell, err := runIsolationCell(kinds[i], tenants, noisy, sc)
 		if err != nil {
 			return err
 		}
-		out.Cells[i] = cell
+		out.cells[i] = cell
 		return nil
 	})
 	if err != nil {
@@ -150,7 +128,7 @@ func isolationWorkload(idx, tenants int, noisy bool, sc Scale) (workload.Config,
 // runIsolationCell runs one placement mode: build the multi-tenant stack,
 // drive every tenant's workload concurrently on the one engine, and roll up
 // the per-tenant attribution.
-func runIsolationCell(kind BackendKind, tenants int, noisy bool, sc Scale) (*IsolationCell, error) {
+func runIsolationCell(kind BackendKind, tenants int, noisy bool, sc Scale) (*isolationCell, error) {
 	eng := sim.NewEngine()
 	label := "isolation/" + PlacementLabel(kind)
 	_, tele, onPanic := sc.observeCell(label)
@@ -232,19 +210,19 @@ func runIsolationCell(kind BackendKind, tenants int, noisy bool, sc Scale) (*Iso
 	}
 	eng.Run()
 
-	cell := &IsolationCell{Kind: kind, DeviceWAF: ts.Dev.Stats().WAF()}
+	cell := &isolationCell{Kind: kind, DeviceWAF: ts.Dev.Stats().WAF()}
 	for i, t := range ts.Tenants {
-		row := TenantRow{
+		row := tenantRow{
 			Tenant:    t.Name,
 			Role:      runs[i].role,
 			Ops:       runs[i].ops,
-			HostPages: t.NS.HostWritePages(),
+			HostPages: t.ns.HostWritePages(),
 			GCCopies:  -1,
-			WAF:       ts.TenantWAF(t),
+			WAF:       ts.tenantWAF(t),
 			SetP99:    runs[i].p99.P99(),
 		}
-		if t.Lease != nil {
-			for _, u := range ts.Alloc.Rollup(ts.Dev.FTL().(*fdp.FTL).Stats()) {
+		if t.lease != nil {
+			for _, u := range ts.alloc.Rollup(ts.Dev.FTL().(*fdp.FTL).Stats()) {
 				if u.Tenant == t.Name {
 					row.GCCopies = u.GCCopies
 					row.HostPages = u.HostWrites

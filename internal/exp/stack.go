@@ -25,7 +25,6 @@ import (
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/ssd"
 	"github.com/slimio/slimio/internal/telemetry"
-	"github.com/slimio/slimio/internal/uring"
 	"github.com/slimio/slimio/internal/vtrace"
 )
 
@@ -157,11 +156,11 @@ func SmallScale() Scale {
 	}
 }
 
-// PaperScale reproduces the paper's actual parameters (180 GB device,
+// paperScale reproduces the paper's actual parameters (180 GB device,
 // 5.3 M keys, 28 M operations over five repetitions, 52 GB WAL trigger).
 // Expect hours of wall time and tens of GB of memory: the simulation holds
 // real page bytes.
-func PaperScale() Scale {
+func paperScale() Scale {
 	return Scale{
 		Name:            "paper",
 		DeviceBytes:     180 << 30,
@@ -188,6 +187,19 @@ func TinyScale() Scale {
 	}
 }
 
+// ScaleByName resolves a preset by its Name: tiny, small or paper.
+func ScaleByName(name string) (Scale, error) {
+	presets := []Scale{TinyScale(), SmallScale(), paperScale()}
+	names := make([]string, len(presets))
+	for i, sc := range presets {
+		if sc.Name == name {
+			return sc, nil
+		}
+		names[i] = sc.Name
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (valid: %s)", name, strings.Join(names, ", "))
+}
+
 // Stack is one assembled storage system: one device, and on it either one
 // persistence backend (Backend, with FS or Slim naming its path) or, for a
 // multi-tenant stack, the co-located engines' backends listed in Tenants.
@@ -210,9 +222,9 @@ type Stack struct {
 	// Tenants is non-empty only on a multi-tenant stack; Backend, FS and
 	// Slim are nil there.
 	Tenants []*Tenant
-	// Alloc is the PID-lease allocator of a multi-tenant stack on an FDP
+	// alloc is the PID-lease allocator of a multi-tenant stack on an FDP
 	// device (nil otherwise).
-	Alloc *fdp.PIDAllocator
+	alloc *fdp.PIDAllocator
 }
 
 // BuildStack assembles the device and persistence backend for kind.
@@ -283,7 +295,7 @@ func BuildStackN(eng *sim.Engine, kind BackendKind, tenants int, sc Scale) (*Sta
 	case FDPAwareFS, SlimIOFDP, SlimIONoSQPoll:
 		if tenants > 1 {
 			devCfg.MaxPIDs = tenants * tenantPIDs
-			if st.Alloc, err = fdp.NewPIDAllocator(devCfg.MaxPIDs); err != nil {
+			if st.alloc, err = fdp.NewPIDAllocator(devCfg.MaxPIDs); err != nil {
 				return nil, err
 			}
 		}
@@ -317,10 +329,10 @@ func BuildStackN(eng *sim.Engine, kind BackendKind, tenants int, sc Scale) (*Sta
 		}
 		st.Backend = be
 	} else {
-		cfg := core.Config{SlotPages: sc.SlotBytes / int64(geo.PageSize), Trace: tr}
-		if kind == SlimIONoSQPoll {
-			cfg.SnapshotRingSet = true
-			cfg.SnapshotRing = uring.Config{SQPoll: false}
+		cfg := core.Config{
+			SlotPages:        sc.SlotBytes / int64(geo.PageSize),
+			SnapshotNoSQPoll: kind == SlimIONoSQPoll,
+			Trace:            tr,
 		}
 		if tenants == 1 {
 			be, err := core.New(eng, st.Dev, cfg)

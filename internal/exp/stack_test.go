@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/slimio/slimio/internal/core"
@@ -26,6 +27,22 @@ func TestFilePIDTable(t *testing.T) {
 	for _, c := range cases {
 		if got := filePID(c.name); got != c.want {
 			t.Errorf("filePID(%q) = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+func TestScaleByName(t *testing.T) {
+	for _, name := range []string{"tiny", "small", "paper"} {
+		sc, err := ScaleByName(name)
+		if err != nil || sc.Name != name || sc.DeviceBytes == 0 {
+			t.Errorf("ScaleByName(%q) = %+v, %v", name, sc, err)
+		}
+	}
+	// An unknown name is an error naming the presets, never a silent default.
+	for _, name := range []string{"", "Tiny", "paperx", "fiftieth"} {
+		_, err := ScaleByName(name)
+		if err == nil || !strings.Contains(err.Error(), "tiny, small, paper") {
+			t.Errorf("ScaleByName(%q): err = %v, want one listing the presets", name, err)
 		}
 	}
 }

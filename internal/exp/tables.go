@@ -15,11 +15,11 @@ func mb(b int64) float64 { return float64(b) / (1 << 20) }
 // Table1Result reproduces Table 1: query throughput and peak memory during
 // WAL-only vs Snapshot&WAL phases on EXT4 and F2FS.
 type Table1Result struct {
-	Rows []Table1Row
+	rows []table1Row
 }
 
-// Table1Row is one (filesystem, phase) measurement.
-type Table1Row struct {
+// table1Row is one (filesystem, phase) measurement.
+type table1Row struct {
 	FS       string
 	Phase    string // "WAL Only" | "Snapshot&WAL"
 	RPS      float64
@@ -30,7 +30,7 @@ type Table1Row struct {
 // Periodical-Log, WAL-Snapshots enabled, no On-Demand-Snapshot — §2.2).
 func RunTable1(sc Scale) (*Table1Result, error) {
 	kinds := []BackendKind{BaselineEXT4, BaselineF2FS}
-	rows := make([][2]Table1Row, len(kinds))
+	rows := make([][2]table1Row, len(kinds))
 	err := runCells(len(kinds), sc.Parallel, func(i int) error {
 		res, err := RunCell(CellConfig{
 			Kind:     kinds[i],
@@ -46,9 +46,9 @@ func RunTable1(sc Scale) (*Table1Result, error) {
 		if err := res.ReleaseHeavy(); err != nil {
 			return err
 		}
-		rows[i] = [2]Table1Row{
-			{FS: fs, Phase: "WAL Only", RPS: res.WALOnlyRPS, MemBytes: res.WALOnlyMem},
-			{FS: fs, Phase: "Snapshot&WAL", RPS: res.SnapRPS, MemBytes: res.SnapMem},
+		rows[i] = [2]table1Row{
+			{FS: fs, Phase: "WAL Only", RPS: res.walOnlyRPS, MemBytes: res.walOnlyMem},
+			{FS: fs, Phase: "Snapshot&WAL", RPS: res.snapRPS, MemBytes: res.snapMem},
 		}
 		return nil
 	})
@@ -57,7 +57,7 @@ func RunTable1(sc Scale) (*Table1Result, error) {
 	}
 	out := &Table1Result{}
 	for _, pair := range rows {
-		out.Rows = append(out.Rows, pair[0], pair[1])
+		out.rows = append(out.rows, pair[0], pair[1])
 	}
 	return out, nil
 }
@@ -66,7 +66,7 @@ func (t *Table1Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 1: Performance Degradation and Increased Memory Usage During Snapshot Generation\n")
 	fmt.Fprintf(&b, "%-6s %-14s %14s %18s\n", "FS", "Phase", "Requests/s", "Peak Memory (MB)")
-	for _, r := range t.Rows {
+	for _, r := range t.rows {
 		fmt.Fprintf(&b, "%-6s %-14s %14.2f %18.1f\n", strings.ToUpper(r.FS), r.Phase, r.RPS, mb(r.MemBytes))
 	}
 	return b.String()
@@ -75,8 +75,8 @@ func (t *Table1Result) String() string {
 // Table2Result reproduces Table 2: the filesystem write path's share of the
 // snapshot process's time, Snapshot-Only vs Snapshot&WAL (F2FS).
 type Table2Result struct {
-	SnapshotOnlyPct float64
-	SnapshotWALPct  float64
+	snapshotOnlyPct float64
+	snapshotWALPct  float64
 }
 
 // RunTable2 regenerates Table 2. WAL-Snapshots are disabled for these
@@ -109,15 +109,15 @@ func RunTable2(sc Scale) (*Table2Result, error) {
 		{
 			Kind: BaselineF2FS, Policy: imdb.PeriodicalLog, Scale: sc,
 			Workload:     workload.RedisBench(0, sc.KeyRange),
-			SnapshotOnly: true, DisableWALSnapshots: true,
-			TraceLabel: "table2/snapshot-only",
+			snapshotOnly: true, disableWALSnapshots: true,
+			traceLabel: "table2/snapshot-only",
 		},
 		{
 			Kind: BaselineF2FS, Policy: imdb.PeriodicalLog, Scale: sc,
 			Workload:       workload.RedisBench(0, sc.KeyRange),
-			OnDemandMidRun: true, DisableWALSnapshots: true,
+			onDemandMidRun: true, disableWALSnapshots: true,
 			Preload:    true, // identical dataset to the Snapshot-Only scenario
-			TraceLabel: "table2/snapshot+wal",
+			traceLabel: "table2/snapshot+wal",
 		},
 	}
 	shares := make([]float64, len(cfgs))
@@ -132,20 +132,20 @@ func RunTable2(sc Scale) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Table2Result{SnapshotOnlyPct: shares[0], SnapshotWALPct: shares[1]}, nil
+	return &Table2Result{snapshotOnlyPct: shares[0], snapshotWALPct: shares[1]}, nil
 }
 
 func (t *Table2Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 2: CPU Usage of File System Write Path in Snapshots (F2FS)\n")
 	fmt.Fprintf(&b, "%-14s %28s\n", "Scenario", "FS share of snapshot process")
-	fmt.Fprintf(&b, "%-14s %27.2f%%\n", "Snapshot Only", t.SnapshotOnlyPct)
-	fmt.Fprintf(&b, "%-14s %27.2f%%\n", "Snapshot&WAL", t.SnapshotWALPct)
+	fmt.Fprintf(&b, "%-14s %27.2f%%\n", "Snapshot Only", t.snapshotOnlyPct)
+	fmt.Fprintf(&b, "%-14s %27.2f%%\n", "Snapshot&WAL", t.snapshotWALPct)
 	return b.String()
 }
 
-// OverallRow is one system row of an OverallResult.
-type OverallRow struct {
+// overallRow is one system row of an OverallResult.
+type overallRow struct {
 	Policy  imdb.LogPolicy
 	System  string
 	Kind    BackendKind
@@ -158,10 +158,10 @@ type OverallRow struct {
 
 // OverallResult holds the full Table 3, Table 4 or ablation table.
 type OverallResult struct {
-	Title  string
-	HasWAF bool
-	HasGet bool
-	Rows   []OverallRow
+	title  string
+	hasWAF bool
+	hasGet bool
+	rows   []overallRow
 }
 
 // overallSpec is one row of an OverallResult: the stack, the logging policy
@@ -201,7 +201,7 @@ var ablationRows = []overallSpec{
 // spec's kind and policy, run under the parallel cell scheduler and released
 // once its metrics are extracted.
 func runOverall(out *OverallResult, tmpl CellConfig, specs []overallSpec) (*OverallResult, error) {
-	out.Rows = make([]OverallRow, len(specs))
+	out.rows = make([]overallRow, len(specs))
 	err := runCells(len(specs), tmpl.Scale.Parallel, func(i int) error {
 		s := specs[i]
 		cfg := tmpl
@@ -214,11 +214,11 @@ func runOverall(out *OverallResult, tmpl CellConfig, specs []overallSpec) (*Over
 		if err := res.ReleaseHeavy(); err != nil {
 			return err
 		}
-		row := OverallRow{Policy: s.policy, System: s.system, Kind: s.kind, Result: res, GetP999: res.GetP999}
-		if res.Trace != nil {
-			row.Attrib = vtrace.Compute(res.Trace)
+		row := overallRow{Policy: s.policy, System: s.system, Kind: s.kind, Result: res, GetP999: res.GetP999}
+		if res.trace != nil {
+			row.Attrib = vtrace.Compute(res.trace)
 		}
-		out.Rows[i] = row
+		out.rows[i] = row
 		return nil
 	})
 	if err != nil {
@@ -230,14 +230,14 @@ func runOverall(out *OverallResult, tmpl CellConfig, specs []overallSpec) (*Over
 // redisBenchCell is the cell template of Table 3 and the ablation: the
 // redis-benchmark workload with per-repetition On-Demand-Snapshots.
 func redisBenchCell(sc Scale) CellConfig {
-	return CellConfig{Scale: sc, Workload: workload.RedisBench(0, sc.KeyRange), OnDemandPerRep: true}
+	return CellConfig{Scale: sc, Workload: workload.RedisBench(0, sc.KeyRange), onDemandPerRep: true}
 }
 
 // RunTable3 regenerates Table 3: the overall redis-benchmark evaluation —
 // both logging policies, baseline vs SlimIO, with per-repetition
 // On-Demand-Snapshots.
 func RunTable3(sc Scale) (*OverallResult, error) {
-	out := &OverallResult{Title: "Table 3: Overall Evaluation with Redis Benchmark Workload", HasWAF: true}
+	out := &OverallResult{title: "Table 3: Overall Evaluation with Redis Benchmark Workload", hasWAF: true}
 	return runOverall(out, redisBenchCell(sc), paperRows)
 }
 
@@ -245,7 +245,7 @@ func RunTable3(sc Scale) (*OverallResult, error) {
 // GET:SET, preloaded records, WAL-Snapshots only (no On-Demand, no GC
 // pressure).
 func RunTable4(sc Scale) (*OverallResult, error) {
-	out := &OverallResult{Title: "Table 4: Overall Evaluation with YCSB-A Workload", HasGet: true}
+	out := &OverallResult{title: "Table 4: Overall Evaluation with YCSB-A Workload", hasGet: true}
 	if sc.ValueSize == 0 {
 		sc.ValueSize = 2048
 	}
@@ -255,36 +255,36 @@ func RunTable4(sc Scale) (*OverallResult, error) {
 // RunAblation runs the ablation table (beyond the paper): Table 3's
 // Periodical-Log cell on each of the four ablationRows stacks.
 func RunAblation(sc Scale) (*OverallResult, error) {
-	out := &OverallResult{Title: "Ablation: SlimIO's mechanisms one at a time (redis-benchmark, Periodical-Log)", HasWAF: true}
+	out := &OverallResult{title: "Ablation: SlimIO's mechanisms one at a time (redis-benchmark, Periodical-Log)", hasWAF: true}
 	return runOverall(out, redisBenchCell(sc), ablationRows)
 }
 
 func (t *OverallResult) String() string {
 	var b strings.Builder
-	fmt.Fprintln(&b, t.Title)
+	fmt.Fprintln(&b, t.title)
 	hdr := fmt.Sprintf("%-11s %-9s %12s %10s %12s %10s %12s %12s %14s",
 		"Policy", "System", "WALonly RPS", "Mem(MB)", "Snap&WAL", "Mem(MB)", "Avg RPS", "SnapTime", "SET p999")
-	if t.HasGet {
+	if t.hasGet {
 		hdr += fmt.Sprintf(" %14s", "GET p999")
 	}
-	if t.HasWAF {
+	if t.hasWAF {
 		hdr += fmt.Sprintf(" %8s", "WAF")
 	}
 	fmt.Fprintln(&b, hdr)
-	for _, r := range t.Rows {
+	for _, r := range t.rows {
 		res := r.Result
 		line := fmt.Sprintf("%-11s %-9s %12.2f %10.1f %12.2f %10.1f %12.2f %12s %14s",
-			r.Policy, r.System, res.WALOnlyRPS, mb(res.WALOnlyMem), res.SnapRPS, mb(res.SnapMem),
+			r.Policy, r.System, res.walOnlyRPS, mb(res.walOnlyMem), res.snapRPS, mb(res.snapMem),
 			res.AvgRPS, res.MeanSnapshotTime, res.SetP999)
-		if t.HasGet {
+		if t.hasGet {
 			line += fmt.Sprintf(" %14s", r.GetP999)
 		}
-		if t.HasWAF {
-			line += fmt.Sprintf(" %8.2f", res.WAF)
+		if t.hasWAF {
+			line += fmt.Sprintf(" %8.2f", res.waf)
 		}
 		fmt.Fprintln(&b, line)
 	}
-	for _, r := range t.Rows {
+	for _, r := range t.rows {
 		if r.Attrib == nil {
 			continue
 		}
@@ -297,11 +297,11 @@ func (t *OverallResult) String() string {
 // Table5Result reproduces Table 5: recovery time and throughput from a
 // snapshot, baseline vs SlimIO.
 type Table5Result struct {
-	Rows []Table5Row
+	rows []table5Row
 }
 
-// Table5Row is one system's recovery measurement.
-type Table5Row struct {
+// table5Row is one system's recovery measurement.
+type table5Row struct {
 	System        string
 	SnapshotBytes int64
 	RecoveryTime  sim.Duration
@@ -314,20 +314,18 @@ type Table5Row struct {
 // (cold page cache for the baseline).
 func RunTable5(sc Scale) (*Table5Result, error) {
 	kinds := []BackendKind{BaselineF2FS, SlimIOFDP}
-	rows := make([]Table5Row, len(kinds))
+	rows := make([]table5Row, len(kinds))
 	jobErr := runCells(len(kinds), sc.Parallel, func(i int) error {
 		kind := kinds[i]
-		cell, err := RunCell(CellConfig{
-			Kind: kind, Policy: imdb.PeriodicalLog, Scale: sc,
-			Workload:       workload.RedisBench(0, sc.KeyRange),
-			OnDemandPerRep: true,
-		})
+		cfg := redisBenchCell(sc)
+		cfg.Kind, cfg.Policy = kind, imdb.PeriodicalLog
+		cell, err := RunCell(cfg)
 		if err != nil {
 			return err
 		}
 		eng := cell.Stack.Eng
 		db2 := imdb.New(eng, cell.Stack.Backend, imdb.Config{Pool: cell.Stack.Pool()}, nil)
-		var row Table5Row
+		var row table5Row
 		var recErr error
 		eng.Spawn("recover", func(env *sim.Env) {
 			if cell.Stack.FS != nil {
@@ -369,14 +367,14 @@ func RunTable5(sc Scale) (*Table5Result, error) {
 	if jobErr != nil {
 		return nil, jobErr
 	}
-	return &Table5Result{Rows: rows}, nil
+	return &Table5Result{rows: rows}, nil
 }
 
 func (t *Table5Result) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table 5: Recovery Evaluation on Snapshot")
 	fmt.Fprintf(&b, "%-9s %16s %20s %24s\n", "System", "Image (MB)", "Recovery Time", "Recovery Tput (MB/s)")
-	for _, r := range t.Rows {
+	for _, r := range t.rows {
 		fmt.Fprintf(&b, "%-9s %16.1f %20s %24.2f\n", r.System, mb(r.SnapshotBytes), r.RecoveryTime, r.ThroughputBps/(1<<20))
 	}
 	return b.String()

@@ -191,8 +191,8 @@ func AttachStackTelemetry(st *Stack, cell *telemetry.Cell) {
 		gPages := cell.Gauge(t.Name + ".host_pages")
 		gWAF := cell.Gauge(t.Name + ".waf_x100")
 		cell.AddProbe(func(now sim.Time) {
-			gPages.Set(now, t.NS.HostWritePages())
-			gWAF.Set(now, st.TenantWAFx100(t))
+			gPages.Set(now, t.ns.HostWritePages())
+			gWAF.Set(now, st.tenantWAFx100(t))
 		})
 	}
 }

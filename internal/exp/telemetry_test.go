@@ -229,7 +229,7 @@ func TestFlightRecorderFiresOnRunError(t *testing.T) {
 			Kind: SlimIOFDP, Policy: imdb.AlwaysLog, Scale: sc,
 			Workload:   workload.RedisBench(0, sc.KeyRange),
 			Preload:    true,
-			TraceLabel: fmt.Sprintf("flight-test-%v", programErrRate),
+			traceLabel: fmt.Sprintf("flight-test-%v", programErrRate),
 		})
 		return err
 	}

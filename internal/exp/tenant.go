@@ -31,10 +31,10 @@ const tenantPIDs = 5
 // Tenant is one mounted engine backend of a multi-tenant Stack.
 type Tenant struct {
 	Name string
-	// Lease is the tenant's PID range (nil on a conventional device).
-	Lease *fdp.PIDLease
-	// NS is the tenant's LPA window + PID remapping over the shared FTL.
-	NS *ssd.Namespace
+	// lease is the tenant's PID range (nil on a conventional device).
+	lease *fdp.PIDLease
+	// ns is the tenant's LPA window + PID remapping over the shared FTL.
+	ns *ssd.Namespace
 	// Dev is the tenant's own device front-end over NS.
 	Dev *ssd.Device
 	// Slim is the tenant's SlimIO persistence backend.
@@ -50,19 +50,19 @@ func (st *Stack) mountTenants(n int, cfg core.Config, front ssd.Config) error {
 	for i := 0; i < n; i++ {
 		t := &Tenant{Name: fmt.Sprintf("tenant%d", i)}
 		var mapPID func(uint32) uint32
-		if st.Alloc != nil {
-			lease, err := st.Alloc.Acquire(t.Name, tenantPIDs)
+		if st.alloc != nil {
+			lease, err := st.alloc.Acquire(t.Name, tenantPIDs)
 			if err != nil {
 				return err
 			}
-			t.Lease = lease
+			t.lease = lease
 			mapPID = lease.PID
 		}
 		ns, err := ssd.NewNamespace(shared, int64(i)*window, window, mapPID)
 		if err != nil {
 			return err
 		}
-		t.NS = ns
+		t.ns = ns
 		t.Dev = ssd.New(ns, front)
 		if t.Slim, err = core.New(st.Eng, t.Dev, cfg); err != nil {
 			return fmt.Errorf("exp: %s backend: %w", t.Name, err)
@@ -78,25 +78,25 @@ func (st *Stack) mountTenants(n int, cfg core.Config, front ssd.Config) error {
 // tenant is billed the device-global amplification prorated onto its own
 // host volume.
 func (st *Stack) tenantCounters(t *Tenant) (host, nand int64) {
-	if t.Lease != nil {
+	if t.lease != nil {
 		s := st.Dev.FTL().(*fdp.FTL).Stats() // a lease implies the FDP FTL
-		for off := 0; off < t.Lease.Count; off++ {
-			pid := t.Lease.Base + uint32(off)
+		for off := 0; off < t.lease.Count; off++ {
+			pid := t.lease.Base + uint32(off)
 			host += s.HostWritesByPID[pid]
 			nand += s.HostWritesByPID[pid] + s.GCCopiesByPID[pid]
 		}
 		return host, nand
 	}
 	fs := st.Dev.Stats()
-	h := t.NS.HostWritePages()
+	h := t.ns.HostWritePages()
 	if fs.HostWritePages == 0 {
 		return h, h
 	}
 	return h, h * fs.NANDWritePages / fs.HostWritePages
 }
 
-// TenantWAF reports tenant t's own write-amplification factor.
-func (st *Stack) TenantWAF(t *Tenant) float64 {
+// tenantWAF reports tenant t's own write-amplification factor.
+func (st *Stack) tenantWAF(t *Tenant) float64 {
 	host, nand := st.tenantCounters(t)
 	if host == 0 {
 		return 1
@@ -104,9 +104,9 @@ func (st *Stack) TenantWAF(t *Tenant) float64 {
 	return float64(nand) / float64(host)
 }
 
-// TenantWAFx100 is TenantWAF in integer hundredths (integer arithmetic
+// tenantWAFx100 is tenantWAF in integer hundredths (integer arithmetic
 // only, for the telemetry plane's diffable gauges).
-func (st *Stack) TenantWAFx100(t *Tenant) int64 {
+func (st *Stack) tenantWAFx100(t *Tenant) int64 {
 	host, nand := st.tenantCounters(t)
 	if host == 0 {
 		return 100

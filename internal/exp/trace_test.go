@@ -23,7 +23,7 @@ func runTracedCell(t *testing.T, kind BackendKind, sc Scale) *CellResult {
 	res, err := RunCell(CellConfig{
 		Kind: kind, Policy: imdb.PeriodicalLog, Scale: sc,
 		Workload:       workload.RedisBench(0, sc.KeyRange),
-		OnDemandPerRep: true,
+		onDemandPerRep: true,
 	})
 	if err != nil {
 		t.Fatalf("run %s: %v", kind, err)
@@ -47,7 +47,7 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 			res, err := RunCell(CellConfig{
 				Kind: kinds[i], Policy: imdb.PeriodicalLog, Scale: sc,
 				Workload:       workload.RedisBench(0, sc.KeyRange),
-				OnDemandPerRep: true,
+				onDemandPerRep: true,
 			})
 			if err != nil {
 				return err
@@ -99,7 +99,7 @@ func TestAttributionSumsToEndToEnd(t *testing.T) {
 	sc.Trace = vtrace.NewRegistry()
 	res := runTracedCell(t, SlimIOFDP, sc)
 
-	a := vtrace.Compute(res.Trace)
+	a := vtrace.Compute(res.trace)
 	if len(a.Ops) == 0 {
 		t.Fatalf("no op spans recorded")
 	}

@@ -148,9 +148,6 @@ func (p *Plan) SchedulePowerCut(at sim.Time) {
 	p.cutArmed = true
 }
 
-// PowerCut returns the scheduled cut time, if any.
-func (p *Plan) PowerCut() (sim.Time, bool) { return p.cutAt, p.cutArmed }
-
 // Stats returns the injected-fault counts.
 func (p *Plan) Stats() Stats { return p.stats }
 

@@ -120,18 +120,12 @@ type Config struct {
 	// MaxPIDs is the number of placement identifiers the device supports
 	// (default 8, matching the paper's emulated device). Writes with
 	// pid >= MaxPIDs are rejected. Every actively-written PID pins one open
-	// reclaim unit, so the device needs roughly MaxPIDs+ReclaimFreeRUsLow+2
+	// reclaim unit, so the device needs roughly MaxPIDs+reclaimFreeRUsLow+2
 	// reclaim units of physical capacity to serve all streams at once.
 	MaxPIDs int
 	// OverProvision is the fraction of raw capacity hidden from the host
 	// (default 1/8).
 	OverProvision float64
-	// ReclaimFreeRUsLow triggers a proactive (one-RU) reclaim when the
-	// free pool is at or below this level (default 2). An empty pool
-	// forces emergency reclaim until a free RU exists.
-	ReclaimFreeRUsLow int
-	// EventLogLimit bounds the retained reclaim log (default 4096).
-	EventLogLimit int
 	// Metrics, when non-nil, receives counter increments for fault-handling
 	// events (fdp.program_fail, fdp.block_retired, fdp.gc_read_retry,
 	// fdp.lpa_lost, fdp.erase_fail, fdp.torn_write).
@@ -152,13 +146,16 @@ func (c *Config) fillDefaults(geo nand.Geometry) {
 	if c.OverProvision <= 0 || c.OverProvision >= 1 {
 		c.OverProvision = 1.0 / 8
 	}
-	if c.ReclaimFreeRUsLow <= 0 {
-		c.ReclaimFreeRUsLow = 2
-	}
-	if c.EventLogLimit <= 0 {
-		c.EventLogLimit = 4096
-	}
 }
+
+const (
+	// reclaimFreeRUsLow triggers a proactive (one-RU) reclaim when the free
+	// pool is at or below this level. An empty pool forces emergency reclaim
+	// until a free RU exists.
+	reclaimFreeRUsLow = 2
+	// eventLogLimit bounds the retained reclaim log.
+	eventLogLimit = 4096
+)
 
 type blockRef struct{ die, block int }
 
@@ -233,7 +230,7 @@ func New(arr *nand.Array, cfg Config) (*FTL, error) {
 	// when a partially-valid victim must be migrated.
 	pagesPerRU := int64(cfg.BlocksPerRU) * int64(geo.PagesPerBlock)
 	usable := int64(float64(geo.Pages()) * (1 - cfg.OverProvision))
-	reserve := geo.Pages() - int64(cfg.ReclaimFreeRUsLow+2)*pagesPerRU
+	reserve := geo.Pages() - int64(reclaimFreeRUsLow+2)*pagesPerRU
 	if reserve < usable {
 		usable = reserve
 	}
@@ -600,7 +597,7 @@ func (f *FTL) openRU(now sim.Time, pid uint32) (*reclaimUnit, sim.Time, error) {
 		// reclaim (which may need a destination RU for migration) never
 		// starts from zero. Lifetime-separated victims reclaim in one
 		// parallel erase round, so the host-visible stall stays short.
-		for len(f.freeRUs) <= f.cfg.ReclaimFreeRUsLow {
+		for len(f.freeRUs) <= reclaimFreeRUsLow {
 			d, reclaimed, err := f.reclaim(done)
 			if err != nil {
 				return nil, now, err
@@ -751,7 +748,7 @@ func (f *FTL) reclaim(now sim.Time) (done sim.Time, reclaimed bool, err error) {
 		tr.Instant("fdp", "reclaim.empty", start, int64(victim.id))
 	}
 	f.stats.GCBusy += end.Sub(start)
-	if len(f.log) < f.cfg.EventLogLimit {
+	if len(f.log) < eventLogLimit {
 		f.log = append(f.log, ReclaimEvent{At: start, RU: victim.id, PID: victim.pid, ValidCopied: copied, Done: end})
 	}
 	return end, true, nil

@@ -17,9 +17,9 @@ import (
 type LogPolicy int
 
 const (
-	// PeriodicalLog buffers log records in user space and flushes when the
-	// server goes idle, the buffer exceeds FlushBytes, or the flush timer
-	// fires (Redis's default).
+	// PeriodicalLog buffers log records in user space, hands the buffer to
+	// the backend at the end of every event-loop iteration and makes it
+	// durable when the flush timer fires (Redis's default).
 	PeriodicalLog LogPolicy = iota
 	// AlwaysLog makes every write durable before replying, with group
 	// commit across the commands of one event-loop batch.
@@ -143,6 +143,9 @@ type Stats struct {
 	SnapshotsAbort int64
 }
 
+// flushInterval is the Periodical-Log durability timer.
+const flushInterval = sim.Second
+
 // Config tunes the engine.
 type Config struct {
 	Policy LogPolicy
@@ -150,16 +153,9 @@ type Config struct {
 	// been logged since the last one (paper: 50–55 GB; scale accordingly).
 	// Zero disables automatic WAL-Snapshots.
 	WALSnapshotTrigger int64
-	// FlushInterval is the Periodical-Log timer (default 1s).
-	FlushInterval sim.Duration
-	// FlushBytes force-flushes the WAL buffer when it grows past this
-	// (default 4 MiB).
-	FlushBytes int64
 	// BatchMax bounds commands drained per event-loop iteration (and thus
 	// per group commit under Always-Log). Default 64.
 	BatchMax int
-	// SnapshotChunk is the snapshot chunk size (default 64 KiB).
-	SnapshotChunk int
 	// Cost is the CPU cost model; zero value selects DefaultCostModel.
 	Cost CostModel
 	// Pool supplies the page segments the WAL buffer encodes into — share
@@ -175,17 +171,8 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = sim.Second
-	}
-	if c.FlushBytes <= 0 {
-		c.FlushBytes = 4 << 20
-	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 64
-	}
-	if c.SnapshotChunk <= 0 {
-		c.SnapshotChunk = snapshot.DefaultChunkSize
 	}
 	if c.Cost.CmdBaseCPU == 0 {
 		c.Cost = DefaultCostModel()
@@ -230,7 +217,6 @@ type Engine struct {
 	snapProcs    int
 	opSeries     *metrics.Series
 	stats        Stats
-	lastSnapshot *SnapshotEvent
 	lastRecovery *Recovered
 }
 
@@ -369,9 +355,6 @@ func (e *Engine) Stats() Stats {
 // Store exposes the keyspace (for verification in tests and recovery).
 func (e *Engine) Store() *Store { return e.store }
 
-// Backend exposes the persistence backend.
-func (e *Engine) Backend() Backend { return e.be }
-
 // SnapshotActive reports whether a snapshot process is running.
 func (e *Engine) SnapshotActive() bool { return e.snapActive }
 
@@ -422,7 +405,7 @@ func (e *Engine) notePeak() {
 
 func (e *Engine) ticker(env *sim.Env) {
 	for {
-		env.Sleep(e.cfg.FlushInterval)
+		env.Sleep(flushInterval)
 		if e.stopped {
 			return
 		}
@@ -742,7 +725,7 @@ func (e *Engine) runSnapshot(env *sim.Env, kind SnapshotKind, keysAtFork int) {
 		return
 	}
 	var werr error
-	w, err := snapshot.NewWriter(e.cfg.SnapshotChunk, func(chunk []byte, raw int) error {
+	w, err := snapshot.NewWriter(snapshot.DefaultChunkSize, func(chunk []byte, raw int) error {
 		env.Work("compress", sim.DurationForBytes(int64(raw), cost.CompressBandwidth))
 		tr.SetScope(snapSpan)
 		err := sink.Write(env, chunk)
@@ -829,7 +812,6 @@ func (e *Engine) finishSnapshot(env *sim.Env, res *snapResult) {
 			BusyRing:        res.proc.BusyTime("ring") + res.proc.BusyTime("dispatch"),
 		}
 		e.stats.Snapshots = append(e.stats.Snapshots, ev)
-		e.lastSnapshot = &ev
 		if res.kind == WALSnapshot && e.walRotated {
 			// The snapshot covers everything up to the fork, so the sealed
 			// pre-fork segment is obsolete; the current segment (post-fork
@@ -873,9 +855,6 @@ func (e *Engine) ReleaseBuffers() {
 	e.walBuf.Close()
 	e.walPending.Release()
 }
-
-// LastSnapshot returns the most recent completed snapshot event, or nil.
-func (e *Engine) LastSnapshot() *SnapshotEvent { return e.lastSnapshot }
 
 // LastRecovery returns what the backend handed to the most recent Recover
 // call — including its Degraded notes and WAL truncation point — or nil if

@@ -129,9 +129,6 @@ func (s *Scheduler) Submit(pages []ssd.PageWrite, sync bool) *Request {
 // Stats returns cumulative scheduler counters.
 func (s *Scheduler) Stats() SchedStats { return s.stats }
 
-// QueueDepth reports requests currently staged (not yet dispatched).
-func (s *Scheduler) QueueDepth() int { return len(s.syncQ) + len(s.asyncQ) }
-
 func (s *Scheduler) pick() *Request {
 	switch s.mode {
 	case SchedSyncPriority:

@@ -80,15 +80,6 @@ func (s *Series) Rate(i int) float64 {
 	return float64(s.Count(i)) / s.interval.Seconds()
 }
 
-// Rates returns the per-bucket rates in events per second.
-func (s *Series) Rates() []float64 {
-	out := make([]float64, len(s.counts))
-	for i := range s.counts {
-		out[i] = s.Rate(i)
-	}
-	return out
-}
-
 // Total reports the sum of all recorded events.
 func (s *Series) Total() int64 {
 	var t int64
@@ -154,17 +145,6 @@ func (c *Counter) Get(name string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.vals[name]
-}
-
-// Snapshot returns a copy of every counter, for printing summaries.
-func (c *Counter) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.vals))
-	for k, v := range c.vals {
-		out[k] = v
-	}
-	return out
 }
 
 // KV is one named counter value.

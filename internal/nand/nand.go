@@ -196,9 +196,6 @@ func (g Geometry) Pages() int64 { return int64(g.Blocks()) * int64(g.PagesPerBlo
 // Capacity reports the raw byte capacity.
 func (g Geometry) Capacity() int64 { return g.Pages() * int64(g.PageSize) }
 
-// PagesPerDie reports pages per die.
-func (g Geometry) PagesPerDie() int64 { return int64(g.BlocksPerDie) * int64(g.PagesPerBlock) }
-
 // Latencies holds the operation timing constants. Defaults are FEMU's, which
 // the paper uses: 40 µs page read, 200 µs page program, 2 ms block erase.
 type Latencies struct {
@@ -291,20 +288,6 @@ type Clock interface {
 func (a *Array) SetClock(c Clock) {
 	a.clock = c
 	a.pool.SetClock(c)
-}
-
-// SetPool replaces the array's buffer pool with a shared one, so host-side
-// layers (wal encoding, kernelio page cache) and the array recycle the same
-// segments. Must be called before the first program; the current clock is
-// carried over.
-func (a *Array) SetPool(p *bufpool.Pool) {
-	if p.SegSize() != a.geo.PageSize {
-		panic(fmt.Sprintf("nand: pool segment size %d != page size %d", p.SegSize(), a.geo.PageSize))
-	}
-	a.pool = p
-	if a.clock != nil {
-		p.SetClock(a.clock)
-	}
 }
 
 // Pool returns the array's buffer pool: the single pool every layer of a

@@ -3,7 +3,7 @@ package sim
 // Proc is a simulation process: a goroutine that the engine resumes one at a
 // time. A Proc is created with Engine.Spawn and runs until its body returns.
 type Proc struct {
-	name    string
+	name    string // given at Spawn; read only from a debugger or a goroutine dump
 	eng     *Engine
 	fn      func(*Env)
 	seq     int64 // spawn order, the deterministic teardown ordering
@@ -48,9 +48,6 @@ func (p *Proc) main() {
 	env := &Env{p: p, eng: e}
 	p.fn(env)
 }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
 
 // Terminated reports whether the process body has returned.
 func (p *Proc) Terminated() bool { return p.done }

@@ -12,10 +12,8 @@ type Resource struct {
 	// reused forever, so steady-state acquire/release never allocates.
 	waiters ring[*Proc]
 
-	// contention statistics
-	acquisitions int64
-	waited       int64
-	waitTime     Duration
+	// waited counts Acquire calls that had to park.
+	waited int64
 }
 
 // NewResource returns a resource admitting up to capacity concurrent
@@ -29,24 +27,20 @@ func NewResource(eng *Engine, capacity int) *Resource {
 
 // Acquire blocks the calling process until a slot is available and takes it.
 func (r *Resource) Acquire(env *Env) {
-	r.acquisitions++
 	if r.inUse < r.capacity && r.waiters.len() == 0 {
 		r.inUse++
 		return
 	}
 	r.waited++
-	start := env.Now()
 	r.waiters.push(env.p)
 	env.park()
 	// The releaser transferred the slot to us (inUse stays counted).
-	r.waitTime += env.Now().Sub(start)
 }
 
 // TryAcquire takes a slot if one is free, without blocking.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.capacity && r.waiters.len() == 0 {
 		r.inUse++
-		r.acquisitions++
 		return true
 	}
 	return false
@@ -69,19 +63,8 @@ func (r *Resource) Release() {
 // InUse reports the number of currently held slots.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen reports the number of parked waiters.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
-
-// Acquisitions reports the total number of Acquire/TryAcquire grants
-// attempted (successful TryAcquire and every Acquire).
-func (r *Resource) Acquisitions() int64 { return r.acquisitions }
-
 // ContendedAcquisitions reports how many Acquire calls had to wait.
 func (r *Resource) ContendedAcquisitions() int64 { return r.waited }
-
-// TotalWaitTime reports the cumulative virtual time processes spent parked
-// on this resource.
-func (r *Resource) TotalWaitTime() Duration { return r.waitTime }
 
 // Timeline models a serially-occupied facility (a NAND die, a DMA engine) as
 // a busy-until horizon instead of a queue of parked processes. Reserving

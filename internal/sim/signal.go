@@ -21,9 +21,6 @@ func NewSignal(eng *Engine) *Signal { return &Signal{eng: eng} }
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Value returns the value passed to Fire, or nil before firing.
-func (s *Signal) Value() any { return s.val }
-
 // Fire marks the signal fired and wakes all waiters. Firing twice panics:
 // a Signal models a one-shot completion, and double completion is a bug.
 func (s *Signal) Fire(val any) {

@@ -28,8 +28,6 @@ const (
 	Microsecond          = 1000 * Nanosecond
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
-	Minute               = 60 * Second
-	Hour                 = 60 * Minute
 )
 
 // Add returns the timestamp d after t.

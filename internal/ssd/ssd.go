@@ -45,12 +45,6 @@ type Config struct {
 	// CommandOverhead models NVMe controller processing per command
 	// (submission decode, completion posting). Default 5 µs.
 	CommandOverhead sim.Duration
-	// MaxRetries bounds per-page retries of transient device errors before
-	// the command fails with the NVMe status of the last attempt. Default 5.
-	MaxRetries int
-	// RetryBackoff is the delay before the first retry, doubling per attempt
-	// — all in virtual time on the simulation clock. Default 100 µs.
-	RetryBackoff sim.Duration
 	// Metrics, when non-nil, counts retries and terminal failures
 	// (ssd.read_retry, ssd.write_retry, ssd.read_fail, ssd.write_fail).
 	Metrics *metrics.Counter
@@ -64,13 +58,16 @@ func (c *Config) fillDefaults() {
 	if c.CommandOverhead <= 0 {
 		c.CommandOverhead = 5 * sim.Microsecond
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 5
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * sim.Microsecond
-	}
 }
+
+const (
+	// maxRetries bounds per-page retries of transient device errors before
+	// the command fails with the NVMe status of the last attempt.
+	maxRetries = 5
+	// retryBackoff is the delay before the first retry, doubling per attempt
+	// — all in virtual time on the simulation clock.
+	retryBackoff = 100 * sim.Microsecond
+)
 
 // IOStats counts front-end error handling.
 type IOStats struct {
@@ -112,13 +109,13 @@ func (d *Device) inc(name string) {
 // backoff on the virtual clock. The failed attempt's own completion time is
 // the backoff base, so retries never rewind time.
 func (d *Device) readPage(now sim.Time, lpa int64) ([]byte, sim.Time, error) {
-	backoff := d.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		data, done, err := d.ftl.Read(now, lpa)
 		if err == nil {
 			return data, done, nil
 		}
-		if !nand.IsTransient(err) || attempt >= d.cfg.MaxRetries {
+		if !nand.IsTransient(err) || attempt >= maxRetries {
 			if nand.IsDeviceError(err) {
 				d.io.ReadFailures++
 				d.inc("ssd.read_fail")
@@ -141,13 +138,13 @@ func (d *Device) readPage(now sim.Time, lpa int64) ([]byte, sim.Time, error) {
 //
 //slimio:borrows data
 func (d *Device) writePage(now sim.Time, lpa int64, data bufpool.Ref, pid uint32) (sim.Time, error) {
-	backoff := d.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		done, err := d.ftl.Write(now, lpa, data, pid)
 		if err == nil {
 			return done, nil
 		}
-		if !nand.IsTransient(err) || attempt >= d.cfg.MaxRetries {
+		if !nand.IsTransient(err) || attempt >= maxRetries {
 			if nand.IsDeviceError(err) {
 				d.io.WriteFailures++
 				d.inc("ssd.write_fail")

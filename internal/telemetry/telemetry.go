@@ -172,14 +172,6 @@ func (c *Cell) Label() string {
 	return c.label
 }
 
-// Interval reports the cell's sampling interval.
-func (c *Cell) Interval() sim.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.interval
-}
-
 // Samples reports how many ticks have run.
 func (c *Cell) Samples() int64 {
 	if c == nil {

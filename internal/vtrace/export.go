@@ -77,23 +77,7 @@ func (r *Registry) Export(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ExportTracer writes a single tracer as a standalone trace (pid 1).
-func ExportTracer(w io.Writer, t *Tracer) error {
-	if t == nil {
-		return fmt.Errorf("vtrace: nil tracer")
-	}
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\":[")
-	first := true
-	exportTracer(bw, t, 1, &first)
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
-}
-
 func exportTracer(bw *bufio.Writer, t *Tracer, pid int, first *bool) {
-	if t == nil {
-		return
-	}
 	lanes, ordered := laneTable(t)
 	sep := func() {
 		if *first {
@@ -223,8 +207,8 @@ type traceEvent struct {
 // ValidateTrace parses data as trace-event JSON and checks the schema
 // invariants our exporter promises: a non-empty traceEvents array; every
 // event has a phase we emit (X, i, M) and a name; complete spans carry
-// non-negative ts/dur and pid/tid; instants carry ts and a scope. Used by
-// `make trace-smoke` and `slimio-inspect -checktrace`.
+// non-negative ts/dur and pid/tid; instants carry ts and a scope.
+// slimio-bench runs it on every -vtrace export before writing the file.
 func ValidateTrace(data []byte) error {
 	var doc struct {
 		TraceEvents []traceEvent `json:"traceEvents"`

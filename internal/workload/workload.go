@@ -67,10 +67,14 @@ type Config struct {
 	Theta float64
 	// Seed makes the workload reproducible.
 	Seed int64
-	// ValuePoolSize is how many distinct pre-generated values rotate
-	// through SETs (values are half-compressible). Default 64.
-	ValuePoolSize int
 }
+
+// How many distinct pre-generated, half-compressible values rotate through a
+// run's SETs, and through Preload's load phase.
+const (
+	valuePoolSize        = 64
+	preloadValuePoolSize = 16
+)
 
 // RedisBench returns the paper's redis-benchmark configuration scaled to
 // the given op count and key range (paper: 50 clients, 5.3 M keys, 8 B keys,
@@ -187,13 +191,10 @@ func Start(eng *sim.Engine, db *imdb.Engine, cfg Config) *Runner {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
 	}
-	if cfg.ValuePoolSize <= 0 {
-		cfg.ValuePoolSize = 64
-	}
 	r := &Runner{cfg: cfg, db: db, Done: sim.NewSignal(eng)}
 	r.res.Start = eng.Now()
 	r.pending = cfg.Clients
-	pool := valuePool(cfg.ValuePoolSize, cfg.ValueSize, cfg.Seed)
+	pool := valuePool(valuePoolSize, cfg.ValueSize, cfg.Seed)
 	theta := cfg.Theta
 	if theta <= 0 {
 		theta = zipfTheta
@@ -306,7 +307,7 @@ func (c *client) run(env *sim.Env) {
 // Preload sequentially inserts every key in [0, KeyRange) once — YCSB's
 // load phase. It runs in the calling process and records no latency.
 func Preload(env *sim.Env, db *imdb.Engine, cfg Config) error {
-	pool := valuePool(max(cfg.ValuePoolSize, 16), cfg.ValueSize, cfg.Seed^0x10ad)
+	pool := valuePool(preloadValuePoolSize, cfg.ValueSize, cfg.Seed^0x10ad)
 	for i := int64(0); i < cfg.KeyRange; i++ {
 		key := formatKey(cfg.KeySize, i)
 		if err := db.Set(env, key, pool[i%int64(len(pool))]); err != nil {
@@ -314,11 +315,4 @@ func Preload(env *sim.Env, db *imdb.Engine, cfg Config) error {
 		}
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
