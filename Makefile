@@ -3,7 +3,7 @@
 # final `total:` line of `go tool cover -func`.
 COVER_BASELINE ?= 68.0
 
-.PHONY: build test race race-tiny cover cover-check bench-smoke bench-host bench-recover trace-smoke top-smoke check-smoke lint
+.PHONY: build test race race-tiny cover cover-check bench-smoke bench-host bench-recover trace-smoke top-smoke check-smoke lint census
 
 build:
 	go build ./...
@@ -100,3 +100,27 @@ top-smoke:
 	go run ./cmd/slimio-top -dump out/telemetry/telemetry.json -mode table > out/top-smoke.txt
 	@test -s out/top-smoke.txt || { echo "top-smoke: empty slimio-top render"; exit 1; }
 	@grep -q "^cell " out/top-smoke.txt || { echo "top-smoke: no cell tables in render"; exit 1; }
+
+# Size census: the numbers the simplicity PRs (15, 17, 21, 22) quote before ->
+# after, computed with find, grep and go list alone so any checkout can
+# reproduce them. Informational (CI prints it, nothing gates on it). bench/
+# is the frozen benchmark and testdata/ holds analyser fixtures; neither
+# counts. "Config-like" structs are the ones callers fill in to size or tune
+# a layer.
+GO_FILES    = find . -name '*.go' ! -path './bench/*' ! -path '*/testdata/*'
+GO_NONTEST  = $(GO_FILES) ! -name '*_test.go'
+CONFIG_LIKE = Config|Scale|Costs|CostModel|Profile|Geometry|Latencies
+STRUCT_FIELDS = grep -a -cE '^	[A-Z][A-Za-z0-9_, ]* +[^ ]'
+EXP_NONTEST = find internal/exp -maxdepth 1 -name '*.go' ! -name '*_test.go'
+census:
+	@echo "non-test Go lines:              $$($(GO_NONTEST) -exec grep -h '' {} + | grep -c '')"
+	@echo "test Go lines:                  $$($(GO_FILES) -name '*_test.go' -exec grep -h '' {} + | grep -c '')"
+	@echo "packages:                       $$(go list ./... | grep -c '')"
+	@echo "cmd/ binaries:                  $$(find cmd -mindepth 1 -maxdepth 1 -type d | grep -c '')"
+	@echo "CLI flags:                      $$($(GO_NONTEST) -exec grep -hE 'flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?\(' {} + | grep -c '')"
+	@echo "Config-like exported fields:    $$($(GO_NONTEST) -exec grep -Pzo '(?s)type \w*($(CONFIG_LIKE)) struct \{.*?\n\}\n' {} + | $(STRUCT_FIELDS))"
+	@echo "exp exported identifiers:       $$(( \
+		$$($(EXP_NONTEST) -exec grep -hE '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' {} + | grep -c '') + \
+		$$($(EXP_NONTEST) -exec grep -Pzo '(?s)\nconst \(.*?\n\)\n' {} + | grep -a -cE '^	[A-Z]') + \
+		$$($(EXP_NONTEST) -exec grep -Pzo '(?s)\ntype [A-Z]\w* struct \{.*?\n\}\n' {} + | $(STRUCT_FIELDS)) ))"
+	@echo "exported Set* under internal/:  $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec grep -hE '^func \([^)]*\) Set[A-Z]' {} + | grep -c '')"

@@ -25,7 +25,7 @@ type Config struct {
 	// counters (fault.*) and checker progress counters (crashmc.*).
 	Metrics *metrics.Counter
 	// FlightDir, when non-empty, attaches a telemetry cell to every replay
-	// and dumps its flight ring (the trailing per-layer state samples) there
+	// and dumps its flight record (the trailing per-layer state samples) there
 	// when that replay's recovery violates the durability oracle. The
 	// recording pass and the full-run sanity check are not instrumented:
 	// their engines run to queue drain, which a sampling tick would prevent.

@@ -300,7 +300,7 @@ func seedWorkloads(seed int64, tenants int) []Workload {
 // the whole device at that instant (in-flight programs tear, nothing past it
 // executes) before recovering over the frozen device. rec and mark harvest
 // device-level and client-visible boundaries for the lattice. tele, when
-// non-nil, is a telemetry cell whose flight ring records the replay's
+// non-nil, is a telemetry cell that samples the replay's
 // per-layer state; only cut > 0 replays may be instrumented: the sampling
 // tick reschedules itself, so a run-to-drain engine would never stop.
 func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Recorder, mark func(string, sim.Time), tele *telemetry.Cell) (*runOutcome, error) {

@@ -41,6 +41,9 @@ type CellConfig struct {
 	// free-space dynamics behind organic steady-state GC cannot form, so
 	// the controller work is injected on the dies (see DESIGN.md).
 	gcPressure bool
+	// recoverAfter, once the workload has drained, recovers the durable state
+	// into a fresh engine on the same stack and times the load (Table 5).
+	recoverAfter bool
 	// traceLabel overrides the cell's tracer label (default "Kind/Policy").
 	// Runners that launch several cells with the same kind and policy must
 	// set it: concurrent cells sharing a registry label would share one
@@ -75,6 +78,10 @@ type CellResult struct {
 	Snapshots        []imdb.SnapshotEvent
 	MeanSnapshotTime sim.Duration
 
+	// Set by CellConfig.recoverAfter.
+	recoveryTime     sim.Duration
+	recoveredEntries int64
+
 	waf      float64
 	duration sim.Duration
 	series   *metrics.Series
@@ -88,22 +95,67 @@ type CellResult struct {
 }
 
 // observeCell is the prologue every cell runner shares: it resolves the
-// cell's tracer and telemetry cell from the run's registries under label
-// (nil when the registry is unset; BuildStackN picks the tracer up from sc),
-// and returns the flight recorder's last trigger for the caller to defer — a
-// panicking cell (including the engine's deadlock panic) dumps its trailing
+// cell's tracer (sc.tracer, which BuildStackN picks up) and telemetry cell
+// from the run's registries under label, nil when the registry is unset, and
+// returns the two halves of the cell's observation. attach, called once the
+// stack is built (db is nil for a cell with several engines), registers the
+// probes, hands the tracer's trailing spans to the flight record and starts
+// the sampling tick — which the runner stops with tele.Stop at the virtual
+// instant its workload completes, or the engine never drains. finish, which
+// the runner defers at once, is the epilogue of every exit: it stops the
+// tick, adds the stack's fault-handling counts to sc.Metrics, and has a
+// panicking cell (including the engine's deadlock panic) dump its trailing
 // samples and spans before the panic propagates.
-func (sc *Scale) observeCell(label string) (tracer *vtrace.Tracer, tele *telemetry.Cell, onPanic func()) {
+func (sc *Scale) observeCell(label string) (tele *telemetry.Cell, attach func(*sim.Engine, *Stack, *imdb.Engine), finish func()) {
 	if sc.Trace != nil {
 		sc.tracer = sc.Trace.Tracer(label)
 	}
 	if sc.Telemetry != nil {
 		tele = sc.Telemetry.Cell(label)
 	}
-	return sc.tracer, tele, func() {
+	var st *Stack
+	attach = func(eng *sim.Engine, built *Stack, db *imdb.Engine) {
+		st = built
+		AttachStackTelemetry(st, tele)
+		attachEngineTelemetry(db, tele)
+		tele.SetTracer(st.Trace)
+		tele.Start(eng)
+	}
+	counters := sc.Metrics
+	finish = func() {
+		tele.Stop()
+		if st != nil && counters != nil {
+			st.addFaultCounters(counters)
+		}
 		if r := recover(); r != nil {
 			tele.DumpFlight(fmt.Sprintf("panic: %v", r)) //nolint:errcheck // repanicking
 			panic(r)
+		}
+	}
+	return tele, attach, finish
+}
+
+// addFaultCounters adds the fault-handling counts the stack's layers keep in
+// their own Stats — injected faults, the FTL's retirements and losses, the
+// front-ends' retries and failures — into c under the names the counter dump
+// prints, zeros skipped.
+func (st *Stack) addFaultCounters(c *metrics.Counter) {
+	st.Fault.Stats().AddTo(c)
+	fs, io := st.Dev.Stats(), st.ioStats()
+	for _, kv := range []metrics.KV{
+		{Key: "fdp.program_fail", Value: fs.ProgramFailures},
+		{Key: "fdp.block_retired", Value: fs.RetiredBlocks},
+		{Key: "fdp.gc_read_retry", Value: fs.GCReadRetries},
+		{Key: "fdp.lpa_lost", Value: fs.LostPages},
+		{Key: "fdp.erase_fail", Value: fs.EraseFailures},
+		{Key: "fdp.torn_write", Value: fs.TornWrites},
+		{Key: "ssd.read_retry", Value: io.ReadRetries},
+		{Key: "ssd.write_retry", Value: io.WriteRetries},
+		{Key: "ssd.read_fail", Value: io.ReadFailures},
+		{Key: "ssd.write_fail", Value: io.WriteFailures},
+	} {
+		if kv.Value != 0 {
+			c.Inc(kv.Key, kv.Value)
 		}
 	}
 }
@@ -117,25 +169,22 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 		label = fmt.Sprintf("%s/%s", cfg.Kind, cfg.Policy)
 	}
 	sc := cfg.Scale
-	tracer, tele, onPanic := sc.observeCell(label)
-	defer onPanic()
+	tele, attach, finish := sc.observeCell(label)
+	defer finish()
 	st, err := BuildStack(eng, cfg.Kind, sc)
 	if err != nil {
 		return nil, err
 	}
 	series := metrics.NewSeries(cfg.Scale.RPSInterval)
 
-	dbCfg := imdb.Config{Policy: cfg.Policy, Trace: tracer, Pool: st.Pool()}
+	dbCfg := imdb.Config{Policy: cfg.Policy, Trace: st.Trace, Pool: st.Pool()}
 	if !cfg.disableWALSnapshots {
 		dbCfg.WALSnapshotTrigger = cfg.Scale.WALTriggerBytes
 	}
 	db := imdb.New(eng, st.Backend, dbCfg, series)
 	db.Start()
 
-	AttachStackTelemetry(st, tele)
-	attachEngineTelemetry(db, tele)
-	tele.SetTracer(tracer)
-	tele.Start(eng)
+	attach(eng, st, db)
 
 	wl := cfg.Workload
 	wl.Ops = cfg.Scale.OpsPerRep
@@ -148,15 +197,17 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 		stopGC = st.Dev.InjectGCPressure(eng, gcPressureDuty, gcPressurePeriod)
 	}
 
-	res := &CellResult{Label: label, config: cfg, series: series, Stack: st, trace: tracer}
+	res := &CellResult{Label: label, config: cfg, series: series, Stack: st, trace: st.Trace}
 	var runErr error
 	var endAt sim.Time
 	eng.Spawn("driver", func(env *sim.Env) {
+		defer func() {
+			stopGC()
+			tele.Stop()
+		}()
 		if cfg.Preload || cfg.snapshotOnly {
 			if err := workload.Preload(env, db, wl); err != nil {
 				runErr = err
-				stopGC()
-				tele.Stop()
 				return
 			}
 		}
@@ -166,8 +217,6 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 			db.WaitNoSnapshot(env)
 			db.Shutdown(env)
 			endAt = env.Now()
-			stopGC()
-			tele.Stop()
 			return
 		}
 		for rep := 0; rep < max(1, cfg.Scale.Reps); rep++ {
@@ -195,8 +244,6 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 		db.WaitNoSnapshot(env)
 		db.Shutdown(env)
 		endAt = env.Now()
-		stopGC()
-		tele.Stop()
 	})
 	eng.Run()
 	if runErr != nil {
@@ -217,7 +264,37 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 	res.SetP999 = res.setHist.P999()
 	res.GetP999 = res.getHist.P999()
 	splitPhases(res)
+	if cfg.recoverAfter {
+		if err := res.recoverFresh(eng); err != nil {
+			return nil, err
+		}
+	}
 	return res, nil
+}
+
+// recoverFresh loads the cell's durable state into a fresh engine on the
+// same stack (cold page cache for the kernel path) and times the load. It is
+// part of RunCell so that the recovery's device reads, and the faults
+// injected into them, belong to the cell its epilogue reports.
+func (res *CellResult) recoverFresh(eng *sim.Engine) error {
+	st := res.Stack
+	db2 := imdb.New(eng, st.Backend, imdb.Config{Pool: st.Pool()}, nil)
+	var err error
+	eng.Spawn("recover", func(env *sim.Env) {
+		if st.FS != nil {
+			st.FS.DropCaches()
+		}
+		t0 := env.Now()
+		res.recoveredEntries, _, err = db2.Recover(env)
+		res.recoveryTime = env.Now().Sub(t0)
+	})
+	eng.Run()
+	if err != nil {
+		return err
+	}
+	eng.Shutdown()
+	db2.ReleaseBuffers() // the recovery engine never ran Shutdown
+	return nil
 }
 
 // ReleaseHeavy tears down the cell's stack (Stack.Teardown: a leaked pool

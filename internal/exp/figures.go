@@ -169,8 +169,8 @@ type timelineSpec struct {
 // telemetry label is the kind's name.
 func runTimeline(s timelineSpec, sc Scale, window sim.Duration) (*TimelineResult, error) {
 	eng := sim.NewEngine()
-	tracer, tele, onPanic := sc.observeCell(s.kind.String())
-	defer onPanic()
+	_, attach, finish := sc.observeCell(s.kind.String())
+	defer finish()
 	st, err := BuildStack(eng, s.kind, sc)
 	if err != nil {
 		return nil, err
@@ -182,15 +182,12 @@ func runTimeline(s timelineSpec, sc Scale, window sim.Duration) (*TimelineResult
 	db := imdb.New(eng, st.Backend, imdb.Config{
 		Policy:             imdb.PeriodicalLog,
 		WALSnapshotTrigger: sc.WALTriggerBytes,
-		Trace:              tracer,
+		Trace:              st.Trace,
 		Pool:               st.Pool(),
 	}, series)
 	db.Start()
 
-	AttachStackTelemetry(st, tele)
-	attachEngineTelemetry(db, tele)
-	tele.SetTracer(tracer)
-	tele.Start(eng)
+	attach(eng, st, db)
 
 	wl := workload.RedisBench(0, sc.KeyRange)
 	wl.Ops = 0 // open-ended
@@ -204,14 +201,13 @@ func runTimeline(s timelineSpec, sc Scale, window sim.Duration) (*TimelineResult
 		})
 	}
 	eng.RunUntil(sim.Time(window))
-	tele.Stop()
 	out := &TimelineResult{
 		Kind:      s.kind,
 		Series:    series,
 		snapshots: db.Stats().Snapshots,
 		WAF:       st.Dev.Stats().WAF(),
 		GCRuns:    st.Dev.Stats().GCRuns,
-		Trace:     tracer,
+		Trace:     st.Trace,
 	}
 	// Tear the run down so its goroutines release the simulated device. No
 	// Stack.Teardown leak check here: the window cuts an open-ended workload

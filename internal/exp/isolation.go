@@ -131,8 +131,8 @@ func isolationWorkload(idx, tenants int, noisy bool, sc Scale) (workload.Config,
 func runIsolationCell(kind BackendKind, tenants int, noisy bool, sc Scale) (*isolationCell, error) {
 	eng := sim.NewEngine()
 	label := "isolation/" + PlacementLabel(kind)
-	_, tele, onPanic := sc.observeCell(label)
-	defer onPanic()
+	tele, attach, finish := sc.observeCell(label)
+	defer finish()
 
 	// Per-tenant sizing: each tenant owns 1/tenants of the device, so its
 	// snapshot slots and WAL-snapshot trigger shrink by the same factor.
@@ -149,9 +149,7 @@ func runIsolationCell(kind BackendKind, tenants int, noisy bool, sc Scale) (*iso
 		return nil, err
 	}
 
-	AttachStackTelemetry(ts, tele)
-	tele.SetTracer(ts.Trace)
-	tele.Start(eng)
+	attach(eng, ts, nil)
 
 	type tenantRun struct {
 		db   *imdb.Engine

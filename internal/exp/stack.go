@@ -109,8 +109,9 @@ type Scale struct {
 	ReadErrRate    float64
 	ProgramErrRate float64
 	EraseErrRate   float64
-	// Metrics, when non-nil, collects fault/retry/retirement counters from
-	// every layer of the stack for the bench summary.
+	// Metrics, when non-nil, collects the fault/retry/retirement counts of
+	// every finished cell for the bench summary: the cell runners add each
+	// stack's Stats into it on the way out (Stack.addFaultCounters).
 	Metrics *metrics.Counter
 	// FaultRecorder, when non-nil, is attached to the fault plan before
 	// installation so the crash model checker (internal/crashmc) can
@@ -275,7 +276,6 @@ func BuildStackN(eng *sim.Engine, kind BackendKind, tenants int, sc Scale) (*Sta
 		ReadErrRate:    sc.ReadErrRate,
 		ProgramErrRate: sc.ProgramErrRate,
 		EraseErrRate:   sc.EraseErrRate,
-		Metrics:        sc.Metrics,
 	})
 	plan.SetRecorder(sc.FaultRecorder)
 	st.Fault = plan
@@ -287,7 +287,7 @@ func BuildStackN(eng *sim.Engine, kind BackendKind, tenants int, sc Scale) (*Sta
 	// line-based FTL with a single placement stream (FEMU reclaims
 	// superblocks spanning all dies; that is what makes mixed lifetimes
 	// expensive), so device kind is the only thing placement changes.
-	devCfg := fdp.Config{Metrics: sc.Metrics, Trace: tr}
+	devCfg := fdp.Config{Trace: tr}
 	var ftl ssd.FTL
 	switch kind {
 	case BaselineEXT4, BaselineF2FS, BaselineF2FSPrio, SlimIOConv:
@@ -306,7 +306,7 @@ func BuildStackN(eng *sim.Engine, kind BackendKind, tenants int, sc Scale) (*Sta
 	if err != nil {
 		return nil, err
 	}
-	front := ssd.Config{Metrics: sc.Metrics, Trace: tr}
+	front := ssd.Config{Trace: tr}
 	st.Dev = ssd.New(ftl, front)
 
 	if kind.kernelPath() {

@@ -318,32 +318,12 @@ func RunTable5(sc Scale) (*Table5Result, error) {
 	jobErr := runCells(len(kinds), sc.Parallel, func(i int) error {
 		kind := kinds[i]
 		cfg := redisBenchCell(sc)
-		cfg.Kind, cfg.Policy = kind, imdb.PeriodicalLog
+		cfg.Kind, cfg.Policy, cfg.recoverAfter = kind, imdb.PeriodicalLog, true
 		cell, err := RunCell(cfg)
 		if err != nil {
 			return err
 		}
-		eng := cell.Stack.Eng
-		db2 := imdb.New(eng, cell.Stack.Backend, imdb.Config{Pool: cell.Stack.Pool()}, nil)
-		var row table5Row
-		var recErr error
-		eng.Spawn("recover", func(env *sim.Env) {
-			if cell.Stack.FS != nil {
-				cell.Stack.FS.DropCaches()
-			}
-			t0 := env.Now()
-			entries, _, err := db2.Recover(env)
-			if err != nil {
-				recErr = err
-				return
-			}
-			row.RecoveryTime = env.Now().Sub(t0)
-			row.Entries = entries
-		})
-		eng.Run()
-		if recErr != nil {
-			return recErr
-		}
+		row := table5Row{RecoveryTime: cell.recoveryTime, Entries: cell.recoveredEntries}
 		// Recovered image size: the last snapshot's compressed bytes plus
 		// the replayed WAL.
 		if last := len(cell.Snapshots) - 1; last >= 0 {
@@ -356,8 +336,6 @@ func RunTable5(sc Scale) (*Table5Result, error) {
 		if kind == SlimIOFDP {
 			row.System = "SlimIO"
 		}
-		cell.Stack.Eng.Shutdown()
-		db2.ReleaseBuffers() // the recovery engine never ran Shutdown
 		if err := cell.ReleaseHeavy(); err != nil {
 			return err
 		}

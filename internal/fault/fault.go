@@ -39,15 +39,9 @@ type Config struct {
 	ProgramErrRate float64
 	// EraseErrRate is the per-erase probability of an erase failure.
 	EraseErrRate float64
-	// Metrics, when non-nil, receives one counter increment per injected
-	// fault ("fault.read_err", "fault.program_err", "fault.erase_err",
-	// "fault.torn_program").
-	Metrics *metrics.Counter
 }
 
-// Counter names used for injected faults, shared by the live per-fault
-// increments (Config.Metrics) and Stats.AddTo so both paths agree byte for
-// byte in a sorted counter dump.
+// Counter names Stats.AddTo exports the injected-fault counts under.
 const (
 	CounterReadErr     = "fault.read_err"
 	CounterProgramErr  = "fault.program_err"
@@ -71,11 +65,10 @@ func (s *Stats) Add(other Stats) {
 	s.TornPrograms += other.TornPrograms
 }
 
-// AddTo exports the counts into c under the same names a live plan uses,
-// so harnesses that build plans without Config.Metrics (the crash checker
-// spins up one plan per replay) still surface totals in the sorted counter
-// dump slimio-bench and slimio-check print. Zero counts are skipped to keep
-// fault-free dumps empty.
+// AddTo exports the counts into c, for the sorted counter dump slimio-bench
+// and slimio-check print: a harness calls it once per finished plan (the
+// experiment runners per cell, the crash checker on the total over its
+// replays). Zero counts are skipped to keep fault-free dumps empty.
 func (s Stats) AddTo(c *metrics.Counter) {
 	for _, kv := range []struct {
 		name string
@@ -151,12 +144,6 @@ func (p *Plan) SchedulePowerCut(at sim.Time) {
 // Stats returns the injected-fault counts.
 func (p *Plan) Stats() Stats { return p.stats }
 
-func (p *Plan) count(name string) {
-	if p.cfg.Metrics != nil {
-		p.cfg.Metrics.Inc(name, 1)
-	}
-}
-
 // ReadFault implements nand.FaultHook.
 func (p *Plan) ReadFault(now sim.Time, ppa nand.PPA) error {
 	if p.rec != nil {
@@ -164,7 +151,6 @@ func (p *Plan) ReadFault(now sim.Time, ppa nand.PPA) error {
 	}
 	if p.cfg.ReadErrRate > 0 && p.rng.float64() < p.cfg.ReadErrRate {
 		p.stats.ReadErrors++
-		p.count(CounterReadErr)
 		return &nand.DeviceError{Status: nand.StatusUnrecoveredRead, Transient: true, Op: "read", PPA: ppa}
 	}
 	return nil
@@ -178,12 +164,10 @@ func (p *Plan) ProgramFault(now, done sim.Time, ppa nand.PPA, data []byte) nand.
 	}
 	if p.cutArmed && done > p.cutAt {
 		p.stats.TornPrograms++
-		p.count(CounterTornProgram)
 		return nand.ProgramDecision{Outcome: nand.ProgramTorn, Torn: p.tornImage(data)}
 	}
 	if p.cfg.ProgramErrRate > 0 && p.rng.float64() < p.cfg.ProgramErrRate {
 		p.stats.ProgramErrors++
-		p.count(CounterProgramErr)
 		return nand.ProgramDecision{Outcome: nand.ProgramFail}
 	}
 	return nand.ProgramDecision{}
@@ -196,7 +180,6 @@ func (p *Plan) EraseFault(now sim.Time, die, block int) error {
 	}
 	if p.cfg.EraseErrRate > 0 && p.rng.float64() < p.cfg.EraseErrRate {
 		p.stats.EraseErrors++
-		p.count(CounterEraseErr)
 		return &nand.DeviceError{Status: nand.StatusEraseFault, Op: "erase", PPA: nand.InvalidPPA}
 	}
 	return nil

@@ -7,7 +7,6 @@ import (
 
 	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/fault"
-	"github.com/slimio/slimio/internal/metrics"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 )
@@ -28,7 +27,6 @@ func TestReclaimFaultSweep(t *testing.T) {
 	}
 	for _, rate := range rates {
 		t.Run(rate.name, func(t *testing.T) {
-			ctr := &metrics.Counter{}
 			// Program failures retire whole blocks, so the rate must stay
 			// small against the block budget or the device honestly dies.
 			geo := nand.Geometry{Channels: 1, DiesPerChannel: 2, BlocksPerDie: 64, PagesPerBlock: 8, PageSize: 128}
@@ -36,7 +34,7 @@ func TestReclaimFaultSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := New(arr, Config{Metrics: ctr})
+			f, err := New(arr, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,9 +69,6 @@ func TestReclaimFaultSweep(t *testing.T) {
 			}
 			if s.RetiredBlocks != int64(f.RetiredBlocks()) {
 				t.Fatalf("stats say %d retired blocks, map says %d", s.RetiredBlocks, f.RetiredBlocks())
-			}
-			if got := ctr.Get("fdp.block_retired"); got != s.RetiredBlocks {
-				t.Fatalf("metrics counted %d retirements, stats %d", got, s.RetiredBlocks)
 			}
 
 			lost := 0
@@ -111,8 +106,7 @@ func TestReclaimEraseFaultRetires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr := &metrics.Counter{}
-	f, err := New(arr, Config{Metrics: ctr})
+	f, err := New(arr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +126,6 @@ func TestReclaimEraseFaultRetires(t *testing.T) {
 	s := f.Stats()
 	if s.EraseFailures == 0 || s.RetiredBlocks == 0 {
 		t.Fatalf("hook injected nothing: %+v", s)
-	}
-	if ctr.Get("fdp.erase_fail") != s.EraseFailures {
-		t.Fatalf("metrics counted %d erase failures, stats %d", ctr.Get("fdp.erase_fail"), s.EraseFailures)
 	}
 	for lpa, v := range latest {
 		data, done, err := f.Read(now, lpa)

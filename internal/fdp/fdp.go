@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"github.com/slimio/slimio/internal/bufpool"
-	"github.com/slimio/slimio/internal/metrics"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/vtrace"
@@ -126,10 +125,6 @@ type Config struct {
 	// OverProvision is the fraction of raw capacity hidden from the host
 	// (default 1/8).
 	OverProvision float64
-	// Metrics, when non-nil, receives counter increments for fault-handling
-	// events (fdp.program_fail, fdp.block_retired, fdp.gc_read_retry,
-	// fdp.lpa_lost, fdp.erase_fail, fdp.torn_write).
-	Metrics *metrics.Counter
 	// Trace, when non-nil, records fdp/write, fdp/read and fdp/reclaim
 	// spans (reclaim spans carry the copied-page count as Arg, and an empty
 	// reclaim — the FDP win — also emits an fdp/reclaim.empty instant).
@@ -347,12 +342,6 @@ func (f *FTL) RetiredBlocks() int {
 // BlockRetired reports whether global block index g is retired.
 func (f *FTL) BlockRetired(g int) bool { return f.retired[g] }
 
-func (f *FTL) inc(name string) {
-	if f.cfg.Metrics != nil {
-		f.cfg.Metrics.Inc(name, 1)
-	}
-}
-
 func (f *FTL) checkLPA(lpa int64) error {
 	if lpa < 0 || lpa >= f.usableLPAs {
 		return fmt.Errorf("fdp: LPA %d out of range [0,%d)", lpa, f.usableLPAs)
@@ -432,7 +421,6 @@ func (f *FTL) retireBlock(g int) {
 	}
 	f.retired[g] = true
 	f.stats.RetiredBlocks++
-	f.inc("fdp.block_retired")
 	geo := f.arr.Geometry()
 	die, blk := g/geo.BlocksPerDie, g%geo.BlocksPerDie
 	base := f.arr.PPAOf(die, blk, 0)
@@ -464,7 +452,6 @@ func (f *FTL) retireBlock(g int) {
 
 func (f *FTL) noteProgramFail(ppa nand.PPA) {
 	f.stats.ProgramFailures++
-	f.inc("fdp.program_fail")
 	f.retireBlock(f.arr.BlockOf(ppa))
 }
 
@@ -481,7 +468,6 @@ func (f *FTL) readWithRetry(now sim.Time, src nand.PPA) (data []byte, done sim.T
 			return nil, now, false, err
 		}
 		f.stats.GCReadRetries++
-		f.inc("fdp.gc_read_retry")
 		now = done
 	}
 	return nil, now, false, nil
@@ -533,7 +519,6 @@ func (f *FTL) drainRetired(now sim.Time) (sim.Time, error) {
 		if !ok {
 			f.invalidate(lpa)
 			f.stats.LostPages++
-			f.inc("fdp.lpa_lost")
 			continue
 		}
 		pid := f.rus[f.ruOf[f.arr.BlockOf(src)]].pid
@@ -560,7 +545,6 @@ func (f *FTL) drainRetired(now sim.Time) (sim.Time, error) {
 // LPA maps to the torn page so the layers above must catch the corruption.
 func (f *FTL) commitTorn(lpa int64, ppa nand.PPA) {
 	f.stats.TornWrites++
-	f.inc("fdp.torn_write")
 	if f.l2p[lpa] != nand.InvalidPPA {
 		return
 	}
@@ -682,7 +666,6 @@ func (f *FTL) reclaim(now sim.Time) (done sim.Time, reclaimed bool, err error) {
 					// that LPA, keep the reclaim going.
 					f.invalidate(lpa)
 					f.stats.LostPages++
-					f.inc("fdp.lpa_lost")
 					continue
 				}
 				// Re-program the stored segment itself (no copy): the
@@ -722,7 +705,6 @@ func (f *FTL) reclaim(now sim.Time) (done sim.Time, reclaimed bool, err error) {
 				return now, false, fmt.Errorf("fdp: reclaim erase: %w", err)
 			}
 			f.stats.EraseFailures++
-			f.inc("fdp.erase_fail")
 			f.retireBlock(g)
 			if edone > end {
 				end = edone

@@ -33,7 +33,7 @@ type Histogram struct {
 
 // Record adds one observation. Negative values are clamped to zero. A nil
 // receiver is a no-op, so telemetry-off code paths can call through without
-// branching (same contract as Gauge.Set).
+// branching (a nil telemetry.Cell hands out nil histograms).
 func (h *Histogram) Record(d sim.Duration) {
 	if h == nil {
 		return

@@ -15,7 +15,6 @@ import (
 
 	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/fdp"
-	"github.com/slimio/slimio/internal/metrics"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/vtrace"
@@ -45,9 +44,6 @@ type Config struct {
 	// CommandOverhead models NVMe controller processing per command
 	// (submission decode, completion posting). Default 5 µs.
 	CommandOverhead sim.Duration
-	// Metrics, when non-nil, counts retries and terminal failures
-	// (ssd.read_retry, ssd.write_retry, ssd.read_fail, ssd.write_fail).
-	Metrics *metrics.Counter
 	// Trace, when non-nil, records one ssd command span per
 	// WritePages/ReadPages/WriteScattered (Arg = page count) and instants
 	// for transient-error retries and terminal failures.
@@ -99,12 +95,6 @@ func (d *Device) IOStats() IOStats { return d.io }
 // Mapped reports whether lpa currently holds data (no media access).
 func (d *Device) Mapped(lpa int64) bool { return d.ftl.Mapped(lpa) }
 
-func (d *Device) inc(name string) {
-	if d.cfg.Metrics != nil {
-		d.cfg.Metrics.Inc(name, 1)
-	}
-}
-
 // readPage reads one page, retrying transient device errors with exponential
 // backoff on the virtual clock. The failed attempt's own completion time is
 // the backoff base, so retries never rewind time.
@@ -118,13 +108,11 @@ func (d *Device) readPage(now sim.Time, lpa int64) ([]byte, sim.Time, error) {
 		if !nand.IsTransient(err) || attempt >= maxRetries {
 			if nand.IsDeviceError(err) {
 				d.io.ReadFailures++
-				d.inc("ssd.read_fail")
 				d.cfg.Trace.Instant("ssd", "read.fail", done, lpa)
 			}
 			return nil, done, err
 		}
 		d.io.ReadRetries++
-		d.inc("ssd.read_retry")
 		d.cfg.Trace.Instant("ssd", "read.retry", done, int64(attempt+1))
 		now = done.Add(backoff)
 		backoff *= 2
@@ -147,13 +135,11 @@ func (d *Device) writePage(now sim.Time, lpa int64, data bufpool.Ref, pid uint32
 		if !nand.IsTransient(err) || attempt >= maxRetries {
 			if nand.IsDeviceError(err) {
 				d.io.WriteFailures++
-				d.inc("ssd.write_fail")
 				d.cfg.Trace.Instant("ssd", "write.fail", done, lpa)
 			}
 			return done, err
 		}
 		d.io.WriteRetries++
-		d.inc("ssd.write_retry")
 		d.cfg.Trace.Instant("ssd", "write.retry", done, int64(attempt+1))
 		now = done.Add(backoff)
 		backoff *= 2

@@ -59,33 +59,12 @@ func (r *Registry) Snapshot() *Dump {
 	return d
 }
 
-// snapshot renders one cell: tick k's row is bucket k of every gauge (ticks
-// and buckets align because the sampler and the gauges share one interval).
+// snapshot renders one cell: the dump's samples are the table's rows.
 func (c *Cell) snapshot() CellDump {
-	cd := CellDump{Label: c.Label(), Names: c.GaugeNames()}
 	if c == nil {
-		return cd
+		return CellDump{}
 	}
-	rows := 0
-	for _, name := range cd.Names {
-		if n := c.gauges[name].Len(); n > rows {
-			rows = n
-		}
-	}
-	for k := 0; k < rows; k++ {
-		s := Sample{T: sim.Time(int64(k) * int64(c.interval)), V: make([]int64, len(cd.Names))}
-		for i, name := range cd.Names {
-			b := c.gauges[name].Bucket(k)
-			if b.Samples > 0 {
-				s.V[i] = b.Last
-			} else if len(cd.Samples) > 0 {
-				// Empty interior bucket: carry the previous tick forward so
-				// the row stays a meaningful instantaneous state.
-				s.V[i] = cd.Samples[len(cd.Samples)-1].V[i]
-			}
-		}
-		cd.Samples = append(cd.Samples, s)
-	}
+	cd := CellDump{Label: c.label, Names: c.GaugeNames(), Samples: c.rows}
 	for _, name := range c.HistNames() {
 		h := c.hists[name]
 		cd.Hists = append(cd.Hists, HistDump{
@@ -202,47 +181,48 @@ func (c *CellDump) CSV(w io.Writer) error {
 
 // ExportOpenMetrics writes the registry's final state in OpenMetrics text
 // exposition format: one gauge family per metric name with a `cell` label
-// per cell (the value is the last sample), one summary family per
+// per cell (the value is the dump's last row), one summary family per
 // histogram, and — when counters is non-empty — a counter family carrying
 // harness-level totals such as the injected-fault counts from
 // fault.Plan.Stats(). Everything is emitted in sorted order and integer
 // arithmetic, so the bytes are deterministic.
 func (r *Registry) ExportOpenMetrics(w io.Writer, counters []metrics.KV) error {
 	bw := bufio.NewWriter(w)
-	labels := r.Labels()
+	dump := r.Snapshot()
 
-	// Union of gauge names across cells, sorted.
+	// Union of gauge and histogram names across cells, sorted.
 	nameSet := make(map[string]bool)
 	histSet := make(map[string]bool)
-	for _, label := range labels {
-		c := r.Get(label)
-		for _, n := range c.GaugeNames() {
+	for _, cd := range dump.Cells {
+		for _, n := range cd.Names {
 			nameSet[n] = true
 		}
-		for _, n := range c.HistNames() {
-			histSet[n] = true
+		for _, h := range cd.Hists {
+			histSet[h.Name] = true
 		}
 	}
-	names := sortedKeys(nameSet)
-	hists := sortedKeys(histSet)
 
-	for _, name := range names {
+	for _, name := range sortedKeys(nameSet) {
 		fam := "slimio_" + mangle(name)
 		fmt.Fprintf(bw, "# TYPE %s gauge\n", fam)
-		for _, label := range labels {
-			c := r.Get(label)
-			if c.Column(name) < 0 {
+		for i := range dump.Cells {
+			cd := &dump.Cells[i]
+			col := cd.Column(name)
+			if col < 0 {
 				continue
 			}
-			fmt.Fprintf(bw, "%s{cell=%q} %d\n", fam, label, c.gauges[name].Last())
+			var last int64
+			if n := len(cd.Samples); n > 0 {
+				last = cd.Samples[n-1].V[col]
+			}
+			fmt.Fprintf(bw, "%s{cell=%q} %d\n", fam, cd.Label, last)
 		}
 	}
-	for _, name := range hists {
+	for _, name := range sortedKeys(histSet) {
 		fam := "slimio_" + mangle(name)
 		fmt.Fprintf(bw, "# TYPE %s summary\n", fam)
-		for _, label := range labels {
-			c := r.Get(label)
-			h := c.hists[name]
+		for _, cd := range dump.Cells {
+			h := r.Get(cd.Label).hists[name]
 			if h == nil {
 				continue
 			}
@@ -254,10 +234,10 @@ func (r *Registry) ExportOpenMetrics(w io.Writer, counters []metrics.KV) error {
 				{"0.9", int64(h.Percentile(90))},
 				{"0.99", int64(h.Percentile(99))},
 			} {
-				fmt.Fprintf(bw, "%s{cell=%q,quantile=\"%s\"} %d\n", fam, label, q.q, q.v)
+				fmt.Fprintf(bw, "%s{cell=%q,quantile=\"%s\"} %d\n", fam, cd.Label, q.q, q.v)
 			}
-			fmt.Fprintf(bw, "%s_count{cell=%q} %d\n", fam, label, h.Count())
-			fmt.Fprintf(bw, "%s_sum{cell=%q} %d\n", fam, label, int64(h.Sum()))
+			fmt.Fprintf(bw, "%s_count{cell=%q} %d\n", fam, cd.Label, h.Count())
+			fmt.Fprintf(bw, "%s_sum{cell=%q} %d\n", fam, cd.Label, int64(h.Sum()))
 		}
 	}
 	if len(counters) > 0 {
@@ -268,19 +248,6 @@ func (r *Registry) ExportOpenMetrics(w io.Writer, counters []metrics.KV) error {
 	}
 	bw.WriteString("# EOF\n")
 	return bw.Flush()
-}
-
-// Column is a convenience on live cells mirroring CellDump.Column.
-func (c *Cell) Column(name string) int {
-	if c == nil {
-		return -1
-	}
-	for i, n := range c.GaugeNames() {
-		if n == name {
-			return i
-		}
-	}
-	return -1
 }
 
 func sortedKeys(m map[string]bool) []string {

@@ -12,13 +12,15 @@ import (
 // tracer — the trailing vtrace spans, so the failure's last seconds of
 // system state and activity are preserved together.
 type FlightRecord struct {
-	Cell       string        `json:"cell"`
-	Reason     string        `json:"reason"`
-	IntervalNS int64         `json:"interval_ns"`
-	Names      []string      `json:"names"`
-	Samples    []Sample      `json:"samples"`
-	Spans      []FlightSpan  `json:"spans,omitempty"`
-	Dropped    []FlightDrops `json:"dropped,omitempty"`
+	Cell       string       `json:"cell"`
+	Reason     string       `json:"reason"`
+	IntervalNS int64        `json:"interval_ns"`
+	Names      []string     `json:"names"`
+	Samples    []Sample     `json:"samples"`
+	Spans      []FlightSpan `json:"spans,omitempty"`
+	// Dropped counts the ticks the cell could not store (see Cell.Err):
+	// misconfiguration evidence worth keeping in a failure artifact.
+	Dropped int64 `json:"dropped,omitempty"`
 }
 
 // FlightSpan is one trailing vtrace span in recording order.
@@ -28,13 +30,6 @@ type FlightSpan struct {
 	Start sim.Time `json:"start"`
 	End   sim.Time `json:"end"`
 	Arg   int64    `json:"arg,omitempty"`
-}
-
-// FlightDrops notes gauges that dropped samples (misconfiguration evidence
-// worth keeping in a failure artifact).
-type FlightDrops struct {
-	Gauge   string `json:"gauge"`
-	Dropped int64  `json:"dropped"`
 }
 
 // EncodeFlight renders the cell's flight record as JSON. Unlike DumpFlight
@@ -48,13 +43,12 @@ func (c *Cell) EncodeFlight(reason string) ([]byte, error) {
 		Cell:       c.label,
 		Reason:     reason,
 		IntervalNS: int64(c.interval),
-		Names:      c.sorted,
+		Names:      c.GaugeNames(),
+		Samples:    c.rows,
+		Dropped:    c.dropped,
 	}
-	if rec.Names == nil {
-		rec.Names = c.GaugeNames()
-	}
-	for _, row := range c.flightRows() {
-		rec.Samples = append(rec.Samples, Sample{T: row.t, V: row.v})
+	if n := len(c.rows); n > DefaultFlightDepth {
+		rec.Samples = c.rows[n-DefaultFlightDepth:]
 	}
 	if c.tracer != nil {
 		spans := c.tracer.Spans()
@@ -66,11 +60,6 @@ func (c *Cell) EncodeFlight(reason string) ([]byte, error) {
 			rec.Spans = append(rec.Spans, FlightSpan{
 				Layer: s.Layer, Name: s.Name, Start: s.Start, End: s.End, Arg: s.Arg,
 			})
-		}
-	}
-	for _, name := range c.GaugeNames() {
-		if dropped, _ := c.gauges[name].Errors(); dropped > 0 {
-			rec.Dropped = append(rec.Dropped, FlightDrops{Gauge: name, Dropped: dropped})
 		}
 	}
 	data, err := json.MarshalIndent(&rec, "", " ")

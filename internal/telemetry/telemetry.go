@@ -10,16 +10,21 @@
 // parallel runs of the same experiment produce byte-identical dumps, and a
 // dump is golden-testable like a trace.
 //
-// A nil *Registry hands out nil *Cells, and every Cell (and metrics.Gauge)
-// method nil-checks and returns immediately: with telemetry off, every hot
-// path pays one predictable branch and allocates nothing — the same
-// contract as vtrace's nil *Tracer.
+// A Cell stores what it samples exactly once, in one table: a column per
+// gauge, a row per tick. The JSON dump and the per-cell CSV are the rows,
+// the OpenMetrics snapshot is the last row, and the flight record is the
+// trailing rows.
 //
-// Each Cell also keeps a flight recorder: a bounded ring of the most recent
-// samples which, together with the tail of the cell's vtrace spans, is
-// dumped as JSON when something goes wrong mid-run (an unrecovered device
-// fault, a crash-consistency oracle violation, a panicking cell) — the
-// last-seconds state trajectory that explains the failure.
+// A nil *Registry hands out nil *Cells, and every Cell method nil-checks and
+// returns immediately: with telemetry off, every hot path pays one
+// predictable branch and allocates nothing — the same contract as vtrace's
+// nil *Tracer.
+//
+// Each Cell is also a flight recorder: its most recent rows, together with
+// the tail of the cell's vtrace spans, are dumped as JSON when something
+// goes wrong mid-run (an unrecovered device fault, a crash-consistency
+// oracle violation, a panicking cell) — the last-seconds state trajectory
+// that explains the failure.
 package telemetry
 
 import (
@@ -40,7 +45,7 @@ import (
 // at small scale, coarse enough to keep dumps compact.
 const DefaultInterval = 2 * sim.Millisecond
 
-// DefaultFlightDepth is how many trailing samples the flight ring keeps.
+// DefaultFlightDepth is how many trailing samples a flight record carries.
 const DefaultFlightDepth = 128
 
 // DefaultFlightSpans is how many trailing vtrace spans a flight dump
@@ -54,7 +59,7 @@ const DefaultFlightSpans = 256
 type Registry struct {
 	// FlightDir, when non-empty, is where flight-recorder dumps are
 	// written (one flight-<label>.json per triggering cell). Empty
-	// disables dumping to disk; the ring still records.
+	// disables dumping to disk.
 	FlightDir string
 
 	interval sim.Duration
@@ -94,7 +99,7 @@ func (r *Registry) Cell(label string) *Cell {
 	}
 	c, ok := r.cells[label]
 	if !ok {
-		c = &Cell{label: label, interval: r.interval, reg: r, flightDepth: DefaultFlightDepth}
+		c = &Cell{label: label, interval: r.interval, reg: r, maxRows: metrics.MaxSeriesBuckets}
 		r.cells[label] = c
 	}
 	return c
@@ -126,26 +131,42 @@ func (r *Registry) Get(label string) *Cell {
 	return r.cells[label]
 }
 
-// flightSample is one flight-ring row: the tick time plus every gauge's
-// value at that tick, in the cell's sorted-name order.
-type flightSample struct {
-	t sim.Time
-	v []int64
+// probe is one sampling callback and the columns it fills: n of them,
+// starting at off in registration order.
+type probe struct {
+	off, n int
+	fn     func(now sim.Time, v []int64)
 }
 
-// Cell is one experiment cell's telemetry: named gauges and histograms fed
-// by probes that a virtual-time tick reads. Like a vtrace.Tracer it is
-// unlocked — each cell runs on its own engine, which executes one process
-// at a time. A nil *Cell is a no-op recorder.
+// Cell is one experiment cell's telemetry: a sample table (one named column
+// per gauge, one row per tick) and histograms, both fed by probes that a
+// virtual-time tick reads. Like a vtrace.Tracer it is unlocked — each cell
+// runs on its own engine, which executes one process at a time. A nil *Cell
+// is a no-op recorder.
 type Cell struct {
 	label    string
 	interval sim.Duration
 	reg      *Registry
 
-	names  []string
-	gauges map[string]*metrics.Gauge
-	hists  map[string]*metrics.Histogram
-	probes []func(now sim.Time)
+	// names are the columns in registration order; probes fill scratch in
+	// that order. The first sample freezes the schema: cols is names sorted
+	// (the column order of every artifact) and perm[i] is the scratch index
+	// of column i. late collects columns declared after that.
+	names   []string
+	probes  []probe
+	scratch []int64
+	cols    []string
+	perm    []int
+	late    []string
+
+	// rows is the table: V has one value per column of cols. A tick that
+	// cannot be stored — its time is negative or does not advance past the
+	// last row's, or the table is at maxRows — is counted in dropped instead.
+	rows    []Sample
+	maxRows int
+	dropped int64
+
+	hists map[string]*metrics.Histogram
 
 	// tracer, when non-nil, contributes its trailing spans to flight dumps.
 	tracer *vtrace.Tracer
@@ -155,13 +176,7 @@ type Cell struct {
 	started bool
 	stopped bool
 	samples int64
-
-	// Flight ring: fixed-capacity, overwritten circularly.
-	flightDepth int
-	flight      []flightSample
-	flightNext  int
-	sorted      []string
-	dumped      bool
+	dumped  bool
 }
 
 // Label reports the cell's label ("" for a nil cell).
@@ -178,25 +193,6 @@ func (c *Cell) Samples() int64 {
 		return 0
 	}
 	return c.samples
-}
-
-// Gauge returns the named gauge, creating it at the cell's interval on
-// first use. A nil cell returns a nil gauge (whose methods are no-ops), so
-// `cell.Gauge(name).Set(now, v)` is safe and allocation-free when off.
-func (c *Cell) Gauge(name string) *metrics.Gauge {
-	if c == nil {
-		return nil
-	}
-	if c.gauges == nil {
-		c.gauges = make(map[string]*metrics.Gauge)
-	}
-	g, ok := c.gauges[name]
-	if !ok {
-		g = metrics.NewGauge(c.interval)
-		c.gauges[name] = g
-		c.names = append(c.names, name)
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use. The
@@ -219,13 +215,21 @@ func (c *Cell) Histogram(name string) *metrics.Histogram {
 }
 
 // AddProbe registers a sampling callback, run once per tick in registration
-// order. Probes must only read simulation state and record into the cell;
-// they run inside the engine's event loop and must not block.
-func (c *Cell) AddProbe(fn func(now sim.Time)) {
+// order, and declares the columns it fills: fn receives a zeroed v with one
+// slot per name, in the order given. Probes must only read simulation state
+// and record into v or the cell's histograms; they run inside the engine's
+// event loop and must not block. The first sample (or export) freezes the
+// schema: a probe added after it is not run, and Err reports its columns.
+func (c *Cell) AddProbe(names []string, fn func(now sim.Time, v []int64)) {
 	if c == nil {
 		return
 	}
-	c.probes = append(c.probes, fn)
+	if c.cols != nil {
+		c.late = append(c.late, names...)
+		return
+	}
+	c.probes = append(c.probes, probe{off: len(c.names), n: len(names), fn: fn})
+	c.names = append(c.names, names...)
 }
 
 // SetTracer attaches the cell's vtrace tracer so flight dumps can include
@@ -237,15 +241,17 @@ func (c *Cell) SetTracer(t *vtrace.Tracer) {
 	c.tracer = t
 }
 
-// GaugeNames returns the cell's gauge names in sorted order.
+// GaugeNames returns the cell's column names in sorted order: the schema of
+// every artifact. Showing it freezes it, as the first sample does. The slice
+// is the cell's own; callers must not modify it.
 func (c *Cell) GaugeNames() []string {
 	if c == nil {
 		return nil
 	}
-	out := make([]string, len(c.names))
-	copy(out, c.names)
-	sort.Strings(out)
-	return out
+	if c.cols == nil {
+		c.freeze()
+	}
+	return c.cols
 }
 
 // HistNames returns the cell's histogram names in sorted order.
@@ -273,7 +279,6 @@ func (c *Cell) Start(eng *sim.Engine) {
 		return
 	}
 	c.started = true
-	c.sorted = c.GaugeNames()
 	var tick func()
 	tick = func() {
 		if c.stopped {
@@ -295,43 +300,45 @@ func (c *Cell) Stop() {
 	c.stopped = true
 }
 
-// Sample runs every probe at virtual time now and appends a flight-ring
-// row. Start's tick calls it; tests may call it directly.
+// freeze fixes the schema, at the first sample or the first export: the
+// sorted column list and the permutation from registration order into it.
+func (c *Cell) freeze() {
+	n := len(c.names)
+	c.cols = append(make([]string, 0, n), c.names...)
+	sort.Strings(c.cols)
+	c.perm = make([]int, n)
+	for j, name := range c.names {
+		c.perm[sort.SearchStrings(c.cols, name)] = j
+	}
+	c.scratch = make([]int64, n)
+}
+
+// Sample runs every probe at virtual time now and appends the row; a tick
+// that cannot be stored runs no probe. Start's tick calls it; tests may call
+// it directly.
 func (c *Cell) Sample(now sim.Time) {
 	if c == nil {
 		return
 	}
-	for _, fn := range c.probes {
-		fn(now)
-	}
 	c.samples++
-	if c.sorted == nil {
-		c.sorted = c.GaugeNames()
+	if c.cols == nil {
+		c.freeze()
 	}
-	row := flightSample{t: now, v: make([]int64, len(c.sorted))}
-	for i, name := range c.sorted {
-		row.v[i] = c.gauges[name].Last()
+	if n := len(c.rows); now < 0 || n >= c.maxRows || (n > 0 && now <= c.rows[n-1].T) {
+		c.dropped++
+		return
 	}
-	if c.flightDepth <= 0 {
-		c.flightDepth = DefaultFlightDepth
+	for i := range c.scratch {
+		c.scratch[i] = 0
 	}
-	if len(c.flight) < c.flightDepth {
-		c.flight = append(c.flight, row)
-	} else {
-		c.flight[c.flightNext] = row
-		c.flightNext = (c.flightNext + 1) % c.flightDepth
+	for _, p := range c.probes {
+		p.fn(now, c.scratch[p.off:p.off+p.n])
 	}
-}
-
-// flightRows returns the ring contents oldest-first.
-func (c *Cell) flightRows() []flightSample {
-	if len(c.flight) < c.flightDepth {
-		return c.flight
+	v := make([]int64, len(c.cols))
+	for i, j := range c.perm {
+		v[i] = c.scratch[j]
 	}
-	out := make([]flightSample, 0, len(c.flight))
-	out = append(out, c.flight[c.flightNext:]...)
-	out = append(out, c.flight[:c.flightNext]...)
-	return out
+	c.rows = append(c.rows, Sample{T: now, V: v})
 }
 
 // FlightDumped reports whether this cell has written a flight dump.
@@ -346,12 +353,12 @@ func (c *Cell) FlightDumped() bool {
 // spans) as JSON into the registry's FlightDir, returning the file path.
 // It is a no-op returning "" when the cell is nil, no FlightDir is
 // configured, or this cell already dumped (the first failure wins — later
-// cascading errors would overwrite the interesting state).
+// cascading errors would overwrite the interesting state). A dump that
+// fails to reach the disk does not count: the next trigger tries again.
 func (c *Cell) DumpFlight(reason string) (string, error) {
 	if c == nil || c.reg == nil || c.reg.FlightDir == "" || c.dumped {
 		return "", nil
 	}
-	c.dumped = true
 	if err := os.MkdirAll(c.reg.FlightDir, 0o755); err != nil {
 		return "", err
 	}
@@ -363,6 +370,7 @@ func (c *Cell) DumpFlight(reason string) (string, error) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return "", err
 	}
+	c.dumped = true
 	return path, nil
 }
 
@@ -378,15 +386,18 @@ func SanitizeLabel(label string) string {
 	}, label)
 }
 
-// Err aggregates per-gauge drop errors for the cell (nil when clean).
+// Err reports what the cell could not record (nil when clean): columns
+// declared after the first sample froze the schema, or ticks dropped because
+// their time did not advance or the table was full.
 func (c *Cell) Err() error {
 	if c == nil {
 		return nil
 	}
-	for _, name := range c.GaugeNames() {
-		if _, err := c.gauges[name].Errors(); err != nil {
-			return fmt.Errorf("telemetry: %s: gauge %s: %w", c.label, name, err)
-		}
+	if len(c.late) > 0 {
+		return fmt.Errorf("telemetry: %s: columns %v registered after the first sample", c.label, c.late)
+	}
+	if c.dropped > 0 {
+		return fmt.Errorf("telemetry: %s: %d samples dropped (time not advancing or more than %d rows)", c.label, c.dropped, c.maxRows)
 	}
 	return nil
 }

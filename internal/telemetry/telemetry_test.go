@@ -36,8 +36,7 @@ func TestSamplingTickRidesTheSimClock(t *testing.T) {
 	reg := NewRegistry(2 * sim.Millisecond)
 	cell := reg.Cell("c")
 	depth := int64(0)
-	g := cell.Gauge("queue.depth")
-	cell.AddProbe(func(now sim.Time) { g.Set(now, depth) })
+	cell.AddProbe([]string{"queue.depth"}, func(_ sim.Time, v []int64) { v[0] = depth })
 
 	eng := sim.NewEngine()
 	cell.Start(eng)
@@ -56,53 +55,43 @@ func TestSamplingTickRidesTheSimClock(t *testing.T) {
 	if cell.Samples() != 6 {
 		t.Fatalf("samples = %d, want 6", cell.Samples())
 	}
-	if g.Len() != 6 {
-		t.Fatalf("gauge len = %d", g.Len())
+	rows := cell.snapshot().Samples
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	if g.Bucket(0).Last != 0 || g.Last() != 50 {
-		t.Fatalf("bucket0=%+v last=%d", g.Bucket(0), g.Last())
+	if rows[0].V[0] != 0 || rows[5].V[0] != 50 || rows[5].T != sim.Time(10*sim.Millisecond) {
+		t.Fatalf("row0=%+v row5=%+v", rows[0], rows[5])
 	}
 	if err := cell.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestSnapshotCarriesEmptyBucketsForward(t *testing.T) {
-	reg := NewRegistry(10)
-	cell := reg.Cell("x")
-	g := cell.Gauge("v")
-	g.Set(5, 7)  // bucket 0
-	g.Set(35, 9) // bucket 3; buckets 1-2 empty
-	cd := cell.snapshot()
-	if len(cd.Samples) != 4 {
-		t.Fatalf("rows = %d", len(cd.Samples))
-	}
-	want := []int64{7, 7, 7, 9}
-	for i, w := range want {
-		if cd.Samples[i].V[0] != w {
-			t.Fatalf("row %d = %d, want %d", i, cd.Samples[i].V[0], w)
-		}
-	}
-}
-
 func TestFlightRingWrapsOldestFirst(t *testing.T) {
 	reg := NewRegistry(1)
 	cell := reg.Cell("w")
-	g := cell.Gauge("n")
-	cell.AddProbe(func(now sim.Time) { g.Set(now, int64(now)) })
+	cell.AddProbe([]string{"n"}, func(now sim.Time, v []int64) { v[0] = int64(now) })
 	for i := 0; i < DefaultFlightDepth+50; i++ {
 		cell.Sample(sim.Time(i))
 	}
-	rows := cell.flightRows()
+	data, err := cell.EncodeFlight("wrap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ParseFlight(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := rec.Samples
 	if len(rows) != DefaultFlightDepth {
 		t.Fatalf("ring size = %d", len(rows))
 	}
-	if rows[0].t != 50 || rows[len(rows)-1].t != sim.Time(DefaultFlightDepth+49) {
-		t.Fatalf("ring span [%d,%d]", rows[0].t, rows[len(rows)-1].t)
+	if rows[0].T != 50 || rows[len(rows)-1].T != sim.Time(DefaultFlightDepth+49) {
+		t.Fatalf("ring span [%d,%d]", rows[0].T, rows[len(rows)-1].T)
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i].t != rows[i-1].t+1 {
-			t.Fatalf("ring not oldest-first at %d", i)
+		if rows[i].T != rows[i-1].T+1 || rows[i].V[0] != int64(rows[i].T) {
+			t.Fatalf("ring not oldest-first at %d: %+v", i, rows[i])
 		}
 	}
 }
@@ -112,8 +101,7 @@ func TestDumpFlightLatchesAndParses(t *testing.T) {
 	reg := NewRegistry(1)
 	reg.FlightDir = dir
 	cell := reg.Cell("tbl/cell:1")
-	g := cell.Gauge("n")
-	cell.AddProbe(func(now sim.Time) { g.Set(now, 3) })
+	cell.AddProbe([]string{"n"}, func(_ sim.Time, v []int64) { v[0] = 3 })
 	cell.Sample(0)
 	cell.Sample(1)
 
@@ -147,7 +135,8 @@ func TestDumpFlightLatchesAndParses(t *testing.T) {
 func TestDumpFlightNoDirIsNoOp(t *testing.T) {
 	reg := NewRegistry(1)
 	cell := reg.Cell("quiet")
-	cell.Gauge("n").Set(0, 1)
+	cell.AddProbe([]string{"n"}, func(_ sim.Time, v []int64) { v[0] = 1 })
+	cell.Sample(0)
 	if path, err := cell.DumpFlight("whatever"); err != nil || path != "" {
 		t.Fatalf("dump = %q, %v", path, err)
 	}
@@ -159,12 +148,11 @@ func TestDumpFlightNoDirIsNoOp(t *testing.T) {
 func TestExportJSONValidatesAndCSV(t *testing.T) {
 	reg := NewRegistry(10)
 	cell := reg.Cell("c1")
-	ga := cell.Gauge("a")
-	gb := cell.Gauge("b")
+	// Declared out of order: every artifact sorts its columns.
+	cell.AddProbe([]string{"b", "a"}, func(now sim.Time, v []int64) { v[0], v[1] = 100+int64(now)/10, int64(now)/10 })
 	cell.Histogram("h").Record(42)
 	for i := 0; i < 3; i++ {
-		ga.Set(sim.Time(i*10), int64(i))
-		gb.Set(sim.Time(i*10), int64(100+i))
+		cell.Sample(sim.Time(i * 10))
 	}
 	var buf bytes.Buffer
 	if err := reg.ExportJSON(&buf); err != nil {
@@ -210,9 +198,13 @@ func TestValidateDumpRejectsBadShapes(t *testing.T) {
 func TestExportOpenMetricsShape(t *testing.T) {
 	reg := NewRegistry(10)
 	ca := reg.Cell("cellA")
-	ca.Gauge("q.depth").Set(0, 5)
+	ca.AddProbe([]string{"q.depth"}, func(now sim.Time, v []int64) { v[0] = 4 + int64(now) })
+	ca.Sample(0)
+	ca.Sample(1) // the exposition carries the last row
 	ca.Histogram("lat").Record(100)
-	reg.Cell("cellB").Gauge("q.depth").Set(0, 9)
+	cb := reg.Cell("cellB")
+	cb.AddProbe([]string{"q.depth"}, func(_ sim.Time, v []int64) { v[0] = 9 })
+	cb.Sample(0)
 	var buf bytes.Buffer
 	counters := []metrics.KV{{Key: "fault.program_err", Value: 3}}
 	if err := reg.ExportOpenMetrics(&buf, counters); err != nil {
@@ -239,29 +231,26 @@ func TestExportOpenMetricsShape(t *testing.T) {
 }
 
 // TestNilRegistryAllocFree is the off-switch contract: a nil registry hands
-// out nil cells and nil gauges whose every operation is a no-op with zero
-// allocations — the same deal as vtrace's nil *Tracer.
+// out nil cells whose every operation is a no-op with zero allocations — the
+// same deal as vtrace's nil *Tracer.
 func TestNilRegistryAllocFree(t *testing.T) {
 	var reg *Registry
 	cell := reg.Cell("anything")
 	if cell != nil {
 		t.Fatal("nil registry returned a cell")
 	}
-	g := cell.Gauge("g")
-	if g != nil {
-		t.Fatal("nil cell returned a gauge")
-	}
 	allocs := testing.AllocsPerRun(200, func() {
-		g.Set(7, 1)
-		cell.Gauge("other").Set(8, 2)
 		cell.Histogram("h").Record(3)
-		cell.AddProbe(nil)
+		cell.AddProbe(nil, nil)
+		cell.SetTracer(nil)
+		cell.Start(nil)
 		cell.Sample(9)
 		cell.Stop()
 		_ = cell.Label()
 		_ = cell.Samples()
 		_ = reg.Interval()
 		_ = reg.Labels()
+		_ = cell.Err()
 		_, _ = cell.DumpFlight("x")
 	})
 	if allocs != 0 {
@@ -272,10 +261,10 @@ func TestNilRegistryAllocFree(t *testing.T) {
 func TestEncodeFlightIncludesDropNotes(t *testing.T) {
 	reg := NewRegistry(10)
 	cell := reg.Cell("drops")
-	g := cell.Gauge("bad")
-	g.Set(-5, 1) // dropped
-	g.Set(0, 2)
+	cell.AddProbe([]string{"bad"}, func(_ sim.Time, v []int64) { v[0] = 2 })
+	cell.Sample(-5) // dropped: before the clock's origin
 	cell.Sample(0)
+	cell.Sample(0) // dropped: time did not advance
 	data, err := cell.EncodeFlight("why")
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +273,116 @@ func TestEncodeFlightIncludesDropNotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Dropped) != 1 || rec.Dropped[0].Gauge != "bad" || rec.Dropped[0].Dropped != 1 {
-		t.Fatalf("dropped notes: %+v", rec.Dropped)
+	if rec.Dropped != 2 || len(rec.Samples) != 1 || cell.Samples() != 3 {
+		t.Fatalf("dropped=%d rows=%d ticks=%d", rec.Dropped, len(rec.Samples), cell.Samples())
+	}
+	if err := cell.Err(); err == nil || !strings.Contains(err.Error(), "2 samples dropped") {
+		t.Fatalf("Err = %v", err)
+	}
+}
+
+// TestTickPastRowCapIsCountedNotStored: the table stops growing at its cap;
+// later ticks run no probe, store nothing, and show up in Err and the
+// flight record.
+func TestTickPastRowCapIsCountedNotStored(t *testing.T) {
+	reg := NewRegistry(1)
+	cell := reg.Cell("capped")
+	if cell.maxRows != metrics.MaxSeriesBuckets {
+		t.Fatalf("row cap = %d, want metrics.MaxSeriesBuckets", cell.maxRows)
+	}
+	cell.maxRows = 4
+	probed := 0
+	cell.AddProbe([]string{"n"}, func(now sim.Time, v []int64) { probed++; v[0] = int64(now) })
+	for i := 0; i < 7; i++ {
+		cell.Sample(sim.Time(i))
+	}
+	cd := cell.snapshot()
+	if len(cd.Samples) != 4 || cd.Samples[3].T != 3 || probed != 4 {
+		t.Fatalf("rows=%d probed=%d", len(cd.Samples), probed)
+	}
+	if cell.Samples() != 7 {
+		t.Fatalf("ticks = %d, want 7", cell.Samples())
+	}
+	if err := cell.Err(); err == nil || !strings.Contains(err.Error(), "3 samples dropped") {
+		t.Fatalf("Err = %v", err)
+	}
+	data, err := cell.EncodeFlight("cap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := ParseFlight(data); err != nil || rec.Dropped != 3 {
+		t.Fatalf("flight dropped = %+v, %v", rec, err)
+	}
+}
+
+// TestLateRegistrationIsAnError: the first sample freezes the schema, so a
+// probe declared afterwards changes no artifact and Err names its columns.
+func TestLateRegistrationIsAnError(t *testing.T) {
+	reg := NewRegistry(1)
+	cell := reg.Cell("late")
+	cell.AddProbe([]string{"early"}, func(_ sim.Time, v []int64) { v[0] = 1 })
+	cell.Sample(0)
+	if err := cell.Err(); err != nil {
+		t.Fatal(err)
+	}
+	cell.AddProbe([]string{"tardy"}, func(_ sim.Time, v []int64) { t.Error("late probe ran") })
+	cell.Sample(1)
+	if err := cell.Err(); err == nil || !strings.Contains(err.Error(), "tardy") {
+		t.Fatalf("Err = %v", err)
+	}
+	var buf bytes.Buffer
+	if err := reg.ExportJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dump, err := ParseDump(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flight, err := cell.EncodeFlight("late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ParseFlight(flight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, names := range [][]string{dump.Cells[0].Names, rec.Names} {
+		if len(names) != 1 || names[0] != "early" {
+			t.Fatalf("schema = %v, want [early] in the dump and the flight record alike", names)
+		}
+	}
+}
+
+// TestDumpFlightRetriesAfterFailedWrite: a dump that never reached the disk
+// must not latch the recorder shut — once the directory is usable the next
+// trigger writes the record.
+func TestDumpFlightRetriesAfterFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(1)
+	reg.FlightDir = filepath.Join(blocker, "flights") // under a regular file
+	cell := reg.Cell("retry")
+	cell.AddProbe([]string{"n"}, func(_ sim.Time, v []int64) { v[0] = 1 })
+	cell.Sample(0)
+	if path, err := cell.DumpFlight("first"); err == nil {
+		t.Fatalf("dump under a regular file succeeded: %q", path)
+	}
+	if cell.FlightDumped() {
+		t.Fatal("failed dump latched the recorder")
+	}
+	reg.FlightDir = filepath.Join(dir, "flights")
+	path, err := cell.DumpFlight("second")
+	if err != nil || path == "" {
+		t.Fatalf("second trigger: %q, %v", path, err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := ParseFlight(data); err != nil || rec.Reason != "second" || !cell.FlightDumped() {
+		t.Fatalf("record = %+v, %v", rec, err)
 	}
 }
