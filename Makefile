@@ -3,7 +3,7 @@
 # final `total:` line of `go tool cover -func`.
 COVER_BASELINE ?= 68.0
 
-.PHONY: build test race race-tiny cover cover-check bench-smoke bench-host bench-recover trace-smoke top-smoke check-smoke lint census
+.PHONY: build test race race-tiny cover cover-check bench-smoke fuzz-smoke bench-host bench-recover trace-smoke top-smoke check-smoke lint census
 
 build:
 	go build ./...
@@ -61,16 +61,24 @@ lint:
 bench-smoke:
 	go test -short -run XXX -bench . -benchtime=1x ./...
 
+# Ten seconds of each native fuzz target, corpus seeds first (used by CI as a
+# blocking step). -fuzz accepts one target per invocation.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/snapshot
+	go test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s ./internal/snapshot
+	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wal
+
 # Host-clock benchmark of the simulator itself — the repo's one performance
 # ledger (BENCHMARK.json is its contract, bench/README.md its manual): five
 # workloads in child processes, reports under bench/out/.
 bench-host:
 	go run ./bench
 
-# The recovery path's micro-benchmarks with allocation counts: snapshot
-# decode, WAL decode, and engine-level recovery on both backends.
+# The snapshot and recovery paths' micro-benchmarks with allocation counts:
+# the chunk codec and the snapshot writer and reader, WAL decode, and
+# engine-level recovery on both backends.
 bench-recover:
-	go test -run '^$$' -bench 'Recover|Reader|Decode' -benchmem ./internal/snapshot ./internal/wal ./internal/imdb
+	go test -run '^$$' -bench 'Recover|Reader|Decode|Codec|Writer' -benchmem ./internal/snapshot ./internal/wal ./internal/imdb
 
 # Bounded-budget crash-consistency check on both backends (used by CI as a
 # blocking step): enumerate the crash-point lattice of the smoke workload,

@@ -27,7 +27,9 @@ type CostModel struct {
 	// SerializeBandwidth is the snapshot-process rate for framing entries.
 	SerializeBandwidth int64
 	// CompressBandwidth is the snapshot-process compression rate (the paper
-	// notes compression dominates snapshot CPU for small values).
+	// notes compression dominates snapshot CPU for small values). Virtual
+	// time is charged from this constant, never from what internal/snapshot's
+	// codec costs the host; only the codec's compressed size reaches the model.
 	CompressBandwidth int64
 	// DecompressBandwidth is the recovery-side inverse.
 	DecompressBandwidth int64
@@ -52,9 +54,9 @@ func DefaultCostModel() CostModel {
 		ForkBase:            80 * sim.Microsecond,
 		ForkPerPage:         120 * sim.Nanosecond,
 		COWCopyPerPage:      4 * sim.Microsecond,
-		SerializeBandwidth:  2 << 30,   // 2 GiB/s
-		CompressBandwidth:   700 << 20, // 700 MiB/s (flate level 1 class)
-		DecompressBandwidth: 1400 << 20,
+		SerializeBandwidth:  2 << 30,    // 2 GiB/s
+		CompressBandwidth:   700 << 20,  // 700 MiB/s (LZF class, as Redis compresses RDB strings)
+		DecompressBandwidth: 1400 << 20, // 1400 MiB/s (LZF class)
 		InsertPerEntry:      2 * sim.Microsecond,
 		MemPageSize:         4096,
 		KeyOverhead:         64,

@@ -85,12 +85,49 @@ func BenchmarkReader(b *testing.B) {
 	}
 }
 
+// benchChunk is one full chunk of the half-compressible value pool, framed as
+// the Writer would hold it in pending.
+func benchChunk() []byte {
+	var raw []byte
+	for _, e := range poolEntries(DefaultChunkSize/4096, 64, 1) {
+		raw = appendEntry(raw, e.Key, e.Value)
+	}
+	return raw
+}
+
+// BenchmarkCodecCompress and BenchmarkCodecDecompress are the codec's own
+// ledger rows, framing and CRC excluded; MB/s counts raw bytes both ways.
+func BenchmarkCodecCompress(b *testing.B) {
+	raw := benchChunk()
+	var table hashTable
+	comp := make([]byte, 0, maxCompressedLen(len(raw)))
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		comp = compress(comp[:0], raw, &table)
+	}
+	b.ReportMetric(float64(len(comp))/float64(len(raw)), "ratio")
+}
+
+func BenchmarkCodecDecompress(b *testing.B) {
+	raw := benchChunk()
+	var table hashTable
+	comp := compress(nil, raw, &table)
+	out := make([]byte, len(raw))
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := decompress(out, comp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(comp))/float64(len(raw)), "ratio")
+}
+
 // TestReaderAllocBudget pins the recovery-side hot call: in steady state
 // Next allocates the chunk's raw buffer and its entry slice, nothing per
-// entry and nothing per refill. The fixed cost of a Reader (the inflater,
-// the input buffer) is measured on a short image and subtracted. Values are
-// constant bytes so the deflate blocks need no long-code link tables, which
-// compress/flate allocates per block on its own account.
+// entry and nothing per refill. The fixed cost of a Reader (the input
+// buffer) is measured on a short image and subtracted.
 func TestReaderAllocBudget(t *testing.T) {
 	entries := make([]Entry, 1024)
 	for i := range entries {

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -65,7 +64,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(valid[:len(valid)-7])            // torn inside the trailer
 	f.Add(valid[:len(valid)/2])            // torn-page truncation mid-chunk
 	f.Add(valid[:len(Magic)])              // bare magic
-	f.Add([]byte("SLIMRDB1\x00\x00\x00"))  // truncated chunk header
+	f.Add(valid[:len(Magic)+3])            // truncated chunk header
 	f.Add([]byte("NOTMAGIC_rest-of-data")) // wrong magic
 	flip := append([]byte(nil), valid...)
 	flip[len(Magic)+13] ^= 0xFF // corrupt first chunk's payload (CRC must catch)
@@ -73,13 +72,13 @@ func FuzzDecode(f *testing.F) {
 	huge := append([]byte(nil), valid[:len(Magic)]...)
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0) // absurd lengths
 	f.Add(huge)
-	for _, h := range hostileImages(f) {
+	for _, h := range hostileImages() {
 		f.Add(h.img)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64<<10 {
-			// Flate can expand small inputs enormously; bound the work per
+			// The codec can expand a chunk 255-fold; bound the work per
 			// input, not the decoder's behavior.
 			t.Skip("oversized fuzz input")
 		}
@@ -149,27 +148,21 @@ func TestFuzzSeedRoundTrip(t *testing.T) {
 	}
 }
 
-// chunkImage frames payload as a one-chunk image whose header declares the
-// given lengths; the CRC is always honest, so the length checks (not the
-// checksum) are what a lying header runs into.
-func chunkImage(tb testing.TB, payload []byte, rawLen, compLen uint32) []byte {
-	tb.Helper()
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := fw.Write(payload); err != nil {
-		tb.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
-		tb.Fatal(err)
-	}
+// frameImage frames comp as a one-chunk image whose header declares the given
+// lengths; the CRC is always honest, so the length checks and the decoder (not
+// the checksum) are what a hostile chunk runs into.
+func frameImage(comp []byte, rawLen, compLen uint32) []byte {
 	img := append([]byte(nil), Magic...)
 	img = binary.LittleEndian.AppendUint32(img, rawLen)
 	img = binary.LittleEndian.AppendUint32(img, compLen)
-	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(comp.Bytes()))
-	return append(img, comp.Bytes()...)
+	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(comp))
+	return append(img, comp...)
+}
+
+// chunkImage is frameImage over payload's compressed stream.
+func chunkImage(payload []byte, rawLen, compLen uint32) []byte {
+	var table hashTable
+	return frameImage(compress(nil, payload, &table), rawLen, compLen)
 }
 
 type hostileImage struct {
@@ -179,26 +172,37 @@ type hostileImage struct {
 }
 
 // hostileImages are headers that lie about a length the reader sizes a
-// buffer from. Each must fail cleanly and cheaply.
-func hostileImages(tb testing.TB) []hostileImage {
+// buffer from, and streams that point the decoder outside its buffers. Each
+// must fail cleanly and cheaply.
+func hostileImages() []hostileImage {
 	entry := appendEntry(nil, []byte("k"), bytes.Repeat([]byte("v"), 991)) // 1000 raw bytes
-	body := chunkImage(tb, entry, 0, 0)[len(Magic)+12:]
-	n := uint32(len(body))
+	n := uint32(len(chunkImage(entry, 0, 0)) - len(Magic) - 12)
+	// stream frames a hand-written stream with honest lengths: its compressed
+	// size, and a raw size large enough that only the named fault stops it.
+	stream := func(comp ...byte) []byte { return frameImage(comp, 64, uint32(len(comp))) }
+	stored := bytes.Repeat([]byte("s"), 100)
 	return []hostileImage{
-		{"raw length 4 GiB over a small body", chunkImage(tb, entry, 0xFFFFFFFF, n), "more than"},
-		{"compressed length 4 GiB over a short image", chunkImage(tb, entry, 1000, 0xFFFFFFFF), "truncated image"},
-		{"stream inflates past the declared length", chunkImage(tb, entry, 500, n), "declares 500 raw bytes, got 1000"},
-		{"stream ends before the declared length", chunkImage(tb, entry, 2000, n), "declares 2000 raw bytes, got 1000"},
+		{"raw length 4 GiB over a small body", chunkImage(entry, 0xFFFFFFFF, n), "more than"},
+		{"compressed length 4 GiB over a short image", chunkImage(entry, 1000, 0xFFFFFFFF), "truncated image"},
+		{"stream inflates past the declared length", chunkImage(entry, 500, n), "overruns the declared 500 raw bytes"},
+		{"stream ends before the declared length", chunkImage(entry, 2000, n), "stream ends at 1000 of 2000"},
+		{"compressed length above the raw length", frameImage(stored, 99, 100), "100 compressed bytes for 99 raw"},
+		{"offset 0", stream(0x40, 'a', 'b', 'c', 'd', 0, 0, 0x00), "offset 0 with 4 bytes produced"},
+		{"offset one past the output produced", stream(0x40, 'a', 'b', 'c', 'd', 5, 0, 0x00), "offset 5 with 4 bytes produced"},
+		{"match length continued to the end of input", stream(0x1F, 'a', 1, 0, 255, 255), "length bytes run off the input"},
+		{"literal length larger than the remaining input", stream(0xF0, 20, 'a', 'b', 'c'), "literal run of 35 runs off the input"},
+		{"stored chunk longer than the image", frameImage(stored, 4000, 4000), "truncated image"},
 	}
 }
 
 // TestHostileLengthsFailCheaply: a declared length is untrusted input. The
 // reader must reject each lie with the right error and without sizing an
 // allocation from it — the budget is a constant (one input buffer, one
-// inflater), nowhere near the gigabytes the headers claim.
+// chunk of at most 255 times the bytes present), nowhere near the gigabytes
+// the headers claim.
 func TestHostileLengthsFailCheaply(t *testing.T) {
 	const budget = 256 << 10
-	for _, h := range hostileImages(t) {
+	for _, h := range hostileImages() {
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
 		ents, err := decodeAll(h.img)

@@ -4,24 +4,37 @@
 // trailer. Chunked framing lets the writer stream the dump without holding
 // the serialized image in memory, and lets the reader validate as it loads.
 //
-// Compression is real (stdlib flate), so compression ratios — and therefore
+// Compression is real: an in-repo byte-oriented LZ77 (lz.go) of the LZF class
+// Redis uses on RDB string values, so compression ratios — and therefore
 // snapshot sizes and device traffic — come from the actual data, while the
 // CPU cost of compressing is billed to the snapshot process through the
 // engine's cost model.
+//
+// A chunk frame is rawLen, compLen and the CRC-32 of the payload (three
+// little-endian uint32), then compLen payload bytes. compLen < rawLen is a
+// compressed stream; compLen == rawLen is the stored form, the chunk verbatim,
+// which the writer uses whenever compressing would not shrink it; a frame
+// with compLen > rawLen is corrupt. A frame is a pure function of its chunk's
+// bytes. rawLen == 0 marks the trailer.
 package snapshot
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"slices"
 )
 
-// Magic opens every snapshot image.
-var Magic = []byte("SLIMRDB1")
+// Magic opens every snapshot image: a fixed prefix and one format version
+// byte. A reader accepts its own version only.
+var Magic = []byte("SLIMRDB2")
+
+// ErrVersion is matched (errors.Is) by the error for an image that has the
+// magic prefix but another format version.
+var ErrVersion = errors.New("snapshot: unsupported format version")
 
 // DefaultChunkSize is the uncompressed chunk target (64 KiB).
 const DefaultChunkSize = 64 << 10
@@ -58,12 +71,11 @@ type Writer struct {
 	compTotal int64
 	closed    bool
 
-	// Per-chunk scratch, reused across flushes. fw.Reset is documented to
-	// make the writer equivalent to a fresh NewWriter, so reuse changes no
-	// output byte. frame reuse is safe because every sink consumes the
-	// chunk before Write returns (page cache and slot tail both copy).
-	fw    *flate.Writer
-	cbuf  bytes.Buffer
+	// Per-chunk scratch, reused across flushes. compress clears table
+	// itself, so reuse changes no output byte. frame reuse is safe because
+	// every sink consumes the chunk before Write returns (page cache and
+	// slot tail both copy).
+	table hashTable
 	frame []byte
 }
 
@@ -101,30 +113,16 @@ func (w *Writer) flushChunk() error {
 	}
 	raw := w.pending
 
-	w.cbuf.Reset()
-	if w.fw == nil {
-		fw, err := flate.NewWriter(&w.cbuf, flate.BestSpeed)
-		if err != nil {
-			return err
-		}
-		w.fw = fw
-	} else {
-		w.fw.Reset(&w.cbuf)
+	// The payload is built in place behind a 12-byte hole for the header.
+	frame := slices.Grow(w.frame[:0], 12+maxCompressedLen(len(raw)))[:12]
+	frame = compress(frame, raw, &w.table)
+	if len(frame)-12 >= len(raw) {
+		frame = append(frame[:12], raw...) // stored
 	}
-	if _, err := w.fw.Write(raw); err != nil {
-		return err
-	}
-	if err := w.fw.Close(); err != nil {
-		return err
-	}
-	comp := w.cbuf.Bytes()
-
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(raw)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(comp)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(comp))
-	frame := append(w.frame[:0], hdr[:]...)
-	frame = append(frame, comp...)
+	comp := frame[12:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(raw)))
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(comp)))
+	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(comp))
 	w.frame = frame
 
 	w.rawTotal += int64(len(raw))
@@ -158,11 +156,11 @@ func (w *Writer) RawBytes() int64 { return w.rawTotal }
 // CompressedBytes reports compressed payload bytes emitted.
 func (w *Writer) CompressedBytes() int64 { return w.compTotal }
 
-// maxInflateRatio bounds how far deflate can expand its input: a
-// length/distance pair costs at least two bits and yields at most 258 bytes
-// (1032:1). A chunk header declaring more raw bytes than that is corrupt and
-// is rejected before a buffer is sized from it.
-const maxInflateRatio = 1032
+// maxInflateRatio bounds how far the codec can expand its input: a length
+// continuation byte yields at most 255 raw bytes. A chunk header declaring
+// more raw bytes than that is corrupt and is rejected before a buffer is
+// sized from it.
+const maxInflateRatio = 255
 
 // Reader incrementally decodes a snapshot image from a sequential byte
 // source (for example a recovery read-ahead buffer).
@@ -175,9 +173,6 @@ type Reader struct {
 	src       io.Reader
 	buf       []byte // buf[pos:] is read from src but not yet consumed
 	pos       int
-	comp      bytes.Reader  // the current chunk's compressed bytes, feeding inf
-	inf       io.ReadCloser // one inflater, reset per chunk (flate.Resetter)
-	spill     [256]byte     // where inflate counts bytes past the declared length
 	sawHeader bool
 	done      bool
 	entries   int64
@@ -216,36 +211,22 @@ func (r *Reader) fill(n int) error {
 	return nil
 }
 
-// inflate decompresses comp into a fresh buffer of the declared length; the
-// stream must produce exactly that many bytes.
-func (r *Reader) inflate(comp []byte, rawLen uint32) ([]byte, error) {
+// inflate decodes a chunk payload into a fresh buffer of the declared length;
+// the payload must produce exactly that many bytes.
+func inflate(comp []byte, rawLen uint32) ([]byte, error) {
 	if uint64(rawLen) > uint64(len(comp))*maxInflateRatio {
 		return nil, fmt.Errorf("snapshot: chunk declares %d raw bytes, more than %d compressed bytes can hold", rawLen, len(comp))
 	}
-	r.comp.Reset(comp)
-	if r.inf == nil {
-		r.inf = flate.NewReader(&r.comp)
-	} else if err := r.inf.(flate.Resetter).Reset(&r.comp, nil); err != nil {
-		return nil, fmt.Errorf("snapshot: decompress: %w", err)
+	if uint64(len(comp)) > uint64(rawLen) {
+		return nil, fmt.Errorf("snapshot: chunk declares %d compressed bytes for %d raw ones", len(comp), rawLen)
 	}
 	raw := make([]byte, rawLen)
-	got := 0
-	for {
-		dst := r.spill[:]
-		if got < len(raw) {
-			dst = raw[got:]
-		}
-		m, err := r.inf.Read(dst)
-		got += m
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: decompress: %w", err)
-		}
+	if len(comp) == len(raw) { // stored
+		copy(raw, comp)
+		return raw, nil
 	}
-	if got != len(raw) {
-		return nil, fmt.Errorf("snapshot: chunk declares %d raw bytes, got %d", rawLen, got)
+	if err := decompress(raw, comp); err != nil {
+		return nil, err
 	}
 	return raw, nil
 }
@@ -261,7 +242,10 @@ func (r *Reader) Next() ([]Entry, error) {
 		if err := r.fill(len(Magic)); err != nil {
 			return nil, err
 		}
-		if !bytes.Equal(r.buf[r.pos:r.pos+len(Magic)], Magic) {
+		if got := r.buf[r.pos : r.pos+len(Magic)]; !bytes.Equal(got, Magic) {
+			if v := len(Magic) - 1; bytes.Equal(got[:v], Magic[:v]) {
+				return nil, fmt.Errorf("%w: image is version %q, this build reads only %q", ErrVersion, got[v], Magic[v])
+			}
 			return nil, fmt.Errorf("snapshot: bad magic")
 		}
 		r.pos += len(Magic)
@@ -291,7 +275,7 @@ func (r *Reader) Next() ([]Entry, error) {
 	if crc32.ChecksumIEEE(comp) != crcOrCount {
 		return nil, fmt.Errorf("snapshot: chunk CRC mismatch")
 	}
-	raw, err := r.inflate(comp, rawLen)
+	raw, err := inflate(comp, rawLen)
 	if err != nil {
 		return nil, err
 	}

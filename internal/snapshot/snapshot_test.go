@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -154,6 +155,113 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 	r := NewReader(bytes.NewReader([]byte("NOTMAGIC-and-more-bytes")))
 	if _, err := r.Next(); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// An image of the previous format version is refused by name, not as garbage:
+// there is no second reader to fall back to.
+func TestOldVersionImageRejected(t *testing.T) {
+	img := writeSnapshot(t, 0, genEntries(4, 64, 6)).stream.Bytes()
+	img[len(Magic)-1] = '1'
+	_, err := NewReader(bytes.NewReader(img)).Next()
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("SLIMRDB1 image: err = %v, want one matching ErrVersion", err)
+	}
+	if _, err := NewReader(bytes.NewReader([]byte("NOTMAGIC-and-more-bytes"))).Next(); err == nil || errors.Is(err, ErrVersion) {
+		t.Fatalf("foreign bytes: err = %v, want a bad-magic error that is not ErrVersion", err)
+	}
+}
+
+// poolEntries draws n 4 KiB half-random/half-zero values from a pool of the
+// given size, the shape workload.valuePool gives the benchmark's SETs.
+func poolEntries(n, poolSize int, seed int64) []Entry {
+	rng := rand.New(rand.NewSource(seed))
+	pool := genEntries(poolSize, 4096, seed)
+	out := make([]Entry, n)
+	for i := range out {
+		out[i] = Entry{Key: []byte(fmt.Sprintf("key:%08d", i)), Value: pool[rng.Intn(poolSize)].Value}
+	}
+	return out
+}
+
+// TestFrameIsPureFunctionOfChunk: chunk k of a multi-chunk image is byte for
+// byte the frame a fresh Writer emits for chunk k's entries alone. Nothing the
+// compressor learned from one chunk may reach the next — bench's sim_digest
+// and every golden rest on an image being a function of its entries.
+func TestFrameIsPureFunctionOfChunk(t *testing.T) {
+	const chunkSize = 16 << 10
+	entries := poolEntries(64, 8, 7)
+	var frames [][]byte
+	collect := func(chunk []byte, _ int) error {
+		frames = append(frames, bytes.Clone(chunk))
+		return nil
+	}
+	w, err := NewWriter(chunkSize, collect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groups [][]Entry // the entries of each chunk, cut where Add flushes
+	start, pending := 0, 0
+	for i, e := range entries {
+		if err := w.Add(e.Key, e.Value); err != nil {
+			t.Fatal(err)
+		}
+		if pending += EntrySize(e.Key, e.Value); pending >= chunkSize || i == len(entries)-1 {
+			groups = append(groups, entries[start:i+1])
+			start, pending = i+1, 0
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole := frames[1 : len(frames)-1] // between the magic and the trailer
+	if len(whole) != len(groups) || len(groups) < 8 {
+		t.Fatalf("%d chunk frames for %d entry groups, want equal and at least 8", len(whole), len(groups))
+	}
+	for k, g := range groups {
+		// A fresh Writer's image of the group: magic, one frame, trailer.
+		alone := writeSnapshot(t, chunkSize, g).stream.Bytes()[len(Magic):]
+		if len(alone) != len(whole[k])+12 || !bytes.HasPrefix(alone, whole[k]) {
+			t.Fatalf("chunk %d differs from the frame a fresh Writer emits for its entries", k)
+		}
+	}
+}
+
+// TestCompressRatioOnValuePools pins the one number of the codec the model
+// sees: compressed ÷ raw bytes, which sets how many pages a snapshot writes.
+// The value shapes are the benchmark's (a 64-value pool for traffic, a
+// 16-value pool for the preload); unique random values must be stored, not
+// expanded.
+func TestCompressRatioOnValuePools(t *testing.T) {
+	ratio := func(entries []Entry) float64 {
+		w, err := NewWriter(0, func([]byte, int) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if err := w.Add(e.Key, e.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(w.CompressedBytes()) / float64(w.RawBytes())
+	}
+	if r := ratio(poolEntries(1024, 64, 8)); r > 0.47 {
+		t.Errorf("64-value pool: compress ratio %.3f, want at most 0.47", r)
+	}
+	if r := ratio(poolEntries(1024, 16, 8)); r > 0.35 {
+		t.Errorf("16-value pool: compress ratio %.3f, want at most 0.35", r)
+	}
+	unique := poolEntries(256, 1, 8)
+	rng := rand.New(rand.NewSource(9))
+	for i := range unique {
+		unique[i].Value = make([]byte, 4096)
+		rng.Read(unique[i].Value)
+	}
+	if r := ratio(unique); r != 1 {
+		t.Errorf("unique random values: compress ratio %v, want exactly 1 (every chunk stored)", r)
 	}
 }
 
