@@ -139,7 +139,7 @@ func main() {
 	if *teleDir != "" {
 		sc.Telemetry = telemetry.NewRegistry(0)
 		// Failures mid-run (unrecovered faults, cell panics) dump their
-		// flight rings next to the telemetry artifacts.
+		// flight records next to the telemetry artifacts.
 		sc.Telemetry.FlightDir = *teleDir
 	}
 
