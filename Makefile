@@ -67,6 +67,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/snapshot
 	go test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s ./internal/snapshot
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wal
+	go test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime 10s ./internal/wal
 
 # Host-clock benchmark of the simulator itself — the repo's one performance
 # ledger (BENCHMARK.json is its contract, bench/README.md its manual): five

@@ -292,7 +292,7 @@ func (b *Backend) Recover(env *sim.Env) (*imdb.Recovered, error) {
 		if note != "" {
 			rec.Degraded = append(rec.Degraded, note)
 		}
-		rec.WALSegments = append(rec.WALSegments, seg)
+		rec.WAL = append(rec.WAL, wal.DecodeSegment([][]byte{seg}))
 	}
 	// After a crash the open segment can end in a torn tail (non-zero
 	// garbage from a partial page) or lost zero pages; record where the
@@ -300,13 +300,12 @@ func (b *Backend) Recover(env *sim.Env) (*imdb.Recovered, error) {
 	// there. A live (non-crash) Recover leaves the file alone — its cache
 	// is the source of truth and need not hold framed records.
 	if b.fs.CrashMounted() {
-		open := rec.WALSegments[len(rec.WALSegments)-1]
-		prefix, corrupt := wal.ValidPrefix(open)
-		if corrupt {
-			rec.WALTruncatedAt = prefix
-			rec.Degraded = append(rec.Degraded, fmt.Sprintf("%s: decode stopped on non-zero garbage at byte %d of %d", b.walFile.Name(), prefix, len(open)))
+		open := rec.WAL[len(rec.WAL)-1]
+		if open.Corrupt {
+			rec.WALTruncatedAt = open.Prefix
+			rec.Degraded = append(rec.Degraded, fmt.Sprintf("%s: decode stopped on non-zero garbage at byte %d of %d", b.walFile.Name(), open.Prefix, open.Len))
 		}
-		b.walFile.Truncate(prefix)
+		b.walFile.Truncate(open.Prefix)
 	}
 	return rec, nil
 }

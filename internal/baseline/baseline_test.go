@@ -69,9 +69,8 @@ func TestWALAppendSyncRecover(t *testing.T) {
 			return
 		}
 		var recs int
-		for _, seg := range rec.WALSegments {
-			rs, _ := wal.DecodeAll(seg)
-			recs += len(rs)
+		for _, seg := range rec.WAL {
+			recs += len(seg.Records)
 		}
 		if recs != 20 {
 			t.Errorf("recovered %d records", recs)
@@ -190,8 +189,8 @@ func TestWALRotateAndDiscard(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if len(rec.WALSegments) != 2 || len(rec.WALSegments[0]) != 5000 {
-			t.Errorf("segments = %d", len(rec.WALSegments))
+		if len(rec.WAL) != 2 || rec.WAL[0].Len != 5000 {
+			t.Errorf("segments = %d", len(rec.WAL))
 			return
 		}
 		if err := r.be.WALDiscardOld(env); err != nil {
@@ -203,8 +202,8 @@ func TestWALRotateAndDiscard(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if len(rec.WALSegments) != 1 || len(rec.WALSegments[0]) != 100 {
-			t.Errorf("post-discard segments wrong: %d", len(rec.WALSegments))
+		if len(rec.WAL) != 1 || rec.WAL[0].Len != 100 {
+			t.Errorf("post-discard segments wrong: %d", len(rec.WAL))
 		}
 	})
 }

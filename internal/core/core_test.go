@@ -162,9 +162,8 @@ func TestWALAppendSyncRecover(t *testing.T) {
 	})
 	eng2.Run()
 	var recs []wal.Record
-	for _, seg := range rec.WALSegments {
-		rs, _ := wal.DecodeAll(seg)
-		recs = append(recs, rs...)
+	for _, seg := range rec.WAL {
+		recs = append(recs, seg.Records...)
 	}
 	if len(recs) != 40 {
 		t.Fatalf("recovered %d WAL records, want 40", len(recs))
@@ -417,9 +416,9 @@ func TestRecoverFreshDevice(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		var total int
-		for _, seg := range rec.WALSegments {
-			total += len(seg)
+		var total int64
+		for _, seg := range rec.WAL {
+			total += seg.Len
 		}
 		if rec.HaveSnapshot || total != 0 {
 			t.Error("fresh device recovered data")
@@ -454,9 +453,8 @@ func TestRecoverTornWALTail(t *testing.T) {
 			return
 		}
 		var recs []wal.Record
-		for _, seg := range rec.WALSegments {
-			rs, _ := wal.DecodeAll(seg)
-			recs = append(recs, rs...)
+		for _, seg := range rec.WAL {
+			recs = append(recs, seg.Records...)
 		}
 		if len(recs) != wantRecords {
 			t.Errorf("recovered %d records, want %d (durable prefix)", len(recs), wantRecords)
@@ -504,9 +502,8 @@ func TestRecoverContinuesAppending(t *testing.T) {
 			return
 		}
 		var recs []wal.Record
-		for _, seg := range rec.WALSegments {
-			rs, _ := wal.DecodeAll(seg)
-			recs = append(recs, rs...)
+		for _, seg := range rec.WAL {
+			recs = append(recs, seg.Records...)
 		}
 		if len(recs) != 2 {
 			t.Errorf("recovered %d records, want 2", len(recs))

@@ -11,12 +11,11 @@ import (
 	"github.com/slimio/slimio/internal/wal"
 )
 
-// decodeSegments replays all recovered segments and returns the records.
-func decodeSegments(rec *imdb.Recovered) []wal.Record {
+// recoveredRecords concatenates the records of all recovered segments.
+func recoveredRecords(rec *imdb.Recovered) []wal.Record {
 	var out []wal.Record
-	for _, seg := range rec.WALSegments {
-		rs, _ := wal.DecodeAll(seg)
-		out = append(out, rs...)
+	for _, seg := range rec.WAL {
+		out = append(out, seg.Records...)
 	}
 	return out
 }
@@ -62,10 +61,10 @@ func TestCrashMidSnapshotRecoversBothSegments(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if len(rec.WALSegments) != 2 {
-			t.Errorf("segments = %d, want 2 (sealed + open)", len(rec.WALSegments))
+		if len(rec.WAL) != 2 {
+			t.Errorf("segments = %d, want 2 (sealed + open)", len(rec.WAL))
 		}
-		recs := decodeSegments(rec)
+		recs := recoveredRecords(rec)
 		if len(recs) != 15 {
 			t.Errorf("recovered %d records, want 15", len(recs))
 			return
@@ -114,7 +113,7 @@ func TestMultipleSealedSegments(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		recs := decodeSegments(rec)
+		recs := recoveredRecords(rec)
 		if len(recs) != want {
 			t.Errorf("recovered %d records, want %d", len(recs), want)
 			return

@@ -719,62 +719,62 @@ func (b *Backend) recover(env *sim.Env, want *imdb.SnapshotKind) (*imdb.Recovere
 			continue
 		}
 		segPages := pagesNeeded(segLen, b.pageSize)
-		seg, bad, err := b.readRingPages(env, segOff, segPages)
+		pages, bad, err := b.readRingPages(env, segOff, segPages)
 		if err != nil {
 			return nil, fmt.Errorf("core: sealed segment read: %w", err)
 		}
 		if bad > 0 {
-			out.Degraded = append(out.Degraded, fmt.Sprintf("sealed wal segment %d: %d unreadable pages zero-filled", len(out.WALSegments), bad))
+			out.Degraded = append(out.Degraded, fmt.Sprintf("sealed wal segment %d: %d unreadable pages zero-filled", len(out.WAL), bad))
 		}
-		if int64(len(seg)) > segLen {
-			seg = seg[:segLen]
-		}
-		out.WALSegments = append(out.WALSegments, seg)
+		last := &pages[segPages-1]
+		*last = (*last)[:segLen-(segPages-1)*b.pageSize]
+		out.WAL = append(out.WAL, wal.DecodeSegment(pages))
 		segOff = (segOff + segPages) % b.lay.walPages
 	}
 
 	// 4. Open segment: read forward from its head until the first
 	// unwritten page; the CRC framing then finds the valid prefix.
-	openRaw, stopNote := b.readWALRaw(env, segOff)
+	pages, stopNote := b.readWALRaw(env, segOff)
 	if stopNote != "" {
 		out.Degraded = append(out.Degraded, stopNote)
 	}
-	out.WALSegments = append(out.WALSegments, openRaw)
+	open := wal.DecodeSegment(pages)
+	out.WAL = append(out.WAL, open)
 
 	// 5. Restore append state: continue after the last whole record of the
-	// open segment. A bad frame past the last whole record is either the
-	// expected torn tail of the crashed write (non-zero garbage from a
-	// partial page program) or real mid-segment corruption — both record
-	// where the durable prefix ends; only a clean zero tail leaves
-	// WALTruncatedAt at -1.
-	consumed, corrupt := wal.ValidPrefix(openRaw)
-	if corrupt {
-		out.WALTruncatedAt = consumed
-		out.Degraded = append(out.Degraded, fmt.Sprintf("open wal segment: decode stopped on non-zero garbage at byte %d of %d", consumed, len(openRaw)))
+	// open segment, where the same decode stopped. A bad frame past the
+	// last whole record is either the expected torn tail of the crashed
+	// write (non-zero garbage from a partial page program) or real
+	// mid-segment corruption — both record where the durable prefix ends;
+	// only a clean zero tail leaves WALTruncatedAt at -1.
+	if open.Corrupt {
+		out.WALTruncatedAt = open.Prefix
+		out.Degraded = append(out.Degraded, fmt.Sprintf("open wal segment: decode stopped on non-zero garbage at byte %d of %d", open.Prefix, open.Len))
 	}
-	b.walBytes = consumed
-	b.walFullPages = consumed / b.pageSize
+	b.walBytes = open.Prefix
+	b.walFullPages = open.Prefix / b.pageSize
 	if b.walTailSeg != nil {
 		b.walTailSeg.Release()
 		b.walTailSeg = nil
 	}
-	if rem := consumed % b.pageSize; rem > 0 {
+	if rem := open.Prefix % b.pageSize; rem > 0 {
 		// The recovered mid-page tail lives in a backend-owned segment;
 		// appends continuing it take the copying fallback path, since the
 		// engine's fresh buffer chunks from a zero offset.
 		b.walTailSeg = b.pool.Get()
-		copy(b.walTailSeg.Bytes(), openRaw[consumed-rem:consumed])
+		copy(b.walTailSeg.Bytes(), pages[b.walFullPages][:rem])
 	}
 	b.walTailSynced = 0
 	return out, nil
 }
 
 // readWALRaw reads WAL-region pages sequentially from ring offset start
-// (with read-ahead) until an unwritten page or the region end. An unwritten
-// page is the normal end of the log; a device read failure (retries already
-// exhausted below) also ends the scan — everything durable before it is the
+// (with read-ahead) until an unwritten page or the region end, returning
+// them as pageSize-byte views (see pageView). An unwritten page is the
+// normal end of the log; a device read failure (retries already exhausted
+// below) also ends the scan — everything durable before it is the
 // recoverable prefix — and is reported in the returned note.
-func (b *Backend) readWALRaw(env *sim.Env, start int64) (out []byte, note string) {
+func (b *Backend) readWALRaw(env *sim.Env, start int64) (pages [][]byte, note string) {
 	ra := recoveryReadAhead
 	remaining := b.lay.walPages - b.sealedPages()
 	for off := int64(0); off < remaining; {
@@ -797,11 +797,11 @@ func (b *Backend) readWALRaw(env *sim.Env, start int64) (out []byte, note string
 						stop = true
 						break
 					}
-					out = appendPage(out, pg[0], b.pageSize)
+					pages = append(pages, pageView(pg[0], b.pageSize))
 				}
 			} else {
 				for _, pg := range data {
-					out = appendPage(out, pg, b.pageSize)
+					pages = append(pages, pageView(pg, b.pageSize))
 				}
 			}
 			if stop {
@@ -813,15 +813,15 @@ func (b *Backend) readWALRaw(env *sim.Env, start int64) (out []byte, note string
 		}
 		off += n
 	}
-	return out, note
+	return pages, note
 }
 
-// readRingPages reads exactly n pages starting at ring offset start,
-// tolerating unwritten pages (an unsynced sealed tail reads as zeros) and
-// unreadable ones (zero-filled; bad counts only real device failures so
-// recovery can report the degradation).
-func (b *Backend) readRingPages(env *sim.Env, start, n int64) (out []byte, bad int64, err error) {
-	out = make([]byte, 0, n*b.pageSize)
+// readRingPages reads exactly n pages starting at ring offset start as
+// pageSize-byte views (see pageView), tolerating unwritten pages (an
+// unsynced sealed tail reads as zeros) and unreadable ones (zero-filled; bad
+// counts only real device failures so recovery can report the degradation).
+func (b *Backend) readRingPages(env *sim.Env, start, n int64) (pages [][]byte, bad int64, err error) {
+	pages = make([][]byte, 0, n)
 	for _, run := range splitWrap(b.lay.walStart, b.lay.walPages, start, n) {
 		data, err := b.walRing.Read(env, run.start, run.n)
 		if err != nil {
@@ -831,24 +831,39 @@ func (b *Backend) readRingPages(env *sim.Env, start, n int64) (out []byte, bad i
 					if nand.IsDeviceError(perr) {
 						bad++
 					}
-					out = appendPage(out, nil, b.pageSize)
+					pages = append(pages, pageView(nil, b.pageSize))
 					continue
 				}
-				out = appendPage(out, pg[0], b.pageSize)
+				pages = append(pages, pageView(pg[0], b.pageSize))
 			}
 			continue
 		}
 		for _, pg := range data {
-			out = appendPage(out, pg, b.pageSize)
+			pages = append(pages, pageView(pg, b.pageSize))
 		}
 	}
-	return out, bad, nil
+	return pages, bad, nil
 }
 
-// appendPage appends a device page, zero-padding short (tail) pages so
-// byte offsets stay page-aligned for the decoder. Callers that know their
-// page count size dst up front; otherwise dst at least doubles when full, so
-// a log of any length is copied O(1) times, not once per 1.25x regrowth.
+// pageView is a read page as the WAL decoder takes it: pageSize bytes, so
+// byte offsets stay page-aligned. A full page is its own view — the device's
+// bytes, not a copy, so it is decoded before recovery returns and kept by
+// nothing. A short (tail) page, or a missing one (nil), becomes a
+// zero-padded copy.
+func pageView(pg []byte, pageSize int64) []byte {
+	if int64(len(pg)) == pageSize {
+		return pg
+	}
+	p := make([]byte, pageSize)
+	copy(p, pg)
+	return p
+}
+
+// appendPage appends a device page to the snapshot image, zero-padding
+// short (tail) pages so byte offsets stay page-aligned. Callers that know
+// their page count size dst up front; otherwise dst at least doubles when
+// full, so an image of any length is copied O(1) times, not once per 1.25x
+// regrowth.
 func appendPage(dst, pg []byte, pageSize int64) []byte {
 	end := len(dst) + int(pageSize)
 	if end > cap(dst) {

@@ -134,16 +134,17 @@ func TestOracleRules(t *testing.T) {
 	rec := func(i byte) wal.Record {
 		return wal.Record{Op: wal.OpSet, Key: []byte{'k', i}, Value: []byte{'v', i}}
 	}
-	encode := func(recs ...wal.Record) []byte {
+	// logOf is the recovered log holding recs: one segment, decoded.
+	logOf := func(recs ...wal.Record) []wal.Segment {
 		var buf []byte
 		for _, r := range recs {
 			buf = wal.AppendRecord(buf, r.Op, r.Key, r.Value)
 		}
-		return buf
+		return []wal.Segment{wal.DecodeSegment([][]byte{buf})}
 	}
 	hist := &History{Ops: []wal.Record{rec(0), rec(1), rec(2)}, Acked: 2}
 	clean := func() *imdb.Recovered {
-		return &imdb.Recovered{WALSegments: [][]byte{encode(rec(0), rec(1))}, WALTruncatedAt: -1}
+		return &imdb.Recovered{WAL: logOf(rec(0), rec(1)), WALTruncatedAt: -1}
 	}
 
 	cases := []struct {
@@ -154,13 +155,13 @@ func TestOracleRules(t *testing.T) {
 	}{
 		{"clean-prefix", hist, clean(), ""},
 		{"acked-lost", hist,
-			&imdb.Recovered{WALSegments: [][]byte{encode(rec(0))}, WALTruncatedAt: -1},
+			&imdb.Recovered{WAL: logOf(rec(0)), WALTruncatedAt: -1},
 			CodeAckedLost},
 		{"alien-record", hist,
-			&imdb.Recovered{WALSegments: [][]byte{encode(rec(0), rec(9))}, WALTruncatedAt: -1},
+			&imdb.Recovered{WAL: logOf(rec(0), rec(9)), WALTruncatedAt: -1},
 			CodeAlienRecord},
 		{"over-recovered", hist,
-			&imdb.Recovered{WALSegments: [][]byte{encode(rec(0), rec(1), rec(2), rec(3))}, WALTruncatedAt: -1},
+			&imdb.Recovered{WAL: logOf(rec(0), rec(1), rec(2), rec(3)), WALTruncatedAt: -1},
 			CodeOverRecovered},
 		{"truncation-without-note", hist, func() *imdb.Recovered {
 			r := clean()

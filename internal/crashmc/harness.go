@@ -259,7 +259,7 @@ type engineOutcome struct {
 
 // summary condenses the outcome for seed-corpus comparison.
 func (e engineOutcome) summary() TenantOutcome {
-	recs := decodeSegments(e.Rec)
+	recs := recoveredRecords(e.Rec)
 	return TenantOutcome{
 		Appended:  len(e.Hist.Ops),
 		Acked:     e.Hist.Acked,

@@ -52,13 +52,12 @@ func (v *Violation) String() string {
 		v.Target, v.Cut, v.Code, v.Detail, v.Appended, v.Acked, v.Recovered, v.Digest)
 }
 
-// decodeSegments concatenates the durable record prefixes of the recovered
-// WAL segments in order.
-func decodeSegments(rec *imdb.Recovered) []wal.Record {
+// recoveredRecords concatenates the durable record prefixes of the
+// recovered WAL segments in order.
+func recoveredRecords(rec *imdb.Recovered) []wal.Record {
 	var out []wal.Record
-	for _, seg := range rec.WALSegments {
-		rs, _ := wal.DecodeAll(seg)
-		out = append(out, rs...)
+	for _, seg := range rec.WAL {
+		out = append(out, seg.Records...)
 	}
 	return out
 }
@@ -91,7 +90,7 @@ func digestRecords(recs []wal.Record) uint64 {
 //
 // It returns nil when every rule holds.
 func checkOracle(tgt Target, cut sim.Time, h *History, rec *imdb.Recovered) *Violation {
-	recs := decodeSegments(rec)
+	recs := recoveredRecords(rec)
 	mk := func(code, detail string) *Violation {
 		return &Violation{
 			Target:    tgt.String(),

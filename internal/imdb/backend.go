@@ -52,10 +52,15 @@ type Recovered struct {
 	Kind SnapshotKind
 	// Snapshot is the raw snapshot image.
 	Snapshot []byte
-	// WALSegments are the durable log segments in append order (a sealed
-	// pre-fork segment, if a WAL-Snapshot was in flight at the crash, then
-	// the current segment). Each may have its own torn tail.
-	WALSegments [][]byte
+	// WAL holds the durable log segments in append order (a sealed pre-fork
+	// segment, if a WAL-Snapshot was in flight at the crash, then the
+	// current segment), each decoded once by the backend with
+	// wal.DecodeSegment straight from the pages or file buffer it read. Each
+	// may have its own torn tail. The records are copies that own their
+	// bytes, not views of device memory; Engine.Recover hands their values
+	// to the store and then empties Records, so the Recovered that
+	// LastRecovery returns holds nothing the store uses.
+	WAL []wal.Segment
 	// WALTruncatedAt is the byte offset into the open WAL segment where
 	// decoding stopped on non-zero garbage (mid-segment corruption or a torn
 	// page program), or -1 when the segment ended cleanly — a zero tail is

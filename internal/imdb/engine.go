@@ -900,24 +900,28 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 	// Replay the log segments in order; each truncates independently at a
 	// torn record. Corruption past the durable prefix is noted, not fatal:
 	// the prefix is exactly what the backend guaranteed durable.
-	for i, seg := range rec.WALSegments {
-		recs, prefix, corrupt := wal.DecodeStream(seg)
-		if corrupt {
-			rec.Degraded = append(rec.Degraded, fmt.Sprintf("wal segment %d: corrupt frame at byte %d (replayed %d records)", i, prefix, len(recs)))
+	for i := range rec.WAL {
+		seg := &rec.WAL[i]
+		if seg.Corrupt {
+			rec.Degraded = append(rec.Degraded, fmt.Sprintf("wal segment %d: corrupt frame at byte %d (replayed %d records)", i, seg.Prefix, len(seg.Records)))
 		}
-		for _, r := range recs {
+		for _, r := range seg.Records {
 			switch r.Op {
 			case wal.OpDel:
 				e.store.Delete(string(r.Key))
 			default:
-				// Records are views of seg; copy the value so the live
-				// store never pins (or aliases) a whole log segment.
-				e.store.Set(string(r.Key), bytes.Clone(r.Value))
+				// The store adopts the value: the decoder copied each record
+				// into an allocation of its own, so a later overwrite leaves
+				// the superseded record to the garbage collector.
+				e.store.Set(string(r.Key), r.Value)
 			}
 			walRecords++
 			env.Work("insert", cost.InsertPerEntry)
 		}
-		env.Work("insert", sim.DurationForBytes(int64(len(seg)), cost.StoreBandwidth))
+		env.Work("insert", sim.DurationForBytes(seg.Len, cost.StoreBandwidth))
+		// The store holds these values now; what LastRecovery returns must
+		// not alias it.
+		seg.Records = nil
 	}
 	return entries, walRecords, nil
 }

@@ -85,12 +85,19 @@ func (m *memBackend) BeginSnapshot(env *sim.Env, kind SnapshotKind) (SnapshotSin
 	return &memSink{be: m, kind: kind}, nil
 }
 
-func (m *memBackend) Recover(env *sim.Env) (*Recovered, error) {
-	rec := &Recovered{}
-	for _, seg := range m.sealed {
-		rec.WALSegments = append(rec.WALSegments, append([]byte(nil), seg...))
+// walOf decodes each of segs, a log segment held in one buffer, as a
+// backend's Recover does.
+func walOf(segs ...[]byte) []wal.Segment {
+	out := make([]wal.Segment, len(segs))
+	for i, seg := range segs {
+		out[i] = wal.DecodeSegment([][]byte{seg})
 	}
-	rec.WALSegments = append(rec.WALSegments, append([]byte(nil), m.walData[:m.walSynced]...))
+	return out
+}
+
+func (m *memBackend) Recover(env *sim.Env) (*Recovered, error) {
+	rec := &Recovered{WAL: walOf(m.sealed...)}
+	rec.WAL = append(rec.WAL, walOf(m.walData[:m.walSynced])...)
 	if img, ok := m.snapshots[WALSnapshot]; ok {
 		rec.HaveSnapshot = true
 		rec.Kind = WALSnapshot
@@ -161,7 +168,7 @@ func TestPeriodicalFlushOnIdle(t *testing.T) {
 		r.db.Shutdown(env)
 	})
 	r.eng.Run()
-	recs, _ := wal.DecodeAll(r.be.walData)
+	recs := walOf(r.be.walData)[0].Records
 	if len(recs) != 10 {
 		t.Fatalf("WAL has %d records, want 10", len(recs))
 	}
@@ -176,7 +183,7 @@ func TestAlwaysLogDurableBeforeReply(t *testing.T) {
 				return
 			}
 			// Every reply implies durability: synced WAL covers the record.
-			recs, _ := wal.DecodeAll(r.be.walData[:r.be.walSynced])
+			recs := walOf(r.be.walData[:r.be.walSynced])[0].Records
 			if len(recs) != i+1 {
 				t.Errorf("after set %d: %d durable records", i, len(recs))
 			}

@@ -110,7 +110,7 @@ func TestRecoverDegradedSnapshotDecode(t *testing.T) {
 		HaveSnapshot:   true,
 		Kind:           WALSnapshot,
 		Snapshot:       img,
-		WALSegments:    [][]byte{walSeg},
+		WAL:            walOf(walSeg),
 		WALTruncatedAt: -1,
 	})
 
@@ -157,17 +157,18 @@ func TestRecoverDegradedCorruptWALFrame(t *testing.T) {
 	}
 	seg0 := append(mkrec(0), mkrec(1)...)
 	seg1 := append(mkrec(2), mkrec(3)...)
-	// Non-zero garbage after the valid prefix: DecodeStream must classify
+	// Non-zero garbage after the valid prefix: the decoder must classify
 	// the tail as corruption, not clean trailing-zero padding.
 	corrupt := append(append([]byte(nil), seg1...), bytes.Repeat([]byte{0xde}, 17)...)
 
-	recs, prefix, isCorrupt := wal.DecodeStream(corrupt)
-	if !isCorrupt || len(recs) != 2 || prefix != int64(len(seg1)) {
-		t.Fatalf("test segment not torn as intended: %d recs, prefix %d, corrupt %v", len(recs), prefix, isCorrupt)
+	log := walOf(seg0, corrupt)
+	prefix := log[1].Prefix
+	if !log[1].Corrupt || len(log[1].Records) != 2 || prefix != int64(len(seg1)) {
+		t.Fatalf("test segment not torn as intended: %d recs, prefix %d, corrupt %v", len(log[1].Records), prefix, log[1].Corrupt)
 	}
 
 	db, entries, walRecs := recoverCanned(t, &Recovered{
-		WALSegments:    [][]byte{seg0, corrupt},
+		WAL:            log,
 		WALTruncatedAt: prefix,
 	})
 
@@ -196,12 +197,13 @@ func TestRecoverDegradedCorruptWALFrame(t *testing.T) {
 	}
 }
 
-// TestRecoverReplayAllocBudget pins the engine's side of the recovery copy
-// rule: replaying a WAL record allocates its key string and its value copy,
-// nothing else — no per-record decode copies, no digest. Records overwrite a
-// handful of keys so the store's own growth stays out of the count, and the
-// fixed cost of a recovery run (engine, process, result slice growth) is
-// measured on a short segment and subtracted.
+// TestRecoverReplayAllocBudget pins the recovery copy rule from decode to
+// store: a WAL record costs the decoder's one key+value copy, which the
+// store adopts, and the engine's key string — nothing else, no second copy
+// of the value, no digest. Records overwrite a handful of keys so the
+// store's own growth stays out of the count, and the fixed cost of a
+// recovery run (engine, process, result slice growth) is measured on a
+// short segment and subtracted.
 func TestRecoverReplayAllocBudget(t *testing.T) {
 	segment := func(n int) []byte {
 		var seg []byte
@@ -213,14 +215,14 @@ func TestRecoverReplayAllocBudget(t *testing.T) {
 	const short, long = 64, 4096
 	run := func(seg []byte) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, _, recs := recoverCanned(t, &Recovered{WALSegments: [][]byte{seg}, WALTruncatedAt: -1}); recs == 0 {
+			if _, _, recs := recoverCanned(t, &Recovered{WAL: walOf(seg), WALTruncatedAt: -1}); recs == 0 {
 				t.Fatal("nothing replayed")
 			}
 		})
 	}
 	base, full := run(segment(short)), run(segment(long))
 	if perRecord := (full - base) / (long - short); perRecord > 2.01 {
-		t.Fatalf("WAL replay allocates %.2f per record (%.0f for %d records vs %.0f for %d), budget 2: key string + value copy",
+		t.Fatalf("WAL replay allocates %.2f per record (%.0f for %d records vs %.0f for %d), budget 2: the decoder's key+value copy + the key string",
 			perRecord, full, long, base, short)
 	}
 }

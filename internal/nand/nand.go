@@ -25,9 +25,11 @@ import (
 // quarantineSlack pads the read horizon when a discarded or erased page's
 // segment is released back to the buffer pool. Read results are handed to
 // consumers as aliases at the read's completion time; every consumer in this
-// repository copies the bytes out within the same-timestamp event cascade
-// plus sub-microsecond ring/handler work (≤ ~300 ns), so a microsecond-scale
-// pad is far more than enough.
+// repository that could race a discard of the page copies the bytes out
+// within the same-timestamp event cascade plus sub-microsecond ring/handler
+// work (≤ ~300 ns), so a microsecond-scale pad is far more than enough (the
+// one that keeps aliases longer, SlimIO's WAL recovery, reads pages nothing
+// discards meanwhile; see Read).
 const quarantineSlack = 10 * sim.Microsecond
 
 // Status is an NVMe-style command status code, surfaced alongside Go errors
@@ -374,11 +376,14 @@ func (a *Array) EraseCount(die, block int) int64 {
 // the data is available. Reading a page that was never programmed since its
 // last erase is an FTL bug and returns an error.
 //
-// The returned slice aliases the stored page: it is valid until the caller's
-// next simulation yield after the completion time, by which point the bytes
-// must have been copied out (the buffers of discarded and erased pages are
-// recycled once the clock passes the read horizon). Every consumer in this
-// repository copies immediately on completion.
+// The returned slice aliases the stored page. It stays valid while the page
+// stays stored: the buffers of discarded and erased pages are recycled once
+// the clock passes the read horizon, so a caller that keeps the bytes past
+// its next simulation yield must know that nothing rewrites or trims the
+// logical page meanwhile (GC migration re-stores the same buffer, so it does
+// not count). Every consumer in this repository copies on completion except
+// SlimIO's WAL recovery, which decodes a log segment's pages once they are
+// all read, before the recovering backend can write to its log again.
 func (a *Array) Read(now sim.Time, ppa PPA) (data []byte, done sim.Time, err error) {
 	if err := a.checkPPA(ppa); err != nil {
 		return nil, now, err

@@ -13,13 +13,16 @@ func stream(n int) []byte {
 	return buf
 }
 
+// decodeOne decodes buf as a segment of one run.
+func decodeOne(buf []byte) Segment { return DecodeSegment([][]byte{buf}) }
+
 func TestDecodeStreamCleanZeroTail(t *testing.T) {
 	buf := stream(3)
 	want := int64(len(buf))
 	buf = append(buf, make([]byte, 100)...) // unwritten page tail
-	recs, prefix, corrupt := DecodeStream(buf)
-	if len(recs) != 3 || prefix != want || corrupt {
-		t.Fatalf("recs=%d prefix=%d corrupt=%v, want 3/%d/false", len(recs), prefix, corrupt, want)
+	seg := decodeOne(buf)
+	if len(seg.Records) != 3 || seg.Prefix != want || seg.Corrupt || seg.Len != int64(len(buf)) {
+		t.Fatalf("seg = %d/%d/%v len %d, want 3/%d/false len %d", len(seg.Records), seg.Prefix, seg.Corrupt, seg.Len, want, len(buf))
 	}
 }
 
@@ -27,26 +30,25 @@ func TestDecodeStreamGarbageTail(t *testing.T) {
 	buf := stream(3)
 	want := int64(len(buf))
 	buf = append(buf, 0, 0, 0xA5, 0x17) // torn-page garbage after the zeros
-	recs, prefix, corrupt := DecodeStream(buf)
-	if len(recs) != 3 || prefix != want || !corrupt {
-		t.Fatalf("recs=%d prefix=%d corrupt=%v, want 3/%d/true", len(recs), prefix, corrupt, want)
+	seg := decodeOne(buf)
+	if len(seg.Records) != 3 || seg.Prefix != want || !seg.Corrupt {
+		t.Fatalf("seg = %d/%d/%v, want 3/%d/true", len(seg.Records), seg.Prefix, seg.Corrupt, want)
 	}
 }
 
 // A page of zeros after the last record is not a clean tail when anything
 // non-zero follows it: the stop is still at the first bad frame, and it is
-// corruption.
+// corruption — also when the zeros and the garbage sit in different runs.
 func TestDecodeStreamZeroPageThenGarbage(t *testing.T) {
 	buf := stream(3)
 	want := int64(len(buf))
 	buf = append(buf, make([]byte, 4096)...)
 	buf = append(buf, 0x5A, 0xA5, 0x01)
-	recs, prefix, corrupt := DecodeStream(buf)
-	if len(recs) != 3 || prefix != want || !corrupt {
-		t.Fatalf("recs=%d prefix=%d corrupt=%v, want 3/%d/true", len(recs), prefix, corrupt, want)
-	}
-	if p, c := ValidPrefix(buf); p != want || !c {
-		t.Fatalf("ValidPrefix = %d/%v, want %d/true", p, c, want)
+	for _, runs := range [][][]byte{{buf}, {buf[:want], buf[want : want+4096], buf[want+4096:]}} {
+		seg := DecodeSegment(runs)
+		if len(seg.Records) != 3 || seg.Prefix != want || !seg.Corrupt {
+			t.Fatalf("%d runs: seg = %d/%d/%v, want 3/%d/true", len(runs), len(seg.Records), seg.Prefix, seg.Corrupt, want)
+		}
 	}
 }
 
@@ -54,15 +56,45 @@ func TestDecodeStreamStopsAtMidSegmentFlip(t *testing.T) {
 	one := stream(1)
 	buf := stream(4)
 	buf[len(one)+5] ^= 0xFF // corrupt the second record's header
-	recs, prefix, corrupt := DecodeStream(buf)
-	if len(recs) != 1 || prefix != int64(len(one)) || !corrupt {
-		t.Fatalf("recs=%d prefix=%d corrupt=%v, want 1/%d/true", len(recs), prefix, corrupt, len(one))
+	seg := decodeOne(buf)
+	if len(seg.Records) != 1 || seg.Prefix != int64(len(one)) || !seg.Corrupt {
+		t.Fatalf("seg = %d/%d/%v, want 1/%d/true", len(seg.Records), seg.Prefix, seg.Corrupt, len(one))
 	}
 }
 
-// FuzzDecode: whatever the bytes, the decoder must never panic, must accept
-// only frames that re-encode to the exact bytes it consumed (CRC-clean), and
-// must report a durable prefix inside the buffer with an honest corrupt flag.
+// checkSegment holds seg, decoded from data, to the rules every decode must
+// keep: the input is left alone, the durable prefix lies inside it, the
+// accepted records are exactly the bytes at their offsets and re-encode to
+// the consumed prefix (so they passed the CRC), and Corrupt is set exactly
+// when a non-zero byte follows the prefix.
+func checkSegment(t *testing.T, data []byte, seg Segment) {
+	t.Helper()
+	if seg.Len != int64(len(data)) {
+		t.Fatalf("Len %d, input %d bytes", seg.Len, len(data))
+	}
+	if seg.Prefix < 0 || seg.Prefix > seg.Len {
+		t.Fatalf("prefix %d outside buffer of %d bytes", seg.Prefix, len(data))
+	}
+	var re []byte
+	for _, r := range seg.Records {
+		k := len(re) + headerSize
+		v := k + len(r.Key)
+		if v+len(r.Value) > len(data) || !bytes.Equal(r.Key, data[k:v]) || !bytes.Equal(r.Value, data[v:v+len(r.Value)]) {
+			t.Fatalf("record at byte %d differs from the input at its offset", len(re))
+		}
+		re = AppendRecord(re, r.Op, r.Key, r.Value)
+	}
+	if int64(len(re)) != seg.Prefix || !bytes.Equal(re, data[:seg.Prefix]) {
+		t.Fatalf("accepted records do not re-encode to the %d consumed bytes", seg.Prefix)
+	}
+	tail := data[seg.Prefix:]
+	if want := bytes.Count(tail, []byte{0}) != len(tail); seg.Corrupt != want {
+		t.Fatalf("corrupt=%v but tail non-zero=%v", seg.Corrupt, want)
+	}
+}
+
+// FuzzDecode: whatever the bytes, decoding them as one run must never panic
+// or write to its input, and must keep checkSegment's rules.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(stream(1))
@@ -72,44 +104,110 @@ func FuzzDecode(f *testing.F) {
 	f.Add(stream(4)[:37])                                                             // torn mid-frame
 	f.Add([]byte{recordMagic, 1, 255, 255, 255, 255, 255, 255, 255, 255, 0, 0, 0, 0}) // absurd lengths
 	f.Fuzz(func(t *testing.T, data []byte) {
-		before := append([]byte(nil), data...)
-		recs, prefix, corrupt := DecodeStream(data)
+		before := bytes.Clone(data)
+		seg := decodeOne(data)
 		if !bytes.Equal(data, before) {
 			t.Fatal("decoding wrote to its input")
 		}
-		if prefix < 0 || prefix > int64(len(data)) {
-			t.Fatalf("prefix %d outside buffer of %d bytes", prefix, len(data))
-		}
-		var re []byte
-		for _, r := range recs {
-			// A record is a view of the bytes at its offset, nothing else.
-			k := len(re) + headerSize
-			v := k + len(r.Key)
-			if v+len(r.Value) > len(data) || !bytes.Equal(r.Key, data[k:v]) || !bytes.Equal(r.Value, data[v:v+len(r.Value)]) {
-				t.Fatalf("record at byte %d differs from the input at its offset", len(re))
+		checkSegment(t, data, seg)
+	})
+}
+
+// referenceDecode is the frame-by-frame reference DecodeSegment must match:
+// Decode over the contiguous bytes until a frame fails, then a byte loop for
+// the zero-tail rule.
+func referenceDecode(data []byte) Segment {
+	seg := Segment{Len: int64(len(data))}
+	for seg.Prefix < seg.Len {
+		rec, n, err := Decode(data[seg.Prefix:])
+		if err != nil {
+			for _, b := range data[seg.Prefix:] {
+				seg.Corrupt = seg.Corrupt || b != 0
 			}
-			re = AppendRecord(re, r.Op, r.Key, r.Value)
+			break
 		}
-		if int64(len(re)) != prefix || !bytes.Equal(re, data[:prefix]) {
-			t.Fatalf("accepted records do not re-encode to the %d consumed bytes", prefix)
+		seg.Records = append(seg.Records, rec)
+		seg.Prefix += int64(n)
+	}
+	return seg
+}
+
+// splitRuns cuts data into runs: one per byte of cuts, each as long as that
+// byte says (empty runs included) while data lasts, then the rest.
+func splitRuns(data, cuts []byte) [][]byte {
+	var runs [][]byte
+	for _, c := range cuts {
+		n := min(int(c), len(data))
+		runs = append(runs, data[:n])
+		data = data[n:]
+	}
+	return append(runs, data)
+}
+
+// sameSegment reports whether a and b agree on every field, comparing
+// records by content.
+func sameSegment(a, b Segment) bool {
+	if a.Len != b.Len || a.Prefix != b.Prefix || a.Corrupt != b.Corrupt || len(a.Records) != len(b.Records) {
+		return false
+	}
+	for i := range a.Records {
+		ra, rb := a.Records[i], b.Records[i]
+		if ra.Op != rb.Op || !bytes.Equal(ra.Key, rb.Key) || !bytes.Equal(ra.Value, rb.Value) {
+			return false
 		}
-		wantCorrupt := false
-		for _, b := range data[prefix:] {
-			if b != 0 {
-				wantCorrupt = true
-				break
-			}
+	}
+	return true
+}
+
+// FuzzDecodeSegment is the differential check on where the runs are cut:
+// decoding the bytes split at arbitrary points must give what decoding them
+// as one run gives, both must equal the frame-by-frame reference, every
+// record must be the input at its offset, and scribbling over the runs after
+// decoding must change no record.
+func FuzzDecodeSegment(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add(stream(5), []byte{7, 0, 100, 3})
+	f.Add(stream(8), []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 13})
+	f.Add(append(stream(3), make([]byte, 64)...), []byte{40, 40, 40, 40})
+	f.Add(append(append(stream(3), make([]byte, 30)...), 0x5A), []byte{150, 0, 20})
+	f.Add(stream(4)[:90], []byte{34, 34})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		buf := bytes.Clone(data)
+		runs := splitRuns(buf, cuts)
+		split := DecodeSegment(runs)
+		if !bytes.Equal(buf, data) {
+			t.Fatal("decoding wrote to its runs")
 		}
-		if corrupt != wantCorrupt {
-			t.Fatalf("corrupt=%v but tail non-zero=%v", corrupt, wantCorrupt)
+		whole := decodeOne(data)
+		if !sameSegment(split, whole) {
+			t.Fatalf("split into %d runs: %d records, prefix %d, corrupt %v, len %d; one run: %d, %d, %v, %d",
+				len(runs), len(split.Records), split.Prefix, split.Corrupt, split.Len,
+				len(whole.Records), whole.Prefix, whole.Corrupt, whole.Len)
 		}
-		// DecodeAll and the validate-only scan must agree with DecodeStream.
-		recs2, truncated := DecodeAll(data)
-		if len(recs2) != len(recs) || truncated != corrupt {
-			t.Fatalf("DecodeAll diverges from DecodeStream")
+		if !sameSegment(split, referenceDecode(data)) {
+			t.Fatal("DecodeSegment differs from the frame-by-frame reference")
 		}
-		if p, c := ValidPrefix(data); p != prefix || c != corrupt {
-			t.Fatalf("ValidPrefix = %d/%v, DecodeStream = %d/%v", p, c, prefix, corrupt)
+		checkSegment(t, data, split)
+		for i := range buf {
+			buf[i] ^= 0xFF
+		}
+		if !sameSegment(split, whole) {
+			t.Fatal("scribbling over the runs changed a decoded record")
 		}
 	})
+}
+
+// TestDecodeSegmentCopies: records own their bytes, whether their frame lay
+// inside one run or straddled several. Overwriting every run after decoding
+// leaves each record as decoded.
+func TestDecodeSegmentCopies(t *testing.T) {
+	buf := stream(6)
+	want := referenceDecode(bytes.Clone(buf))
+	seg := DecodeSegment(splitRuns(buf, []byte{30, 30, 100}))
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	if len(want.Records) != 6 || !sameSegment(seg, want) {
+		t.Fatalf("overwriting the runs changed the records:\n got %v\nwant %v", seg.Records, want.Records)
+	}
 }

@@ -4,6 +4,12 @@
 // Records are CRC-framed so a decoder can detect a torn tail after a crash:
 // everything up to the first bad frame is the durable prefix, matching how
 // Redis truncates a partial AOF on startup.
+//
+// Recovery has one decoder, DecodeSegment. It reads a segment as the runs of
+// bytes the device handed back (pages, or one file buffer), never building
+// the concatenation, and its single pass both places a backend's append
+// position (Segment.Prefix) and yields the records the engine replays, each
+// copied once out of the runs. Decode is the single-frame primitive under it.
 package wal
 
 import (
@@ -11,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"github.com/slimio/slimio/internal/bufpool"
 )
@@ -62,23 +69,29 @@ func AppendRecord(dst []byte, op Op, key, value []byte) []byte {
 // before it is the recoverable log.
 var ErrTornRecord = fmt.Errorf("wal: torn or corrupt record")
 
+// frameLen returns the framed length the header at the front of buf
+// declares, or false when buf holds no plausible header: too short, the
+// wrong magic, or a key or value past the frame limits.
+func frameLen(buf []byte) (int, bool) {
+	if len(buf) < headerSize || buf[0] != recordMagic {
+		return 0, false
+	}
+	keyLen := binary.LittleEndian.Uint32(buf[2:6])
+	valLen := binary.LittleEndian.Uint32(buf[6:10])
+	if int(keyLen) > 1<<24 || int(valLen) > 1<<28 {
+		return 0, false
+	}
+	return headerSize + int(keyLen) + int(valLen), true
+}
+
 // Decode parses one record at the front of buf. It returns the record and
 // the number of bytes consumed, or ErrTornRecord (n==0) when the frame is
 // incomplete or corrupt. The record's Key and Value are views of buf, not
 // copies: they stay valid as long as buf is left alone, and a caller that
 // keeps one keeps all of buf alive.
 func Decode(buf []byte) (rec Record, n int, err error) {
-	if len(buf) < headerSize {
-		return rec, 0, ErrTornRecord
-	}
-	if buf[0] != recordMagic {
-		return rec, 0, ErrTornRecord
-	}
-	keyLen := binary.LittleEndian.Uint32(buf[2:6])
-	valLen := binary.LittleEndian.Uint32(buf[6:10])
-	keyEnd := headerSize + int(keyLen)
-	total := keyEnd + int(valLen)
-	if int(keyLen) > 1<<24 || int(valLen) > 1<<28 || len(buf) < total {
+	total, ok := frameLen(buf)
+	if !ok || len(buf) < total {
 		return rec, 0, ErrTornRecord
 	}
 	crc := crc32.Update(0, crc32.IEEETable, buf[:10])
@@ -86,65 +99,105 @@ func Decode(buf []byte) (rec Record, n int, err error) {
 	if crc != binary.LittleEndian.Uint32(buf[10:14]) {
 		return rec, 0, ErrTornRecord
 	}
+	keyEnd := headerSize + int(binary.LittleEndian.Uint32(buf[2:6]))
 	rec.Op = Op(buf[1])
 	rec.Key = buf[headerSize:keyEnd:keyEnd]
 	rec.Value = buf[keyEnd:total:total]
 	return rec, total, nil
 }
 
-// cleanTail reports whether b is all zero bytes: the unwritten remainder of
-// a page rather than the debris of a torn or corrupted frame.
-func cleanTail(b []byte) bool {
-	// Every byte equals its successor and the first is zero: one memequal
-	// over the slice shifted against itself instead of a byte loop.
-	return len(b) == 0 || (b[0] == 0 && bytes.Equal(b[1:], b[:len(b)-1]))
+// Segment is one log segment as recovery decodes it.
+type Segment struct {
+	// Len is the segment's length in bytes: the sum of its runs' lengths.
+	Len int64
+	// Records is the durable record prefix in log order. Each record's Key
+	// and Value are copies sharing one allocation of their own, not views of
+	// the runs: a caller may keep a record while the runs are reused, and
+	// keeping one keeps nothing else alive.
+	Records []Record
+	// Prefix is the byte offset where decoding stopped: the durable-prefix
+	// length, Len when every frame decoded.
+	Prefix int64
+	// Corrupt reports that decoding stopped on non-zero bytes. A trailing
+	// run of zero bytes is a clean unwritten tail (Corrupt false); anything
+	// else after the last valid frame — a torn page program, flipped bits
+	// mid-segment — is Corrupt, so recovery can tell the expected crash
+	// artifact from data lost past this point.
+	Corrupt bool
 }
 
-// scan decodes frames from the front of buf, handing each record to visit,
-// until the buffer ends or a bad frame stops it. It returns the byte offset
-// where decoding stopped (the durable-prefix length; len(buf) when the whole
-// buffer decoded) and whether the stop looked like corruption: a trailing run
-// of zero bytes is a clean unwritten tail, anything else is not.
-func scan(buf []byte, visit func(Record)) (prefix int64, corrupt bool) {
-	off := 0
-	for off < len(buf) {
-		rec, n, err := Decode(buf[off:])
-		if err != nil {
-			return int64(off), !cleanTail(buf[off:])
-		}
-		visit(rec)
-		off += n
+// DecodeSegment decodes the frames of the concatenation of runs (a segment
+// as the device pages it was read as) until the runs end or a bad frame
+// stops it, without building the concatenation. A frame inside one run is
+// checked in place; one that straddles runs is first gathered into a scratch
+// buffer reused for every such frame. Each frame is CRC-checked once and each
+// record copied once, into the allocation it keeps. The result is exactly
+// what decoding the concatenation with Decode, frame by frame, would give.
+func DecodeSegment(runs [][]byte) Segment {
+	var seg Segment
+	for _, r := range runs {
+		seg.Len += int64(len(r))
 	}
-	return int64(off), false
+	var hdr [headerSize]byte
+	var scratch []byte
+	i, off := 0, 0 // the next frame starts at runs[i][off]
+	for {
+		for i < len(runs) && off == len(runs[i]) {
+			i, off = i+1, 0
+		}
+		if i == len(runs) {
+			return seg
+		}
+		src := runs[i][off:]
+		rec, n, err := Decode(src)
+		if rest := seg.Len - seg.Prefix; err != nil && int64(len(src)) < rest {
+			// Decode saw only this run's share of the bytes. If the header
+			// declares a frame longer than that share and the runs hold it,
+			// decode the frame gathered from the runs instead.
+			total, ok := frameLen(gather(hdr[:0], runs, i, off, headerSize))
+			if ok && total > len(src) && int64(total) <= rest {
+				scratch = gather(slices.Grow(scratch[:0], total), runs, i, off, total)
+				src = scratch
+				rec, n, err = Decode(src)
+			}
+		}
+		if err != nil {
+			seg.Corrupt = !zeroFrom(runs, i, off)
+			return seg
+		}
+		kv := bytes.Clone(src[headerSize:n])
+		rec.Key, rec.Value = kv[:len(rec.Key):len(rec.Key)], kv[len(rec.Key):]
+		seg.Records = append(seg.Records, rec)
+		seg.Prefix += int64(n)
+		for off += n; off > len(runs[i]); i++ {
+			off -= len(runs[i])
+		}
+	}
 }
 
-// DecodeStream parses records until the buffer ends or a bad frame stops it.
-// It returns the valid record prefix (views of buf, see Decode), the byte
-// offset where decoding stopped (the durable-prefix length; len(buf) when the
-// whole buffer decoded), and whether the stop looked like corruption. A
-// trailing run of zero bytes is a clean unwritten tail (corrupt=false); any
-// non-zero garbage after the last valid frame — a torn page program, flipped
-// bits mid-segment — reports corrupt=true so recovery can distinguish
-// "expected crash artifact" from "data loss past this point".
-func DecodeStream(buf []byte) (recs []Record, prefix int64, corrupt bool) {
-	prefix, corrupt = scan(buf, func(r Record) { recs = append(recs, r) })
-	return recs, prefix, corrupt
+// gather appends up to n bytes of the runs' concatenation, starting at
+// offset off of runs[i], to the empty dst and returns them: fewer than n
+// when the runs end first.
+func gather(dst []byte, runs [][]byte, i, off, n int) []byte {
+	for ; i < len(runs) && len(dst) < n; i, off = i+1, 0 {
+		r := runs[i][off:]
+		dst = append(dst, r[:min(len(r), n-len(dst))]...)
+	}
+	return dst
 }
 
-// ValidPrefix is DecodeStream without the records: the same frame checks,
-// reporting only where the durable prefix ends and whether it ended on
-// corruption. Backends use it to place their append position.
-func ValidPrefix(buf []byte) (prefix int64, corrupt bool) {
-	return scan(buf, func(Record) {})
-}
-
-// DecodeAll parses records until the buffer ends or a torn frame is hit,
-// returning the valid prefix. A trailing run of zero bytes (an unwritten
-// page tail) is not an error; any other trailing garbage is reported via
-// truncated=true so callers can log it.
-func DecodeAll(buf []byte) (recs []Record, truncated bool) {
-	recs, _, corrupt := DecodeStream(buf)
-	return recs, corrupt
+// zeroFrom reports whether the runs' concatenation is all zero bytes from
+// offset off of runs[i] on: the unwritten remainder of a page rather than
+// the debris of a torn or corrupted frame.
+func zeroFrom(runs [][]byte, i, off int) bool {
+	for ; i < len(runs); i, off = i+1, 0 {
+		// Every byte equals its successor and the first is zero: one
+		// memequal over the run shifted against itself, not a byte loop.
+		if b := runs[i][off:]; len(b) > 0 && (b[0] != 0 || !bytes.Equal(b[1:], b[:len(b)-1])) {
+			return false
+		}
+	}
+	return true
 }
 
 // Chain is a drained run of WAL bytes held in pooled, page-sized segments —

@@ -62,10 +62,11 @@ func TestDecodeAllStream(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		buf = AppendRecord(buf, OpSet, []byte{byte('a' + i)}, bytes.Repeat([]byte{byte(i)}, i*7))
 	}
-	recs, truncated := DecodeAll(buf)
-	if truncated {
-		t.Fatal("clean stream reported truncated")
+	seg := decodeOne(buf)
+	if seg.Corrupt {
+		t.Fatal("clean stream reported corrupt")
 	}
+	recs := seg.Records
 	if len(recs) != 20 {
 		t.Fatalf("decoded %d records, want 20", len(recs))
 	}
@@ -84,11 +85,11 @@ func TestDecodeAllTornTail(t *testing.T) {
 	whole := len(buf)
 	buf = AppendRecord(buf, OpSet, []byte("k"), []byte("torn-me"))
 	buf = buf[:whole+7] // tear the last record
-	recs, truncated := DecodeAll(buf)
-	if len(recs) != 5 {
-		t.Fatalf("decoded %d, want the 5 whole records", len(recs))
+	seg := decodeOne(buf)
+	if len(seg.Records) != 5 {
+		t.Fatalf("decoded %d, want the 5 whole records", len(seg.Records))
 	}
-	if !truncated {
+	if !seg.Corrupt {
 		t.Fatal("torn tail not reported")
 	}
 }
@@ -96,9 +97,9 @@ func TestDecodeAllTornTail(t *testing.T) {
 func TestDecodeAllZeroPadding(t *testing.T) {
 	buf := AppendRecord(nil, OpSet, []byte("k"), []byte("v"))
 	buf = append(buf, make([]byte, 100)...) // unwritten page tail
-	recs, truncated := DecodeAll(buf)
-	if len(recs) != 1 || truncated {
-		t.Fatalf("recs=%d truncated=%v, want 1/false", len(recs), truncated)
+	seg := decodeOne(buf)
+	if len(seg.Records) != 1 || seg.Corrupt {
+		t.Fatalf("recs=%d corrupt=%v, want 1/false", len(seg.Records), seg.Corrupt)
 	}
 }
 
@@ -121,9 +122,12 @@ func TestBuffer(t *testing.T) {
 	if b.AppendedTotal() != total {
 		t.Fatal("drain must not reset lifetime counter")
 	}
-	recs, _ := DecodeAll(data.AppendTo(nil))
-	if len(recs) != 2 {
-		t.Fatalf("drained stream decodes %d records", len(recs))
+	spans := make([][]byte, len(data.Segs))
+	for i := range spans {
+		spans[i] = data.Span(i)
+	}
+	if seg := DecodeSegment(spans); len(seg.Records) != 2 || seg.Corrupt {
+		t.Fatalf("drained chain decodes %d records, corrupt %v", len(seg.Records), seg.Corrupt)
 	}
 	data.Release()
 	b.Append(OpSet, []byte("c"), []byte("3"))
@@ -153,8 +157,9 @@ func TestRecordProperty(t *testing.T) {
 			keys, vals = append(keys, k), append(vals, v)
 			buf = AppendRecord(buf, OpSet, k, v)
 		}
-		recs, truncated := DecodeAll(buf)
-		if truncated || len(recs) != count {
+		seg := decodeOne(buf)
+		recs := seg.Records
+		if seg.Corrupt || len(recs) != count {
 			return false
 		}
 		for i := range recs {
@@ -167,8 +172,9 @@ func TestRecordProperty(t *testing.T) {
 		flipped := append([]byte(nil), buf...)
 		pos := rng.Intn(len(flipped))
 		flipped[pos] ^= 1 << uint(rng.Intn(8))
-		recs2, trunc2 := DecodeAll(flipped)
-		if !trunc2 && len(recs2) == count {
+		seg2 := decodeOne(flipped)
+		recs2 := seg2.Records
+		if !seg2.Corrupt && len(recs2) == count {
 			for i := range recs2 {
 				if !bytes.Equal(recs2[i].Key, keys[i]) || !bytes.Equal(recs2[i].Value, vals[i]) {
 					return false // undetected corruption
