@@ -2,9 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/slimio/slimio/internal/imdb"
+	"github.com/slimio/slimio/internal/telemetry"
 	"github.com/slimio/slimio/internal/vtrace"
 	"github.com/slimio/slimio/internal/workload"
 )
@@ -81,6 +85,48 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	if len(serial1) == 0 || bytes.Equal(serial1, []byte("[]")) {
 		t.Errorf("exported trace is empty")
 	}
+}
+
+// TestTraceTinyGolden pins what a traced tiny Table 3 exports: the byte
+// length and sha256 of the Chrome trace (the file `slimio-bench -exp table3
+// -scale tiny -vtrace` writes, ~19 MB, too big to commit verbatim), the
+// attribution report of every cell, and the spans of one cell's flight
+// record. TestGoldenTraceDeterminism only compares runs with each other;
+// this compares them with a committed reference.
+func TestTraceTinyGolden(t *testing.T) {
+	sc := TinyScale()
+	sc.Trace = vtrace.NewRegistry()
+	sc.Telemetry = telemetry.NewRegistry(0)
+	if _, err := RunTable3(sc); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sc.Trace.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	fmt.Fprintf(&got, "trace.json %d bytes sha256 %x\n", buf.Len(), sha256.Sum256(buf.Bytes()))
+	for _, label := range sc.Trace.Labels() {
+		fmt.Fprintf(&got, "\nattribution %s:\n%s", label, vtrace.Compute(sc.Trace.Get(label)).Format())
+	}
+
+	const flightCell = "slimio-fdp/always"
+	data, err := sc.Telemetry.Get(flightCell).EncodeFlight("golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := telemetry.ParseFlight(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Spans) == 0 {
+		t.Fatalf("flight record of %s carries no spans", flightCell)
+	}
+	fmt.Fprintf(&got, "\nflight %s: %d spans\n", flightCell, len(rec.Spans))
+	for _, s := range rec.Spans {
+		fmt.Fprintf(&got, "  %s/%s %d %d %d\n", s.Layer, s.Name, s.Start, s.End, s.Arg)
+	}
+	checkGolden(t, "trace_tiny", got.String())
 }
 
 // TestAttributionSumsToEndToEnd asserts the two acceptance properties of
