@@ -99,14 +99,14 @@ trace-smoke:
 	go run ./cmd/slimio-bench -exp table3 -scale tiny -vtrace out/trace-smoke.json
 
 # Run a tiny traced + telemetered table3 end to end, export the telemetry
-# dump (schema-validated by the exporter), and render it with slimio-top in
-# deterministic table mode (ParseDump re-validates on load). An empty render
+# dump (schema-validated by the exporter), and render it with slimio-top
+# (deterministic plain text; ParseDump re-validates on load). An empty render
 # fails the target. Used by CI as a blocking step; the telemetry directory
 # is uploaded as an artifact.
 top-smoke:
 	mkdir -p out
 	go run ./cmd/slimio-bench -exp table3 -scale tiny -vtrace out/top-smoke-trace.json -telemetry out/telemetry
-	go run ./cmd/slimio-top -dump out/telemetry/telemetry.json -mode table > out/top-smoke.txt
+	go run ./cmd/slimio-top -dump out/telemetry/telemetry.json > out/top-smoke.txt
 	@test -s out/top-smoke.txt || { echo "top-smoke: empty slimio-top render"; exit 1; }
 	@grep -q "^cell " out/top-smoke.txt || { echo "top-smoke: no cell tables in render"; exit 1; }
 

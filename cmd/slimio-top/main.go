@@ -6,13 +6,11 @@
 //
 // Usage:
 //
-//	slimio-top -dump out/telemetry.json               # plain table (CI mode)
-//	slimio-top -dump out/telemetry.json -mode live    # terminal dashboard
+//	slimio-top -dump out/telemetry.json
 //	slimio-top -dump out/telemetry.json -cell slimio-fdp/always
 //
-// Table mode is deterministic (integer arithmetic, no wall clock, no ANSI)
-// and is what `make top-smoke` gates on; live mode animates the same rows
-// in place for humans.
+// The output is deterministic plain text (integer arithmetic, no wall
+// clock, no ANSI), which is what `make top-smoke` gates on.
 package main
 
 import (
@@ -21,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"github.com/slimio/slimio/internal/telemetry"
 )
@@ -29,10 +26,8 @@ import (
 func main() {
 	var (
 		dumpPath = flag.String("dump", "", "telemetry dump to render (required)")
-		mode     = flag.String("mode", "table", "render mode: table (plain text) or live (animated dashboard)")
 		cellSel  = flag.String("cell", "", "render only this cell label (default: all cells)")
-		rows     = flag.Int("rows", 12, "table mode: max sample rows per cell (evenly spaced)")
-		refresh  = flag.Duration("refresh", 80*time.Millisecond, "live mode: wall-clock time per tick frame")
+		rows     = flag.Int("rows", 12, "max sample rows per cell (evenly spaced)")
 	)
 	flag.Parse()
 
@@ -65,17 +60,9 @@ func main() {
 		}
 	}
 
-	switch *mode {
-	case "table":
-		w := bufio.NewWriter(os.Stdout)
-		renderTables(w, dump.IntervalNS, cells, *rows)
-		w.Flush()
-	case "live":
-		renderLive(dump.IntervalNS, cells, *refresh)
-	default:
-		fmt.Fprintf(os.Stderr, "slimio-top: unknown -mode %q (want table or live)\n", *mode)
-		os.Exit(2)
-	}
+	w := bufio.NewWriter(os.Stdout)
+	renderTables(w, dump.IntervalNS, cells, *rows)
+	w.Flush()
 }
 
 func labels(cells []telemetry.CellDump) []string {

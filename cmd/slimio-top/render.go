@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	"github.com/slimio/slimio/internal/telemetry"
 )
@@ -115,7 +113,7 @@ func tenantWAFCol() column {
 	}}
 }
 
-// dashboard is the column set of both render modes, in display order.
+// dashboard is the column set, in display order.
 var dashboard = []column{
 	wafCol(),
 	tenantsCol(),
@@ -162,51 +160,6 @@ func renderTables(w io.Writer, intervalNS int64, cells []telemetry.CellDump, max
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// renderLive animates the same rows in place: one frame per tick, every
-// cell a line, redrawn with ANSI cursor-home. Wall-clock pacing is the
-// point here — this is the human mode, exempt from the determinism rules
-// that govern table mode.
-func renderLive(intervalNS int64, cells []telemetry.CellDump, refresh time.Duration) {
-	views := make([]*cellView, len(cells))
-	ticks := 0
-	for i := range cells {
-		views[i] = newCellView(&cells[i])
-		if n := len(cells[i].Samples); n > ticks {
-			ticks = n
-		}
-	}
-	for k := 0; k < ticks; k++ {
-		fmt.Print("\x1b[H\x1b[2J")
-		fmt.Printf("slimio-top  t=%s  (tick %d/%d)\n\n", fmtNS(int64(k)*intervalNS), k+1, ticks)
-		fmt.Printf("%-32s", "cell")
-		for _, col := range dashboard {
-			fmt.Printf(" %8s", col.header)
-		}
-		fmt.Println()
-		for i := range cells {
-			c := &cells[i]
-			row := k
-			if row >= len(c.Samples) {
-				row = len(c.Samples) - 1 // shorter cell: hold its final state
-			}
-			fmt.Printf("%-32s", c.Label)
-			for _, col := range dashboard {
-				s := ""
-				if row >= 0 {
-					s = col.value(views[i], row)
-				}
-				if s == "" {
-					s = "-"
-				}
-				fmt.Printf(" %8s", s)
-			}
-			fmt.Println()
-		}
-		time.Sleep(refresh) //slimio:allow wallclock live dashboard pacing is the feature, not simulation state
-	}
-	fmt.Fprintln(os.Stdout)
 }
 
 // spacedRows picks up to maxRows indices of n, evenly spaced, always

@@ -9,10 +9,9 @@
 //     replay-bit-identically contract depends on exactly these passes: the
 //     experiment harness binaries under cmd/ legitimately measure wall
 //     time and never run inside the simulation. cmd/slimio-top is the one
-//     exception: its table mode renders CI-diffed deterministic output
-//     from telemetry dumps, so it opts in (internal/telemetry itself is
-//     covered as an internal/ package — its sampling tick rides the
-//     virtual clock).
+//     exception: it renders CI-diffed deterministic output from telemetry
+//     dumps, so it opts in (internal/telemetry itself is covered as an
+//     internal/ package — its sampling tick rides the virtual clock).
 //   - retainbuf shares that scope (internal/bufpool included): every layer
 //     of the zero-copy write path handles pooled segments, and a backing
 //     slice retained past its Release is silent cross-request corruption.
@@ -62,9 +61,8 @@ type ScopedAnalyzer struct {
 
 func deterministic(path string) bool {
 	// slimio-top is the one binary under cmd/ inside the contract: its
-	// table mode is CI-diffed deterministic output, so it obeys the same
-	// clock/randomness/ordering rules as the simulation packages (live
-	// mode's wall-clock pacing carries an explicit //slimio:allow).
+	// output is CI-diffed and deterministic, so it obeys the same
+	// clock/randomness/ordering rules as the simulation packages.
 	if path == Module+"/cmd/slimio-top" {
 		return true
 	}

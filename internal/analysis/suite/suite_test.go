@@ -42,9 +42,8 @@ func TestScoping(t *testing.T) {
 		// engines: full determinism contract, plus refflow because its
 		// probes read gauges off the zero-copy write path.
 		{Module + "/internal/telemetry", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "refflow", "maporder"}},
-		// slimio-top's table mode is CI-diffed deterministic output: the
-		// one cmd/ binary inside the contract (live mode carries an
-		// explicit wallclock allow).
+		// slimio-top's output is CI-diffed and deterministic: the one cmd/
+		// binary inside the contract.
 		{Module + "/cmd/slimio-top", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "refflow", "maporder"}},
 		// Harness binaries legitimately measure wall time; only ordered
 		// output is policed there.

@@ -57,8 +57,9 @@ func (c *Cell) EncodeFlight(reason string) ([]byte, error) {
 		}
 		for i := range spans {
 			s := &spans[i]
+			layer, name := c.tracer.Site(s.Site)
 			rec.Spans = append(rec.Spans, FlightSpan{
-				Layer: s.Layer, Name: s.Name, Start: s.Start, End: s.End, Arg: s.Arg,
+				Layer: layer, Name: name, Start: s.Start, End: s.End, Arg: s.Arg,
 			})
 		}
 	}

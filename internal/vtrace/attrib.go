@@ -91,14 +91,19 @@ type Attribution struct {
 	Stages []StageStat
 }
 
-type stageKey struct {
-	layer, name string
+// opAcc accumulates one op type or background tree: its root spans, and the
+// self time of every site beneath them indexed by SiteID (Count 0 marks a
+// site the group never reached).
+type opAcc struct {
+	op     OpStat
+	stages []StageStat
 }
 
 // Compute builds the attribution report for one tracer. It relies on the
 // recording invariant that a parent span is always created before its
 // children (Begin returns the ID the children reference), so a single
-// forward pass resolves every span's root.
+// forward pass resolves every span's root. Groups and stages are keyed by
+// SiteID; each site's strings are resolved once, not once per span.
 func Compute(t *Tracer) *Attribution {
 	a := &Attribution{}
 	if t == nil {
@@ -119,69 +124,59 @@ func Compute(t *Tracer) *Attribution {
 		}
 	}
 
-	type group struct {
-		ops    map[string]*OpStat
-		stages map[string]map[stageKey]*StageStat
-	}
-	opG := group{ops: make(map[string]*OpStat), stages: make(map[string]map[stageKey]*StageStat)}
-	treeG := group{ops: make(map[string]*OpStat), stages: make(map[string]map[stageKey]*StageStat)}
-	total := make(map[stageKey]*StageStat)
+	// Root spans group by name: op-layer roots into Ops, every other root
+	// into Trees. accOf caches each root site's group.
+	nsites := len(t.sites)
+	ops := make(map[string]*opAcc)
+	trees := make(map[string]*opAcc)
+	accOf := make([]*opAcc, nsites)
+	total := make([]StageStat, nsites)
 
 	for i := range spans {
 		s := &spans[i]
-		root := &spans[rootOf[i]]
-		g := &treeG
-		if root.Layer == "op" {
-			g = &opG
+		rootSite := spans[rootOf[i]].Site
+		g := accOf[rootSite]
+		if g == nil {
+			layer, name := t.Site(rootSite)
+			groups := trees
+			if layer == "op" {
+				groups = ops
+			}
+			if g = groups[name]; g == nil {
+				g = &opAcc{op: OpStat{Name: name}, stages: make([]StageStat, nsites)}
+				groups[name] = g
+			}
+			accOf[rootSite] = g
 		}
 		if s.Parent == 0 {
-			op, ok := g.ops[s.Name]
-			if !ok {
-				op = &OpStat{Name: s.Name}
-				g.ops[s.Name] = op
-			}
-			op.Count++
-			op.Total += s.Dur()
-			op.Hist.Record(s.Dur())
+			g.op.Count++
+			g.op.Total += s.Dur()
+			g.op.Hist.Record(s.Dur())
 		}
 		self := s.Dur() - childSum[i]
-		key := stageKey{s.Layer, s.Name}
-		st := g.stages[root.Name]
-		if st == nil {
-			st = make(map[stageKey]*StageStat)
-			g.stages[root.Name] = st
-		}
-		addStage(st, key, self)
-		addStage(total, key, self)
+		g.stages[s.Site].Count++
+		g.stages[s.Site].Self += self
+		total[s.Site].Count++
+		total[s.Site].Self += self
 	}
 
-	a.Ops = collectOps(opG.ops, opG.stages)
-	a.Trees = collectOps(treeG.ops, treeG.stages)
-	a.Stages = sortStages(total)
+	a.Ops = collectOps(t, ops)
+	a.Trees = collectOps(t, trees)
+	a.Stages = sortStages(t, total)
 	return a
 }
 
-func addStage(m map[stageKey]*StageStat, key stageKey, self sim.Duration) {
-	st, ok := m[key]
-	if !ok {
-		st = &StageStat{Layer: key.layer, Name: key.name, Class: classify(key.layer, key.name)}
-		m[key] = st
-	}
-	st.Count++
-	st.Self += self
-}
-
-func collectOps(ops map[string]*OpStat, stages map[string]map[stageKey]*StageStat) []OpStat {
-	names := make([]string, 0, len(ops))
-	for name := range ops {
+func collectOps(t *Tracer, groups map[string]*opAcc) []OpStat {
+	names := make([]string, 0, len(groups))
+	for name := range groups {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	out := make([]OpStat, 0, len(names))
 	for _, name := range names {
-		op := ops[name]
-		op.Stages = sortStages(stages[name])
-		out = append(out, *op)
+		g := groups[name]
+		g.op.Stages = sortStages(t, g.stages)
+		out = append(out, g.op)
 	}
 	return out
 }
@@ -196,25 +191,29 @@ func layerRank(layer string) int {
 	return len(layerOrder)
 }
 
-func sortStages(m map[stageKey]*StageStat) []StageStat {
-	keys := make([]stageKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// sortStages names and classifies the reached sites of a per-site stage
+// table and returns them in stack order.
+func sortStages(t *Tracer, bySite []StageStat) []StageStat {
+	var out []StageStat
+	for id := range bySite {
+		st := bySite[id]
+		if st.Count == 0 {
+			continue
+		}
+		st.Layer, st.Name = t.Site(SiteID(id))
+		st.Class = classify(st.Layer, st.Name)
+		out = append(out, st)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		ri, rj := layerRank(keys[i].layer), layerRank(keys[j].layer)
+	sort.Slice(out, func(i, j int) bool {
+		ri, rj := layerRank(out[i].Layer), layerRank(out[j].Layer)
 		if ri != rj {
 			return ri < rj
 		}
-		if keys[i].layer != keys[j].layer {
-			return keys[i].layer < keys[j].layer
+		if out[i].Layer != out[j].Layer {
+			return out[i].Layer < out[j].Layer
 		}
-		return keys[i].name < keys[j].name
+		return out[i].Name < out[j].Name
 	})
-	out := make([]StageStat, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *m[k])
-	}
 	return out
 }
 

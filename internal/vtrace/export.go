@@ -28,17 +28,16 @@ var layerOrder = []string{
 	"fault",    // injected-fault instants
 }
 
-// laneTable assigns a deterministic tid to every layer present in a tracer.
-func laneTable(t *Tracer) (map[string]int, []string) {
+// laneTable assigns a deterministic tid to every layer present in a tracer
+// and returns the layers in lane order and each site's tid. Every site in
+// the table was interned by a recorded span or event, so the sites' layers
+// are exactly the layers present.
+func laneTable(t *Tracer) (ordered []string, siteLane []int) {
 	present := make(map[string]bool)
-	for i := range t.spans {
-		present[t.spans[i].Layer] = true
-	}
-	for i := range t.events {
-		present[t.events[i].Layer] = true
+	for _, k := range t.sites {
+		present[k.layer] = true
 	}
 	lanes := make(map[string]int)
-	var ordered []string
 	for _, layer := range layerOrder {
 		if present[layer] {
 			lanes[layer] = len(ordered) + 1
@@ -55,7 +54,11 @@ func laneTable(t *Tracer) (map[string]int, []string) {
 		lanes[layer] = len(ordered) + 1
 		ordered = append(ordered, layer)
 	}
-	return lanes, ordered
+	siteLane = make([]int, len(t.sites))
+	for id, k := range t.sites {
+		siteLane[id] = lanes[k.layer]
+	}
+	return ordered, siteLane
 }
 
 // Export writes the registry's tracers as Chrome trace-event JSON
@@ -78,7 +81,7 @@ func (r *Registry) Export(w io.Writer) error {
 }
 
 func exportTracer(bw *bufio.Writer, t *Tracer, pid int, first *bool) {
-	lanes, ordered := laneTable(t)
+	ordered, siteLane := laneTable(t)
 	sep := func() {
 		if *first {
 			*first = false
@@ -94,12 +97,12 @@ func exportTracer(bw *bufio.Writer, t *Tracer, pid int, first *bool) {
 	bw.WriteString(",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":")
 	writeString(bw, t.Label)
 	bw.WriteString("}}")
-	for _, layer := range ordered {
+	for i, layer := range ordered {
 		sep()
 		bw.WriteString("{\"ph\":\"M\",\"pid\":")
 		writeInt(bw, int64(pid))
 		bw.WriteString(",\"tid\":")
-		writeInt(bw, int64(lanes[layer]))
+		writeInt(bw, int64(i+1))
 		bw.WriteString(",\"name\":\"thread_name\",\"args\":{\"name\":")
 		writeString(bw, layer)
 		bw.WriteString("}}")
@@ -107,21 +110,22 @@ func exportTracer(bw *bufio.Writer, t *Tracer, pid int, first *bool) {
 
 	for i := range t.spans {
 		s := &t.spans[i]
+		layer, name := t.Site(s.Site)
 		sep()
 		bw.WriteString("{\"ph\":\"X\",\"pid\":")
 		writeInt(bw, int64(pid))
 		bw.WriteString(",\"tid\":")
-		writeInt(bw, int64(lanes[s.Layer]))
+		writeInt(bw, int64(siteLane[s.Site]))
 		bw.WriteString(",\"ts\":")
 		writeUsec(bw, int64(s.Start))
 		bw.WriteString(",\"dur\":")
 		writeUsec(bw, int64(s.Dur()))
 		bw.WriteString(",\"name\":")
-		writeString(bw, s.Name)
+		writeString(bw, name)
 		bw.WriteString(",\"cat\":")
-		writeString(bw, s.Layer)
+		writeString(bw, layer)
 		bw.WriteString(",\"args\":{\"id\":")
-		writeInt(bw, int64(s.ID))
+		writeInt(bw, int64(i+1))
 		bw.WriteString(",\"parent\":")
 		writeInt(bw, int64(s.Parent))
 		bw.WriteString(",\"v\":")
@@ -131,17 +135,18 @@ func exportTracer(bw *bufio.Writer, t *Tracer, pid int, first *bool) {
 
 	for i := range t.events {
 		ev := &t.events[i]
+		layer, name := t.Site(ev.Site)
 		sep()
 		bw.WriteString("{\"ph\":\"i\",\"s\":\"t\",\"pid\":")
 		writeInt(bw, int64(pid))
 		bw.WriteString(",\"tid\":")
-		writeInt(bw, int64(lanes[ev.Layer]))
+		writeInt(bw, int64(siteLane[ev.Site]))
 		bw.WriteString(",\"ts\":")
 		writeUsec(bw, int64(ev.At))
 		bw.WriteString(",\"name\":")
-		writeString(bw, ev.Name)
+		writeString(bw, name)
 		bw.WriteString(",\"cat\":")
-		writeString(bw, ev.Layer)
+		writeString(bw, layer)
 		bw.WriteString(",\"args\":{\"v\":")
 		writeInt(bw, ev.Arg)
 		bw.WriteString("}}")

@@ -9,6 +9,11 @@
 // immediately, so untraced runs pay one predictable branch per call site and
 // allocate nothing. Each cell owns at most one Tracer; the simulation engine
 // runs one process at a time (baton passing), so Tracer needs no locking.
+//
+// A recorded span or event is a fixed-size record that holds no pointer:
+// its (layer, name) pair is interned in the tracer's site table, so the
+// garbage collector never scans the record slices and a traced cell's
+// memory is bounded by the records' size times DefaultLimit.
 package vtrace
 
 import (
@@ -18,20 +23,23 @@ import (
 	"github.com/slimio/slimio/internal/sim"
 )
 
-// SpanID identifies a span within one Tracer. The zero SpanID means "no
-// span": it is the parent of root spans and the return value of every
-// recording method once the span limit is hit.
+// SpanID identifies a span within one Tracer: the span's index in Spans()
+// plus one. The zero SpanID means "no span": it is the parent of root spans
+// and the return value of every recording method once the span limit is hit.
 type SpanID int32
 
-// Span is one timed interval in the virtual timeline. Layer names the stack
-// stage that recorded it ("imdb", "uring", "ssd", "nand", ...), Name the
-// operation within that stage. Arg carries one optional layer-defined
+// SiteID names a (layer, name) pair within one Tracer; Tracer.Site resolves
+// it. Ids are assigned in first-use order, so they are deterministic per
+// seed, but they mean nothing outside the tracer that assigned them.
+type SiteID int32
+
+// Span is one timed interval in the virtual timeline. Its site names the
+// stack stage that recorded it ("imdb", "uring", "ssd", "nand", ...) and
+// the operation within that stage. Arg carries one optional layer-defined
 // integer (e.g. queue-wait nanoseconds, pages moved).
 type Span struct {
-	ID     SpanID
 	Parent SpanID
-	Layer  string
-	Name   string
+	Site   SiteID
 	Start  sim.Time
 	End    sim.Time
 	Arg    int64
@@ -42,15 +50,19 @@ func (s *Span) Dur() sim.Duration { return s.End.Sub(s.Start) }
 
 // Event is an instant marker (fault injection, retry, GC lifecycle edge).
 type Event struct {
-	Layer string
-	Name  string
-	At    sim.Time
-	Arg   int64
+	Site SiteID
+	At   sim.Time
+	Arg  int64
 }
 
 // DefaultLimit caps spans and events per tracer so a long traced run cannot
 // exhaust memory; drops beyond the cap are counted, never silent.
 const DefaultLimit = 1 << 20
+
+// siteKey is the interned (layer, name) pair a SiteID stands for.
+type siteKey struct {
+	layer, name string
+}
 
 // Tracer records the span forest of one experiment cell. The zero value is
 // usable; a nil *Tracer is a no-op recorder.
@@ -62,6 +74,11 @@ type Tracer struct {
 	events  []Event
 	dropped int64
 	scope   SpanID
+
+	// sites lists every (layer, name) pair a recorded span or event uses,
+	// indexed by SiteID; siteIDs is its reverse index.
+	sites   []siteKey
+	siteIDs map[siteKey]SiteID
 }
 
 // New returns a Tracer with the default span/event cap.
@@ -77,19 +94,47 @@ func (t *Tracer) cap() int {
 	return t.limit
 }
 
+// site returns the id of (layer, name), assigning the next one on first use.
+func (t *Tracer) site(layer, name string) SiteID {
+	k := siteKey{layer, name}
+	if id, ok := t.siteIDs[k]; ok {
+		return id
+	}
+	if t.siteIDs == nil {
+		t.siteIDs = make(map[siteKey]SiteID)
+	}
+	id := SiteID(len(t.sites))
+	t.sites = append(t.sites, k)
+	t.siteIDs[k] = id
+	return id
+}
+
+// Site resolves a recorded span's or event's site to its layer and name.
+func (t *Tracer) Site(id SiteID) (layer, name string) {
+	if t == nil {
+		return "", ""
+	}
+	k := t.sites[id]
+	return k.layer, k.name
+}
+
+// grow returns s with room for one more record. Capacity doubles up to
+// limit, so n records cost about log₂ n allocations and the last growth
+// stops at the cap instead of overshooting it. The caller has checked
+// len(s) < limit.
+func grow[T any](s []T, limit int) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	ns := make([]T, len(s), min(max(2*cap(s), 64), limit))
+	copy(ns, s)
+	return ns
+}
+
 // Begin opens a span whose end is not yet known (the recorder will observe
 // children before the parent completes). Pair with End.
 func (t *Tracer) Begin(layer, name string, parent SpanID, start sim.Time) SpanID {
-	if t == nil {
-		return 0
-	}
-	if len(t.spans) >= t.cap() {
-		t.dropped++
-		return 0
-	}
-	id := SpanID(len(t.spans) + 1)
-	t.spans = append(t.spans, Span{ID: id, Parent: parent, Layer: layer, Name: name, Start: start, End: start})
-	return id
+	return t.Emit(layer, name, parent, start, start, 0)
 }
 
 // End closes a span opened by Begin. End(0, ...) is a no-op, so a dropped
@@ -112,10 +157,16 @@ func (t *Tracer) SetArg(id SpanID, arg int64) {
 // Emit records a complete span in one call (for synchronous stages that
 // compute their end time before returning).
 func (t *Tracer) Emit(layer, name string, parent SpanID, start, end sim.Time, arg int64) SpanID {
-	id := t.Begin(layer, name, parent, start)
-	t.End(id, end)
-	t.SetArg(id, arg)
-	return id
+	if t == nil {
+		return 0
+	}
+	limit := t.cap()
+	if len(t.spans) >= limit {
+		t.dropped++
+		return 0
+	}
+	t.spans = append(grow(t.spans, limit), Span{Parent: parent, Site: t.site(layer, name), Start: start, End: end, Arg: arg})
+	return SpanID(len(t.spans))
 }
 
 // Instant records a point event.
@@ -123,11 +174,12 @@ func (t *Tracer) Instant(layer, name string, at sim.Time, arg int64) {
 	if t == nil {
 		return
 	}
-	if len(t.events) >= t.cap() {
+	limit := t.cap()
+	if len(t.events) >= limit {
 		t.dropped++
 		return
 	}
-	t.events = append(t.events, Event{Layer: layer, Name: name, At: at, Arg: arg})
+	t.events = append(grow(t.events, limit), Event{Site: t.site(layer, name), At: at, Arg: arg})
 }
 
 // SetScope publishes a parent SpanID for the next cross-layer call, and
@@ -152,8 +204,9 @@ func (t *Tracer) Scope() SpanID {
 	return t.scope
 }
 
-// Spans returns the recorded spans in recording order. The slice is the
-// tracer's backing store; callers must not mutate it.
+// Spans returns the recorded spans in recording order; Site resolves their
+// names. The slice is the tracer's backing store; callers must not mutate
+// it.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil

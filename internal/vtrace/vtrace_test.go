@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math/bits"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/slimio/slimio/internal/sim"
 )
@@ -50,6 +54,114 @@ func TestNilTracerAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil tracer allocates: %v allocs/op", allocs)
+	}
+}
+
+// TestRecordsArePointerFree: the span and event records hold no pointer, so
+// the collector never scans a tracer's record slices, and their sizes are
+// the ones the per-cell memory bound in DESIGN.md §8 is computed from.
+func TestRecordsArePointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.String, reflect.Slice, reflect.Map, reflect.Pointer, reflect.UnsafePointer,
+			reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s: a record must hold no pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("Span", reflect.TypeOf(Span{}))
+	walk("Event", reflect.TypeOf(Event{}))
+	if got := unsafe.Sizeof(Span{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Span{}) = %d, want 32", got)
+	}
+	if got := unsafe.Sizeof(Event{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 24", got)
+	}
+}
+
+// mallocs counts the heap allocations f makes, as testing.AllocsPerRun
+// does but for a single run that must not be repeated.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestTracerAllocBudget: once a site is known, recording allocates only
+// when a record slice grows, which it does by doubling — at most
+// ⌈log₂ n⌉ + 2 allocations for n spans and as many for n instants — and
+// nothing at all once the cap is hit.
+func TestTracerAllocBudget(t *testing.T) {
+	const n = 1 << 16
+	tr := New("cell")
+	tr.Begin("op", "set", 0, 0)
+	tr.Emit("ssd", "write", 0, 0, 1, 0)
+	tr.Instant("fault", "read.err", 0, 0)
+	budget := uint64(bits.Len(n-1)) + 2
+	if got := mallocs(func() {
+		for i := 0; i < n/2; i++ {
+			id := tr.Begin("op", "set", 0, sim.Time(i))
+			tr.Emit("ssd", "write", id, sim.Time(i), sim.Time(i+1), 4)
+			tr.End(id, sim.Time(i+1))
+		}
+	}); got > budget {
+		t.Errorf("%d spans on known sites: %d allocations, budget %d", n, got, budget)
+	}
+	if got := mallocs(func() {
+		for i := 0; i < n; i++ {
+			tr.Instant("fault", "read.err", sim.Time(i), 1)
+		}
+	}); got > budget {
+		t.Errorf("%d instants on a known site: %d allocations, budget %d", n, got, budget)
+	}
+
+	full := New("full")
+	full.limit = 8
+	for i := 0; i < full.limit; i++ {
+		full.Begin("op", "set", 0, 0)
+		full.Instant("fault", "read.err", 0, 0)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		full.Begin("op", "set", 0, 1)
+		full.Emit("op", "new-site", 0, 1, 2, 0)
+		full.Instant("fault", "new-site", 1, 0)
+	}); allocs != 0 {
+		t.Errorf("recording past the cap allocates: %v allocs/op", allocs)
+	}
+	if len(full.sites) != 2 {
+		t.Errorf("a dropped record interned a site: %d sites, want 2", len(full.sites))
+	}
+}
+
+func BenchmarkBegin(b *testing.B) {
+	tr := New("bench")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(tr.spans) == tr.cap() {
+			tr.spans = tr.spans[:0]
+		}
+		id := tr.Begin("probe", "span", 0, sim.Time(i))
+		tr.End(id, sim.Time(i+1))
+	}
+}
+
+func BenchmarkEmit(b *testing.B) {
+	tr := New("bench")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(tr.spans) == tr.cap() {
+			tr.spans = tr.spans[:0]
+		}
+		tr.Emit("probe", "span", 0, sim.Time(i), sim.Time(i+1), 1)
 	}
 }
 
