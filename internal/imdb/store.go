@@ -6,26 +6,37 @@ type pageSpan struct {
 	n     int64
 }
 
-// Store is the in-memory keyspace: a hash map plus an insertion-ordered key
-// list (for deterministic snapshot iteration) and a page map used by the
-// copy-on-write model. Values are stored by reference; callers must not
-// mutate slices they pass in.
+// entry is one slot of the keyspace table. A deleted key keeps its slot as a
+// tombstone (live false, nil value, zero span), so insertion order — the
+// snapshot iteration order — never shifts and a re-insert reuses the slot.
+// cow is the fork epoch in which copy-on-write last copied the span.
+type entry struct {
+	key  string
+	val  []byte
+	span pageSpan
+	cow  int32
+	live bool
+}
+
+// Store is the in-memory keyspace: one index from key to slot over an
+// insertion-ordered entry table. Values are stored by reference; callers
+// must not mutate slices they pass in.
+//
+// Copy-on-write state is one epoch stamp per entry rather than per page. That
+// is exact: spans are cut from a monotonic page counter, never overlap, and
+// are only ever written whole, so all pages of a span share one copy state.
 type Store struct {
-	vals map[string][]byte
-	// keys preserves insertion order for deterministic snapshot iteration;
-	// deleted keys leave tombstones (skipped by the snapshot writer), and
-	// listed prevents re-inserted keys from being listed twice.
-	keys     []string
-	listed   map[string]struct{}
-	spans    map[string]pageSpan
+	index    map[string]int32
+	entries  []entry
+	live     int
 	bytes    int64
 	pageSize int64
 	nextPage int64
 
-	// COW bookkeeping: a page with epoch[p] == currentEpoch has already
-	// been copied since the last fork.
-	epoch     []int32
-	curEpoch  int32
+	// COW bookkeeping: while forked, an entry with cow == epoch has already
+	// been copied since the fork.
+	epoch     int32
+	forked    bool
 	copiedNow int64
 }
 
@@ -34,20 +45,15 @@ func NewStore(pageSize int) *Store {
 	if pageSize <= 0 {
 		pageSize = 4096
 	}
-	return &Store{
-		vals:     make(map[string][]byte),
-		listed:   make(map[string]struct{}),
-		spans:    make(map[string]pageSpan),
-		pageSize: int64(pageSize),
-	}
+	return &Store{index: make(map[string]int32), pageSize: int64(pageSize)}
 }
 
 // Len reports the number of live keys.
-func (s *Store) Len() int { return len(s.vals) }
+func (s *Store) Len() int { return s.live }
 
 // ListedLen reports the snapshot-iteration index range (live keys plus
 // tombstones).
-func (s *Store) ListedLen() int { return len(s.keys) }
+func (s *Store) ListedLen() int { return len(s.entries) }
 
 // Bytes reports the sum of key+value payload bytes.
 func (s *Store) Bytes() int64 { return s.bytes }
@@ -56,80 +62,93 @@ func (s *Store) Bytes() int64 { return s.bytes }
 func (s *Store) Pages() int64 { return s.nextPage }
 
 // Get returns the value for key, or nil.
-func (s *Store) Get(key string) []byte { return s.vals[key] }
-
-// Set stores value under key, returning whether the key is new and the page
-// span now backing it. Values that grow get a fresh span (old pages are
-// simply abandoned, approximating allocator churn).
-func (s *Store) Set(key string, value []byte) (isNew bool, span pageSpan) {
-	old, exists := s.vals[key]
-	if !exists {
-		if _, ok := s.listed[key]; !ok {
-			s.keys = append(s.keys, key)
-			s.listed[key] = struct{}{}
-		}
-		s.bytes += int64(len(key))
-		isNew = true
-	} else {
-		s.bytes -= int64(len(old))
+func (s *Store) Get(key string) []byte {
+	if i, ok := s.index[key]; ok {
+		return s.entries[i].val
 	}
-	s.bytes += int64(len(value))
-	s.vals[key] = value
-
-	need := (int64(len(value)) + s.pageSize - 1) / s.pageSize
-	if need == 0 {
-		need = 1
-	}
-	sp, ok := s.spans[key]
-	if !ok || sp.n < need {
-		sp = pageSpan{start: s.nextPage, n: need}
-		s.nextPage += need
-		s.spans[key] = sp
-	}
-	return isNew, sp
+	return nil
 }
 
-// Delete removes key, returning whether it existed and the page span it
-// occupied (for COW accounting). The insertion-order key list keeps a
-// tombstone so snapshot iteration indexes stay stable; Get returns nil for
-// deleted keys and the snapshot writer skips them.
-func (s *Store) Delete(key string) (existed bool, span pageSpan) {
-	old, ok := s.vals[key]
+// Set stores value under key and returns the pages copy-on-write copied. A
+// value that outgrows its span gets a fresh, unstamped one (the old pages
+// are simply abandoned, approximating allocator churn).
+func (s *Store) Set(key string, value []byte) (copied int64) {
+	i, ok := s.index[key]
 	if !ok {
-		return false, pageSpan{}
+		i = int32(len(s.entries))
+		s.index[key] = i
+		s.entries = append(s.entries, entry{key: key})
 	}
-	s.bytes -= int64(len(old)) + int64(len(key))
-	delete(s.vals, key)
-	span = s.spans[key]
-	delete(s.spans, key)
-	return true, span
+	e := &s.entries[i]
+	if e.live {
+		s.bytes -= int64(len(e.val))
+	} else {
+		e.live = true
+		s.live++
+		s.bytes += int64(len(key))
+	}
+	s.bytes += int64(len(value))
+	e.val = value
+
+	need := max((int64(len(value))+s.pageSize-1)/s.pageSize, 1)
+	if e.span.n < need {
+		e.span = pageSpan{start: s.nextPage, n: need}
+		s.nextPage += need
+		e.cow = 0
+	}
+	return s.touch(e)
+}
+
+// Delete removes key, leaving a tombstone in its slot, and returns the pages
+// copy-on-write copied. Get returns nil for a deleted key and the snapshot
+// writer skips it.
+func (s *Store) Delete(key string) (copied int64) {
+	i, ok := s.index[key]
+	if !ok || !s.entries[i].live {
+		return 0
+	}
+	e := &s.entries[i]
+	copied = s.touch(e)
+	s.bytes -= int64(len(e.val)) + int64(len(key))
+	s.live--
+	*e = entry{key: key}
+	return copied
+}
+
+// touch is a write to e's span: while a fork is open, the first write since
+// the fork copies every page of it.
+func (s *Store) touch(e *entry) int64 {
+	if !s.forked || e.cow == s.epoch {
+		return 0
+	}
+	e.cow = s.epoch
+	s.copiedNow += e.span.n
+	return e.span.n
 }
 
 // KeyAt returns the i-th key in insertion order.
-func (s *Store) KeyAt(i int) string { return s.keys[i] }
+func (s *Store) KeyAt(i int) string { return s.entries[i].key }
 
-// BeginCOWEpoch starts a new fork epoch: every page becomes "shared" again.
+// appendValued appends to dst the entries of slots [from, to) that hold a
+// value, as the snapshot writer iterates them.
+func (s *Store) appendValued(dst []entry, from, to int) []entry {
+	for _, e := range s.entries[from:to] {
+		if e.val != nil {
+			dst = append(dst, e)
+		}
+	}
+	return dst
+}
+
+// BeginCOWEpoch opens a fork: every page becomes shared again.
 func (s *Store) BeginCOWEpoch() {
-	s.curEpoch++
+	s.epoch++
+	s.forked = true
 	s.copiedNow = 0
 }
 
-// TouchPages marks span's pages written in the current epoch and returns
-// how many of them needed a copy-on-write fault.
-func (s *Store) TouchPages(span pageSpan) int64 {
-	for int64(len(s.epoch)) < s.nextPage {
-		s.epoch = append(s.epoch, 0)
-	}
-	var copied int64
-	for p := span.start; p < span.start+span.n; p++ {
-		if s.epoch[p] != s.curEpoch {
-			s.epoch[p] = s.curEpoch
-			copied++
-		}
-	}
-	s.copiedNow += copied
-	return copied
-}
+// EndCOWEpoch closes the fork: writes copy nothing until the next one.
+func (s *Store) EndCOWEpoch() { s.forked = false }
 
 // CopiedPages reports pages copied in the current epoch.
 func (s *Store) CopiedPages() int64 { return s.copiedNow }
