@@ -163,6 +163,10 @@ type Result struct {
 	SetLatency metrics.Histogram
 	GetLatency metrics.Histogram
 	Ops        int64
+	// Failed counts ops whose reply carried an error (a write the engine
+	// refused or could not make durable). They are in neither Ops nor the
+	// latency histograms.
+	Failed     int64
 	Start, End sim.Time
 }
 
@@ -287,7 +291,8 @@ func (c *client) run(env *sim.Env) {
 		c.runner.db.Submit(req)
 		resp := req.Reply.Wait(env).(*imdb.Response)
 		if resp.Err != nil {
-			panic(fmt.Sprintf("workload: client %d op failed: %v", c.id, resp.Err))
+			c.runner.res.Failed++
+			continue
 		}
 		lat := env.Now().Sub(start)
 		if isGet {

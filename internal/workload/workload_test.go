@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,11 +12,17 @@ import (
 )
 
 // memBackend reuses a trivial in-memory backend for workload tests.
-type memBackend struct{ walBytes int64 }
+type memBackend struct {
+	walBytes   int64
+	failAppend bool
+}
 
 func (m *memBackend) Label() string { return "mem" }
 func (m *memBackend) WALAppend(env *sim.Env, data wal.Chain) error {
 	env.Sleep(10 * sim.Microsecond)
+	if m.failAppend {
+		return errors.New("mem: injected append failure")
+	}
 	m.walBytes += int64(data.Len())
 	data.Release()
 	return nil
@@ -73,6 +80,28 @@ func TestRedisBenchRuns(t *testing.T) {
 	}
 	if db.Stats().Sets != 500 {
 		t.Fatalf("engine saw %d sets", db.Stats().Sets)
+	}
+}
+
+// A client whose writes are refused counts them as failed and keeps going:
+// the run completes and every op is either done or failed.
+func TestFailedOpsAreCounted(t *testing.T) {
+	eng := sim.NewEngine()
+	be := &memBackend{failAppend: true}
+	db := imdb.New(eng, be, imdb.Config{Policy: imdb.PeriodicalLog}, nil)
+	db.Start()
+	r := Start(eng, db, RedisBench(200, 50))
+	eng.Spawn("waiter", func(env *sim.Env) {
+		r.Done.Wait(env)
+		db.Shutdown(env)
+	})
+	eng.Run()
+	res := r.Result()
+	if res.Failed == 0 || res.Ops+res.Failed != 200 {
+		t.Fatalf("ops=%d failed=%d, want some failed and 200 in all", res.Ops, res.Failed)
+	}
+	if res.SetLatency.Count() != res.Ops {
+		t.Fatalf("%d latencies recorded for %d completed ops", res.SetLatency.Count(), res.Ops)
 	}
 }
 
