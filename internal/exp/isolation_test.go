@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/slimio/slimio/internal/bufpool"
@@ -259,4 +260,14 @@ func TestIsolationDeterminismSerialAndParallel(t *testing.T) {
 		t.Errorf("parallel isolation run diverges from serial:\n%s\nvs\n%s", serial1, concurrent)
 	}
 	checkGolden(t, "isolation_tiny", serial1)
+}
+
+// A tenant whose engine cannot make its log durable fails the isolation
+// cell with an error; it neither panics nor leaves the cell spinning.
+func TestIsolationFaultedTenantFailsTheCell(t *testing.T) {
+	sc := TinyScale()
+	sc.FaultSeed, sc.ProgramErrRate = 1, 0.3
+	if _, err := runIsolationCell(SlimIOConv, 2, false, sc); err == nil || !strings.Contains(err.Error(), "tenant") {
+		t.Fatalf("runIsolationCell = %v, want a tenant error", err)
+	}
 }
