@@ -3,7 +3,7 @@
 # final `total:` line of `go tool cover -func`.
 COVER_BASELINE ?= 68.0
 
-.PHONY: build test race race-tiny cover cover-check bench-smoke fuzz-smoke bench-host bench-recover trace-smoke top-smoke check-smoke lint census
+.PHONY: build test race race-tiny cover cover-check bench-smoke fuzz-smoke bench-host bench-recover trace-smoke top-smoke check-smoke lint census mutants
 
 build:
 	go build ./...
@@ -89,6 +89,13 @@ bench-recover:
 # it as an artifact) and the target fails.
 check-smoke:
 	go run ./cmd/slimio-check -backend both -ops 120 -budget 48 -out slimio-check-repro.json
+
+# Mutation matrix (manual; a few minutes per mutant on 2 vCPUs): apply each
+# mutants/*.patch to a scratch copy of the tree, run every blocking net
+# above against it, and rewrite mutants/TABLE.md with what caught what.
+# Fails if the unmodified tree fails a net or a mutant survives them all.
+mutants:
+	./mutants/run.sh
 
 # Run a tiny traced cell end to end and export the Chrome trace-event JSON;
 # slimio-bench validates the export against the trace-event schema before

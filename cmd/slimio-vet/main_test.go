@@ -12,8 +12,7 @@ import (
 )
 
 // detFixture is a package written to trip several passes at once; it lives
-// under internal/exp so the suite's scoping applies every data-plane pass
-// (including refflow) to it.
+// under internal/exp so the suite's scoping applies every pass to it.
 const detFixture = "../../internal/exp/testdata/src/det"
 
 func runOnce(t *testing.T) []analysis.Finding {

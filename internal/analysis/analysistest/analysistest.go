@@ -13,10 +13,7 @@
 //
 //	code() // want 2*"regexp"
 //
-// is shorthand for writing the quoted pattern twice. Fixture packages may
-// span multiple files; wants and diagnostics are matched per file and line,
-// and package-wide state (such as ownership annotations on helpers in a
-// sibling file) resolves across the whole fixture package.
+// is shorthand for writing the quoted pattern twice.
 //
 // //slimio:allow suppression is applied exactly as the slimio-vet driver
 // applies it, so a fixture can prove the suppression path works by pairing

@@ -28,12 +28,6 @@ var marker = &analysis.Analyzer{
 	},
 }
 
-// TestMultiFileCounts runs the harness over a two-file fixture using the
-// N*"re" count syntax; any mismatch fails this test directly.
-func TestMultiFileCounts(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/multi", marker)
-}
-
 // recorder captures the failures the harness would report.
 type recorder struct {
 	errors []string

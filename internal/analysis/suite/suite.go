@@ -12,18 +12,6 @@
 //     exception: it renders CI-diffed deterministic output from telemetry
 //     dumps, so it opts in (internal/telemetry itself is covered as an
 //     internal/ package — its sampling tick rides the virtual clock).
-//   - retainbuf shares that scope (internal/bufpool included): every layer
-//     of the zero-copy write path handles pooled segments, and a backing
-//     slice retained past its Release is silent cross-request corruption.
-//   - refflow proves the bufpool ownership contract flow-sensitively on
-//     the packages that hold or hand off pooled references (wal, uring,
-//     kernelio, ssd, fdp, nand, snapshot, core, crashmc, exp): a ref
-//     that can leak at function exit, a double Release, or a use after
-//     Release is a finding, with //slimio:owns and //slimio:borrows
-//     declaring transfers across function boundaries (see DESIGN.md
-//     "Statically enforced ownership"). The telemetry plane (whose probes
-//     read gauges off that same write path) and the slimio-top renderer
-//     share the scope.
 //   - maporder applies module-wide (tooling included): ordered output must
 //     be a contract everywhere, harness and linter alike.
 //   - floatfold applies where float folds feed published numbers:
@@ -44,8 +32,6 @@ import (
 	"github.com/slimio/slimio/internal/analysis/load"
 	"github.com/slimio/slimio/internal/analysis/maporder"
 	"github.com/slimio/slimio/internal/analysis/rawgoroutine"
-	"github.com/slimio/slimio/internal/analysis/refflow"
-	"github.com/slimio/slimio/internal/analysis/retainbuf"
 	"github.com/slimio/slimio/internal/analysis/wallclock"
 )
 
@@ -82,37 +68,11 @@ func floatScoped(path string) bool {
 		strings.HasPrefix(path, Module+"/internal/exp")
 }
 
-// refflowDirs are the packages that hold or hand off pooled references:
-// the whole zero-copy write path plus the harnesses that drive it. The
-// analysis tooling itself and the leaf packages that never see a bufpool
-// ref stay out of scope.
-var refflowDirs = []string{
-	"wal", "uring", "kernelio", "ssd", "fdp", "nand",
-	"snapshot", "core", "crashmc", "exp", "telemetry",
-}
-
-func refflowScoped(path string) bool {
-	// The dashboard renders data the probes pulled off the write path; it
-	// must never be the place a pooled ref quietly escapes to.
-	if path == Module+"/cmd/slimio-top" {
-		return true
-	}
-	for _, d := range refflowDirs {
-		prefix := Module + "/internal/" + d
-		if path == prefix || strings.HasPrefix(path, prefix+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // All is the slimio-vet suite in reporting order.
 var All = []ScopedAnalyzer{
 	{wallclock.Analyzer, deterministic},
 	{globalrand.Analyzer, deterministic},
 	{rawgoroutine.Analyzer, deterministic},
-	{retainbuf.Analyzer, deterministic},
-	{refflow.Analyzer, refflowScoped},
 	{maporder.Analyzer, inModule},
 	{floatfold.Analyzer, floatScoped},
 }

@@ -21,30 +21,19 @@ func TestScoping(t *testing.T) {
 		path string
 		want []string
 	}{
-		// Simulation packages get the full determinism contract; the
-		// zero-copy write path additionally gets refflow.
-		{Module + "/internal/sim", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "maporder"}},
-		{Module + "/internal/kernelio", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "refflow", "maporder"}},
-		{Module + "/internal/wal", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "refflow", "maporder"}},
-		{Module + "/internal/nand", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "refflow", "maporder"}},
-		// bufpool implements the contract refflow enforces on its clients;
-		// it keeps the alias pass but not the ownership pass.
-		{Module + "/internal/bufpool", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "maporder"}},
+		// Simulation packages get the full determinism contract.
+		{Module + "/internal/sim", []string{"wallclock", "globalrand", "rawgoroutine", "maporder"}},
+		{Module + "/internal/bufpool", []string{"wallclock", "globalrand", "rawgoroutine", "maporder"}},
 		// The crash-consistency model checker replays schedules
 		// bit-identically, so it must sit under the full determinism
-		// contract like any other simulation package — and it drives the
-		// data plane, so refflow applies too.
-		{Module + "/internal/crashmc", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "refflow", "maporder"}},
+		// contract like any other simulation package.
+		{Module + "/internal/crashmc", []string{"wallclock", "globalrand", "rawgoroutine", "maporder"}},
 		// Metrics and the experiment harness additionally get floatfold.
-		{Module + "/internal/metrics", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "maporder", "floatfold"}},
-		{Module + "/internal/exp", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "refflow", "maporder", "floatfold"}},
-		// The telemetry plane samples on the virtual clock inside cell
-		// engines: full determinism contract, plus refflow because its
-		// probes read gauges off the zero-copy write path.
-		{Module + "/internal/telemetry", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "refflow", "maporder"}},
+		{Module + "/internal/metrics", []string{"wallclock", "globalrand", "rawgoroutine", "maporder", "floatfold"}},
+		{Module + "/internal/exp", []string{"wallclock", "globalrand", "rawgoroutine", "maporder", "floatfold"}},
 		// slimio-top's output is CI-diffed and deterministic: the one cmd/
 		// binary inside the contract.
-		{Module + "/cmd/slimio-top", []string{"wallclock", "globalrand", "rawgoroutine", "retainbuf", "refflow", "maporder"}},
+		{Module + "/cmd/slimio-top", []string{"wallclock", "globalrand", "rawgoroutine", "maporder"}},
 		// Harness binaries legitimately measure wall time; only ordered
 		// output is policed there.
 		{Module + "/cmd/slimio-bench", []string{"maporder"}},
@@ -64,8 +53,8 @@ func TestScoping(t *testing.T) {
 }
 
 func TestSuiteRegistry(t *testing.T) {
-	if len(All) != 7 {
-		t.Fatalf("suite has %d passes, want 7", len(All))
+	if len(All) != 5 {
+		t.Fatalf("suite has %d passes, want 5", len(All))
 	}
 	known := Known()
 	for _, sa := range All {

@@ -23,7 +23,10 @@
 //
 // Releasing a reference you do not hold panics: refcounts never go
 // negative, and under `-race` builds the panic carries the recorded
-// acquire/release call sites (see debug_race.go).
+// acquire/release call sites. `-race` builds also overwrite a segment's
+// bytes with a fixed pattern once its last reference is gone, so reading
+// through a slice kept past Release shows up as corrupt data (see
+// debug_race.go).
 //
 // # Determinism
 //
@@ -118,6 +121,7 @@ func (p *Pool) Get() *Segment {
 // free list, compacting the FIFO's consumed prefix once it dominates.
 func (p *Pool) harvest(now sim.Time) {
 	for p.quarOff < len(p.quar) && p.quar[p.quarOff].ready < now {
+		debugPoison(p.quar[p.quarOff])
 		p.free = append(p.free, p.quar[p.quarOff])
 		p.quar[p.quarOff] = nil
 		p.quarOff++
@@ -148,6 +152,7 @@ func (p *Pool) carve() *Segment {
 func (p *Pool) put(s *Segment) {
 	p.inFlight--
 	if s.ready == 0 || (p.clock != nil && s.ready < p.clock.Now()) {
+		debugPoison(s)
 		p.free = append(p.free, s)
 		return
 	}
@@ -164,8 +169,8 @@ type Segment struct {
 }
 
 // Bytes returns the segment's full backing slice (len == cap == SegSize).
-// The slice is valid only while the caller holds a reference; slimio-vet's
-// retainbuf pass flags uses that outlive the caller's Release.
+// The slice is valid only while the caller holds a reference; `-race`
+// builds overwrite it once the last reference is released.
 func (s *Segment) Bytes() []byte { return s.b }
 
 // Refs reports the current reference count (test hook).

@@ -14,4 +14,6 @@ func debugAcquire(*Segment) {}
 
 func debugRelease(*Segment) {}
 
+func debugPoison(*Segment) {}
+
 func debugDump(*Segment) string { return "" }

@@ -5,7 +5,10 @@ package bufpool
 // Race-instrumented builds (the CI `go test -race` job) record the call
 // site of every Retain/Get and Release on each segment, so a double-release
 // or retain-after-free panic names the code paths that paired wrongly
-// instead of just the final count.
+// instead of just the final count. They also overwrite a segment's bytes
+// with a fixed pattern once no holder may read them (debugPoison), so a
+// read through a slice kept past its last Release sees the pattern instead
+// of the stale payload the LIFO free list would otherwise leave in place.
 //
 // The hooks run on the data plane's hottest path (every page acquire and
 // release, millions per experiment cell), so recording must stay cheap:
@@ -73,6 +76,21 @@ func debugRelease(s *Segment) {
 		s.dbg = &debugInfo{}
 	}
 	s.dbg.releases = keepRecent(s.dbg.releases, capture())
+}
+
+// poisonByte fills released segments. It is neither zero (a clean unwritten
+// tail) nor the WAL record magic, so poisoned bytes decode as corruption.
+const poisonByte = 0xDB
+
+// debugPoison overwrites the bytes of a segment whose last reference is
+// gone: at its final Release, or when its read quarantine expires. The fill
+// doubles a prefix in place, so parallel cells share no scratch buffer.
+func debugPoison(s *Segment) {
+	b := s.b
+	b[0] = poisonByte
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
 func formatSite(d debugSite) string {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/slimio/slimio/internal/fdp"
@@ -464,7 +466,8 @@ func TestRecoverTornWALTail(t *testing.T) {
 }
 
 func TestRecoverContinuesAppending(t *testing.T) {
-	// After recovery, new appends must continue the stream seamlessly.
+	// After recovery, new appends must continue the stream seamlessly, and
+	// the copying path they take must release what it copied.
 	r := newRig(t)
 	recA := wal.AppendRecord(nil, wal.OpSet, []byte("a"), bytes.Repeat([]byte("1"), 700))
 	recB := wal.AppendRecord(nil, wal.OpSet, []byte("b"), bytes.Repeat([]byte("2"), 700))
@@ -484,7 +487,11 @@ func TestRecoverContinuesAppending(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := be2.WALAppend(env, r.chain(recB)); err != nil {
+		c := r.chain(recB)
+		if be2.aligned(c) {
+			t.Error("append after a part-filled recovered page took the aligned path")
+		}
+		if err := be2.WALAppend(env, c); err != nil {
 			t.Error(err)
 			return
 		}
@@ -514,6 +521,123 @@ func TestRecoverContinuesAppending(t *testing.T) {
 		}
 	})
 	eng3.Run()
+	// The continuing append copied the chain into backend pages
+	// (appendCopy) and must have released it: with every backend closed and
+	// the stored pages dropped, nothing stays in flight.
+	r.be.Close()
+	be2.Close()
+	be3.Close()
+	r.dev.FTL().Array().ReleaseStored()
+	if n := r.dev.FTL().Array().Pool().InFlight(); n != 0 {
+		t.Fatalf("%d pooled segments in flight after teardown", n)
+	}
+}
+
+// unreadablePage fails every read of the physical page that stores data (a
+// device read's alias of the stored bytes) with a permanent media error.
+type unreadablePage struct {
+	arr  *nand.Array
+	data []byte
+}
+
+func (h unreadablePage) ReadFault(_ sim.Time, ppa nand.PPA) error {
+	if b := h.arr.StoredRef(ppa).B; len(b) > 0 && &b[0] == &h.data[0] {
+		return &nand.DeviceError{Status: nand.StatusUnrecoveredRead, Op: "read", PPA: ppa}
+	}
+	return nil
+}
+
+func (unreadablePage) ProgramFault(sim.Time, sim.Time, nand.PPA, []byte) nand.ProgramDecision {
+	return nand.ProgramDecision{}
+}
+
+func (unreadablePage) EraseFault(sim.Time, int, int) error { return nil }
+
+// A snapshot-slot page that stays unreadable through readSequential's
+// page-by-page fallback is zero-filled and reported; the image decodes up
+// to the hole, and the WAL written after the snapshot still replays.
+func TestRecoverUnreadableSnapshotPage(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := newFDPDevice(t, 64)
+	cfg := Config{MetaPages: 8, SlotPages: 512}
+	be, err := New(eng, dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := imdb.New(eng, be, withPool(imdb.Config{Policy: imdb.AlwaysLog}, dev), nil)
+	db.Start()
+	const snapKeys, walKeys = 300, 20
+	rng := rand.New(rand.NewSource(1))
+	eng.Spawn("client", func(env *sim.Env) {
+		// Incompressible values spread the image over several chunks.
+		for i := 0; i < snapKeys; i++ {
+			v := make([]byte, 512)
+			rng.Read(v)
+			if err := db.Set(env, fmt.Sprintf("snap%03d", i), v); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		db.TriggerSnapshot(imdb.WALSnapshot).Reply.Wait(env)
+		db.WaitNoSnapshot(env)
+		for i := 0; i < walKeys; i++ {
+			if err := db.Set(env, fmt.Sprintf("wal%02d", i), []byte("after")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := db.Shutdown(env); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Run()
+	be.Close()
+
+	slot := -1
+	for _, s := range be.Slots() {
+		if s.Role == "wal-snapshot" {
+			slot = s.Index
+		}
+	}
+	if slot < 0 {
+		t.Fatal("no WAL-Snapshot committed")
+	}
+	info := be.Slots()[slot]
+	// A page three quarters into the image: chunks before it decode.
+	lpa := info.Start + info.Used/testPageSize*3/4
+	pages, _, err := dev.ReadPages(0, lpa, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.FTL().Array().SetFaultHook(unreadablePage{arr: dev.FTL().Array(), data: pages[0]})
+
+	eng2 := sim.NewEngine()
+	be2, _ := New(eng2, dev, cfg)
+	db2 := imdb.New(eng2, be2, withPool(imdb.Config{}, dev), nil)
+	var entries, walRecords int64
+	eng2.Spawn("recover", func(env *sim.Env) {
+		entries, walRecords, err = db2.Recover(env)
+	})
+	eng2.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes := db2.LastRecovery().Degraded
+	want := fmt.Sprintf("snapshot slot %d: 1 unreadable pages zero-filled", slot)
+	if len(notes) != 2 || notes[0] != want || !strings.HasPrefix(notes[1], fmt.Sprintf("snapshot decode stopped after %d entries", entries)) {
+		t.Fatalf("Degraded = %q, want %q then the decode stop", notes, want)
+	}
+	if entries == 0 || entries >= snapKeys {
+		t.Errorf("snapshot decoded %d of %d entries, want the chunks before the hole", entries, snapKeys)
+	}
+	if walRecords != walKeys {
+		t.Errorf("replayed %d WAL records, want %d", walRecords, walKeys)
+	}
+	for i := 0; i < walKeys; i++ {
+		if got := db2.Store().Get(fmt.Sprintf("wal%02d", i)); string(got) != "after" {
+			t.Fatalf("wal%02d = %q after replay", i, got)
+		}
+	}
 }
 
 func TestWALWrapsAroundRegion(t *testing.T) {

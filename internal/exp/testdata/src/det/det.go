@@ -2,16 +2,14 @@
 // itself: the driver's double-run test lints this package twice and
 // requires byte-identical output, and the SARIF test feeds the same
 // findings through the exporter. Several passes fire here (wallclock,
-// globalrand, rawgoroutine, maporder, retainbuf, refflow) so the global
-// (file, offset, pass) ordering is actually exercised.
+// globalrand, rawgoroutine, maporder) so the global (file, offset, pass)
+// ordering is actually exercised.
 package det
 
 import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"github.com/slimio/slimio/internal/bufpool"
 )
 
 func clock() time.Time {
@@ -30,22 +28,4 @@ func printMap(m map[string]int) {
 	for k := range m {
 		fmt.Println(k)
 	}
-}
-
-func useAfterRelease(p *bufpool.Pool) byte {
-	s := p.Get()
-	b := s.Bytes()
-	s.Release()
-	return b[0]
-}
-
-func leak(p *bufpool.Pool) {
-	s := p.Get()
-	_ = s.Bytes()
-}
-
-func doubleRelease(p *bufpool.Pool) {
-	s := p.Get()
-	s.Release()
-	s.Release()
 }

@@ -475,8 +475,6 @@ func (f *FTL) readWithRetry(now sim.Time, src nand.PPA) (data []byte, done sim.T
 
 // migrateProgram places and programs data into pid's stream, retiring bad
 // destination blocks and retrying on program failure.
-//
-//slimio:borrows data
 func (f *FTL) migrateProgram(now sim.Time, pid uint32, data bufpool.Ref) (nand.PPA, sim.Time, error) {
 	for attempt := 0; attempt <= maxProgramRetries; attempt++ {
 		dst, ready, err := f.placePage(now, pid)
@@ -775,8 +773,6 @@ func (f *FTL) placePage(now sim.Time, pid uint32) (nand.PPA, sim.Time, error) {
 // stranded valid pages migrate, and the write retries on a fresh page. A
 // torn program (power cut mid-write) returns the device error after
 // recording honest post-crash mapping state — see commitTorn.
-//
-//slimio:borrows data
 func (f *FTL) Write(now sim.Time, lpa int64, data bufpool.Ref, pid uint32) (done sim.Time, err error) {
 	if err := f.checkLPA(lpa); err != nil {
 		return now, err
@@ -890,8 +886,6 @@ func NewConventional(arr *nand.Array, cfg Config) (*Conventional, error) {
 }
 
 // Write stores one page at lpa, ignoring the placement hint.
-//
-//slimio:borrows data
 func (c *Conventional) Write(now sim.Time, lpa int64, data bufpool.Ref, pid uint32) (sim.Time, error) {
 	return c.FTL.Write(now, lpa, data, 0)
 }

@@ -56,8 +56,6 @@ func (pg *cachePage) free() {
 // writebackRef returns the page's bytes as a device write payload: one more
 // reference to the page's own segment, which the block scheduler takes over
 // at Submit and the NAND array retains on program — no writeback copy.
-//
-//slimio:owns return
 func (pg *cachePage) writebackRef() bufpool.Ref {
 	pg.seg.Retain()
 	pg.shared = true

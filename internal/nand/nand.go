@@ -435,8 +435,6 @@ func (a *Array) Read(now sim.Time, ppa PPA) (data []byte, done sim.Time, err err
 // past it, the page cache copies on write. A borrowed ref (data.Seg == nil)
 // is copied into a pool segment, so one-shot callers (metadata records,
 // preconditioning) need no pool plumbing.
-//
-//slimio:borrows data
 func (a *Array) Program(now sim.Time, ppa PPA, data bufpool.Ref) (done sim.Time, err error) {
 	if err := a.checkPPA(ppa); err != nil {
 		return now, err

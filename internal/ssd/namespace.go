@@ -59,8 +59,6 @@ func (n *Namespace) pid(local uint32) uint32 {
 
 // Write stores one page at the namespace-local lpa on the mapped placement
 // stream.
-//
-//slimio:borrows data
 func (n *Namespace) Write(now sim.Time, lpa int64, data bufpool.Ref, pid uint32) (sim.Time, error) {
 	if err := n.checkLPA(lpa); err != nil {
 		return now, err

@@ -123,8 +123,6 @@ func (d *Device) readPage(now sim.Time, lpa int64) ([]byte, sim.Time, error) {
 // program failures never reach here — the FTL absorbs them by retiring the
 // block and remapping — so terminal errors are torn writes (power loss) or
 // model errors.
-//
-//slimio:borrows data
 func (d *Device) writePage(now sim.Time, lpa int64, data bufpool.Ref, pid uint32) (sim.Time, error) {
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
@@ -161,8 +159,6 @@ func (d *Device) Stats() fdp.BaseStats { return d.ftl.BaseStats() }
 // below provides the parallelism; the command completes when its last page
 // is durable. Page refs are borrowed: the caller still owns its references
 // when WritePages returns (retries re-submit the same ref).
-//
-//slimio:borrows pages
 func (d *Device) WritePages(now sim.Time, lpa int64, pages []bufpool.Ref, pid uint32) (cmdDone sim.Time, err error) {
 	if len(pages) == 0 {
 		return now, nil
@@ -231,8 +227,6 @@ func (d *Device) Deallocate(lpa, count int64) error {
 
 // Write is the blocking form of WritePages for simulation processes: the
 // calling process sleeps until the command completes.
-//
-//slimio:borrows pages
 func (d *Device) Write(env *sim.Env, lpa int64, pages []bufpool.Ref, pid uint32) error {
 	done, err := d.WritePages(env.Now(), lpa, pages, pid)
 	if err != nil {

@@ -329,8 +329,6 @@ func (r *Ring) cqHandler(env *sim.Env) {
 
 // Write submits a multi-page write and blocks until durable. It takes one
 // reference per pooled page (see SQE).
-//
-//slimio:owns pages
 func (r *Ring) Write(env *sim.Env, lpa int64, pages []bufpool.Ref, pid uint32) error {
 	cqe := r.SubmitAndWait(env, &SQE{Op: OpWrite, LPA: lpa, Pages: pages, PID: pid})
 	return cqe.Err
@@ -339,8 +337,6 @@ func (r *Ring) Write(env *sim.Env, lpa int64, pages []bufpool.Ref, pid uint32) e
 // WriteAsync submits a multi-page write and returns immediately with the
 // completion signal (fired with *CQE). It takes one reference per pooled
 // page (see SQE).
-//
-//slimio:owns pages
 func (r *Ring) WriteAsync(env *sim.Env, lpa int64, pages []bufpool.Ref, pid uint32) *sim.Signal {
 	return r.Submit(env, &SQE{Op: OpWrite, LPA: lpa, Pages: pages, PID: pid})
 }

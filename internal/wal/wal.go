@@ -370,8 +370,6 @@ func (b *Buffer) AppendedTotal() int64 { return b.appended }
 // segment transfers; see Chain's ownership contract) and resets the record
 // count. The buffer retains the partial tail segment — taking a reference of
 // its own — and continues encoding past the drained range.
-//
-//slimio:owns return
 func (b *Buffer) Drain() Chain {
 	if b.Len() == 0 {
 		return Chain{}
