@@ -1,10 +1,15 @@
-// Package analysis is a self-contained reimplementation of the core of
+// Package analysis holds the repository's determinism contract: five
+// static-analysis passes (wallclock, globalrand, rawgoroutine, maporder,
+// floatfold; see DESIGN.md "Determinism contract"), the scoping that says
+// which package each governs, and the loader that type-checks packages from
+// `go list -export` data. TestDeterminismContract runs every pass over the
+// module, so plain `go test ./...` enforces the contract.
+//
+// The framework is a self-contained reimplementation of the core of
 // golang.org/x/tools/go/analysis, built only on the standard library so the
-// repository needs no external module to enforce its determinism contract.
-// It deliberately mirrors the upstream API shape (Analyzer, Pass,
-// Diagnostic) so the passes under internal/analysis/* read like ordinary
-// go/analysis passes and could be ported to the real framework by swapping
-// one import.
+// repository needs no external module. It mirrors the upstream API shape
+// (Analyzer, Pass, Diagnostic) so each pass reads like an ordinary
+// go/analysis pass.
 //
 // On top of the upstream shape it adds one repo-specific mechanism:
 // `//slimio:allow <pass> <reason>` suppression comments. A diagnostic is
@@ -31,7 +36,8 @@ type Analyzer struct {
 	Name string
 
 	// Doc is a one-paragraph summary: first line is a short description,
-	// the rest is the rationale printed by `slimio-vet -explain`.
+	// the rest is the rationale TestDeterminismContract prints when the
+	// pass finds something.
 	Doc string
 
 	// Run applies the pass to one package and reports findings via
@@ -39,9 +45,6 @@ type Analyzer struct {
 	// parity).
 	Run func(pass *Pass) (any, error)
 }
-
-// String returns the analyzer's name.
-func (a *Analyzer) String() string { return a.Name }
 
 // A Pass provides one analyzer run with a single type-checked package and a
 // sink for diagnostics.
@@ -69,16 +72,11 @@ type Diagnostic struct {
 }
 
 // A Finding is a fully resolved diagnostic: position translated through the
-// file set and tagged with the reporting analyzer. It is what drivers print
-// or serialize.
+// file set and tagged with the reporting analyzer.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Offset   int            `json:"offset"` // byte offset in File: the stable sort key
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 func (f Finding) String() string {

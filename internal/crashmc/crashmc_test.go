@@ -55,21 +55,43 @@ func TestLatticeEnumerationAndSeedCorpus(t *testing.T) {
 }
 
 // TestCheckDeterminism: the same config must reproduce the same lattice,
-// the same faults, and the same (empty) violation list, bit for bit.
+// the same faults, and the same violations, bit for bit — the contract
+// slimio-check -repro relies on. The ack-on-append row runs without
+// StopAtFirst, so its whole violation list must repeat, in lattice order.
 func TestCheckDeterminism(t *testing.T) {
+	workloads := []struct {
+		name string
+		w    Workload
+	}{
+		{"clean", Workload{Seed: 7, Ops: 60}},
+		{"ack-on-append", Workload{Seed: 7, Ops: 60, Mutation: MutAckOnAppend}},
+	}
 	for _, tgt := range Targets {
 		t.Run(tgt.String(), func(t *testing.T) {
-			cfg := Config{Target: tgt, Workload: Workload{Seed: 7, Ops: 60}, Budget: 10}
-			a, err := Check(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Check(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("not deterministic:\n first %+v\nsecond %+v", a, b)
+			for _, wl := range workloads {
+				t.Run(wl.name, func(t *testing.T) {
+					cfg := Config{Target: tgt, Workload: wl.w, Budget: 10}
+					a, err := Check(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := Check(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("not deterministic:\n first %+v\nsecond %+v", a, b)
+					}
+					if wl.w.Mutation != 0 && len(a.Violations) < 2 {
+						t.Fatalf("%d violations, want >= 2 to compare", len(a.Violations))
+					}
+					for i := 1; i < len(a.Violations); i++ {
+						if a.Violations[i].Cut < a.Violations[i-1].Cut {
+							t.Errorf("violation %d at %v precedes violation %d at %v: not in lattice order",
+								i, a.Violations[i].Cut, i-1, a.Violations[i-1].Cut)
+						}
+					}
+				})
 			}
 		})
 	}

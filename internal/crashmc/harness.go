@@ -18,8 +18,9 @@
 //
 // Determinism: the checker is strictly serial, uses a local splitmix64
 // stream, and never reads the wall clock, so it falls under every
-// slimio-vet determinism pass (wallclock/globalrand/rawgoroutine) like any
-// other simulation package.
+// determinism-contract pass (wallclock/globalrand/rawgoroutine, run by
+// internal/analysis.TestDeterminismContract) like any other simulation
+// package.
 package crashmc
 
 import (

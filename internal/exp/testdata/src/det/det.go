@@ -1,9 +1,8 @@
-// Deliberately violating fixture for slimio-vet's determinism contract on
-// itself: the driver's double-run test lints this package twice and
-// requires byte-identical output, and the SARIF test feeds the same
-// findings through the exporter. Several passes fire here (wallclock,
-// globalrand, rawgoroutine, maporder) so the global (file, offset, pass)
-// ordering is actually exercised.
+// Deliberately violating fixture for the determinism contract:
+// internal/analysis.TestDeterminismContract requires at least three of its
+// passes to fire here (wallclock, globalrand, rawgoroutine and maporder
+// do), so a contract run that finds nothing in the module is known to have
+// run live passes.
 package det
 
 import (

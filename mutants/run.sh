@@ -4,8 +4,9 @@
 # which mutant to mutants/TABLE.md. The first row runs the unmodified copy,
 # which every net must pass.
 #
-# The nets are go test, go test -race -short, each slimio-vet pass (read off
-# one slimio-vet run, since the unmodified tree has no findings), make
+# The nets are go test, go test -race -short, each determinism-contract pass
+# (one column per TestDeterminismContract subtest, read off one run of that
+# test; the go test columns skip it so each pass stands as its own net), make
 # check-smoke and make fuzz-smoke. A cell names the failing tests, findings
 # or violation; "-" means the net passed. The copy lives under mktemp -d, so
 # TMPDIR picks the disk; logs stay there. Exits 1 when the unmodified copy
@@ -58,6 +59,15 @@ failures() {
 	'
 }
 
+# contract_findings prints the "file:line: message" findings the
+# TestDeterminismContract subtest for pass $1 reported in go test output.
+contract_findings() {
+	awk -v name="TestDeterminismContract/$1" '
+	/--- (FAIL|PASS|SKIP): / { on = ($3 == name); next }
+	on && sub(/^ +[A-Za-z0-9_]+_test\.go:[0-9]+: /, "") && /^[^ ]+\.go:[0-9]+: / { print }
+	'
+}
+
 # cell joins its stdin lines into one table cell: the first three, a count
 # of the rest, "-" when empty.
 cell() {
@@ -75,15 +85,15 @@ cell() {
 # that hangs costs minutes, not the defaults' tens of minutes.
 run_nets() {
 	local name=$1 out
-	(cd "$tree" && go test -timeout 3m ./... >"$logs/$name.test" 2>&1)
+	(cd "$tree" && go test -skip '^TestDeterminismContract$' -timeout 3m ./... >"$logs/$name.test" 2>&1)
 	failures <"$logs/$name.test" | cell
 	echo
-	(cd "$tree" && go test -race -short -timeout 5m ./... >"$logs/$name.race" 2>&1)
+	(cd "$tree" && go test -race -short -skip '^TestDeterminismContract$' -timeout 5m ./... >"$logs/$name.race" 2>&1)
 	failures <"$logs/$name.race" | cell
 	echo
-	(cd "$tree" && go run ./cmd/slimio-vet ./... >"$logs/$name.vet" 2>&1)
+	(cd "$tree" && go test -count=1 -run '^TestDeterminismContract$' ./internal/analysis >"$logs/$name.vet" 2>&1)
 	for pass in $passes; do
-		sed -n "s/^\([^:]*:[0-9]*\):[0-9]*: $pass: \(.*\)$/\1: \2/p" "$logs/$name.vet" | cell
+		contract_findings "$pass" <"$logs/$name.vet" | cell
 		echo
 	done
 	(cd "$tree" && timeout 5m make check-smoke >"$logs/$name.check" 2>&1)
@@ -108,7 +118,9 @@ run_nets() {
 }
 
 fresh_tree
-passes=$(cd "$tree" && go run ./cmd/slimio-vet -list | awk '{print $1}')
+passes=$(cd "$tree" && go test -count=1 -v -run '^TestDeterminismContract$' ./internal/analysis |
+	sed -n 's/^=== RUN   TestDeterminismContract\///p')
+[ -n "$passes" ] || { echo "mutants: TestDeterminismContract ran no pass subtests" >&2; exit 1; }
 
 header="| Mutant | go test | race -short |"
 rule="|---|---|---|"
@@ -143,6 +155,7 @@ for patch in none "$root"/mutants/*.patch; do
 	rows="$rows$row"$'\n'
 	if [ "$patch" = none ]; then
 		[ "$caught" -eq 0 ] || { echo "mutants: the unmodified tree fails a net" >&2; status=1; }
+		grep -q '^ok' "$logs/$name.vet" || { echo "mutants: the unmodified tree fails TestDeterminismContract" >&2; status=1; }
 	else
 		[ "$caught" -gt 0 ] || { echo "mutants: $name survives every net" >&2; status=1; }
 		notes="$notes- \`$name\`: $(sed '/^$/q' "$patch" | tr '\n' ' ' | sed 's/ *$//')"$'\n'
@@ -155,7 +168,9 @@ done
 	echo "Written by \`make mutants\` (mutants/run.sh); do not edit by hand."
 	echo "Each row is one patch in mutants/ applied to a copy of the tree; each"
 	echo "column is a blocking CI net. A cell names what failed; \"-\" means the"
-	echo "net passed. The first row is the unmodified tree."
+	echo "net passed. The first row is the unmodified tree. The pass columns are"
+	echo "the subtests of internal/analysis.TestDeterminismContract, which the"
+	echo "go test and race -short columns skip."
 	echo
 	echo "$header"
 	echo "$rule"
