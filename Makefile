@@ -65,6 +65,7 @@ bench-smoke:
 # blocking step). -fuzz accepts one target per invocation.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/snapshot
+	go test -run '^$$' -fuzz '^FuzzDecodeRuns$$' -fuzztime 10s ./internal/snapshot
 	go test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s ./internal/snapshot
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wal
 	go test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime 10s ./internal/wal

@@ -242,24 +242,24 @@ func (b *Backend) BeginSnapshot(env *sim.Env, kind imdb.SnapshotKind) (imdb.Snap
 	return &fileSink{be: b, tmp: tmp, final: final}, nil
 }
 
-// readAll reads a whole file through the kernel path in ReadChunk slices. A
-// device read failure mid-file (retries already exhausted below) stops the
-// scan: the prefix read so far is returned with a degradation note, because
-// a durable-prefix recovery beats refusing to start.
-func (b *Backend) readAll(env *sim.Env, name string) (data []byte, note string, err error) {
+// readAll reads a whole file through the kernel path in ReadChunk slices and
+// returns the read(2) buffers as runs, never concatenated: each is a fresh
+// buffer the caller owns. A device read failure mid-file (retries already
+// exhausted below) stops the scan: the prefix read so far is returned with a
+// degradation note, because a durable-prefix recovery beats refusing to start.
+func (b *Backend) readAll(env *sim.Env, name string) (runs [][]byte, note string, err error) {
 	f, err := b.fs.Open(name)
 	if err != nil {
 		return nil, "", err
 	}
-	out := make([]byte, 0, f.Size())
 	for off := int64(0); off < f.Size(); off += int64(b.ReadChunk) {
 		chunk, err := f.Read(env, off, b.ReadChunk)
 		if err != nil {
-			return out, fmt.Sprintf("%s: unreadable at byte %d of %d: %v", name, off, f.Size(), err), nil
+			return runs, fmt.Sprintf("%s: unreadable at byte %d of %d: %v", name, off, f.Size(), err), nil
 		}
-		out = append(out, chunk...)
+		runs = append(runs, chunk)
 	}
-	return out, "", nil
+	return runs, "", nil
 }
 
 // Recover loads the preferred snapshot (WAL-Snapshot first, as Redis
@@ -292,7 +292,7 @@ func (b *Backend) Recover(env *sim.Env) (*imdb.Recovered, error) {
 		if note != "" {
 			rec.Degraded = append(rec.Degraded, note)
 		}
-		rec.WAL = append(rec.WAL, wal.DecodeSegment([][]byte{seg}))
+		rec.WAL = append(rec.WAL, wal.DecodeSegment(seg))
 	}
 	// After a crash the open segment can end in a torn tail (non-zero
 	// garbage from a partial page) or lost zero pages; record where the

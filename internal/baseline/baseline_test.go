@@ -106,7 +106,7 @@ func TestSnapshotCommitRename(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if !rec.HaveSnapshot || !bytes.Equal(rec.Snapshot, img) {
+		if !rec.HaveSnapshot || !bytes.Equal(bytes.Join(rec.Snapshot, nil), img) {
 			t.Error("snapshot image corrupted")
 		}
 	})
@@ -136,8 +136,8 @@ func TestSnapshotReplacesPrevious(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if rec.Snapshot[0] != '2' {
-			t.Errorf("latest snapshot not recovered: %c", rec.Snapshot[0])
+		if rec.Snapshot[0][0] != '2' {
+			t.Errorf("latest snapshot not recovered: %c", rec.Snapshot[0][0])
 		}
 	})
 }

@@ -378,7 +378,7 @@ func TestAbortPreservesOldSnapshot(t *testing.T) {
 			t.Error("good snapshot lost after abort")
 			return
 		}
-		if !bytes.Equal(rec.Snapshot, img) {
+		if !bytes.Equal(bytes.Join(rec.Snapshot, nil), img) {
 			t.Error("recovered image differs")
 		}
 	})
@@ -778,8 +778,15 @@ func TestRecoverFromSpecificKind(t *testing.T) {
 				t.Errorf("kind %v: got have=%v kind=%v", kind, rec.HaveSnapshot, rec.Kind)
 				return
 			}
-			if !bytes.Equal(rec.Snapshot, want) {
+			if !bytes.Equal(bytes.Join(rec.Snapshot, nil), want) {
 				t.Errorf("kind %v: wrong image recovered", kind)
+			}
+			// The image comes back as the pages it was read as, the last one
+			// cut to the image's length.
+			for i, run := range rec.Snapshot[:len(rec.Snapshot)-1] {
+				if len(run) != testPageSize {
+					t.Errorf("kind %v: run %d is %d bytes, want one %d-byte page", kind, i, len(run), testPageSize)
+				}
 			}
 		})
 		eng2.Run()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/imdb"
@@ -696,7 +695,8 @@ func (b *Backend) recover(env *sim.Env, want *imdb.SnapshotKind) (*imdb.Recovere
 		}
 	}
 	if slot >= 0 {
-		img, bad, err := b.readSequential(env, b.lay.slotStart[slot], pagesNeeded(b.meta.slotBytes[slot], b.pageSize))
+		n := pagesNeeded(b.meta.slotBytes[slot], b.pageSize)
+		pages, bad, err := b.readSequential(env, b.lay.slotStart[slot], n)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot read: %w", err)
 		}
@@ -705,11 +705,10 @@ func (b *Backend) recover(env *sim.Env, want *imdb.SnapshotKind) (*imdb.Recovere
 			// stop at the hole and the WAL replay covers what it can.
 			out.Degraded = append(out.Degraded, fmt.Sprintf("snapshot slot %d: %d unreadable pages zero-filled", slot, bad))
 		}
-		if int64(len(img)) > b.meta.slotBytes[slot] {
-			img = img[:b.meta.slotBytes[slot]]
-		}
+		last := &pages[n-1]
+		*last = (*last)[:b.meta.slotBytes[slot]-(n-1)*b.pageSize]
 		out.HaveSnapshot = true
-		out.Snapshot = img
+		out.Snapshot = pages
 	}
 
 	// 3. Sealed segments: exact lengths come from the segment table.
@@ -845,11 +844,11 @@ func (b *Backend) readRingPages(env *sim.Env, start, n int64) (pages [][]byte, b
 	return pages, bad, nil
 }
 
-// pageView is a read page as the WAL decoder takes it: pageSize bytes, so
-// byte offsets stay page-aligned. A full page is its own view — the device's
-// bytes, not a copy, so it is decoded before recovery returns and kept by
-// nothing. A short (tail) page, or a missing one (nil), becomes a
-// zero-padded copy.
+// pageView is a read page as the recovery decoders take it: pageSize bytes,
+// so byte offsets stay page-aligned. A full page is its own view — the
+// device's bytes, not a copy, kept by nothing once the image or segment it
+// belongs to is decoded (see nand.Array.Read for why that is safe). A short
+// (tail) page, or a missing one (nil), becomes a zero-padded copy.
 func pageView(pg []byte, pageSize int64) []byte {
 	if int64(len(pg)) == pageSize {
 		return pg
@@ -859,28 +858,14 @@ func pageView(pg []byte, pageSize int64) []byte {
 	return p
 }
 
-// appendPage appends a device page to the snapshot image, zero-padding
-// short (tail) pages so byte offsets stay page-aligned. Callers that know
-// their page count size dst up front; otherwise dst at least doubles when
-// full, so an image of any length is copied O(1) times, not once per 1.25x
-// regrowth.
-func appendPage(dst, pg []byte, pageSize int64) []byte {
-	end := len(dst) + int(pageSize)
-	if end > cap(dst) {
-		dst = slices.Grow(dst, max(cap(dst), int(pageSize)))
-	}
-	page := dst[len(dst):end]
-	clear(page[copy(page, pg):])
-	return dst[:end]
-}
-
 // readSequential reads n pages from lpa with a double-buffered read-ahead
 // pipeline: the next batch is in flight while the current one is consumed.
-// This is the §5.3 recovery reader. A failed batch falls back to single-page
+// This is the §5.3 recovery reader. It returns the pages as views (see
+// pageView), never concatenated. A failed batch falls back to single-page
 // reads to salvage what it can; pages that still fail (device retries are
 // already exhausted below this layer) are zero-filled and counted in bad.
-func (b *Backend) readSequential(env *sim.Env, lpa, n int64) (out []byte, bad int64, err error) {
-	out = make([]byte, 0, n*b.pageSize)
+func (b *Backend) readSequential(env *sim.Env, lpa, n int64) (pages [][]byte, bad int64, err error) {
+	pages = make([][]byte, 0, n)
 	ra := recoveryReadAhead
 	issue := func(off int64) *sim.Signal {
 		cnt := ra
@@ -890,7 +875,7 @@ func (b *Backend) readSequential(env *sim.Env, lpa, n int64) (out []byte, bad in
 		return b.walRing.Submit(env, &uring.SQE{Op: uring.OpRead, LPA: lpa + off, N: cnt})
 	}
 	if n == 0 {
-		return out, 0, nil
+		return pages, 0, nil
 	}
 	pendingSig := issue(0)
 	for off := int64(0); off < n; off += ra {
@@ -908,16 +893,16 @@ func (b *Backend) readSequential(env *sim.Env, lpa, n int64) (out []byte, bad in
 				pg, perr := b.walRing.Read(env, lpa+off+i, 1)
 				if perr != nil {
 					bad++
-					out = appendPage(out, nil, b.pageSize)
+					pages = append(pages, pageView(nil, b.pageSize))
 					continue
 				}
-				out = appendPage(out, pg[0], b.pageSize)
+				pages = append(pages, pageView(pg[0], b.pageSize))
 			}
 			continue
 		}
 		for _, pg := range cqe.Data {
-			out = appendPage(out, pg, b.pageSize)
+			pages = append(pages, pageView(pg, b.pageSize))
 		}
 	}
-	return out, bad, nil
+	return pages, bad, nil
 }

@@ -209,7 +209,7 @@ func TestOracleRules(t *testing.T) {
 			r := clean()
 			r.HaveSnapshot = true
 			r.Kind = imdb.WALSnapshot
-			r.Snapshot = []byte{9, 9, 9}
+			r.Snapshot = [][]byte{{9, 9, 9}}
 			return r
 		}(), CodeSnapshotAlien},
 		{"snapshot-in-flight-may-vanish", &History{

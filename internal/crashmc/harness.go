@@ -372,7 +372,15 @@ func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Record
 	recErrs := make([]error, len(ws))
 	for i, be := range reopened {
 		eng2.Spawn(fmt.Sprintf("recover%d", i), func(env *sim.Env) {
-			out.Engines[i].Rec, recErrs[i] = be.Recover(env)
+			rec, err := be.Recover(env)
+			if rec != nil && rec.HaveSnapshot {
+				// The image's runs may be views of device pages, which the
+				// teardown below releases (and -race builds overwrite); the
+				// oracle judges the image after that, so it gets a copy, as
+				// the one run it reads.
+				rec.Snapshot = [][]byte{bytes.Join(rec.Snapshot, nil)}
+			}
+			out.Engines[i].Rec, recErrs[i] = rec, err
 		})
 	}
 	eng2.Run()

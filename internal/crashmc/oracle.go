@@ -88,7 +88,9 @@ func digestRecords(recs []wal.Record) uint64 {
 //   - damage-report rule: a WAL truncation offset must be in range and
 //     carry a Degraded note.
 //
-// It returns nil when every rule holds.
+// A recovered snapshot's image is rec.Snapshot[0]: runOnce copies the runs
+// the backend read into that one run before the teardown frees them. It
+// returns nil when every rule holds.
 func checkOracle(tgt Target, cut sim.Time, h *History, rec *imdb.Recovered) *Violation {
 	recs := recoveredRecords(rec)
 	mk := func(code, detail string) *Violation {
@@ -133,21 +135,23 @@ func checkOracle(tgt Target, cut sim.Time, h *History, rec *imdb.Recovered) *Vio
 			commitInFlight = true
 		}
 	}
+	var img []byte
 	if rec.HaveSnapshot {
+		img = rec.Snapshot[0]
 		if rec.Kind != imdb.WALSnapshot {
 			return mk(CodeSnapshotAlien,
 				fmt.Sprintf("recovered a %v snapshot, but only wal snapshots were written", rec.Kind))
 		}
 		ok := false
 		for _, se := range h.Snaps {
-			if (se.Committed || se.CommitInFlight) && bytes.Equal(rec.Snapshot, se.Img) {
+			if (se.Committed || se.CommitInFlight) && bytes.Equal(img, se.Img) {
 				ok = true
 				break
 			}
 		}
 		if !ok {
 			return mk(CodeSnapshotAlien,
-				fmt.Sprintf("recovered %d-byte snapshot matches no committed or committing image", len(rec.Snapshot)))
+				fmt.Sprintf("recovered %d-byte snapshot matches no committed or committing image", len(img)))
 		}
 	}
 	if lastCommitted >= 0 && !commitInFlight {
@@ -157,7 +161,7 @@ func checkOracle(tgt Target, cut sim.Time, h *History, rec *imdb.Recovered) *Vio
 			return mk(CodeSnapshotLost,
 				fmt.Sprintf("snapshot %d committed before the cut but none recovered", lastCommitted))
 		}
-		if !bytes.Equal(rec.Snapshot, h.Snaps[lastCommitted].Img) {
+		if !bytes.Equal(img, h.Snaps[lastCommitted].Img) {
 			return mk(CodeSnapshotLost,
 				fmt.Sprintf("recovered snapshot is not the last committed image (index %d)", lastCommitted))
 		}

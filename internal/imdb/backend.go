@@ -50,8 +50,14 @@ type Recovered struct {
 	// Kind is the kind of the recovered snapshot (the paper recovers either
 	// the WAL-Snapshot plus the WAL, or an On-Demand-Snapshot alone).
 	Kind SnapshotKind
-	// Snapshot is the raw snapshot image.
-	Snapshot []byte
+	// Snapshot is the raw snapshot image as the runs of bytes the backend
+	// read it as, in order: device pages (the last one cut to the image's
+	// length) or file read buffers, never concatenated. The runs may be
+	// views of device memory, valid only until the recovering engine writes
+	// again; Engine.Recover decodes them with snapshot.NewImageReader and
+	// then drops them, so the Recovered that LastRecovery returns holds
+	// no image.
+	Snapshot [][]byte
 	// WAL holds the durable log segments in append order (a sealed pre-fork
 	// segment, if a WAL-Snapshot was in flight at the crash, then the
 	// current segment), each decoded once by the backend with

@@ -1,7 +1,6 @@
 package imdb
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -891,7 +890,7 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 	e.lastRecovery = rec
 	cost := e.cfg.Cost
 	if rec.HaveSnapshot {
-		r := snapshot.NewReader(bytes.NewReader(rec.Snapshot))
+		r := snapshot.NewImageReader(rec.Snapshot)
 		for {
 			batch, rerr := r.Next()
 			if rerr == io.EOF {
@@ -915,6 +914,9 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 			env.Work("decompress", sim.DurationForBytes(raw, cost.DecompressBandwidth))
 			env.Work("insert", cost.InsertPerEntry*sim.Duration(len(batch)))
 		}
+		// The store holds only the chunk buffers the reader inflated into;
+		// what LastRecovery returns must not keep the image's device pages.
+		rec.Snapshot = nil
 	}
 	// Replay the log segments in order; each truncates independently at a
 	// torn record. Corruption past the durable prefix is noted, not fatal:

@@ -117,11 +117,11 @@ func (m *memBackend) Recover(env *sim.Env) (*Recovered, error) {
 	if img, ok := m.snapshots[WALSnapshot]; ok {
 		rec.HaveSnapshot = true
 		rec.Kind = WALSnapshot
-		rec.Snapshot = img
+		rec.Snapshot = [][]byte{img}
 	} else if img, ok := m.snapshots[OnDemandSnapshot]; ok {
 		rec.HaveSnapshot = true
 		rec.Kind = OnDemandSnapshot
-		rec.Snapshot = img
+		rec.Snapshot = [][]byte{img}
 	}
 	return rec, nil
 }

@@ -109,7 +109,7 @@ func TestRecoverDegradedSnapshotDecode(t *testing.T) {
 	db, entries, walRecs := recoverCanned(t, &Recovered{
 		HaveSnapshot:   true,
 		Kind:           WALSnapshot,
-		Snapshot:       img,
+		Snapshot:       [][]byte{img},
 		WAL:            walOf(walSeg),
 		WALTruncatedAt: -1,
 	})

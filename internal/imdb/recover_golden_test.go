@@ -32,7 +32,7 @@ const (
 func TestRecoverCutsGolden(t *testing.T) {
 	var golden strings.Builder
 	row := func(kind exp.BackendKind, run string, st *exp.Stack) {
-		db, entries, walRecords, took := recoverFresh(t, st)
+		db, entries, walRecords, took, _ := recoverFresh(t, st)
 		rec := db.LastRecovery()
 		h := fnv.New64a()
 		h.Write(dumpStore(db.Store()))

@@ -100,13 +100,30 @@ func reopen(tb testing.TB, st *exp.Stack, eng *sim.Engine) (be imdb.Backend, clo
 	return nbe, nbe.Close
 }
 
+// imageKeeper is a backend that keeps the runs of the snapshot image its
+// Recover hands the engine, which the engine drops once it has decoded them.
+type imageKeeper struct {
+	imdb.Backend
+	image [][]byte
+}
+
+func (k *imageKeeper) Recover(env *sim.Env) (*imdb.Recovered, error) {
+	rec, err := k.Backend.Recover(env)
+	if rec != nil {
+		k.image = rec.Snapshot
+	}
+	return rec, err
+}
+
 // recoverFresh recovers the surviving device of st into a fresh engine. took
-// is the recovery's virtual duration.
-func recoverFresh(tb testing.TB, st *exp.Stack) (db *imdb.Engine, entries, walRecords int64, took sim.Duration) {
+// is the recovery's virtual duration and image the runs of the snapshot image
+// the backend read.
+func recoverFresh(tb testing.TB, st *exp.Stack) (db *imdb.Engine, entries, walRecords int64, took sim.Duration, image [][]byte) {
 	tb.Helper()
 	eng := sim.NewEngine()
 	be, closeBackend := reopen(tb, st, eng)
-	db = imdb.New(eng, be, imdb.Config{Pool: st.Pool()}, nil)
+	keeper := &imageKeeper{Backend: be}
+	db = imdb.New(eng, keeper, imdb.Config{Pool: st.Pool()}, nil)
 	eng.Spawn("recover", func(env *sim.Env) {
 		start := env.Now()
 		var err error
@@ -118,7 +135,7 @@ func recoverFresh(tb testing.TB, st *exp.Stack) (db *imdb.Engine, entries, walRe
 	eng.Run()
 	eng.Shutdown()
 	closeBackend()
-	return db, entries, walRecords, took
+	return db, entries, walRecords, took, keeper.image
 }
 
 // The database life the recovery tests cut short: lifeOps operations of
@@ -147,12 +164,13 @@ func dumpStore(s *imdb.Store) []byte {
 // TestRecoveryIdempotent: recovering twice from the same surviving device
 // into fresh engines gives byte-identical stores and the same account of the
 // damage, at several power-cut instants and after a clean shutdown. And the
-// recovered store owns its values. Scribbling over the snapshot image the
-// backend handed back leaves it untouched. The replayed WAL records are gone
-// from what LastRecovery returns. And once the stack is closed, refilling
-// every pooled segment — the device pages the log was read from included —
-// leaves it untouched too; it would not if a replayed record were a view of
-// a page.
+// recovered store owns its values. Scribbling over the runs of the snapshot
+// image the backend handed the engine leaves it untouched, and those runs
+// and the replayed WAL records are gone from what LastRecovery returns. And
+// once the stack is closed, refilling every pooled segment — the device
+// pages the image and the log were read from included — leaves the store
+// untouched too; it would not if a snapshot entry or a replayed record were
+// a view of a page.
 func TestRecoveryIdempotent(t *testing.T) {
 	for _, kind := range stackKinds {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -160,8 +178,8 @@ func TestRecoveryIdempotent(t *testing.T) {
 			full.Close()
 			for _, cut := range lifeCuts(end) {
 				st, _ := life(t, kind, lifeKeys, lifeOps, lifeValueSize, cut)
-				db1, entries, walRecords, _ := recoverFresh(t, st)
-				db2, _, _, _ := recoverFresh(t, st)
+				db1, entries, walRecords, _, image := recoverFresh(t, st)
+				db2, _, _, _, _ := recoverFresh(t, st)
 				r1, r2 := db1.LastRecovery(), db2.LastRecovery()
 				t.Logf("cut %v: %d snapshot entries + %d wal records, truncated at %d, degraded %q",
 					cut, entries, walRecords, r1.WALTruncatedAt, r1.Degraded)
@@ -181,11 +199,19 @@ func TestRecoveryIdempotent(t *testing.T) {
 						t.Errorf("cut %v: LastRecovery still holds %d replayed records of wal segment %d", cut, len(seg.Records), i)
 					}
 				}
-				for i := range r1.Snapshot {
-					r1.Snapshot[i] ^= 0xFF
+				if entries > 0 && len(image) == 0 {
+					t.Errorf("cut %v: %d snapshot entries but no image runs to scribble", cut, entries)
+				}
+				for _, run := range image {
+					for j := range run {
+						run[j] ^= 0xFF
+					}
 				}
 				if !bytes.Equal(dump, dumpStore(db1.Store())) {
 					t.Errorf("cut %v: the store changed when the snapshot image was overwritten", cut)
+				}
+				if r1.Snapshot != nil {
+					t.Errorf("cut %v: LastRecovery still holds the %d runs of the snapshot image", cut, len(r1.Snapshot))
 				}
 				st.Close()
 				if n := st.Pool().InFlight(); n != 0 {
@@ -218,16 +244,19 @@ func BenchmarkRecover(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			st, _ := life(b, kind, 4000, 12000, 2048, 0)
 			defer st.Close()
+			db, _, _, _, image := recoverFresh(b, st)
+			n := int64(0)
+			for _, run := range image {
+				n += int64(len(run))
+			}
+			for _, seg := range db.LastRecovery().WAL {
+				n += seg.Len
+			}
+			b.SetBytes(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				db, _, _, _ := recoverFresh(b, st)
-				rec := db.LastRecovery()
-				n := int64(len(rec.Snapshot))
-				for _, seg := range rec.WAL {
-					n += seg.Len
-				}
-				b.SetBytes(n)
+				recoverFresh(b, st)
 			}
 		})
 	}

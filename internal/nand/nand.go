@@ -27,9 +27,10 @@ import (
 // consumers as aliases at the read's completion time; every consumer in this
 // repository that could race a discard of the page copies the bytes out
 // within the same-timestamp event cascade plus sub-microsecond ring/handler
-// work (≤ ~300 ns), so a microsecond-scale pad is far more than enough (the
-// one that keeps aliases longer, SlimIO's WAL recovery, reads pages nothing
-// discards meanwhile; see Read).
+// work (≤ ~300 ns), so a microsecond-scale pad is far more than enough. The
+// two that keep aliases longer, SlimIO's WAL and snapshot recovery, read
+// pages that nothing discards meanwhile, so no pad has to cover them; see
+// Read.
 const quarantineSlack = 10 * sim.Microsecond
 
 // Status is an NVMe-style command status code, surfaced alongside Go errors
@@ -382,8 +383,13 @@ func (a *Array) EraseCount(die, block int) int64 {
 // its next simulation yield must know that nothing rewrites or trims the
 // logical page meanwhile (GC migration re-stores the same buffer, so it does
 // not count). Every consumer in this repository copies on completion except
-// SlimIO's WAL recovery, which decodes a log segment's pages once they are
-// all read, before the recovering backend can write to its log again.
+// SlimIO's recovery. It decodes a log segment's pages once they are all
+// read, before the recovering backend can write to its log again. And it
+// hands a snapshot slot's pages to the engine, which decodes them across
+// many yields (it bills CPU per chunk) but before it starts: a committed
+// slot is rewritten only after a later snapshot supersedes it, and only a
+// running engine takes one. Stack teardown releases every page, so a
+// caller that keeps the image past teardown must copy it first.
 func (a *Array) Read(now sim.Time, ppa PPA) (data []byte, done sim.Time, err error) {
 	if err := a.checkPPA(ppa); err != nil {
 		return nil, now, err

@@ -64,8 +64,20 @@ func benchImage(tb testing.TB, entries []Entry) (img []byte, chunks int) {
 	return img, chunks - 2 // the magic and the trailer are emitted too
 }
 
-func readImage(tb testing.TB, img []byte) {
-	r := NewReader(bytes.NewReader(img))
+// pages cuts img into size-byte runs, the shape a device read hands back.
+func pages(img []byte, size int) [][]byte {
+	var runs [][]byte
+	for len(img) > size {
+		runs = append(runs, img[:size])
+		img = img[size:]
+	}
+	return append(runs, img)
+}
+
+func readImage(tb testing.TB, img []byte) { read(tb, NewReader(bytes.NewReader(img))) }
+
+// read drains r, failing on anything but a clean image.
+func read(tb testing.TB, r *Reader) {
 	for {
 		if _, err := r.Next(); err == io.EOF {
 			return
@@ -75,13 +87,25 @@ func readImage(tb testing.TB, img []byte) {
 	}
 }
 
+// BenchmarkReader decodes one image from each run source: a byte stream, the
+// image as one run, and the image as the 4 KiB pages recovery reads it as.
 func BenchmarkReader(b *testing.B) {
 	img, _ := benchImage(b, benchEntries(256))
-	b.SetBytes(int64(len(img)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		readImage(b, img)
+	for _, bc := range []struct {
+		name   string
+		reader func() *Reader
+	}{
+		{"io.Reader", func() *Reader { return NewReader(bytes.NewReader(img)) }},
+		{"one-run", func() *Reader { return NewImageReader([][]byte{img}) }},
+		{"4k-pages", func() *Reader { return NewImageReader(pages(img, 4096)) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(img)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				read(b, bc.reader())
+			}
+		})
 	}
 }
 
@@ -126,20 +150,35 @@ func BenchmarkCodecDecompress(b *testing.B) {
 
 // TestReaderAllocBudget pins the recovery-side hot call: in steady state
 // Next allocates the chunk's raw buffer and its entry slice, nothing per
-// entry and nothing per refill. The fixed cost of a Reader (the input
-// buffer) is measured on a short image and subtracted.
+// entry, nothing per refill and nothing per straddling frame, from a byte
+// stream and from 4 KiB page runs alike. The fixed cost of a Reader (the
+// input buffer or the scratch's first growth) is measured on a short image
+// and subtracted.
 func TestReaderAllocBudget(t *testing.T) {
 	entries := make([]Entry, 1024)
 	for i := range entries {
-		entries[i] = Entry{Key: []byte(fmt.Sprintf("key:%08d", i)), Value: bytes.Repeat([]byte{byte(i)}, 4096)}
+		// Half-random values, so chunks compress to frames that straddle
+		// pages instead of fitting several to a page.
+		v := make([]byte, 4096)
+		rand.New(rand.NewSource(int64(i % 16))).Read(v[:2048])
+		entries[i] = Entry{Key: []byte(fmt.Sprintf("key:%08d", i)), Value: v}
 	}
 	short, shortChunks := benchImage(t, entries[:32])
 	long, longChunks := benchImage(t, entries)
-	base := testing.AllocsPerRun(5, func() { readImage(t, short) })
-	full := testing.AllocsPerRun(5, func() { readImage(t, long) })
-	perChunk := (full - base) / float64(longChunks-shortChunks)
-	if perChunk > 2 {
-		t.Fatalf("Reader.Next allocates %.2f per chunk in steady state (%.0f over %d chunks vs %.0f over %d), budget 2",
-			perChunk, full, longChunks, base, shortChunks)
+	shortPages, longPages := pages(short, 4096), pages(long, 4096)
+	for _, src := range []struct {
+		name        string
+		short, long func()
+	}{
+		{"io.Reader", func() { readImage(t, short) }, func() { readImage(t, long) }},
+		{"4 KiB pages", func() { read(t, NewImageReader(shortPages)) }, func() { read(t, NewImageReader(longPages)) }},
+	} {
+		base := testing.AllocsPerRun(5, src.short)
+		full := testing.AllocsPerRun(5, src.long)
+		perChunk := (full - base) / float64(longChunks-shortChunks)
+		if perChunk > 2 {
+			t.Errorf("%s: Reader.Next allocates %.2f per chunk in steady state (%.0f over %d chunks vs %.0f over %d), budget 2",
+				src.name, perChunk, full, longChunks, base, shortChunks)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -48,6 +49,44 @@ func decodeAll(data []byte) ([]Entry, error) {
 			return all, err
 		}
 	}
+}
+
+// decodeRuns is decodeAll over the image cut into runs.
+func decodeRuns(runs [][]byte) ([]Entry, error) {
+	r := NewImageReader(runs)
+	var all []Entry
+	for {
+		ents, err := r.Next()
+		all = append(all, ents...)
+		if err != nil {
+			return all, err
+		}
+	}
+}
+
+// splitRuns cuts data into runs: one per byte of cuts, each as long as that
+// byte says (empty runs included) while data lasts, then the rest.
+func splitRuns(data, cuts []byte) [][]byte {
+	var runs [][]byte
+	for _, c := range cuts {
+		n := min(int(c), len(data))
+		runs = append(runs, data[:n])
+		data = data[n:]
+	}
+	return append(runs, data)
+}
+
+// sameEntries reports whether a and b hold the same entries, by content.
+func sameEntries(a, b []Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Value, b[i].Value) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzDecode: whatever the bytes, the snapshot reader must never panic,
@@ -120,6 +159,56 @@ func FuzzDecode(f *testing.F) {
 			}
 			if n != int64(len(ents)) || r.Entries() != n {
 				t.Fatalf("entry accounting diverged: %d decoded, reader says %d", n, r.Entries())
+			}
+		}
+	})
+}
+
+// FuzzDecodeRuns is the differential check on where the image is cut: read
+// through the io.Reader source, as one run, as 4 KiB pages and cut at
+// fuzz-chosen points, the same bytes must decode to the same entries and end
+// in the same error. And the entries own their bytes: scribbling over the
+// runs after decoding must change none of them.
+func FuzzDecodeRuns(f *testing.F) {
+	valid := buildImage(f, 40, 256)
+	f.Add([]byte{}, []byte{})
+	f.Add(valid, []byte{7, 0, 100, 3})
+	f.Add(valid, []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 13})
+	f.Add(valid[:len(valid)/2], []byte{20, 20})
+	paged, _ := benchImage(f, poolEntries(8, 4, 1)) // one frame over several pages
+	f.Add(paged, []byte{255, 255, 255})
+	stored := make([]byte, 3900) // random, so its one chunk is stored
+	rand.New(rand.NewSource(1)).Read(stored)
+	storedImg, _ := benchImage(f, []Entry{{Key: []byte("k"), Value: stored[:3000]}, {Key: []byte("l"), Value: stored[3000:]}})
+	f.Add(storedImg, []byte{30, 200, 200, 0, 255})
+	for _, h := range hostileImages() {
+		f.Add(h.img, []byte{9, 12})
+	}
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		if len(data) > 64<<10 {
+			t.Skip("oversized fuzz input")
+		}
+		want, wantErr := decodeAll(data)
+		for _, c := range []struct {
+			name string
+			runs [][]byte
+		}{
+			{"one run", [][]byte{bytes.Clone(data)}},
+			{"4 KiB pages", pages(bytes.Clone(data), 4096)},
+			{"fuzz cuts", splitRuns(bytes.Clone(data), cuts)},
+		} {
+			got, err := decodeRuns(c.runs)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !sameEntries(got, want) {
+				t.Fatalf("%s (%d runs): %d entries/%v, io.Reader source: %d entries/%v",
+					c.name, len(c.runs), len(got), err, len(want), wantErr)
+			}
+			for _, run := range c.runs {
+				for i := range run {
+					run[i] ^= 0xFF
+				}
+			}
+			if !sameEntries(got, want) {
+				t.Fatalf("%s: scribbling over the runs changed a decoded entry", c.name)
 			}
 		}
 	})

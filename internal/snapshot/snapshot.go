@@ -162,57 +162,99 @@ func (w *Writer) CompressedBytes() int64 { return w.compTotal }
 // sized from it.
 const maxInflateRatio = 255
 
-// Reader incrementally decodes a snapshot image from a sequential byte
-// source (for example a recovery read-ahead buffer).
+// Reader decodes a snapshot image chunk by chunk from one of two run
+// sources: the runs of bytes a backend read the image as (NewImageReader:
+// device pages or file buffers, never concatenated), or a sequential
+// io.Reader (NewReader), whose reads become the runs. Both feed the one
+// decode loop in Next. A frame inside one run is CRC-checked and inflated
+// where it lies; a frame that straddles runs is first gathered into a scratch
+// buffer reused for every such frame. The Reader never writes to a run.
 //
 // Each chunk is inflated once into a buffer of its own, and the entries Next
-// returns are views of that buffer. The reader never touches it again, so a
-// caller may keep (adopt) the slices; keeping any one of them keeps the whole
-// chunk alive.
+// returns are views of that buffer, never of a run or the scratch. The reader
+// never touches it again, so a caller may keep (adopt) the slices after the
+// runs are gone; keeping any one of them keeps the whole chunk alive.
 type Reader struct {
-	src       io.Reader
-	buf       []byte // buf[pos:] is read from src but not yet consumed
-	pos       int
+	run       []byte    // the unconsumed rest of the current run
+	runs      [][]byte  // the runs after it (NewImageReader)
+	src       io.Reader // or the stream the next runs are read from (NewReader)
+	buf       []byte    // src's read buffer, reused for every run
+	scratch   []byte    // the last straddling frame or header, gathered
 	sawHeader bool
 	done      bool
 	entries   int64
 	declared  int64
 }
 
-// NewReader wraps a sequential source of snapshot bytes.
+// NewImageReader decodes the image that is the concatenation of runs, in
+// order. The runs must stay unchanged until Next has returned io.EOF or an
+// error; the entries it returns stay valid after that.
+func NewImageReader(runs [][]byte) *Reader { return &Reader{runs: runs} }
+
+// NewReader decodes the image read from src.
 func NewReader(src io.Reader) *Reader { return &Reader{src: src} }
 
-// fill makes at least n unconsumed bytes available at buf[pos:]. n comes from
-// an untrusted header, so the buffer grows only as bytes actually arrive.
-func (r *Reader) fill(n int) error {
-	if len(r.buf)-r.pos >= n {
-		return nil
+// nextRun returns the next run of the image, or io.EOF when there is none.
+func (r *Reader) nextRun() ([]byte, error) {
+	if r.src == nil {
+		if len(r.runs) == 0 {
+			return nil, io.EOF
+		}
+		run := r.runs[0]
+		r.runs = r.runs[1:]
+		return run, nil
 	}
-	r.buf = r.buf[:copy(r.buf, r.buf[r.pos:])]
-	r.pos = 0
-	for len(r.buf) < n {
-		if len(r.buf) == cap(r.buf) {
-			r.buf = slices.Grow(r.buf, max(cap(r.buf), DefaultChunkSize)) // at least doubles
+	if r.buf == nil {
+		r.buf = make([]byte, DefaultChunkSize)
+	}
+	for {
+		n, err := r.src.Read(r.buf)
+		if n > 0 {
+			return r.buf[:n], nil
 		}
-		m, err := r.src.Read(r.buf[len(r.buf):cap(r.buf)])
-		r.buf = r.buf[:len(r.buf)+m]
-		if m > 0 {
-			continue
+		if err != nil {
+			return nil, err
 		}
+	}
+}
+
+// take consumes the next n bytes of the image and returns them: a view of the
+// current run when it holds them all, else the bytes gathered into scratch.
+// Either way they are valid only until the next take. n comes from an
+// untrusted header, so scratch grows only as bytes actually arrive.
+func (r *Reader) take(n int) ([]byte, error) {
+	if len(r.run) >= n {
+		b := r.run[:n]
+		r.run = r.run[n:]
+		return b, nil
+	}
+	r.scratch = append(r.scratch[:0], r.run...)
+	r.run = nil
+	for len(r.scratch) < n {
+		run, err := r.nextRun()
 		if err == io.EOF {
 			// Running dry mid-frame is a truncated image, never a clean
 			// end: clean EOF is only reported after the trailer.
-			return fmt.Errorf("snapshot: truncated image: %w", io.ErrUnexpectedEOF)
+			return nil, fmt.Errorf("snapshot: truncated image: %w", io.ErrUnexpectedEOF)
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
+		k := min(len(run), n-len(r.scratch))
+		if len(r.scratch)+k > cap(r.scratch) {
+			// At least double: a frame gathered from many small runs
+			// then costs a few allocations, not one per run.
+			r.scratch = slices.Grow(r.scratch, max(k, cap(r.scratch)))
+		}
+		r.scratch = append(r.scratch, run[:k]...)
+		r.run = run[k:]
 	}
-	return nil
+	return r.scratch, nil
 }
 
 // inflate decodes a chunk payload into a fresh buffer of the declared length;
-// the payload must produce exactly that many bytes.
+// the payload must produce exactly that many bytes. comp is a view of a run
+// or of the scratch, so even a stored chunk is copied out.
 func inflate(comp []byte, rawLen uint32) ([]byte, error) {
 	if uint64(rawLen) > uint64(len(comp))*maxInflateRatio {
 		return nil, fmt.Errorf("snapshot: chunk declares %d raw bytes, more than %d compressed bytes can hold", rawLen, len(comp))
@@ -239,26 +281,25 @@ func (r *Reader) Next() ([]Entry, error) {
 		return nil, io.EOF
 	}
 	if !r.sawHeader {
-		if err := r.fill(len(Magic)); err != nil {
+		got, err := r.take(len(Magic))
+		if err != nil {
 			return nil, err
 		}
-		if got := r.buf[r.pos : r.pos+len(Magic)]; !bytes.Equal(got, Magic) {
+		if !bytes.Equal(got, Magic) {
 			if v := len(Magic) - 1; bytes.Equal(got[:v], Magic[:v]) {
 				return nil, fmt.Errorf("%w: image is version %q, this build reads only %q", ErrVersion, got[v], Magic[v])
 			}
 			return nil, fmt.Errorf("snapshot: bad magic")
 		}
-		r.pos += len(Magic)
 		r.sawHeader = true
 	}
-	if err := r.fill(12); err != nil {
+	hdr, err := r.take(12)
+	if err != nil {
 		return nil, err
 	}
-	hdr := r.buf[r.pos : r.pos+12]
 	rawLen := binary.LittleEndian.Uint32(hdr[0:4])
 	compLen := binary.LittleEndian.Uint32(hdr[4:8])
 	crcOrCount := binary.LittleEndian.Uint32(hdr[8:12])
-	r.pos += 12
 	if rawLen == 0 {
 		// Trailer.
 		r.done = true
@@ -268,10 +309,10 @@ func (r *Reader) Next() ([]Entry, error) {
 		}
 		return nil, io.EOF
 	}
-	if err := r.fill(int(compLen)); err != nil {
+	comp, err := r.take(int(compLen))
+	if err != nil {
 		return nil, err
 	}
-	comp := r.buf[r.pos : r.pos+int(compLen)]
 	if crc32.ChecksumIEEE(comp) != crcOrCount {
 		return nil, fmt.Errorf("snapshot: chunk CRC mismatch")
 	}
@@ -279,7 +320,6 @@ func (r *Reader) Next() ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.pos += int(compLen)
 
 	// Validate the framing and count the entries, then slice them out.
 	n := 0

@@ -72,9 +72,10 @@ func BenchmarkDecodeSegment(b *testing.B) {
 // TestDecodeAllocBudget pins the recovery-side hot calls. Decoding copies
 // each record once, into one allocation of its own, and otherwise allocates
 // only the result slice's amortized growth; cutting the segment into 4 KiB
-// pages adds only the straddle scratch, grown once rather than per straddling
-// frame (a few allocations at most: the race detector's instrumentation
-// moves the header buffer to the heap). Decode itself allocates nothing.
+// pages adds nothing per frame, since a straddling frame is gathered
+// straight into its record's one allocation (a few allocations at most: the
+// race detector's instrumentation moves the header buffer to the heap).
+// Decode itself allocates nothing.
 func TestDecodeAllocBudget(t *testing.T) {
 	const n = 4096
 	buf := benchStream(n)
@@ -84,7 +85,7 @@ func TestDecodeAllocBudget(t *testing.T) {
 	}
 	runs := pages(buf, 4096)
 	if paged := testing.AllocsPerRun(10, func() { DecodeSegment(runs) }); paged > one+4 {
-		t.Errorf("DecodeSegment over %d pages: %.0f allocations, %.0f as one run: the straddle scratch must grow once, not per frame", len(runs), paged, one)
+		t.Errorf("DecodeSegment over %d pages: %.0f allocations, %.0f as one run: a straddling frame must cost its record's one allocation, nothing more", len(runs), paged, one)
 	}
 	rec := buf[:EncodedSize([]byte("00001234"), make([]byte, 1024))]
 	if got := testing.AllocsPerRun(100, func() { Decode(rec) }); got != 0 {

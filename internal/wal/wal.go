@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"slices"
 
 	"github.com/slimio/slimio/internal/bufpool"
 )
@@ -129,17 +128,17 @@ type Segment struct {
 // DecodeSegment decodes the frames of the concatenation of runs (a segment
 // as the device pages it was read as) until the runs end or a bad frame
 // stops it, without building the concatenation. A frame inside one run is
-// checked in place; one that straddles runs is first gathered into a scratch
-// buffer reused for every such frame. Each frame is CRC-checked once and each
-// record copied once, into the allocation it keeps. The result is exactly
-// what decoding the concatenation with Decode, frame by frame, would give.
+// checked in place and its key and value copied out; one that straddles runs
+// is gathered whole, header included, into the allocation its record keeps
+// and decoded there. Either way Decode checks every frame and each record is
+// copied once. The result is exactly what decoding the concatenation with
+// Decode, frame by frame, would give.
 func DecodeSegment(runs [][]byte) Segment {
 	var seg Segment
 	for _, r := range runs {
 		seg.Len += int64(len(r))
 	}
 	var hdr [headerSize]byte
-	var scratch []byte
 	i, off := 0, 0 // the next frame starts at runs[i][off]
 	for {
 		for i < len(runs) && off == len(runs[i]) {
@@ -150,23 +149,23 @@ func DecodeSegment(runs [][]byte) Segment {
 		}
 		src := runs[i][off:]
 		rec, n, err := Decode(src)
-		if rest := seg.Len - seg.Prefix; err != nil && int64(len(src)) < rest {
+		if err == nil {
+			kv := bytes.Clone(src[headerSize:n])
+			rec.Key, rec.Value = kv[:len(rec.Key):len(rec.Key)], kv[len(rec.Key):]
+		} else if rest := seg.Len - seg.Prefix; int64(len(src)) < rest {
 			// Decode saw only this run's share of the bytes. If the header
 			// declares a frame longer than that share and the runs hold it,
-			// decode the frame gathered from the runs instead.
+			// decode the frame gathered from the runs instead; the record
+			// keeps views of that gathered copy.
 			total, ok := frameLen(gather(hdr[:0], runs, i, off, headerSize))
 			if ok && total > len(src) && int64(total) <= rest {
-				scratch = gather(slices.Grow(scratch[:0], total), runs, i, off, total)
-				src = scratch
-				rec, n, err = Decode(src)
+				rec, n, err = Decode(gather(make([]byte, 0, total), runs, i, off, total))
 			}
 		}
 		if err != nil {
 			seg.Corrupt = !zeroFrom(runs, i, off)
 			return seg
 		}
-		kv := bytes.Clone(src[headerSize:n])
-		rec.Key, rec.Value = kv[:len(rec.Key):len(rec.Key)], kv[len(rec.Key):]
 		seg.Records = append(seg.Records, rec)
 		seg.Prefix += int64(n)
 		for off += n; off > len(runs[i]); i++ {
