@@ -1,9 +1,9 @@
 # Total-statement coverage floor for `make cover-check` (CI blocking step).
 # Measured with -short; re-record by running `make cover` and reading the
 # final `total:` line of `go tool cover -func`.
-COVER_BASELINE ?= 79.7
+COVER_BASELINE ?= 80.8
 
-.PHONY: build test race race-tiny cover cover-check bench-smoke fuzz-smoke bench-host bench-recover trace-smoke top-smoke check-smoke lint census mutants
+.PHONY: build test race race-tiny cover cover-check bench-smoke fuzz-smoke bench-host bench-recover trace-smoke top-smoke lint census mutants
 
 build:
 	go build ./...
@@ -61,8 +61,10 @@ lint:
 bench-smoke:
 	go test -short -run XXX -bench . -benchtime=1x ./...
 
-# Ten seconds of each native fuzz target, corpus seeds first (used by CI as a
-# blocking step). -fuzz accepts one target per invocation.
+# Ten seconds of each native fuzz target, corpus seeds first. Local only: go
+# test already runs every seed corpus, and no mutant under mutants/ is caught
+# by these ten seconds and missed by go test. -fuzz accepts one target per
+# invocation.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/snapshot
 	go test -run '^$$' -fuzz '^FuzzDecodeRuns$$' -fuzztime 10s ./internal/snapshot
@@ -83,17 +85,10 @@ bench-host:
 bench-recover:
 	go test -run '^$$' -bench 'Recover|Reader|Decode|Codec|Writer|Store' -benchmem ./internal/snapshot ./internal/wal ./internal/imdb
 
-# Bounded-budget crash-consistency check on both backends (used by CI as a
-# blocking step): enumerate the crash-point lattice of the smoke workload,
-# stride-sample it, and judge every replay with the durability oracle. On
-# violation the shrunk repro lands in slimio-check-repro.json (CI uploads
-# it as an artifact) and the target fails.
-check-smoke:
-	go run ./cmd/slimio-check -backend both -ops 120 -budget 48 -out slimio-check-repro.json
-
 # Mutation matrix (manual; a few minutes per mutant on 2 vCPUs): apply each
-# mutants/*.patch to a scratch copy of the tree, run every blocking net
-# above against it, and rewrite mutants/TABLE.md with what caught what.
+# mutants/*.patch to a scratch copy of the tree, run go test, go test -race
+# -short and each determinism-contract pass against it, and rewrite
+# mutants/TABLE.md with what caught what.
 # Fails if the unmodified tree fails a net or a mutant survives them all.
 mutants:
 	./mutants/run.sh

@@ -1,12 +1,8 @@
 package crashmc
 
 import (
-	"fmt"
-
 	"github.com/slimio/slimio/internal/fault"
-	"github.com/slimio/slimio/internal/metrics"
 	"github.com/slimio/slimio/internal/sim"
-	"github.com/slimio/slimio/internal/telemetry"
 )
 
 // Config parameterizes one model-checking run.
@@ -14,22 +10,13 @@ type Config struct {
 	Target   Target
 	Workload Workload
 	// Budget bounds how many cuts are replayed (0 = the whole lattice),
-	// selected by deterministic stride sampling so a small CI budget still
+	// selected by deterministic stride sampling so a small budget still
 	// covers the full span of the run.
 	Budget int
 	// StopAtFirst stops enumeration at the first violation (in lattice
 	// order) — the shrinker and mutation tests want the earliest failing
 	// cut, not an exhaustive census.
 	StopAtFirst bool
-	// Metrics, when non-nil, receives the aggregate injected-fault
-	// counters (fault.*) and checker progress counters (crashmc.*).
-	Metrics *metrics.Counter
-	// FlightDir, when non-empty, attaches a telemetry cell to every replay
-	// and dumps its flight record (the trailing per-layer state samples) there
-	// when that replay's recovery violates the durability oracle. The
-	// recording pass and the full-run sanity check are not instrumented:
-	// their engines run to queue drain, which a sampling tick would prevent.
-	FlightDir string
 }
 
 // Result is one model-checking run's outcome.
@@ -54,7 +41,7 @@ type Result struct {
 func Check(cfg Config) (*Result, error) {
 	w := cfg.Workload.withDefaults()
 	lr := &latticeRecorder{}
-	full, err := runOnce(cfg.Target.Kind(), []Workload{w}, 0, lr, lr.mark, nil)
+	full, err := runOnce(cfg.Target.Kind(), []Workload{w}, 0, lr, lr.mark)
 	if err != nil {
 		return nil, err
 	}
@@ -70,35 +57,21 @@ func Check(cfg Config) (*Result, error) {
 		}
 	}
 
-	var flights *telemetry.Registry
-	if cfg.FlightDir != "" {
-		flights = telemetry.NewRegistry(0)
-		flights.FlightDir = cfg.FlightDir
-	}
-
 	lattice := buildLattice(lr.points, full.End)
 	res.LatticeSize = len(lattice)
 	for _, cp := range sampleLattice(lattice, cfg.Budget) {
-		tele := flights.Cell(fmt.Sprintf("%s/cut-%d", cfg.Target, int64(cp.T)))
-		out, err := runOnce(cfg.Target.Kind(), []Workload{w}, cp.T, nil, nil, tele)
+		out, err := runOnce(cfg.Target.Kind(), []Workload{w}, cp.T, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		res.CutsChecked++
 		res.Faults.Add(out.Faults)
 		if v := checkOracle(cfg.Target, cp.T, out.Engines[0].Hist, out.Engines[0].Rec); v != nil {
-			tele.DumpFlight("oracle violation: " + v.Code) //nolint:errcheck // the violation is the headline
 			res.Violations = append(res.Violations, *v)
 			if cfg.StopAtFirst {
 				break
 			}
 		}
-	}
-	if cfg.Metrics != nil {
-		res.Faults.AddTo(cfg.Metrics)
-		cfg.Metrics.Inc("crashmc.lattice_points", int64(res.LatticeSize))
-		cfg.Metrics.Inc("crashmc.cuts_checked", int64(res.CutsChecked))
-		cfg.Metrics.Inc("crashmc.violations", int64(len(res.Violations)))
 	}
 	return res, nil
 }

@@ -1,63 +1,92 @@
 package crashmc
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"github.com/slimio/slimio/internal/imdb"
-	"github.com/slimio/slimio/internal/metrics"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/wal"
 )
 
-// TestLatticeEnumerationAndSeedCorpus: the acceptance bar — on the smoke
-// workload each backend's lattice holds at least 200 distinct crash
-// points, a stride sample of them replays with zero oracle violations, and
-// the sampled cuts actually tear pages (the checker is exercising the
-// window it claims to).
+// TestLatticeEnumerationAndSeedCorpus: the acceptance bar, one row per
+// workload. The sample row checks that the DefaultOps lattice holds at least
+// 200 distinct crash points and that a stride sample of it tears pages (the
+// checker exercises the window it claims to). The lattice row replays every
+// cut of the 120-op workload (40 under -short), a superset of any stride
+// sample of it. Both rows require zero oracle violations; the first one found
+// is shrunk and logged as a repro file to commit under testdata/repro/.
 func TestLatticeEnumerationAndSeedCorpus(t *testing.T) {
-	budget := 256
+	rows := []struct {
+		name   string
+		w      Workload
+		budget int // 0 = the whole lattice
+	}{
+		{"sample", Workload{Seed: 1, Ops: DefaultOps}, 256},
+		{"lattice", Workload{Seed: 1, Ops: 120}, 0},
+	}
 	if testing.Short() {
-		budget = 24
+		rows[0].budget = 24
+		rows[1].w.Ops = 40
 	}
 	for _, tgt := range Targets {
 		t.Run(tgt.String(), func(t *testing.T) {
-			ctr := &metrics.Counter{}
-			res, err := Check(Config{
-				Target:   tgt,
-				Workload: Workload{Seed: 1, Ops: DefaultOps},
-				Budget:   budget,
-				Metrics:  ctr,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.LatticeSize < 200 {
-				t.Errorf("lattice has %d distinct crash points, want >= 200", res.LatticeSize)
-			}
-			if res.CutsChecked != budget {
-				t.Errorf("checked %d cuts, want %d", res.CutsChecked, budget)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("oracle violation: %v", &v)
-			}
-			if res.Faults.TornPrograms == 0 {
-				t.Error("no sampled cut tore a page: the stride missed every program window")
-			}
-			if got := ctr.Get("crashmc.cuts_checked"); got != int64(budget) {
-				t.Errorf("counter crashmc.cuts_checked = %d, want %d", got, budget)
-			}
-			if got := ctr.Get("fault.torn_program"); got != res.Faults.TornPrograms {
-				t.Errorf("counter fault.torn_program = %d, want %d (Stats.AddTo wiring)", got, res.Faults.TornPrograms)
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					res, err := Check(Config{Target: tgt, Workload: row.w, Budget: row.budget})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := row.budget
+					if want == 0 {
+						want = res.LatticeSize
+					} else if res.LatticeSize < 200 {
+						t.Errorf("lattice has %d distinct crash points, want >= 200", res.LatticeSize)
+					}
+					if res.CutsChecked != want {
+						t.Errorf("checked %d cuts, want %d", res.CutsChecked, want)
+					}
+					for _, v := range res.Violations {
+						t.Errorf("oracle violation: %v", &v)
+					}
+					if len(res.Violations) > 0 {
+						logRepro(t, tgt, row.w, res.Violations[0])
+					}
+					if res.Faults.TornPrograms == 0 {
+						t.Error("no checked cut tore a page: the cuts missed every program window")
+					}
+				})
 			}
 		})
 	}
 }
 
+// logRepro shrinks a violation found by a clean workload and logs its repro
+// file with the path to commit it under, so the failure becomes a
+// TestReproFiles row.
+func logRepro(t *testing.T, tgt Target, w Workload, v Violation) {
+	t.Helper()
+	shrunk, sv, err := Shrink(tgt, w, v.Cut)
+	if err != nil {
+		t.Logf("shrink %v: %v", &v, err)
+		return
+	}
+	data, err := NewRepro(tgt, shrunk, v.Cut, *sv).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("shrunk %d ops -> %d; save as testdata/repro/seed%d-cut%d-%s.json:\n%s",
+		w.Ops, shrunk.Ops, w.Seed, int64(v.Cut), tgt, data)
+}
+
 // TestCheckDeterminism: the same config must reproduce the same lattice,
-// the same faults, and the same violations, bit for bit — the contract
-// slimio-check -repro relies on. The ack-on-append row runs without
-// StopAtFirst, so its whole violation list must repeat, in lattice order.
+// the same faults, and the same violations, bit for bit — the contract the
+// repro files under testdata/repro/ rely on. The ack-on-append row runs
+// without StopAtFirst, so its whole violation list must repeat, in lattice
+// order.
 func TestCheckDeterminism(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -100,7 +129,8 @@ func TestCheckDeterminism(t *testing.T) {
 // TestMutationCaughtShrunkAndReplayed is the checker's mutation test: an
 // injected ack-without-sync bug must be caught, the shrinker must cut the
 // failing schedule to at most a quarter of the original length, and the
-// serialized repro must replay to the identical violation.
+// encoded repro must equal testdata/repro/ack-on-append-<target>.json, which
+// TestReproFiles replays (rewrite it with -update).
 func TestMutationCaughtShrunkAndReplayed(t *testing.T) {
 	const ops = 40
 	for _, tgt := range Targets {
@@ -126,24 +156,59 @@ func TestMutationCaughtShrunkAndReplayed(t *testing.T) {
 				t.Errorf("shrunk schedule has %d ops, want <= %d (25%% of %d)", shrunk.Ops, ops/4, ops)
 			}
 
-			rep := NewRepro(tgt, shrunk, v.Cut, *sv)
-			data, err := rep.Encode()
+			got, err := NewRepro(tgt, shrunk, v.Cut, *sv).Encode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := DecodeRepro(data)
+			path := filepath.Join("testdata", "repro", "ack-on-append-"+tgt.String()+".json")
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := back.Replay()
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s differs from this run's shrunk repro (regenerate with -update only for an intended behaviour change):\n--- got\n%s--- want\n%s",
+					path, got, want)
+			}
+		})
+	}
+}
+
+// TestReproFiles replays every committed repro file and requires the
+// violation it records, bit for bit: each file is a failing schedule the
+// checker once found, kept as a regression row.
+func TestReproFiles(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "repro", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no repro files under testdata/repro")
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got == nil {
-				t.Fatal("repro replay did not fail the oracle")
+			r, err := DecodeRepro(data)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
 			}
-			if *got != back.Violation {
-				t.Fatalf("repro not bit-identical:\n want %+v\n  got %+v", back.Violation, *got)
+			got, err := r.Replay()
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			switch {
+			case got == nil:
+				t.Errorf("%s no longer fails the oracle (recorded %v)", path, &r.Violation)
+			case *got != r.Violation:
+				t.Errorf("%s fails differently:\n want %v\n  got %v", path, &r.Violation, got)
 			}
 		})
 	}

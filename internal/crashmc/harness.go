@@ -14,7 +14,8 @@
 // and judged by a durability oracle built from the client-visible history
 // (see oracle.go). On violation a greedy shrinker minimizes the workload
 // prefix to a smallest failing schedule, serialized as a repro file that
-// cmd/slimio-check replays bit-identically.
+// replays bit-identically; the ones committed under testdata/repro/ run as
+// TestReproFiles.
 //
 // Determinism: the checker is strictly serial, uses a local splitmix64
 // stream, and never reads the wall clock, so it falls under every
@@ -34,7 +35,6 @@ import (
 	"github.com/slimio/slimio/internal/imdb"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/ssd"
-	"github.com/slimio/slimio/internal/telemetry"
 	"github.com/slimio/slimio/internal/wal"
 )
 
@@ -67,12 +67,13 @@ func (t Target) Kind() exp.BackendKind {
 	return exp.SlimIOFDP
 }
 
-// ParseTarget accepts both the short CLI spellings and the stack labels.
-func ParseTarget(s string) (Target, error) {
+// parseTarget inverts Target.String: a repro file names its target by the
+// stack label.
+func parseTarget(s string) (Target, error) {
 	switch s {
-	case "slimio", exp.SlimIOFDP.String():
+	case SlimIO.String():
 		return SlimIO, nil
-	case "baseline", exp.BaselineF2FS.String():
+	case Baseline.String():
 		return Baseline, nil
 	}
 	return 0, fmt.Errorf("crashmc: unknown target %q", s)
@@ -300,11 +301,8 @@ func seedWorkloads(seed int64, tenants int) []Workload {
 // cut == 0 runs to completion (the recording pass); cut > 0 pulls power on
 // the whole device at that instant (in-flight programs tear, nothing past it
 // executes) before recovering over the frozen device. rec and mark harvest
-// device-level and client-visible boundaries for the lattice. tele, when
-// non-nil, is a telemetry cell that samples the replay's
-// per-layer state; only cut > 0 replays may be instrumented: the sampling
-// tick reschedules itself, so a run-to-drain engine would never stop.
-func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Recorder, mark func(string, sim.Time), tele *telemetry.Cell) (*runOutcome, error) {
+// device-level and client-visible boundaries for the lattice.
+func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Recorder, mark func(string, sim.Time)) (*runOutcome, error) {
 	sc := exp.Scale{
 		Name:          "crashmc",
 		DeviceBytes:   deviceBytes,
@@ -320,8 +318,6 @@ func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Record
 	defer eng.Shutdown()
 	if cut > 0 {
 		st.ArmPowerCut(cut)
-		exp.AttachStackTelemetry(st, tele)
-		tele.Start(eng)
 	}
 	// Each engine's backend, and the device (the whole one, or a tenant's
 	// window of it) its reopened successor mounts.
@@ -424,7 +420,7 @@ type SeedResult struct {
 // for the caller to judge with the full durability oracle.
 func runSeed(kind exp.BackendKind, seed int64, tenants int) (sim.Time, *runOutcome, error) {
 	ws := seedWorkloads(seed, tenants)
-	full, err := runOnce(kind, ws, 0, nil, nil, nil)
+	full, err := runOnce(kind, ws, 0, nil, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -432,7 +428,7 @@ func runSeed(kind exp.BackendKind, seed int64, tenants int) (sim.Time, *runOutco
 	// workloads' first value-size draws.
 	next := rng(^seed)
 	cut := sim.Time(1 + next()%uint64(full.End))
-	out, err := runOnce(kind, ws, cut, nil, nil, nil)
+	out, err := runOnce(kind, ws, cut, nil, nil)
 	return cut, out, err
 }
 

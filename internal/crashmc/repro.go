@@ -12,9 +12,9 @@ const ReproVersion = 1
 
 // Repro is a serialized smallest failing schedule: everything needed to
 // re-run one crash replay bit-identically, plus the violation the original
-// run observed. slimio-check writes one on violation and replays it with
-// -repro; a replay that produces any other violation (or none) means the
-// build under test no longer fails the same way.
+// run observed. Repro files live in testdata/repro/, where TestReproFiles
+// replays every one; a replay that produces any other violation (or none)
+// means the build under test no longer fails the same way.
 type Repro struct {
 	Version  int    `json:"version"`
 	Target   string `json:"target"`
@@ -58,7 +58,7 @@ func DecodeRepro(data []byte) (*Repro, error) {
 	if r.Version != ReproVersion {
 		return nil, fmt.Errorf("crashmc: repro version %d, this build speaks %d", r.Version, ReproVersion)
 	}
-	if _, err := ParseTarget(r.Target); err != nil {
+	if _, err := parseTarget(r.Target); err != nil {
 		return nil, err
 	}
 	if r.Ops <= 0 || r.CutNanos <= 0 {
@@ -71,13 +71,13 @@ func DecodeRepro(data []byte) (*Repro, error) {
 // when the schedule no longer fails the oracle). Callers compare against
 // r.Violation with == for the bit-identical contract.
 func (r *Repro) Replay() (*Violation, error) {
-	tgt, err := ParseTarget(r.Target)
+	tgt, err := parseTarget(r.Target)
 	if err != nil {
 		return nil, err
 	}
 	w := Workload{Seed: r.Seed, Ops: r.Ops, Mutation: Mutation(r.Mutation)}
 	cut := sim.Time(r.CutNanos)
-	out, err := runOnce(tgt.Kind(), []Workload{w}, cut, nil, nil, nil)
+	out, err := runOnce(tgt.Kind(), []Workload{w}, cut, nil, nil)
 	if err != nil {
 		return nil, err
 	}

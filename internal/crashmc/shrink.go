@@ -21,7 +21,7 @@ func Shrink(tgt Target, w Workload, cut sim.Time) (Workload, *Violation, error) 
 	fails := func(ops int) (*Violation, error) {
 		w2 := w
 		w2.Ops = ops
-		out, err := runOnce(tgt.Kind(), []Workload{w2}, cut, nil, nil, nil)
+		out, err := runOnce(tgt.Kind(), []Workload{w2}, cut, nil, nil)
 		if err != nil {
 			return nil, err
 		}

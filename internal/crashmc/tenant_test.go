@@ -10,7 +10,7 @@ import (
 	"github.com/slimio/slimio/internal/exp"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/tenant_seeds_*.golden from this run instead of comparing")
+var update = flag.Bool("update", false, "rewrite testdata/tenant_seeds_*.golden and testdata/repro/ack-on-append-*.json from this run instead of comparing")
 
 // goldenSeeds is how many leading 2-tenant seeds are pinned to the committed
 // golden (the -short corpus, so every test mode checks it).

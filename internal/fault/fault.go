@@ -66,9 +66,8 @@ func (s *Stats) Add(other Stats) {
 }
 
 // AddTo exports the counts into c, for the sorted counter dump slimio-bench
-// and slimio-check print: a harness calls it once per finished plan (the
-// experiment runners per cell, the crash checker on the total over its
-// replays). Zero counts are skipped to keep fault-free dumps empty.
+// prints: the experiment runners call it once per finished cell. Zero counts
+// are skipped to keep fault-free dumps empty.
 func (s Stats) AddTo(c *metrics.Counter) {
 	for _, kv := range []struct {
 		name string

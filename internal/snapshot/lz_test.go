@@ -74,6 +74,18 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	rng.Read(far)
 	copy(far[67000:], far[:2048])
 	checkCodecRoundTrip(t, far)
+
+	// Self-overlapping matches a whole chunk long, at every period up to 8:
+	// mixedInput's periodic runs stop at 3000 bytes, and random fuzz inputs
+	// rarely grow a run past a few hundred.
+	for period := 1; period <= 8; period++ {
+		x := make([]byte, DefaultChunkSize)
+		rng.Read(x[:period])
+		for i := period; i < len(x); i++ {
+			x[i] = x[i-period]
+		}
+		checkCodecRoundTrip(t, x)
+	}
 }
 
 // All-random input cannot shrink: the stream is longer than the input, which

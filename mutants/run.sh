@@ -4,11 +4,10 @@
 # which mutant to mutants/TABLE.md. The first row runs the unmodified copy,
 # which every net must pass.
 #
-# The nets are go test, go test -race -short, each determinism-contract pass
-# (one column per TestDeterminismContract subtest, read off one run of that
-# test; the go test columns skip it so each pass stands as its own net), make
-# check-smoke and make fuzz-smoke. A cell names the failing tests, findings
-# or violation; "-" means the net passed. The copy lives under mktemp -d, so
+# The nets are go test, go test -race -short and each determinism-contract
+# pass (one column per TestDeterminismContract subtest, read off one run of
+# that test; the go test columns skip it so each pass stands as its own net).
+# A cell names the failing tests or findings; "-" means the net passed. The copy lives under mktemp -d, so
 # TMPDIR picks the disk; logs stay there. Exits 1 when the unmodified copy
 # fails a net or some mutant survives every net.
 set -u
@@ -26,7 +25,7 @@ fresh_tree() {
 	rm -rf "$tree"
 	mkdir -p "$tree"
 	tar -C "$root" --exclude=./.git --exclude=./out --exclude=./bench/out \
-		--exclude=./coverage.out --exclude=./slimio-check-repro.json -cf - . |
+		--exclude=./coverage.out -cf - . |
 		tar -C "$tree" -xf -
 }
 
@@ -84,7 +83,7 @@ cell() {
 # The timeouts are a few times the unmodified tree's run time, so a mutant
 # that hangs costs minutes, not the defaults' tens of minutes.
 run_nets() {
-	local name=$1 out
+	local name=$1
 	(cd "$tree" && go test -skip '^TestDeterminismContract$' -timeout 3m ./... >"$logs/$name.test" 2>&1)
 	failures <"$logs/$name.test" | cell
 	echo
@@ -96,25 +95,6 @@ run_nets() {
 		contract_findings "$pass" <"$logs/$name.vet" | cell
 		echo
 	done
-	(cd "$tree" && timeout 5m make check-smoke >"$logs/$name.check" 2>&1)
-	case $? in
-	0) echo "-" ;;
-	124) echo "timed out after 5m" ;;
-	*)
-		out=$(grep -m1 'VIOLATION' "$logs/$name.check" | sed 's/^ *VIOLATION //')
-		[ -n "$out" ] || out=$(grep -m1 '^panic: ' "$logs/$name.check")
-		[ -n "$out" ] || out=$(grep -v -e '^go run ' -e '^exit status ' -e '^make' "$logs/$name.check" | grep -m1 .)
-		echo "$out" | cell
-		echo
-		;;
-	esac
-	(cd "$tree" && timeout 5m make -k fuzz-smoke >"$logs/$name.fuzz" 2>&1)
-	if [ $? -eq 124 ]; then
-		echo "timed out after 5m"
-	else
-		failures <"$logs/$name.fuzz" | cell
-		echo
-	fi
 }
 
 fresh_tree
@@ -128,8 +108,6 @@ for pass in $passes; do
 	header="$header $pass |"
 	rule="$rule---|"
 done
-header="$header check-smoke | fuzz-smoke |"
-rule="$rule---|---|"
 
 status=0
 rows=""
