@@ -6,14 +6,13 @@ import "go/ast"
 const rawgoroutineDoc = `forbid raw goroutines, sync.WaitGroup, and time.Ticker in deterministic packages
 
 The simulator is cooperative: exactly one simulation process runs at a time,
-resumed by the engine's baton, which is what makes event order — and
+resumed by the engine's dispatch loop, which is what makes event order — and
 therefore every result byte — reproducible. A raw go statement inside
 simulation code introduces host-scheduler interleaving the engine cannot
 order; sync.WaitGroup and time.Ticker are the companion primitives of that
 style. All simulated concurrency must go through internal/sim
-(Engine.Spawn, SpawnDaemon, resources, signals). The two sanctioned
-exceptions carry //slimio:allow comments: the engine itself implements
-processes as baton-passing goroutines, and the experiment scheduler's
+(Engine.Spawn, SpawnDaemon, resources, signals). The one sanctioned
+exception carries //slimio:allow comments: the experiment scheduler's
 worker pool (internal/exp/parallel.go) runs whole isolated cells in
 parallel. Suppress further exceptions with //slimio:allow rawgoroutine
 <reason>.`

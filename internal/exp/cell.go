@@ -105,8 +105,10 @@ type CellResult struct {
 // instant its workload completes, or the engine never drains. finish, which
 // the runner defers at once, is the epilogue of every exit: it stops the
 // tick, adds the stack's fault-handling counts to sc.Metrics, and has a
-// panicking cell (including the engine's deadlock panic) dump its trailing
-// samples and spans before the panic propagates.
+// panicking cell dump its trailing samples and spans before the panic
+// propagates. That covers the engine's deadlock panic and a panic inside a
+// process body or engine callback, which the engine re-raises at the caller
+// of Run.
 func (sc *Scale) observeCell(label string) (tele *telemetry.Cell, attach func(*sim.Engine, *Stack, *imdb.Engine), finish func()) {
 	if sc.Trace != nil {
 		sc.tracer = sc.Trace.Tracer(label)

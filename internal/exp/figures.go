@@ -209,9 +209,10 @@ func runTimeline(s timelineSpec, sc Scale, window sim.Duration) (*TimelineResult
 		GCRuns:    st.Dev.Stats().GCRuns,
 		Trace:     st.Trace,
 	}
-	// Tear the run down so its goroutines release the simulated device. No
-	// Stack.Teardown leak check here: the window cuts an open-ended workload
-	// mid-operation, so the engine's open WAL segment is still held.
+	// Tear the run down so its parked processes release the simulated
+	// device. No Stack.Teardown leak check here: the window cuts an
+	// open-ended workload mid-operation, so the engine's open WAL segment is
+	// still held.
 	eng.Shutdown()
 	return out, nil
 }

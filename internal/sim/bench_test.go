@@ -18,7 +18,8 @@ func BenchmarkEventThroughput(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkProcessSwitch measures the coroutine handoff cost (park+resume).
+// BenchmarkProcessSwitch measures the self-wake path: one process sleeping,
+// so every park finds its own wake-up next and returns with no switch.
 func BenchmarkProcessSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("p", func(env *Env) {
@@ -26,6 +27,21 @@ func BenchmarkProcessSwitch(b *testing.B) {
 			env.Sleep(1)
 		}
 	})
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcessHandoff measures a handoff between processes: two
+// processes alternate Sleep(2), so every wake-up resumes the other one.
+func BenchmarkProcessHandoff(b *testing.B) {
+	e := NewEngine()
+	worker := func(env *Env) {
+		for i := 0; i < b.N/2; i++ {
+			env.Sleep(2)
+		}
+	}
+	e.Spawn("a", worker)
+	e.Spawn("b", worker)
 	b.ResetTimer()
 	e.Run()
 }
@@ -48,8 +64,8 @@ func BenchmarkResourceHandoff(b *testing.B) {
 	e.Run()
 }
 
-// TestHotPathAllocBudgets pins the allocation budget of the three DES hot
-// paths: the event loop and coroutine switch must be allocation-free, and a
+// TestHotPathAllocBudgets pins the allocation budget of the DES hot paths:
+// the event loop and a process handoff must be allocation-free, and a
 // contended resource handoff may allocate at most once per op (waiter-ring
 // growth amortizes to zero; the budget leaves headroom for runtime noise).
 // Regressions here reintroduce GC pressure that dominates paper-scale runs.
@@ -64,6 +80,7 @@ func TestHotPathAllocBudgets(t *testing.T) {
 	}{
 		{"EventThroughput", BenchmarkEventThroughput, 0},
 		{"ProcessSwitch", BenchmarkProcessSwitch, 1},
+		{"ProcessHandoff", BenchmarkProcessHandoff, 0},
 		{"ResourceHandoff", BenchmarkResourceHandoff, 1},
 	}
 	for _, tc := range cases {

@@ -2,12 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 )
 
 // event is a single scheduled occurrence. Exactly one of fn or proc is set:
-// fn events run inline on whichever goroutine currently drives the
-// simulation; proc events resume (or first start) a process.
+// fn events run inline in whichever dispatch loop pops them; proc events
+// resume (or first start) a process.
 type event struct {
 	at   Time
 	seq  uint64
@@ -84,14 +85,14 @@ func (h *eventHeap) pop() event {
 // Engine owns the virtual clock and the event queue. The zero value is not
 // usable; construct with NewEngine.
 //
-// Scheduling model: exactly one goroutine at a time holds the simulation
-// "baton" — either the driver (the goroutine that called Run/RunUntil/
-// Shutdown) or one process goroutine. A parking process does not bounce
-// control back to the driver: it pops the next event itself and hands the
-// baton directly to the next runnable process (or runs callbacks inline, or
-// simply returns if the next event is its own wake-up). That removes up to
-// two goroutine context switches per park/resume while executing events in
-// exactly the same (time, seq) order as a central dispatch loop would.
+// Scheduling model: each process is an iter.Pull coroutine, and one dispatch
+// loop (nextProc) pops events in (time, seq) order. The driver — the
+// goroutine that called Run/RunUntil — runs it and resumes the process it
+// returns; a parking process runs it too, inline: callbacks execute there,
+// its own wake-up returns with no switch, and any other process is yielded
+// to the driver by name, which resumes it. A handoff is thus two coroutine
+// switches on one thread, never a trip through the Go scheduler, and events
+// run in exactly the (time, seq) order a central loop would give them.
 type Engine struct {
 	now  Time
 	seq  uint64
@@ -103,27 +104,19 @@ type Engine struct {
 	// so a plain ring preserves (time, seq) order while skipping the heap.
 	fifo ring[event]
 
-	// driverCh parks the driver while a process goroutine carries the
-	// simulation; a process hands the baton back when the queue drains,
-	// the RunUntil deadline is reached, or the engine is stopped.
-	driverCh chan struct{}
-	limit    Time
-	limited  bool
+	limit   Time
+	limited bool
 
-	// running is the process currently holding the simulation baton; nil
-	// while the driver is executing callbacks.
-	running  *Proc
 	procs    map[*Proc]struct{}
 	spawnSeq int64
 	nprocs   int
 	ndaemons int
 	stopped  bool
-	killing  bool
 }
 
 // NewEngine returns an empty simulation at time zero.
 func NewEngine() *Engine {
-	return &Engine{driverCh: make(chan struct{}), procs: make(map[*Proc]struct{})}
+	return &Engine{procs: make(map[*Proc]struct{})}
 }
 
 // Now reports the current virtual time.
@@ -144,7 +137,7 @@ func (e *Engine) schedule(t Time, fn func(), p *Proc) {
 }
 
 // At schedules fn to run at time t (clamped to now if in the past). Callbacks
-// run on the goroutine driving the simulation and must not block; they may
+// run inside whichever dispatch loop pops them and must not block; they may
 // schedule further events, fire signals, and release resources.
 func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn, nil) }
 
@@ -159,13 +152,13 @@ func (e *Engine) wakeAt(t Time, p *Proc) { e.schedule(t, nil, p) }
 func (e *Engine) Spawn(name string, fn func(*Env)) *Proc {
 	e.spawnSeq++
 	p := &Proc{
-		name:   name,
-		eng:    e,
-		fn:     fn,
-		seq:    e.spawnSeq,
-		resume: make(chan struct{}),
-		Done:   NewSignal(e),
+		name: name,
+		eng:  e,
+		fn:   fn,
+		seq:  e.spawnSeq,
+		Done: NewSignal(e),
 	}
+	p.next, p.stop = iter.Pull(p.run)
 	e.nprocs++
 	e.procs[p] = struct{}{}
 	e.schedule(e.now, nil, p)
@@ -181,10 +174,6 @@ func (e *Engine) SpawnDaemon(name string, fn func(*Env)) *Proc {
 	e.ndaemons++
 	return p
 }
-
-// procKilled is the sentinel panic value used to unwind a parked process
-// during Engine.Shutdown.
-type procKilled struct{}
 
 // popNext removes the earliest pending event in (time, seq) order, honoring
 // the RunUntil deadline. FIFO entries are always stamped with the current
@@ -207,99 +196,40 @@ func (e *Engine) popNext() (event, bool) {
 	return e.heap.pop(), true
 }
 
-// transferTo hands the simulation baton to p, starting its goroutine on
-// first transfer. The caller must immediately either block on its own
-// resume/driver channel or exit; it may not touch engine state afterwards.
-func (e *Engine) transferTo(p *Proc) {
-	e.running = p
-	if !p.started {
-		p.started = true
-		go p.main() //slimio:allow rawgoroutine the engine itself implements processes as baton-passing goroutines; exactly one is ever runnable
-		return
-	}
-	p.resume <- struct{}{}
-}
-
-// yieldBaton is the parking half of direct handoff: the parking process
-// itself drains callbacks and advances the clock until it meets a process
-// event. Its own wake-up returns without any goroutine switch (the Sleep/
-// Work fast path); another process gets the baton handed over directly (one
-// switch, versus two through a central loop). When nothing is runnable —
-// queue drained, deadline reached, or engine stopped — the baton goes back
-// to the driver and the process stays parked until a later run resumes it.
-func (e *Engine) yieldBaton(p *Proc) {
+// nextProc is the dispatch loop: it pops events in (time, seq) order,
+// running callbacks inline, until it meets a live process, which it returns.
+// It returns nil when the queue has drained (up to any RunUntil deadline) or
+// the engine is stopped.
+func (e *Engine) nextProc() *Proc {
 	for !e.stopped {
 		ev, ok := e.popNext()
 		if !ok {
-			break
+			return nil
 		}
 		e.now = ev.at
 		if ev.proc == nil {
 			ev.fn()
 			continue
 		}
-		if ev.proc == p {
-			e.running = p
-			return
+		if !ev.proc.done {
+			return ev.proc
 		}
-		if ev.proc.done {
-			continue
-		}
-		e.transferTo(ev.proc)
-		<-p.resume
-		e.running = p
-		return
 	}
-	e.running = nil
-	e.driverCh <- struct{}{}
-	<-p.resume
-	e.running = p
+	return nil
 }
 
-// exitBaton passes the baton onward as a terminating process goroutine
-// exits: like yieldBaton, but the caller never needs the baton back.
-func (e *Engine) exitBaton() {
-	for !e.stopped {
-		ev, ok := e.popNext()
-		if !ok {
-			break
-		}
-		e.now = ev.at
-		if ev.proc == nil {
-			ev.fn()
-			continue
-		}
-		if ev.proc.done {
-			continue
-		}
-		e.transferTo(ev.proc)
-		return
-	}
-	e.running = nil
-	e.driverCh <- struct{}{}
-}
-
-// runLoop drives events from the calling (driver) goroutine until the first
-// handoff to a process, then parks until a process returns the baton. By the
-// time it returns, either the queue has drained (up to any deadline) or the
-// engine has been stopped, and no process holds the baton.
+// runLoop drives the simulation from the caller's goroutine: it resumes each
+// process nextProc names until a process parks with nothing runnable or the
+// loop itself finds none. A process that panics, in its body or in a
+// callback it ran while parking, re-panics here, at the caller of Run or
+// RunUntil.
 func (e *Engine) runLoop() {
-	for !e.stopped {
-		ev, ok := e.popNext()
-		if !ok {
-			return
+	for p := e.nextProc(); p != nil; {
+		q, ok := p.next()
+		if !ok { // p's body returned
+			q = e.nextProc()
 		}
-		e.now = ev.at
-		if ev.proc == nil {
-			ev.fn()
-			continue
-		}
-		if ev.proc.done {
-			continue
-		}
-		e.transferTo(ev.proc)
-		<-e.driverCh
-		return
+		p = q
 	}
 }
 
@@ -329,9 +259,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 }
 
 // Stop halts the event loop after the current event. Parked processes stay
-// parked; their goroutines are abandoned (the process ends with the Go
-// program). Intended for open-ended scenarios with a fixed observation
-// window.
+// parked until Shutdown unwinds them. Intended for open-ended scenarios with
+// a fixed observation window.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called.
@@ -341,14 +270,13 @@ func (e *Engine) Stopped() bool { return e.stopped }
 func (e *Engine) Pending() int { return e.heap.len() + e.fifo.len() }
 
 // Shutdown tears the simulation down: every parked process is unwound (its
-// goroutine exits via an internal panic that park() raises), so nothing
-// keeps the simulated world reachable afterwards. Call it once a run is
-// finished and its results extracted; the engine must not be used again.
-// Experiment harnesses rely on this to avoid leaking a whole simulated
-// device per run through parked goroutine stacks.
+// park returns into an internal panic), so nothing keeps the simulated world
+// reachable afterwards. Call it once a run is finished and its results
+// extracted; the engine must not be used again. Experiment harnesses rely on
+// this to avoid leaking a whole simulated device per run through parked
+// coroutine stacks.
 func (e *Engine) Shutdown() {
 	e.stopped = true
-	e.killing = true
 	// Collect first: unwinding mutates e.procs. Unwind in spawn order, not
 	// map order, so teardown (and anything a process does while dying) is
 	// as deterministic as the run itself.
@@ -358,12 +286,8 @@ func (e *Engine) Shutdown() {
 	}
 	sort.Slice(parked, func(i, j int) bool { return parked[i].seq < parked[j].seq })
 	for _, p := range parked {
-		// Processes that were spawned but never started have no goroutine
-		// to unwind; earlier unwinds may also have completed later procs.
-		if !p.started || p.done {
-			continue
-		}
-		p.resume <- struct{}{}
-		<-e.driverCh
+		// A process that never started stops without running; one that
+		// already ended (or panicked) stops as a no-op.
+		p.stop()
 	}
 }

@@ -1,16 +1,21 @@
 package sim
 
-// Proc is a simulation process: a goroutine that the engine resumes one at a
-// time. A Proc is created with Engine.Spawn and runs until its body returns.
+// Proc is a simulation process: an iter.Pull coroutine that the engine
+// resumes one at a time. A Proc is created with Engine.Spawn and runs until
+// its body returns.
 type Proc struct {
-	name    string // given at Spawn; read only from a debugger or a goroutine dump
-	eng     *Engine
-	fn      func(*Env)
-	seq     int64 // spawn order, the deterministic teardown ordering
-	resume  chan struct{}
-	started bool
-	done    bool
-	daemon  bool
+	name string // given at Spawn; read only from a debugger or a goroutine dump
+	eng  *Engine
+	fn   func(*Env)
+	seq  int64 // spawn order, the deterministic teardown ordering
+	// next resumes the coroutine until it parks, returning the process it
+	// hands off to (nil: none runnable), or ok=false once the body returned.
+	// stop unwinds a parked coroutine. yield is the coroutine's side of next.
+	next   func() (*Proc, bool)
+	stop   func()
+	yield  func(*Proc) bool
+	done   bool
+	daemon bool
 
 	// Done fires (with a nil value) when the process body returns.
 	Done *Signal
@@ -22,12 +27,16 @@ type Proc struct {
 	busy map[string]Duration
 }
 
-// main is the body of the process goroutine, started lazily on the first
-// transfer of the simulation baton to this process. On return — normal or
-// via the Shutdown unwind — it does the termination bookkeeping and passes
-// the baton onward.
-func (p *Proc) main() {
+// procKilled is the panic value park raises when Shutdown stops a parked
+// process, unwinding its body through its deferred calls.
+type procKilled struct{}
+
+// run is the coroutine body, entered on the first resume. On return —
+// normal or via the Shutdown unwind — it does the termination bookkeeping;
+// any other panic propagates to the caller of next.
+func (p *Proc) run(yield func(*Proc) bool) {
 	e := p.eng
+	p.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(procKilled); !ok {
@@ -43,10 +52,8 @@ func (p *Proc) main() {
 		if !p.Done.Fired() {
 			p.Done.Fire(nil)
 		}
-		e.exitBaton()
 	}()
-	env := &Env{p: p, eng: e}
-	p.fn(env)
+	p.fn(&Env{p: p, eng: e})
 }
 
 // Terminated reports whether the process body has returned.
@@ -80,13 +87,18 @@ func (env *Env) Proc() *Proc { return env.p }
 // Now reports the current virtual time.
 func (env *Env) Now() Time { return env.eng.now }
 
-// park yields the simulation baton and blocks until some event resumes this
-// process. The caller must already have arranged for a wake-up (a scheduled
-// event, a resource grant, a signal subscription, ...). The baton is handed
-// directly to whatever runs next — see Engine.yieldBaton.
+// park suspends this process until some event resumes it. The caller must
+// already have arranged for a wake-up (a scheduled event, a resource grant,
+// a signal subscription, ...). park runs the dispatch loop itself: if the
+// next process is this one it returns at once, with no switch; otherwise it
+// yields that process (or nil) to the driver.
 func (env *Env) park() {
-	env.eng.yieldBaton(env.p)
-	if env.eng.killing {
+	p := env.p
+	q := env.eng.nextProc()
+	if q == p {
+		return
+	}
+	if !p.yield(q) {
 		panic(procKilled{})
 	}
 }

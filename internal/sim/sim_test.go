@@ -523,3 +523,57 @@ func TestShutdownUnwindsParkedProcs(t *testing.T) {
 		t.Fatalf("procs still registered: %d", len(e.procs))
 	}
 }
+
+func TestShutdownUnwindsInSpawnOrder(t *testing.T) {
+	const n = 40
+	e := NewEngine()
+	s := NewSignal(e)
+	var order []int
+	for i := 0; i < n; i++ {
+		e.Spawn("parked", func(env *Env) {
+			defer func() { order = append(order, i) }()
+			s.Wait(env) // never fired
+		})
+	}
+	e.RunUntil(10)
+	e.Shutdown()
+	if len(order) != n {
+		t.Fatalf("unwound %d processes, want %d", len(order), n)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("unwind order %v, want spawn order", order)
+		}
+	}
+}
+
+func TestProcessPanicReachesRunCaller(t *testing.T) {
+	e := NewEngine()
+	s := NewSignal(e)
+	var unwound []string
+	for _, name := range []string{"a", "b"} {
+		e.Spawn(name, func(env *Env) {
+			defer func() { unwound = append(unwound, name) }()
+			s.Wait(env) // never fired
+		})
+	}
+	e.Spawn("boom", func(env *Env) {
+		env.Sleep(5)
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	if got != "boom" {
+		t.Fatalf("Run panicked with %v, want the process's panic value boom", got)
+	}
+	if e.Now() != 5 {
+		t.Fatalf("panic surfaced at t=%v, want 5", e.Now())
+	}
+	e.Shutdown()
+	if len(unwound) != 2 || unwound[0] != "a" || unwound[1] != "b" {
+		t.Fatalf("Shutdown after the panic unwound %v, want [a b]", unwound)
+	}
+}

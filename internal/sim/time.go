@@ -4,9 +4,9 @@
 // The simulation advances a virtual nanosecond clock by executing events in
 // (time, sequence) order. User logic runs either as lightweight callbacks
 // (for purely reactive components such as device timelines) or as processes:
-// goroutines that the engine resumes one at a time, so that the whole
-// simulation is single-threaded in effect and bit-reproducible regardless of
-// GOMAXPROCS.
+// coroutines that the engine resumes one at a time on the goroutine that
+// called Run, so that the whole simulation is single-threaded and
+// bit-reproducible regardless of GOMAXPROCS.
 //
 // Processes must block only through sim primitives (Sleep, Resource.Acquire,
 // Signal.Wait, Queue.Pop, ...). Blocking on ordinary Go channels or mutexes

@@ -8,7 +8,7 @@
 // A nil *Tracer is the off switch: every method nil-checks and returns
 // immediately, so untraced runs pay one predictable branch per call site and
 // allocate nothing. Each cell owns at most one Tracer; the simulation engine
-// runs one process at a time (baton passing), so Tracer needs no locking.
+// runs one process at a time on one thread, so Tracer needs no locking.
 //
 // A recorded span or event is a fixed-size record that holds no pointer:
 // its (layer, name) pair is interned in the tracer's site table, so the
@@ -186,8 +186,7 @@ func (t *Tracer) Instant(layer, name string, at sim.Time, arg int64) {
 // Scope consumes it. The contract that makes this safe without explicit
 // parameters everywhere: the caller calls SetScope immediately before the
 // call that should inherit the span, and the callee calls Scope as its first
-// action, before any Sleep/Wait can hand the simulation baton to another
-// process. A stale scope left behind after the call returns is harmless —
+// action, before any Sleep/Wait can hand control to another process. A stale scope left behind after the call returns is harmless —
 // nothing reads it without a fresh SetScope first.
 func (t *Tracer) SetScope(id SpanID) {
 	if t == nil {
