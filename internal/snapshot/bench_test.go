@@ -109,23 +109,45 @@ func BenchmarkReader(b *testing.B) {
 	}
 }
 
-// benchChunk is one full chunk of the half-compressible value pool, framed as
-// the Writer would hold it in pending.
-func benchChunk() []byte {
-	var raw []byte
-	for _, e := range poolEntries(DefaultChunkSize/4096, 64, 1) {
-		raw = appendEntry(raw, e.Key, e.Value)
-	}
-	return raw
+// BenchmarkCodecCompress and BenchmarkCodecDecompress are the codec's own
+// ledger rows, framing and CRC excluded, on one full chunk of the
+// half-compressible value pool; MB/s counts raw bytes both ways.
+func BenchmarkCodecCompress(b *testing.B) {
+	benchCompress(b, poolChunk(1))
 }
 
-// BenchmarkCodecCompress and BenchmarkCodecDecompress are the codec's own
-// ledger rows, framing and CRC excluded; MB/s counts raw bytes both ways.
-func BenchmarkCodecCompress(b *testing.B) {
-	raw := benchChunk()
+type codecShape struct {
+	name string
+	raw  []byte
+}
+
+// codecShapes are the pool chunk and two 64 KiB inputs that each keep one of
+// compress's loops busy alone: random bytes never match, so all the time goes
+// to scan's probes; a period-3 run is one match that matchLen extends across
+// the whole chunk.
+func codecShapes() []codecShape {
+	rng := rand.New(rand.NewSource(5))
+	random := make([]byte, DefaultChunkSize)
+	rng.Read(random)
+	return []codecShape{
+		{"pool", poolChunk(1)},
+		{"random", random},
+		{"period-3", periodicInput(rng, 3, DefaultChunkSize)},
+	}
+}
+
+// BenchmarkCodecCompressLoops prices scan and the match extension apart.
+func BenchmarkCodecCompressLoops(b *testing.B) {
+	for _, in := range codecShapes()[1:] { // the pool chunk is BenchmarkCodecCompress
+		b.Run(in.name, func(b *testing.B) { benchCompress(b, in.raw) })
+	}
+}
+
+func benchCompress(b *testing.B, raw []byte) {
 	var table hashTable
 	comp := make([]byte, 0, maxCompressedLen(len(raw)))
 	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		comp = compress(comp[:0], raw, &table)
@@ -134,7 +156,7 @@ func BenchmarkCodecCompress(b *testing.B) {
 }
 
 func BenchmarkCodecDecompress(b *testing.B) {
-	raw := benchChunk()
+	raw := poolChunk(1)
 	var table hashTable
 	comp := compress(nil, raw, &table)
 	out := make([]byte, len(raw))

@@ -30,7 +30,11 @@ const (
 // at. compress clears it first, so a stream depends on nothing but src.
 type hashTable [1 << hashLog]int32
 
-func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
+// load32 reads the four bytes at b[i:]. The full slice expression has a
+// constant capacity of four, so unlike b[i:] it needs no masking of the
+// pointer against an empty remainder: fewer instructions on the path from a
+// table slot to the candidate's bytes in scan.
+func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i : i+4 : i+4]) }
 
 func hash4(u uint32) uint32 { return (u * 2654435761) >> (32 - hashLog) }
 
@@ -63,9 +67,14 @@ func appendSequence(dst, lits []byte, offset, mlen int) []byte {
 }
 
 // matchLen counts the leading bytes a shares with b, which is at least as
-// long, eight at a time.
+// long: 64 at a time while whole blocks agree (a string compare of two
+// subslices is a vectorised memequal and allocates nothing), then eight at a
+// time to find the first differing byte.
 func matchLen(a, b []byte) int {
 	n := 0
+	for len(a)-n >= 64 && string(a[n:n+64]) == string(b[n:n+64]) {
+		n += 64
+	}
 	for ; len(a)-n >= 8; n += 8 {
 		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
 			return n + bits.TrailingZeros64(x)>>3
@@ -77,28 +86,41 @@ func matchLen(a, b []byte) int {
 	return n
 }
 
-// compress appends the stream for src to dst. The result may be longer than
-// src (never by more than maxCompressedLen allows); the caller stores such a
-// chunk verbatim instead.
-func compress(dst, src []byte, table *hashTable) []byte {
-	*table = hashTable{}
-	anchor := 0 // src[anchor:i] are literals not yet emitted
-	misses := 0
-	for i := 0; i+minMatch <= len(src); {
+// scan probes src from i on for the first position whose 4-byte prefix
+// repeats at a candidate within maxOffset, recording every probed position in
+// table. It returns that position and its candidate, or len(src) when none is
+// left. It is the loop an incompressible run spends its time in, kept apart
+// from the match bookkeeping so that what it keeps live fits in registers.
+func scan(src []byte, table *hashTable, i int) (int, int) {
+	// Step faster the longer nothing matches, so an incompressible run costs
+	// a fraction of a probe per byte. The step restarts at one after every
+	// match, which is where the caller calls again.
+	for misses := 0; i+minMatch <= len(src); misses++ {
 		u := load32(src, i)
 		h := hash4(u)
 		cand := int(table[h])
 		table[h] = int32(i)
 		// A cleared slot reads as position 0, which is as good a candidate
 		// as any other: it is accepted only if its four bytes match.
-		if off := i - cand; off <= 0 || off > maxOffset || load32(src, cand) != u {
-			// Step faster the longer nothing matches, so an incompressible
-			// run costs a fraction of a probe per byte.
-			i += 1 + misses>>skipTrigger
-			misses++
-			continue
+		if off := i - cand; off > 0 && off <= maxOffset && load32(src, cand) == u {
+			return i, cand
 		}
-		misses = 0
+		i += 1 + misses>>skipTrigger
+	}
+	return len(src), 0
+}
+
+// compress appends the stream for src to dst. The result may be longer than
+// src (never by more than maxCompressedLen allows); the caller stores such a
+// chunk verbatim instead.
+func compress(dst, src []byte, table *hashTable) []byte {
+	*table = hashTable{}
+	anchor := 0 // src[anchor:i] are literals not yet emitted
+	for i := 0; ; {
+		var cand int
+		if i, cand = scan(src, table, i); i == len(src) {
+			break
+		}
 		for i > anchor && cand > 0 && src[i-1] == src[cand-1] {
 			i--
 			cand--
