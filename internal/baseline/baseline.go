@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/imdb"
 	"github.com/slimio/slimio/internal/kernelio"
 	"github.com/slimio/slimio/internal/sim"
@@ -47,7 +48,10 @@ const (
 // Backend persists through a simulated kernel filesystem. The WAL is a
 // sequence of segment files (Redis 7 multipart-AOF style): appends go to
 // the newest segment; a WAL-Snapshot rotates to a fresh segment at fork and
-// deletes the sealed ones at commit.
+// deletes the sealed ones at commit. A WAL append hands the drained chain's
+// page segments to write(2) as they are (kernelio.File.AppendPages): whole
+// drained pages become page-cache pages, and only partial pages are copied,
+// the user→cache copy the kernel path bills in virtual time.
 type Backend struct {
 	fs      *kernelio.Filesystem
 	walFile *kernelio.File
@@ -57,23 +61,22 @@ type Backend struct {
 	// ReadChunk is the read(2) size used during recovery (default 128 KiB,
 	// glibc-buffered-reader class).
 	ReadChunk int
-	// scratch is the reused flatten buffer for WALAppend: write(2) takes one
-	// contiguous user buffer, so the chain is flattened here once per append.
-	// (That copy is the kernel path's own user→cache semantics — the zero-copy
-	// plane ends where the baseline's syscall boundary begins.)
-	scratch []byte
-	// appending stages the chain a WALAppend call currently holds, so a
-	// power cut frozen inside write(2) leaves its references reachable for
-	// Close. Cleared in the same straight-line step that returns ownership
-	// (error) or releases the references (success).
-	appending wal.Chain
+	// appending stages the segments of the chain a WALAppend call currently
+	// holds, so a power cut frozen inside write(2) leaves the references
+	// write(2) has not taken over (the non-nil slots) reachable for Close.
+	appending []*bufpool.Segment
 }
 
 // Close releases every pooled reference the backend and its filesystem still
 // hold (teardown for pool-quiescence accounting). The backend must not be
 // used afterwards.
 func (b *Backend) Close() {
-	b.appending.Release()
+	for _, s := range b.appending {
+		if s != nil {
+			s.Release()
+		}
+	}
+	b.appending = nil
 	b.fs.Close()
 }
 
@@ -146,21 +149,16 @@ func Remount(fs *kernelio.Filesystem) (*Backend, error) {
 // Label names the backend for reports.
 func (b *Backend) Label() string { return "baseline/" + b.fs.Profile().Name }
 
-// WALAppend appends log bytes via write(2). On success the chain's segment
-// references are released here; on error they stay with the caller (park and
-// retry), per the imdb.Backend contract.
+// WALAppend appends log bytes via write(2). On success write(2) has taken
+// over every segment reference of the chain; on error they all stay with the
+// caller (park and retry), per the imdb.Backend contract.
 func (b *Backend) WALAppend(env *sim.Env, data wal.Chain) error {
 	end := b.span(env, "wal.append", int64(data.Len()))
 	defer end()
-	b.appending = data
-	b.scratch = data.AppendTo(b.scratch[:0])
-	if err := b.walFile.Append(env, b.scratch); err != nil {
-		b.appending = wal.Chain{}
-		return err
-	}
-	b.appending = wal.Chain{}
-	data.Release()
-	return nil
+	b.appending = data.Segs
+	err := b.walFile.AppendPages(env, data.Segs, data.Off, data.End)
+	b.appending = nil
+	return err
 }
 
 // WALSync makes the log durable via fsync(2).

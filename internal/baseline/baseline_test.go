@@ -266,3 +266,80 @@ func withPool(cfg imdb.Config, dev *ssd.Device) imdb.Config {
 	cfg.Pool = dev.FTL().Array().Pool()
 	return cfg
 }
+
+// After a crash the open WAL segment ends mid-page, so every span of the
+// next append lands unaligned and takes write(2)'s copy path, not the
+// page-adopting one. More than two pages appended there must read back after
+// the next crash as the seamless continuation of the recovered stream, and
+// the copies must release every segment they copied.
+func TestRecoverContinuesAppending(t *testing.T) {
+	r := newRig(t, kernelio.F2FS())
+	ps := r.dev.PageSize()
+	recA := wal.AppendRecord(nil, wal.OpSet, []byte("a"), bytes.Repeat([]byte("1"), 700))
+	var recB []byte
+	nB := 0
+	for ; len(recB) <= 2*ps; nB++ {
+		recB = wal.AppendRecord(recB, wal.OpSet, []byte(fmt.Sprintf("b%d", nB)), bytes.Repeat([]byte{byte('2' + nB)}, 300))
+	}
+	r.run(t, func(env *sim.Env) {
+		if err := r.be.WALAppend(env, r.chain(recA)); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := r.be.WALSync(env); err != nil {
+			t.Error(err)
+		}
+	})
+	eng2 := sim.NewEngine()
+	fs2 := r.fs.Remount(eng2)
+	be2, err := Remount(fs2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng2.Spawn("continue", func(env *sim.Env) {
+		if _, err := be2.Recover(env); err != nil {
+			t.Error(err)
+			return
+		}
+		if be2.WALDurableSize()%int64(ps) == 0 {
+			t.Error("rig: the recovered WAL does not end mid-page")
+		}
+		if err := be2.WALAppend(env, r.chain(recB)); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := be2.WALSync(env); err != nil {
+			t.Error(err)
+		}
+	})
+	eng2.Run()
+	eng3 := sim.NewEngine()
+	be3, err := Remount(fs2.Remount(eng3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng3.Spawn("verify", func(env *sim.Env) {
+		rec, err := be3.Recover(env)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var got []byte
+		for _, seg := range rec.WAL {
+			for _, rc := range seg.Records {
+				got = wal.AppendRecord(got, rc.Op, rc.Key, rc.Value)
+			}
+		}
+		if want := append(append([]byte(nil), recA...), recB...); !bytes.Equal(got, want) {
+			t.Errorf("recovered %d bytes of records, want the %d appended across the crash", len(got), len(want))
+		}
+	})
+	eng3.Run()
+	r.be.Close()
+	be2.Close()
+	be3.Close()
+	r.dev.FTL().Array().ReleaseStored()
+	if n := r.dev.FTL().Array().Pool().InFlight(); n != 0 {
+		t.Fatalf("%d pooled segments in flight after teardown", n)
+	}
+}

@@ -42,7 +42,9 @@ func (m *memBackend) WALAppend(env *sim.Env, data wal.Chain) error {
 	if m.failAppend {
 		return errInjected // the chain stays with the engine
 	}
-	m.walData = data.AppendTo(m.walData)
+	for i := range data.Segs {
+		m.walData = append(m.walData, data.Span(i)...)
+	}
 	data.Release()
 	return nil
 }

@@ -72,17 +72,19 @@ func (fs *Filesystem) unshare(pg *cachePage) {
 	pg.seg, pg.data, pg.shared = s, s.Bytes(), false
 }
 
-// File is an open file on the simulated filesystem. Dirty pages are never
-// evicted and clean pages only via DropCaches, so partial-page rewrites
-// always find their page cached — sufficient for the append-dominated access
-// pattern of database persistence. Not safe for use outside simulation
-// context.
+// File is an open file on the simulated filesystem. Its page cache is a
+// dense page table indexed by file page. Dirty pages are never evicted and
+// clean pages only via DropCaches, so partial-page rewrites always find their
+// page cached — sufficient for the append-dominated access pattern of
+// database persistence. Data enters the cache through Write, which copies a
+// user buffer, or AppendPages, which takes whole pooled pages over without a
+// copy. Not safe for use outside simulation context.
 type File struct {
 	fs      *Filesystem
 	name    string
 	size    int64
-	extents []int64 // base LPA per extent, in file order
-	pages   map[int64]*cachePage
+	extents []int64      // base LPA per extent, in file order
+	pages   []*cachePage // cached page per file page index; nil = not cached
 	// dirtyIdx preserves dirty-page order for deterministic flushing.
 	dirtyIdx  []int64
 	inflightN int
@@ -99,6 +101,47 @@ func (f *File) Name() string { return f.name }
 
 // Size returns the file length in bytes.
 func (f *File) Size() int64 { return f.size }
+
+// page returns the cached page at file page idx, or nil.
+func (f *File) page(idx int64) *cachePage {
+	if idx < int64(len(f.pages)) {
+		return f.pages[idx]
+	}
+	return nil
+}
+
+// grow extends the page table to cover file page idx.
+func (f *File) grow(idx int64) {
+	if n := idx + 1 - int64(len(f.pages)); n > 0 {
+		f.pages = append(f.pages, make([]*cachePage, n)...)
+	}
+}
+
+// dropClean frees every clean, idle cached page from file page idx on and
+// trims the table's trailing holes.
+func (f *File) dropClean(from int64) {
+	for idx := from; idx < int64(len(f.pages)); idx++ {
+		if pg := f.pages[idx]; pg != nil && !pg.dirty && !pg.inflight {
+			pg.free()
+			f.pages[idx] = nil
+		}
+	}
+	n := len(f.pages)
+	for n > 0 && f.pages[n-1] == nil {
+		n--
+	}
+	f.pages = f.pages[:n]
+}
+
+// freePages drops the cache's reference to every cached page of the file.
+func (f *File) freePages() {
+	for _, pg := range f.pages {
+		if pg != nil {
+			pg.free()
+		}
+	}
+	f.pages = nil
+}
 
 type dirtyRef struct {
 	f   *File
@@ -124,7 +167,10 @@ type Filesystem struct {
 
 	metaCursor int64
 
+	// dirtyQ is the global flush order, consumed from dirtyOff and
+	// compacted once the consumed prefix dominates.
 	dirtyQ     []dirtyRef
+	dirtyOff   int
 	dirtyCount int
 	wbInflight int
 	wbKick     *sim.Broadcast
@@ -273,7 +319,6 @@ func (fs *Filesystem) Create(name string) (*File, error) {
 	f := &File{
 		fs:        fs,
 		name:      name,
-		pages:     make(map[int64]*cachePage),
 		flushDone: sim.NewBroadcast(fs.eng),
 	}
 	fs.files[name] = f
@@ -347,7 +392,6 @@ func (fs *Filesystem) Remount(eng *sim.Engine) *Filesystem {
 			name:      name,
 			size:      f.size,
 			extents:   append([]int64(nil), f.extents...),
-			pages:     make(map[int64]*cachePage),
 			flushDone: sim.NewBroadcast(eng),
 		}
 	}
@@ -373,6 +417,79 @@ func (f *File) lpaOf(idx int64) (int64, error) {
 // and dirty-ratio throttling. It returns when the data is in the page cache
 // (durability requires Fsync).
 func (f *File) Write(env *sim.Env, off int64, data []byte) error {
+	return f.write(env, off, iovec{buf: data})
+}
+
+// Append writes data at the current end of file.
+func (f *File) Append(env *sim.Env, data []byte) error {
+	return f.Write(env, f.size, data)
+}
+
+// AppendPages is write(2) at the end of file from a run of pooled page
+// segments, the wal.Chain shape: the payload is segs[0] from byte head on,
+// every middle segment whole, and the last segment up to byte tail. It bills
+// virtual time exactly as Write of the flattened payload would.
+//
+// The file takes over one caller reference per segment and sets its slot in
+// segs to nil as it does. A segment whose payload is a whole page landing at
+// a page-aligned file offset with no page cached there becomes that cache
+// page: the reference moves, no byte is copied. Every other span is copied
+// into a private, zero-padded cache page (as Write does) and its reference
+// released. An error leaves every reference with the caller. A power cut
+// frozen inside the call leaves each reference in exactly one place: its
+// still non-nil slot in segs, or the page cache, which Close frees.
+//
+// Adopted bytes must not change afterwards: a caller passes only drained
+// pages nobody writes again. A segment the producer keeps filling always
+// ends short of a page, so it is copied.
+func (f *File) AppendPages(env *sim.Env, segs []*bufpool.Segment, head, tail int) error {
+	return f.write(env, f.size, iovec{segs: segs, head: head, tail: tail})
+}
+
+// iovec is write(2)'s source: one user buffer, or, when segs is non-nil,
+// the payload of a run of pooled page segments (head is the start offset in
+// segs[0], tail the used length of the last segment).
+type iovec struct {
+	buf        []byte
+	segs       []*bufpool.Segment
+	head, tail int
+}
+
+// count is the number of spans.
+func (v *iovec) count() int {
+	if v.segs == nil {
+		return 1
+	}
+	return len(v.segs)
+}
+
+// span returns span i's bytes.
+func (v *iovec) span(i int) []byte {
+	if v.segs == nil {
+		return v.buf
+	}
+	b := v.segs[i].Bytes()
+	lo, hi := 0, len(b)
+	if i == 0 {
+		lo = v.head
+	}
+	if i == len(v.segs)-1 {
+		hi = v.tail
+	}
+	return b[lo:hi]
+}
+
+// size is the payload length in bytes.
+func (v *iovec) size() int {
+	n := 0
+	for i := 0; i < v.count(); i++ {
+		n += len(v.span(i))
+	}
+	return n
+}
+
+// write is the one write(2) path behind Write and AppendPages.
+func (f *File) write(env *sim.Env, off int64, src iovec) error {
 	if f.deleted {
 		return fmt.Errorf("kernelio: write to deleted file %q", f.name)
 	}
@@ -380,11 +497,12 @@ func (f *File) Write(env *sim.Env, off int64, data []byte) error {
 		return fmt.Errorf("kernelio: negative offset %d", off)
 	}
 	fs := f.fs
+	size := int64(src.size())
 	fs.stats.Syscalls++
-	fs.stats.BytesWritten += int64(len(data))
+	fs.stats.BytesWritten += size
 	tr := fs.trace
 	span := tr.Begin("kernelio", "write", tr.Scope(), env.Now())
-	tr.SetArg(span, int64(len(data)))
+	tr.SetArg(span, size)
 	defer func() { tr.End(span, env.Now()) }()
 	env.Work(TagSyscall, fs.costs.SyscallEntry)
 
@@ -420,13 +538,13 @@ func (f *File) Write(env *sim.Env, off int64, data []byte) error {
 	mult := 1 + 0.6*press
 
 	// Copy user buffer into the cache (under the write lock).
-	copyCost := sim.DurationForBytes(int64(len(data)), fs.costs.CopyBandwidth)
+	copyCost := sim.DurationForBytes(size, fs.costs.CopyBandwidth)
 	env.Work(TagCopy, sim.Duration(float64(copyCost)*mult))
 
 	ps := fs.pageSize()
 	firstIdx := off / ps
-	lastIdx := (off + int64(len(data)) - 1) / ps
-	if len(data) == 0 {
+	lastIdx := (off + size - 1) / ps
+	if size == 0 {
 		lastIdx = firstIdx - 1
 	}
 	nPages := lastIdx - firstIdx + 1
@@ -440,33 +558,30 @@ func (f *File) Write(env *sim.Env, off int64, data []byte) error {
 			fs.journal.Release()
 			return err
 		}
+		f.grow(lastIdx)
 	}
 	fs.journal.Release()
 
-	pos := 0
-	for idx := firstIdx; idx <= lastIdx; idx++ {
-		pageOff := off + int64(pos) - idx*ps
-		pg := f.pages[idx]
-		var n int
-		if pg == nil {
-			pg, n = fs.newCachePage(pageOff, data[pos:])
-			f.pages[idx] = pg
-		} else {
-			if pg.shared {
-				fs.unshare(pg)
-			}
-			n = copy(pg.data[pageOff:], data[pos:])
+	pos := off
+	for i := 0; i < src.count(); i++ {
+		b := src.span(i)
+		switch {
+		case src.segs == nil:
+			f.copyIn(pos, b)
+		case len(b) == int(ps) && pos%ps == 0 && f.pages[pos/ps] == nil:
+			// A whole drained page: the caller's reference becomes the cache's.
+			f.pages[pos/ps] = &cachePage{seg: src.segs[i], data: b}
+			f.markDirty(pos / ps)
+			src.segs[i] = nil
+		default:
+			f.copyIn(pos, b)
+			src.segs[i].Release()
+			src.segs[i] = nil
 		}
-		pos += n
-		if !pg.dirty {
-			pg.dirty = true
-			f.dirtyIdx = append(f.dirtyIdx, idx)
-			fs.dirtyQ = append(fs.dirtyQ, dirtyRef{f, idx})
-			fs.dirtyCount++
-		}
+		pos += int64(len(b))
 	}
-	if off+int64(len(data)) > f.size {
-		f.size = off + int64(len(data))
+	if off+size > f.size {
+		f.size = off + size
 	}
 
 	if fs.dirtyCount >= fs.costs.DirtyBackgroundPages {
@@ -485,9 +600,39 @@ func (f *File) Write(env *sim.Env, off int64, data []byte) error {
 	return nil
 }
 
-// Append writes data at the current end of file.
-func (f *File) Append(env *sim.Env, data []byte) error {
-	return f.Write(env, f.size, data)
+// copyIn is the user→cache copy of data to file offset off, whose pages are
+// reserved: an uncached page becomes a private zero-padded one, a cached page
+// shared with the device moves to private bytes before it is written.
+func (f *File) copyIn(off int64, data []byte) {
+	fs := f.fs
+	ps := fs.pageSize()
+	pos := 0
+	for idx := off / ps; pos < len(data); idx++ {
+		pageOff := off + int64(pos) - idx*ps
+		pg := f.pages[idx]
+		var n int
+		if pg == nil {
+			pg, n = fs.newCachePage(pageOff, data[pos:])
+			f.pages[idx] = pg
+		} else {
+			if pg.shared {
+				fs.unshare(pg)
+			}
+			n = copy(pg.data[pageOff:], data[pos:])
+		}
+		pos += n
+		f.markDirty(idx)
+	}
+}
+
+// markDirty queues cached page idx for writeback unless it already waits.
+func (f *File) markDirty(idx int64) {
+	if pg := f.pages[idx]; !pg.dirty {
+		pg.dirty = true
+		f.dirtyIdx = append(f.dirtyIdx, idx)
+		f.fs.dirtyQ = append(f.fs.dirtyQ, dirtyRef{f, idx})
+		f.fs.dirtyCount++
+	}
 }
 
 // collectDirty pulls up to max dirty pages of this file (in dirty order),
@@ -502,7 +647,7 @@ func (f *File) collectDirty(max int) ([]ssd.PageWrite, []*cachePage) {
 			keep = append(keep, f.dirtyIdx[i])
 			continue
 		}
-		pg := f.pages[idx]
+		pg := f.page(idx)
 		if pg == nil || !pg.dirty {
 			continue
 		}
@@ -648,7 +793,7 @@ func (f *File) Read(env *sim.Env, off int64, n int) ([]byte, error) {
 	lastIdx := (off + int64(n) - 1) / ps
 
 	for idx := firstIdx; idx <= lastIdx; idx++ {
-		if pg := f.pages[idx]; pg != nil {
+		if f.page(idx) != nil {
 			fs.stats.CacheHits++
 			continue
 		}
@@ -682,7 +827,7 @@ func (f *File) fillFrom(env *sim.Env, idx int64) error {
 	run := int64(1)
 	maxRun := int64(fs.costs.ReadAheadPages)
 	for run < maxRun && idx+run <= lastFileIdx {
-		if f.pages[idx+run] != nil {
+		if f.page(idx+run) != nil {
 			break // already cached; stop the run
 		}
 		if (idx+run)%extentPages == 0 {
@@ -694,6 +839,7 @@ func (f *File) fillFrom(env *sim.Env, idx int64) error {
 	if err != nil {
 		return err
 	}
+	f.grow(idx + run - 1)
 	if fs.tolerateUnwritten {
 		// Post-crash mount: any page in the run may be a hole (allocated,
 		// never flushed). Read page by page, substituting zeros for
@@ -739,13 +885,7 @@ func (f *File) Truncate(size int64) {
 	}
 	f.size = size
 	ps := f.fs.pageSize()
-	firstDead := (size + ps - 1) / ps
-	for idx, pg := range f.pages {
-		if idx >= firstDead && !pg.dirty && !pg.inflight {
-			pg.free()
-			delete(f.pages, idx)
-		}
-	}
+	f.dropClean((size + ps - 1) / ps)
 }
 
 // Delete drops the file: cached dirty data is discarded (deleting an
@@ -760,7 +900,7 @@ func (fs *Filesystem) Delete(env *sim.Env, name string) error {
 	env.Work(TagSyscall, fs.costs.SyscallEntry)
 	// Discard dirty pages.
 	for _, idx := range f.dirtyIdx {
-		if pg := f.pages[idx]; pg != nil && pg.dirty {
+		if pg := f.page(idx); pg != nil && pg.dirty {
 			pg.dirty = false
 			fs.dirtyCount--
 		}
@@ -782,10 +922,7 @@ func (fs *Filesystem) Delete(env *sim.Env, name string) error {
 		fs.freeExtents = append(fs.freeExtents, base)
 	}
 	f.extents = nil
-	for _, pg := range f.pages {
-		pg.free()
-	}
-	f.pages = nil
+	f.freePages()
 	// Metadata update for the unlink.
 	fs.journal.Acquire(env)
 	env.Work(TagFS, fs.prof.HandleHold)
@@ -797,12 +934,7 @@ func (fs *Filesystem) Delete(env *sim.Env, name string) error {
 // `echo 3 > /proc/sys/vm/drop_caches` before a cold-cache recovery run.
 func (fs *Filesystem) DropCaches() {
 	for _, f := range fs.files {
-		for idx, pg := range f.pages {
-			if !pg.dirty && !pg.inflight {
-				pg.free()
-				delete(f.pages, idx)
-			}
-		}
+		f.dropClean(0)
 	}
 }
 
@@ -813,22 +945,37 @@ func (fs *Filesystem) DropCaches() {
 func (fs *Filesystem) Close() {
 	fs.sched.DropPending()
 	for _, f := range fs.files {
-		for _, pg := range f.pages {
-			pg.free()
-		}
-		f.pages = nil
+		f.freePages()
 		f.dirtyIdx = nil
 	}
-	fs.dirtyQ = nil
+	fs.dirtyQ, fs.dirtyOff = nil, 0
 	fs.dirtyCount = 0
 }
 
-// wbInflight is one writeback command awaiting device completion.
+// wbInflight is one writeback command awaiting device completion. The
+// flusher keeps a ring of WritebackQD of them and refills a slot's slices for
+// its next batch once the slot's command has been reaped.
 type wbInflight struct {
 	req     *Request
+	batch   []ssd.PageWrite
 	touched []*File
 	flushed []*cachePage
 	span    vtrace.SpanID
+}
+
+// popDirty takes the oldest entry off the dirty queue, compacting the
+// consumed prefix once it dominates.
+func (fs *Filesystem) popDirty() dirtyRef {
+	ref := fs.dirtyQ[fs.dirtyOff]
+	fs.dirtyQ[fs.dirtyOff] = dirtyRef{}
+	fs.dirtyOff++
+	if fs.dirtyOff > len(fs.dirtyQ)/2 {
+		n := copy(fs.dirtyQ, fs.dirtyQ[fs.dirtyOff:])
+		clear(fs.dirtyQ[n:])
+		fs.dirtyQ = fs.dirtyQ[:n]
+		fs.dirtyOff = 0
+	}
+	return ref
 }
 
 // writeback is the background flusher daemon (one per filesystem): it drains
@@ -836,24 +983,20 @@ type wbInflight struct {
 // WritebackQD commands in flight — the pipelining that lets the page cache
 // absorb device hiccups which stall direct writers.
 func (fs *Filesystem) writeback(env *sim.Env) {
-	qd := fs.costs.WritebackQD
-	if qd < 1 {
-		qd = 1
-	}
-	var inflight []wbInflight
+	qd := max(fs.costs.WritebackQD, 1)
+	ring := make([]wbInflight, qd)
+	head, n := 0, 0 // oldest in-flight slot, commands in flight
 	for {
 		// Fill the pipeline.
-		for len(inflight) < qd && len(fs.dirtyQ) > 0 {
-			var batch []ssd.PageWrite
-			var touched []*File
-			var flushed []*cachePage
-			for len(fs.dirtyQ) > 0 && len(batch) < fs.costs.WritebackBatch {
-				ref := fs.dirtyQ[0]
-				fs.dirtyQ = fs.dirtyQ[1:]
-				if ref.f.deleted || ref.f.pages == nil {
+		for n < qd && fs.dirtyOff < len(fs.dirtyQ) {
+			w := &ring[(head+n)%qd]
+			w.batch, w.touched, w.flushed = w.batch[:0], w.touched[:0], w.flushed[:0]
+			for fs.dirtyOff < len(fs.dirtyQ) && len(w.batch) < fs.costs.WritebackBatch {
+				ref := fs.popDirty()
+				if ref.f.deleted {
 					continue
 				}
-				pg := ref.f.pages[ref.idx]
+				pg := ref.f.page(ref.idx)
 				if pg == nil || !pg.dirty {
 					continue // already flushed by fsync or deleted
 				}
@@ -867,35 +1010,31 @@ func (fs *Filesystem) writeback(env *sim.Env) {
 				fs.dirtyCount--
 				// Remove from the file's own dirty list lazily: collectDirty
 				// skips non-dirty entries.
-				batch = append(batch, ssd.PageWrite{LPA: lpa, Data: pg.writebackRef(), PID: fs.pidOf(ref.f.name)})
-				touched = append(touched, ref.f)
-				flushed = append(flushed, pg)
+				w.batch = append(w.batch, ssd.PageWrite{LPA: lpa, Data: pg.writebackRef(), PID: fs.pidOf(ref.f.name)})
+				w.touched = append(w.touched, ref.f)
+				w.flushed = append(w.flushed, pg)
 			}
-			if len(batch) == 0 {
+			if len(w.batch) == 0 {
 				break
 			}
 			tr := fs.trace
-			wbSpan := tr.Begin("kernelio", "writeback", 0, env.Now())
-			tr.SetArg(wbSpan, int64(len(batch)))
-			tr.SetScope(wbSpan)
-			req := fs.sched.Submit(batch, false)
+			w.span = tr.Begin("kernelio", "writeback", 0, env.Now())
+			tr.SetArg(w.span, int64(len(w.batch)))
+			tr.SetScope(w.span)
+			w.req = fs.sched.Submit(w.batch, false)
 			tr.SetScope(0)
-			inflight = append(inflight, wbInflight{
-				req:     req,
-				touched: touched,
-				flushed: flushed,
-				span:    wbSpan,
-			})
-			fs.wbInflight = len(inflight)
+			n++
+			fs.wbInflight = n
 		}
-		if len(inflight) == 0 {
+		if n == 0 {
 			fs.wbKick.Wait(env)
 			continue
 		}
 		// Reap the oldest command.
-		w := inflight[0]
-		inflight = inflight[1:]
-		fs.wbInflight = len(inflight)
+		w := &ring[head]
+		head = (head + 1) % qd
+		n--
+		fs.wbInflight = n
 		w.req.Done.Wait(env)
 		fs.trace.End(w.span, env.Now())
 		fs.stats.WritebackPages += int64(len(w.req.Pages))
@@ -903,6 +1042,7 @@ func (fs *Filesystem) writeback(env *sim.Env) {
 			w.flushed[i].inflight = false
 			f.clearInflight(1)
 		}
+		w.req = nil
 		fs.drained.Notify()
 	}
 }

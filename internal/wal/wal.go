@@ -249,15 +249,6 @@ func (c Chain) Span(i int) []byte {
 	return b[lo:hi]
 }
 
-// AppendTo flattens the chain's payload onto dst (for backends that need a
-// contiguous view, e.g. the kernel-path file write).
-func (c Chain) AppendTo(dst []byte) []byte {
-	for i := range c.Segs {
-		dst = append(dst, c.Span(i)...)
-	}
-	return dst
-}
-
 // Release drops the receiver's reference on every segment. Call exactly once
 // unless the references were transferred elsewhere.
 func (c *Chain) Release() {

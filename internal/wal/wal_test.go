@@ -200,14 +200,14 @@ func TestDrainImmutableWhileProducerAppends(t *testing.T) {
 	b := NewBuffer(pool)
 	b.Append(OpSet, []byte("key-a"), bytes.Repeat([]byte("1"), 40))
 	chain := b.Drain()
-	want := chain.AppendTo(nil) // what an in-flight device write would DMA
+	want := flatten(chain) // what an in-flight device write would DMA
 	// Producer keeps going: fills the shared tail segment, crosses many
 	// segment boundaries, drains and releases again.
 	for i := 0; i < 32; i++ {
 		b.Append(OpSet, []byte("key-b"), bytes.Repeat([]byte("2"), 60))
 	}
 	chain2 := b.Drain()
-	if got := chain.AppendTo(nil); !bytes.Equal(got, want) {
+	if got := flatten(chain); !bytes.Equal(got, want) {
 		t.Fatal("later appends mutated a drained, in-flight chain")
 	}
 	chain2.Release()
@@ -227,7 +227,7 @@ func TestDrainRecycleGatedByDeviceRefs(t *testing.T) {
 	b := NewBuffer(pool)
 	b.Append(OpSet, []byte("k"), bytes.Repeat([]byte("x"), 300)) // spans segments
 	chain := b.Drain()
-	want := chain.AppendTo(nil)
+	want := flatten(chain)
 	// The device retains every segment (as nand.Program does on store)
 	// before the producer releases and recycles its own bookkeeping.
 	view := chain // device-side descriptor copy
@@ -243,7 +243,7 @@ func TestDrainRecycleGatedByDeviceRefs(t *testing.T) {
 		b2.Append(OpSet, []byte("z"), bytes.Repeat([]byte("9"), 100))
 	}
 	c2 := b2.Drain()
-	if got := view.AppendTo(nil); !bytes.Equal(got, want) {
+	if got := flatten(view); !bytes.Equal(got, want) {
 		t.Fatal("pool recycled device-held segments into new writes")
 	}
 	c2.Release()
@@ -252,4 +252,13 @@ func TestDrainRecycleGatedByDeviceRefs(t *testing.T) {
 	if n := pool.InFlight(); n != 0 {
 		t.Fatalf("%d segments still in flight after teardown", n)
 	}
+}
+
+// flatten copies the chain's payload into one contiguous buffer.
+func flatten(c Chain) []byte {
+	var b []byte
+	for i := range c.Segs {
+		b = append(b, c.Span(i)...)
+	}
+	return b
 }
