@@ -360,8 +360,8 @@ func (f *FTL) invalidate(lpa int64) {
 
 // unmapPage retires a mapped physical page: nothing can address it until its
 // block erases, so the array drops its bytes now instead of at the erase. A
-// migration calls it only after the destination program has retained the
-// stored segment (migrateProgram(StoredRef(src))).
+// migration calls it only after Relocate has moved the stored segment to
+// the destination page, so the source holds nothing left to release.
 func (f *FTL) unmapPage(ppa nand.PPA) {
 	f.p2l[ppa] = -1
 	f.rus[f.ruOf[f.arr.BlockOf(ppa)]].valid--
@@ -473,15 +473,16 @@ func (f *FTL) readWithRetry(now sim.Time, src nand.PPA) (data []byte, done sim.T
 	return nil, now, false, nil
 }
 
-// migrateProgram places and programs data into pid's stream, retiring bad
-// destination blocks and retrying on program failure.
-func (f *FTL) migrateProgram(now sim.Time, pid uint32, data bufpool.Ref) (nand.PPA, sim.Time, error) {
+// migrateProgram relocates the page stored at src into pid's stream,
+// retiring bad destination blocks and retrying on program failure (src
+// keeps its page until a program succeeds).
+func (f *FTL) migrateProgram(now sim.Time, pid uint32, src nand.PPA) (nand.PPA, sim.Time, error) {
 	for attempt := 0; attempt <= maxProgramRetries; attempt++ {
 		dst, ready, err := f.placePage(now, pid)
 		if err != nil {
 			return nand.InvalidPPA, now, err
 		}
-		done, err := f.arr.Program(ready, dst, data)
+		done, err := f.arr.Relocate(ready, src, dst)
 		if err == nil {
 			return dst, done, nil
 		}
@@ -520,7 +521,7 @@ func (f *FTL) drainRetired(now sim.Time) (sim.Time, error) {
 			continue
 		}
 		pid := f.rus[f.ruOf[f.arr.BlockOf(src)]].pid
-		dst, wdone, err := f.migrateProgram(rdone, pid, f.arr.StoredRef(src))
+		dst, wdone, err := f.migrateProgram(rdone, pid, src)
 		if err != nil {
 			return now, err
 		}
@@ -666,9 +667,9 @@ func (f *FTL) reclaim(now sim.Time) (done sim.Time, reclaimed bool, err error) {
 					f.stats.LostPages++
 					continue
 				}
-				// Re-program the stored segment itself (no copy): the
-				// destination retains it, then the source drops its share.
-				dst, wdone, err := f.migrateProgram(rdone, victim.pid, f.arr.StoredRef(src))
+				// Move the stored segment itself (no copy, no new
+				// reference) to the destination page.
+				dst, wdone, err := f.migrateProgram(rdone, victim.pid, src)
 				if err != nil {
 					return now, false, fmt.Errorf("fdp: reclaim program: %w", err)
 				}

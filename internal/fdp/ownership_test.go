@@ -10,8 +10,9 @@ import (
 
 // Fault-path ownership under GC migration: mixed-lifetime churn with pooled
 // payloads forces reclaim to copy live pages, which the FTL does zero-copy —
-// Program(StoredRef(src)) retains the segment for the destination page and
-// the source erase releases its share. Any imbalance shows up here: a missed
+// Relocate(src, dst) moves the stored segment's reference to the destination
+// page, so the source's unmap releases nothing and the destination's erase
+// or discard releases it once. Any imbalance shows up here: a missed
 // release leaks (InFlight stays positive after teardown), a double release
 // panics in bufpool.
 func TestGCMigrationPooledOwnership(t *testing.T) {

@@ -254,16 +254,15 @@ type Array struct {
 	dies   []sim.Timeline
 	chans  []sim.Timeline
 	blocks []blockState // indexed by die*BlocksPerDie + block
-	// data holds the stored bytes per PPA; nil = holds nothing readable:
-	// unwritten since the last erase, failed to program, or discarded.
-	data [][]byte
-	// segs holds, per PPA, the pooled segment backing data[ppa] (nil for
-	// torn images, which are plain Go memory dropped to the GC). Each stored
+	// pages is the page table: per PPA, the stored bytes (B nil = holds
+	// nothing readable: unwritten since the last erase, failed to program,
+	// or discarded) and the pooled segment backing them (Seg nil for torn
+	// images, which are plain Go memory dropped to the GC). Each stored
 	// page holds one reference, released through the pool's virtual-time
 	// quarantine when the FTL discards the page or its block erases,
-	// whichever comes first.
-	segs []*bufpool.Segment
-	pool *bufpool.Pool
+	// whichever comes first; Relocate moves it to another page.
+	pages []bufpool.Ref
+	pool  *bufpool.Pool
 	// readHorizon is the latest completion time over all reads so far: no
 	// outstanding read alias can be consumed after it (plus handler slack).
 	// It gates recycling of discarded and erased pages' buffers.
@@ -318,8 +317,7 @@ func New(geo Geometry, lat Latencies) (*Array, error) {
 		dies:   make([]sim.Timeline, geo.Dies()),
 		chans:  make([]sim.Timeline, geo.Channels),
 		blocks: make([]blockState, geo.Blocks()),
-		data:   make([][]byte, geo.Pages()),
-		segs:   make([]*bufpool.Segment, geo.Pages()),
+		pages:  make([]bufpool.Ref, geo.Pages()),
 		pool:   bufpool.New(geo.PageSize),
 	}, nil
 }
@@ -381,7 +379,7 @@ func (a *Array) EraseCount(die, block int) int64 {
 // stays stored: the buffers of discarded and erased pages are recycled once
 // the clock passes the read horizon, so a caller that keeps the bytes past
 // its next simulation yield must know that nothing rewrites or trims the
-// logical page meanwhile (GC migration re-stores the same buffer, so it does
+// logical page meanwhile (GC migration moves the same buffer, so it does
 // not count). Every consumer in this repository copies on completion except
 // SlimIO's recovery. It decodes a log segment's pages once they are all
 // read, before the recovering backend can write to its log again. And it
@@ -410,7 +408,7 @@ func (a *Array) Read(now sim.Time, ppa PPA) (data []byte, done sim.Time, err err
 			return nil, done, herr
 		}
 	}
-	d := a.data[ppa]
+	d := a.pages[ppa].B
 	if d == nil {
 		return nil, now, fmt.Errorf("nand: read of unwritten page %d", ppa)
 	}
@@ -442,11 +440,53 @@ func (a *Array) Read(now sim.Time, ppa PPA) (data []byte, done sim.Time, err err
 // is copied into a pool segment, so one-shot callers (metadata records,
 // preconditioning) need no pool plumbing.
 func (a *Array) Program(now sim.Time, ppa PPA, data bufpool.Ref) (done sim.Time, err error) {
+	if done, err = a.program(now, ppa, data.B); err != nil {
+		return done, err
+	}
+	if data.Seg != nil {
+		// Zero-copy store: alias the producer's pooled bytes and hold a
+		// reference until the page is discarded or the block erases.
+		data.Seg.Retain()
+		a.pages[ppa] = data
+		return done, nil
+	}
+	a.storeCopy(ppa, data.B)
+	return done, nil
+}
+
+// Relocate programs dst with the page stored at src, as GC and retirement
+// migration do with live data, and returns the program's completion time.
+// It moves src's stored reference to dst instead of retaining it again:
+// src holds nothing afterwards, so the FTL's unmap of src releases nothing,
+// and the segment is released once, when dst is discarded or erased. On
+// error src keeps its page. A torn source image (no pooled segment) is
+// copied into a pool segment, as Program copies borrowed bytes.
+func (a *Array) Relocate(now sim.Time, src, dst PPA) (done sim.Time, err error) {
+	if err := a.checkPPA(src); err != nil {
+		return now, err
+	}
+	ref := a.pages[src]
+	if done, err = a.program(now, dst, ref.B); err != nil {
+		return done, err
+	}
+	if ref.Seg == nil {
+		a.storeCopy(dst, ref.B)
+		return done, nil
+	}
+	a.pages[dst] = ref
+	a.pages[src] = bufpool.Ref{}
+	return done, nil
+}
+
+// program checks and times a program of b to ppa, leaving the store to the
+// caller: on success ppa's page-table slot is the caller's to fill. A
+// failed program stores nothing; a torn one stores the fault hook's image.
+func (a *Array) program(now sim.Time, ppa PPA, b []byte) (done sim.Time, err error) {
 	if err := a.checkPPA(ppa); err != nil {
 		return now, err
 	}
-	if len(data.B) > a.geo.PageSize {
-		return now, fmt.Errorf("nand: program of %d bytes exceeds page size %d", len(data.B), a.geo.PageSize)
+	if len(b) > a.geo.PageSize {
+		return now, fmt.Errorf("nand: program of %d bytes exceeds page size %d", len(b), a.geo.PageSize)
 	}
 	die := a.DieOf(ppa)
 	blockGlobal := a.BlockOf(ppa)
@@ -465,7 +505,7 @@ func (a *Array) Program(now sim.Time, ppa PPA, data bufpool.Ref) (done sim.Time,
 		a.trace.Emit("nand", "program", a.trace.Scope(), now, done, int64(xferStart.Sub(now)))
 	}
 	if a.hook != nil {
-		switch dec := a.hook.ProgramFault(now, done, ppa, data.B); dec.Outcome {
+		switch dec := a.hook.ProgramFault(now, done, ppa, b); dec.Outcome {
 		case ProgramFail:
 			// The page is consumed (a failed program cannot be retried in
 			// place) but holds nothing readable.
@@ -473,47 +513,36 @@ func (a *Array) Program(now sim.Time, ppa PPA, data bufpool.Ref) (done sim.Time,
 			a.trace.Instant("fault", "program.err", now, int64(ppa))
 			return done, &DeviceError{Status: StatusWriteFault, Op: "program", PPA: ppa}
 		case ProgramTorn:
-			a.data[ppa] = dec.Torn
-			a.segs[ppa] = nil
+			a.pages[ppa] = bufpool.Ref{B: dec.Torn}
 			a.stats.TornPrograms++
 			a.trace.Instant("fault", "program.torn", now, int64(ppa))
 			return done, &DeviceError{Status: StatusInterruptedWrite, Op: "program", PPA: ppa}
 		}
 	}
-	if data.Seg != nil {
-		// Zero-copy store: alias the producer's pooled bytes and hold a
-		// reference until the page is discarded or the block erases.
-		data.Seg.Retain()
-		a.segs[ppa] = data.Seg
-		a.data[ppa] = data.B
-		return done, nil
-	}
-	// Borrowed bytes: copy into a pool segment so later caller mutation
-	// cannot corrupt "flash" contents. The pool recycles dead pages'
-	// segments instead of allocating per program; the reclaim gate is the
-	// engine clock, not `now` (see Array.clock).
-	s := a.pool.Get()
-	stored := s.Bytes()[:len(data.B)]
-	copy(stored, data.B)
-	a.segs[ppa] = s
-	a.data[ppa] = stored
 	return done, nil
 }
 
-// StoredRef returns a pooled view of the page stored at ppa (Seg nil for
-// torn images). GC and retirement migration use it to re-program live data
-// onto fresh media without copying: Program retains the segment again for
-// the destination page before the source page's share is discarded.
-func (a *Array) StoredRef(ppa PPA) bufpool.Ref {
-	return bufpool.Ref{Seg: a.segs[ppa], B: a.data[ppa]}
+// storeCopy stores a copy of borrowed bytes at ppa, in a pool segment so
+// later caller mutation cannot corrupt "flash" contents. The pool recycles
+// dead pages' segments instead of allocating per program; the reclaim gate
+// is the engine clock, not `now` (see Array.clock).
+func (a *Array) storeCopy(ppa PPA, b []byte) {
+	s := a.pool.Get()
+	stored := s.Bytes()[:len(b)]
+	copy(stored, b)
+	a.pages[ppa] = bufpool.Ref{Seg: s, B: stored}
 }
+
+// StoredRef returns a pooled view of the page stored at ppa (Seg nil for
+// torn images).
+func (a *Array) StoredRef(ppa PPA) bufpool.Ref { return a.pages[ppa] }
 
 // ReleaseStored drops every stored page's pool reference immediately (no
 // quarantine). Experiment teardown calls it — after the engine has stopped
 // and all results are extracted — so the pool's in-flight count can be
 // asserted zero; the array is no longer readable afterwards.
 func (a *Array) ReleaseStored() {
-	for ppa := range a.segs {
+	for ppa := range a.pages {
 		a.release(PPA(ppa), 0)
 	}
 }
@@ -532,11 +561,10 @@ func (a *Array) Discard(ppa PPA) {
 // pool quarantines the segment until reusable (0 = no quarantine). Torn
 // images drop to the garbage collector.
 func (a *Array) release(ppa PPA, reusable sim.Time) {
-	if s := a.segs[ppa]; s != nil {
+	if s := a.pages[ppa].Seg; s != nil {
 		s.ReleaseAt(reusable)
-		a.segs[ppa] = nil
 	}
-	a.data[ppa] = nil
+	a.pages[ppa] = bufpool.Ref{}
 }
 
 // Erase wipes a block, making all its pages programmable again, and returns

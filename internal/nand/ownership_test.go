@@ -209,3 +209,68 @@ func TestDiscardOfEmptyPageIsNoOp(t *testing.T) {
 		t.Fatalf("InFlight = %d after erase + teardown, want 0", n)
 	}
 }
+
+// Relocate moves a stored page's reference: the destination aliases the same
+// segment, the source holds nothing, and the refcount is unchanged. A failed
+// destination program leaves the source's page where it was, and a torn
+// source image is copied into a pool segment of its own. Teardown then
+// releases each segment once — a double release panics in bufpool, a missed
+// one shows as InFlight.
+func TestRelocateMovesReference(t *testing.T) {
+	a := testArray(t)
+	pool := a.Pool()
+	want := page("live", a.geo.PageSize)
+	src, dst := a.PPAOf(0, 0, 0), a.PPAOf(1, 0, 0)
+	if _, err := a.Program(0, src, bufpool.Borrowed(want)); err != nil {
+		t.Fatal(err)
+	}
+	seg := a.StoredRef(src).Seg
+
+	a.SetFaultHook(&scriptHook{programDec: ProgramDecision{Outcome: ProgramFail}})
+	if _, err := a.Relocate(0, src, dst); !IsProgramFail(err) {
+		t.Fatalf("err = %v, want write-fault status", err)
+	}
+	a.SetFaultHook(nil)
+	if ref := a.StoredRef(src); ref.Seg != seg || !bytes.Equal(ref.B, want) {
+		t.Fatal("a failed relocation moved the source's page")
+	}
+
+	dst = a.PPAOf(1, 0, 1)
+	if _, err := a.Relocate(0, src, dst); err != nil {
+		t.Fatal(err)
+	}
+	if ref := a.StoredRef(src); ref.Seg != nil || ref.B != nil {
+		t.Fatal("relocated source still holds its page")
+	}
+	if ref := a.StoredRef(dst); ref.Seg != seg || !bytes.Equal(ref.B, want) {
+		t.Fatal("destination does not hold the source's segment")
+	}
+	if got := seg.Refs(); got != 1 {
+		t.Fatalf("refcount = %d after relocation, want 1", got)
+	}
+	a.Discard(src) // what the FTL's unmap does next: nothing left to release
+
+	a.SetFaultHook(&scriptHook{programDec: ProgramDecision{
+		Outcome: ProgramTorn, Torn: page("torn", a.geo.PageSize/2),
+	}})
+	torn := a.PPAOf(2, 0, 0)
+	if _, err := a.Program(0, torn, bufpool.Borrowed(want)); !IsTornWrite(err) {
+		t.Fatalf("err = %v, want interrupted-write status", err)
+	}
+	a.SetFaultHook(nil)
+	tornDst := a.PPAOf(2, 0, 1)
+	if _, err := a.Relocate(0, torn, tornDst); err != nil {
+		t.Fatal(err)
+	}
+	if ref := a.StoredRef(tornDst); ref.Seg == nil || !bytes.Equal(ref.B, page("torn", a.geo.PageSize/2)) {
+		t.Fatal("torn image was not copied into a pool segment")
+	}
+	if ref := a.StoredRef(torn); ref.B == nil {
+		t.Fatal("torn source lost its image before the FTL unmapped it")
+	}
+
+	a.ReleaseStored()
+	if n := pool.InFlight(); n != 0 {
+		t.Fatalf("%d segments in flight after teardown", n)
+	}
+}

@@ -46,6 +46,30 @@ func BenchmarkProcessHandoff(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkSignalThen measures a callback waiter's round trip: Then, a Fire
+// from a later event, and the callback's dispatch — what a closed-loop client
+// pays per reply instead of a process handoff. The one signal is reset in
+// place each op, so the figure is the mechanism's, not the allocator's.
+func BenchmarkSignalThen(b *testing.B) {
+	e := NewEngine()
+	s := NewSignal(e)
+	n := 0
+	var fire, onFire func()
+	fire = func() { s.Fire(nil) }
+	onFire = func() {
+		n++
+		if n < b.N {
+			*s = Signal{eng: e}
+			s.Then(onFire)
+			e.After(1, fire)
+		}
+	}
+	s.Then(onFire)
+	e.After(1, fire)
+	b.ResetTimer()
+	e.Run()
+}
+
 // BenchmarkResourceHandoff measures contended mutex transfer between two
 // processes.
 func BenchmarkResourceHandoff(b *testing.B) {
@@ -65,7 +89,8 @@ func BenchmarkResourceHandoff(b *testing.B) {
 }
 
 // TestHotPathAllocBudgets pins the allocation budget of the DES hot paths:
-// the event loop and a process handoff must be allocation-free, and a
+// the event loop, a process handoff and a Then round trip must be
+// allocation-free, and a
 // contended resource handoff may allocate at most once per op (waiter-ring
 // growth amortizes to zero; the budget leaves headroom for runtime noise).
 // Regressions here reintroduce GC pressure that dominates paper-scale runs.
@@ -81,6 +106,7 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		{"EventThroughput", BenchmarkEventThroughput, 0},
 		{"ProcessSwitch", BenchmarkProcessSwitch, 1},
 		{"ProcessHandoff", BenchmarkProcessHandoff, 0},
+		{"SignalThen", BenchmarkSignalThen, 0},
 		{"ResourceHandoff", BenchmarkResourceHandoff, 1},
 	}
 	for _, tc := range cases {

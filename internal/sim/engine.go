@@ -112,6 +112,7 @@ type Engine struct {
 	nprocs   int
 	ndaemons int
 	stopped  bool
+	handoffs uint64
 }
 
 // NewEngine returns an empty simulation at time zero.
@@ -265,6 +266,12 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
+
+// Handoffs reports how many times a parking process has yielded to another
+// process (or to the driver) instead of finding its own wake-up next: the
+// coroutine switches the schedule cost, a host-speed measure that does not
+// depend on the machine.
+func (e *Engine) Handoffs() uint64 { return e.handoffs }
 
 // Pending reports the number of scheduled events, useful in tests.
 func (e *Engine) Pending() int { return e.heap.len() + e.fifo.len() }

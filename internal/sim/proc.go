@@ -98,6 +98,7 @@ func (env *Env) park() {
 	if q == p {
 		return
 	}
+	env.eng.handoffs++
 	if !p.yield(q) {
 		panic(procKilled{})
 	}

@@ -2,8 +2,9 @@ package sim
 
 // Signal is a one-shot event carrying an optional value. Any number of
 // processes may Wait on it; Fire releases them all (in wait order) and makes
-// every later Wait return immediately. Fire may be called from a process or
-// from an engine callback.
+// every later Wait return immediately. Alternatively a single callback may
+// take the waiter's place (Then). Fire may be called from a process or from
+// an engine callback.
 type Signal struct {
 	eng   *Engine
 	fired bool
@@ -13,6 +14,9 @@ type Signal struct {
 	// never allocates a waiter slice.
 	w0   *Proc
 	more []*Proc
+	// then is the callback waiter registered by Then, the only waiter when
+	// set.
+	then func()
 }
 
 // NewSignal returns an unfired signal bound to eng.
@@ -20,6 +24,9 @@ func NewSignal(eng *Engine) *Signal { return &Signal{eng: eng} }
 
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
+
+// Value reports the value the signal fired with (nil before Fire).
+func (s *Signal) Value() any { return s.val }
 
 // Fire marks the signal fired and wakes all waiters. Firing twice panics:
 // a Signal models a one-shot completion, and double completion is a bug.
@@ -29,6 +36,11 @@ func (s *Signal) Fire(val any) {
 	}
 	s.fired = true
 	s.val = val
+	if s.then != nil {
+		s.eng.At(s.eng.now, s.then)
+		s.then = nil
+		return
+	}
 	if s.w0 != nil {
 		s.eng.wakeAt(s.eng.now, s.w0)
 		s.w0 = nil
@@ -45,6 +57,9 @@ func (s *Signal) Wait(env *Env) any {
 	if s.fired {
 		return s.val
 	}
+	if s.then != nil {
+		panic("sim: Wait on a Signal that has a Then callback")
+	}
 	if s.w0 == nil && len(s.more) == 0 {
 		s.w0 = env.p
 	} else {
@@ -52,6 +67,25 @@ func (s *Signal) Wait(env *Env) any {
 	}
 	env.park()
 	return s.val
+}
+
+// Then registers fn as the signal's only waiter: Fire schedules it at the
+// firing instant, in the very (time, seq) slot a parked waiter's wake-up
+// would take, so swapping a process that Waits for a callback leaves the
+// event order untouched while saving the two coroutine switches of the
+// process's park and resume. fn runs inside the dispatch loop, like any
+// Engine.At callback, and reads the fired value with Value. On a fired
+// signal fn runs at once, as Wait would return at once. Registering a
+// second waiter of either kind panics.
+func (s *Signal) Then(fn func()) {
+	if s.fired {
+		fn()
+		return
+	}
+	if s.then != nil || s.w0 != nil || len(s.more) > 0 {
+		panic("sim: Then on a Signal that already has a waiter")
+	}
+	s.then = fn
 }
 
 // Broadcast is a reusable condition: processes Wait, and each Notify wakes

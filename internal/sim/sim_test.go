@@ -253,6 +253,98 @@ func TestSignal(t *testing.T) {
 	}
 }
 
+// thenTwinLog runs one schedule in which a client takes four replies from a
+// server, and returns the (time, actor) log. With useThen the client is a
+// chain of callbacks on Signal.Then; without, a process that Waits. The
+// server queues callbacks just before and just after each Fire, so the log
+// pins the client's resumption to the waiter's (time, seq) slot; the last
+// signal fires before the client reaches it.
+func thenTwinLog(useThen bool) []string {
+	e := NewEngine()
+	var log []string
+	logf := func(format string, args ...any) {
+		log = append(log, fmt.Sprintf("%d %s", e.Now(), fmt.Sprintf(format, args...)))
+	}
+	sigs := make([]*Signal, 4)
+	for i := range sigs {
+		sigs[i] = NewSignal(e)
+	}
+	if useThen {
+		var step func(i int)
+		step = func(i int) {
+			if i == len(sigs) {
+				return
+			}
+			s := sigs[i]
+			s.Then(func() {
+				logf("client got %v", s.Value())
+				e.After(3, func() {
+					logf("client slept")
+					step(i + 1)
+				})
+			})
+		}
+		e.At(e.Now(), func() { step(0) })
+	} else {
+		e.Spawn("client", func(env *Env) {
+			for _, s := range sigs {
+				logf("client got %v", s.Wait(env))
+				env.Sleep(3)
+				logf("client slept")
+			}
+		})
+	}
+	e.Spawn("server", func(env *Env) {
+		sigs[3].Fire(3)
+		for i := 0; i < 3; i++ {
+			env.Sleep(10)
+			e.At(env.Now(), func() { logf("queued before fire") })
+			sigs[i].Fire(i)
+			logf("server fired %d", i)
+			e.At(env.Now(), func() { logf("queued after fire") })
+			env.Yield()
+			logf("server yielded")
+		}
+	})
+	e.Run()
+	return log
+}
+
+// A Then callback runs exactly where the parked waiter it replaces would
+// have resumed: twin engines, one with a waiting process and one with
+// callbacks, log the same events at the same times in the same order.
+func TestSignalThenTakesWaitersSlot(t *testing.T) {
+	waited, then := thenTwinLog(false), thenTwinLog(true)
+	if fmt.Sprint(waited) != fmt.Sprint(then) {
+		t.Fatalf("Then order differs from Wait order:\nwait: %q\nthen: %q", waited, then)
+	}
+	if len(waited) != 20 {
+		t.Fatalf("%d log entries, want 20: %q", len(waited), waited)
+	}
+}
+
+// Then takes the only waiter slot: a second waiter of either kind panics.
+func TestSignalThenIsTheOnlyWaiter(t *testing.T) {
+	expectPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	s := NewSignal(e)
+	s.Then(func() {})
+	expectPanic("second Then", func() { s.Then(func() {}) })
+	e2 := NewEngine()
+	s2 := NewSignal(e2)
+	e2.Spawn("waiter", func(env *Env) { s2.Wait(env) })
+	e2.RunUntil(0)
+	expectPanic("Then after Wait", func() { s2.Then(func() {}) })
+}
+
 func TestSignalDoubleFirePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,13 +1,14 @@
 // Package workload implements the paper's two benchmark drivers as
-// closed-loop client processes: the redis-benchmark SET workload (50
-// clients, uniform keys, 4 KiB values) and YCSB-A (8 threads, zipfian keys,
-// 50/50 GET:SET, 2 KiB values). Both record per-operation latency
-// histograms and can run for a fixed operation count or open-ended (for the
-// runtime-RPS timelines of Figures 4–5).
+// closed-loop clients: the redis-benchmark SET workload (50 clients, uniform
+// keys, 4 KiB values) and YCSB-A (8 threads, zipfian keys, 50/50 GET:SET,
+// 2 KiB values). A client is a pair of engine callbacks, not a process: it
+// submits a request, and the request's reply signal runs the callback that
+// records the result and submits the next one. Both drivers record
+// per-operation latency histograms and can run for a fixed operation count
+// or open-ended (for the runtime-RPS timelines of Figures 4–5).
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 
@@ -47,7 +48,7 @@ const (
 
 // Config describes a workload.
 type Config struct {
-	// Clients is the number of closed-loop client processes.
+	// Clients is the number of closed-loop clients.
 	Clients int
 	// Ops is the total operation count across all clients; 0 means run
 	// open-ended (stop the engine externally).
@@ -190,7 +191,9 @@ type Runner struct {
 	pending int
 }
 
-// Start spawns the client processes on eng against db.
+// Start starts the clients on eng against db. Each client's first request
+// goes out from an event queued now, in the slot a spawned process would
+// take.
 func Start(eng *sim.Engine, db *imdb.Engine, cfg Config) *Runner {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
@@ -214,10 +217,14 @@ func Start(eng *sim.Engine, db *imdb.Engine, cfg Config) *Runner {
 			if int64(c) < cfg.Ops%int64(cfg.Clients) {
 				share++
 			}
+			if share == 0 { // fewer ops than clients: this one has none
+				r.pending--
+				continue
+			}
 		}
 		client := &client{
 			runner: r,
-			id:     c,
+			eng:    eng,
 			ops:    share,
 			rng:    rand.New(rand.NewSource(cfg.Seed + int64(c)*7919)),
 			pool:   pool,
@@ -225,12 +232,8 @@ func Start(eng *sim.Engine, db *imdb.Engine, cfg Config) *Runner {
 		if cfg.Dist == Zipfian {
 			client.zipf = newZipfGen(client.rng, uint64(cfg.KeyRange), theta, zetan)
 		}
-		name := fmt.Sprintf("client-%d", c)
-		if cfg.Ops == 0 {
-			eng.SpawnDaemon(name, client.run) // open-ended: stopped externally
-		} else {
-			eng.Spawn(name, client.run)
-		}
+		client.onReplyFn = client.onReply
+		eng.At(eng.Now(), client.issue)
 	}
 	return r
 }
@@ -252,13 +255,26 @@ func valuePool(n, size int, seed int64) [][]byte {
 	return pool
 }
 
+// client is one closed-loop client: issue submits an op, and the reply's
+// Then runs onReply, which records it and issues the next, so the loop runs
+// in engine callbacks with no process of its own. An open-ended client
+// (ops == 0) never stops; the engine is stopped externally.
 type client struct {
 	runner *Runner
-	id     int
+	eng    *sim.Engine
 	ops    int64 // 0 = unbounded
+	done   int64 // ops answered so far
 	rng    *rand.Rand
 	zipf   *zipfGen
 	pool   [][]byte
+
+	// The op in flight.
+	req   *imdb.Request
+	isGet bool
+	start sim.Time
+
+	// onReply bound once, so no op allocates a method value.
+	onReplyFn func()
 }
 
 func (c *client) key() string {
@@ -276,36 +292,49 @@ func (c *client) key() string {
 	return formatKey(cfg.KeySize, k)
 }
 
-func (c *client) run(env *sim.Env) {
+// issue builds the next op, submits it and has its reply run onReply.
+func (c *client) issue() {
 	cfg := &c.runner.cfg
-	for i := int64(0); c.ops == 0 || i < c.ops; i++ {
-		isGet := cfg.ReadRatio > 0 && c.rng.Float64() < cfg.ReadRatio
-		req := &imdb.Request{Key: c.key(), Reply: sim.NewSignal(env.Engine())}
-		if isGet {
-			req.Op = imdb.OpGet
-		} else {
-			req.Op = imdb.OpSet
-			req.Value = c.pool[c.rng.Intn(len(c.pool))]
-		}
-		start := env.Now()
-		c.runner.db.Submit(req)
-		resp := req.Reply.Wait(env).(*imdb.Response)
-		if resp.Err != nil {
-			c.runner.res.Failed++
-			continue
-		}
-		lat := env.Now().Sub(start)
-		if isGet {
-			c.runner.res.GetLatency.Record(lat)
-		} else {
-			c.runner.res.SetLatency.Record(lat)
-		}
-		c.runner.res.Ops++
-		c.runner.res.End = env.Now()
+	c.isGet = cfg.ReadRatio > 0 && c.rng.Float64() < cfg.ReadRatio
+	req := &imdb.Request{Key: c.key(), Reply: sim.NewSignal(c.eng)}
+	if c.isGet {
+		req.Op = imdb.OpGet
+	} else {
+		req.Op = imdb.OpSet
+		req.Value = c.pool[c.rng.Intn(len(c.pool))]
 	}
-	c.runner.pending--
-	if c.runner.pending == 0 {
-		c.runner.Done.Fire(c.runner.res)
+	c.req = req
+	c.start = c.eng.Now()
+	c.runner.db.Submit(req)
+	req.Reply.Then(c.onReplyFn)
+}
+
+// onReply records the op in flight, then issues the next one or, when this
+// client's share is done, counts it out and fires Runner.Done after the last.
+func (c *client) onReply() {
+	r := c.runner
+	resp := c.req.Reply.Value().(*imdb.Response)
+	if resp.Err != nil {
+		r.res.Failed++
+	} else {
+		now := c.eng.Now()
+		lat := now.Sub(c.start)
+		if c.isGet {
+			r.res.GetLatency.Record(lat)
+		} else {
+			r.res.SetLatency.Record(lat)
+		}
+		r.res.Ops++
+		r.res.End = now
+	}
+	c.done++
+	if c.ops == 0 || c.done < c.ops {
+		c.issue()
+		return
+	}
+	r.pending--
+	if r.pending == 0 {
+		r.Done.Fire(r.res)
 	}
 }
 
