@@ -40,7 +40,8 @@ cover-check: cover
 		{ echo "coverage $$total% fell below baseline $(COVER_BASELINE)%"; exit 1; }
 
 # Single local lint entry point, mirrored by the CI lint job: formatting,
-# the stock vet suite, and — when the tool and network are available —
+# the stock vet suite (also for arm64, so the non-amd64 fallbacks of
+# assembly kernels keep compiling), and — when the tool and network are available —
 # govulncheck (advisory, never blocking). The repo's determinism contract
 # (DESIGN.md "Determinism contract") is a test:
 # internal/analysis.TestDeterminismContract runs under `make test`.
@@ -50,6 +51,7 @@ lint:
 		echo "gofmt -l found unformatted files:"; echo "$$unformatted"; exit 1; \
 	fi
 	go vet ./...
+	GOARCH=arm64 go vet ./...
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./... || echo "govulncheck reported findings (non-blocking)"; \
 	else \

@@ -107,6 +107,7 @@ func (p *Pool) Get() *Segment {
 	if n := len(p.free); n > 0 {
 		s = p.free[n-1]
 		p.free = p.free[:n-1]
+		s.recycled = true
 	} else {
 		s = p.carve()
 	}
@@ -166,12 +167,32 @@ type Segment struct {
 	refs  int32
 	ready sim.Time   // latest quarantine deadline seen via ReleaseAt
 	dbg   *debugInfo // acquire/release sites, race builds only
+	// recycled is set once the segment has come off the free list: its
+	// bytes were last written a whole reuse cycle ago and are likely out of
+	// cache. A segment still on its first use was carved from a chunk that
+	// getChunk has just cleared.
+	recycled bool
 }
 
 // Bytes returns the segment's full backing slice (len == cap == SegSize).
 // The slice is valid only while the caller holds a reference; `-race`
 // builds overwrite it once the last reference is released.
 func (s *Segment) Bytes() []byte { return s.b }
+
+// Fill copies b to the front of the segment and returns the filled prefix,
+// s.Bytes()[:len(b)]. A recycled segment is filled with StreamCopy, whose
+// stores bypass the cache instead of first reading the cold lines they
+// overwrite; a segment on its first use takes plain copy, since the chunk it
+// was carved from is still in cache from its clear.
+func (s *Segment) Fill(b []byte) []byte {
+	dst := s.b[:len(b)]
+	if s.recycled {
+		StreamCopy(dst, b)
+	} else {
+		copy(dst, b)
+	}
+	return dst
+}
 
 // Refs reports the current reference count (test hook).
 func (s *Segment) Refs() int { return int(s.refs) }

@@ -205,7 +205,12 @@ type FTL struct {
 	retired []bool
 	pending []int64
 
+	// stats keeps the scalar counters; the per-PID ones live in hostByPID
+	// and gcByPID, indexed by PID and sized MaxPIDs, until Stats copies them
+	// into its maps.
 	stats     Stats
+	hostByPID []int64
+	gcByPID   []int64
 	log       []ReclaimEvent
 	reclaimIn bool
 	pageSz    int
@@ -241,10 +246,10 @@ func New(arr *nand.Array, cfg Config) (*FTL, error) {
 		ruOf:       make([]int32, geo.Blocks()),
 		retired:    make([]bool, geo.Blocks()),
 		active:     make(map[uint32]*reclaimUnit),
+		hostByPID:  make([]int64, cfg.MaxPIDs),
+		gcByPID:    make([]int64, cfg.MaxPIDs),
 		pageSz:     geo.PageSize,
 	}
-	f.stats.HostWritesByPID = make(map[uint32]int64)
-	f.stats.GCCopiesByPID = make(map[uint32]int64)
 	for i := range f.l2p {
 		f.l2p[i] = nand.InvalidPPA
 	}
@@ -278,18 +283,24 @@ func (f *FTL) Capacity() int64 { return f.usableLPAs }
 // PageSize reports the page size in bytes.
 func (f *FTL) PageSize() int { return f.pageSz }
 
-// Stats returns cumulative counters. The returned per-PID maps are copies.
+// Stats returns cumulative counters. The per-PID maps are fresh and hold
+// only PIDs with a nonzero count.
 func (f *FTL) Stats() Stats {
 	s := f.stats
-	s.HostWritesByPID = make(map[uint32]int64, len(f.stats.HostWritesByPID))
-	for k, v := range f.stats.HostWritesByPID {
-		s.HostWritesByPID[k] = v
-	}
-	s.GCCopiesByPID = make(map[uint32]int64, len(f.stats.GCCopiesByPID))
-	for k, v := range f.stats.GCCopiesByPID {
-		s.GCCopiesByPID[k] = v
-	}
+	s.HostWritesByPID = pidCounts(f.hostByPID)
+	s.GCCopiesByPID = pidCounts(f.gcByPID)
 	return s
+}
+
+// pidCounts maps each PID with a nonzero count to it.
+func pidCounts(byPID []int64) map[uint32]int64 {
+	m := make(map[uint32]int64)
+	for pid, n := range byPID {
+		if n != 0 {
+			m[uint32(pid)] = n
+		}
+	}
+	return m
 }
 
 // BaseStats returns the placement-agnostic counters, satisfying the shared
@@ -683,7 +694,7 @@ func (f *FTL) reclaim(now sim.Time) (done sim.Time, reclaimed bool, err error) {
 				copied++
 				f.stats.NANDWritePages++
 				f.stats.GCCopiedPages++
-				f.stats.GCCopiesByPID[victim.pid]++
+				f.gcByPID[victim.pid]++
 			}
 		}
 	}
@@ -819,7 +830,7 @@ func (f *FTL) Write(now sim.Time, lpa int64, data bufpool.Ref, pid uint32) (done
 	f.rus[f.ruOf[f.arr.BlockOf(ppa)]].valid++
 	f.stats.HostWritePages++
 	f.stats.NANDWritePages++
-	f.stats.HostWritesByPID[pid]++
+	f.hostByPID[pid]++
 	if len(f.pending) > 0 {
 		// Retirements during placement/GC queued stranded LPAs; migrate
 		// them now so no mapping survives on retired media.

@@ -525,11 +525,11 @@ func (a *Array) program(now sim.Time, ppa PPA, b []byte) (done sim.Time, err err
 // storeCopy stores a copy of borrowed bytes at ppa, in a pool segment so
 // later caller mutation cannot corrupt "flash" contents. The pool recycles
 // dead pages' segments instead of allocating per program; the reclaim gate
-// is the engine clock, not `now` (see Array.clock).
+// is the engine clock, not `now` (see Array.clock). A recycled segment is
+// long out of cache, so Segment.Fill streams the copy past it.
 func (a *Array) storeCopy(ppa PPA, b []byte) {
 	s := a.pool.Get()
-	stored := s.Bytes()[:len(b)]
-	copy(stored, b)
+	stored := s.Fill(b)
 	a.pages[ppa] = bufpool.Ref{Seg: s, B: stored}
 }
 

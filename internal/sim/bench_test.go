@@ -89,8 +89,8 @@ func BenchmarkResourceHandoff(b *testing.B) {
 }
 
 // TestHotPathAllocBudgets pins the allocation budget of the DES hot paths:
-// the event loop, a process handoff and a Then round trip must be
-// allocation-free, and a
+// the event loop, a process handoff, a Then round trip and Work's billing
+// must be allocation-free, and a
 // contended resource handoff may allocate at most once per op (waiter-ring
 // growth amortizes to zero; the budget leaves headroom for runtime noise).
 // Regressions here reintroduce GC pressure that dominates paper-scale runs.
@@ -107,6 +107,7 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		{"ProcessSwitch", BenchmarkProcessSwitch, 1},
 		{"ProcessHandoff", BenchmarkProcessHandoff, 0},
 		{"SignalThen", BenchmarkSignalThen, 0},
+		{"Work", BenchmarkWork, 0},
 		{"ResourceHandoff", BenchmarkResourceHandoff, 1},
 	}
 	for _, tc := range cases {
@@ -115,6 +116,21 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			t.Errorf("%s: %d allocs/op, budget %d (%s)", tc.name, got, tc.budget, res.MemString())
 		}
 	}
+}
+
+// BenchmarkWork measures Env.Work's billing: one process cycles through
+// three tags, as the engine's main loop and uring's submitter do, so every op
+// scans the tag table and self-wakes.
+func BenchmarkWork(b *testing.B) {
+	e := NewEngine()
+	tags := [...]string{"cmd", "ring", "dispatch"}
+	e.Spawn("p", func(env *Env) {
+		for i := 0; i < b.N; i++ {
+			env.Work(tags[i%len(tags)], 1)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
 }
 
 // BenchmarkTimelineReserve measures the analytic facility booking used by

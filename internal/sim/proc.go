@@ -20,11 +20,18 @@ type Proc struct {
 	// Done fires (with a nil value) when the process body returns.
 	Done *Signal
 
-	// busy accumulates virtual CPU time billed via Env.Work, keyed by an
-	// arbitrary tag. Experiments use it to report per-component CPU shares
-	// (e.g. the filesystem write-path share of the snapshot process,
-	// Table 2 of the paper).
-	busy map[string]Duration
+	// busy accumulates virtual CPU time billed via Env.Work, one row per
+	// tag. Experiments use it to report per-component CPU shares (e.g. the
+	// filesystem write-path share of the snapshot process, Table 2 of the
+	// paper). A process bills a handful of tags, so a linear scan beats a
+	// map lookup on every Work.
+	busy []busyTag
+}
+
+// busyTag is one tag's billed CPU time.
+type busyTag struct {
+	tag string
+	d   Duration
 }
 
 // procKilled is the panic value park raises when Shutdown stops a parked
@@ -60,15 +67,33 @@ func (p *Proc) run(yield func(*Proc) bool) {
 func (p *Proc) Terminated() bool { return p.done }
 
 // BusyTime reports the virtual CPU time billed under tag via Env.Work.
-func (p *Proc) BusyTime(tag string) Duration { return p.busy[tag] }
+func (p *Proc) BusyTime(tag string) Duration {
+	for _, b := range p.busy {
+		if b.tag == tag {
+			return b.d
+		}
+	}
+	return 0
+}
 
 // TotalBusyTime reports the sum of all billed CPU time.
 func (p *Proc) TotalBusyTime() Duration {
 	var total Duration
-	for _, d := range p.busy {
-		total += d
+	for _, b := range p.busy {
+		total += b.d
 	}
 	return total
+}
+
+// bill adds d to tag's row, appending the row on the tag's first bill.
+func (p *Proc) bill(tag string, d Duration) {
+	for i := range p.busy {
+		if p.busy[i].tag == tag {
+			p.busy[i].d += d
+			return
+		}
+	}
+	p.busy = append(p.busy, busyTag{tag, d})
 }
 
 // Env is the handle a process body uses to interact with the simulation. It
@@ -119,10 +144,7 @@ func (env *Env) Sleep(d Duration) {
 // It models the process actively computing (as opposed to waiting on I/O).
 func (env *Env) Work(tag string, d Duration) {
 	if d > 0 {
-		if env.p.busy == nil {
-			env.p.busy = make(map[string]Duration)
-		}
-		env.p.busy[tag] += d
+		env.p.bill(tag, d)
 	}
 	env.Sleep(d)
 }
