@@ -81,5 +81,5 @@ func (r *Repro) Replay() (*Violation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return checkOracle(tgt, cut, out.Engines[0].Hist, out.Engines[0].Rec), nil
+	return out.Engines[0].judge(tgt, cut), nil
 }

@@ -25,7 +25,7 @@ func Shrink(tgt Target, w Workload, cut sim.Time) (Workload, *Violation, error) 
 		if err != nil {
 			return nil, err
 		}
-		return checkOracle(tgt, cut, out.Engines[0].Hist, out.Engines[0].Rec), nil
+		return out.Engines[0].judge(tgt, cut), nil
 	}
 	best, err := fails(w.Ops)
 	if err != nil {

@@ -82,6 +82,10 @@ type Recovered struct {
 // Backend is the persistence substrate: everything below the engine's
 // buffers. Implementations decide how bytes reach storage (kernel path vs
 // I/O passthru) and how space is managed (files vs raw LBA regions).
+//
+// Model is the executable statement of the crash semantics the methods
+// below promise: its Recover returns what a crash is guaranteed to leave,
+// and its Admits judges what one did leave, call in flight included.
 type Backend interface {
 	// Label names the backend for reports.
 	Label() string

@@ -14,7 +14,7 @@ import (
 // precisely damaged state in front of the engine without arranging a real
 // device crash.
 type cannedBackend struct {
-	*memBackend
+	*Model
 	rec *Recovered
 }
 
@@ -25,7 +25,7 @@ func (c *cannedBackend) Recover(env *sim.Env) (*Recovered, error) { return c.rec
 func recoverCanned(t *testing.T, rec *Recovered) (*Engine, int64, int64) {
 	t.Helper()
 	eng := sim.NewEngine()
-	be := &cannedBackend{memBackend: newMemBackend(eng), rec: rec}
+	be := &cannedBackend{Model: &Model{}, rec: rec}
 	db := New(eng, be, Config{Policy: PeriodicalLog}, nil)
 	var entries, walRecs int64
 	eng.Spawn("recover", func(env *sim.Env) {

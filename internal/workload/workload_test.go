@@ -11,43 +11,13 @@ import (
 	"github.com/slimio/slimio/internal/wal"
 )
 
-// memBackend reuses a trivial in-memory backend for workload tests.
-type memBackend struct {
-	walBytes   int64
-	failAppend bool
-}
+// refusing is the in-memory model with every WAL append refused.
+type refusing struct{ *imdb.Model }
 
-func (m *memBackend) Label() string { return "mem" }
-func (m *memBackend) WALAppend(env *sim.Env, data wal.Chain) error {
-	env.Sleep(10 * sim.Microsecond)
-	if m.failAppend {
-		return errors.New("mem: injected append failure")
-	}
-	m.walBytes += int64(data.Len())
-	data.Release()
-	return nil
-}
-func (m *memBackend) WALSync(env *sim.Env) error { env.Sleep(10 * sim.Microsecond); return nil }
-func (m *memBackend) WALDurableSize() int64      { return m.walBytes }
-func (m *memBackend) WALRotate(env *sim.Env) error {
-	m.walBytes = 0
-	return nil
-}
-func (m *memBackend) WALDiscardOld(env *sim.Env) error { return nil }
-
-type nullSink struct{}
-
-func (nullSink) Write(env *sim.Env, chunk []byte) error { env.Sleep(sim.Microsecond); return nil }
-func (nullSink) Commit(env *sim.Env) error              { return nil }
-func (nullSink) Abort(env *sim.Env) error               { return nil }
-
-func (m *memBackend) BeginSnapshot(env *sim.Env, kind imdb.SnapshotKind) (imdb.SnapshotSink, error) {
-	return nullSink{}, nil
-}
-func (m *memBackend) Recover(env *sim.Env) (*imdb.Recovered, error) { return &imdb.Recovered{}, nil }
+func (refusing) WALAppend(*sim.Env, wal.Chain) error { return errors.New("refused") }
 
 func newDB(eng *sim.Engine) *imdb.Engine {
-	db := imdb.New(eng, &memBackend{}, imdb.Config{Policy: imdb.PeriodicalLog}, nil)
+	db := imdb.New(eng, &imdb.Model{Latency: 10 * sim.Microsecond}, imdb.Config{Policy: imdb.PeriodicalLog}, nil)
 	db.Start()
 	return db
 }
@@ -87,8 +57,7 @@ func TestRedisBenchRuns(t *testing.T) {
 // the run completes and every op is either done or failed.
 func TestFailedOpsAreCounted(t *testing.T) {
 	eng := sim.NewEngine()
-	be := &memBackend{failAppend: true}
-	db := imdb.New(eng, be, imdb.Config{Policy: imdb.PeriodicalLog}, nil)
+	db := imdb.New(eng, refusing{&imdb.Model{}}, imdb.Config{Policy: imdb.PeriodicalLog}, nil)
 	db.Start()
 	r := Start(eng, db, RedisBench(200, 50))
 	eng.Spawn("waiter", func(env *sim.Env) {
