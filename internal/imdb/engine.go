@@ -201,12 +201,16 @@ type Engine struct {
 	// walRotated marks that the running WAL-Snapshot rotated the log at
 	// fork, so its completion should discard the sealed segment.
 	walRotated bool
-	// walPending holds drained log bytes the backend could not accept
-	// (log space exhausted while a snapshot runs); they are retried when
-	// the snapshot completes. While non-empty, appended data is NOT durable
-	// — the write-stall regime of Figure 4. The engine owns the chain's
-	// segment references until a retry succeeds.
-	walPending wal.Chain
+	// walPending holds drained log chains, in log order, that the backend
+	// could not accept (log space exhausted while a snapshot runs); they
+	// are retried when the snapshot completes. While non-empty, appended
+	// data is NOT durable — the write-stall regime of Figure 4. The engine
+	// owns the chains' segment references until a retry succeeds.
+	walPending []wal.Chain
+	// walCovered counts the leading walPending chains the running
+	// WAL-Snapshot covers: pre-fork records parked by a stall, which its
+	// commit releases instead of appending.
+	walCovered int
 	// walRetry holds drained log bytes whose append failed with no snapshot
 	// running to wait for. Like Redis's aof_buf after a failed write, they
 	// are offered again ahead of anything newer at the next append, so the
@@ -386,7 +390,13 @@ func (e *Engine) WALBufferedBytes() int { return e.walBuf.Len() }
 
 // WALPendingBytes reports drained log bytes the backend has not yet
 // accepted; a growing value marks an fsync backlog.
-func (e *Engine) WALPendingBytes() int { return e.walPending.Len() + e.walRetry.Len() }
+func (e *Engine) WALPendingBytes() int {
+	n := e.walRetry.Len()
+	for _, c := range e.walPending {
+		n += c.Len()
+	}
+	return n
+}
 
 // SyncInFlight reports whether a WAL sync is outstanding.
 func (e *Engine) SyncInFlight() bool { return e.syncing }
@@ -630,7 +640,7 @@ func (e *Engine) countOp(env *sim.Env) {
 // designs under device pressure. With no snapshot to wait for, the bytes are
 // kept in walRetry and the error is returned.
 func (e *Engine) appendWAL(env *sim.Env, parent vtrace.SpanID) error {
-	if !e.walPending.Empty() {
+	if len(e.walPending) > 0 {
 		// Already stalled on log space: nothing can free it except a
 		// snapshot completion, so keep buffering instead of re-offering
 		// the parked chain on every retry.
@@ -651,14 +661,13 @@ func (e *Engine) appendWAL(env *sim.Env, parent vtrace.SpanID) error {
 		return nil
 	}
 	// On error the chain's references stay with the engine (see
-	// imdb.Backend): park and retry at snapshot completion, forcing the
-	// log-compacting snapshot if none is running.
-	if !e.snapActive && e.cfg.WALSnapshotTrigger > 0 {
-		e.maybeStartSnapshot(env, WALSnapshot)
-	}
-	if e.snapActive {
-		e.walPending = data
+	// imdb.Backend): park and retry at snapshot completion. With none
+	// running, park first and then force the log-compacting snapshot, whose
+	// fork covers the parked bytes.
+	if e.snapActive || e.cfg.WALSnapshotTrigger > 0 {
+		e.walPending = append(e.walPending, data)
 		e.stats.WALStalls++
+		e.maybeStartSnapshot(env, WALSnapshot)
 		return nil
 	}
 	e.walRetry = data
@@ -720,14 +729,20 @@ func (e *Engine) maybeStartSnapshot(env *sim.Env, kind SnapshotKind) {
 	e.store.BeginCOWEpoch()
 	e.snapActive = true
 	e.snapKind = kind
-	e.walRotated = false
+	e.walRotated, e.walCovered = false, 0
 	if kind == WALSnapshot {
 		// Rotate the log at the fork point (Redis 7 multipart-AOF style):
 		// pre-fork records stay in the sealed segment that the snapshot
-		// will supersede; post-fork records start a fresh segment.
-		if err := e.appendWAL(env, 0); err == nil && e.walPending.Empty() {
+		// will supersede; post-fork records start a fresh segment. Stalled
+		// on log space, the pre-fork records still parked or buffered are
+		// the snapshot's too: the buffer parks behind the stall, and the
+		// snapshot's commit releases them all.
+		if err := e.appendWAL(env, 0); err == nil {
+			if len(e.walPending) > 0 && e.walBuf.Len() > 0 {
+				e.walPending = append(e.walPending, e.walBuf.Drain())
+			}
 			if err := e.be.WALRotate(env); err == nil {
-				e.walRotated = true
+				e.walRotated, e.walCovered = true, len(e.walPending)
 				// Start the post-fork records on a fresh segment so the
 				// buffer's page boundaries track the new log head.
 				e.walBuf.Cut()
@@ -843,23 +858,26 @@ func (e *Engine) finishSnapshot(env *sim.Env, res *snapResult) {
 			// pre-fork segment is obsolete; the current segment (post-fork
 			// records) simply continues. No replay is needed.
 			_ = e.be.WALDiscardOld(env)
+			for i := range e.walPending[:e.walCovered] {
+				e.walPending[i].Release()
+			}
+			e.walPending = e.walPending[e.walCovered:]
 		}
 	}
 	e.notePeak()
-	e.walRotated = false
+	e.walRotated, e.walCovered = false, 0
 	e.snapActive = false
 	e.store.EndCOWEpoch()
 	e.snapDone.Notify()
 	// Retry any bytes parked during the snapshot (On-Demand completions do
 	// not clear the log, so the parked data still needs appending).
-	if !e.walPending.Empty() {
-		data := e.walPending
-		e.walPending = wal.Chain{}
-		if err := e.appendChain(env, data, 0); err != nil {
+	for len(e.walPending) > 0 {
+		if err := e.appendChain(env, e.walPending[0], 0); err != nil {
 			// Still no space: stay stalled until the next completion.
-			e.walPending = data
 			e.stats.WALStalls++
+			break
 		}
+		e.walPending = e.walPending[1:]
 	}
 }
 
@@ -870,7 +888,10 @@ func (e *Engine) finishSnapshot(env *sim.Env, res *snapResult) {
 // loses.
 func (e *Engine) ReleaseBuffers() {
 	e.walBuf.Close()
-	e.walPending.Release()
+	for i := range e.walPending {
+		e.walPending[i].Release()
+	}
+	e.walPending = nil
 	e.walRetry.Release()
 }
 
