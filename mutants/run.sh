@@ -4,6 +4,11 @@
 # which mutant to mutants/TABLE.md. The first row runs the unmodified copy,
 # which every net must pass.
 #
+# With patch names as arguments (./mutants/run.sh 30-abort-publishes-partial-image
+# ...; a trailing .patch is optional) it runs the unmodified row and those
+# patches only, and prints their rows to stdout instead of rewriting
+# TABLE.md.
+#
 # The nets are go test, go test -race -short and each determinism-contract
 # pass (one column per TestDeterminismContract subtest, read off one run of
 # that test; the go test columns skip it so each pass stands as its own net).
@@ -13,6 +18,17 @@
 set -u
 
 root=$(cd "$(dirname "$0")/.." && pwd)
+patches=("$root"/mutants/*.patch)
+if [ $# -gt 0 ]; then
+	patches=()
+	for name in "$@"; do
+		patches+=("$root/mutants/${name%.patch}.patch")
+	done
+fi
+for patch in "${patches[@]}"; do
+	[ -f "$patch" ] || { echo "mutants: no patch $patch" >&2; exit 1; }
+done
+
 work=$(mktemp -d)
 tree="$work/tree"
 logs="$work/logs"
@@ -112,7 +128,7 @@ done
 status=0
 rows=""
 notes=""
-for patch in none "$root"/mutants/*.patch; do
+for patch in none "${patches[@]}"; do
 	if [ "$patch" = none ]; then
 		name="(none)"
 	else
@@ -139,6 +155,15 @@ for patch in none "$root"/mutants/*.patch; do
 		notes="$notes- \`$name\`: $(sed '/^$/q' "$patch" | tr '\n' ' ' | sed 's/ *$//')"$'\n'
 	fi
 done
+
+if [ $# -gt 0 ]; then
+	echo "$header"
+	echo "$rule"
+	printf '%s' "$rows"
+	rm -rf "$tree"
+	echo "mutants: logs in $logs" >&2
+	exit $status
+fi
 
 {
 	echo "# Mutation matrix"
