@@ -70,7 +70,7 @@ func TestWALAppendSyncRecover(t *testing.T) {
 		}
 		var recs int
 		for _, seg := range rec.WAL {
-			recs += len(seg.Records)
+			recs += seg.Count()
 		}
 		if recs != 20 {
 			t.Errorf("recovered %d records", recs)
@@ -326,7 +326,7 @@ func TestRecoverContinuesAppending(t *testing.T) {
 		}
 		var got []byte
 		for _, seg := range rec.WAL {
-			for _, rc := range seg.Records {
+			for _, rc := range seg.Records() {
 				got = wal.AppendRecord(got, rc.Op, rc.Key, rc.Value)
 			}
 		}

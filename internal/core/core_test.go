@@ -165,7 +165,7 @@ func TestWALAppendSyncRecover(t *testing.T) {
 	eng2.Run()
 	var recs []wal.Record
 	for _, seg := range rec.WAL {
-		recs = append(recs, seg.Records...)
+		recs = append(recs, seg.Records()...)
 	}
 	if len(recs) != 40 {
 		t.Fatalf("recovered %d WAL records, want 40", len(recs))
@@ -456,7 +456,7 @@ func TestRecoverTornWALTail(t *testing.T) {
 		}
 		var recs []wal.Record
 		for _, seg := range rec.WAL {
-			recs = append(recs, seg.Records...)
+			recs = append(recs, seg.Records()...)
 		}
 		if len(recs) != wantRecords {
 			t.Errorf("recovered %d records, want %d (durable prefix)", len(recs), wantRecords)
@@ -510,7 +510,7 @@ func TestRecoverContinuesAppending(t *testing.T) {
 		}
 		var recs []wal.Record
 		for _, seg := range rec.WAL {
-			recs = append(recs, seg.Records...)
+			recs = append(recs, seg.Records()...)
 		}
 		if len(recs) != 2 {
 			t.Errorf("recovered %d records, want 2", len(recs))

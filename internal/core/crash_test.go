@@ -15,7 +15,7 @@ import (
 func recoveredRecords(rec *imdb.Recovered) []wal.Record {
 	var out []wal.Record
 	for _, seg := range rec.WAL {
-		out = append(out, seg.Records...)
+		out = append(out, seg.Records()...)
 	}
 	return out
 }

@@ -371,11 +371,17 @@ func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Record
 	for i, be := range reopened {
 		eng2.Spawn(fmt.Sprintf("recover%d", i), func(env *sim.Env) {
 			rec, err := be.Recover(env)
-			if rec != nil && rec.HaveSnapshot {
-				// The image's runs may be views of device pages, which the
-				// teardown below releases (and -race builds overwrite); the
-				// model judges the image after that, so it gets a copy.
-				rec.Snapshot = [][]byte{bytes.Join(rec.Snapshot, nil)}
+			if rec != nil {
+				// The image's runs and the log's records may be views of
+				// device pages, which the teardown below releases (and -race
+				// builds overwrite); the model judges them after that, so it
+				// gets copies.
+				if rec.HaveSnapshot {
+					rec.Snapshot = [][]byte{bytes.Join(rec.Snapshot, nil)}
+				}
+				for i := range rec.WAL {
+					rec.WAL[i] = rec.WAL[i].Clone()
+				}
 			}
 			out.Engines[i].Rec, recErrs[i] = rec, err
 		})

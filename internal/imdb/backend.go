@@ -62,10 +62,12 @@ type Recovered struct {
 	// segment, if a WAL-Snapshot was in flight at the crash, then the
 	// current segment), each decoded once by the backend with
 	// wal.DecodeSegment straight from the pages or file buffer it read. Each
-	// may have its own torn tail. The records are copies that own their
-	// bytes, not views of device memory; Engine.Recover hands their values
-	// to the store and then empties Records, so the Recovered that
-	// LastRecovery returns holds nothing the store uses.
+	// may have its own torn tail. Like the image's runs, the records are
+	// views of what the backend read, valid only until the recovering engine
+	// writes again (a caller keeping them longer keeps Segment.Clone's
+	// copy); Engine.Recover copies the values the store keeps and then
+	// drops the records, so the Recovered that LastRecovery returns holds
+	// nothing the store uses.
 	WAL []wal.Segment
 	// WALTruncatedAt is the byte offset into the open WAL segment where
 	// decoding stopped on non-zero garbage (mid-segment corruption or a torn

@@ -54,14 +54,18 @@ type Response struct {
 	Err   error
 }
 
-// Request is one client command.
+// Request is one client command. Once its Reply fires the engine touches it
+// no more, so the submitter may reuse it (and, after Signal.Reset, its Reply)
+// for its next command.
 type Request struct {
 	Op    Op
 	Key   string
 	Value []byte
 	// Reply fires with *Response when the command is finished (for SET
-	// under Always-Log: after it is durable).
+	// under Always-Log: after it is durable). The Response lives in the
+	// Request, so it is valid until the Request is submitted again.
 	Reply *sim.Signal
+	resp  Response
 
 	kind       SnapshotKind // for opSnapshot
 	snapResult *snapResult  // for opSnapDone
@@ -240,6 +244,7 @@ type Engine struct {
 	opSeries     *metrics.Series
 	stats        Stats
 	lastRecovery *Recovered
+	arena        arena // the values Recover copied, until ReleaseBuffers
 }
 
 // New builds an engine over backend be. opSeries, if non-nil, receives one
@@ -257,6 +262,7 @@ func New(eng *sim.Engine, be Backend, cfg Config, opSeries *metrics.Series) *Eng
 		snapDone: sim.NewBroadcast(eng),
 		syncDone: sim.NewBroadcast(eng),
 		opSeries: opSeries,
+		arena:    arena{pool: cfg.Pool},
 	}
 }
 
@@ -357,8 +363,10 @@ func (e *Engine) TriggerSnapshot(kind SnapshotKind) *Request {
 }
 
 // Shutdown asks the event loop to drain, waits for any snapshot to finish,
-// flushes the WAL, and stops. Blocks until done, and returns the final
-// flush's error or else a WAL failure no later sync cleared.
+// flushes the WAL, and stops. Log bytes parked behind a full log first get
+// the WAL-Snapshot that covers them. Blocks until done, and returns the
+// final flush's error, else an error for parked bytes that never drained,
+// else a WAL failure no later sync cleared.
 func (e *Engine) Shutdown(env *sim.Env) error {
 	return e.call(env, &Request{Op: opStop}).Err
 }
@@ -438,13 +446,22 @@ func (e *Engine) ticker(env *sim.Env) {
 	}
 }
 
+// reply fires r's reply with resp, which it stores in r.
+func reply(r *Request, resp Response) {
+	r.resp = resp
+	r.Reply.Fire(&r.resp)
+}
+
 func (e *Engine) mainLoop(env *sim.Env) {
+	// The batch and the Always-Log replies it holds back, reused by every
+	// iteration and cleared once its replies are out.
+	var batch, setReplies []*Request
 	for {
 		req, ok := e.reqQ.Pop(env)
 		if !ok {
 			return
 		}
-		batch := []*Request{req}
+		batch = append(batch[:0], req)
 		for len(batch) < e.cfg.BatchMax {
 			r, ok := e.reqQ.TryPop()
 			if !ok {
@@ -453,7 +470,7 @@ func (e *Engine) mainLoop(env *sim.Env) {
 			batch = append(batch, r)
 		}
 
-		var setReplies []*Request
+		setReplies = setReplies[:0]
 		for _, r := range batch {
 			switch r.Op {
 			case OpGet:
@@ -463,7 +480,7 @@ func (e *Engine) mainLoop(env *sim.Env) {
 					// Refused: neither applied nor logged.
 					env.Work("cmd", e.cfg.Cost.CmdBaseCPU)
 					e.endOp(env, r, false)
-					r.Reply.Fire(&Response{Err: fmt.Errorf("imdb: write refused after WAL failure: %w", e.walErr)})
+					reply(r, Response{Err: fmt.Errorf("imdb: write refused after WAL failure: %w", e.walErr)})
 					continue
 				}
 				if r.Op == OpSet {
@@ -475,7 +492,7 @@ func (e *Engine) mainLoop(env *sim.Env) {
 					setReplies = append(setReplies, r)
 				} else {
 					e.endOp(env, r, false)
-					r.Reply.Fire(&Response{})
+					reply(r, Response{})
 				}
 			case opTick:
 				// Periodical-Log timer: make everything appended so far
@@ -487,7 +504,7 @@ func (e *Engine) mainLoop(env *sim.Env) {
 				}
 			case opSnapshot:
 				e.maybeStartSnapshot(env, r.kind)
-				r.Reply.Fire(&Response{})
+				reply(r, Response{})
 			case opSnapDone:
 				e.finishSnapshot(env, r.snapResult)
 			case opStop:
@@ -495,20 +512,16 @@ func (e *Engine) mainLoop(env *sim.Env) {
 			}
 		}
 
+		var commit Response
 		if e.cfg.Policy == AlwaysLog && (len(setReplies) > 0 || e.walBuf.Len() > 0) {
-			if err := e.flushWAL(env); err != nil {
-				resp := &Response{Err: err}
-				for _, r := range setReplies {
-					e.endOp(env, r, true)
-					r.Reply.Fire(resp)
-				}
-				setReplies = nil
-			}
+			commit.Err = e.flushWAL(env)
 		}
 		for _, r := range setReplies {
 			e.endOp(env, r, true)
-			r.Reply.Fire(&Response{})
+			reply(r, commit)
 		}
+		clear(batch)
+		clear(setReplies)
 
 		// Automatic WAL-Snapshot trigger.
 		if e.cfg.WALSnapshotTrigger > 0 && !e.snapActive && env.Now() >= e.snapRetryAt &&
@@ -532,12 +545,22 @@ func (e *Engine) mainLoop(env *sim.Env) {
 				e.syncDone.Wait(env)
 			}
 			err := e.flushWAL(env)
+			if len(e.walPending) > 0 && e.cfg.WALSnapshotTrigger > 0 && env.Now() >= e.snapRetryAt {
+				// Log bytes are parked behind a full log: fork the
+				// WAL-Snapshot whose commit covers them and frees the log,
+				// serve on until it reports, then flush again.
+				e.maybeStartSnapshot(env, WALSnapshot)
+				continue
+			}
+			if err == nil && len(e.walPending) > 0 {
+				err = fmt.Errorf("imdb: shutdown with %d log bytes parked behind a full log", e.WALPendingBytes())
+			}
 			if err == nil {
 				err = e.walErr
 			}
-			e.ReleaseBuffers() // drop the retained tail and any parked chain
+			e.releaseLog() // drop the retained tail and any parked chain
 			e.stopped = true
-			e.stopReq.Reply.Fire(&Response{Err: err})
+			reply(e.stopReq, Response{Err: err})
 			return
 		}
 	}
@@ -584,7 +607,7 @@ func (e *Engine) execGet(env *sim.Env, r *Request) {
 	e.countOp(env)
 	e.traceApply(env, r, start)
 	e.endOp(env, r, false)
-	r.Reply.Fire(&Response{Value: v})
+	reply(r, Response{Value: v})
 }
 
 func (e *Engine) execSet(env *sim.Env, r *Request) {
@@ -882,11 +905,20 @@ func (e *Engine) finishSnapshot(env *sim.Env, res *snapResult) {
 }
 
 // ReleaseBuffers drops every pooled segment the engine still holds — the WAL
-// buffer's tail and any parked (stalled or failed) chain. Teardown only:
-// experiment cells call it before asserting pool quiescence. Parked bytes
-// were never durable, so dropping them models exactly what the stall regime
-// loses.
+// buffer's tail, any parked (stalled or failed) chain, and the arena holding
+// the values Recover copied, so the store must not be read after it.
+// Teardown only: experiment cells call it before asserting pool quiescence.
+// Parked bytes were never durable, so dropping them models exactly what the
+// stall regime loses.
 func (e *Engine) ReleaseBuffers() {
+	e.releaseLog()
+	e.arena.release()
+}
+
+// releaseLog drops the log's segments: the WAL buffer's tail and any parked
+// chain. A stopped engine releases only these, since its store must stay
+// readable.
+func (e *Engine) releaseLog() {
 	e.walBuf.Close()
 	for i := range e.walPending {
 		e.walPending[i].Release()
@@ -903,6 +935,14 @@ func (e *Engine) LastRecovery() *Recovered { return e.lastRecovery }
 // Recover loads durable state from the backend into a fresh store,
 // returning counts. It must be called before Start (on a new Engine) and
 // bills realistic CPU: decompress + insert per entry, then WAL replay.
+//
+// It issues the Set/Delete sequence of loading the image and replaying every
+// log record, but copies only the values the store keeps: each key's last
+// one, once, into the engine's arena. A value that a later record replaces
+// before Recover returns — a snapshot entry whose key the log rewrites, a log
+// record superseded by a later one of its key — goes in as a transient view
+// of the image or the log, of the same length, so the spans, the slot order,
+// Bytes and the billing are those of copying everything.
 func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err error) {
 	rec, err := e.be.Recover(env)
 	if err != nil {
@@ -910,6 +950,7 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 	}
 	e.lastRecovery = rec
 	cost := e.cfg.Cost
+	log := internLogKeys(rec.WAL)
 	if rec.HaveSnapshot {
 		r := snapshot.NewImageReader(rec.Snapshot)
 		for {
@@ -927,43 +968,122 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 			var raw int64
 			for _, ent := range batch {
 				raw += int64(snapshot.EntrySize(ent.Key, ent.Value))
-				// The store adopts the value: it is a view of the buffer the
-				// reader decoded this chunk into, which it never touches again.
-				e.store.Set(string(ent.Key), ent.Value)
+				// ent is a view valid until the next Next.
+				if slot, ok := log.index[string(ent.Key)]; ok {
+					e.store.Set(log.keys[slot], ent.Value)
+				} else {
+					e.store.Set(string(ent.Key), append(e.arena.alloc(len(ent.Value)), ent.Value...))
+				}
 				entries++
 			}
 			env.Work("decompress", sim.DurationForBytes(raw, cost.DecompressBandwidth))
 			env.Work("insert", cost.InsertPerEntry*sim.Duration(len(batch)))
 		}
-		// The store holds only the chunk buffers the reader inflated into;
-		// what LastRecovery returns must not keep the image's device pages.
+		// What LastRecovery returns must not keep the image's device pages.
 		rec.Snapshot = nil
 	}
 	// Replay the log segments in order; each truncates independently at a
 	// torn record. Corruption past the durable prefix is noted, not fatal:
 	// the prefix is exactly what the backend guaranteed durable.
+	var scratch []byte
+	n := int32(0) // the record's index across segments
 	for i := range rec.WAL {
 		seg := &rec.WAL[i]
 		if seg.Corrupt {
-			rec.Degraded = append(rec.Degraded, fmt.Sprintf("wal segment %d: corrupt frame at byte %d (replayed %d records)", i, seg.Prefix, len(seg.Records)))
+			rec.Degraded = append(rec.Degraded, fmt.Sprintf("wal segment %d: corrupt frame at byte %d (replayed %d records)", i, seg.Prefix, seg.Count()))
 		}
-		for _, r := range seg.Records {
-			switch r.Op {
+		for j := 0; j < seg.Count(); j, n = j+1, n+1 {
+			slot := log.slots[n]
+			switch seg.Op(j) {
 			case wal.OpDel:
-				e.store.Delete(string(r.Key))
+				e.store.Delete(log.keys[slot])
 			default:
-				// The store adopts the value: the decoder copied each record
-				// into an allocation of its own, so a later overwrite leaves
-				// the superseded record to the garbage collector.
-				e.store.Set(string(r.Key), r.Value)
+				var v []byte
+				if log.last[slot] == n {
+					v = seg.AppendValue(e.arena.alloc(seg.ValueLen(j)), j)
+				} else {
+					v = seg.Value(j, &scratch)
+				}
+				e.store.Set(log.keys[slot], v)
 			}
 			walRecords++
 			env.Work("insert", cost.InsertPerEntry)
 		}
 		env.Work("insert", sim.DurationForBytes(seg.Len, cost.StoreBandwidth))
-		// The store holds these values now; what LastRecovery returns must
-		// not alias it.
-		seg.Records = nil
+		// What LastRecovery returns must not keep the log's device pages.
+		*seg = wal.Segment{Len: seg.Len, Prefix: seg.Prefix, Corrupt: seg.Corrupt}
 	}
 	return entries, walRecords, nil
+}
+
+// logKeys interns the keys of a recovered log: keys[slots[n]] is the key of
+// its n-th record, counting across segments, last[slots[n]] is the index of
+// that key's last record, and index maps each key to its slot.
+type logKeys struct {
+	index map[string]int32
+	keys  []string
+	last  []int32
+	slots []int32
+}
+
+// internLogKeys walks the keys of every record of log.
+func internLogKeys(log []wal.Segment) logKeys {
+	total := 0
+	for i := range log {
+		total += log[i].Count()
+	}
+	k := logKeys{index: make(map[string]int32), slots: make([]int32, 0, total)}
+	var scratch []byte
+	for i := range log {
+		seg := &log[i]
+		for j := 0; j < seg.Count(); j++ {
+			key := seg.Key(j, &scratch)
+			slot, ok := k.index[string(key)]
+			if !ok {
+				slot = int32(len(k.keys))
+				s := string(key)
+				k.index[s] = slot
+				k.keys = append(k.keys, s)
+				k.last = append(k.last, 0)
+			}
+			k.last[slot] = int32(len(k.slots))
+			k.slots = append(k.slots, slot)
+		}
+	}
+	return k
+}
+
+// arena holds the values Recover copies, packed into segments of the
+// engine's pool: at recovery they sit idle and resident, where fresh heap
+// would fault every page in. A value larger than a segment is a heap copy.
+// The engine keeps the segments' references until ReleaseBuffers.
+type arena struct {
+	pool *bufpool.Pool
+	segs []*bufpool.Segment
+	free []byte // the unused rest of the newest segment
+}
+
+// alloc returns room for an n-byte value: an empty slice of capacity n.
+func (a *arena) alloc(n int) []byte {
+	switch {
+	case n == 0:
+		return []byte{}
+	case n > a.pool.SegSize():
+		return make([]byte, 0, n)
+	case n > len(a.free):
+		s := a.pool.Get()
+		a.segs = append(a.segs, s)
+		a.free = s.Bytes()
+	}
+	v := a.free[:0:n]
+	a.free = a.free[n:]
+	return v
+}
+
+// release drops every segment reference the arena holds.
+func (a *arena) release() {
+	for _, s := range a.segs {
+		s.Release()
+	}
+	a.segs, a.free = nil, nil
 }

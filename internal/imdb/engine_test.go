@@ -86,7 +86,7 @@ func durable(m *Model) ([]wal.Record, *Recovered) {
 	rec, _ := m.Recover(nil)
 	var recs []wal.Record
 	for _, seg := range rec.WAL {
-		recs = append(recs, seg.Records...)
+		recs = append(recs, seg.Records()...)
 	}
 	return recs, rec
 }
@@ -742,5 +742,82 @@ func TestWALStallClearsAtNextWALSnapshot(t *testing.T) {
 		if got := db2.Store().Get(k); string(got) != v {
 			t.Fatalf("key %s = %q, want %q", k, got, v)
 		}
+	}
+}
+
+// Log bytes parked behind a full log when Shutdown arrives are not dropped.
+// With a WAL-Snapshot trigger, Shutdown forks the WAL-Snapshot that covers
+// them, serves until it commits, flushes again and returns nil, and a
+// recovery returns every SET. Without one nothing can drain them, and
+// Shutdown reports it instead of returning nil.
+func TestShutdownDrainsParkedLog(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		trigger int64
+		drains  bool
+	}{
+		{"wal-snapshot", 1 << 30, true},
+		{"no-wal-snapshot", 0, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Policy: PeriodicalLog, WALSnapshotTrigger: c.trigger}
+			cfg.Cost = DefaultCostModel()
+			cfg.Cost.CompressBandwidth = 4 << 20 // keep the On-Demand-Snapshot running
+			r := newTestRig(cfg)
+			final := map[string]string{}
+			var shutdownErr error
+			done := false
+			r.eng.Spawn("client", func(env *sim.Env) {
+				set := func(i int) {
+					k, v := fmt.Sprintf("key%03d", i%150), fmt.Sprintf("%0100d", i)
+					if err := r.db.Set(env, k, []byte(v)); err != nil {
+						t.Error(err)
+					}
+					final[k] = v
+				}
+				for i := 0; i < 100; i++ {
+					set(i)
+				}
+				r.db.TriggerSnapshot(OnDemandSnapshot).Reply.Wait(env)
+				r.be.full = true
+				for i := 100; i < 140; i++ {
+					set(i)
+				}
+				r.db.WaitNoSnapshot(env)
+				if r.db.Stats().WALStalls == 0 || r.db.WALPendingBytes() == 0 {
+					t.Fatalf("stats %+v, %d bytes parked: the log never stalled", r.db.Stats(), r.db.WALPendingBytes())
+				}
+				shutdownErr = r.db.Shutdown(env)
+				done = true
+			})
+			r.eng.RunUntil(sim.Time(10 * sim.Second))
+			if !done {
+				t.Fatalf("Shutdown never returned; %d bytes parked", r.db.WALPendingBytes())
+			}
+			if !c.drains {
+				if shutdownErr == nil {
+					t.Fatal("Shutdown returned nil while log bytes stayed parked")
+				}
+				return
+			}
+			if shutdownErr != nil {
+				t.Fatalf("shutdown: %v", shutdownErr)
+			}
+			db2 := New(r.eng, r.be, Config{}, nil)
+			r.eng.Spawn("recover", func(env *sim.Env) {
+				if _, _, err := db2.Recover(env); err != nil {
+					t.Error(err)
+				}
+			})
+			r.eng.Run()
+			if db2.Store().Len() != len(final) {
+				t.Fatalf("recovered %d keys, want %d", db2.Store().Len(), len(final))
+			}
+			for k, v := range final {
+				if got := db2.Store().Get(k); string(got) != v {
+					t.Fatalf("key %s = %q, want %q", k, got, v)
+				}
+			}
+		})
 	}
 }

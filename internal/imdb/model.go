@@ -209,7 +209,10 @@ func (m *Model) split(b []byte) [][]byte {
 	return runs
 }
 
-func decode(run []byte) []wal.Record { return wal.DecodeSegment([][]byte{run}).Records }
+func decode(run []byte) []wal.Record {
+	seg := wal.DecodeSegment([][]byte{run})
+	return seg.Records()
+}
 
 // Records counts the records of the live log whose WALAppend returned, and
 // those of them a returned WALSync covers.
@@ -222,7 +225,9 @@ func (m *Model) Records() (appended, acked int) {
 	return appended, acked
 }
 
-// Recover implements Backend: what a crash is guaranteed to leave.
+// Recover implements Backend: what a crash is guaranteed to leave. Its
+// records and image are views of the model's own buffers, which a later call
+// never rewrites, so they stay valid for as long as a caller keeps them.
 func (m *Model) Recover(env *sim.Env) (*Recovered, error) {
 	rec := &Recovered{WALTruncatedAt: -1}
 	for _, run := range m.split(m.log[:m.synced]) {
@@ -257,7 +262,7 @@ func (m *Model) mayLeave(k SnapshotKind) (imgs [][]byte, none bool) {
 func (m *Model) Admits(rec *Recovered) *Breach {
 	var got []wal.Record
 	for _, seg := range rec.WAL {
-		got = append(got, seg.Records...)
+		got = append(got, seg.Records()...)
 	}
 	runs, durable := m.split(m.log), m.split(m.log[:m.synced])
 	last := runs[len(runs)-1]

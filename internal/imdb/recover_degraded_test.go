@@ -163,8 +163,8 @@ func TestRecoverDegradedCorruptWALFrame(t *testing.T) {
 
 	log := walOf(seg0, corrupt)
 	prefix := log[1].Prefix
-	if !log[1].Corrupt || len(log[1].Records) != 2 || prefix != int64(len(seg1)) {
-		t.Fatalf("test segment not torn as intended: %d recs, prefix %d, corrupt %v", len(log[1].Records), prefix, log[1].Corrupt)
+	if !log[1].Corrupt || log[1].Count() != 2 || prefix != int64(len(seg1)) {
+		t.Fatalf("test segment not torn as intended: %d recs, prefix %d, corrupt %v", log[1].Count(), prefix, log[1].Corrupt)
 	}
 
 	db, entries, walRecs := recoverCanned(t, &Recovered{
@@ -198,12 +198,13 @@ func TestRecoverDegradedCorruptWALFrame(t *testing.T) {
 }
 
 // TestRecoverReplayAllocBudget pins the recovery copy rule from decode to
-// store: a WAL record costs the decoder's one key+value copy, which the
-// store adopts, and the engine's key string — nothing else, no second copy
-// of the value, no digest. Records overwrite a handful of keys so the
-// store's own growth stays out of the count, and the fixed cost of a
-// recovery run (engine, process, result slice growth) is measured on a
-// short segment and subtracted.
+// store: a WAL record costs at most its key string, and the engine interns
+// that once per distinct key. The decoder copies nothing, a superseded
+// value goes into the store as a view, and each key's last value is copied
+// into the arena's pool segments, no heap. The records overwrite a handful
+// of keys, so a record costs nothing beyond amortized growth, and the fixed
+// cost of a recovery run (engine, process, the keys' strings, the arena's
+// first segments) is measured on a short segment and subtracted.
 func TestRecoverReplayAllocBudget(t *testing.T) {
 	segment := func(n int) []byte {
 		var seg []byte
@@ -221,8 +222,8 @@ func TestRecoverReplayAllocBudget(t *testing.T) {
 		})
 	}
 	base, full := run(segment(short)), run(segment(long))
-	if perRecord := (full - base) / (long - short); perRecord > 2.01 {
-		t.Fatalf("WAL replay allocates %.2f per record (%.0f for %d records vs %.0f for %d), budget 2: the decoder's key+value copy + the key string",
+	if perRecord := (full - base) / (long - short); perRecord > 0.01 {
+		t.Fatalf("WAL replay allocates %.3f per record (%.0f for %d records vs %.0f for %d), budget 0.01: the key string, interned once per key",
 			perRecord, full, long, base, short)
 	}
 }

@@ -38,6 +38,7 @@ func TestRecoverCutsGolden(t *testing.T) {
 		h.Write(dumpStore(db.Store()))
 		fmt.Fprintf(&golden, "%s %s entries=%d wal_records=%d truncated_at=%d virt_ns=%d store=%016x degraded=%q\n",
 			kind, run, entries, walRecords, rec.WALTruncatedAt, int64(took), h.Sum64(), rec.Degraded)
+		db.ReleaseBuffers()
 	}
 	for _, kind := range stackKinds {
 		full, end := life(t, kind, lifeKeys, lifeOps, lifeValueSize, 0)

@@ -30,6 +30,13 @@ func stackScale() exp.Scale {
 // the device holds is what survives. It returns the stack and when it ended.
 func life(tb testing.TB, kind exp.BackendKind, keys, ops, valueSize int, cut sim.Time) (*exp.Stack, sim.Time) {
 	tb.Helper()
+	return lifeOn(tb, kind, keys, ops, valueSize, cut, nil)
+}
+
+// lifeOn is life with the engine's calls to the stack's backend going
+// through m, when m is not nil, so m records what they made durable.
+func lifeOn(tb testing.TB, kind exp.BackendKind, keys, ops, valueSize int, cut sim.Time, m *imdb.Model) (*exp.Stack, sim.Time) {
+	tb.Helper()
 	eng := sim.NewEngine()
 	st, err := exp.BuildStack(eng, kind, stackScale())
 	if err != nil {
@@ -38,7 +45,11 @@ func life(tb testing.TB, kind exp.BackendKind, keys, ops, valueSize int, cut sim
 	if cut > 0 {
 		st.ArmPowerCut(cut)
 	}
-	db := imdb.New(eng, st.Backend, imdb.Config{
+	var be imdb.Backend = st.Backend
+	if m != nil {
+		m.Under, be = st.Backend, m
+	}
+	db := imdb.New(eng, be, imdb.Config{
 		Policy:             imdb.AlwaysLog,
 		WALSnapshotTrigger: int64(ops*valueSize) / 3,
 		Pool:               st.Pool(),
@@ -167,10 +178,11 @@ func dumpStore(s *imdb.Store) []byte {
 // recovered store owns its values. Scribbling over the runs of the snapshot
 // image the backend handed the engine leaves it untouched, and those runs
 // and the replayed WAL records are gone from what LastRecovery returns. And
-// once the stack is closed, refilling every pooled segment — the device
+// once the stack is closed, refilling every free pooled segment — the device
 // pages the image and the log were read from included — leaves the store
 // untouched too; it would not if a snapshot entry or a replayed record were
-// a view of a page.
+// a view of a page. Only the engines' ReleaseBuffers returns the last
+// segments, those holding the recovered values.
 func TestRecoveryIdempotent(t *testing.T) {
 	for _, kind := range stackKinds {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -195,8 +207,8 @@ func TestRecoveryIdempotent(t *testing.T) {
 						cut, r1.Degraded, r1.WALTruncatedAt, r2.Degraded, r2.WALTruncatedAt)
 				}
 				for i, seg := range r1.WAL {
-					if len(seg.Records) != 0 {
-						t.Errorf("cut %v: LastRecovery still holds %d replayed records of wal segment %d", cut, len(seg.Records), i)
+					if seg.Count() != 0 {
+						t.Errorf("cut %v: LastRecovery still holds %d replayed records of wal segment %d", cut, seg.Count(), i)
 					}
 				}
 				if entries > 0 && len(image) == 0 {
@@ -214,22 +226,82 @@ func TestRecoveryIdempotent(t *testing.T) {
 					t.Errorf("cut %v: LastRecovery still holds the %d runs of the snapshot image", cut, len(r1.Snapshot))
 				}
 				st.Close()
-				if n := st.Pool().InFlight(); n != 0 {
-					t.Errorf("cut %v: %d pooled segments leaked", cut, n)
-				}
-				drawn := make([]*bufpool.Segment, st.Pool().Allocated())
-				for i := range drawn {
-					drawn[i] = st.Pool().Get()
-					b := drawn[i].Bytes()
-					for j := range b {
-						b[j] = 0xFF
-					}
-				}
+				refillFree(st.Pool())
 				if !bytes.Equal(dump, dumpStore(db1.Store())) {
 					t.Errorf("cut %v: the store changed when the freed device pages were refilled", cut)
 				}
-				for _, s := range drawn {
-					s.Release()
+				db1.ReleaseBuffers()
+				db2.ReleaseBuffers()
+				if n := st.Pool().InFlight(); n != 0 {
+					t.Errorf("cut %v: %d pooled segments leaked", cut, n)
+				}
+			}
+		})
+	}
+}
+
+// refillFree draws every segment pool has ever carved that is free now,
+// overwrites it with 0xFF and gives it back: a value still viewing a
+// released page, in any build, reads the 0xFF.
+func refillFree(pool *bufpool.Pool) {
+	drawn := make([]*bufpool.Segment, pool.Allocated()-pool.InFlight())
+	for i := range drawn {
+		drawn[i] = pool.Get()
+		b := drawn[i].Bytes()
+		for j := range b {
+			b[j] = 0xFF
+		}
+	}
+	for _, s := range drawn {
+		s.Release()
+	}
+}
+
+// TestRecoveredStoreOutlivesItsRuns: after a clean life on each backend, the
+// store recovered from the device equals the one recovered from what the
+// Backend contract promises (Model.Recover of a model that watched every
+// call), still after the backend is closed and every page it read is
+// released and rewritten — and, under -race, poisoned at release. A store
+// value left viewing a snapshot run or a log record would read the rewrite.
+// The model's engine is also started and shut down first, and its pool's
+// free segments rewritten: a stopped engine's store stays readable.
+func TestRecoveredStoreOutlivesItsRuns(t *testing.T) {
+	for _, kind := range stackKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			m := &imdb.Model{}
+			st, _ := lifeOn(t, kind, lifeKeys, lifeOps, lifeValueSize, 0, m)
+			db, entries, walRecords, _, _ := recoverFresh(t, st)
+			if entries == 0 || walRecords == 0 {
+				t.Fatalf("recovered %d snapshot entries and %d log records: the test needs both", entries, walRecords)
+			}
+			st.Close()
+			refillFree(st.Pool())
+
+			m.Under = nil
+			eng := sim.NewEngine()
+			pool := bufpool.New(st.Pool().SegSize())
+			want := imdb.New(eng, m, imdb.Config{Pool: pool}, nil)
+			eng.Spawn("recover-model", func(env *sim.Env) {
+				if _, _, err := want.Recover(env); err != nil {
+					t.Errorf("model recover: %v", err)
+				}
+				want.Start()
+				if err := want.Shutdown(env); err != nil {
+					t.Errorf("model engine shutdown: %v", err)
+				}
+			})
+			eng.Run()
+			refillFree(pool)
+			if !bytes.Equal(dumpStore(db.Store()), dumpStore(want.Store())) {
+				t.Errorf("the recovered store (%d keys) differs from the model's (%d keys) once the device pages are rewritten",
+					db.Store().Len(), want.Store().Len())
+			}
+			db.ReleaseBuffers()
+			want.ReleaseBuffers()
+			eng.Shutdown()
+			for _, p := range []*bufpool.Pool{st.Pool(), pool} {
+				if n := p.InFlight(); n != 0 {
+					t.Errorf("%d pooled segments in flight after ReleaseBuffers and teardown", n)
 				}
 			}
 		})
@@ -245,6 +317,7 @@ func BenchmarkRecover(b *testing.B) {
 			st, _ := life(b, kind, 4000, 12000, 2048, 0)
 			defer st.Close()
 			db, _, _, _, image := recoverFresh(b, st)
+			defer db.ReleaseBuffers()
 			n := int64(0)
 			for _, run := range image {
 				n += int64(len(run))
@@ -256,7 +329,8 @@ func BenchmarkRecover(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				recoverFresh(b, st)
+				db, _, _, _, _ := recoverFresh(b, st)
+				db.ReleaseBuffers()
 			}
 		})
 	}

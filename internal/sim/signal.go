@@ -69,6 +69,19 @@ func (s *Signal) Wait(env *Env) any {
 	return s.val
 }
 
+// Reset returns a fired signal to unfired, so that its owner can reuse it for
+// its next completion instead of allocating a new one. It panics on a signal
+// that has not fired, whose waiters are still registered; Fire clears them
+// and no waiter registers on a fired signal. A parked waiter reads the value
+// only when it resumes, though, so the owner resets only once its own Wait
+// has returned or its Then callback runs.
+func (s *Signal) Reset() {
+	if !s.fired {
+		panic("sim: Reset of a Signal that has not fired")
+	}
+	s.fired, s.val = false, nil
+}
+
 // Then registers fn as the signal's only waiter: Fire schedules it at the
 // firing instant, in the very (time, seq) slot a parked waiter's wake-up
 // would take, so swapping a process that Waits for a callback leaves the

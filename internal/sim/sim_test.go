@@ -345,6 +345,73 @@ func TestSignalThenIsTheOnlyWaiter(t *testing.T) {
 	expectPanic("Then after Wait", func() { s2.Then(func() {}) })
 }
 
+// A reset signal carries the next completion: a client that resets its
+// signal in its Then callback and registers again sees every value once, in
+// order, from one Signal.
+func TestSignalResetReuse(t *testing.T) {
+	e := NewEngine()
+	s := NewSignal(e)
+	var got []any
+	var onFire func()
+	onFire = func() {
+		got = append(got, s.Value())
+		s.Reset()
+		if s.Fired() || s.Value() != nil {
+			t.Errorf("after Reset: fired %v, value %v", s.Fired(), s.Value())
+		}
+		if len(got) < 3 {
+			s.Then(onFire)
+			e.After(10, func() { s.Fire(len(got)) })
+		}
+	}
+	s.Then(onFire)
+	e.After(10, func() { s.Fire(0) })
+	e.Run()
+	if fmt.Sprint(got) != "[0 1 2]" {
+		t.Fatalf("values %v, want [0 1 2]", got)
+	}
+	e2 := NewEngine()
+	s2 := NewSignal(e2)
+	e2.Spawn("waiter", func(env *Env) {
+		for i := 0; i < 2; i++ {
+			if v := s2.Wait(env); v != i {
+				t.Errorf("wait %d returned %v", i, v)
+			}
+			s2.Reset()
+		}
+	})
+	e2.Spawn("firer", func(env *Env) {
+		for i := 0; i < 2; i++ {
+			env.Sleep(10)
+			s2.Fire(i)
+		}
+	})
+	e2.Run()
+}
+
+// Reset panics on a signal that has not fired, with or without a waiter.
+func TestSignalResetBeforeFirePanics(t *testing.T) {
+	expectPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	expectPanic("Reset before Fire", func() { NewSignal(e).Reset() })
+	s := NewSignal(e)
+	s.Then(func() {})
+	expectPanic("Reset with a Then waiter", s.Reset)
+	e2 := NewEngine()
+	s2 := NewSignal(e2)
+	e2.Spawn("waiter", func(env *Env) { s2.Wait(env) })
+	e2.RunUntil(0)
+	expectPanic("Reset with a parked waiter", s2.Reset)
+}
+
 func TestSignalDoubleFirePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -170,16 +170,19 @@ const maxInflateRatio = 255
 // where it lies; a frame that straddles runs is first gathered into a scratch
 // buffer reused for every such frame. The Reader never writes to a run.
 //
-// Each chunk is inflated once into a buffer of its own, and the entries Next
-// returns are views of that buffer, never of a run or the scratch. The reader
-// never touches it again, so a caller may keep (adopt) the slices after the
-// runs are gone; keeping any one of them keeps the whole chunk alive.
+// Every compressed chunk is inflated into one buffer the Reader reuses, and a
+// stored chunk is used where it lies (in a run, or in the scratch). So the
+// entries Next returns, and the slice holding them, are views that stay
+// valid only until the next call to Next: a caller that keeps a key or a
+// value past that copies it.
 type Reader struct {
 	run       []byte    // the unconsumed rest of the current run
 	runs      [][]byte  // the runs after it (NewImageReader)
 	src       io.Reader // or the stream the next runs are read from (NewReader)
 	buf       []byte    // src's read buffer, reused for every run
 	scratch   []byte    // the last straddling frame or header, gathered
+	raw       []byte    // the last compressed chunk, inflated
+	batch     []Entry   // the last chunk's entries
 	sawHeader bool
 	done      bool
 	entries   int64
@@ -188,7 +191,7 @@ type Reader struct {
 
 // NewImageReader decodes the image that is the concatenation of runs, in
 // order. The runs must stay unchanged until Next has returned io.EOF or an
-// error; the entries it returns stay valid after that.
+// error.
 func NewImageReader(runs [][]byte) *Reader { return &Reader{runs: runs} }
 
 // NewReader decodes the image read from src.
@@ -252,21 +255,20 @@ func (r *Reader) take(n int) ([]byte, error) {
 	return r.scratch, nil
 }
 
-// inflate decodes a chunk payload into a fresh buffer of the declared length;
-// the payload must produce exactly that many bytes. comp is a view of a run
-// or of the scratch, so even a stored chunk is copied out.
-func inflate(comp []byte, rawLen uint32) ([]byte, error) {
+// inflate decodes a chunk payload of the declared raw length: a stored
+// chunk is comp itself, a compressed one is decompressed into dst, grown as
+// needed, and the payload must produce exactly rawLen bytes.
+func inflate(dst, comp []byte, rawLen uint32) ([]byte, error) {
 	if uint64(rawLen) > uint64(len(comp))*maxInflateRatio {
 		return nil, fmt.Errorf("snapshot: chunk declares %d raw bytes, more than %d compressed bytes can hold", rawLen, len(comp))
 	}
 	if uint64(len(comp)) > uint64(rawLen) {
 		return nil, fmt.Errorf("snapshot: chunk declares %d compressed bytes for %d raw ones", len(comp), rawLen)
 	}
-	raw := make([]byte, rawLen)
-	if len(comp) == len(raw) { // stored
-		copy(raw, comp)
-		return raw, nil
+	if len(comp) == int(rawLen) { // stored
+		return comp, nil
 	}
+	raw := slices.Grow(dst[:0], int(rawLen))[:rawLen]
 	if err := decompress(raw, comp); err != nil {
 		return nil, err
 	}
@@ -316,9 +318,12 @@ func (r *Reader) Next() ([]Entry, error) {
 	if crc32.ChecksumIEEE(comp) != crcOrCount {
 		return nil, fmt.Errorf("snapshot: chunk CRC mismatch")
 	}
-	raw, err := inflate(comp, rawLen)
+	raw, err := inflate(r.raw, comp, rawLen)
 	if err != nil {
 		return nil, err
+	}
+	if len(comp) != len(raw) {
+		r.raw = raw
 	}
 
 	// Validate the framing and count the entries, then slice them out.
@@ -335,7 +340,8 @@ func (r *Reader) Next() ([]Entry, error) {
 		}
 		rest = rest[total:]
 	}
-	out := make([]Entry, n)
+	out := slices.Grow(r.batch[:0], n)[:n]
+	r.batch = out
 	for i := range out {
 		k := 8 + int(binary.LittleEndian.Uint32(raw[0:4]))
 		v := k + int(binary.LittleEndian.Uint32(raw[4:8]))

@@ -52,7 +52,7 @@ func readAll(t *testing.T, stream []byte) []Entry {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, batch...)
+		out = appendOwned(out, batch)
 	}
 }
 
@@ -350,7 +350,7 @@ func TestRoundTripProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			got = append(got, batch...)
+			got = appendOwned(got, batch)
 		}
 		if len(got) != len(entries) {
 			return false

@@ -61,7 +61,7 @@ func BenchmarkDecodeSegment(b *testing.B) {
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if seg := DecodeSegment(bc.runs); len(seg.Records) != 4096 || seg.Corrupt {
+				if seg := DecodeSegment(bc.runs); seg.Count() != 4096 || seg.Corrupt {
 					b.Fatal("stream did not decode")
 				}
 			}
@@ -70,22 +70,21 @@ func BenchmarkDecodeSegment(b *testing.B) {
 }
 
 // TestDecodeAllocBudget pins the recovery-side hot calls. Decoding copies
-// each record once, into one allocation of its own, and otherwise allocates
-// only the result slice's amortized growth; cutting the segment into 4 KiB
-// pages adds nothing per frame, since a straddling frame is gathered
-// straight into its record's one allocation (a few allocations at most: the
-// race detector's instrumentation moves the header buffer to the heap).
-// Decode itself allocates nothing.
+// nothing: it allocates only the frame table's amortized growth, and cutting
+// the segment into 4 KiB pages adds nothing per frame, since a straddling
+// frame's CRC is carried across the runs instead of gathered (a few
+// allocations at most: the race detector's instrumentation moves the header
+// buffer to the heap). Decode itself allocates nothing.
 func TestDecodeAllocBudget(t *testing.T) {
 	const n = 4096
 	buf := benchStream(n)
 	one := testing.AllocsPerRun(10, func() { DecodeSegment([][]byte{buf}) })
-	if one > n+24 {
-		t.Errorf("DecodeSegment: %.0f allocations for %d records, budget %d (one per record + result-slice growth)", one, n, n+24)
+	if one > 24 {
+		t.Errorf("DecodeSegment: %.0f allocations for %d records, budget 24 (the frame table's growth)", one, n)
 	}
 	runs := pages(buf, 4096)
 	if paged := testing.AllocsPerRun(10, func() { DecodeSegment(runs) }); paged > one+4 {
-		t.Errorf("DecodeSegment over %d pages: %.0f allocations, %.0f as one run: a straddling frame must cost its record's one allocation, nothing more", len(runs), paged, one)
+		t.Errorf("DecodeSegment over %d pages: %.0f allocations, %.0f as one run: a straddling frame must cost nothing more", len(runs), paged, one)
 	}
 	rec := buf[:EncodedSize([]byte("00001234"), make([]byte, 1024))]
 	if got := testing.AllocsPerRun(100, func() { Decode(rec) }); got != 0 {

@@ -21,8 +21,8 @@ func TestDecodeStreamCleanZeroTail(t *testing.T) {
 	want := int64(len(buf))
 	buf = append(buf, make([]byte, 100)...) // unwritten page tail
 	seg := decodeOne(buf)
-	if len(seg.Records) != 3 || seg.Prefix != want || seg.Corrupt || seg.Len != int64(len(buf)) {
-		t.Fatalf("seg = %d/%d/%v len %d, want 3/%d/false len %d", len(seg.Records), seg.Prefix, seg.Corrupt, seg.Len, want, len(buf))
+	if seg.Count() != 3 || seg.Prefix != want || seg.Corrupt || seg.Len != int64(len(buf)) {
+		t.Fatalf("seg = %d/%d/%v len %d, want 3/%d/false len %d", seg.Count(), seg.Prefix, seg.Corrupt, seg.Len, want, len(buf))
 	}
 }
 
@@ -31,8 +31,8 @@ func TestDecodeStreamGarbageTail(t *testing.T) {
 	want := int64(len(buf))
 	buf = append(buf, 0, 0, 0xA5, 0x17) // torn-page garbage after the zeros
 	seg := decodeOne(buf)
-	if len(seg.Records) != 3 || seg.Prefix != want || !seg.Corrupt {
-		t.Fatalf("seg = %d/%d/%v, want 3/%d/true", len(seg.Records), seg.Prefix, seg.Corrupt, want)
+	if seg.Count() != 3 || seg.Prefix != want || !seg.Corrupt {
+		t.Fatalf("seg = %d/%d/%v, want 3/%d/true", seg.Count(), seg.Prefix, seg.Corrupt, want)
 	}
 }
 
@@ -46,8 +46,8 @@ func TestDecodeStreamZeroPageThenGarbage(t *testing.T) {
 	buf = append(buf, 0x5A, 0xA5, 0x01)
 	for _, runs := range [][][]byte{{buf}, {buf[:want], buf[want : want+4096], buf[want+4096:]}} {
 		seg := DecodeSegment(runs)
-		if len(seg.Records) != 3 || seg.Prefix != want || !seg.Corrupt {
-			t.Fatalf("%d runs: seg = %d/%d/%v, want 3/%d/true", len(runs), len(seg.Records), seg.Prefix, seg.Corrupt, want)
+		if seg.Count() != 3 || seg.Prefix != want || !seg.Corrupt {
+			t.Fatalf("%d runs: seg = %d/%d/%v, want 3/%d/true", len(runs), seg.Count(), seg.Prefix, seg.Corrupt, want)
 		}
 	}
 }
@@ -57,8 +57,8 @@ func TestDecodeStreamStopsAtMidSegmentFlip(t *testing.T) {
 	buf := stream(4)
 	buf[len(one)+5] ^= 0xFF // corrupt the second record's header
 	seg := decodeOne(buf)
-	if len(seg.Records) != 1 || seg.Prefix != int64(len(one)) || !seg.Corrupt {
-		t.Fatalf("seg = %d/%d/%v, want 1/%d/true", len(seg.Records), seg.Prefix, seg.Corrupt, len(one))
+	if seg.Count() != 1 || seg.Prefix != int64(len(one)) || !seg.Corrupt {
+		t.Fatalf("seg = %d/%d/%v, want 1/%d/true", seg.Count(), seg.Prefix, seg.Corrupt, len(one))
 	}
 }
 
@@ -76,7 +76,7 @@ func checkSegment(t *testing.T, data []byte, seg Segment) {
 		t.Fatalf("prefix %d outside buffer of %d bytes", seg.Prefix, len(data))
 	}
 	var re []byte
-	for _, r := range seg.Records {
+	for _, r := range seg.Records() {
 		k := len(re) + headerSize
 		v := k + len(r.Key)
 		if v+len(r.Value) > len(data) || !bytes.Equal(r.Key, data[k:v]) || !bytes.Equal(r.Value, data[v:v+len(r.Value)]) {
@@ -113,11 +113,24 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// decoded is a segment's decode as plain values: what DecodeSegment's
+// Segment reports, with its records materialized.
+type decoded struct {
+	Len, Prefix int64
+	Corrupt     bool
+	Records     []Record
+}
+
+// summary materializes seg's decode.
+func summary(seg *Segment) decoded {
+	return decoded{Len: seg.Len, Prefix: seg.Prefix, Corrupt: seg.Corrupt, Records: seg.Records()}
+}
+
 // referenceDecode is the frame-by-frame reference DecodeSegment must match:
 // Decode over the contiguous bytes until a frame fails, then a byte loop for
 // the zero-tail rule.
-func referenceDecode(data []byte) Segment {
-	seg := Segment{Len: int64(len(data))}
+func referenceDecode(data []byte) decoded {
+	seg := decoded{Len: int64(len(data))}
 	for seg.Prefix < seg.Len {
 		rec, n, err := Decode(data[seg.Prefix:])
 		if err != nil {
@@ -146,7 +159,7 @@ func splitRuns(data, cuts []byte) [][]byte {
 
 // sameSegment reports whether a and b agree on every field, comparing
 // records by content.
-func sameSegment(a, b Segment) bool {
+func sameSegment(a, b decoded) bool {
 	if a.Len != b.Len || a.Prefix != b.Prefix || a.Corrupt != b.Corrupt || len(a.Records) != len(b.Records) {
 		return false
 	}
@@ -162,8 +175,8 @@ func sameSegment(a, b Segment) bool {
 // FuzzDecodeSegment is the differential check on where the runs are cut:
 // decoding the bytes split at arbitrary points must give what decoding them
 // as one run gives, both must equal the frame-by-frame reference, every
-// record must be the input at its offset, and scribbling over the runs after
-// decoding must change no record.
+// record must be the input at its offset, and a clone must keep every record
+// after the runs are scribbled over.
 func FuzzDecodeSegment(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add(stream(5), []byte{7, 0, 100, 3})
@@ -178,36 +191,47 @@ func FuzzDecodeSegment(f *testing.F) {
 		if !bytes.Equal(buf, data) {
 			t.Fatal("decoding wrote to its runs")
 		}
-		whole := decodeOne(data)
-		if !sameSegment(split, whole) {
+		got, whole := summary(&split), decodeOne(data)
+		if !sameSegment(got, summary(&whole)) {
 			t.Fatalf("split into %d runs: %d records, prefix %d, corrupt %v, len %d; one run: %d, %d, %v, %d",
-				len(runs), len(split.Records), split.Prefix, split.Corrupt, split.Len,
-				len(whole.Records), whole.Prefix, whole.Corrupt, whole.Len)
+				len(runs), split.Count(), split.Prefix, split.Corrupt, split.Len,
+				whole.Count(), whole.Prefix, whole.Corrupt, whole.Len)
 		}
-		if !sameSegment(split, referenceDecode(data)) {
+		if !sameSegment(got, referenceDecode(data)) {
 			t.Fatal("DecodeSegment differs from the frame-by-frame reference")
 		}
 		checkSegment(t, data, split)
+		clone := split.Clone()
 		for i := range buf {
 			buf[i] ^= 0xFF
 		}
-		if !sameSegment(split, whole) {
-			t.Fatal("scribbling over the runs changed a decoded record")
+		if !sameSegment(summary(&clone), summary(&whole)) {
+			t.Fatal("scribbling over the runs changed a cloned record")
 		}
 	})
 }
 
-// TestDecodeSegmentCopies: records own their bytes, whether their frame lay
-// inside one run or straddled several. Overwriting every run after decoding
-// leaves each record as decoded.
+// TestDecodeSegmentCopies: DecodeSegment copies nothing — its records are
+// views of the runs, whether their frame lay inside one run or straddled
+// several, so overwriting the runs rewrites them — and Clone copies them
+// all: its records stay as decoded.
 func TestDecodeSegmentCopies(t *testing.T) {
 	buf := stream(6)
 	want := referenceDecode(bytes.Clone(buf))
 	seg := DecodeSegment(splitRuns(buf, []byte{30, 30, 100}))
+	if len(want.Records) != 6 || !sameSegment(summary(&seg), want) {
+		t.Fatalf("records differ from the reference:\n got %v\nwant %v", seg.Records(), want.Records)
+	}
+	clone := seg.Clone()
 	for i := range buf {
 		buf[i] = 0xFF
 	}
-	if len(want.Records) != 6 || !sameSegment(seg, want) {
-		t.Fatalf("overwriting the runs changed the records:\n got %v\nwant %v", seg.Records, want.Records)
+	if !sameSegment(summary(&clone), want) {
+		t.Fatalf("overwriting the runs changed the clone's records:\n got %v\nwant %v", clone.Records(), want.Records)
+	}
+	for i := 0; i < seg.Count(); i++ {
+		if r := seg.Record(i); bytes.Equal(r.Key, want.Records[i].Key) || bytes.Equal(r.Value, want.Records[i].Value) {
+			t.Fatalf("record %d kept its bytes after the runs were overwritten: it is a copy, not a view", i)
+		}
 	}
 }

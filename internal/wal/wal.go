@@ -8,8 +8,9 @@
 // Recovery has one decoder, DecodeSegment. It reads a segment as the runs of
 // bytes the device handed back (pages, or one file buffer), never building
 // the concatenation, and its single pass both places a backend's append
-// position (Segment.Prefix) and yields the records the engine replays, each
-// copied once out of the runs. Decode is the single-frame primitive under it.
+// position (Segment.Prefix) and yields the records the engine replays as
+// views of the runs, copying nothing. Decode parses one frame held whole in
+// one buffer.
 package wal
 
 import (
@@ -48,20 +49,23 @@ func EncodedSize(key, value []byte) int { return headerSize + len(key) + len(val
 
 // AppendRecord appends the framed record to dst and returns the result.
 func AppendRecord(dst []byte, op Op, key, value []byte) []byte {
-	var hdr [headerSize]byte
-	hdr[0] = recordMagic
-	hdr[1] = byte(op)
-	binary.LittleEndian.PutUint32(hdr[2:6], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[6:10], uint32(len(value)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:10])
-	crc.Write(key)
-	crc.Write(value)
-	binary.LittleEndian.PutUint32(hdr[10:14], crc.Sum32())
-	dst = append(dst, hdr[:]...)
+	start := len(dst)
+	dst = append(dst, recordMagic, byte(op))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(value)))
+	dst = binary.LittleEndian.AppendUint32(dst, frameCRC(dst[start:], key, value))
 	dst = append(dst, key...)
-	dst = append(dst, value...)
-	return dst
+	return append(dst, value...)
+}
+
+// frameCRC is the frame CRC: the IEEE CRC-32 of the header's first ten
+// bytes, the key and the value, in that order. crc32.Update leaks its input
+// to the heap (its kernel is chosen at run time), so a caller passes bytes
+// that live there already rather than a stack array.
+func frameCRC(hdr, key, value []byte) uint32 {
+	crc := crc32.Update(0, crc32.IEEETable, hdr)
+	crc = crc32.Update(crc, crc32.IEEETable, key)
+	return crc32.Update(crc, crc32.IEEETable, value)
 }
 
 // ErrTornRecord marks a frame that fails validation: the readable prefix
@@ -106,14 +110,15 @@ func Decode(buf []byte) (rec Record, n int, err error) {
 }
 
 // Segment is one log segment as recovery decodes it.
+//
+// Its records are views of the runs DecodeSegment was given, not copies:
+// they stay valid only while the runs are left alone — for a backend's
+// device pages, until the recovering engine writes again; Record, Key and
+// Value gather the bytes of a frame that straddles runs. A caller that keeps
+// a segment past that point keeps Clone's copy instead.
 type Segment struct {
 	// Len is the segment's length in bytes: the sum of its runs' lengths.
 	Len int64
-	// Records is the durable record prefix in log order. Each record's Key
-	// and Value are copies sharing one allocation of their own, not views of
-	// the runs: a caller may keep a record while the runs are reused, and
-	// keeping one keeps nothing else alive.
-	Records []Record
 	// Prefix is the byte offset where decoding stopped: the durable-prefix
 	// length, Len when every frame decoded.
 	Prefix int64
@@ -123,66 +128,166 @@ type Segment struct {
 	// mid-segment — is Corrupt, so recovery can tell the expected crash
 	// artifact from data lost past this point.
 	Corrupt bool
+
+	runs   [][]byte
+	frames []frame // the durable record prefix, in log order
+}
+
+// frame locates one decoded record in the runs: where its key and its value
+// start, and their lengths.
+type frame struct {
+	key, val pos
+	keyLen   int32
+	valLen   int32
+	op       Op
+}
+
+// pos is a byte position in the runs: offset off of runs[run].
+type pos struct{ run, off int32 }
+
+// Count is the number of records in the durable prefix.
+func (s *Segment) Count() int { return len(s.frames) }
+
+// Op is record i's operation.
+func (s *Segment) Op(i int) Op { return s.frames[i].op }
+
+// ValueLen is the length of record i's value.
+func (s *Segment) ValueLen(i int) int { return int(s.frames[i].valLen) }
+
+// Key returns record i's key: a view of the run that holds it or, when it
+// straddles runs, its bytes gathered into *scratch, which grows as needed
+// and is overwritten by the next gather into it.
+func (s *Segment) Key(i int, scratch *[]byte) []byte {
+	f := &s.frames[i]
+	return s.view(scratch, f.key, int(f.keyLen))
+}
+
+// Value returns record i's value as Key returns its key.
+func (s *Segment) Value(i int, scratch *[]byte) []byte {
+	f := &s.frames[i]
+	return s.view(scratch, f.val, int(f.valLen))
+}
+
+// AppendValue appends record i's value to dst, piece by piece from the runs
+// it lies in, and returns the result.
+func (s *Segment) AppendValue(dst []byte, i int) []byte {
+	f := &s.frames[i]
+	return s.gather(dst, f.val, int(f.valLen))
+}
+
+// Record returns record i with its key and value as Key and Value return
+// them, a straddling one gathered into an allocation of its own.
+func (s *Segment) Record(i int) Record {
+	var k, v []byte
+	return Record{Op: s.frames[i].op, Key: s.Key(i, &k), Value: s.Value(i, &v)}
+}
+
+// Records returns every record of the durable prefix, as Record does.
+func (s *Segment) Records() []Record {
+	out := make([]Record, len(s.frames))
+	for i := range out {
+		out[i] = s.Record(i)
+	}
+	return out
+}
+
+// Clone returns s decoded from a private copy of its runs, so its records
+// stay valid after the runs are reused. DecodeSegment is blind to where the
+// runs are cut, so the clone equals s field for field.
+func (s *Segment) Clone() Segment {
+	var flat []byte
+	for _, r := range s.runs {
+		flat = append(flat, r...)
+	}
+	return DecodeSegment([][]byte{flat})
+}
+
+// view returns the n bytes at p: a capacity-limited view when one run holds
+// them all, else gathered into *scratch.
+func (s *Segment) view(scratch *[]byte, p pos, n int) []byte {
+	if r := s.runs[p.run][p.off:]; len(r) >= n {
+		return r[:n:n]
+	}
+	*scratch = s.gather((*scratch)[:0], p, n)
+	return *scratch
+}
+
+// gather appends the n bytes at p to dst, run by run.
+func (s *Segment) gather(dst []byte, p pos, n int) []byte {
+	for i, off := int(p.run), int(p.off); n > 0; i, off = i+1, 0 {
+		r := s.runs[i][off:]
+		r = r[:min(len(r), n)]
+		dst = append(dst, r...)
+		n -= len(r)
+	}
+	return dst
 }
 
 // DecodeSegment decodes the frames of the concatenation of runs (a segment
 // as the device pages it was read as) until the runs end or a bad frame
-// stops it, without building the concatenation. A frame inside one run is
-// checked in place and its key and value copied out; one that straddles runs
-// is gathered whole, header included, into the allocation its record keeps
-// and decoded there. Either way Decode checks every frame and each record is
-// copied once. The result is exactly what decoding the concatenation with
-// Decode, frame by frame, would give.
+// stops it, without building the concatenation and without copying a
+// frame: each is checked where it lies, its CRC carried from run to run
+// when it straddles them, and the records it yields are views of the runs.
+// The result is exactly what decoding the concatenation with Decode, frame
+// by frame, would give.
 func DecodeSegment(runs [][]byte) Segment {
-	var seg Segment
+	seg := Segment{runs: runs}
 	for _, r := range runs {
 		seg.Len += int64(len(r))
 	}
-	var hdr [headerSize]byte
-	i, off := 0, 0 // the next frame starts at runs[i][off]
-	for {
-		for i < len(runs) && off == len(runs[i]) {
-			i, off = i+1, 0
-		}
-		if i == len(runs) {
-			return seg
-		}
-		src := runs[i][off:]
-		rec, n, err := Decode(src)
-		if err == nil {
-			kv := bytes.Clone(src[headerSize:n])
-			rec.Key, rec.Value = kv[:len(rec.Key):len(rec.Key)], kv[len(rec.Key):]
-		} else if rest := seg.Len - seg.Prefix; int64(len(src)) < rest {
-			// Decode saw only this run's share of the bytes. If the header
-			// declares a frame longer than that share and the runs hold it,
-			// decode the frame gathered from the runs instead; the record
-			// keeps views of that gathered copy.
-			total, ok := frameLen(gather(hdr[:0], runs, i, off, headerSize))
-			if ok && total > len(src) && int64(total) <= rest {
-				rec, n, err = Decode(gather(make([]byte, 0, total), runs, i, off, total))
-			}
-		}
-		if err != nil {
-			seg.Corrupt = !zeroFrom(runs, i, off)
-			return seg
-		}
-		seg.Records = append(seg.Records, rec)
-		seg.Prefix += int64(n)
-		for off += n; off > len(runs[i]); i++ {
-			off -= len(runs[i])
-		}
+	if len(runs) == 0 {
+		return seg
 	}
+	var hdr [headerSize]byte
+	scratch := hdr[:0]
+	at := seg.advance(pos{}, 0) // the next frame's header
+	for rest := seg.Len; rest > 0; rest = seg.Len - seg.Prefix {
+		h := seg.view(&scratch, at, int(min(rest, headerSize)))
+		total, ok := frameLen(h)
+		if !ok || int64(total) > rest {
+			break
+		}
+		f := frame{
+			op:     Op(h[1]),
+			keyLen: int32(binary.LittleEndian.Uint32(h[2:6])),
+			valLen: int32(binary.LittleEndian.Uint32(h[6:10])),
+		}
+		f.key = seg.advance(at, headerSize)
+		f.val = seg.advance(f.key, int(f.keyLen))
+		crc := crc32.Update(0, crc32.IEEETable, h[:10])
+		if seg.checksum(crc, f.key, total-headerSize) != binary.LittleEndian.Uint32(h[10:14]) {
+			break
+		}
+		seg.frames = append(seg.frames, f)
+		seg.Prefix += int64(total)
+		at = seg.advance(f.val, int(f.valLen))
+	}
+	seg.Corrupt = seg.Prefix < seg.Len && !zeroFrom(runs, int(at.run), int(at.off))
+	return seg
 }
 
-// gather appends up to n bytes of the runs' concatenation, starting at
-// offset off of runs[i], to the empty dst and returns them: fewer than n
-// when the runs end first.
-func gather(dst []byte, runs [][]byte, i, off, n int) []byte {
-	for ; i < len(runs) && len(dst) < n; i, off = i+1, 0 {
-		r := runs[i][off:]
-		dst = append(dst, r[:min(len(r), n-len(dst))]...)
+// advance returns the position n bytes past p, moved on to the start of the
+// next non-empty run when it falls at the end of one, so a view from it
+// finds its bytes in one run whenever they lie in one.
+func (s *Segment) advance(p pos, n int) pos {
+	off := int(p.off) + n
+	for int(p.run) < len(s.runs)-1 && off >= len(s.runs[p.run]) {
+		off -= len(s.runs[p.run])
+		p.run++
 	}
-	return dst
+	p.off = int32(off)
+	return p
+}
+
+// checksum extends crc over the n bytes at p, run by run.
+func (s *Segment) checksum(crc uint32, p pos, n int) uint32 {
+	for i, off := int(p.run), int(p.off); n > 0; i, off = i+1, 0 {
+		r := s.runs[i][off:]
+		r = r[:min(len(r), n)]
+		crc = crc32.Update(crc, crc32.IEEETable, r)
+		n -= len(r)
+	}
+	return crc
 }
 
 // zeroFrom reports whether the runs' concatenation is all zero bytes from
@@ -292,6 +397,7 @@ type Buffer struct {
 	records  int
 	appended int64  // lifetime bytes appended, for WAL-snapshot triggering
 	kbuf     []byte // reused scratch for AppendString keys
+	hdr      [headerSize]byte
 }
 
 // NewBuffer returns a buffer encoding into pool's segments.
@@ -318,16 +424,12 @@ func (b *Buffer) write(p []byte) {
 
 // Append frames a record into the buffer.
 func (b *Buffer) Append(op Op, key, value []byte) {
-	var hdr [headerSize]byte
+	hdr := &b.hdr
 	hdr[0] = recordMagic
 	hdr[1] = byte(op)
 	binary.LittleEndian.PutUint32(hdr[2:6], uint32(len(key)))
 	binary.LittleEndian.PutUint32(hdr[6:10], uint32(len(value)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:10])
-	crc.Write(key)
-	crc.Write(value)
-	binary.LittleEndian.PutUint32(hdr[10:14], crc.Sum32())
+	binary.LittleEndian.PutUint32(hdr[10:14], frameCRC(hdr[:10], key, value))
 	b.write(hdr[:])
 	b.write(key)
 	b.write(value)

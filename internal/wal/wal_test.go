@@ -66,7 +66,7 @@ func TestDecodeAllStream(t *testing.T) {
 	if seg.Corrupt {
 		t.Fatal("clean stream reported corrupt")
 	}
-	recs := seg.Records
+	recs := seg.Records()
 	if len(recs) != 20 {
 		t.Fatalf("decoded %d records, want 20", len(recs))
 	}
@@ -86,8 +86,8 @@ func TestDecodeAllTornTail(t *testing.T) {
 	buf = AppendRecord(buf, OpSet, []byte("k"), []byte("torn-me"))
 	buf = buf[:whole+7] // tear the last record
 	seg := decodeOne(buf)
-	if len(seg.Records) != 5 {
-		t.Fatalf("decoded %d, want the 5 whole records", len(seg.Records))
+	if seg.Count() != 5 {
+		t.Fatalf("decoded %d, want the 5 whole records", seg.Count())
 	}
 	if !seg.Corrupt {
 		t.Fatal("torn tail not reported")
@@ -98,8 +98,8 @@ func TestDecodeAllZeroPadding(t *testing.T) {
 	buf := AppendRecord(nil, OpSet, []byte("k"), []byte("v"))
 	buf = append(buf, make([]byte, 100)...) // unwritten page tail
 	seg := decodeOne(buf)
-	if len(seg.Records) != 1 || seg.Corrupt {
-		t.Fatalf("recs=%d corrupt=%v, want 1/false", len(seg.Records), seg.Corrupt)
+	if seg.Count() != 1 || seg.Corrupt {
+		t.Fatalf("recs=%d corrupt=%v, want 1/false", seg.Count(), seg.Corrupt)
 	}
 }
 
@@ -126,8 +126,8 @@ func TestBuffer(t *testing.T) {
 	for i := range spans {
 		spans[i] = data.Span(i)
 	}
-	if seg := DecodeSegment(spans); len(seg.Records) != 2 || seg.Corrupt {
-		t.Fatalf("drained chain decodes %d records, corrupt %v", len(seg.Records), seg.Corrupt)
+	if seg := DecodeSegment(spans); seg.Count() != 2 || seg.Corrupt {
+		t.Fatalf("drained chain decodes %d records, corrupt %v", seg.Count(), seg.Corrupt)
 	}
 	data.Release()
 	b.Append(OpSet, []byte("c"), []byte("3"))
@@ -158,7 +158,7 @@ func TestRecordProperty(t *testing.T) {
 			buf = AppendRecord(buf, OpSet, k, v)
 		}
 		seg := decodeOne(buf)
-		recs := seg.Records
+		recs := seg.Records()
 		if seg.Corrupt || len(recs) != count {
 			return false
 		}
@@ -173,7 +173,7 @@ func TestRecordProperty(t *testing.T) {
 		pos := rng.Intn(len(flipped))
 		flipped[pos] ^= 1 << uint(rng.Intn(8))
 		seg2 := decodeOne(flipped)
-		recs2 := seg2.Records
+		recs2 := seg2.Records()
 		if !seg2.Corrupt && len(recs2) == count {
 			for i := range recs2 {
 				if !bytes.Equal(recs2[i].Key, keys[i]) || !bytes.Equal(recs2[i].Value, vals[i]) {

@@ -19,8 +19,7 @@ import (
 
 // formatKey renders k as a zero-padded decimal of exactly width bytes
 // (wider only when the digits don't fit), matching
-// fmt.Sprintf("%0*d", width, k) for k >= 0 without fmt's per-call boxing —
-// this runs once per simulated operation.
+// fmt.Sprintf("%0*d", width, k) for k >= 0 without fmt's per-call boxing.
 func formatKey(width int, k int64) string {
 	var tmp [20]byte
 	digits := strconv.AppendInt(tmp[:0], k, 10)
@@ -189,6 +188,7 @@ type Runner struct {
 
 	res     Result
 	pending int
+	keys    []string // keys[k] is key k formatted, or "" until first drawn
 }
 
 // Start starts the clients on eng against db. Each client's first request
@@ -198,7 +198,7 @@ func Start(eng *sim.Engine, db *imdb.Engine, cfg Config) *Runner {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
 	}
-	r := &Runner{cfg: cfg, db: db, Done: sim.NewSignal(eng)}
+	r := &Runner{cfg: cfg, db: db, Done: sim.NewSignal(eng), keys: make([]string, cfg.KeyRange)}
 	r.res.Start = eng.Now()
 	r.pending = cfg.Clients
 	pool := valuePool(valuePoolSize, cfg.ValueSize, cfg.Seed)
@@ -229,6 +229,7 @@ func Start(eng *sim.Engine, db *imdb.Engine, cfg Config) *Runner {
 			rng:    rand.New(rand.NewSource(cfg.Seed + int64(c)*7919)),
 			pool:   pool,
 		}
+		client.req.Reply = sim.NewSignal(eng)
 		if cfg.Dist == Zipfian {
 			client.zipf = newZipfGen(client.rng, uint64(cfg.KeyRange), theta, zetan)
 		}
@@ -236,6 +237,14 @@ func Start(eng *sim.Engine, db *imdb.Engine, cfg Config) *Runner {
 		eng.At(eng.Now(), client.issue)
 	}
 	return r
+}
+
+// key returns key k, formatting it the first time it is drawn.
+func (r *Runner) key(k int64) string {
+	if r.keys[k] == "" {
+		r.keys[k] = formatKey(r.cfg.KeySize, k)
+	}
+	return r.keys[k]
 }
 
 // Result returns the aggregated metrics (valid once Done fires, or at any
@@ -257,8 +266,10 @@ func valuePool(n, size int, seed int64) [][]byte {
 
 // client is one closed-loop client: issue submits an op, and the reply's
 // Then runs onReply, which records it and issues the next, so the loop runs
-// in engine callbacks with no process of its own. An open-ended client
-// (ops == 0) never stops; the engine is stopped externally.
+// in engine callbacks with no process of its own. Every op reuses the one
+// Request and its Reply signal, so a round trip allocates nothing. An
+// open-ended client (ops == 0) never stops; the engine is stopped
+// externally.
 type client struct {
 	runner *Runner
 	eng    *sim.Engine
@@ -269,7 +280,7 @@ type client struct {
 	pool   [][]byte
 
 	// The op in flight.
-	req   *imdb.Request
+	req   imdb.Request
 	isGet bool
 	start sim.Time
 
@@ -289,21 +300,20 @@ func (c *client) key() string {
 	default:
 		k = c.rng.Int63n(cfg.KeyRange)
 	}
-	return formatKey(cfg.KeySize, k)
+	return c.runner.key(k)
 }
 
 // issue builds the next op, submits it and has its reply run onReply.
 func (c *client) issue() {
 	cfg := &c.runner.cfg
 	c.isGet = cfg.ReadRatio > 0 && c.rng.Float64() < cfg.ReadRatio
-	req := &imdb.Request{Key: c.key(), Reply: sim.NewSignal(c.eng)}
+	req := &c.req
+	req.Key = c.key()
 	if c.isGet {
-		req.Op = imdb.OpGet
+		req.Op, req.Value = imdb.OpGet, nil
 	} else {
-		req.Op = imdb.OpSet
-		req.Value = c.pool[c.rng.Intn(len(c.pool))]
+		req.Op, req.Value = imdb.OpSet, c.pool[c.rng.Intn(len(c.pool))]
 	}
-	c.req = req
 	c.start = c.eng.Now()
 	c.runner.db.Submit(req)
 	req.Reply.Then(c.onReplyFn)
@@ -313,8 +323,9 @@ func (c *client) issue() {
 // client's share is done, counts it out and fires Runner.Done after the last.
 func (c *client) onReply() {
 	r := c.runner
-	resp := c.req.Reply.Value().(*imdb.Response)
-	if resp.Err != nil {
+	failed := c.req.Reply.Value().(*imdb.Response).Err != nil
+	c.req.Reply.Reset()
+	if failed {
 		r.res.Failed++
 	} else {
 		now := c.eng.Now()
