@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/fdp"
 	"github.com/slimio/slimio/internal/imdb"
 	"github.com/slimio/slimio/internal/nand"
@@ -465,12 +466,15 @@ func TestRecoverTornWALTail(t *testing.T) {
 	eng2.Run()
 }
 
+// After recovery the open segment ends mid-page. The first append must
+// continue that page in a segment holding recovery's bytes below its offset,
+// as the engine's restarted buffer does; a chain that starts anywhere else is
+// refused with every reference left to its caller. The continuation must read
+// back seamlessly, and nothing may stay in flight once all is torn down.
 func TestRecoverContinuesAppending(t *testing.T) {
-	// After recovery, new appends must continue the stream seamlessly, and
-	// the copying path they take must release what it copied.
 	r := newRig(t)
+	pool := r.dev.FTL().Array().Pool()
 	recA := wal.AppendRecord(nil, wal.OpSet, []byte("a"), bytes.Repeat([]byte("1"), 700))
-	recB := wal.AppendRecord(nil, wal.OpSet, []byte("b"), bytes.Repeat([]byte("2"), 700))
 	r.run(t, func(env *sim.Env) {
 		if err := r.be.WALAppend(env, r.chain(recA)); err != nil {
 			t.Error(err)
@@ -482,16 +486,46 @@ func TestRecoverContinuesAppending(t *testing.T) {
 	})
 	eng2 := sim.NewEngine()
 	be2, _ := New(eng2, r.dev, Config{MetaPages: 8, SlotPages: 96})
+	buf := wal.NewBuffer(pool)
 	eng2.Spawn("continue", func(env *sim.Env) {
-		if _, err := be2.Recover(env); err != nil {
+		rec, err := be2.Recover(env)
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		c := r.chain(recB)
-		if be2.aligned(c) {
-			t.Error("append after a part-filled recovered page took the aligned path")
+		open := &rec.WAL[len(rec.WAL)-1]
+		from := open.Prefix - open.Prefix%testPageSize
+		if from == open.Prefix {
+			t.Error("rig: the recovered WAL does not end mid-page")
 		}
-		if err := be2.WALAppend(env, c); err != nil {
+		prefix := open.AppendRange(nil, from, int(open.Prefix-from))
+		for _, tc := range []struct {
+			name  string
+			chain func() wal.Chain
+		}{
+			{"a chain from byte 0", func() wal.Chain {
+				return wal.NewChain(pool, wal.AppendRecord(nil, wal.OpDel, []byte("x"), nil))
+			}},
+			{"other bytes below the offset", func() wal.Chain {
+				c := wal.NewChain(pool, make([]byte, len(prefix)+1))
+				c.Off = len(prefix)
+				return c
+			}},
+		} {
+			held := pool.InFlight()
+			c := tc.chain()
+			if err := be2.WALAppend(env, c); err == nil {
+				t.Errorf("%s: an append that does not continue the open page was accepted", tc.name)
+				continue
+			}
+			c.Release()
+			if n := pool.InFlight(); n != held {
+				t.Errorf("%s: %d segments in flight after the refused chain's release, want %d", tc.name, n, held)
+			}
+		}
+		buf.Restart(prefix)
+		buf.Append(wal.OpSet, []byte("b"), bytes.Repeat([]byte("2"), 700))
+		if err := be2.WALAppend(env, buf.Drain()); err != nil {
 			t.Error(err)
 			return
 		}
@@ -500,6 +534,7 @@ func TestRecoverContinuesAppending(t *testing.T) {
 		}
 	})
 	eng2.Run()
+	buf.Close()
 	eng3 := sim.NewEngine()
 	be3, _ := New(eng3, r.dev, Config{MetaPages: 8, SlotPages: 96})
 	eng3.Spawn("verify", func(env *sim.Env) {
@@ -521,14 +556,11 @@ func TestRecoverContinuesAppending(t *testing.T) {
 		}
 	})
 	eng3.Run()
-	// The continuing append copied the chain into backend pages
-	// (appendCopy) and must have released it: with every backend closed and
-	// the stored pages dropped, nothing stays in flight.
 	r.be.Close()
 	be2.Close()
 	be3.Close()
 	r.dev.FTL().Array().ReleaseStored()
-	if n := r.dev.FTL().Array().Pool().InFlight(); n != 0 {
+	if n := pool.InFlight(); n != 0 {
 		t.Fatalf("%d pooled segments in flight after teardown", n)
 	}
 }
@@ -795,11 +827,30 @@ func TestRecoverFromSpecificKind(t *testing.T) {
 	check(imdb.OnDemandSnapshot, odImg)
 }
 
-// chain copies raw framed bytes into the device's pool as a wal.Chain
-// (WALAppend consumes the references on success; on error they return to
-// the caller, which these tests simply drop — no quiescence assert here).
+// chain lays raw framed bytes out as the engine's wal.Buffer would for
+// r.be: past the fill of the backend's own tail segment, then in fresh pool
+// segments (WALAppend consumes the references on success; on error they
+// return to the caller, which these tests simply drop — no quiescence
+// assert here).
 func (r *rig) chain(data []byte) wal.Chain {
-	return wal.NewChain(r.dev.FTL().Array().Pool(), data)
+	be := r.be
+	ps := int(be.pageSize)
+	c := wal.Chain{Off: int(be.walBytes) % ps}
+	if c.Off > 0 {
+		be.walTailSeg.Retain()
+		c.Segs = []*bufpool.Segment{be.walTailSeg}
+		c.End = c.Off
+	}
+	for len(data) > 0 {
+		if len(c.Segs) == 0 || c.End == ps {
+			c.Segs = append(c.Segs, be.pool.Get())
+			c.End = 0
+		}
+		n := copy(c.Segs[len(c.Segs)-1].Bytes()[c.End:], data)
+		c.End += n
+		data = data[n:]
+	}
+	return c
 }
 
 // withPool points the engine's WAL buffer at the device's page pool, the

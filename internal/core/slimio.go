@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/slimio/slimio/internal/bufpool"
@@ -39,11 +40,11 @@ type Backend struct {
 	pool          *bufpool.Pool
 
 	// staged holds pooled segment references the backend owns mid-call: the
-	// chain WALAppend is consuming, and copy-path pages awaiting submission.
-	// Every wait point in the append path (inflight reap, ring submission)
-	// can freeze the calling process at a simulated power cut; references
-	// move off this list in the same straight-line step that hands them to
-	// the ring or a field, so Close releases exactly what a cut stranded.
+	// chain WALAppend is consuming. Every wait point in the append path
+	// (inflight reap, ring submission) can freeze the calling process at a
+	// simulated power cut; references move off this list in the same
+	// straight-line step that hands them to the ring or a field, so Close
+	// releases exactly what a cut stranded.
 	staged []*bufpool.Segment
 
 	// outstanding holds completion signals of in-flight async WAL writes;
@@ -180,13 +181,11 @@ func (b *Backend) walLPA(pageOff int64) int64 {
 // WALSync. Passthru writes are durable on completion — there is no page
 // cache to flush behind them.
 //
-// The chain's references transfer to the backend on success. The common case
-// is fully zero-copy: the engine's buffer chunks at the same page boundaries
-// as the open segment, so the chain's segments ARE the device pages and are
-// handed to the ring as-is. Only a misaligned stream (an append continuing a
-// recovered, partially-filled page) falls back to copying into
-// backend-owned segments. On error nothing is consumed and ownership stays
-// with the caller (see imdb.Backend).
+// The chain's references transfer to the backend on success, and the append
+// is zero-copy: the chain continues the open page (see imdb.Backend), so its
+// segments ARE the device pages and are handed to the ring as-is. A chain
+// that does not is refused. On error nothing is consumed and ownership stays
+// with the caller.
 func (b *Backend) WALAppend(env *sim.Env, data wal.Chain) error {
 	n := int64(data.Len())
 	if n == 0 {
@@ -196,6 +195,15 @@ func (b *Backend) WALAppend(env *sim.Env, data wal.Chain) error {
 	needed := b.sealedPages() + (b.walBytes+n+b.pageSize-1)/b.pageSize
 	if needed > b.lay.walPages {
 		return fmt.Errorf("core: WAL region full (%d pages)", b.lay.walPages)
+	}
+	// The first segment must be a device page holding the open page's bytes
+	// below Off: the backend's own tail segment or, first after a recovery,
+	// a segment whose bytes equal recovery's copy of the page, which
+	// appendAligned then drops for it.
+	first, fill := data.Segs[0], int(b.walBytes%b.pageSize)
+	if len(first.Bytes()) != int(b.pageSize) || data.Off != fill ||
+		fill > 0 && first != b.walTailSeg && !bytes.Equal(first.Bytes()[:fill], b.walTailSeg.Bytes()[:fill]) {
+		return fmt.Errorf("core: WAL chain at offset %d does not continue the open page (fill %d)", data.Off, fill)
 	}
 	tr := b.cfg.Trace
 	span := tr.Begin("core", "wal.append", tr.Scope(), env.Now())
@@ -221,31 +229,9 @@ func (b *Backend) WALAppend(env *sim.Env, data wal.Chain) error {
 		}
 	}
 
-	if b.aligned(data) {
-		b.appendAligned(env, span, data)
-	} else {
-		b.appendCopy(env, span, data)
-	}
+	b.appendAligned(env, span, data)
 	b.walBytes += n
 	return nil
-}
-
-// aligned reports whether the chain's segment boundaries line up with the
-// open segment's page boundaries: the chain starts exactly at the current
-// tail fill, inside the very segment holding the open page (or on a fresh
-// page boundary). True for every append except ones continuing a recovered
-// mid-page tail.
-func (b *Backend) aligned(c wal.Chain) bool {
-	// Segments sized differently from device pages (an engine buffer on a
-	// foreign pool) can never be adopted — route them through the copy path.
-	if len(c.Segs[0].Bytes()) != int(b.pageSize) {
-		return false
-	}
-	fill := int(b.walBytes % b.pageSize)
-	if c.Off != fill {
-		return false
-	}
-	return fill == 0 || b.walTailSeg == c.Segs[0]
 }
 
 // appendAligned adopts the chain's segments as device pages: full segments
@@ -270,12 +256,15 @@ func (b *Backend) appendAligned(env *sim.Env, span vtrace.SpanID, c wal.Chain) {
 		b.walTailSynced = 0
 	}
 	if newTail != nil {
-		if b.walTailSeg == nil {
-			b.walTailSeg = newTail // adopt the chain's reference
-		} else {
+		if newTail == b.walTailSeg {
 			// The chain fit inside the already-held open page: its tail
 			// reference duplicates the backend's.
 			newTail.Release()
+		} else {
+			if b.walTailSeg != nil {
+				b.walTailSeg.Release() // recovery's copy of the open page
+			}
+			b.walTailSeg = newTail // adopt the chain's reference
 		}
 		b.unstage(1)
 	}
@@ -289,43 +278,6 @@ func (b *Backend) unstage(n int) {
 		b.staged[i] = nil
 	}
 	b.staged = b.staged[:k]
-}
-
-// appendCopy is the misaligned fallback: chain bytes are copied into
-// backend-owned segments at page-boundary alignment, then released.
-func (b *Backend) appendCopy(env *sim.Env, span vtrace.SpanID, c wal.Chain) {
-	ps := int(b.pageSize)
-	fill := int(b.walBytes % b.pageSize)
-	var full []*bufpool.Segment
-	for i := range c.Segs {
-		src := c.Span(i)
-		for len(src) > 0 {
-			if b.walTailSeg == nil {
-				b.walTailSeg = b.pool.Get()
-				b.walTailSynced = 0
-			}
-			nb := copy(b.walTailSeg.Bytes()[fill:], src)
-			fill += nb
-			src = src[nb:]
-			if fill == ps {
-				// The sealed copy moves from the tail field to staging until
-				// submitFull hands it to the ring.
-				full = append(full, b.walTailSeg)
-				b.staged = append(b.staged, b.walTailSeg)
-				b.walTailSeg = nil
-				b.walTailSynced = 0
-				fill = 0
-			}
-		}
-	}
-	// The chain is fully copied out; drop its references (the front of the
-	// staging list) before the submission wait points below.
-	chainSegs := len(c.Segs)
-	c.Release()
-	b.unstage(chainSegs)
-	if len(full) > 0 {
-		b.submitFull(env, span, full)
-	}
 }
 
 // submitFull hands full-page segments to the WAL ring — one reference per
@@ -757,9 +709,10 @@ func (b *Backend) recover(env *sim.Env, want *imdb.SnapshotKind) (*imdb.Recovere
 		b.walTailSeg = nil
 	}
 	if rem := open.Prefix % b.pageSize; rem > 0 {
-		// The recovered mid-page tail lives in a backend-owned segment;
-		// appends continuing it take the copying fallback path, since the
-		// engine's fresh buffer chunks from a zero offset.
+		// Recovery keeps its own copy of the recovered mid-page tail: the
+		// first append after it must hold the same bytes below its offset
+		// (the engine's buffer restarts on a copy of them), and its segment
+		// then replaces this one.
 		b.walTailSeg = b.pool.Get()
 		copy(b.walTailSeg.Bytes(), pages[b.walFullPages][:rem])
 	}

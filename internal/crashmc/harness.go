@@ -204,7 +204,7 @@ func drive(env *sim.Env, m *imdb.Model, w Workload, pageSize int, cs *clientStat
 			}
 			// Drop the buffer's retained tail so the next append starts on a
 			// fresh segment, page-aligned with the new log head.
-			cs.buf.Cut()
+			cs.buf.Restart(nil)
 			rotations++
 			note("rotate.return")
 		}

@@ -93,10 +93,14 @@ type Backend interface {
 	Label() string
 
 	// WALAppend writes log bytes at the tail of the current log segment.
-	// Durability is only guaranteed after WALSync returns. The chain's
-	// segment references transfer to the backend (see wal.Chain), EXCEPT on
-	// error: a failed append leaves ownership with the caller so the bytes
-	// can be parked and retried when log space frees up.
+	// The chain continues the segment's last page: data.Off is that page's
+	// fill, and data.Segs[0] holds its bytes below Off. The engine's
+	// wal.Buffer keeps this so across rotations and after a recovery, and
+	// a backend may refuse any other chain. Durability is only guaranteed
+	// after WALSync returns. The chain's segment references transfer to the
+	// backend (see wal.Chain), EXCEPT on error: a failed append leaves
+	// ownership with the caller so the bytes can be parked and retried when
+	// log space frees up.
 	WALAppend(env *sim.Env, data wal.Chain) error
 	// WALSync makes all appended WAL bytes durable.
 	WALSync(env *sim.Env) error

@@ -768,7 +768,7 @@ func (e *Engine) maybeStartSnapshot(env *sim.Env, kind SnapshotKind) {
 				e.walRotated, e.walCovered = true, len(e.walPending)
 				// Start the post-fork records on a fresh segment so the
 				// buffer's page boundaries track the new log head.
-				e.walBuf.Cut()
+				e.walBuf.Restart(nil)
 			}
 		}
 	}
@@ -887,6 +887,13 @@ func (e *Engine) finishSnapshot(env *sim.Env, res *snapResult) {
 			e.walPending = e.walPending[e.walCovered:]
 		}
 	}
+	if res.err != nil && e.walCovered > 0 {
+		// The aborted snapshot covers nothing, so the records parked at its
+		// fork go to the segment it rotated to, ahead of those buffered
+		// since (nothing drains while they are parked).
+		e.walBuf.Requeue(e.walPending)
+		e.walPending = nil
+	}
 	e.notePeak()
 	e.walRotated, e.walCovered = false, 0
 	e.snapActive = false
@@ -942,7 +949,9 @@ func (e *Engine) LastRecovery() *Recovered { return e.lastRecovery }
 // before Recover returns — a snapshot entry whose key the log rewrites, a log
 // record superseded by a later one of its key — goes in as a transient view
 // of the image or the log, of the same length, so the spans, the slot order,
-// Bytes and the billing are those of copying everything.
+// Bytes and the billing are those of copying everything. The WAL buffer
+// then resumes inside a copy of the open segment's last, part-filled page
+// (wal.Buffer.Restart), so the first append after Start continues it.
 func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err error) {
 	rec, err := e.be.Recover(env)
 	if err != nil {
@@ -982,10 +991,18 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 		// What LastRecovery returns must not keep the image's device pages.
 		rec.Snapshot = nil
 	}
+	var scratch []byte
+	if len(rec.WAL) > 0 {
+		// The next append continues the open segment's last page, so the
+		// buffer resumes inside a copy of that page's recovered bytes.
+		open := &rec.WAL[len(rec.WAL)-1]
+		from := open.Prefix - open.Prefix%int64(e.cfg.Pool.SegSize())
+		scratch = open.AppendRange(scratch, from, int(open.Prefix-from))
+		e.walBuf.Restart(scratch)
+	}
 	// Replay the log segments in order; each truncates independently at a
 	// torn record. Corruption past the durable prefix is noted, not fatal:
 	// the prefix is exactly what the backend guaranteed durable.
-	var scratch []byte
 	n := int32(0) // the record's index across segments
 	for i := range rec.WAL {
 		seg := &rec.WAL[i]

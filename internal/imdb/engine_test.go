@@ -13,12 +13,14 @@ import (
 )
 
 // faulty is the model behind failure switches: a call switched to fail
-// takes the model's latency and fails without reaching it.
+// takes the model's latency and fails without reaching it. Like SlimIO, it
+// refuses a chain that does not continue the open segment's last page.
 type faulty struct {
 	*Model
 	failAppend, failSync, failRotate, failCommit bool
 	full                                         bool // fail appends until the next WALDiscardOld
 	begun                                        int  // BeginSnapshot calls
+	pageSize                                     int  // the engine's pool segment size
 }
 
 // errInjected is what faulty's switches return.
@@ -34,6 +36,9 @@ func (f *faulty) fail(env *sim.Env, on bool) bool {
 func (f *faulty) WALAppend(env *sim.Env, data wal.Chain) error {
 	if f.fail(env, f.failAppend || f.full) {
 		return errInjected // the chain stays with the engine
+	}
+	if fill := int(f.WALDurableSize()) % f.pageSize; !data.Empty() && data.Off != fill {
+		return fmt.Errorf("faulty: chain at offset %d does not continue the open page (fill %d)", data.Off, fill)
 	}
 	return f.Model.WALAppend(env, data)
 }
@@ -101,6 +106,7 @@ func newTestRig(cfg Config) *testRig {
 	eng := sim.NewEngine()
 	be := &faulty{Model: &Model{Latency: 50 * sim.Microsecond}}
 	db := New(eng, be, cfg, nil)
+	be.pageSize = db.cfg.Pool.SegSize()
 	db.Start()
 	return &testRig{eng: eng, be: be, db: db}
 }
@@ -728,6 +734,62 @@ func TestWALStallClearsAtNextWALSnapshot(t *testing.T) {
 	if st := r.db.Stats(); st.Snapshots[0].Kind != OnDemandSnapshot || st.Snapshots[1].Kind != WALSnapshot {
 		t.Fatalf("snapshots %+v: want the On-Demand-Snapshot, then a WAL-Snapshot", st.Snapshots)
 	}
+	db2 := New(r.eng, r.be, Config{}, nil)
+	r.eng.Spawn("recover", func(env *sim.Env) {
+		if _, _, err := db2.Recover(env); err != nil {
+			t.Error(err)
+		}
+	})
+	r.eng.Run()
+	if db2.Store().Len() != len(final) {
+		t.Fatalf("recovered %d keys, want %d", db2.Store().Len(), len(final))
+	}
+	for k, v := range final {
+		if got := db2.Store().Get(k); string(got) != v {
+			t.Fatalf("key %s = %q, want %q", k, got, v)
+		}
+	}
+}
+
+// Log bytes parked at a WAL-Snapshot's fork belong to the segment it rotated
+// away from. When that snapshot aborts it covers nothing, so they still go to
+// the log: re-buffered ahead of the post-fork records, so the chain that
+// carries them continues the new segment's first page, they are appended as
+// soon as the snapshot ends, and a recovery returns every SET.
+func TestAbortedWALSnapshotAppendsParkedLog(t *testing.T) {
+	r := newTestRig(Config{Policy: PeriodicalLog, WALSnapshotTrigger: 1 << 30})
+	final := map[string]string{}
+	set := func(env *sim.Env, i int) {
+		k, v := fmt.Sprintf("key%03d", i%150), fmt.Sprintf("%0100d", i)
+		if err := r.db.Set(env, k, []byte(v)); err != nil {
+			t.Error(err)
+		}
+		final[k] = v
+	}
+	r.eng.Spawn("client", func(env *sim.Env) {
+		for i := 0; i < 100; i++ {
+			set(env, i)
+		}
+		r.be.failAppend, r.be.failCommit = true, true
+		i := 100
+		for ; r.db.Stats().WALStalls == 0; i++ {
+			set(env, i)
+		}
+		r.be.failAppend = false
+		r.db.WaitNoSnapshot(env)
+		set(env, i) // served after the aborted snapshot's completion
+		if st := r.db.Stats(); st.SnapshotsAbort != 1 || len(st.Snapshots) != 0 {
+			t.Fatalf("stats %+v: want the stall's WAL-Snapshot aborted", st)
+		}
+		if n := r.db.WALPendingBytes(); n != 0 {
+			t.Errorf("%d bytes still parked after the WAL-Snapshot aborted", n)
+		}
+		r.be.failCommit = false
+		if err := r.db.Shutdown(env); err != nil {
+			t.Error(err)
+		}
+	})
+	r.eng.Run()
 	db2 := New(r.eng, r.be, Config{}, nil)
 	r.eng.Spawn("recover", func(env *sim.Env) {
 		if _, _, err := db2.Recover(env); err != nil {

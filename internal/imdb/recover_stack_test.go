@@ -3,6 +3,7 @@ package imdb_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"github.com/slimio/slimio/internal/core"
 	"github.com/slimio/slimio/internal/exp"
 	"github.com/slimio/slimio/internal/imdb"
+	"github.com/slimio/slimio/internal/kernelio"
 	"github.com/slimio/slimio/internal/sim"
 )
 
@@ -94,21 +96,23 @@ func lifeOn(tb testing.TB, kind exp.BackendKind, keys, ops, valueSize int, cut s
 }
 
 // reopen attaches a fresh backend on eng to the device st left behind, as a
-// restarted process would.
-func reopen(tb testing.TB, st *exp.Stack, eng *sim.Engine) (be imdb.Backend, closeBackend func()) {
+// restarted process would. A baseline backend runs on fs, a remount of
+// st.FS.
+func reopen(tb testing.TB, st *exp.Stack, eng *sim.Engine) (be imdb.Backend, fs *kernelio.Filesystem, closeBackend func()) {
 	tb.Helper()
 	if st.FS != nil {
-		nbe, err := baseline.Remount(st.FS.Remount(eng))
+		fs = st.FS.Remount(eng)
+		nbe, err := baseline.Remount(fs)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		return nbe, nbe.Close
+		return nbe, fs, nbe.Close
 	}
 	nbe, err := core.New(eng, st.Dev, core.Config{SlotPages: stackScale().SlotBytes / int64(st.Dev.PageSize())})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return nbe, nbe.Close
+	return nbe, nil, nbe.Close
 }
 
 // imageKeeper is a backend that keeps the runs of the snapshot image its
@@ -132,7 +136,7 @@ func (k *imageKeeper) Recover(env *sim.Env) (*imdb.Recovered, error) {
 func recoverFresh(tb testing.TB, st *exp.Stack) (db *imdb.Engine, entries, walRecords int64, took sim.Duration, image [][]byte) {
 	tb.Helper()
 	eng := sim.NewEngine()
-	be, closeBackend := reopen(tb, st, eng)
+	be, _, closeBackend := reopen(tb, st, eng)
 	keeper := &imageKeeper{Backend: be}
 	db = imdb.New(eng, keeper, imdb.Config{Pool: st.Pool()}, nil)
 	eng.Spawn("recover", func(env *sim.Env) {
@@ -306,6 +310,125 @@ func TestRecoveredStoreOutlivesItsRuns(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecoveredEngineContinuesTheLog: an engine recovered from a power cut
+// or a clean shutdown is started and logs more SETs and DELs under
+// Always-Log, WAL-Snapshots and their log rotations included, and then the
+// power goes again or it shuts down. Its first append continues the open
+// segment's recovered, part-filled page from the buffer Recover restarted.
+// The second recovery must give the first one's store with every
+// acknowledged op of the continued life applied (and the op a cut caught in
+// flight applied or not), no append of the continued life may have been
+// refused, and nothing may stay in flight once the stack is closed.
+func TestRecoveredEngineContinuesTheLog(t *testing.T) {
+	for _, kind := range stackKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			full, end := life(t, kind, lifeKeys, lifeOps, lifeValueSize, 0)
+			full.Close()
+			for _, first := range []sim.Time{0, end / 2} {
+				var cut sim.Time // the second cut, 2/3 into the continued life
+				for _, second := range []string{"shutdown", "cut"} {
+					st, _ := life(t, kind, lifeKeys, lifeOps, lifeValueSize, first)
+					want, inFlight, start, end2 := continueLife(t, st, 300, cut)
+					cut = start + (end2-start)*2/3
+					db, _, _, _, _ := recoverFresh(t, st)
+					got := storeMap(db.Store())
+					if !reflect.DeepEqual(got, want) && (inFlight == nil || !reflect.DeepEqual(got, inFlight)) {
+						t.Errorf("first cut %v, then %s: recovered %d keys, want the %d the continued life acknowledged",
+							first, second, len(got), len(want))
+					}
+					db.ReleaseBuffers()
+					st.Close()
+					if n := st.Pool().InFlight(); n != 0 {
+						t.Errorf("first cut %v, then %s: %d pooled segments leaked", first, second, n)
+					}
+				}
+			}
+		})
+	}
+}
+
+// continueLife recovers the device st left into a fresh engine, starts it and
+// runs ops SETs of varied sizes and DELs under Always-Log, with WAL-Snapshots
+// as the log grows, then shuts it down; with cut > 0 the power goes at that
+// instant instead. want is the recovered store with every acknowledged op
+// applied, inFlight (nil if none) want with the op the cut caught, frozen or
+// failed, applied too, and [start, end) the span of the ops.
+func continueLife(tb testing.TB, st *exp.Stack, ops int, cut sim.Time) (want, inFlight map[string]string, start, end sim.Time) {
+	tb.Helper()
+	eng := sim.NewEngine()
+	be, fs, closeBackend := reopen(tb, st, eng)
+	db := imdb.New(eng, be, imdb.Config{
+		Policy:             imdb.AlwaysLog,
+		WALSnapshotTrigger: int64(ops*lifeValueSize) / 4,
+		Pool:               st.Pool(),
+	}, nil)
+	eng.Spawn("continue", func(env *sim.Env) {
+		if _, _, err := db.Recover(env); err != nil {
+			tb.Errorf("recover: %v", err)
+			return
+		}
+		want = storeMap(db.Store())
+		start = env.Now()
+		db.Start()
+		for i := 0; i < ops; i++ {
+			key := fmt.Sprintf("key:%06d", (i*104729)%(lifeKeys+50))
+			inFlight = maps.Clone(want) // until acknowledged
+			var err error
+			if i%5 == 4 {
+				delete(inFlight, key)
+				err = db.Del(env, key)
+			} else {
+				v := bytes.Repeat([]byte{byte(i), 0xEE}, 50+(i*373)%1500)
+				inFlight[key] = string(v)
+				err = db.Set(env, key, v)
+			}
+			if err != nil {
+				if cut == 0 {
+					tb.Errorf("continued op %d: %v", i, err)
+				}
+				return
+			}
+			want, inFlight = inFlight, nil
+		}
+		db.WaitNoSnapshot(env)
+		if err := db.Shutdown(env); err != nil {
+			tb.Errorf("shutdown: %v", err)
+		}
+	})
+	if cut > 0 {
+		st.ArmPowerCut(cut)
+		eng.RunUntil(cut)
+		eng.Stop()
+		st.Dev.FTL().Array().SetFaultHook(nil)
+		end = cut
+	} else {
+		end = eng.Run()
+	}
+	eng.Shutdown()
+	if n := db.Stats().WALStalls; n != 0 {
+		tb.Errorf("the continued life stalled %d appends", n)
+	}
+	db.ReleaseBuffers()
+	closeBackend()
+	if fs != nil {
+		// The files the continued life wrote are the remount's.
+		st.FS.Close()
+		st.FS = fs
+	}
+	return want, inFlight, start, end
+}
+
+// storeMap copies a store's keys and values into a map.
+func storeMap(s *imdb.Store) map[string]string {
+	m := make(map[string]string, s.Len())
+	for i := 0; i < s.ListedLen(); i++ {
+		if k := s.KeyAt(i); s.Get(k) != nil {
+			m[k] = string(s.Get(k))
+		}
+	}
+	return m
 }
 
 // BenchmarkRecover is the engine-level recovery of one snapshot image plus

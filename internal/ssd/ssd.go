@@ -160,13 +160,24 @@ func (d *Device) Stats() fdp.BaseStats { return d.ftl.BaseStats() }
 // is durable. Page refs are borrowed: the caller still owns its references
 // when WritePages returns (retries re-submit the same ref).
 func (d *Device) WritePages(now sim.Time, lpa int64, pages []bufpool.Ref, pid uint32) (cmdDone sim.Time, err error) {
-	if len(pages) == 0 {
+	return d.writeCommand(now, "write", len(pages), func(i int) (int64, bufpool.Ref, uint32) {
+		return lpa + int64(i), pages[i], pid
+	})
+}
+
+// writeCommand is the one write-command loop: a span named name around n
+// page writes, page(i) naming the i-th page's LPA, data and PID. The pages
+// fan out to the FTL back to back from the command's start, and the command
+// completes when its last page is durable, or fails at the first page that
+// fails.
+func (d *Device) writeCommand(now sim.Time, name string, n int, page func(i int) (int64, bufpool.Ref, uint32)) (cmdDone sim.Time, err error) {
+	if n == 0 {
 		return now, nil
 	}
 	tr := d.cfg.Trace
 	parent := tr.Scope()
-	span := tr.Begin("ssd", "write", parent, now)
-	tr.SetArg(span, int64(len(pages)))
+	span := tr.Begin("ssd", name, parent, now)
+	tr.SetArg(span, int64(n))
 	tr.SetScope(span)
 	defer func() {
 		tr.End(span, cmdDone)
@@ -174,19 +185,15 @@ func (d *Device) WritePages(now sim.Time, lpa int64, pages []bufpool.Ref, pid ui
 	}()
 	start := now.Add(d.cfg.CommandOverhead)
 	end := start
-	for i, p := range pages {
-		if len(p.B) > d.PageSize() {
-			return now, fmt.Errorf("ssd: page %d is %d bytes, page size %d", i, len(p.B), d.PageSize())
+	for i := 0; i < n; i++ {
+		lpa, data, pid := page(i)
+		if len(data.B) > d.PageSize() {
+			return now, fmt.Errorf("ssd: page at LPA %d is %d bytes, page size %d", lpa, len(data.B), d.PageSize())
 		}
-		done, err := d.writePage(start, lpa+int64(i), p, pid)
+		done, err := d.writePage(start, lpa, data, pid)
+		end = max(end, done)
 		if err != nil {
-			if done > end {
-				end = done
-			}
 			return end, err
-		}
-		if done > end {
-			end = done
 		}
 	}
 	return end, nil
@@ -296,36 +303,9 @@ type PageWrite struct {
 // non-contiguous) pages, as produced by filesystem writeback batching. The
 // command completes when its last page is durable.
 func (d *Device) WriteScattered(now sim.Time, pages []PageWrite) (cmdDone sim.Time, err error) {
-	if len(pages) == 0 {
-		return now, nil
-	}
-	tr := d.cfg.Trace
-	parent := tr.Scope()
-	span := tr.Begin("ssd", "write.scattered", parent, now)
-	tr.SetArg(span, int64(len(pages)))
-	tr.SetScope(span)
-	defer func() {
-		tr.End(span, cmdDone)
-		tr.SetScope(parent)
-	}()
-	start := now.Add(d.cfg.CommandOverhead)
-	end := start
-	for _, p := range pages {
-		if len(p.Data.B) > d.PageSize() {
-			return now, fmt.Errorf("ssd: page at LPA %d is %d bytes, page size %d", p.LPA, len(p.Data.B), d.PageSize())
-		}
-		done, err := d.writePage(start, p.LPA, p.Data, p.PID)
-		if err != nil {
-			if done > end {
-				end = done
-			}
-			return end, err
-		}
-		if done > end {
-			end = done
-		}
-	}
-	return end, nil
+	return d.writeCommand(now, "write.scattered", len(pages), func(i int) (int64, bufpool.Ref, uint32) {
+		return pages[i].LPA, pages[i].Data, pages[i].PID
+	})
 }
 
 // InjectGCPressure puts the device under sustained internal garbage

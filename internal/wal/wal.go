@@ -175,6 +175,12 @@ func (s *Segment) AppendValue(dst []byte, i int) []byte {
 	return s.gather(dst, f.val, int(f.valLen))
 }
 
+// AppendRange appends the n bytes of the segment at byte offset off to dst
+// and returns the result.
+func (s *Segment) AppendRange(dst []byte, off int64, n int) []byte {
+	return s.gather(dst, s.advance(pos{}, int(off)), n)
+}
+
 // Record returns record i with its key and value as Key and Value return
 // them, a straddling one gathered into an allocation of its own.
 func (s *Segment) Record(i int) Record {
@@ -315,8 +321,13 @@ func zeroFrom(runs [][]byte, i, off int) bool {
 //     hands each reference down the submission path.
 //   - Only [Off, End) of the chain is the receiver's data: Off is the start
 //     offset in Segs[0], End the used length of the last segment. Bytes
-//     below Off were drained earlier (and may already sit on the device);
-//     bytes past End in the last segment still belong to the producer.
+//     below Off were drained earlier (and may already sit on the device) or,
+//     first after a recovery, are the Buffer's copy of the recovered
+//     part-filled page (see Buffer.Restart); bytes past End in the last
+//     segment still belong to the producer.
+//   - A Buffer's chains continue the log page by page: Segs[0] holds the
+//     log's open page, so Off is that page's fill and every segment
+//     boundary is a page boundary of the log.
 //   - Drained bytes are immutable. The producing Buffer keeps filling the
 //     shared tail segment strictly past End and never rewrites a byte below
 //     it, so a receiver (or the device) may hold segment references for as
@@ -364,9 +375,10 @@ func (c *Chain) Release() {
 }
 
 // NewChain copies raw, already-framed bytes into freshly pooled segments and
-// returns a chain owning one reference per segment. Helper for tests and
-// replay paths that start from a contiguous stream; the hot path encodes
-// directly into segments via Buffer instead.
+// returns a chain owning one reference per segment. Its chains start at byte
+// 0 of a fresh segment, so they continue a log only at a page boundary. A
+// test helper: no replay path uses it, and the engine encodes directly into
+// segments via Buffer instead.
 func NewChain(pool *bufpool.Pool, data []byte) Chain {
 	var c Chain
 	for len(data) > 0 {
@@ -388,15 +400,16 @@ func NewChain(pool *bufpool.Pool, data []byte) Chain {
 // transfers references instead of bytes: the same memory the event loop
 // encoded into is what the device programs (zero-copy data plane). After a
 // drain the buffer retains the partial tail segment and keeps filling it
-// past the drained range — see Chain for why that is safe.
+// past the drained range — see Chain for why that is safe. Its segments
+// start where the backend's log pages start: Restart keeps them so after a
+// rotation or a recovery, and Requeue for chains parked across a rotation.
 type Buffer struct {
 	pool     *bufpool.Pool
 	segs     []*bufpool.Segment // buffer-owned refs; segs[0] may be a shared tail
 	off      int                // un-drained start offset in segs[0]
 	end      int                // write position in the last segment
-	records  int
-	appended int64  // lifetime bytes appended, for WAL-snapshot triggering
-	kbuf     []byte // reused scratch for AppendString keys
+	appended int64              // lifetime bytes appended, for WAL-snapshot triggering
+	kbuf     []byte             // reused scratch for AppendString keys
 	hdr      [headerSize]byte
 }
 
@@ -433,7 +446,6 @@ func (b *Buffer) Append(op Op, key, value []byte) {
 	b.write(hdr[:])
 	b.write(key)
 	b.write(value)
-	b.records++
 	b.appended += int64(headerSize + len(key) + len(value))
 }
 
@@ -452,16 +464,13 @@ func (b *Buffer) Len() int {
 	return (len(b.segs)-1)*b.pool.SegSize() + b.end - b.off
 }
 
-// Records reports buffered record count.
-func (b *Buffer) Records() int { return b.records }
-
 // AppendedTotal reports lifetime bytes appended (drained or not).
 func (b *Buffer) AppendedTotal() int64 { return b.appended }
 
 // Drain hands the buffered bytes to the caller as a Chain (one reference per
-// segment transfers; see Chain's ownership contract) and resets the record
-// count. The buffer retains the partial tail segment — taking a reference of
-// its own — and continues encoding past the drained range.
+// segment transfers; see Chain's ownership contract). The buffer retains the
+// partial tail segment — taking a reference of its own — and continues
+// encoding past the drained range.
 func (b *Buffer) Drain() Chain {
 	if b.Len() == 0 {
 		return Chain{}
@@ -476,18 +485,50 @@ func (b *Buffer) Drain() Chain {
 		b.segs = nil
 		b.off, b.end = 0, 0
 	}
-	b.records = 0
 	return c
 }
 
-// Cut drops the retained tail segment so the next append starts on a fresh
-// one — called after a WAL rotation, keeping the buffer's segment boundaries
-// page-aligned with the backend's new log head. The buffer must be drained.
-func (b *Buffer) Cut() {
+// Restart drops the retained tail segment and starts the next append at
+// byte len(prefix) of a fresh segment that already holds prefix, so the
+// buffer's segment boundaries track the backend's page boundaries: after a
+// WAL rotation prefix is nil (the new log starts on a page boundary); after
+// a recovery it is the recovered open segment's bytes from its last page
+// boundary on, and the next drain continues that part-filled page. The
+// buffer must be drained, and prefix must be shorter than a segment.
+func (b *Buffer) Restart(prefix []byte) {
 	if b.Len() != 0 {
-		panic("wal: Cut on a buffer with un-drained bytes")
+		panic("wal: Restart on a buffer with un-drained bytes")
+	}
+	if len(prefix) >= b.pool.SegSize() {
+		panic("wal: Restart prefix fills a whole segment")
 	}
 	b.Close()
+	if len(prefix) > 0 {
+		s := b.pool.Get()
+		b.segs = []*bufpool.Segment{s}
+		b.off = copy(s.Bytes(), prefix)
+		b.end = b.off
+	}
+}
+
+// Requeue puts the payload of chains, drained from the buffer earlier and
+// never appended, back ahead of the bytes buffered since, copying it all
+// onto fresh segments that start a new log segment as Restart(nil) does,
+// and releases the chains: after a rotation, records parked against the
+// old segment's pages continue the new segment's first page.
+func (b *Buffer) Requeue(chains []Chain) {
+	copyIn := func(c Chain) {
+		for i := range c.Segs {
+			b.write(c.Span(i))
+		}
+		c.Release()
+	}
+	rest := b.Drain()
+	b.Restart(nil)
+	for _, c := range chains {
+		copyIn(c)
+	}
+	copyIn(rest)
 }
 
 // Close releases every segment the buffer still holds (including un-drained
@@ -498,7 +539,6 @@ func (b *Buffer) Close() {
 	}
 	b.segs = nil
 	b.off, b.end = 0, 0
-	b.records = 0
 }
 
 // Reset discards buffered data and the lifetime counter (used when a

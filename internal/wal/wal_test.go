@@ -108,15 +108,15 @@ func TestBuffer(t *testing.T) {
 	b := NewBuffer(pool)
 	b.Append(OpSet, []byte("a"), []byte("1"))
 	b.Append(OpSet, []byte("b"), []byte("2"))
-	if b.Records() != 2 || b.Len() == 0 {
-		t.Fatalf("records=%d len=%d", b.Records(), b.Len())
+	if b.Len() == 0 {
+		t.Fatal("two appends buffered nothing")
 	}
 	total := b.AppendedTotal()
 	if total != int64(b.Len()) {
 		t.Fatalf("appended %d != len %d", total, b.Len())
 	}
 	data := b.Drain()
-	if b.Len() != 0 || b.Records() != 0 {
+	if b.Len() != 0 {
 		t.Fatal("drain did not clear")
 	}
 	if b.AppendedTotal() != total {
@@ -134,6 +134,56 @@ func TestBuffer(t *testing.T) {
 	b.Reset()
 	if b.AppendedTotal() != 0 || b.Len() != 0 {
 		t.Fatal("reset must clear everything")
+	}
+	b.Close()
+	if n := pool.InFlight(); n != 0 {
+		t.Fatalf("%d segments still in flight after close", n)
+	}
+}
+
+// Restart resumes the log inside a part-filled page: the next drain's first
+// segment holds the prefix below Off, and AppendRange reads that prefix back
+// out of a segment decoded from page-sized runs.
+func TestBufferRestartContinuesPage(t *testing.T) {
+	pool := bufpool.New(64)
+	var log []byte
+	for i := 0; i < 5; i++ {
+		log = AppendRecord(log, OpSet, []byte{'k', byte('0' + i)}, bytes.Repeat([]byte{byte(i)}, 11))
+	}
+	var runs [][]byte
+	for rest := log; len(rest) > 0; rest = rest[min(len(rest), 64):] {
+		runs = append(runs, rest[:min(len(rest), 64)])
+	}
+	seg := DecodeSegment(runs)
+	from := seg.Prefix - seg.Prefix%64
+	prefix := seg.AppendRange(nil, from, int(seg.Prefix-from))
+	if !bytes.Equal(prefix, log[from:]) {
+		t.Fatalf("AppendRange = %q, want %q", prefix, log[from:])
+	}
+
+	b := NewBuffer(pool)
+	b.Restart(prefix)
+	if b.Len() != 0 {
+		t.Fatalf("restarted buffer holds %d un-drained bytes", b.Len())
+	}
+	b.Append(OpDel, []byte("k9"), nil)
+	c := b.Drain()
+	if c.Off != len(prefix) || !bytes.Equal(c.Segs[0].Bytes()[:c.Off], prefix) {
+		t.Fatalf("chain starts at %d over %q, want %d over %q", c.Off, c.Segs[0].Bytes()[:c.Off], len(prefix), prefix)
+	}
+	if got := DecodeSegment([][]byte{append(log[:from:from], flattenFrom(c)...)}); got.Count() != 6 || got.Corrupt {
+		t.Fatalf("continued page decodes %d records (corrupt %v), want 6", got.Count(), got.Corrupt)
+	}
+	c.Release()
+	b.Restart(nil)
+	if b.Len() != 0 {
+		t.Fatal("Restart(nil) kept bytes")
+	}
+	b.Append(OpDel, []byte("k9"), nil)
+	if c := b.Drain(); c.Off != 0 {
+		t.Fatalf("append after Restart(nil) starts at %d, want 0", c.Off)
+	} else {
+		c.Release()
 	}
 	b.Close()
 	if n := pool.InFlight(); n != 0 {
@@ -261,4 +311,11 @@ func flatten(c Chain) []byte {
 		b = append(b, c.Span(i)...)
 	}
 	return b
+}
+
+// flattenFrom copies the chain's first segment from byte 0 and the rest of
+// its payload into one contiguous buffer.
+func flattenFrom(c Chain) []byte {
+	b := append([]byte(nil), c.Segs[0].Bytes()[:c.Off]...)
+	return append(b, flatten(c)...)
 }

@@ -6,8 +6,10 @@
 #
 # With patch names as arguments (./mutants/run.sh 30-abort-publishes-partial-image
 # ...; a trailing .patch is optional) it runs the unmodified row and those
-# patches only, and prints their rows to stdout instead of rewriting
-# TABLE.md.
+# patches only, and splices their rows into TABLE.md, keeping the other
+# patches' rows as they are. Either way TABLE.md ends up with one row and one
+# note per patch in mutants/: a row whose patch is gone is dropped, and a
+# patch with no row, run now or before, is an error.
 #
 # The nets are go test, go test -race -short and each determinism-contract
 # pass (one column per TestDeterminismContract subtest, read off one run of
@@ -126,8 +128,7 @@ for pass in $passes; do
 done
 
 status=0
-rows=""
-notes=""
+declare -A rows
 for patch in none "${patches[@]}"; do
 	if [ "$patch" = none ]; then
 		name="(none)"
@@ -146,29 +147,42 @@ for patch in none "${patches[@]}"; do
 		row="$row $c |"
 		[ "$c" = "-" ] || caught=$((caught + 1))
 	done < <(run_nets "$name")
-	rows="$rows$row"$'\n'
+	rows[$name]=$row
 	if [ "$patch" = none ]; then
 		[ "$caught" -eq 0 ] || { echo "mutants: the unmodified tree fails a net" >&2; status=1; }
 		grep -q '^ok' "$logs/$name.vet" || { echo "mutants: the unmodified tree fails TestDeterminismContract" >&2; status=1; }
 	else
 		[ "$caught" -gt 0 ] || { echo "mutants: $name survives every net" >&2; status=1; }
-		notes="$notes- \`$name\`: $(sed '/^$/q' "$patch" | tr '\n' ' ' | sed 's/ *$//')"$'\n'
 	fi
 done
+rm -rf "$tree"
 
+table="$root/mutants/TABLE.md"
 if [ $# -gt 0 ]; then
-	echo "$header"
-	echo "$rule"
-	printf '%s' "$rows"
-	rm -rf "$tree"
-	echo "mutants: logs in $logs" >&2
-	exit $status
+	# Keep the rows of the patches not run now, under the same columns.
+	grep -qxF "$header" "$table" ||
+		{ echo "mutants: TABLE.md's columns are not the nets' now; run the full matrix" >&2; exit 1; }
+	while IFS= read -r line; do
+		name=${line#| }
+		name=${name%% |*}
+		[ -n "${rows[$name]+set}" ] || rows[$name]=$line
+	done < <(grep '^| [0-9]' "$table")
 fi
+body="${rows["(none)"]}"$'\n'
+notes=""
+for patch in "$root"/mutants/*.patch; do
+	name=$(basename "$patch" .patch)
+	[ -n "${rows[$name]+set}" ] ||
+		{ echo "mutants: no row for $name; run ./mutants/run.sh $name" >&2; exit 1; }
+	body="$body${rows[$name]}"$'\n'
+	notes="$notes- \`$name\`: $(sed '/^$/q' "$patch" | tr '\n' ' ' | sed 's/ *$//')"$'\n'
+done
 
 {
 	echo "# Mutation matrix"
 	echo
-	echo "Written by \`make mutants\` (mutants/run.sh); do not edit by hand."
+	echo "Written by mutants/run.sh (\`make mutants\` reruns every row,"
+	echo "\`./mutants/run.sh NAME...\` the named ones); do not edit by hand."
 	echo "Each row is one patch in mutants/ applied to a copy of the tree; each"
 	echo "column is a blocking CI net. A cell names what failed; \"-\" means the"
 	echo "net passed. The first row is the unmodified tree. The pass columns are"
@@ -177,10 +191,9 @@ fi
 	echo
 	echo "$header"
 	echo "$rule"
-	printf '%s' "$rows"
+	printf '%s' "$body"
 	echo
 	printf '%s' "$notes"
-} >"$root/mutants/TABLE.md"
-rm -rf "$tree"
+} >"$table"
 echo "mutants: wrote mutants/TABLE.md (logs in $logs)" >&2
 exit $status
