@@ -328,6 +328,9 @@ func zeroFrom(runs [][]byte, i, off int) bool {
 //   - A Buffer's chains continue the log page by page: Segs[0] holds the
 //     log's open page, so Off is that page's fill and every segment
 //     boundary is a page boundary of the log.
+//   - The receiver owns the references, not the Segs list: it must not keep
+//     the list past the call that handed it the chain, since the producer
+//     may build its next chain in the same array (Buffer.DrainTo).
 //   - Drained bytes are immutable. The producing Buffer keeps filling the
 //     shared tail segment strictly past End and never rewrites a byte below
 //     it, so a receiver (or the device) may hold segment references for as
@@ -400,17 +403,20 @@ func NewChain(pool *bufpool.Pool, data []byte) Chain {
 // transfers references instead of bytes: the same memory the event loop
 // encoded into is what the device programs (zero-copy data plane). After a
 // drain the buffer retains the partial tail segment and keeps filling it
-// past the drained range — see Chain for why that is safe. Its segments
-// start where the backend's log pages start: Restart keeps them so after a
-// rotation or a recovery, and Requeue for chains parked across a rotation.
+// past the drained range — see Chain for why that is safe.
+//
+// The buffer is the one queue of log bytes a backend has not accepted: a
+// chain the backend refuses goes back to its head (Undrain) and is drained
+// again with whatever was appended since. Its segments start where the
+// backend's log pages start: Restart keeps them so after a rotation or a
+// recovery, and Relay for bytes that waited across a rotation.
 type Buffer struct {
-	pool     *bufpool.Pool
-	segs     []*bufpool.Segment // buffer-owned refs; segs[0] may be a shared tail
-	off      int                // un-drained start offset in segs[0]
-	end      int                // write position in the last segment
-	appended int64              // lifetime bytes appended, for WAL-snapshot triggering
-	kbuf     []byte             // reused scratch for AppendString keys
-	hdr      [headerSize]byte
+	pool *bufpool.Pool
+	segs []*bufpool.Segment // buffer-owned refs; segs[0] may be a shared tail
+	off  int                // un-drained start offset in segs[0]
+	end  int                // write position in the last segment
+	kbuf []byte             // reused scratch for AppendString keys
+	hdr  [headerSize]byte
 }
 
 // NewBuffer returns a buffer encoding into pool's segments.
@@ -446,7 +452,6 @@ func (b *Buffer) Append(op Op, key, value []byte) {
 	b.write(hdr[:])
 	b.write(key)
 	b.write(value)
-	b.appended += int64(headerSize + len(key) + len(value))
 }
 
 // AppendString is Append with a string key, encoded through a reused scratch
@@ -464,28 +469,50 @@ func (b *Buffer) Len() int {
 	return (len(b.segs)-1)*b.pool.SegSize() + b.end - b.off
 }
 
-// AppendedTotal reports lifetime bytes appended (drained or not).
-func (b *Buffer) AppendedTotal() int64 { return b.appended }
-
 // Drain hands the buffered bytes to the caller as a Chain (one reference per
 // segment transfers; see Chain's ownership contract). The buffer retains the
 // partial tail segment — taking a reference of its own — and continues
-// encoding past the drained range.
-func (b *Buffer) Drain() Chain {
+// encoding past the drained range. The chain's segment list is new, so a
+// caller may keep any number of chains in flight.
+func (b *Buffer) Drain() Chain { return b.DrainTo(nil) }
+
+// DrainTo is Drain with the chain's segment list built in dst's backing
+// array, which the caller owns and may reuse once the chain is passed on:
+// the buffer never keeps a list it hands out.
+func (b *Buffer) DrainTo(dst []*bufpool.Segment) Chain {
 	if b.Len() == 0 {
 		return Chain{}
 	}
-	c := Chain{Segs: b.segs, Off: b.off, End: b.end}
+	c := Chain{Segs: append(dst[:0], b.segs...), Off: b.off, End: b.end}
 	last := b.segs[len(b.segs)-1]
+	clear(b.segs)
+	b.segs = b.segs[:0]
 	if b.end < b.pool.SegSize() {
 		last.Retain()
-		b.segs = []*bufpool.Segment{last}
+		b.segs = append(b.segs, last)
 		b.off = b.end
 	} else {
-		b.segs = nil
 		b.off, b.end = 0, 0
 	}
 	return c
+}
+
+// Undrain puts c, the chain the last drain returned, back at the buffer's
+// head with every reference it holds, as if that drain had not happened: the
+// backend refused it, and the next drain offers its bytes again, ahead of
+// anything appended since. Nothing may be appended between the two.
+func (b *Buffer) Undrain(c Chain) {
+	if c.Empty() {
+		return
+	}
+	if b.Len() != 0 {
+		panic("wal: Undrain after an append")
+	}
+	if len(b.segs) > 0 {
+		b.segs[0].Release() // the drain's retained tail: c holds it too
+	}
+	b.segs = append(b.segs[:0], c.Segs...)
+	b.off, b.end = c.Off, c.End
 }
 
 // Restart drops the retained tail segment and starts the next append at
@@ -511,24 +538,20 @@ func (b *Buffer) Restart(prefix []byte) {
 	}
 }
 
-// Requeue puts the payload of chains, drained from the buffer earlier and
-// never appended, back ahead of the bytes buffered since, copying it all
-// onto fresh segments that start a new log segment as Restart(nil) does,
-// and releases the chains: after a rotation, records parked against the
-// old segment's pages continue the new segment's first page.
-func (b *Buffer) Requeue(chains []Chain) {
-	copyIn := func(c Chain) {
-		for i := range c.Segs {
-			b.write(c.Span(i))
-		}
-		c.Release()
-	}
-	rest := b.Drain()
+// Relay drops the first skip buffered bytes and copies the rest onto fresh
+// segments from byte 0, as Restart(nil) starts them: bytes that waited,
+// undrained, across a rotation were laid out against the old log segment's
+// pages, and now continue the new segment's first page.
+func (b *Buffer) Relay(skip int) {
+	old := b.Drain()
 	b.Restart(nil)
-	for _, c := range chains {
-		copyIn(c)
+	for i := range old.Segs {
+		span := old.Span(i)
+		n := min(skip, len(span))
+		skip -= n
+		b.write(span[n:])
 	}
-	copyIn(rest)
+	old.Release()
 }
 
 // Close releases every segment the buffer still holds (including un-drained
@@ -537,13 +560,7 @@ func (b *Buffer) Close() {
 	for _, s := range b.segs {
 		s.Release()
 	}
-	b.segs = nil
+	clear(b.segs)
+	b.segs = b.segs[:0]
 	b.off, b.end = 0, 0
-}
-
-// Reset discards buffered data and the lifetime counter (used when a
-// WAL-snapshot supersedes the log).
-func (b *Buffer) Reset() {
-	b.Close()
-	b.appended = 0
 }
