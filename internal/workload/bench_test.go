@@ -83,17 +83,17 @@ func closedLoopAllocs(policy imdb.LogPolicy, readRatio float64) float64 {
 // on the model backend, for SET and GET under both policies: a client
 // reuses one Request and its Reply, the engine fires the Response inside the
 // Request and reuses its batch, and the WAL buffer frames a record without a
-// digest object, so a GET allocates nothing. A SET's share is its drain's:
-// the buffer hands its segment list to the backend and starts another, and
-// the model copies the appended bytes, once per event-loop batch of 8.
+// digest object, so a GET allocates nothing. A SET's share is the model's
+// copy of the appended bytes, once per event-loop batch of 8: the engine
+// drains the buffer into a segment list it reuses.
 func TestClosedLoopAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		policy    imdb.LogPolicy
 		readRatio float64
 		budget    float64
 	}{
-		{imdb.PeriodicalLog, 0, 0.39},
-		{imdb.AlwaysLog, 0, 0.39},
+		{imdb.PeriodicalLog, 0, 0.20},
+		{imdb.AlwaysLog, 0, 0.20},
 		{imdb.PeriodicalLog, 1, 0},
 		{imdb.AlwaysLog, 1, 0},
 	} {
