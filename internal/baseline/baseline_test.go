@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -78,6 +79,28 @@ func TestWALAppendSyncRecover(t *testing.T) {
 		if rec.HaveSnapshot {
 			t.Error("phantom snapshot")
 		}
+	})
+}
+
+// A WAL append that finds the filesystem full reports a full log
+// (imdb.ErrLogFull, wrapping ENOSPC) and leaves the chain with its caller.
+func TestWALAppendENOSPCIsLogFull(t *testing.T) {
+	r := newRig(t, kernelio.F2FS())
+	r.run(t, func(env *sim.Env) {
+		chunk := bytes.Repeat([]byte("x"), 64<<10)
+		for i := 0; i < 1000; i++ {
+			c := r.chain(chunk)
+			err := r.be.WALAppend(env, c)
+			if err == nil {
+				continue
+			}
+			if !errors.Is(err, imdb.ErrLogFull) || !errors.Is(err, kernelio.ErrNoSpace) {
+				t.Errorf("append on a full filesystem = %v, want ErrLogFull wrapping ENOSPC", err)
+			}
+			c.Release()
+			return
+		}
+		t.Error("the filesystem never filled")
 	})
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -255,8 +256,8 @@ func TestWALRegionFullErrors(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(env *sim.Env) {
 		huge := bytes.Repeat([]byte("x"), int(r.be.lay.walPages+1)*testPageSize)
-		if err := r.be.WALAppend(env, r.chain(huge)); err == nil {
-			t.Error("overfull WAL accepted")
+		if err := r.be.WALAppend(env, r.chain(huge)); !errors.Is(err, imdb.ErrLogFull) {
+			t.Errorf("overfull WAL append = %v, want ErrLogFull", err)
 		}
 	})
 }
@@ -514,8 +515,8 @@ func TestRecoverContinuesAppending(t *testing.T) {
 		} {
 			held := pool.InFlight()
 			c := tc.chain()
-			if err := be2.WALAppend(env, c); err == nil {
-				t.Errorf("%s: an append that does not continue the open page was accepted", tc.name)
+			if err := be2.WALAppend(env, c); err == nil || errors.Is(err, imdb.ErrLogFull) {
+				t.Errorf("%s: an append that does not continue the open page returned %v, want a refusal that is no full log", tc.name, err)
 				continue
 			}
 			c.Release()

@@ -2,6 +2,7 @@ package kernelio
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -541,13 +542,13 @@ func TestENOSPC(t *testing.T) {
 		chunk := bytes.Repeat([]byte("f"), 512)
 		for i := 0; i < 10000; i++ {
 			if err := f.Append(env, chunk); err != nil {
-				sawErr = true
+				sawErr = errors.Is(err, ErrNoSpace)
 				return
 			}
 		}
 	})
 	eng.Run()
 	if !sawErr {
-		t.Fatal("filesystem never reported ENOSPC")
+		t.Fatal("filesystem never reported ErrNoSpace")
 	}
 }
