@@ -44,6 +44,7 @@ const (
 	// OpDel deletes a key.
 	OpDel
 	opTick     // internal: flush timer
+	opSync     // internal: a snapshot child needs the log durable
 	opSnapshot // internal: trigger a snapshot
 	opSnapDone // internal: snapshot child finished
 	opStop     // internal: drain and shut down
@@ -233,8 +234,12 @@ type Engine struct {
 	// clears it; Shutdown returns it if it is still set.
 	walErr error
 
-	snapActive   bool
-	snapKind     SnapshotKind
+	snapActive bool
+	snapKind   SnapshotKind
+	// forkImage is the keyspace table as it stood at the running snapshot's
+	// fork. Values are immutable references, so this copy is the image the
+	// child batches; it clears it when it reports.
+	forkImage    []entry
 	snapStart    sim.Time
 	snapRetryAt  sim.Time      // no automatic WAL-Snapshot before this
 	dictLock     *sim.Resource // serializes COW copies with snapshot iteration
@@ -491,13 +496,19 @@ func (e *Engine) mainLoop(env *sim.Env) {
 					e.endOp(env, r, false)
 					reply(r, Response{})
 				}
-			case opTick:
-				// Periodical-Log timer: make everything appended so far
-				// durable. A failed append is retried on the next tick.
-				if err := e.appendWAL(env, 0); err != nil {
+			case opTick, opSync:
+				// Make everything logged so far durable, for the
+				// Periodical-Log timer or a snapshot child (which waits for
+				// the reply). A failed append is retried on the next tick.
+				if e.cfg.Policy == AlwaysLog {
+					reply(r, Response{Err: e.flushWAL(env)})
+				} else if err := e.appendWAL(env, 0); err != nil {
 					e.walErr = err
+					if r.Op == opSync {
+						reply(r, Response{Err: err})
+					}
 				} else {
-					e.syncInBackground(env)
+					e.syncInBackground(env, r)
 				}
 			case opSnapshot:
 				e.maybeStartSnapshot(env, r.kind)
@@ -568,8 +579,8 @@ func (e *Engine) mainLoop(env *sim.Env) {
 // only blocks when the previous sync is still lagging. A failed sync sets
 // walErr; a successful one clears a failure recorded before it began. The
 // caller appends any bytes a failed append refused first, so the sync
-// covers them.
-func (e *Engine) syncInBackground(env *sim.Env) {
+// covers them. An opSync request r gets the sync's outcome as its reply.
+func (e *Engine) syncInBackground(env *sim.Env, r *Request) {
 	for e.syncing {
 		e.syncDone.Wait(env)
 	}
@@ -592,6 +603,9 @@ func (e *Engine) syncInBackground(env *sim.Env) {
 		}
 		e.syncing = false
 		e.syncDone.Notify()
+		if r.Op == opSync {
+			reply(r, Response{Err: err})
+		}
 	})
 }
 
@@ -654,18 +668,18 @@ func (e *Engine) countOp(env *sim.Env) {
 
 // appendWAL drains the user-level buffer into the backend without forcing
 // durability. A refused chain goes back to the buffer's head. If the backend
-// is out of log space (ErrLogFull) while a snapshot is in flight (which will
-// free the old WAL on completion), or a WAL-Snapshot can be forked to free
-// it, the bytes are parked until a snapshot completes: the engine keeps
-// serving but writes lose durability until the stall clears, as §5.4
-// observes for direct-write designs under device pressure. Otherwise the
-// error is returned, and the next append offers the bytes again.
+// is out of log space (ErrLogFull) while a WAL-Snapshot can free it (one is
+// running, or the trigger can fork one), the bytes are parked until a
+// snapshot completes: the engine keeps serving but writes lose durability
+// until the stall clears, as §5.4 observes for direct-write designs under
+// device pressure. Otherwise the error is returned, and the next append
+// offers the bytes again.
 func (e *Engine) appendWAL(env *sim.Env, parent vtrace.SpanID) error {
 	if e.walStalled || e.walBuf.Len() == 0 {
 		return nil
 	}
 	err := e.appendBuffered(env, parent)
-	if errors.Is(err, ErrLogFull) && (e.snapActive || e.cfg.WALSnapshotTrigger > 0) {
+	if errors.Is(err, ErrLogFull) && (e.snapActive && e.snapKind == WALSnapshot || e.cfg.WALSnapshotTrigger > 0) {
 		// Park, then force the log-compacting snapshot, whose fork covers
 		// the parked bytes.
 		e.walStalled = true
@@ -760,21 +774,23 @@ func (e *Engine) maybeStartSnapshot(env *sim.Env, kind SnapshotKind) {
 			}
 		}
 	}
-	keysAtFork := e.store.ListedLen()
+	e.forkImage = append(e.forkImage[:0], e.store.entries...)
 	e.snapProcs++
 	env.Spawn(fmt.Sprintf("snapshot-%s-%d", kind, e.snapProcs), func(child *sim.Env) {
-		e.runSnapshot(child, kind, keysAtFork)
+		e.runSnapshot(child, kind)
 	})
 }
 
-// runSnapshot is the snapshot child process: iterate the keyspace under
-// short dict-lock holds, serialize and compress chunks, and stream them into
-// the backend sink. Completion is reported back to the event loop through
-// the request queue so that WAL swapping happens in main-loop context.
-func (e *Engine) runSnapshot(env *sim.Env, kind SnapshotKind, keysAtFork int) {
+// runSnapshot is the snapshot child process: iterate the table copied at the
+// fork under short dict-lock holds, serialize and compress chunks, and stream
+// them into the backend sink. Completion is reported back to the event loop
+// through the request queue so that WAL swapping happens in main-loop context.
+func (e *Engine) runSnapshot(env *sim.Env, kind SnapshotKind) {
 	tr := e.cfg.Trace
 	snapSpan := tr.Begin("snapshot", kind.String(), 0, env.Now())
 	report := func(w *snapshot.Writer, err error) {
+		clear(e.forkImage) // drop the image's value references
+		e.forkImage = e.forkImage[:0]
 		tr.End(snapSpan, env.Now())
 		e.reqQ.Push(&Request{Op: opSnapDone, snapResult: &snapResult{
 			kind: kind, writer: w, err: err, ended: env.Now(), proc: env.Proc(),
@@ -802,12 +818,12 @@ func (e *Engine) runSnapshot(env *sim.Env, kind SnapshotKind, keysAtFork int) {
 		return
 	}
 	batch := make([]entry, 0, cost.SnapshotBatchKeys)
-	for i := 0; i < keysAtFork && werr == nil; i += cost.SnapshotBatchKeys {
+	for i := 0; i < len(e.forkImage) && werr == nil; i += cost.SnapshotBatchKeys {
 		// Only the dict walk holds the lock (the COW-contended resource);
 		// serialization, compression and I/O run outside it, as they do in
 		// a real forked child.
 		e.dictLock.Acquire(env)
-		batch = e.store.appendValued(batch[:0], i, min(i+cost.SnapshotBatchKeys, keysAtFork))
+		batch = appendValued(batch[:0], e.forkImage[i:min(i+cost.SnapshotBatchKeys, len(e.forkImage))])
 		e.dictLock.Release()
 		var batchBytes int64
 		for _, ent := range batch {
@@ -826,6 +842,14 @@ func (e *Engine) runSnapshot(env *sim.Env, kind SnapshotKind, keysAtFork int) {
 	if werr != nil {
 		_ = sink.Abort(env)
 		report(nil, werr)
+		return
+	}
+	// Recovery replays the log on top of the image, so the log through the
+	// fork must be durable before the image is: replaying only a durable
+	// prefix of it would roll back keys the image holds later values of.
+	if err := e.call(env, &Request{Op: opSync}).Err; err != nil {
+		_ = sink.Abort(env)
+		report(nil, err)
 		return
 	}
 	tr.SetScope(snapSpan)
@@ -847,9 +871,29 @@ func (e *Engine) finishSnapshot(env *sim.Env, res *snapResult) {
 	}
 	if res.err != nil {
 		e.stats.SnapshotsAbort++
-	} else {
+	} else if e.walForkAt >= 0 {
+		// The snapshot covers everything up to the fork, so the sealed
+		// pre-fork segment is obsolete; the current segment (post-fork
+		// records) simply continues. No replay is needed.
+		_ = e.be.WALDiscardOld(env)
+	}
+	if e.walForkAt > 0 {
+		// Records held at the fork: a commit covers them, an abort covers
+		// nothing and they still go to the log. Either way what is left
+		// goes to the segment the fork rotated to, which nothing has filled
+		// (nothing drains during a stall).
+		skip := 0
+		if res.err == nil {
+			skip = e.walForkAt
+		}
+		e.walBuf.Relay(skip)
+		e.walRefused, e.walStalled = 0, false
+	}
+	if res.err == nil {
+		// Listed only once its log completion has run: the discard yields,
+		// and a client that sees the snapshot must see the log it freed.
 		w := res.writer
-		ev := SnapshotEvent{
+		e.stats.Snapshots = append(e.stats.Snapshots, SnapshotEvent{
 			Kind:            res.kind,
 			Start:           e.snapStart,
 			End:             res.ended,
@@ -864,26 +908,7 @@ func (e *Engine) finishSnapshot(env *sim.Env, res *snapResult) {
 			BusyCopy:        res.proc.BusyTime("copy"),
 			BusyFS:          res.proc.BusyTime("fs"),
 			BusyRing:        res.proc.BusyTime("ring") + res.proc.BusyTime("dispatch"),
-		}
-		e.stats.Snapshots = append(e.stats.Snapshots, ev)
-		if e.walForkAt >= 0 {
-			// The snapshot covers everything up to the fork, so the sealed
-			// pre-fork segment is obsolete; the current segment (post-fork
-			// records) simply continues. No replay is needed.
-			_ = e.be.WALDiscardOld(env)
-		}
-	}
-	if e.walForkAt > 0 {
-		// Records held at the fork: a commit covers them, an abort covers
-		// nothing and they still go to the log. Either way what is left
-		// goes to the segment the fork rotated to, which nothing has filled
-		// (nothing drains during a stall).
-		skip := 0
-		if res.err == nil {
-			skip = e.walForkAt
-		}
-		e.walBuf.Relay(skip)
-		e.walRefused, e.walStalled = 0, false
+		})
 	}
 	e.notePeak()
 	e.walForkAt = -1

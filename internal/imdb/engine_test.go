@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/slimio/slimio/internal/sim"
+	"github.com/slimio/slimio/internal/snapshot"
 	"github.com/slimio/slimio/internal/wal"
 )
 
@@ -228,6 +230,69 @@ func TestOnDemandSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, rec := durable(r.be.Model); !rec.HaveSnapshot || rec.Kind != OnDemandSnapshot {
 		t.Fatal("backend has no on-demand snapshot")
+	}
+}
+
+// A snapshot's image is the store at its fork, as fork(2) gives Redis: 100
+// keys of 4 KiB, a snapshot slow enough that the client overwrites every key
+// while it runs, from both ends of the table inward (key000, key099, key001,
+// ...), and the committed image must hold no value written after the fork.
+func TestForkImageIsPointInTime(t *testing.T) {
+	for _, kind := range []SnapshotKind{OnDemandSnapshot, WALSnapshot} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := Config{Policy: PeriodicalLog}
+			cfg.Cost = DefaultCostModel()
+			cfg.Cost.CompressBandwidth = 4 << 20 // keep the snapshot running
+			r := newTestRig(cfg)
+			const keys = 100
+			r.eng.Spawn("client", func(env *sim.Env) {
+				for i := 0; i < keys; i++ {
+					if err := r.db.Set(env, fmt.Sprintf("key%03d", i), value(i, 4096)); err != nil {
+						t.Error(err)
+					}
+				}
+				r.db.TriggerSnapshot(kind).Reply.Wait(env) // forked
+				for i := 0; i < keys; i++ {
+					k := i / 2
+					if i%2 == 1 {
+						k = keys - 1 - i/2
+					}
+					if err := r.db.Set(env, fmt.Sprintf("key%03d", k), bytes.Repeat([]byte{'#'}, 4096)); err != nil {
+						t.Error(err)
+					}
+				}
+				if !r.db.SnapshotActive() {
+					t.Error("the snapshot ended before the overwrites: nothing to tear")
+				}
+				r.db.WaitNoSnapshot(env)
+				r.db.Shutdown(env)
+			})
+			r.eng.Run()
+			img := r.be.images[kind]
+			if img == nil {
+				t.Fatalf("no %v image committed", kind)
+			}
+			rd := snapshot.NewImageReader([][]byte{img})
+			entries, late := 0, 0
+			for {
+				batch, err := rd.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ent := range batch {
+					entries++
+					if ent.Value[0] == '#' {
+						late++
+					}
+				}
+			}
+			if entries != keys || late != 0 {
+				t.Fatalf("image holds %d entries, %d of them written after the fork; want %d and 0", entries, late, keys)
+			}
+		})
 	}
 }
 
@@ -771,6 +836,10 @@ func TestWALStallClearsAtNextWALSnapshot(t *testing.T) {
 				t.Fatalf("stats %+v: the stall never cleared", r.db.Stats())
 			}
 		}
+		// A listed snapshot has run its log completion.
+		if n := r.db.WALPendingBytes(); n != 0 {
+			t.Errorf("%d bytes still parked once the WAL-Snapshot was listed", n)
+		}
 		for j := i; j < i+20; j++ {
 			set(env, j)
 		}
@@ -875,10 +944,60 @@ func TestAbortedWALSnapshotAppendsParkedLog(t *testing.T) {
 	}
 }
 
+// A log that fills while an On-Demand-Snapshot runs, with no WAL-Snapshot
+// trigger set, has nothing that could free it: the refused bytes do not park,
+// and writes are refused from the next command on, as after any other append
+// error, through the snapshot's completion and until Shutdown reports it.
+func TestFullLogWithoutWALSnapshotRefusesWrites(t *testing.T) {
+	cfg := Config{Policy: PeriodicalLog}
+	cfg.Cost = DefaultCostModel()
+	cfg.Cost.CompressBandwidth = 4 << 20 // keep the On-Demand-Snapshot running
+	r := newTestRig(cfg)
+	var refused, late int
+	var shutdownErr error
+	r.eng.Spawn("client", func(env *sim.Env) {
+		for i := 0; i < 100; i++ {
+			if err := r.db.Set(env, fmt.Sprintf("key%03d", i), value(i, 100)); err != nil {
+				t.Error(err)
+			}
+		}
+		r.db.TriggerSnapshot(OnDemandSnapshot).Reply.Wait(env)
+		r.be.full = true
+		for i := 0; i < 20; i++ {
+			if r.db.Set(env, fmt.Sprintf("key%03d", i), value(i+1, 100)) != nil {
+				refused++
+			}
+		}
+		r.db.WaitNoSnapshot(env)
+		for i := 20; i < 40; i++ {
+			if r.db.Set(env, fmt.Sprintf("key%03d", i), value(i+1, 100)) == nil {
+				late++
+			}
+		}
+		shutdownErr = r.db.Shutdown(env)
+	})
+	r.eng.RunUntil(sim.Time(10 * sim.Second))
+	// Nor can the log through the snapshot's fork be made durable, so the
+	// snapshot aborts rather than commit an image the log does not reach.
+	if st := r.db.Stats(); st.WALStalls != 0 || len(st.Snapshots) != 0 || st.SnapshotsAbort != 1 {
+		t.Errorf("stats %+v: want no stall and the On-Demand-Snapshot aborted", st)
+	}
+	if late != 0 {
+		t.Errorf("%d of 20 SETs acknowledged after the snapshot completed, with the log full", late)
+	}
+	if refused != 19 {
+		t.Errorf("%d of the 20 SETs issued while the log filled were refused, want all but the first", refused)
+	}
+	if !errors.Is(shutdownErr, ErrLogFull) {
+		t.Errorf("shutdown = %v, want the full log", shutdownErr)
+	}
+}
+
 // Log bytes parked behind a full log when Shutdown arrives are not dropped.
 // With a WAL-Snapshot trigger, Shutdown forks the WAL-Snapshot that covers
 // them, serves until it commits, flushes again and returns nil, and a
-// recovery returns every SET. Without one nothing can drain them, and
+// recovery returns every SET. Without one nothing can free the log: the
+// bytes are refused, not parked, writes are refused after them, and
 // Shutdown reports it instead of returning nil.
 func TestShutdownDrainsParkedLog(t *testing.T) {
 	for _, c := range []struct {
@@ -898,10 +1017,12 @@ func TestShutdownDrainsParkedLog(t *testing.T) {
 			var shutdownErr error
 			done := false
 			r.eng.Spawn("client", func(env *sim.Env) {
+				refused := 0
 				set := func(i int) {
 					k, v := fmt.Sprintf("key%03d", i%150), fmt.Sprintf("%0100d", i)
 					if err := r.db.Set(env, k, []byte(v)); err != nil {
-						t.Error(err)
+						refused++
+						return
 					}
 					final[k] = v
 				}
@@ -914,8 +1035,11 @@ func TestShutdownDrainsParkedLog(t *testing.T) {
 					set(i)
 				}
 				r.db.WaitNoSnapshot(env)
-				if r.db.Stats().WALStalls == 0 || r.db.WALPendingBytes() == 0 {
-					t.Fatalf("stats %+v, %d bytes parked: the log never stalled", r.db.Stats(), r.db.WALPendingBytes())
+				if stalled := r.db.Stats().WALStalls > 0; stalled != c.drains || r.db.WALPendingBytes() == 0 {
+					t.Fatalf("stats %+v, %d bytes pending: want a stall %v", r.db.Stats(), r.db.WALPendingBytes(), c.drains)
+				}
+				if (refused > 0) == c.drains {
+					t.Fatalf("%d SETs refused, want refusals %v", refused, !c.drains)
 				}
 				shutdownErr = r.db.Shutdown(env)
 				done = true

@@ -129,10 +129,10 @@ func (s *Store) touch(e *entry) int64 {
 // KeyAt returns the i-th key in insertion order.
 func (s *Store) KeyAt(i int) string { return s.entries[i].key }
 
-// appendValued appends to dst the entries of slots [from, to) that hold a
-// value, as the snapshot writer iterates them.
-func (s *Store) appendValued(dst []entry, from, to int) []entry {
-	for _, e := range s.entries[from:to] {
+// appendValued appends to dst the entries of src, a run of table slots, that
+// hold a value, as the snapshot writer iterates them.
+func appendValued(dst, src []entry) []entry {
+	for _, e := range src {
 		if e.val != nil {
 			dst = append(dst, e)
 		}

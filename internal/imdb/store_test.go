@@ -226,7 +226,7 @@ func diffStores(s *Store, ref *refStore) error {
 			want = append(want, ref.KeyAt(i))
 		}
 	}
-	got := s.appendValued(nil, 0, s.ListedLen())
+	got := appendValued(nil, s.entries)
 	if len(got) != len(want) {
 		return fmt.Errorf("snapshot batch holds %d entries, reference %d", len(got), len(want))
 	}
