@@ -500,12 +500,14 @@ func (s *slotSink) Commit(env *sim.Env) error {
 	defer func() { tr.End(span, env.Now()) }()
 	if fill := int(s.off % b.pageSize); fill > 0 && s.tailSeg != nil {
 		lpa := b.lay.slotStart[s.slot] + (s.off-int64(fill))/b.pageSize
-		tr.SetScope(span)
-		// The sink's reference moves to the ring with the partial page.
-		sig := s.ring.WriteAsync(env, lpa,
-			[]bufpool.Ref{{Seg: s.tailSeg, B: s.tailSeg.Bytes()[:fill]}}, s.pid())
-		tr.SetScope(0)
+		// The sink's reference moves to the ring with the partial page,
+		// before the submission can park: a power cut there leaves the page
+		// to the ring's DropPending alone.
+		tail := s.tailSeg
 		s.tailSeg = nil
+		tr.SetScope(span)
+		sig := s.ring.WriteAsync(env, lpa, []bufpool.Ref{{Seg: tail, B: tail.Bytes()[:fill]}}, s.pid())
+		tr.SetScope(0)
 		s.outstanding = append(s.outstanding, sig)
 		b.stats.SnapshotPageWrites++
 	}
