@@ -13,9 +13,8 @@ type Config struct {
 	// selected by deterministic stride sampling so a small budget still
 	// covers the full span of the run.
 	Budget int
-	// StopAtFirst stops enumeration at the first violation (in lattice
-	// order) — the shrinker and mutation tests want the earliest failing
-	// cut, not an exhaustive census.
+	// StopAtFirst stops at the first violation in lattice order: the
+	// mutation test wants the earliest failing cut, not a census.
 	StopAtFirst bool
 }
 
@@ -33,26 +32,25 @@ type Result struct {
 	Violations []Violation
 	// Faults aggregates injected faults (torn pages) across all replays.
 	Faults fault.Stats
-	// Inside counts the checked cuts that froze the driver inside a
+	// Inside counts the checked cuts that froze the engine inside a
 	// snapshot abort ("abort") or a log discard ("discard").
 	Inside map[string]int
 }
 
 // Check runs the model checker: one recording pass to harvest the
 // crash-point lattice, then one bit-identical replay per selected cut,
-// each recovered and judged by the engine's model.
+// each recovered and judged.
 func Check(cfg Config) (*Result, error) {
-	w := cfg.Workload.withDefaults()
+	w := cfg.Workload
 	lr := &latticeRecorder{}
-	full, err := runOnce(cfg.Target.Kind(), []Workload{w}, 0, lr, lr.mark)
+	full, err := runOnce(cfg.Target, []Workload{w}, 0, lr, lr.mark)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Target: cfg.Target, End: full.End, Inside: map[string]int{}}
 
 	// Sanity cut zero: with no crash at all, recovery must reproduce the
-	// model's state exactly (anything else is a bug regardless of crash
-	// points).
+	// whole history.
 	if v := full.Engines[0].judgeFull(cfg.Target, full.End); v != nil {
 		res.Violations = append(res.Violations, *v)
 		if cfg.StopAtFirst {
@@ -63,7 +61,7 @@ func Check(cfg Config) (*Result, error) {
 	lattice := buildLattice(lr.points, full.End)
 	res.LatticeSize = len(lattice)
 	for _, cp := range sampleLattice(lattice, cfg.Budget) {
-		out, err := runOnce(cfg.Target.Kind(), []Workload{w}, cp.T, nil, nil)
+		out, err := runOnce(cfg.Target, []Workload{w}, cp.T, nil, nil)
 		if err != nil {
 			return nil, err
 		}

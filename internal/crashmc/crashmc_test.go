@@ -16,24 +16,29 @@ import (
 // TestLatticeEnumerationAndSeedCorpus: the acceptance bar, one row per
 // workload. The sample row checks that the DefaultOps lattice holds at least
 // 200 distinct crash points and that a stride sample of it tears pages (the
-// checker exercises the window it claims to). The lattice row replays every
-// cut of the 120-op workload (40 under -short), a superset of any stride
-// sample of it. Both rows require zero oracle violations; the first one found
-// is shrunk and logged as a repro file to commit under testdata/repro/. The
-// workload discards the sealed log after each committed snapshot and aborts
-// some snapshots, and the full lattice must cut inside both calls.
+// checker exercises the window it claims to). It runs under Always-Log, and
+// seed 7's schedule commits a WAL-Snapshot, aborts the next one and commits
+// the On-Demand-Snapshot between them, so the sealed segment the aborted
+// fork left must survive a commit that did not rotate. The lattice rows
+// replay every cut of the 120-op workload under each log policy (40 ops
+// under -short), a superset of any stride sample of it. Every row requires
+// zero oracle violations; the first one found is shrunk and logged as a
+// repro file to commit under testdata/repro/. The engine discards the sealed
+// log after each committed WAL-Snapshot and aborts some snapshots, and the
+// full lattice must cut inside both calls.
 func TestLatticeEnumerationAndSeedCorpus(t *testing.T) {
 	rows := []struct {
 		name   string
 		w      Workload
 		budget int // 0 = the whole lattice
 	}{
-		{"sample", Workload{Seed: 1, Ops: DefaultOps}, 256},
+		{"sample", Workload{Seed: 7, Ops: DefaultOps, Policy: imdb.AlwaysLog}, 256},
 		{"lattice", Workload{Seed: 1, Ops: 120}, 0},
+		{"lattice-always", Workload{Seed: 1, Ops: 120, Policy: imdb.AlwaysLog}, 0},
 	}
 	if testing.Short() {
 		rows[0].budget = 24
-		rows[1].w.Ops = 40
+		rows[1].w.Ops, rows[2].w.Ops = 40, 40
 	}
 	for _, tgt := range Targets {
 		t.Run(tgt.String(), func(t *testing.T) {
@@ -355,7 +360,7 @@ func TestOracleRules(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := engineOutcome{Model: tc.model, Rec: tc.rec}.judge(SlimIO, 1000)
+			v := tc.model.Admits(tc.rec)
 			switch {
 			case tc.want == "" && v != nil:
 				t.Fatalf("unexpected violation: %v", v)
@@ -363,6 +368,59 @@ func TestOracleRules(t *testing.T) {
 				t.Fatalf("want %q violation, got none", tc.want)
 			case tc.want != "" && v.Code != tc.want:
 				t.Fatalf("want %q, got %q: %v", tc.want, v.Code, v)
+			}
+		})
+	}
+}
+
+// TestStateRule exercises the state rule on a four-op history (SET a, SET
+// b, DEL a, SET b): each recovered store and image is placed in it, and each
+// breach is named by its code.
+func TestStateRule(t *testing.T) {
+	h := newHistory()
+	ops := []struct{ key, val string }{{"a", "1"}, {"b", "2"}, {"a", ""}, {"b", "3"}}
+	for _, op := range ops {
+		var val []byte
+		if op.val != "" {
+			val = []byte(op.val)
+		}
+		h.apply(op.key, val)
+	}
+	storeOf := func(kv ...string) *imdb.Store {
+		s := imdb.NewStore(0)
+		for i := 0; i < len(kv); i += 2 {
+			s.Set(kv[i], []byte(kv[i+1]))
+		}
+		return s
+	}
+	cases := []struct {
+		name         string
+		store        *imdb.Store
+		acked, image int
+		recovered    int
+		want         string
+	}{
+		{"whole-history", storeOf("b", "3"), 4, 0, 4, ""},
+		{"empty-store", storeOf(), 0, 0, 0, ""},
+		{"prefix-past-durable", storeOf("b", "2"), 2, 0, 3, ""},
+		{"prefix-short-of-durable", storeOf("a", "1", "b", "2"), 3, 0, 2, CodeStoreLost},
+		{"store-never-existed", storeOf("a", "1", "b", "3"), 0, 0, -1, CodeStoreNeverExisted},
+		{"image-never-existed", storeOf("b", "3"), 0, -1, 4, CodeImageNeverExisted},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := engineOutcome{Rec: &imdb.Recovered{WALTruncatedAt: -1}, image: tc.image}
+			e.Ops, e.Acked = len(ops), tc.acked
+			e.Recovered = h.prefix(storeDigest(tc.store), e.Ops)
+			if e.Recovered != tc.recovered {
+				t.Fatalf("recovered store is the store after %d ops, want %d", e.Recovered, tc.recovered)
+			}
+			v := e.judge(SlimIO, 1000)
+			switch {
+			case tc.want == "" && v != nil:
+				t.Fatalf("unexpected violation: %v", v)
+			case tc.want != "" && (v == nil || v.Code != tc.want):
+				t.Fatalf("want %q, got %v", tc.want, v)
 			}
 		})
 	}

@@ -1,32 +1,29 @@
 // Package crashmc is a deterministic crash-consistency model checker for
-// the two persistence backends (internal/core's SlimIO I/O passthru path
-// and internal/baseline's kernel path).
+// the in-memory engine on its two persistence backends (internal/core's
+// SlimIO passthru path and internal/baseline's kernel path).
 //
-// Where the PR-1 seeded crash harness sampled one random power-cut instant
-// per seed, the checker enumerates the crash-point lattice: a recording
-// pass runs the workload once with a passive fault.Plan whose Recorder
-// harvests every durability-relevant event boundary — NAND program
-// start/completion (the torn-page window), block erases, and the
-// client-visible WAL append/sync/rotate/discard and snapshot
-// write/commit/abort returns. Every distinct instant, plus its immediate
-// predecessor (the torn variant), becomes a candidate cut. Each cut is
-// replayed bit-identically — same seed, same workload, power pulled at
-// exactly that instant — recovered, and judged by imdb.Model, which mirrors
-// every call the driver made (see oracle.go). On violation a greedy shrinker minimizes the workload
-// prefix to a smallest failing schedule, serialized as a repro file that
-// replays bit-identically; the ones committed under testdata/repro/ run as
-// TestReproFiles.
+// The driver is the real imdb.Engine, over an imdb.Model that mirrors the
+// stack's backend (Model.Under) seen through a probe (see probe). One client
+// per engine issues seeded SETs and DELs serially, so its history order is
+// the apply order. A recording pass harvests the crash-point lattice: NAND
+// program start/completion (the torn-page window), block erases, and the
+// probe's marks of backend-call and op returns, each instant with its
+// predecessor. Each cut replays the workload bit-identically with power
+// pulled at that instant, recovers into a fresh engine, and is judged by
+// imdb.Model.Admits and the state rule (see oracle.go). A greedy shrinker
+// minimizes a failing workload to a repro file that replays bit-identically;
+// the ones under testdata/repro/ run as TestReproFiles.
 //
 // Determinism: the checker is strictly serial, uses a local splitmix64
-// stream, and never reads the wall clock, so it falls under every
-// determinism-contract pass (wallclock/globalrand/rawgoroutine, run by
-// internal/analysis.TestDeterminismContract) like any other simulation
-// package.
+// stream and never reads the wall clock, so it falls under every
+// determinism-contract pass (internal/analysis.TestDeterminismContract).
 package crashmc
 
 import (
-	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/slimio/slimio/internal/baseline"
 	"github.com/slimio/slimio/internal/core"
@@ -38,84 +35,54 @@ import (
 	"github.com/slimio/slimio/internal/wal"
 )
 
-// Target selects which backend stack the checker drives.
-type Target int
+// Target is a backend stack the checker drives: SlimIO's passthru path on
+// an FDP SSD, or the kernel path over f2fs on a conventional one.
+type Target = exp.BackendKind
 
 const (
-	// SlimIO is the I/O-passthru backend on an FDP SSD (internal/core).
-	SlimIO Target = iota
-	// Baseline is the kernel-path backend on a conventional SSD
-	// (internal/baseline over kernelio's f2fs profile).
-	Baseline
+	SlimIO   = exp.SlimIOFDP
+	Baseline = exp.BaselineF2FS
 )
 
-// Targets lists every checkable target in reporting order.
+// Targets lists the checkable targets in reporting order.
 var Targets = []Target{SlimIO, Baseline}
 
-func (t Target) String() string {
-	if t == Baseline {
-		return exp.BaselineF2FS.String()
-	}
-	return exp.SlimIOFDP.String()
-}
-
-// Kind maps the target to its experiment-harness stack kind.
-func (t Target) Kind() exp.BackendKind {
-	if t == Baseline {
-		return exp.BaselineF2FS
-	}
-	return exp.SlimIOFDP
-}
-
-// parseTarget inverts Target.String: a repro file names its target by the
-// stack label.
+// parseTarget inverts Target.String, as a repro file names its target.
 func parseTarget(s string) (Target, error) {
-	switch s {
-	case SlimIO.String():
-		return SlimIO, nil
-	case Baseline.String():
-		return Baseline, nil
+	for _, t := range Targets {
+		if t.String() == s {
+			return t, nil
+		}
 	}
 	return 0, fmt.Errorf("crashmc: unknown target %q", s)
 }
 
 // Mutation deliberately breaks the harness's durability accounting, so the
-// checker can prove it detects oracle violations (the model checker's own
-// mutation test).
+// checker can prove it detects oracle violations. The zero Mutation is the
+// honest harness.
 type Mutation int
 
-// The zero Mutation is the honest harness.
-const (
-	// MutAckOnAppend claims durability at WALAppend return without waiting
-	// for WALSync — the classic forgot-to-fsync bug. Any cut between an
-	// append's return and the covering sync's completion then loses
-	// "acked" records, which the oracle must flag.
-	MutAckOnAppend Mutation = iota + 1
-)
+// MutAckOnAppend claims durability at WALAppend return without waiting for
+// WALSync — the classic forgot-to-fsync bug: any cut between an append's
+// return and the covering sync's completion then loses "acked" records.
+const MutAckOnAppend Mutation = 1
 
 // DefaultOps is the standard workload length (matches the PR-1 harness).
 const DefaultOps = 160
 
-// Workload derives a deterministic client schedule from a seed: framed WAL
-// appends (sizes from the seed stream), syncs, up to three rotations, and
-// multi-page WAL-snapshot writes, each aborted or committed and followed by
-// a discard of the sealed log.
+// Workload derives a deterministic client schedule from a seed: SETs of
+// 40–2040 random bytes and DELs (one op in 7) over a small keyspace, under
+// Policy. Nothing in it depends on Ops but where it stops, so a shorter
+// workload replays a prefix of a longer one.
 type Workload struct {
-	Seed     int64
-	Ops      int
-	Mutation Mutation
+	Seed     int64          `json:"seed"`
+	Ops      int            `json:"ops"`
+	Policy   imdb.LogPolicy `json:"policy"`
+	Mutation Mutation       `json:"mutation"`
 }
 
-// withDefaults fills the zero-value workload length.
-func (w Workload) withDefaults() Workload {
-	if w.Ops <= 0 {
-		w.Ops = DefaultOps
-	}
-	return w
-}
-
-// rng returns a local splitmix64 stream; the checker never touches
-// math/rand global state (seed reproducibility is the contract under test).
+// rng returns a local splitmix64 stream: the checker never touches math/rand
+// global state.
 func rng(seed int64) func() uint64 {
 	state := uint64(seed)
 	return func() uint64 {
@@ -127,118 +94,161 @@ func rng(seed int64) func() uint64 {
 	}
 }
 
-// clientState holds the client's WAL write buffer where the harness can
-// still reach it after a power cut freezes the client mid-call. A chain in
-// the middle of a WALAppend needs no tracking here: both backends stage the
-// references they have not yet handed off in their own structures (see
-// core.Backend.staged, baseline.Backend.appending), so a frozen call leaves
-// nothing reachable only from the client's stack.
-type clientState struct {
-	buf *wal.Buffer
-	// inside names the driver call a cut froze, if it is one the checker
-	// counts cuts inside of.
-	inside string
+// The driver's shape: keys overwrite and delete each other, the log passes
+// the WAL-Snapshot trigger every ~55 ops, and ops come in bursts with a
+// pause after each, so a run spans a few Periodical-Log flush ticks and
+// outlasts the engine's back-off after a snapshot aborts.
+const (
+	keyspace   = 16
+	walTrigger = 48 << 10
+	burst      = 16
+	pause      = 300 * sim.Millisecond
+)
+
+// drive is one client: w.Ops serial SETs and DELs in bursts, each entered
+// in p's history before it is submitted, then Shutdown. It triggers one
+// On-Demand-Snapshot, at a seed-drawn op, without waiting for it, and
+// returns when it stopped.
+func drive(env *sim.Env, db *imdb.Engine, w Workload, p *probe) sim.Time {
+	next := rng(w.Seed)
+	onDemandAt := 8 + int(next()%152)
+	for i := 0; i < w.Ops; i++ {
+		if i == onDemandAt {
+			db.TriggerSnapshot(imdb.OnDemandSnapshot)
+		}
+		key := fmt.Sprintf("k%02d", next()%keyspace)
+		var val []byte
+		if next()%7 != 0 {
+			val = make([]byte, 2048)
+			for j := 0; j < len(val); j += 8 {
+				binary.LittleEndian.PutUint64(val[j:], next())
+			}
+			val = val[:40+next()%2001]
+		}
+		p.apply(key, val)
+		var err error
+		if val == nil {
+			err = db.Del(env, key)
+		} else {
+			err = db.Set(env, key, val)
+		}
+		if err != nil {
+			return env.Now()
+		}
+		p.acked++
+		p.ret(env, "op.return", nil)
+		if i%burst == burst-1 {
+			env.Sleep(pause)
+		}
+	}
+	db.Shutdown(env)
+	return env.Now()
 }
 
-// call runs f as the driver call named name.
-func (cs *clientState) call(name string, f func() error) error {
-	cs.inside = name
-	err := f()
-	cs.inside = ""
+// probe is an engine's backend, the model of the stack's backend, and its
+// client's history. It marks each call's return for the lattice (mark is nil
+// outside the recording pass), names the call a cut can freeze, applies the
+// mutation, counts the records discards dropped, and fails a Write of one
+// snapshot in three, drawn from fail.
+type probe struct {
+	*imdb.Model
+	history
+	mutation Mutation
+	fail     func() uint64
+	mark     func(kind string, t sim.Time)
+	inside   string
+	dropped  int
+}
+
+// ret marks the return of a call that succeeded.
+func (p *probe) ret(env *sim.Env, kind string, err error) error {
+	if err == nil && p.mark != nil {
+		p.mark(kind, env.Now())
+	}
 	return err
 }
 
-// close releases whatever the (possibly frozen) client still owns.
-func (cs *clientState) close() {
-	cs.buf.Close()
+func (p *probe) WALAppend(env *sim.Env, data wal.Chain) error {
+	err := p.Model.WALAppend(env, data)
+	if err == nil && p.mutation == MutAckOnAppend {
+		// Injected oracle bug: the model alone is told the append is
+		// synced, as an engine that forgot to fsync would believe.
+		be := p.Under
+		p.Under = nil
+		p.Model.WALSync(env)
+		p.Under = be
+	}
+	return p.ret(env, "append.return", err)
 }
 
-// drive executes the seeded workload against m, the model mirroring the
-// engine's backend, so m holds exactly what the client observed returned
-// when the engine stops at a cut. mark, when non-nil, receives every
-// client-visible return instant for lattice harvesting.
-func drive(env *sim.Env, m *imdb.Model, w Workload, pageSize int, cs *clientState, mark func(kind string, t sim.Time)) {
-	next := rng(w.Seed)
-	note := func(kind string) {
-		if mark != nil {
-			mark(kind, env.Now())
-		}
+func (p *probe) WALSync(env *sim.Env) error { return p.ret(env, "sync.return", p.Model.WALSync(env)) }
+
+func (p *probe) WALRotate(env *sim.Env) error {
+	return p.ret(env, "rotate.return", p.Model.WALRotate(env))
+}
+
+func (p *probe) WALDiscardOld(env *sim.Env) error {
+	before, _ := p.Records()
+	p.inside = "discard"
+	err := p.Model.WALDiscardOld(env)
+	p.inside = ""
+	after, _ := p.Records()
+	p.dropped += before - after
+	return p.ret(env, "discard.return", err)
+}
+
+func (p *probe) BeginSnapshot(env *sim.Env, kind imdb.SnapshotKind) (imdb.SnapshotSink, error) {
+	s, err := p.Model.BeginSnapshot(env, kind)
+	if err != nil {
+		return nil, err
 	}
-	sync := func() bool {
-		if err := m.WALSync(env); err != nil {
-			return false
-		}
-		note("sync.return")
-		return true
+	return &probeSink{SnapshotSink: s, p: p, fail: p.fail()%3 == 0}, nil
+}
+
+// probeSink is a snapshot sink seen through the probe. When fail is set,
+// its second Write, the first past the image header, fails once the backend
+// has taken the chunk.
+type probeSink struct {
+	imdb.SnapshotSink
+	p      *probe
+	fail   bool
+	writes int
+}
+
+func (s *probeSink) Write(env *sim.Env, chunk []byte) error {
+	err := s.SnapshotSink.Write(env, chunk)
+	if s.writes++; err == nil && s.fail && s.writes == 2 {
+		return errors.New("crashmc: injected snapshot write failure")
 	}
-	rotations := 0
-	for i := 0; i < w.Ops; i++ {
-		key := []byte(fmt.Sprintf("k%05d", i))
-		val := bytes.Repeat([]byte{byte('a' + i%26)}, 40+int(next()%2000))
-		cs.buf.Append(wal.OpSet, key, val)
-		chain := cs.buf.Drain()
-		if err := m.WALAppend(env, chain); err != nil {
-			chain.Release() // failed append leaves ownership with the caller
-			return
-		}
-		if w.Mutation == MutAckOnAppend {
-			// Injected oracle bug: the model alone is told the append is
-			// synced, as an engine that forgot to fsync would believe.
-			be := m.Under
-			m.Under = nil
-			m.WALSync(env)
-			m.Under = be
-		}
-		note("append.return")
-		r := next() % 100
-		// A rotating step does not sync first: WALRotate must seal the
-		// segment so that a later sync makes its tail durable.
-		rotate := r < 6 && rotations < 3
-		if r < 35 && !rotate && !sync() {
-			return
-		}
-		if rotate {
-			if err := m.WALRotate(env); err != nil {
-				return
-			}
-			// Drop the buffer's retained tail so the next append starts on a
-			// fresh segment, page-aligned with the new log head.
-			cs.buf.Restart(nil)
-			rotations++
-			note("rotate.return")
-		}
-		if r >= 94 {
-			// A multi-page snapshot write for a cut to land inside. One in
-			// three is aborted; a committed one makes the sealed log
-			// obsolete, as a WAL-Snapshot's commit does.
-			sink, err := m.BeginSnapshot(env, imdb.WALSnapshot)
-			if err != nil {
-				return
-			}
-			img := bytes.Repeat([]byte{byte(next())}, int(4+next()%12)*pageSize)
-			if err := sink.Write(env, img); err != nil {
-				sink.Abort(env)
-				return
-			}
-			note("snap.write.return")
-			if r >= 98 {
-				if cs.call("abort", func() error { return sink.Abort(env) }) != nil {
-					return
-				}
-				note("snap.abort.return")
-				continue
-			}
-			if err := sink.Commit(env); err != nil {
-				return
-			}
-			note("snap.commit.return")
-			if cs.call("discard", func() error { return m.WALDiscardOld(env) }) != nil {
-				return
-			}
-			note("discard.return")
-		}
+	return s.p.ret(env, "snap.write.return", err)
+}
+
+func (s *probeSink) Commit(env *sim.Env) error {
+	return s.p.ret(env, "snap.commit.return", s.SnapshotSink.Commit(env))
+}
+
+func (s *probeSink) Abort(env *sim.Env) error {
+	s.p.inside = "abort"
+	err := s.SnapshotSink.Abort(env)
+	s.p.inside = ""
+	return s.p.ret(env, "snap.abort.return", err)
+}
+
+// keeper is a reopened backend that keeps what its Recover hands the engine
+// (views of the device, valid until the teardown), which Engine.Recover
+// drops once it has loaded the store.
+type keeper struct {
+	imdb.Backend
+	rec imdb.Recovered
+}
+
+func (k *keeper) Recover(env *sim.Env) (*imdb.Recovered, error) {
+	rec, err := k.Backend.Recover(env)
+	if rec != nil {
+		k.rec = *rec
+		k.rec.WAL = slices.Clone(rec.WAL)
 	}
-	sync()
+	return rec, err
 }
 
 // Device sizing for checker stacks: small enough that hundreds of replays
@@ -249,61 +259,34 @@ const (
 	slotBytes   = 1 << 20
 )
 
-// engineOutcome is one engine's share of a replay: the model of what its
-// client observed up to the cut, and what its recovery produced.
-type engineOutcome struct {
-	Model *imdb.Model
-	Rec   *imdb.Recovered
-	// Inside names the driver call the cut froze, if one the checker
-	// counts (see clientState.call).
-	Inside string
-}
-
-// summary condenses the outcome for seed-corpus comparison.
-func (e engineOutcome) summary() TenantOutcome {
-	recs := recoveredRecords(e.Rec)
-	appended, acked := e.Model.Records()
-	return TenantOutcome{
-		Appended:  appended,
-		Acked:     acked,
-		Recovered: len(recs),
-		Digest:    digestRecords(recs),
-	}
-}
-
-// runOutcome is everything one replay produces: per engine, the model of
-// the client-visible calls up to the cut and the recovered state; plus the
-// injected-fault stats.
+// runOutcome is everything one replay produces: one judged outcome per
+// workload, in order, the injected-fault stats, and the cut instant or the
+// natural end of a full run.
 type runOutcome struct {
-	// Engines has one entry per workload, in order (exactly one for a
-	// single-engine replay).
 	Engines []engineOutcome
 	Faults  fault.Stats
-	// End is the cut instant, or the natural end of a full run.
-	End sim.Time
+	End     sim.Time
 }
 
-// seedWorkloads derives the per-tenant schedules of a seeded crash run. The
-// op budget divides the single-engine workload length so the total write
-// volume (and checker wall time) stays comparable, and tenants get distinct
-// seeds: correlated schedules would put every tenant at the same phase at
-// any cut. One tenant is exactly Workload{Seed: seed, Ops: DefaultOps}.
+// seedWorkloads derives the per-tenant schedules of a seeded crash run.
+// Tenants split the DefaultOps budget and get distinct seeds (correlated
+// schedules would put every tenant at the same phase at any cut), and the
+// log policy alternates by seed, so every corpus runs both.
 func seedWorkloads(seed int64, tenants int) []Workload {
 	ws := make([]Workload, tenants)
 	for i := range ws {
-		ws[i] = Workload{Seed: seed + int64(i)*7717, Ops: max(1, DefaultOps/tenants)}
+		ws[i] = Workload{Seed: seed + int64(i)*7717, Ops: max(1, DefaultOps/tenants), Policy: imdb.LogPolicy(seed % 2)}
 	}
 	return ws
 }
 
-// runOnce builds a fresh stack of kind with one engine mount per workload
-// (several share the device as tenants), drives every workload concurrently
-// on the one simulation engine, and recovers each mount on a fresh engine.
-// cut == 0 runs to completion (the recording pass); cut > 0 pulls power on
-// the whole device at that instant (in-flight programs tear, nothing past it
-// executes) before recovering over the frozen device. rec and mark harvest
-// device-level and client-visible boundaries for the lattice.
-func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Recorder, mark func(string, sim.Time)) (*runOutcome, error) {
+// runOnce builds a fresh stack of kind with one engine per workload (more
+// than one share the device as tenants), drives them concurrently, and
+// recovers each into a fresh engine. cut == 0 runs to completion (the
+// recording pass); cut > 0 pulls power on the whole device at that instant
+// (in-flight programs tear, nothing past it executes). rec and mark harvest
+// the lattice's device-level and return instants.
+func runOnce(kind Target, ws []Workload, cut sim.Time, rec fault.Recorder, mark func(string, sim.Time)) (*runOutcome, error) {
 	sc := exp.Scale{
 		Name:          "crashmc",
 		DeviceBytes:   deviceBytes,
@@ -315,8 +298,6 @@ func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Record
 	if err != nil {
 		return nil, err
 	}
-	// Unwind parked processes so replays do not pile up leaked stacks.
-	defer eng.Shutdown()
 	if cut > 0 {
 		st.ArmPowerCut(cut)
 	}
@@ -329,60 +310,59 @@ func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Record
 	for i, t := range st.Tenants {
 		backends[i], devs[i] = t.Slim, t.Dev
 	}
-	pageSize := st.Dev.PageSize()
+	// The snapshot child walks the small keyspace slowly, in several
+	// batches, so traffic interleaves with the walk as it does on a large
+	// store.
+	cost := imdb.DefaultCostModel()
+	cost.SnapshotBatchKeys, cost.SerializeBandwidth = 2, 8<<20
 	out := &runOutcome{Engines: make([]engineOutcome, len(ws))}
-	clients := make([]*clientState, len(ws))
+	dbs, probes := make([]*imdb.Engine, len(ws)), make([]*probe, len(ws))
 	for i, w := range ws {
-		m := &imdb.Model{Under: backends[i]}
-		out.Engines[i].Model = m
-		clients[i] = &clientState{buf: wal.NewBuffer(st.Pool())}
+		probes[i] = &probe{Model: &imdb.Model{Under: backends[i]}, history: newHistory(), mutation: w.Mutation, fail: rng(w.Seed + 1<<32), mark: mark}
+		dbs[i] = imdb.New(eng, probes[i], imdb.Config{Policy: w.Policy, WALSnapshotTrigger: walTrigger, Cost: cost, Pool: st.Pool()}, nil)
+		dbs[i].Start()
 		eng.Spawn(fmt.Sprintf("client%d", i), func(env *sim.Env) {
-			drive(env, m, w, pageSize, clients[i], mark)
+			// A full run ends with the last client: a Periodical-Log
+			// engine's flush timer outlives its Shutdown by up to a tick.
+			out.End = max(out.End, drive(env, dbs[i], w, probes[i]))
 		})
 	}
-	out.End = cut
 	if cut > 0 {
 		eng.RunUntil(cut)
 		eng.Stop()
+		out.End = cut
 	} else {
-		out.End = eng.Run()
+		eng.Run()
 	}
-	// Power restored: recovery reads a healthy, frozen device.
+	// Power restored: recovery reads a healthy, frozen device. The cut
+	// generation goes as a killed process does: processes, then buffers.
 	st.Dev.FTL().Array().SetFaultHook(nil)
+	eng.Shutdown()
+	for _, db := range dbs {
+		db.ReleaseBuffers()
+	}
 
 	eng2 := sim.NewEngine()
 	defer eng2.Shutdown()
-	reopened := make([]interface {
-		imdb.Backend
-		Close()
-	}, len(ws))
-	for i := range reopened {
+	keepers, recovered := make([]*keeper, len(ws)), make([]*imdb.Engine, len(ws))
+	reopened, recErrs := make([]interface{ Close() }, len(ws)), make([]error, len(ws))
+	for i := range ws {
+		var be interface {
+			imdb.Backend
+			Close()
+		}
 		if st.FS != nil {
-			reopened[i], err = baseline.Remount(st.FS.Remount(eng2))
+			be, err = baseline.Remount(st.FS.Remount(eng2))
 		} else {
-			reopened[i], err = core.New(eng2, devs[i], core.Config{SlotPages: sc.SlotBytes / int64(pageSize)})
+			be, err = core.New(eng2, devs[i], core.Config{SlotPages: sc.SlotBytes / int64(st.Dev.PageSize())})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("crashmc: %s engine %d reopen (cut %v): %w", kind, i, cut, err)
 		}
-	}
-	recErrs := make([]error, len(ws))
-	for i, be := range reopened {
+		reopened[i], keepers[i] = be, &keeper{Backend: be}
+		recovered[i] = imdb.New(eng2, keepers[i], imdb.Config{Policy: ws[i].Policy, Pool: st.Pool()}, nil)
 		eng2.Spawn(fmt.Sprintf("recover%d", i), func(env *sim.Env) {
-			rec, err := be.Recover(env)
-			if rec != nil {
-				// The image's runs and the log's records may be views of
-				// device pages, which the teardown below releases (and -race
-				// builds overwrite); the model judges them after that, so it
-				// gets copies.
-				if rec.HaveSnapshot {
-					rec.Snapshot = [][]byte{bytes.Join(rec.Snapshot, nil)}
-				}
-				for i := range rec.WAL {
-					rec.WAL[i] = rec.WAL[i].Clone()
-				}
-			}
-			out.Engines[i].Rec, recErrs[i] = rec, err
+			_, _, recErrs[i] = recovered[i].Recover(env)
 		})
 	}
 	eng2.Run()
@@ -390,19 +370,12 @@ func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Record
 		if err != nil {
 			return nil, fmt.Errorf("crashmc: %s engine %d recover (cut %v): %w", kind, i, cut, err)
 		}
-		if out.Engines[i].Rec == nil {
-			return nil, fmt.Errorf("crashmc: %s engine %d recovery produced nothing (cut %v)", kind, i, cut)
-		}
-	}
-	// Teardown: release everything both generations (the cut one and the
-	// recovery one) still hold, then require the data plane quiescent — a
-	// non-zero count is a leaked reference somewhere on the zero-copy write
-	// path, and every replay of the crash-point lattice runs this check.
-	for i := range clients {
-		out.Engines[i].Inside = clients[i].inside
-		clients[i].close()
+		out.Engines[i] = newOutcome(ws[i], probes[i], dbs[i].Stats(), &keepers[i].rec, recovered[i].Store())
+		recovered[i].ReleaseBuffers()
 		reopened[i].Close()
 	}
+	// Both generations released everything: every replay checks that the
+	// data plane is quiescent (no leaked reference on the zero-copy path).
 	if err := st.Teardown(); err != nil {
 		return nil, fmt.Errorf("crashmc: %s: %w (cut %v)", kind, err, cut)
 	}
@@ -410,39 +383,54 @@ func runOnce(kind exp.BackendKind, ws []Workload, cut sim.Time, rec fault.Record
 	return out, nil
 }
 
+// replay runs w alone on tgt with the power cut at cut, and judges it.
+func replay(tgt Target, w Workload, cut sim.Time) (*Violation, error) {
+	out, err := runOnce(tgt, []Workload{w}, cut, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out.Engines[0].judge(tgt, cut), nil
+}
+
 // SeedResult summarizes one seeded crash run; two runs with the same seed
 // must be identical (the determinism half of the contract).
 type SeedResult struct {
-	Cut sim.Time
-	TenantOutcome
-	Faults fault.Stats
+	Cut     sim.Time
+	Tenants []TenantOutcome
+	Faults  fault.Stats
 }
 
-// runSeed replicates the PR-1 seeded crash harness on the shared
-// model-checker machinery: a recording pass measures the workloads' span,
-// the seed picks one cut inside it, and the replay at that cut is returned
-// for the caller to judge.
-func runSeed(kind exp.BackendKind, seed int64, tenants int) (sim.Time, *runOutcome, error) {
+// RunSeed is the seeded crash run of the PR-1 harness on the model
+// checker's machinery. `tenants` engines share one device of tgt: one is the
+// single-engine run, more mount SlimIO tenants (exp.SlimIOFDP leases each a
+// placement-ID range, exp.SlimIOConv shares one stream). A recording pass
+// harvests the lattice, the seed picks one cut of it (a cut drawn from the
+// run's span would mostly land in the pauses, where nothing is in flight),
+// and every engine's recovery at that cut is judged on its own: a shared
+// outage must not let one tenant's in-flight state corrupt another's
+// durable prefix.
+func RunSeed(tgt Target, seed int64, tenants int) (SeedResult, []*Violation, error) {
 	ws := seedWorkloads(seed, tenants)
-	full, err := runOnce(kind, ws, 0, nil, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	// A distinct stream for the cut draw, so it is not correlated with the
-	// workloads' first value-size draws.
-	next := rng(^seed)
-	cut := sim.Time(1 + next()%uint64(full.End))
-	out, err := runOnce(kind, ws, cut, nil, nil)
-	return cut, out, err
-}
-
-// RunSeed is the single-engine seeded crash run, judged by the engine's
-// model.
-func RunSeed(tgt Target, seed int64) (SeedResult, *Violation, error) {
-	cut, out, err := runSeed(tgt.Kind(), seed, 1)
+	lr := &latticeRecorder{}
+	full, err := runOnce(tgt, ws, 0, lr, lr.mark)
 	if err != nil {
 		return SeedResult{}, nil, err
 	}
-	e := out.Engines[0]
-	return SeedResult{Cut: cut, TenantOutcome: e.summary(), Faults: out.Faults}, e.judge(tgt, cut), nil
+	// A distinct stream for the cut draw, so it is not correlated with the
+	// workloads' first draws.
+	lattice := buildLattice(lr.points, full.End)
+	res := SeedResult{Cut: lattice[rng(^seed)()%uint64(len(lattice))].T}
+	out, err := runOnce(tgt, ws, res.Cut, nil, nil)
+	if err != nil {
+		return SeedResult{}, nil, err
+	}
+	res.Faults = out.Faults
+	var violations []*Violation
+	for _, e := range out.Engines {
+		res.Tenants = append(res.Tenants, e.TenantOutcome)
+		if v := e.judge(tgt, res.Cut); v != nil {
+			violations = append(violations, v)
+		}
+	}
+	return res, violations, nil
 }

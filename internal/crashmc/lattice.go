@@ -18,15 +18,11 @@ type CutPoint struct {
 
 // latticeRecorder harvests candidate crash instants. It implements
 // fault.Recorder for the device-level boundaries (page programs with their
-// torn window, block erases — GC valid-copy migrations are plain programs
-// and erases, so they are captured automatically) and additionally receives
-// the driver's client-visible return instants (WAL append/sync/rotate,
-// snapshot write/commit — the uring CQ-reap chain surfaces as exactly these
-// returns) through mark.
-//
-// For a boundary at t it emits both t-1 and t: a cut at a program's
+// torn window, block erases; GC migrations are plain programs and erases)
+// and receives the probe's return instants of backend calls and ops through
+// mark. For a boundary at t it emits both t-1 and t: a cut at a program's
 // completion instant keeps the page, one tick earlier tears it, and the
-// same pre/post split brackets issue instants and acknowledgement returns.
+// same pre/post split brackets issue instants and returns.
 type latticeRecorder struct {
 	points []CutPoint
 }
@@ -40,9 +36,8 @@ func (l *latticeRecorder) add(t sim.Time, kind string) {
 	}
 }
 
-// RecordRead implements fault.Recorder. Reads do not change durable state,
-// so cutting around them adds replay cost without adding distinct
-// outcomes; they are not harvested.
+// RecordRead implements fault.Recorder. Reads change no durable state, so
+// they are not harvested.
 func (l *latticeRecorder) RecordRead(now sim.Time, ppa nand.PPA) {}
 
 // RecordProgram implements fault.Recorder.
@@ -56,7 +51,7 @@ func (l *latticeRecorder) RecordErase(now sim.Time, die, block int) {
 	l.add(now, "erase")
 }
 
-// mark is the driver-side hook for client-visible instants.
+// mark is the probe's hook for return instants.
 func (l *latticeRecorder) mark(kind string, t sim.Time) { l.add(t, kind) }
 
 // buildLattice orders the harvested points, appends the natural end of the

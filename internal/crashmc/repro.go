@@ -8,7 +8,7 @@ import (
 )
 
 // ReproVersion is bumped whenever the schedule encoding changes meaning.
-const ReproVersion = 1
+const ReproVersion = 2
 
 // Repro is a serialized smallest failing schedule: everything needed to
 // re-run one crash replay bit-identically, plus the violation the original
@@ -16,28 +16,16 @@ const ReproVersion = 1
 // replays every one; a replay that produces any other violation (or none)
 // means the build under test no longer fails the same way.
 type Repro struct {
-	Version  int    `json:"version"`
-	Target   string `json:"target"`
-	Seed     int64  `json:"seed"`
-	Ops      int    `json:"ops"`
-	Mutation int    `json:"mutation"`
-	CutNanos int64  `json:"cut_nanos"`
-	// Violation is the expected oracle breach, bit for bit.
-	Violation Violation `json:"violation"`
+	Version int    `json:"version"`
+	Target  string `json:"target"`
+	Workload
+	CutNanos  int64     `json:"cut_nanos"`
+	Violation Violation `json:"violation"` // the expected breach, bit for bit
 }
 
 // NewRepro packages a failing schedule (typically post-Shrink).
 func NewRepro(tgt Target, w Workload, cut sim.Time, v Violation) *Repro {
-	w = w.withDefaults()
-	return &Repro{
-		Version:   ReproVersion,
-		Target:    tgt.String(),
-		Seed:      w.Seed,
-		Ops:       w.Ops,
-		Mutation:  int(w.Mutation),
-		CutNanos:  int64(cut),
-		Violation: v,
-	}
+	return &Repro{Version: ReproVersion, Target: tgt.String(), Workload: w, CutNanos: int64(cut), Violation: v}
 }
 
 // Encode renders the repro as indented JSON with a trailing newline.
@@ -67,19 +55,12 @@ func DecodeRepro(data []byte) (*Repro, error) {
 	return &r, nil
 }
 
-// Replay re-runs the schedule and returns the violation it observes (nil
-// when the schedule no longer fails the oracle). Callers compare against
-// r.Violation with == for the bit-identical contract.
+// Replay re-runs the schedule and returns the violation it observes, nil if
+// none; callers compare it with r.Violation for the bit-identical contract.
 func (r *Repro) Replay() (*Violation, error) {
 	tgt, err := parseTarget(r.Target)
 	if err != nil {
 		return nil, err
 	}
-	w := Workload{Seed: r.Seed, Ops: r.Ops, Mutation: Mutation(r.Mutation)}
-	cut := sim.Time(r.CutNanos)
-	out, err := runOnce(tgt.Kind(), []Workload{w}, cut, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out.Engines[0].judge(tgt, cut), nil
+	return replay(tgt, r.Workload, sim.Time(r.CutNanos))
 }

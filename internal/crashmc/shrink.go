@@ -17,15 +17,10 @@ import (
 // (which a repro replay must reproduce bit-identically), or an error if
 // the given schedule does not fail at cut in the first place.
 func Shrink(tgt Target, w Workload, cut sim.Time) (Workload, *Violation, error) {
-	w = w.withDefaults()
 	fails := func(ops int) (*Violation, error) {
 		w2 := w
 		w2.Ops = ops
-		out, err := runOnce(tgt.Kind(), []Workload{w2}, cut, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return out.Engines[0].judge(tgt, cut), nil
+		return replay(tgt, w2, cut)
 	}
 	best, err := fails(w.Ops)
 	if err != nil {
@@ -35,25 +30,17 @@ func Shrink(tgt Target, w Workload, cut sim.Time) (Workload, *Violation, error) 
 		return w, nil, fmt.Errorf("crashmc: shrink: schedule does not fail at cut %v", cut)
 	}
 	cur := w.Ops
-	for cur > 1 {
-		v, err := fails(cur / 2)
-		if err != nil {
-			return w, nil, err
+	for _, step := range []func(int) int{func(n int) int { return n / 2 }, func(n int) int { return n - 1 }} {
+		for cur > 1 {
+			v, err := fails(step(cur))
+			if err != nil {
+				return w, nil, err
+			}
+			if v == nil {
+				break
+			}
+			cur, best = step(cur), v
 		}
-		if v == nil {
-			break
-		}
-		cur, best = cur/2, v
-	}
-	for cur > 1 {
-		v, err := fails(cur - 1)
-		if err != nil {
-			return w, nil, err
-		}
-		if v == nil {
-			break
-		}
-		cur, best = cur-1, v
 	}
 	w.Ops = cur
 	return w, best, nil

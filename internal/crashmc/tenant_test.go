@@ -17,11 +17,11 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden and testdata/
 const goldenSeeds = 4
 
 // noteGolden appends one seed's per-tenant outcomes in the golden's format.
-func noteGolden(b *strings.Builder, seed int64, res TenantSeedResult) {
+func noteGolden(b *strings.Builder, seed int64, res SeedResult) {
 	fmt.Fprintf(b, "seed=%d cut=%d", seed, int64(res.Cut))
 	for i, u := range res.Tenants {
-		fmt.Fprintf(b, " tenant%d={appended=%d acked=%d recovered=%d digest=%016x}",
-			i, u.Appended, u.Acked, u.Recovered, u.Digest)
+		fmt.Fprintf(b, " tenant%d={ops=%d acked=%d recovered=%d digest=%016x}",
+			i, u.Ops, u.Acked, u.Recovered, u.Digest)
 	}
 	b.WriteByte('\n')
 }
@@ -56,10 +56,10 @@ func TestTenantSeededCrashFDP(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
-	var appended, lossy int
+	var ops, lossy int
 	var golden strings.Builder
 	for seed := int64(1); seed <= seeds; seed++ {
-		res, vs, err := RunTenantSeed(exp.SlimIOFDP, seed, 2)
+		res, vs, err := RunSeed(exp.SlimIOFDP, seed, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -73,8 +73,8 @@ func TestTenantSeededCrashFDP(t *testing.T) {
 			t.Fatalf("seed %d: %d tenant outcomes, want 2", seed, len(res.Tenants))
 		}
 		for i, u := range res.Tenants {
-			appended += u.Appended
-			if u.Recovered < u.Appended {
+			ops += u.Ops
+			if u.Recovered < u.Ops {
 				lossy++
 			}
 			if u.Recovered < u.Acked {
@@ -84,8 +84,8 @@ func TestTenantSeededCrashFDP(t *testing.T) {
 			}
 		}
 	}
-	if appended == 0 {
-		t.Fatal("no tenant appended anything before any cut; harness is inert")
+	if ops == 0 {
+		t.Fatal("no tenant applied an op before any cut; harness is inert")
 	}
 	if lossy == 0 {
 		t.Error("no cut ever lost an unsynced tail: every cut landed after quiescence")
@@ -98,7 +98,7 @@ func TestTenantSeededCrashFDP(t *testing.T) {
 func TestTenantSeededCrashSharedBaseline(t *testing.T) {
 	var golden strings.Builder
 	for seed := int64(1); seed <= goldenSeeds; seed++ {
-		res, vs, err := RunTenantSeed(exp.SlimIOConv, seed, 2)
+		res, vs, err := RunSeed(exp.SlimIOConv, seed, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -113,11 +113,11 @@ func TestTenantSeededCrashSharedBaseline(t *testing.T) {
 // Same seed, same cut, same per-tenant recovery — bit for bit.
 func TestTenantSeededCrashDeterminism(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		a, av, err := RunTenantSeed(exp.SlimIOFDP, seed, 2)
+		a, av, err := RunSeed(exp.SlimIOFDP, seed, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		b, bv, err := RunTenantSeed(exp.SlimIOFDP, seed, 2)
+		b, bv, err := RunSeed(exp.SlimIOFDP, seed, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
