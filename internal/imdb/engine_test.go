@@ -448,6 +448,56 @@ func TestSnapshotCommitFailureCounted(t *testing.T) {
 	}
 }
 
+// A WAL-Snapshot that aborts leaves the segment its fork sealed live, since
+// no image covers it, and an On-Demand-Snapshot committed after it did not
+// rotate the log, so its commit must not discard that segment either:
+// recovery takes the older WAL-Snapshot image and replays the log on top.
+func TestUnrotatedCommitKeepsSealedLog(t *testing.T) {
+	r := newTestRig(Config{Policy: AlwaysLog})
+	final := map[string]string{}
+	r.eng.Spawn("client", func(env *sim.Env) {
+		set := func(from, to int) {
+			for i := from; i < to; i++ {
+				k, v := fmt.Sprintf("key%03d", i), fmt.Sprintf("v%d", i)
+				if err := r.db.Set(env, k, []byte(v)); err != nil {
+					t.Error(err)
+				}
+				final[k] = v
+			}
+		}
+		snapshot := func(kind SnapshotKind, fail bool) {
+			r.be.failCommit = fail
+			r.db.TriggerSnapshot(kind).Reply.Wait(env)
+			r.db.WaitNoSnapshot(env)
+		}
+		set(0, 40)
+		snapshot(WALSnapshot, false)
+		set(40, 80) // only in the segment the next fork seals
+		snapshot(WALSnapshot, true)
+		set(80, 120)
+		snapshot(OnDemandSnapshot, false)
+		if st := r.db.Stats(); len(st.Snapshots) != 2 || st.SnapshotsAbort != 1 {
+			t.Errorf("stats %+v: want two commits around one abort", st)
+		}
+	})
+	r.eng.Run() // no Shutdown: Always-Log made every SET durable
+	db2 := New(r.eng, r.be, Config{}, nil)
+	r.eng.Spawn("recover", func(env *sim.Env) {
+		if _, _, err := db2.Recover(env); err != nil {
+			t.Error(err)
+		}
+	})
+	r.eng.Run()
+	if db2.Store().Len() != len(final) {
+		t.Fatalf("recovered %d keys, want %d", db2.Store().Len(), len(final))
+	}
+	for k, v := range final {
+		if got := db2.Store().Get(k); string(got) != v {
+			t.Fatalf("key %s = %q, want %q", k, got, v)
+		}
+	}
+}
+
 func TestQueriesServedDuringSnapshot(t *testing.T) {
 	// The core property fork-based snapshotting buys: the engine keeps
 	// serving while the child writes the dump.
