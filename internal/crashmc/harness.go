@@ -35,10 +35,11 @@ import (
 	"github.com/slimio/slimio/internal/wal"
 )
 
-// Target is a backend stack the checker drives: SlimIO's passthru path on
-// an FDP SSD, or the kernel path over f2fs on a conventional one.
+// Target is a backend stack the checker drives.
 type Target = exp.BackendKind
 
+// The checkable targets: SlimIO's passthru path on an FDP SSD, and the
+// kernel path over f2fs on a conventional one.
 const (
 	SlimIO   = exp.SlimIOFDP
 	Baseline = exp.BaselineF2FS
@@ -81,8 +82,7 @@ type Workload struct {
 	Mutation Mutation       `json:"mutation"`
 }
 
-// rng returns a local splitmix64 stream: the checker never touches math/rand
-// global state.
+// rng returns a local splitmix64 stream, never math/rand's global one.
 func rng(seed int64) func() uint64 {
 	state := uint64(seed)
 	return func() uint64 {
