@@ -44,6 +44,7 @@ const (
 	walName     = "appendonly.wal"
 	walSnapName = "dump-wal.rdb"
 	odSnapName  = "dump-ondemand.rdb"
+	readChunk   = 128 << 10 // recovery's read(2) size (glibc-buffered-reader class)
 )
 
 // Backend persists through a simulated kernel filesystem. The WAL is a
@@ -59,9 +60,6 @@ type Backend struct {
 	sealed  []*kernelio.File
 	walGen  int
 	tmpGen  int
-	// ReadChunk is the read(2) size used during recovery (default 128 KiB,
-	// glibc-buffered-reader class).
-	ReadChunk int
 	// appending stages the segments of the chain a WALAppend call currently
 	// holds, so a power cut frozen inside write(2) leaves the references
 	// write(2) has not taken over (the non-nil slots) reachable for Close.
@@ -89,7 +87,7 @@ func New(fs *kernelio.Filesystem) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Backend{fs: fs, walFile: walFile, ReadChunk: 128 << 10}, nil
+	return &Backend{fs: fs, walFile: walFile}, nil
 }
 
 // Remount re-attaches a backend to a crash-remounted filesystem: WAL
@@ -131,7 +129,7 @@ func Remount(fs *kernelio.Filesystem) (*Backend, error) {
 		return b, nil
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].gen < segs[j].gen })
-	b := &Backend{fs: fs, tmpGen: tmpGen, ReadChunk: 128 << 10}
+	b := &Backend{fs: fs, tmpGen: tmpGen}
 	for i, s := range segs {
 		f, err := fs.Open(s.name)
 		if err != nil {
@@ -255,22 +253,20 @@ func (b *Backend) BeginSnapshot(env *sim.Env, kind imdb.SnapshotKind) (imdb.Snap
 	return &fileSink{be: b, tmp: tmp, final: final}, nil
 }
 
-// readAll reads a whole file through the kernel path in ReadChunk slices and
-// returns the read(2) buffers as runs, never concatenated: each is a fresh
-// buffer the caller owns. A device read failure mid-file (retries already
-// exhausted below) stops the scan: the prefix read so far is returned with a
-// degradation note, because a durable-prefix recovery beats refusing to start.
+// readAll reads a whole file in readChunk-sized read(2) calls and returns the
+// page-cache views they append (File.Read), as core returns device pages. A
+// device read failure mid-file (retries already exhausted below) stops the
+// scan: the prefix read so far is returned with a degradation note, because a
+// durable-prefix recovery beats refusing to start.
 func (b *Backend) readAll(env *sim.Env, name string) (runs [][]byte, note string, err error) {
 	f, err := b.fs.Open(name)
 	if err != nil {
 		return nil, "", err
 	}
-	for off := int64(0); off < f.Size(); off += int64(b.ReadChunk) {
-		chunk, err := f.Read(env, off, b.ReadChunk)
-		if err != nil {
+	for off := int64(0); off < f.Size(); off += readChunk {
+		if runs, err = f.Read(env, runs, off, readChunk); err != nil {
 			return runs, fmt.Sprintf("%s: unreadable at byte %d of %d: %v", name, off, f.Size(), err), nil
 		}
-		runs = append(runs, chunk)
 	}
 	return runs, "", nil
 }

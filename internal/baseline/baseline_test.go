@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/slimio/slimio/internal/fdp"
@@ -24,7 +25,11 @@ type rig struct {
 
 func newRig(t *testing.T, prof kernelio.Profile) *rig {
 	t.Helper()
-	geo := nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 48, PagesPerBlock: 16, PageSize: 512}
+	return newRigOn(t, prof, nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 48, PagesPerBlock: 16, PageSize: 512})
+}
+
+func newRigOn(t *testing.T, prof kernelio.Profile, geo nand.Geometry) *rig {
+	t.Helper()
 	arr, err := nand.New(geo, nand.DefaultLatencies())
 	if err != nil {
 		t.Fatal(err)
@@ -364,5 +369,78 @@ func TestRecoverContinuesAppending(t *testing.T) {
 	r.dev.FTL().Array().ReleaseStored()
 	if n := r.dev.FTL().Array().Pool().InFlight(); n != 0 {
 		t.Fatalf("%d pooled segments in flight after teardown", n)
+	}
+}
+
+// TestRecoverReadAllocBudget pins the read(2) contract of recovery: the
+// baseline hands the engine views of the page-cache pages it read, as core
+// hands over device pages, so reading a cold snapshot and log costs the heap
+// a few bytes of bookkeeping per page (the run slices, cache-page headers,
+// the log's frame table), never a copy of the bytes. The pool is warmed by
+// one cold recovery first, so the measured one fills the cache from
+// recycled segments, as every recovery after a process's first does (the
+// written pages are still shared with the device). The fixed cost of a
+// Recover call (process, segment list, notes) is measured on a short
+// snapshot+log and subtracted.
+func TestRecoverReadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race builds record bufpool acquire/release sites, which allocates")
+	}
+	const ps = 4096
+	run := func(kib int) (read int, alloc uint64) {
+		r := newRigOn(t, kernelio.F2FS(), nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 64, PagesPerBlock: 32, PageSize: ps})
+		var log []byte
+		for i := 0; len(log) < kib<<10; i++ {
+			log = wal.AppendRecord(log, wal.OpSet, []byte(fmt.Sprintf("k%d", i%8)), bytes.Repeat([]byte{byte(i)}, 4000))
+		}
+		img := bytes.Repeat([]byte("IMG-"), kib<<8)
+		r.run(t, func(env *sim.Env) {
+			sink, err := r.be.BeginSnapshot(env, imdb.WALSnapshot)
+			if err == nil {
+				err = sink.Write(env, img)
+			}
+			if err == nil {
+				err = sink.Commit(env)
+			}
+			if err == nil {
+				err = r.be.WALAppend(env, r.chain(log))
+			}
+			if err == nil {
+				err = r.be.WALSync(env)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		var rec *imdb.Recovered
+		recoverOnce := func(env *sim.Env) {
+			var err error
+			if rec, err = r.be.Recover(env); err != nil {
+				t.Error(err)
+			}
+		}
+		r.fs.DropCaches()
+		r.run(t, recoverOnce) // fills the pool's free list with clean cache pages
+		r.fs.DropCaches()
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		r.run(t, recoverOnce)
+		runtime.ReadMemStats(&ms1)
+		if t.Failed() {
+			t.FailNow()
+		}
+		if got := bytes.Join(rec.Snapshot, nil); !bytes.Equal(got, img) || len(rec.WAL) != 1 || rec.WAL[0].Len != int64(len(log)) {
+			t.Fatalf("recovered a %d-byte image and %d log segments, want the %d-byte image and one %d-byte segment",
+				len(got), len(rec.WAL), len(img), len(log))
+		}
+		r.be.Close()
+		return len(img) + len(log), ms1.TotalAlloc - ms0.TotalAlloc
+	}
+	shortRead, shortAlloc := run(64)
+	longRead, longAlloc := run(4096)
+	perByte := (float64(longAlloc) - float64(shortAlloc)) / float64(longRead-shortRead)
+	if perByte > 1.0/16 {
+		t.Fatalf("recovery allocates %.3f B per byte read (%d B for %d bytes vs %d B for %d), budget 1/16: views of the page cache, no copy",
+			perByte, longAlloc, longRead, shortAlloc, shortRead)
 	}
 }

@@ -1,0 +1,6 @@
+//go:build race
+
+package baseline
+
+// raceEnabled lets tests skip allocation budgets that race builds break.
+const raceEnabled = true

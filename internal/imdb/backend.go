@@ -53,23 +53,22 @@ type Recovered struct {
 	// the WAL-Snapshot plus the WAL, or an On-Demand-Snapshot alone).
 	Kind SnapshotKind
 	// Snapshot is the raw snapshot image as the runs of bytes the backend
-	// read it as, in order: device pages (the last one cut to the image's
-	// length) or file read buffers, never concatenated. The runs may be
-	// views of device memory, valid only until the recovering engine writes
-	// again; Engine.Recover decodes them with snapshot.NewImageReader and
-	// then drops them, so the Recovered that LastRecovery returns holds
-	// no image.
+	// read it as, in order, never concatenated: views of device pages (the
+	// last one cut to the image's length) or of page-cache pages, valid
+	// only until the recovering engine writes again. Engine.Recover decodes
+	// them with snapshot.NewImageReader and then drops them, so the
+	// Recovered that LastRecovery returns holds no image.
 	Snapshot [][]byte
 	// WAL holds the durable log segments in append order (a sealed pre-fork
 	// segment, if a WAL-Snapshot was in flight at the crash, then the
 	// current segment), each decoded once by the backend with
-	// wal.DecodeSegment straight from the pages or file buffer it read. Each
-	// may have its own torn tail. Like the image's runs, the records are
-	// views of what the backend read, valid only until the recovering engine
-	// writes again (a caller keeping them longer keeps Segment.Clone's
-	// copy); Engine.Recover copies the values the store keeps and then
-	// drops the records, so the Recovered that LastRecovery returns holds
-	// nothing the store uses.
+	// wal.DecodeSegment straight from the device or page-cache pages it
+	// read. Each may have its own torn tail. The records have the image's
+	// lifetime: views of what the backend read, valid only until the
+	// recovering engine writes again (a caller keeping them longer keeps
+	// Segment.Clone's copy); Engine.Recover copies the values the store
+	// keeps and then drops the records, so the Recovered that LastRecovery
+	// returns holds nothing the store uses.
 	WAL []wal.Segment
 	// WALTruncatedAt is the byte offset into the open WAL segment where
 	// decoding stopped on non-zero garbage (mid-segment corruption or a torn

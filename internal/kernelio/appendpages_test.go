@@ -168,7 +168,7 @@ func twinScript(t *testing.T, seed int64, pages bool) (obs []twinObs, back []byt
 			t.Error(err)
 			return
 		}
-		if back, err = g.Read(env, 0, int(g.Size())); err != nil {
+		if back, err = readAt(env, g, 0, int(g.Size())); err != nil {
 			t.Error(err)
 		}
 	})

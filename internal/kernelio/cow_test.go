@@ -56,7 +56,7 @@ func TestWritebackSharesAndWritersCopy(t *testing.T) {
 					t.Errorf("after overwrite: the writer did not move to a private copy (same seg = %v, shared = %v, refs new/old = %d/%d)",
 						pg.seg == flushed, pg.shared, pg.seg.Refs(), flushed.Refs())
 				}
-				if got, err := f.Read(env, 0, len(merged)); err != nil || !bytes.Equal(got, merged) {
+				if got, err := readAt(env, f, 0, len(merged)); err != nil || !bytes.Equal(got, merged) {
 					t.Errorf("the cache does not show the overwrite (err = %v)", err)
 				}
 				if tc.syncSecond {
@@ -83,7 +83,7 @@ func TestWritebackSharesAndWritersCopy(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got, err := f.Read(env, 0, len(want))
+				got, err := readAt(env, f, 0, len(want))
 				if err != nil {
 					t.Errorf("read after remount: %v", err)
 					return

@@ -79,7 +79,8 @@ func (fs *Filesystem) unshare(pg *cachePage) {
 // page cached — sufficient for the append-dominated access pattern of
 // database persistence. Data enters the cache through Write, which copies a
 // user buffer, or AppendPages, which takes whole pooled pages over without a
-// copy. Not safe for use outside simulation context.
+// copy, and leaves through Read as views of the cached pages. Not safe for use
+// outside simulation context.
 type File struct {
 	fs      *Filesystem
 	name    string
@@ -782,13 +783,16 @@ func (f *File) clearInflight(n int) {
 }
 
 // Read implements the read(2) path: page-cache hits cost only the copy;
-// misses read through to the device with sequential readahead.
-func (f *File) Read(env *sim.Env, off int64, n int) ([]byte, error) {
+// misses read through to the device with sequential readahead. It appends
+// [off, off+n), cut at EOF, to dst as one view per cached page, valid until
+// the file is written, truncated or deleted, or its cache is dropped; the copy
+// to a user buffer is billed all the same. On error dst is returned as is.
+func (f *File) Read(env *sim.Env, dst [][]byte, off int64, n int) ([][]byte, error) {
 	if f.deleted {
-		return nil, fmt.Errorf("kernelio: read of deleted file %q", f.name)
+		return dst, fmt.Errorf("kernelio: read of deleted file %q", f.name)
 	}
 	if off < 0 {
-		return nil, fmt.Errorf("kernelio: negative offset %d", off)
+		return dst, fmt.Errorf("kernelio: negative offset %d", off)
 	}
 	fs := f.fs
 	fs.stats.Syscalls++
@@ -798,7 +802,7 @@ func (f *File) Read(env *sim.Env, off int64, n int) ([]byte, error) {
 	defer func() { tr.End(span, env.Now()) }()
 	env.Work(TagSyscall, fs.costs.SyscallEntry)
 	if off >= f.size {
-		return nil, nil // EOF
+		return dst, nil // EOF
 	}
 	if int64(n) > f.size-off {
 		n = int(f.size - off)
@@ -817,20 +821,17 @@ func (f *File) Read(env *sim.Env, off int64, n int) ([]byte, error) {
 		err := f.fillFrom(env, idx)
 		tr.SetScope(0)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
 
-	out := make([]byte, n)
-	pos := 0
 	for idx := firstIdx; idx <= lastIdx; idx++ {
-		pg := f.pages[idx]
-		pageOff := off + int64(pos) - idx*ps
-		pos += copy(out[pos:], pg.data[pageOff:])
+		lo, hi := max(off-idx*ps, 0), min(off+int64(n)-idx*ps, ps)
+		dst = append(dst, f.pages[idx].data[lo:hi:hi])
 	}
 	env.Work(TagCopy, sim.DurationForBytes(int64(n), fs.costs.CopyBandwidth))
 	fs.stats.BytesRead += int64(n)
-	return out, nil
+	return dst, nil
 }
 
 // fillFrom reads page idx plus a readahead window of LPA-contiguous

@@ -44,6 +44,16 @@ func newRig(t *testing.T, prof Profile, mode SchedMode) *rig {
 	return &rig{eng: eng, dev: dev, fs: NewFilesystem(eng, dev, prof, mode, DefaultCosts())}
 }
 
+// readAt is read(2) into one buffer: File.Read's views joined, nil when it
+// read nothing.
+func readAt(env *sim.Env, f *File, off int64, n int) ([]byte, error) {
+	views, err := f.Read(env, nil, off, n)
+	if len(views) == 0 {
+		return nil, err
+	}
+	return bytes.Join(views, nil), err
+}
+
 // run executes fn as a process and drains the engine.
 func (r *rig) run(t *testing.T, fn func(env *sim.Env)) {
 	t.Helper()
@@ -68,7 +78,7 @@ func TestWriteFsyncReadRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := f.Read(env, 0, len(payload))
+		got, err := readAt(env, f, 0, len(payload))
 		if err != nil {
 			t.Error(err)
 			return
@@ -94,7 +104,7 @@ func TestReadAfterDropCaches(t *testing.T) {
 		}
 		r.fs.DropCaches()
 		before := r.fs.Stats().CacheMisses
-		got, err := f.Read(env, 0, len(payload))
+		got, err := readAt(env, f, 0, len(payload))
 		if err != nil {
 			t.Error(err)
 			return
@@ -126,7 +136,7 @@ func TestReadAheadReducesDeviceRounds(t *testing.T) {
 		r.fs.DropCaches()
 		t0 := env.Now()
 		for off := 0; off < n; off += 512 {
-			if _, err := f.Read(env, int64(off), 512); err != nil {
+			if _, err := readAt(env, f, int64(off), 512); err != nil {
 				t.Error(err)
 				return
 			}
@@ -204,7 +214,7 @@ func TestWriteToDeletedFileFails(t *testing.T) {
 		if err := f.Fsync(env); err == nil {
 			t.Error("fsync of deleted file succeeded")
 		}
-		if _, err := f.Read(env, 0, 1); err == nil {
+		if _, err := readAt(env, f, 0, 1); err == nil {
 			t.Error("read of deleted file succeeded")
 		}
 	})
@@ -236,7 +246,7 @@ func TestAppendGrowsFile(t *testing.T) {
 		if f.Size() != 60 {
 			t.Errorf("size = %d, want 60", f.Size())
 		}
-		got, err := f.Read(env, 54, 6)
+		got, err := readAt(env, f, 54, 6)
 		if err != nil || string(got) != "entry-" {
 			t.Errorf("tail read = %q, %v", got, err)
 		}
@@ -479,12 +489,12 @@ func TestConcurrentWritersIntegrity(t *testing.T) {
 		for _, e := range walData {
 			want = append(want, e...)
 		}
-		got, err := wal.Read(env, 0, len(want))
+		got, err := readAt(env, wal, 0, len(want))
 		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("wal corrupted: %v", err)
 		}
 		snap, _ := r.fs.Open("snap")
-		got, err = snap.Read(env, 0, len(snapData))
+		got, err = readAt(env, snap, 0, len(snapData))
 		if err != nil || !bytes.Equal(got, snapData) {
 			t.Errorf("snapshot corrupted: %v", err)
 		}
@@ -500,14 +510,165 @@ func TestReadPastEOF(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := f.Read(env, 10, 5)
+		got, err := readAt(env, f, 10, 5)
 		if err != nil || got != nil {
 			t.Errorf("read past EOF = %q, %v", got, err)
 		}
-		got, err = f.Read(env, 1, 100)
+		got, err = readAt(env, f, 1, 100)
 		if err != nil || string(got) != "bc" {
 			t.Errorf("short read = %q, %v", got, err)
 		}
+	})
+}
+
+// TestReadReturnsCacheViews: File.Read appends one view per cached page,
+// cut to the requested range and to EOF, aliasing the page cache rather than
+// copying it, and bills read(2) as before. A hole on a crash-mounted
+// filesystem reads as a view of a zeroed cache page.
+func TestReadReturnsCacheViews(t *testing.T) {
+	const ps = 512
+	t.Run("ranges", func(t *testing.T) {
+		payload := make([]byte, 3*ps+200) // three pages and a partial fourth
+		for i := range payload {
+			payload[i] = byte(i*7 + 1)
+		}
+		r := newRig(t, F2FS(), SchedNone)
+		r.run(t, func(env *sim.Env) {
+			f, _ := r.fs.Create("views")
+			if err := f.Write(env, 0, payload); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := f.Fsync(env); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, tc := range []struct {
+				name string
+				off  int64
+				n    int
+				lens []int
+			}{
+				{"starts and ends mid-page", 10, 100, []int{100}},
+				{"straddles pages", ps - 12, ps + 100, []int{12, ps, 88}},
+				{"cut at EOF", 3*ps + 100, 500, []int{100}},
+				{"past EOF", int64(len(payload)) + 1, 10, nil},
+			} {
+				prior := [][]byte{[]byte("kept")}
+				before := r.fs.Stats()
+				got, err := f.Read(env, prior, tc.off, tc.n)
+				if err != nil {
+					t.Errorf("%s: %v", tc.name, err)
+					continue
+				}
+				if len(got) != 1+len(tc.lens) || string(got[0]) != "kept" {
+					t.Errorf("%s: %d runs after the caller's one, want %d views appended", tc.name, len(got)-1, len(tc.lens))
+					continue
+				}
+				want := payload[min(tc.off, int64(len(payload))):min(tc.off+int64(tc.n), int64(len(payload)))]
+				pos := tc.off
+				for i, v := range got[1:] {
+					if len(v) != tc.lens[i] || cap(v) != len(v) {
+						t.Errorf("%s: view %d has len %d cap %d, want len = cap = %d", tc.name, i, len(v), cap(v), tc.lens[i])
+					}
+					if pg := f.pages[pos/ps]; &v[0] != &pg.data[pos%ps] {
+						t.Errorf("%s: view %d does not alias cached page %d", tc.name, i, pos/ps)
+					}
+					pos += int64(len(v))
+				}
+				if joined := bytes.Join(got[1:], nil); !bytes.Equal(joined, want) {
+					t.Errorf("%s: read %d bytes that differ from the %d written there", tc.name, len(joined), len(want))
+				}
+				after := r.fs.Stats()
+				if after.Syscalls != before.Syscalls+1 || after.BytesRead != before.BytesRead+int64(len(want)) {
+					t.Errorf("%s: billed %d syscalls and %d bytes, want 1 and %d", tc.name,
+						after.Syscalls-before.Syscalls, after.BytesRead-before.BytesRead, len(want))
+				}
+			}
+		})
+	})
+
+	t.Run("hit after miss", func(t *testing.T) {
+		r := newRig(t, F2FS(), SchedNone)
+		r.run(t, func(env *sim.Env) {
+			f, _ := r.fs.Create("views")
+			if err := f.Write(env, 0, bytes.Repeat([]byte("h"), 2*ps)); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := f.Fsync(env); err != nil {
+				t.Error(err)
+				return
+			}
+			r.fs.DropCaches()
+			misses := r.fs.Stats().CacheMisses
+			miss, err := f.Read(env, nil, ps, ps)
+			if err != nil || r.fs.Stats().CacheMisses != misses+1 {
+				t.Errorf("cold read: err = %v, %d misses, want 1", err, r.fs.Stats().CacheMisses-misses)
+				return
+			}
+			hits := r.fs.Stats().CacheHits
+			hit, err := f.Read(env, nil, ps, ps)
+			if err != nil || r.fs.Stats().CacheHits != hits+1 {
+				t.Errorf("warm read: err = %v, %d hits, want 1", err, r.fs.Stats().CacheHits-hits)
+				return
+			}
+			if &hit[0][0] != &miss[0][0] {
+				t.Error("a hit after a miss did not return a view of the page the miss filled")
+			}
+		})
+	})
+
+	t.Run("crash-mounted hole", func(t *testing.T) {
+		eng, dev, fs := newRemountRig(t)
+		eng.Spawn("writer", func(env *sim.Env) {
+			f, _ := fs.Create("f.log")
+			if err := f.Append(env, bytes.Repeat([]byte("D"), ps)); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := f.Fsync(env); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := f.Append(env, bytes.Repeat([]byte("x"), ps+10)); err != nil { // never synced
+				t.Error(err)
+			}
+		})
+		eng.Run()
+		eng2 := sim.NewEngine()
+		nfs := fs.Remount(eng2)
+		eng2.Spawn("reader", func(env *sim.Env) {
+			f, err := nfs.Open("f.log")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for idx := int64(1); idx <= 2; idx++ {
+				if lpa, err := f.lpaOf(idx); err != nil || dev.Mapped(lpa) {
+					t.Errorf("rig: file page %d is not a hole (err = %v)", idx, err)
+					return
+				}
+			}
+			views, err := f.Read(env, nil, 0, int(f.Size()))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(views) != 3 || !bytes.Equal(views[0], bytes.Repeat([]byte("D"), ps)) {
+				t.Errorf("read %d views, want 3, the first the fsynced page", len(views))
+				return
+			}
+			for i, v := range views[1:] {
+				if &v[0] != &f.pages[1+i].data[0] {
+					t.Errorf("the hole at file page %d is not a view of its cache page", 1+i)
+				}
+				if bytes.Count(v, []byte{0}) != len(v) {
+					t.Errorf("the hole at file page %d read back non-zero bytes", 1+i)
+				}
+			}
+		})
+		eng2.Run()
 	})
 }
 

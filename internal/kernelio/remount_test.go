@@ -65,7 +65,7 @@ func TestRemountLosesDirtyKeepsDurable(t *testing.T) {
 			t.Errorf("size = %d, want %d (journaled metadata survives)", f.Size(), len(durable)+len(dirty))
 			return
 		}
-		got, err := f.Read(env, 0, int(f.Size()))
+		got, err := readAt(env, f, 0, int(f.Size()))
 		if err != nil {
 			t.Errorf("read after remount: %v", err)
 			return
@@ -141,7 +141,7 @@ func TestTruncateThenAppendContinues(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := f.Read(env, 0, int(f.Size()))
+		got, err := readAt(env, f, 0, int(f.Size()))
 		if err != nil {
 			t.Error(err)
 			return

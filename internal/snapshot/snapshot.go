@@ -164,7 +164,7 @@ const maxInflateRatio = 255
 
 // Reader decodes a snapshot image chunk by chunk from one of two run
 // sources: the runs of bytes a backend read the image as (NewImageReader:
-// device pages or file buffers, never concatenated), or a sequential
+// device or page-cache pages, never concatenated), or a sequential
 // io.Reader (NewReader), whose reads become the runs. Both feed the one
 // decode loop in Next. A frame inside one run is CRC-checked and inflated
 // where it lies; a frame that straddles runs is first gathered into a scratch

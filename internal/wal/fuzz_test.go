@@ -211,6 +211,25 @@ func FuzzDecodeSegment(f *testing.F) {
 	})
 }
 
+// TestCloneReadsOnlyThePrefix: Clone copies the durable prefix alone, so a
+// tail released after decoding (the baseline truncates its crash-mounted log
+// at Prefix, dropping the cache pages past it) cannot leak into the clone,
+// whether that tail was clean or garbage.
+func TestCloneReadsOnlyThePrefix(t *testing.T) {
+	for _, tail := range [][]byte{make([]byte, 100), append([]byte{0x7F}, make([]byte, 99)...)} {
+		buf := append(stream(4), tail...)
+		seg := DecodeSegment(splitRuns(buf, []byte{50, 70}))
+		want := summary(&seg)
+		for i := seg.Prefix; i < seg.Len; i++ {
+			buf[i] = 0xDB
+		}
+		if clone := seg.Clone(); !sameSegment(summary(&clone), want) {
+			t.Errorf("clone after the tail was overwritten: prefix %d, corrupt %v, len %d, %d records; want %d, %v, %d, %d",
+				clone.Prefix, clone.Corrupt, clone.Len, clone.Count(), want.Prefix, want.Corrupt, want.Len, len(want.Records))
+		}
+	}
+}
+
 // TestDecodeSegmentCopies: DecodeSegment copies nothing — its records are
 // views of the runs, whether their frame lay inside one run or straddled
 // several, so overwriting the runs rewrites them — and Clone copies them

@@ -6,7 +6,7 @@
 // Redis truncates a partial AOF on startup.
 //
 // Recovery has one decoder, DecodeSegment. It reads a segment as the runs of
-// bytes the device handed back (pages, or one file buffer), never building
+// bytes the backend read (device or page-cache pages), never building
 // the concatenation, and its single pass both places a backend's append
 // position (Segment.Prefix) and yields the records the engine replays as
 // views of the runs, copying nothing. Decode parses one frame held whole in
@@ -197,15 +197,16 @@ func (s *Segment) Records() []Record {
 	return out
 }
 
-// Clone returns s decoded from a private copy of its runs, so its records
-// stay valid after the runs are reused. DecodeSegment is blind to where the
-// runs are cut, so the clone equals s field for field.
+// Clone returns s decoded from a private copy of its durable prefix, so its
+// records stay valid after the runs are reused. It reads nothing past Prefix,
+// which a backend may already have released (the baseline truncates its
+// crash-mounted log there): the copy is zero-filled to Len and keeps s's
+// Corrupt, so the clone equals s field for field.
 func (s *Segment) Clone() Segment {
-	var flat []byte
-	for _, r := range s.runs {
-		flat = append(flat, r...)
-	}
-	return DecodeSegment([][]byte{flat})
+	flat := s.gather(make([]byte, 0, s.Len), pos{}, int(s.Prefix))
+	c := DecodeSegment([][]byte{flat[:s.Len]})
+	c.Corrupt = s.Corrupt
+	return c
 }
 
 // view returns the n bytes at p: a capacity-limited view when one run holds
