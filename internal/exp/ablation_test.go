@@ -68,11 +68,11 @@ func TestAblationFDPAwareFSSeparatesLifetimes(t *testing.T) {
 	if !ok {
 		t.Fatalf("FDPAwareFS stack has FTL %T", res.Stack.Dev.FTL())
 	}
-	byPID := f.Stats().HostWritesByPID
-	if byPID[1] == 0 {
+	pids := f.Stats().PIDs
+	if pids[1].HostWrites == 0 {
 		t.Error("WAL stream (PID 1) unused")
 	}
-	if byPID[2] == 0 && byPID[3] == 0 {
+	if pids[2].HostWrites == 0 && pids[3].HostWrites == 0 {
 		t.Error("no snapshot stream writes (PID 2/3)")
 	}
 	if res.waf != 1.0 {

@@ -108,9 +108,9 @@ func inspect(res *CellResult) inspectCell {
 	fs := ftl.Stats()
 	fmt.Fprintf(&b, "RUs reclaimed  %d (%d without any copy)\n", fs.RUsReclaimed, fs.RUsReclaimedEmpty)
 	fmt.Fprintf(&b, "writes by PID:\n")
-	for _, pc := range fs.PIDWrites() {
+	for pid, pc := range fs.PIDs {
 		if pc.HostWrites > 0 || pc.GCCopies > 0 {
-			fmt.Fprintf(&b, "  PID %d: %d pages (%d GC copies)\n", pc.PID, pc.HostWrites, pc.GCCopies)
+			fmt.Fprintf(&b, "  PID %d: %d pages (%d GC copies)\n", pid, pc.HostWrites, pc.GCCopies)
 		}
 	}
 	usage := ftl.Usage()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/slimio/slimio/internal/fdp"
 	"github.com/slimio/slimio/internal/imdb"
 	"github.com/slimio/slimio/internal/metrics"
 	"github.com/slimio/slimio/internal/sim"
@@ -223,22 +222,18 @@ func runIsolationCell(kind BackendKind, tenants int, noisy bool, sc Scale) (*iso
 
 	cell := &isolationCell{Kind: kind, DeviceWAF: ts.Dev.Stats().WAF()}
 	for i, t := range ts.Tenants {
+		u := ts.tenantUsage(t)
 		row := tenantRow{
 			Tenant:    t.Name,
 			Role:      runs[i].role,
 			Ops:       runs[i].ops,
-			HostPages: t.ns.HostWritePages(),
-			GCCopies:  -1,
-			WAF:       ts.tenantWAF(t),
+			HostPages: u.HostWrites,
+			GCCopies:  -1, // prorated on a shared stream, not measured
+			WAF:       u.WAF(),
 			SetP99:    runs[i].p99.P99(),
 		}
 		if t.lease != nil {
-			for _, u := range ts.alloc.Rollup(ts.Dev.FTL().(*fdp.FTL).Stats()) {
-				if u.Tenant == t.Name {
-					row.GCCopies = u.GCCopies
-					row.HostPages = u.HostWrites
-				}
-			}
+			row.GCCopies = u.GCCopies
 		}
 		cell.Rows = append(cell.Rows, row)
 	}

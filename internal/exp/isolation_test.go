@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/slimio/slimio/internal/bufpool"
+	"github.com/slimio/slimio/internal/fdp"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/telemetry"
 )
@@ -82,19 +83,30 @@ func runTenantChurn(t *testing.T, kind BackendKind) tenantChurnOutcome {
 	})
 	eng.Run()
 
-	var out tenantChurnOutcome
-	out.quietWAF = ts.tenantWAF(quiet)
-	out.noisyWAF = ts.tenantWAF(noisy)
-	out.deviceWAF = ts.Dev.Stats().WAF()
-	out.quietHost = quiet.ns.HostWritePages()
-	out.reclaims = ts.Dev.FTL().(ruIntrospect).Stats().RUsReclaimed
-	out.quietGC = -1
+	quietUse, dev := ts.tenantUsage(quiet), ts.Dev.Stats()
+	out := tenantChurnOutcome{
+		quietWAF:  quietUse.WAF(),
+		noisyWAF:  ts.tenantUsage(noisy).WAF(),
+		deviceWAF: dev.WAF(),
+		quietGC:   -1,
+		quietHost: quietUse.HostWrites,
+		reclaims:  ts.Dev.FTL().(ruIntrospect).Stats().RUsReclaimed,
+	}
 	if quiet.lease != nil {
-		for _, u := range ts.alloc.Rollup(ts.Dev.FTL().(ruIntrospect).Stats()) {
-			if u.Tenant == quiet.Name {
-				out.quietGC = u.GCCopies
-				out.quietHost = u.HostWrites
+		out.quietGC = quietUse.GCCopies
+		// The leases bill every page: each tenant's host writes are the ones
+		// its namespace issued, and their GC copies are all the device made.
+		s := ts.Dev.FTL().(*fdp.FTL).Stats()
+		var gc int64
+		for _, tn := range ts.Tenants {
+			u := tn.lease.Usage(s)
+			if u.HostWrites != tn.ns.HostWritePages() {
+				t.Errorf("%s: lease billed %d host pages, its namespace wrote %d", tn.Name, u.HostWrites, tn.ns.HostWritePages())
 			}
+			gc += u.GCCopies
+		}
+		if gc != dev.GCCopiedPages {
+			t.Errorf("leases billed %d GC copies, the device made %d", gc, dev.GCCopiedPages)
 		}
 	}
 	if err := ts.Teardown(); err != nil {

@@ -90,6 +90,10 @@ func RunTable2(sc Scale) (*Table2Result, error) {
 		if err != nil {
 			return 0, err
 		}
+		res.Stack.Eng.Shutdown()
+		if err := res.ReleaseHeavy(); err != nil {
+			return 0, err
+		}
 		var fsBusy, dur sim.Duration
 		for _, ev := range res.Snapshots {
 			if ev.Kind == imdb.OnDemandSnapshot {

@@ -144,7 +144,7 @@ func AttachStackTelemetry(st *Stack, cell *telemetry.Cell) {
 		cell.AddProbe(cols, func(_ sim.Time, v []int64) {
 			v[0] = int64(len(st.Tenants))
 			for i, t := range st.Tenants {
-				v[1+2*i], v[2+2*i] = t.ns.HostWritePages(), st.tenantWAFx100(t)
+				v[1+2*i], v[2+2*i] = t.ns.HostWritePages(), wafX100(st.tenantUsage(t))
 			}
 		})
 	}

@@ -72,44 +72,26 @@ func (st *Stack) mountTenants(n int, cfg core.Config, front ssd.Config) error {
 	return nil
 }
 
-// tenantCounters returns tenant t's host-written and total NAND-written
-// page counts. With a lease both roll up over t's PIDs; on a conventional
-// device attribution is impossible (every write shares stream 0), so each
-// tenant is billed the device-global amplification prorated onto its own
-// host volume.
-func (st *Stack) tenantCounters(t *Tenant) (host, nand int64) {
+// tenantUsage bills tenant t its host and GC-copy pages. With a lease they
+// are its PIDs' counters; on a conventional device attribution is impossible
+// (every write shares stream 0), so each tenant is billed the device-global
+// amplification prorated onto its own host volume.
+func (st *Stack) tenantUsage(t *Tenant) fdp.TenantUsage {
 	if t.lease != nil {
-		s := st.Dev.FTL().(*fdp.FTL).Stats() // a lease implies the FDP FTL
-		for off := 0; off < t.lease.Count; off++ {
-			pid := t.lease.Base + uint32(off)
-			host += s.HostWritesByPID[pid]
-			nand += s.HostWritesByPID[pid] + s.GCCopiesByPID[pid]
-		}
-		return host, nand
+		return t.lease.Usage(st.Dev.FTL().(*fdp.FTL).Stats()) // a lease implies the FDP FTL
 	}
-	fs := st.Dev.Stats()
-	h := t.ns.HostWritePages()
-	if fs.HostWritePages == 0 {
-		return h, h
+	u := fdp.TenantUsage{Tenant: t.Name, HostWrites: t.ns.HostWritePages()}
+	if fs := st.Dev.Stats(); fs.HostWritePages != 0 {
+		u.GCCopies = u.HostWrites*fs.NANDWritePages/fs.HostWritePages - u.HostWrites
 	}
-	return h, h * fs.NANDWritePages / fs.HostWritePages
+	return u
 }
 
-// tenantWAF reports tenant t's own write-amplification factor.
-func (st *Stack) tenantWAF(t *Tenant) float64 {
-	host, nand := st.tenantCounters(t)
-	if host == 0 {
-		return 1
-	}
-	return float64(nand) / float64(host)
-}
-
-// tenantWAFx100 is tenantWAF in integer hundredths (integer arithmetic
-// only, for the telemetry plane's diffable gauges).
-func (st *Stack) tenantWAFx100(t *Tenant) int64 {
-	host, nand := st.tenantCounters(t)
-	if host == 0 {
+// wafX100 is u.WAF() in integer hundredths (integer arithmetic only, for
+// the telemetry plane's diffable gauges).
+func wafX100(u fdp.TenantUsage) int64 {
+	if u.HostWrites == 0 {
 		return 100
 	}
-	return (nand*100 + host/2) / host
+	return ((u.HostWrites+u.GCCopies)*100 + u.HostWrites/2) / u.HostWrites
 }

@@ -16,7 +16,6 @@ package fdp
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/nand"
@@ -65,41 +64,18 @@ type Stats struct {
 	BaseStats
 	RUsReclaimed      int64
 	RUsReclaimedEmpty int64 // reclaimed with zero valid copies (the FDP win)
-	HostWritesByPID   map[uint32]int64
-	// GCCopiesByPID attributes reclaim-migrated pages to the PID that owned
-	// the victim reclaim unit, so multi-tenant roll-ups can bill GC work to
-	// the stream that caused it. Sums to GCCopiedPages.
-	GCCopiesByPID map[uint32]int64
+	// PIDs is a copy of the per-stream counters, indexed by PID and sized
+	// MaxPIDs. Reclaim copies are billed to the PID that owned the victim
+	// reclaim unit, so multi-tenant roll-ups (PIDLease.Usage) can bill GC
+	// work to the stream that caused it; the GCCopies column sums to
+	// GCCopiedPages.
+	PIDs []PIDCount
 }
 
-// PIDCount is one placement stream's cumulative page counters, for sorted
-// per-PID export.
+// PIDCount is one placement stream's cumulative page counters.
 type PIDCount struct {
-	PID        uint32
 	HostWrites int64
 	GCCopies   int64
-}
-
-// PIDWrites returns the per-PID counters in ascending PID order — the
-// deterministic iteration every print/export site must use instead of
-// ranging over the maps directly.
-func (s Stats) PIDWrites() []PIDCount {
-	pids := make([]uint32, 0, len(s.HostWritesByPID)+len(s.GCCopiesByPID))
-	for pid := range s.HostWritesByPID {
-		pids = append(pids, pid)
-	}
-	for pid := range s.GCCopiesByPID {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	out := make([]PIDCount, 0, len(pids))
-	for i, pid := range pids {
-		if i > 0 && pid == pids[i-1] {
-			continue
-		}
-		out = append(out, PIDCount{PID: pid, HostWrites: s.HostWritesByPID[pid], GCCopies: s.GCCopiesByPID[pid]})
-	}
-	return out
 }
 
 // ReclaimEvent records one RU reclaim for inspection.
@@ -184,6 +160,13 @@ type reclaimUnit struct {
 
 func (ru *reclaimUnit) pages(perBlock int) int { return len(ru.blocks) * perBlock }
 
+// stream is one placement identifier's state: the reclaim unit its writes
+// fill (nil until the next write opens one) and its page counters.
+type stream struct {
+	open *reclaimUnit
+	PIDCount
+}
+
 // FTL is the FDP translation layer. Not safe for concurrent use.
 type FTL struct {
 	arr *nand.Array
@@ -196,7 +179,7 @@ type FTL struct {
 
 	rus      []*reclaimUnit
 	freeRUs  []int
-	active   map[uint32]*reclaimUnit // PID -> open RU
+	streams  []stream // indexed by PID, sized MaxPIDs
 	closeSeq int64
 
 	// retired flags globally-indexed blocks taken out of service after a
@@ -205,12 +188,9 @@ type FTL struct {
 	retired []bool
 	pending []int64
 
-	// stats keeps the scalar counters; the per-PID ones live in hostByPID
-	// and gcByPID, indexed by PID and sized MaxPIDs, until Stats copies them
-	// into its maps.
+	// stats keeps the scalar counters; the per-PID ones live in streams
+	// until Stats copies them out.
 	stats     Stats
-	hostByPID []int64
-	gcByPID   []int64
 	log       []ReclaimEvent
 	reclaimIn bool
 	pageSz    int
@@ -245,9 +225,7 @@ func New(arr *nand.Array, cfg Config) (*FTL, error) {
 		p2l:        make([]int64, geo.Pages()),
 		ruOf:       make([]int32, geo.Blocks()),
 		retired:    make([]bool, geo.Blocks()),
-		active:     make(map[uint32]*reclaimUnit),
-		hostByPID:  make([]int64, cfg.MaxPIDs),
-		gcByPID:    make([]int64, cfg.MaxPIDs),
+		streams:    make([]stream, cfg.MaxPIDs),
 		pageSz:     geo.PageSize,
 	}
 	for i := range f.l2p {
@@ -283,24 +261,14 @@ func (f *FTL) Capacity() int64 { return f.usableLPAs }
 // PageSize reports the page size in bytes.
 func (f *FTL) PageSize() int { return f.pageSz }
 
-// Stats returns cumulative counters. The per-PID maps are fresh and hold
-// only PIDs with a nonzero count.
+// Stats returns cumulative counters; PIDs is a fresh copy.
 func (f *FTL) Stats() Stats {
 	s := f.stats
-	s.HostWritesByPID = pidCounts(f.hostByPID)
-	s.GCCopiesByPID = pidCounts(f.gcByPID)
-	return s
-}
-
-// pidCounts maps each PID with a nonzero count to it.
-func pidCounts(byPID []int64) map[uint32]int64 {
-	m := make(map[uint32]int64)
-	for pid, n := range byPID {
-		if n != 0 {
-			m[uint32(pid)] = n
-		}
+	s.PIDs = make([]PIDCount, len(f.streams))
+	for pid := range f.streams {
+		s.PIDs[pid] = f.streams[pid].PIDCount
 	}
-	return m
+	return s
 }
 
 // BaseStats returns the placement-agnostic counters, satisfying the shared
@@ -454,8 +422,8 @@ func (f *FTL) retireBlock(g int) {
 			}
 		}
 	case ruOpen:
-		if f.active[ru.pid] == ru {
-			delete(f.active, ru.pid)
+		if s := &f.streams[ru.pid]; s.open == ru {
+			s.open = nil
 		}
 	}
 	ru.state = ruDead
@@ -505,11 +473,44 @@ func (f *FTL) migrateProgram(now sim.Time, pid uint32, src nand.PPA) (nand.PPA, 
 	return nand.InvalidPPA, now, fmt.Errorf("fdp: migration exhausted %d program attempts", maxProgramRetries+1)
 }
 
+// relocate moves lpa's valid page at src into pid's stream: it reads src
+// (retrying transient failures), then either drops lpa, when the read is
+// unrecoverable (counted as LostPages), or moves the stored page and remaps
+// lpa onto it. moved reports which; done is when the program completes.
+func (f *FTL) relocate(now sim.Time, lpa int64, src nand.PPA, pid uint32) (done sim.Time, moved bool, err error) {
+	_, rdone, ok, err := f.readWithRetry(now, src)
+	if err != nil {
+		return now, false, fmt.Errorf("read: %w", err)
+	}
+	if !ok {
+		f.invalidate(lpa)
+		f.stats.LostPages++
+		return now, false, nil
+	}
+	// Move the stored segment itself (no copy, no new reference) to the
+	// destination page.
+	dst, done, err := f.migrateProgram(rdone, pid, src)
+	if err != nil {
+		return now, false, fmt.Errorf("program: %w", err)
+	}
+	f.unmapPage(src)
+	f.mapPage(lpa, dst)
+	f.stats.NANDWritePages++
+	return done, true, nil
+}
+
+// mapPage binds lpa to ppa, a page just programmed with its data: every
+// LPA-to-PPA binding (host write, torn write, migration) goes through here.
+func (f *FTL) mapPage(lpa int64, ppa nand.PPA) {
+	f.l2p[lpa] = ppa
+	f.p2l[ppa] = lpa
+	f.rus[f.ruOf[f.arr.BlockOf(ppa)]].valid++
+}
+
 // drainRetired migrates every LPA stranded on a retired block into its
 // stream's open RU. Migration program failures retire further blocks and
 // re-queue; the loop terminates because retirements are bounded by the block
-// count (the guard catches modelling bugs). Unrecoverable source reads drop
-// the single LPA and are counted as LostPages.
+// count (the guard catches modelling bugs).
 func (f *FTL) drainRetired(now sim.Time) (sim.Time, error) {
 	guard, limit := 0, 16*int(f.arr.Geometry().Pages())
 	for len(f.pending) > 0 {
@@ -522,25 +523,13 @@ func (f *FTL) drainRetired(now sim.Time) (sim.Time, error) {
 		if src == nand.InvalidPPA || !f.retired[f.arr.BlockOf(src)] {
 			continue // invalidated or already moved since queued
 		}
-		_, rdone, ok, err := f.readWithRetry(now, src)
+		wdone, moved, err := f.relocate(now, lpa, src, f.rus[f.ruOf[f.arr.BlockOf(src)]].pid)
 		if err != nil {
-			return now, err
+			return now, fmt.Errorf("fdp: retirement migration %w", err)
 		}
-		if !ok {
-			f.invalidate(lpa)
-			f.stats.LostPages++
+		if !moved {
 			continue
 		}
-		pid := f.rus[f.ruOf[f.arr.BlockOf(src)]].pid
-		dst, wdone, err := f.migrateProgram(rdone, pid, src)
-		if err != nil {
-			return now, err
-		}
-		f.unmapPage(src)
-		f.l2p[lpa] = dst
-		f.p2l[dst] = lpa
-		f.rus[f.ruOf[f.arr.BlockOf(dst)]].valid++
-		f.stats.NANDWritePages++
 		f.stats.RetireMigratedPages++
 		if wdone > now {
 			now = wdone
@@ -555,20 +544,18 @@ func (f *FTL) drainRetired(now sim.Time) (sim.Time, error) {
 // LPA maps to the torn page so the layers above must catch the corruption.
 func (f *FTL) commitTorn(lpa int64, ppa nand.PPA) {
 	f.stats.TornWrites++
-	if f.l2p[lpa] != nand.InvalidPPA {
-		return
+	if f.l2p[lpa] == nand.InvalidPPA {
+		f.mapPage(lpa, ppa)
 	}
-	f.l2p[lpa] = ppa
-	f.p2l[ppa] = lpa
-	f.rus[f.ruOf[f.arr.BlockOf(ppa)]].valid++
 }
 
 // openRU returns the active RU for pid, drawing (and if necessary
 // reclaiming) from the free pool. done is when any triggered reclaim work
 // finishes.
 func (f *FTL) openRU(now sim.Time, pid uint32) (*reclaimUnit, sim.Time, error) {
-	if ru := f.active[pid]; ru != nil {
-		return ru, now, nil
+	s := &f.streams[pid]
+	if s.open != nil {
+		return s.open, now, nil
 	}
 	done := now
 	if !f.reclaimIn {
@@ -603,8 +590,8 @@ func (f *FTL) openRU(now sim.Time, pid uint32) (*reclaimUnit, sim.Time, error) {
 		}
 		// Reclaim migration may itself have opened an RU for this PID;
 		// reuse it rather than orphaning it.
-		if ru := f.active[pid]; ru != nil {
-			return ru, done, nil
+		if s.open != nil {
+			return s.open, done, nil
 		}
 	}
 	if len(f.freeRUs) == 0 {
@@ -618,7 +605,7 @@ func (f *FTL) openRU(now sim.Time, pid uint32) (*reclaimUnit, sim.Time, error) {
 	ru.state = ruOpen
 	ru.pid = pid
 	ru.writeCursor = 0
-	f.active[pid] = ru
+	s.open = ru
 	return ru, done, nil
 }
 
@@ -667,34 +654,21 @@ func (f *FTL) reclaim(now sim.Time) (done sim.Time, reclaimed bool, err error) {
 				if lpa < 0 {
 					continue
 				}
-				_, rdone, ok, err := f.readWithRetry(now, src)
+				// An unrecoverable read drops that LPA alone; the reclaim
+				// goes on.
+				wdone, moved, err := f.relocate(now, lpa, src, victim.pid)
 				if err != nil {
-					return now, false, fmt.Errorf("fdp: reclaim read: %w", err)
+					return now, false, fmt.Errorf("fdp: reclaim %w", err)
 				}
-				if !ok {
-					// Unrecoverable media error under a single page: drop
-					// that LPA, keep the reclaim going.
-					f.invalidate(lpa)
-					f.stats.LostPages++
+				if !moved {
 					continue
-				}
-				// Move the stored segment itself (no copy, no new
-				// reference) to the destination page.
-				dst, wdone, err := f.migrateProgram(rdone, victim.pid, src)
-				if err != nil {
-					return now, false, fmt.Errorf("fdp: reclaim program: %w", err)
 				}
 				if wdone > end {
 					end = wdone
 				}
-				f.unmapPage(src)
-				f.l2p[lpa] = dst
-				f.p2l[dst] = lpa
-				f.rus[f.ruOf[f.arr.BlockOf(dst)]].valid++
 				copied++
-				f.stats.NANDWritePages++
 				f.stats.GCCopiedPages++
-				f.gcByPID[victim.pid]++
+				f.streams[victim.pid].GCCopies++
 			}
 		}
 	}
@@ -750,7 +724,7 @@ func (f *FTL) closeRU(ru *reclaimUnit, pid uint32) {
 	ru.state = ruClosed
 	f.closeSeq++
 	ru.closedSeq = f.closeSeq
-	delete(f.active, pid)
+	f.streams[pid].open = nil
 }
 
 // placePage hands out the next physical page for pid's stream, rotating the
@@ -825,12 +799,10 @@ func (f *FTL) Write(now sim.Time, lpa int64, data bufpool.Ref, pid uint32) (done
 		}
 	}
 	f.invalidate(lpa)
-	f.l2p[lpa] = ppa
-	f.p2l[ppa] = lpa
-	f.rus[f.ruOf[f.arr.BlockOf(ppa)]].valid++
+	f.mapPage(lpa, ppa)
 	f.stats.HostWritePages++
 	f.stats.NANDWritePages++
-	f.hostByPID[pid]++
+	f.streams[pid].HostWrites++
 	if len(f.pending) > 0 {
 		// Retirements during placement/GC queued stranded LPAs; migrate
 		// them now so no mapping survives on retired media.

@@ -236,13 +236,13 @@ func TestStatsByPID(t *testing.T) {
 		}
 	}
 	s := f.Stats()
-	if s.HostWritesByPID[1] != 3 || s.HostWritesByPID[2] != 3 {
-		t.Fatalf("per-PID writes = %v", s.HostWritesByPID)
+	if len(s.PIDs) != 8 || s.PIDs[1].HostWrites != 3 || s.PIDs[2].HostWrites != 3 {
+		t.Fatalf("per-PID counters = %+v, want 8 streams with 3 writes on PIDs 1 and 2", s.PIDs)
 	}
-	// Returned map is a copy.
-	s.HostWritesByPID[1] = 99
-	if f.Stats().HostWritesByPID[1] != 3 {
-		t.Fatal("Stats leaked internal map")
+	// The returned table is a copy: mutating it leaves the FTL unchanged.
+	s.PIDs[1] = PIDCount{HostWrites: 99, GCCopies: -5}
+	if got := f.Stats().PIDs[1]; got != (PIDCount{HostWrites: 3}) {
+		t.Fatalf("Stats leaked its stream table: PID 1 now reads %+v", got)
 	}
 	// No reclaim ran, so the device reports WAF exactly 1 — as does a device
 	// that has not been written at all.
@@ -395,34 +395,6 @@ func TestWearLeveling(t *testing.T) {
 	}
 }
 
-// PIDWrites must return a sorted snapshot no matter how Go orders the map —
-// the maporder regression guard for every print/export site.
-func TestPIDWritesSortedDeterministic(t *testing.T) {
-	f := newTestFTL(t, 8)
-	for i := int64(0); i < 12; i++ {
-		if _, err := f.Write(0, i, bufpool.Borrowed(page("x", 128)), uint32(i%4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	first := f.Stats().PIDWrites()
-	if len(first) != 4 {
-		t.Fatalf("PIDs reported = %d, want 4", len(first))
-	}
-	for i := 1; i < len(first); i++ {
-		if first[i-1].PID >= first[i].PID {
-			t.Fatalf("PIDWrites not strictly ascending: %+v", first)
-		}
-	}
-	for run := 0; run < 20; run++ {
-		again := f.Stats().PIDWrites()
-		for i := range first {
-			if again[i] != first[i] {
-				t.Fatalf("run %d: PIDWrites()[%d] = %+v, want %+v (map-order leak)", run, i, again[i], first[i])
-			}
-		}
-	}
-}
-
 // GC-copy attribution: the per-PID reclaim-copy counters must decompose the
 // global GCCopiedPages exactly, and bill only PIDs that owned victim RUs.
 func TestGCCopyAttribution(t *testing.T) {
@@ -452,19 +424,14 @@ func TestGCCopyAttribution(t *testing.T) {
 		t.Fatal("churn never forced copies; enlarge the workload")
 	}
 	var sum int64
-	for _, n := range s.GCCopiesByPID {
-		sum += n
+	for _, c := range s.PIDs {
+		sum += c.GCCopies
 	}
 	if sum != s.GCCopiedPages {
 		t.Fatalf("per-PID GC copies sum to %d, global counter says %d", sum, s.GCCopiedPages)
 	}
-	if s.GCCopiesByPID[1] == 0 {
+	if s.PIDs[1].GCCopies == 0 {
 		t.Fatal("churning PID 1 was billed no copies")
-	}
-	// Returned map is a copy.
-	s.GCCopiesByPID[1] = -5
-	if f.Stats().GCCopiesByPID[1] < 0 {
-		t.Fatal("Stats leaked internal GCCopiesByPID map")
 	}
 }
 

@@ -163,21 +163,25 @@ type TenantUsage struct {
 	GCCopies   int64
 }
 
+// Usage bills the device's per-PID counters to the lease: the one place a
+// lease's streams are summed.
+func (l *PIDLease) Usage(s Stats) TenantUsage {
+	u := TenantUsage{Tenant: l.Tenant, Base: l.Base, Count: l.Count}
+	for _, c := range s.PIDs[l.Base : int(l.Base)+l.Count] {
+		u.HostWrites += c.HostWrites
+		u.GCCopies += c.GCCopies
+	}
+	return u
+}
+
 // Rollup bills the device's per-PID counters to the live leases, in base-PID
 // order. PIDs outside every lease (the conventional stream 0, or streams
-// written before leasing began) are not reported; per-PID detail for those
-// is available via Stats.PIDWrites.
+// written before leasing began) are not reported; Stats.PIDs holds them.
 func (a *PIDAllocator) Rollup(s Stats) []TenantUsage {
 	leases := a.Leases()
 	out := make([]TenantUsage, len(leases))
 	for i, l := range leases {
-		u := TenantUsage{Tenant: l.Tenant, Base: l.Base, Count: l.Count}
-		for off := 0; off < l.Count; off++ {
-			pid := l.Base + uint32(off)
-			u.HostWrites += s.HostWritesByPID[pid]
-			u.GCCopies += s.GCCopiesByPID[pid]
-		}
-		out[i] = u
+		out[i] = l.Usage(s)
 	}
 	return out
 }

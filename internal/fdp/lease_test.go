@@ -171,10 +171,10 @@ func TestLeaseRollup(t *testing.T) {
 	a, _ := NewPIDAllocator(10)
 	a.Acquire("t0", 5) //nolint:errcheck // layout setup
 	a.Acquire("t1", 5) //nolint:errcheck // layout setup
-	s := Stats{
-		HostWritesByPID: map[uint32]int64{0: 10, 1: 20, 5: 7, 6: 3},
-		GCCopiesByPID:   map[uint32]int64{1: 4, 6: 6},
-	}
+	s := Stats{PIDs: []PIDCount{
+		0: {HostWrites: 10}, 1: {HostWrites: 20, GCCopies: 4},
+		5: {HostWrites: 7}, 6: {HostWrites: 3, GCCopies: 6}, 9: {},
+	}}
 	got := a.Rollup(s)
 	if len(got) != 2 {
 		t.Fatalf("rollup rows = %d, want 2", len(got))

@@ -143,8 +143,8 @@ func TestNamespacePIDRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := f.Stats()
-	if s.HostWritesByPID[l1.Base+1] != 1 {
-		t.Fatalf("write not billed to leased PID %d: %v", l1.Base+1, s.HostWritesByPID)
+	if s.PIDs[l1.Base+1].HostWrites != 1 {
+		t.Fatalf("write not billed to leased PID %d: %+v", l1.Base+1, s.PIDs)
 	}
 	// An out-of-lease local stream surfaces the device's own rejection.
 	if _, err := ns.Write(0, 1, bufpool.Borrowed(nsPage('p', 128)), 4); err == nil {

@@ -163,7 +163,7 @@ func TestPIDReachesFDPDevice(t *testing.T) {
 	})
 	eng.Run()
 	f := dev.FTL().(*fdp.FTL)
-	if got := f.Stats().HostWritesByPID[3]; got != 2 {
+	if got := f.Stats().PIDs[3].HostWrites; got != 2 {
 		t.Fatalf("PID 3 writes = %d, want 2", got)
 	}
 }
