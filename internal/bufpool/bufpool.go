@@ -12,8 +12,11 @@
 // that has been handed to another holder (a drained wal.Chain, a submitted
 // device write) are immutable until every reference is released. A producer
 // that must overwrite such bytes — the kernel-path page cache, which shares
-// each flushed page's segment with the NAND array — copies on write: it
-// moves to a fresh segment and releases its reference to the shared one.
+// each flushed page's segment with the NAND array, and on a read miss
+// retains the segment the array stores instead of copying it — copies on
+// write: it moves to a fresh segment and releases its reference to the
+// shared one. A reader that retains a stored segment that way becomes a
+// holder like any other and takes over none of the producer's rights.
 // Each holder releases exactly once (Release), or — when the release is the
 // NAND array dropping a stored page, which lives until the page is
 // invalidated or its block erased — with ReleaseAt, which parks the segment

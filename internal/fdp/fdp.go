@@ -849,6 +849,16 @@ func (f *FTL) Mapped(lpa int64) bool {
 	return lpa >= 0 && lpa < f.usableLPAs && f.l2p[lpa] != nand.InvalidPPA
 }
 
+// StoredRef returns the page the array stores for lpa, as nand.StoredRef
+// does for its physical page; zero when lpa is unmapped. No reference is
+// taken: a caller that keeps the bytes past its next yield Retains Seg.
+func (f *FTL) StoredRef(lpa int64) bufpool.Ref {
+	if !f.Mapped(lpa) {
+		return bufpool.Ref{}
+	}
+	return f.arr.StoredRef(f.l2p[lpa])
+}
+
 // Conventional adapts the line-based FTL into a conventional (non-FDP) SSD:
 // placement hints are ignored, so every write shares one stream and data
 // with different lifetimes mixes within reclaim units (superblocks) — the

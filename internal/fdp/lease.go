@@ -174,18 +174,6 @@ func (l *PIDLease) Usage(s Stats) TenantUsage {
 	return u
 }
 
-// Rollup bills the device's per-PID counters to the live leases, in base-PID
-// order. PIDs outside every lease (the conventional stream 0, or streams
-// written before leasing began) are not reported; Stats.PIDs holds them.
-func (a *PIDAllocator) Rollup(s Stats) []TenantUsage {
-	leases := a.Leases()
-	out := make([]TenantUsage, len(leases))
-	for i, l := range leases {
-		out[i] = l.Usage(s)
-	}
-	return out
-}
-
 // WAF is the tenant's own write-amplification factor: NAND pages written on
 // its streams (host writes plus reclaim copies of its reclaim units) per
 // host page. 1.00 when the tenant has not written yet.

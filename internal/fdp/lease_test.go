@@ -167,23 +167,20 @@ func TestLeasePIDMapping(t *testing.T) {
 	}
 }
 
-func TestLeaseRollup(t *testing.T) {
+func TestLeaseUsage(t *testing.T) {
 	a, _ := NewPIDAllocator(10)
-	a.Acquire("t0", 5) //nolint:errcheck // layout setup
-	a.Acquire("t1", 5) //nolint:errcheck // layout setup
+	l0, _ := a.Acquire("t0", 5)
+	l1, _ := a.Acquire("t1", 5)
 	s := Stats{PIDs: []PIDCount{
 		0: {HostWrites: 10}, 1: {HostWrites: 20, GCCopies: 4},
 		5: {HostWrites: 7}, 6: {HostWrites: 3, GCCopies: 6}, 9: {},
 	}}
-	got := a.Rollup(s)
-	if len(got) != 2 {
-		t.Fatalf("rollup rows = %d, want 2", len(got))
-	}
+	got := []TenantUsage{l0.Usage(s), l1.Usage(s)}
 	if got[0].Tenant != "t0" || got[0].HostWrites != 30 || got[0].GCCopies != 4 {
-		t.Fatalf("t0 rollup = %+v", got[0])
+		t.Fatalf("t0 usage = %+v", got[0])
 	}
 	if got[1].Tenant != "t1" || got[1].HostWrites != 10 || got[1].GCCopies != 6 {
-		t.Fatalf("t1 rollup = %+v", got[1])
+		t.Fatalf("t1 usage = %+v", got[1])
 	}
 	if w := got[0].WAF(); w != 34.0/30.0 {
 		t.Fatalf("t0 WAF = %v", w)

@@ -38,11 +38,13 @@ type cachePage struct {
 	data     []byte
 	dirty    bool
 	inflight bool
-	// shared is set once a writeback has handed out a second reference to
-	// seg (the block scheduler's, then the NAND page's): from then on the
-	// bytes are immutable and a write must take a private copy first. It
-	// stays set after the device drops its reference, because a device read
-	// may still alias the bytes until the pool's quarantine expires.
+	// shared is set once seg is the NAND array's too: a writeback has handed
+	// out a second reference (the block scheduler's, then the NAND page's),
+	// or a read miss filled the page by retaining the segment the array
+	// stores (fillPage). From then on the bytes are immutable and a write
+	// must take a private copy first. It stays set after the device drops its
+	// reference, because a device read may still alias the bytes until the
+	// pool's quarantine expires.
 	shared bool
 }
 
@@ -78,9 +80,10 @@ func (fs *Filesystem) unshare(pg *cachePage) {
 // clean pages only via DropCaches, so partial-page rewrites always find their
 // page cached — sufficient for the append-dominated access pattern of
 // database persistence. Data enters the cache through Write, which copies a
-// user buffer, or AppendPages, which takes whole pooled pages over without a
-// copy, and leaves through Read as views of the cached pages. Not safe for use
-// outside simulation context.
+// user buffer, AppendPages, which takes whole pooled pages over without a
+// copy, or a read miss, which shares each full pooled page the device stores
+// and copies only holes and short or torn images; it leaves through Read as
+// views of the cached pages. Not safe for use outside simulation context.
 type File struct {
 	fs      *Filesystem
 	name    string
@@ -876,7 +879,7 @@ func (f *File) fillFrom(env *sim.Env, idx int64) error {
 			if len(data) > 0 {
 				stored = data[0]
 			}
-			f.pages[idx+i], _ = fs.newCachePage(0, stored)
+			f.pages[idx+i] = fs.fillPage(lpa+i, stored)
 		}
 		return nil
 	}
@@ -885,9 +888,28 @@ func (f *File) fillFrom(env *sim.Env, idx int64) error {
 		return err
 	}
 	for i := int64(0); i < run; i++ {
-		f.pages[idx+i], _ = fs.newCachePage(0, pages[i])
+		f.pages[idx+i] = fs.fillPage(lpa+i, pages[i])
 	}
 	return nil
+}
+
+// fillPage makes the cache page for a completed device read of lpa that
+// returned data (nil for a hole). When lpa still maps to a full pooled page
+// whose bytes are data, the cache shares that page: it retains the NAND
+// array's segment and marks it shared, so a later write moves to a private
+// copy first (unshare) and the device's bytes never change. Anything else —
+// a hole, a short or torn image, a view of a page lpa no longer maps to — is
+// copied into a private zero-padded page, as nand.Program copies borrowed
+// bytes. Called only after the device wait, so a power cut frozen in the
+// read strands no reference.
+func (fs *Filesystem) fillPage(lpa int64, data []byte) *cachePage {
+	if ref := fs.dev.StoredRef(lpa); ref.Seg != nil && len(data) == int(fs.pageSize()) &&
+		len(ref.B) == len(data) && &ref.B[0] == &data[0] {
+		ref.Seg.Retain()
+		return &cachePage{seg: ref.Seg, data: ref.B, shared: true}
+	}
+	pg, _ := fs.newCachePage(0, data)
+	return pg
 }
 
 // Truncate shrinks the file to size bytes, dropping clean cached pages past

@@ -105,6 +105,15 @@ func (n *Namespace) Mapped(lpa int64) bool {
 	return lpa >= 0 && lpa < n.pages && n.inner.Mapped(n.base+lpa)
 }
 
+// StoredRef returns the page stored at the namespace-local lpa (zero when
+// out of range or unmapped).
+func (n *Namespace) StoredRef(lpa int64) bufpool.Ref {
+	if n.checkLPA(lpa) != nil {
+		return bufpool.Ref{}
+	}
+	return n.inner.StoredRef(n.base + lpa)
+}
+
 // Base reports the window's first device LPA.
 func (n *Namespace) Base() int64 { return n.base }
 

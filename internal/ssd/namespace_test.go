@@ -86,6 +86,9 @@ func TestNamespaceIsolatesWindows(t *testing.T) {
 	if !f.Mapped(3) || !f.Mapped(half+3) {
 		t.Fatal("device LPAs not where the window math says")
 	}
+	if ref := ns1.StoredRef(3); ref.Seg == nil || &ref.B[0] != &got1[0] || ns1.StoredRef(half).B != nil || ns1.StoredRef(4).B != nil {
+		t.Fatal("StoredRef does not return the window's stored page, and nothing outside it or unmapped")
+	}
 	// Out-of-window accesses fail locally without touching the device.
 	if _, err := ns0.Write(0, half, bufpool.Borrowed(nsPage('x', 128)), 0); err == nil {
 		t.Fatal("write past window accepted")

@@ -27,7 +27,9 @@ import (
 //
 // Write borrows data for the duration of the call: the NAND layer retains
 // pooled segments it stores and the caller keeps its own reference, so the
-// front-end never owns payload bytes.
+// front-end never owns payload bytes. StoredRef is the other direction: the
+// pooled page the NAND array stores for lpa (zero when unmapped), which a
+// caller may Retain to keep a read's bytes without copying them.
 type FTL interface {
 	Write(now sim.Time, lpa int64, data bufpool.Ref, pid uint32) (done sim.Time, err error)
 	Read(now sim.Time, lpa int64) (data []byte, done sim.Time, err error)
@@ -37,6 +39,7 @@ type FTL interface {
 	BaseStats() fdp.BaseStats
 	Array() *nand.Array
 	Mapped(lpa int64) bool
+	StoredRef(lpa int64) bufpool.Ref
 }
 
 // Config tunes the device front-end.
@@ -94,6 +97,10 @@ func (d *Device) IOStats() IOStats { return d.io }
 
 // Mapped reports whether lpa currently holds data (no media access).
 func (d *Device) Mapped(lpa int64) bool { return d.ftl.Mapped(lpa) }
+
+// StoredRef returns the page stored at lpa as the NAND array holds it (no
+// media access, no reference taken; see FTL).
+func (d *Device) StoredRef(lpa int64) bufpool.Ref { return d.ftl.StoredRef(lpa) }
 
 // readPage reads one page, retrying transient device errors with exponential
 // backoff on the virtual clock. The failed attempt's own completion time is
