@@ -184,7 +184,8 @@ func (b *Backend) WALSync(env *sim.Env) error {
 // WALDurableSize reports the current segment's length.
 func (b *Backend) WALDurableSize() int64 { return b.walFile.Size() }
 
-// WALRotate seals the current segment and starts a new file.
+// WALRotate seals the current segment and starts a new file, wal.N+1. File
+// wal.N is log generation N+1 (see imdb.Recovered.WALGen).
 func (b *Backend) WALRotate(env *sim.Env) error {
 	b.walGen++
 	f, err := b.fs.Create(fmt.Sprintf("%s.%d", walName, b.walGen))
@@ -276,7 +277,7 @@ func (b *Backend) readAll(env *sim.Env, name string) (runs [][]byte, note string
 // truncated to its durable prefix afterwards, as Redis truncates a partial
 // AOF, so post-recovery appends continue exactly where replay stopped.
 func (b *Backend) Recover(env *sim.Env) (*imdb.Recovered, error) {
-	rec := &imdb.Recovered{WALTruncatedAt: -1}
+	rec := &imdb.Recovered{WALTruncatedAt: -1, WALGen: uint64(b.walGen-len(b.sealed)) + 1}
 	note := ""
 	var err error
 	switch {

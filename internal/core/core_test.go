@@ -108,6 +108,7 @@ func TestMetaRecordRoundTrip(t *testing.T) {
 		slotBytes: [3]int64{12345, 0, 999},
 		walHead:   77,
 		walGen:    3,
+		walRot:    5,
 	}
 	enc := m.encode()
 	got, err := decodeMetaRecord(enc)
@@ -774,58 +775,142 @@ func TestEndToEndConventionalDevice(t *testing.T) {
 	}
 }
 
+// An On-Demand image alone is what Recover loads when no WAL-Snapshot was
+// ever committed, as the pages it was read as.
 func TestRecoverFromSpecificKind(t *testing.T) {
 	r := newRig(t)
-	walImg := bytes.Repeat([]byte("W"), testPageSize+9)
 	odImg := bytes.Repeat([]byte("O"), testPageSize+5)
 	r.run(t, func(env *sim.Env) {
-		for _, c := range []struct {
-			kind imdb.SnapshotKind
-			img  []byte
-		}{{imdb.WALSnapshot, walImg}, {imdb.OnDemandSnapshot, odImg}} {
-			sink, err := r.be.BeginSnapshot(env, c.kind)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := sink.Write(env, c.img); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := sink.Commit(env); err != nil {
-				t.Error(err)
-				return
-			}
+		sink, err := r.be.BeginSnapshot(env, imdb.OnDemandSnapshot)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := sink.Write(env, odImg); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := sink.Commit(env); err != nil {
+			t.Error(err)
 		}
 	})
-	check := func(kind imdb.SnapshotKind, want []byte) {
-		eng2 := sim.NewEngine()
-		be2, _ := New(eng2, r.dev, Config{MetaPages: 8, SlotPages: 96})
-		eng2.Spawn("recover", func(env *sim.Env) {
-			rec, err := be2.RecoverFrom(env, kind)
-			if err != nil {
+	eng2 := sim.NewEngine()
+	be2, _ := New(eng2, r.dev, Config{MetaPages: 8, SlotPages: 96})
+	eng2.Spawn("recover", func(env *sim.Env) {
+		rec, err := be2.Recover(env)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !rec.HaveSnapshot || rec.Kind != imdb.OnDemandSnapshot {
+			t.Errorf("got have=%v kind=%v, want the On-Demand image", rec.HaveSnapshot, rec.Kind)
+			return
+		}
+		if !bytes.Equal(bytes.Join(rec.Snapshot, nil), odImg) {
+			t.Error("wrong image recovered")
+		}
+		// The image comes back as the pages it was read as, the last one
+		// cut to the image's length.
+		for i, run := range rec.Snapshot[:len(rec.Snapshot)-1] {
+			if len(run) != testPageSize {
+				t.Errorf("run %d is %d bytes, want one %d-byte page", i, len(run), testPageSize)
+			}
+		}
+		if last := rec.Snapshot[len(rec.Snapshot)-1]; len(last) != 5 {
+			t.Errorf("last run is %d bytes, want the image's 5-byte tail", len(last))
+		}
+	})
+	eng2.Run()
+}
+
+// Rotating an empty segment renumbers it instead of sealing it, durably, so
+// the generation the engine stamps on the image it forked there is the one
+// recovery reads back, and the records after the fork are replayed.
+func TestEmptyRotationKeepsGenerations(t *testing.T) {
+	r := newRig(t)
+	db := imdb.New(r.eng, r.be, withPool(imdb.Config{Policy: imdb.AlwaysLog}, r.dev), nil)
+	db.Start()
+	r.run(t, func(env *sim.Env) {
+		db.TriggerSnapshot(imdb.WALSnapshot).Reply.Wait(env) // forks over an empty log
+		db.WaitNoSnapshot(env)
+		if err := db.Set(env, "k", []byte("v")); err != nil {
+			t.Error(err)
+		}
+		db.Shutdown(env)
+	})
+	if st := r.be.Stats(); st.WALRotations != 0 || r.be.meta.walRot != 1 || len(db.Stats().Snapshots) != 1 {
+		t.Fatalf("rotations %d, walRot %d, snapshots %d: want the empty segment renumbered, not sealed, under one image",
+			st.WALRotations, r.be.meta.walRot, len(db.Stats().Snapshots))
+	}
+	eng2 := sim.NewEngine()
+	be2, _ := New(eng2, r.dev, Config{MetaPages: 8, SlotPages: 96})
+	db2 := imdb.New(eng2, be2, withPool(imdb.Config{}, r.dev), nil)
+	eng2.Spawn("recover", func(env *sim.Env) {
+		if _, _, err := db2.Recover(env); err != nil {
+			t.Error(err)
+		}
+	})
+	eng2.Run()
+	if rec := db2.LastRecovery(); rec.WALGen != 2 || rec.Kind != imdb.WALSnapshot {
+		t.Fatalf("recovered WAL generation %d under a %v image, want 2 under the WAL-Snapshot", rec.WALGen, rec.Kind)
+	}
+	if got := db2.Store().Get("k"); string(got) != "v" {
+		t.Fatalf("k = %q after recovery, want the post-fork SET's v", got)
+	}
+	db2.ReleaseBuffers()
+}
+
+// An On-Demand image of records that never became durable covers the log
+// past its durable end. The records logged after recovering it must not
+// fall under its position, or the next recovery skips them: recovery starts
+// them in the next log segment.
+func TestImagePastDurableLogRotatesAtRecovery(t *testing.T) {
+	r := newRig(t)
+	db := imdb.New(r.eng, r.be, withPool(imdb.Config{Policy: imdb.PeriodicalLog}, r.dev), nil)
+	db.Start()
+	r.eng.Spawn("client", func(env *sim.Env) {
+		for i := 0; i < 8; i++ { // a partial page: nothing reaches the device before a sync
+			if err := db.Set(env, fmt.Sprintf("key%d", i), []byte("early")); err != nil {
+				t.Error(err)
+			}
+		}
+		db.TriggerSnapshot(imdb.OnDemandSnapshot).Reply.Wait(env)
+		db.WaitNoSnapshot(env)
+	})
+	r.eng.RunUntil(sim.Time(500 * sim.Millisecond)) // power cut before the first sync
+	r.eng.Shutdown()
+
+	reopen := func(policy imdb.LogPolicy, fn func(env *sim.Env, db *imdb.Engine)) *imdb.Engine {
+		eng := sim.NewEngine()
+		be, err := New(eng, r.dev, Config{MetaPages: 8, SlotPages: 96})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := imdb.New(eng, be, withPool(imdb.Config{Policy: policy}, r.dev), nil)
+		eng.Spawn("restart", func(env *sim.Env) {
+			if _, _, err := db.Recover(env); err != nil {
 				t.Error(err)
 				return
 			}
-			if !rec.HaveSnapshot || rec.Kind != kind {
-				t.Errorf("kind %v: got have=%v kind=%v", kind, rec.HaveSnapshot, rec.Kind)
-				return
-			}
-			if !bytes.Equal(bytes.Join(rec.Snapshot, nil), want) {
-				t.Errorf("kind %v: wrong image recovered", kind)
-			}
-			// The image comes back as the pages it was read as, the last one
-			// cut to the image's length.
-			for i, run := range rec.Snapshot[:len(rec.Snapshot)-1] {
-				if len(run) != testPageSize {
-					t.Errorf("kind %v: run %d is %d bytes, want one %d-byte page", kind, i, len(run), testPageSize)
-				}
-			}
+			fn(env, db)
 		})
-		eng2.Run()
+		eng.Run()
+		return db
 	}
-	check(imdb.WALSnapshot, walImg)
-	check(imdb.OnDemandSnapshot, odImg)
+	reopen(imdb.AlwaysLog, func(env *sim.Env, db *imdb.Engine) {
+		if rec := db.LastRecovery(); !rec.HaveSnapshot || rec.WAL[0].Prefix != 0 {
+			t.Errorf("recovered image %v over a %d-byte log, want the image over an empty one", rec.HaveSnapshot, rec.WAL[0].Prefix)
+		}
+		db.Start()
+		if err := db.Set(env, "late", []byte("v")); err != nil {
+			t.Error(err)
+		}
+		db.Shutdown(env)
+	})
+	db3 := reopen(imdb.AlwaysLog, func(*sim.Env, *imdb.Engine) {})
+	if got := db3.Store().Get("late"); string(got) != "v" || db3.Store().Len() != 9 {
+		t.Fatalf("late = %q among %d keys, want v among the image's 8 and it", got, db3.Store().Len())
+	}
 }
 
 // chain lays raw framed bytes out as the engine's wal.Buffer would for

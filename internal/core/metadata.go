@@ -30,6 +30,9 @@ type metaRecord struct {
 	sealedLens [maxSealedSegments]int64
 	// walGen increments on every discard, fencing stale segments.
 	walGen uint64
+	// walRot counts rotations: the open segment is log generation walRot+1
+	// (see imdb.Recovered.WALGen).
+	walRot uint64
 }
 
 func (m *metaRecord) sealedCount() int {
@@ -45,7 +48,7 @@ func (m *metaRecord) sealedCount() int {
 var metaMagic = []byte("SLIMMETA")
 
 const metaRecordSize = 8 /*magic*/ + 8 /*seq*/ + 3 + 3*8 + 8 /*walHead*/ +
-	maxSealedSegments*8 + 8 /*gen*/ + 4 /*crc*/
+	maxSealedSegments*8 + 8 /*gen*/ + 8 /*rot*/ + 4 /*crc*/
 
 func (m *metaRecord) encode() []byte {
 	buf := make([]byte, metaRecordSize)
@@ -67,7 +70,8 @@ func (m *metaRecord) encode() []byte {
 		off += 8
 	}
 	binary.LittleEndian.PutUint64(buf[off:off+8], m.walGen)
-	off += 8
+	binary.LittleEndian.PutUint64(buf[off+8:off+16], m.walRot)
+	off += 16
 	crc := crc32.ChecksumIEEE(buf[:off])
 	binary.LittleEndian.PutUint32(buf[off:off+4], crc)
 	return buf
@@ -106,5 +110,6 @@ func decodeMetaRecord(buf []byte) (*metaRecord, error) {
 		off += 8
 	}
 	m.walGen = binary.LittleEndian.Uint64(buf[off : off+8])
+	m.walRot = binary.LittleEndian.Uint64(buf[off+8 : off+16])
 	return m, nil
 }

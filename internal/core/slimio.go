@@ -361,7 +361,9 @@ func (b *Backend) WALDurableSize() int64 { return b.walBytes }
 // WALSync makes the sealed segment durable too.
 func (b *Backend) WALRotate(env *sim.Env) error {
 	if b.walBytes == 0 {
-		return nil // empty segment: nothing to seal
+		// Nothing to seal: the metadata write renumbers the empty segment.
+		b.meta.walRot++
+		return b.writeMeta(env, b.walRing)
 	}
 	if b.meta.sealedCount() == maxSealedSegments {
 		return fmt.Errorf("core: too many sealed WAL segments (%d)", maxSealedSegments)
@@ -381,6 +383,7 @@ func (b *Backend) WALRotate(env *sim.Env) error {
 	}
 	b.walTailSynced = 0
 	b.stats.WALRotations++
+	b.meta.walRot++
 	return b.writeMeta(env, b.walRing)
 }
 
@@ -600,18 +603,6 @@ func (b *Backend) BeginSnapshot(env *sim.Env, kind imdb.SnapshotKind) (imdb.Snap
 // record stream. It also restores the backend's in-memory tail state so
 // appends can continue.
 func (b *Backend) Recover(env *sim.Env) (*imdb.Recovered, error) {
-	return b.recover(env, nil)
-}
-
-// RecoverFrom restores from a specific snapshot kind — the paper's "either
-// the WAL-Snapshot or On-Demand-Snapshot is loaded ... as requested". An
-// On-Demand restore still replays the log segments on top (they are a
-// superset of the changes since either image).
-func (b *Backend) RecoverFrom(env *sim.Env, kind imdb.SnapshotKind) (*imdb.Recovered, error) {
-	return b.recover(env, &kind)
-}
-
-func (b *Backend) recover(env *sim.Env, want *imdb.SnapshotKind) (*imdb.Recovered, error) {
 	// 1. Metadata: newest valid record wins.
 	var newest *metaRecord
 	var newestIdx int64 = -1
@@ -638,8 +629,7 @@ func (b *Backend) recover(env *sim.Env, want *imdb.SnapshotKind) (*imdb.Recovere
 	// at 0, no sealed segments, all slots Reserve — so the scans below
 	// still run.
 
-	// 2. Snapshot: the requested kind, or (by default) the WAL-coupled
-	// image first.
+	// 2. Snapshot: the WAL-coupled image first.
 	find := func(role slotRole, kind imdb.SnapshotKind) int {
 		for i := 0; i < 3; i++ {
 			if b.meta.slotRoles[i] == role && b.meta.slotBytes[i] > 0 {
@@ -649,16 +639,9 @@ func (b *Backend) recover(env *sim.Env, want *imdb.SnapshotKind) (*imdb.Recovere
 		}
 		return -1
 	}
-	slot := -1
-	switch {
-	case want != nil && *want == imdb.OnDemandSnapshot:
+	slot := find(roleWALSnap, imdb.WALSnapshot)
+	if slot < 0 {
 		slot = find(roleOnDemand, imdb.OnDemandSnapshot)
-	case want != nil:
-		slot = find(roleWALSnap, imdb.WALSnapshot)
-	default:
-		if slot = find(roleWALSnap, imdb.WALSnapshot); slot < 0 {
-			slot = find(roleOnDemand, imdb.OnDemandSnapshot)
-		}
 	}
 	if slot >= 0 {
 		n := pagesNeeded(b.meta.slotBytes[slot], b.pageSize)
@@ -678,6 +661,7 @@ func (b *Backend) recover(env *sim.Env, want *imdb.SnapshotKind) (*imdb.Recovere
 	}
 
 	// 3. Sealed segments: exact lengths come from the segment table.
+	out.WALGen = b.meta.walRot + 1 - uint64(b.meta.sealedCount())
 	segOff := b.meta.walHead
 	for _, segLen := range b.meta.sealedLens {
 		if segLen == 0 {

@@ -78,18 +78,6 @@ func (a *PIDAllocator) Free() int {
 	return n
 }
 
-// Leases returns the live leases sorted by base PID.
-func (a *PIDAllocator) Leases() []*PIDLease {
-	out := make([]*PIDLease, 0, len(a.leases))
-	for _, l := range a.leases {
-		if !l.released {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
-	return out
-}
-
 // Acquire leases count contiguous PIDs for tenant. Over-subscription is
 // rejected deterministically: when no contiguous run of count PIDs exists
 // the error names the shortfall, and the allocator state is unchanged.

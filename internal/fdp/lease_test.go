@@ -126,8 +126,10 @@ func TestLeaseDeterministicSequence(t *testing.T) {
 		a.Release(l1)
 		a.Acquire("e", 2) //nolint:errcheck // layout probe
 		var out []PIDLease
-		for _, l := range a.Leases() {
-			out = append(out, *l)
+		for _, l := range a.leases {
+			if !l.released {
+				out = append(out, *l)
+			}
 		}
 		return out
 	}

@@ -59,17 +59,23 @@ type Recovered struct {
 	// them with snapshot.NewImageReader and then drops them, so the
 	// Recovered that LastRecovery returns holds no image.
 	Snapshot [][]byte
-	// WAL holds the durable log segments in append order (a sealed pre-fork
-	// segment, if a WAL-Snapshot was in flight at the crash, then the
-	// current segment), each decoded once by the backend with
-	// wal.DecodeSegment straight from the device or page-cache pages it
+	// WAL holds the durable log segments in append order (a WAL-Snapshot's
+	// sealed pre-fork segment, if the crash fell between its fork and the
+	// WALDiscardOld after its commit, then the current segment), each
+	// decoded once by the backend with wal.DecodeSegment straight from the
+	// device or page-cache pages it
 	// read. Each may have its own torn tail. The records have the image's
 	// lifetime: views of what the backend read, valid only until the
 	// recovering engine writes again (a caller keeping them longer keeps
 	// Segment.Clone's copy); Engine.Recover copies the values the store
 	// keeps and then drops the records, so the Recovered that LastRecovery
-	// returns holds nothing the store uses.
+	// returns holds nothing the store uses. Past its WAL-Snapshot's commit
+	// the sealed segment is any durable prefix of what the image covers.
 	WAL []wal.Segment
+	// WALGen is the generation of WAL[0], and WAL[i] is WALGen+i: a log's
+	// first segment is 1 and each WALRotate starts the next. Zero means the
+	// segments are not numbered, and every record is replayed.
+	WALGen uint64
 	// WALTruncatedAt is the byte offset into the open WAL segment where
 	// decoding stopped on non-zero garbage (mid-segment corruption or a torn
 	// page program), or -1 when the segment ended cleanly — a zero tail is
@@ -115,10 +121,11 @@ type Backend interface {
 	// WALDurableSize reports bytes appended to the current log segment
 	// (the WAL-Snapshot trigger measures growth since the last rotation).
 	WALDurableSize() int64
-	// WALRotate seals the current log segment and starts a new one. The
-	// engine rotates at the fork point of a WAL-Snapshot (Redis 7's
-	// multipart AOF): post-fork records land in the new segment, and no
-	// replay is needed when the snapshot completes.
+	// WALRotate seals the current log segment and starts the next
+	// generation (see Recovered.WALGen), even when the current one is empty.
+	// The engine rotates at the fork point of a WAL-Snapshot (Redis 7's
+	// multipart AOF): post-fork records land in the new segment, and the
+	// image covers the log up to its start.
 	WALRotate(env *sim.Env) error
 	// WALDiscardOld drops every sealed segment, keeping only the current
 	// one — called once a WAL-Snapshot commit makes the old log obsolete.

@@ -44,7 +44,6 @@ const (
 	// OpDel deletes a key.
 	OpDel
 	opTick     // internal: flush timer
-	opSync     // internal: a snapshot child needs the log durable
 	opSnapshot // internal: trigger a snapshot
 	opSnapDone // internal: snapshot child finished
 	opStop     // internal: drain and shut down
@@ -133,19 +132,18 @@ func (ev *SnapshotEvent) DeviceWaitTime() sim.Duration {
 
 // Stats aggregates engine counters.
 type Stats struct {
-	Gets, Sets     int64
-	Dels           int64
-	WALFlushes     int64
-	WALSyncs       int64
-	WALStalls      int64
-	WALBytes       int64
-	COWCopies      int64
-	COWStall       sim.Duration
-	ForkStall      sim.Duration
-	PeakMemory     int64
-	BaseMemory     int64
-	Snapshots      []SnapshotEvent
-	SnapshotsAbort int64
+	Gets, Sets, Dels int64
+	WALFlushes       int64
+	WALSyncs         int64
+	WALStalls        int64
+	WALBytes         int64
+	COWCopies        int64
+	COWStall         sim.Duration
+	ForkStall        sim.Duration
+	PeakMemory       int64
+	BaseMemory       int64
+	Snapshots        []SnapshotEvent
+	SnapshotsAbort   int64
 }
 
 // flushInterval is the Periodical-Log durability timer.
@@ -224,6 +222,7 @@ type Engine struct {
 	// fork. Then it counts the bytes at walBuf's head that the snapshot
 	// covers: pre-fork records held by a stall, which its commit drops.
 	walForkAt int
+	walGen    uint64 // the generation of the log segment appends go to
 
 	syncing  bool
 	syncDone *sim.Broadcast
@@ -264,6 +263,7 @@ func New(eng *sim.Engine, be Backend, cfg Config, opSeries *metrics.Series) *Eng
 		cfg:       cfg,
 		walBuf:    wal.NewBuffer(cfg.Pool),
 		walForkAt: -1,
+		walGen:    1,
 		store:     NewStore(cfg.Cost.MemPageSize),
 		reqQ:      sim.NewQueue[*Request](eng),
 		dictLock:  sim.NewResource(eng, 1),
@@ -295,23 +295,14 @@ func (e *Engine) Submit(req *Request) {
 		switch req.Op {
 		case OpGet, OpSet, OpDel:
 			req.enqueued = e.eng.Now()
-			req.span = tr.Begin("op", opTraceName(req.Op), 0, req.enqueued)
+			req.span = tr.Begin("op", opTraceNames[req.Op], 0, req.enqueued)
 		}
 	}
 	e.reqQ.Push(req)
 }
 
-// opTraceName maps a client opcode to its op-span name.
-func opTraceName(op Op) string {
-	switch op {
-	case OpGet:
-		return "get"
-	case OpSet:
-		return "set"
-	default:
-		return "del"
-	}
-}
+// opTraceNames maps a client opcode to its op-span name.
+var opTraceNames = [...]string{OpGet: "get", OpSet: "set", OpDel: "del"}
 
 // traceApply stamps the queue and apply children of r's op span: queued
 // from Submit until start, applied over [start, now].
@@ -390,9 +381,6 @@ func (e *Engine) Stats() Stats {
 // Store exposes the keyspace (for verification in tests and recovery).
 func (e *Engine) Store() *Store { return e.store }
 
-// SnapshotActive reports whether a snapshot process is running.
-func (e *Engine) SnapshotActive() bool { return e.snapActive }
-
 // WaitNoSnapshot blocks the calling process until no snapshot is active.
 func (e *Engine) WaitNoSnapshot(env *sim.Env) {
 	for e.snapActive {
@@ -411,19 +399,17 @@ func (e *Engine) WALPendingBytes() int { return e.walRefused }
 // SyncInFlight reports whether a WAL sync is outstanding.
 func (e *Engine) SyncInFlight() bool { return e.syncing }
 
-// MemoryNow reports the engine's current modelled memory footprint —
-// the instantaneous value whose maximum Stats.PeakMemory records.
-func (e *Engine) MemoryNow() int64 { return e.memoryNow() }
-
 // memoryBase is the steady-state footprint: store payload + per-key
 // overhead.
 func (e *Engine) memoryBase() int64 {
 	return e.store.Bytes() + int64(e.store.Len())*int64(e.cfg.Cost.KeyOverhead)
 }
 
-// memoryNow adds snapshot-period overheads: COW page copies and the WAL
-// rewrite buffer (Table 1's near-doubling comes from the COW term).
-func (e *Engine) memoryNow() int64 {
+// MemoryNow reports the engine's current modelled memory footprint, the
+// value whose maximum Stats.PeakMemory records: the steady state plus
+// snapshot-period overheads, COW page copies and the WAL rewrite buffer
+// (Table 1's near-doubling comes from the COW term).
+func (e *Engine) MemoryNow() int64 {
 	m := e.memoryBase() + int64(e.walBuf.Len())
 	if e.snapActive {
 		// The child shares pages with the parent until COW faults copy them.
@@ -433,7 +419,7 @@ func (e *Engine) memoryNow() int64 {
 }
 
 func (e *Engine) notePeak() {
-	if m := e.memoryNow(); m > e.stats.PeakMemory {
+	if m := e.MemoryNow(); m > e.stats.PeakMemory {
 		e.stats.PeakMemory = m
 	}
 }
@@ -485,30 +471,20 @@ func (e *Engine) mainLoop(env *sim.Env) {
 					reply(r, Response{Err: fmt.Errorf("imdb: write refused after WAL failure: %w", e.walErr)})
 					continue
 				}
-				if r.Op == OpSet {
-					e.execSet(env, r)
-				} else {
-					e.execDel(env, r)
-				}
+				e.execWrite(env, r)
 				if e.cfg.Policy == AlwaysLog {
 					setReplies = append(setReplies, r)
 				} else {
 					e.endOp(env, r, false)
 					reply(r, Response{})
 				}
-			case opTick, opSync:
-				// Make everything logged so far durable, for the
-				// Periodical-Log timer or a snapshot child (which waits for
-				// the reply). A failed append is retried on the next tick.
-				if e.cfg.Policy == AlwaysLog {
-					reply(r, Response{Err: e.flushWAL(env)})
-				} else if err := e.appendWAL(env, 0); err != nil {
+			case opTick:
+				// The Periodical-Log timer: make everything logged so far
+				// durable. A failed append is retried on the next tick.
+				if err := e.appendWAL(env, 0); err != nil {
 					e.walErr = err
-					if r.Op == opSync {
-						reply(r, Response{Err: err})
-					}
 				} else {
-					e.syncInBackground(env, r)
+					e.syncInBackground(env)
 				}
 			case opSnapshot:
 				e.maybeStartSnapshot(env, r.kind)
@@ -579,8 +555,8 @@ func (e *Engine) mainLoop(env *sim.Env) {
 // only blocks when the previous sync is still lagging. A failed sync sets
 // walErr; a successful one clears a failure recorded before it began. The
 // caller appends any bytes a failed append refused first, so the sync
-// covers them. An opSync request r gets the sync's outcome as its reply.
-func (e *Engine) syncInBackground(env *sim.Env, r *Request) {
+// covers them.
+func (e *Engine) syncInBackground(env *sim.Env) {
 	for e.syncing {
 		e.syncDone.Wait(env)
 	}
@@ -603,9 +579,6 @@ func (e *Engine) syncInBackground(env *sim.Env, r *Request) {
 		}
 		e.syncing = false
 		e.syncDone.Notify()
-		if r.Op == opSync {
-			reply(r, Response{Err: err})
-		}
 	})
 }
 
@@ -621,29 +594,27 @@ func (e *Engine) execGet(env *sim.Env, r *Request) {
 	reply(r, Response{Value: v})
 }
 
-func (e *Engine) execSet(env *sim.Env, r *Request) {
+// execWrite applies and logs a SET or a DEL, paying copy-on-write for the
+// pages it touches while a snapshot still shares them (paper §2.2).
+func (e *Engine) execWrite(env *sim.Env, r *Request) {
 	cost := e.cfg.Cost
 	start := env.Now()
-	env.Work("cmd", cost.CmdBaseCPU+sim.DurationForBytes(int64(len(r.Value)), cost.StoreBandwidth))
-	e.copyOnWrite(env, e.store.Set(r.Key, r.Value))
-	e.walBuf.AppendString(wal.OpSet, r.Key, r.Value)
-	e.stats.Sets++
+	op, v := wal.OpSet, r.Value
+	if r.Op == OpDel {
+		op, v = wal.OpDel, nil
+	}
+	env.Work("cmd", cost.CmdBaseCPU+sim.DurationForBytes(int64(len(v)), cost.StoreBandwidth))
+	if op == wal.OpSet {
+		e.copyOnWrite(env, e.store.Set(r.Key, v))
+		e.stats.Sets++
+	} else {
+		e.copyOnWrite(env, e.store.Delete(r.Key))
+		e.stats.Dels++
+	}
+	e.walBuf.AppendString(op, r.Key, v)
 	e.countOp(env)
 	e.traceApply(env, r, start)
 	e.notePeak()
-}
-
-// execDel removes a key and logs a deletion record; like SETs, deletions
-// during a snapshot pay copy-on-write for the pages they touch.
-func (e *Engine) execDel(env *sim.Env, r *Request) {
-	cost := e.cfg.Cost
-	start := env.Now()
-	env.Work("cmd", cost.CmdBaseCPU)
-	e.copyOnWrite(env, e.store.Delete(r.Key))
-	e.walBuf.AppendString(wal.OpDel, r.Key, nil)
-	e.stats.Dels++
-	e.countOp(env)
-	e.traceApply(env, r, start)
 }
 
 // copyOnWrite bills the pages a write had to copy because the snapshot child
@@ -753,6 +724,8 @@ func (e *Engine) maybeStartSnapshot(env *sim.Env, kind SnapshotKind) {
 	e.store.BeginCOWEpoch()
 	e.snapActive = true
 	e.snapKind = kind
+	// The image holds every record logged so far, buffered ones included.
+	pos := snapshot.LogPos{Gen: e.walGen, Off: e.be.WALDurableSize() + int64(e.walBuf.Len())}
 	if kind == WALSnapshot {
 		// Rotate the log at the fork point (Redis 7 multipart-AOF style):
 		// pre-fork records stay in the sealed segment that the snapshot
@@ -765,6 +738,9 @@ func (e *Engine) maybeStartSnapshot(env *sim.Env, kind SnapshotKind) {
 				e.walRefused = e.walBuf.Len()
 			}
 			if err := e.be.WALRotate(env); err == nil {
+				// The image covers the log up to the new segment.
+				e.walGen++
+				pos = snapshot.LogPos{Gen: e.walGen}
 				e.walForkAt = e.walBuf.Len()
 				if e.walForkAt == 0 {
 					// Start the post-fork records on a fresh segment so
@@ -777,15 +753,16 @@ func (e *Engine) maybeStartSnapshot(env *sim.Env, kind SnapshotKind) {
 	e.forkImage = append(e.forkImage[:0], e.store.entries...)
 	e.snapProcs++
 	env.Spawn(fmt.Sprintf("snapshot-%s-%d", kind, e.snapProcs), func(child *sim.Env) {
-		e.runSnapshot(child, kind)
+		e.runSnapshot(child, kind, pos)
 	})
 }
 
 // runSnapshot is the snapshot child process: iterate the table copied at the
 // fork under short dict-lock holds, serialize and compress chunks, and stream
-// them into the backend sink. Completion is reported back to the event loop
-// through the request queue so that WAL swapping happens in main-loop context.
-func (e *Engine) runSnapshot(env *sim.Env, kind SnapshotKind) {
+// them into the backend sink as the image of log position pos. Completion is
+// reported back to the event loop through the request queue so that WAL
+// swapping happens in main-loop context.
+func (e *Engine) runSnapshot(env *sim.Env, kind SnapshotKind, pos snapshot.LogPos) {
 	tr := e.cfg.Trace
 	snapSpan := tr.Begin("snapshot", kind.String(), 0, env.Now())
 	report := func(w *snapshot.Writer, err error) {
@@ -805,7 +782,7 @@ func (e *Engine) runSnapshot(env *sim.Env, kind SnapshotKind) {
 		return
 	}
 	var werr error
-	w, err := snapshot.NewWriter(snapshot.DefaultChunkSize, func(chunk []byte, raw int) error {
+	w, err := snapshot.NewWriterAt(snapshot.DefaultChunkSize, pos, func(chunk []byte, raw int) error {
 		env.Work("compress", sim.DurationForBytes(int64(raw), cost.CompressBandwidth))
 		tr.SetScope(snapSpan)
 		err := sink.Write(env, chunk)
@@ -842,14 +819,6 @@ func (e *Engine) runSnapshot(env *sim.Env, kind SnapshotKind) {
 	if werr != nil {
 		_ = sink.Abort(env)
 		report(nil, werr)
-		return
-	}
-	// Recovery replays the log on top of the image, so the log through the
-	// fork must be durable before the image is: replaying only a durable
-	// prefix of it would roll back keys the image holds later values of.
-	if err := e.call(env, &Request{Op: opSync}).Err; err != nil {
-		_ = sink.Abort(env)
-		report(nil, err)
 		return
 	}
 	tr.SetScope(snapSpan)
@@ -947,8 +916,14 @@ func (e *Engine) LastRecovery() *Recovered { return e.lastRecovery }
 // returning counts. It must be called before Start (on a new Engine) and
 // bills realistic CPU: decompress + insert per entry, then WAL replay.
 //
-// It issues the Set/Delete sequence of loading the image and replaying every
-// log record, but copies only the values the store keeps: each key's last
+// Only the log records past the image's log position are replayed, as Redis
+// loads a multipart AOF's base and then only the incremental files after
+// it: a prefix of what the image covers would roll keys back. An image that
+// covers the log past its durable end would cover the records logged next
+// too, so Recover then rotates the log and they start the next segment.
+//
+// It issues the Set/Delete sequence of loading the image and replaying the
+// records past it, but copies only the values the store keeps: each key's last
 // one, once, into the engine's arena. A value that a later record replaces
 // before Recover returns — a snapshot entry whose key the log rewrites, a log
 // record superseded by a later one of its key — goes in as a transient view
@@ -963,9 +938,10 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 	}
 	e.lastRecovery = rec
 	cost := e.cfg.Cost
-	log := internLogKeys(rec.WAL)
+	r := snapshot.NewImageReader(rec.Snapshot)
+	pos, _ := r.Position() // no image, or a damaged header, covers nothing
+	log := internLogKeys(rec, pos)
 	if rec.HaveSnapshot {
-		r := snapshot.NewImageReader(rec.Snapshot)
 		for {
 			batch, rerr := r.Next()
 			if rerr == io.EOF {
@@ -1007,13 +983,13 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 	// Replay the log segments in order; each truncates independently at a
 	// torn record. Corruption past the durable prefix is noted, not fatal:
 	// the prefix is exactly what the backend guaranteed durable.
-	n := int32(0) // the record's index across segments
+	n := int32(0) // the replayed record's index across segments
 	for i := range rec.WAL {
 		seg := &rec.WAL[i]
 		if seg.Corrupt {
-			rec.Degraded = append(rec.Degraded, fmt.Sprintf("wal segment %d: corrupt frame at byte %d (replayed %d records)", i, seg.Prefix, seg.Count()))
+			rec.Degraded = append(rec.Degraded, fmt.Sprintf("wal segment %d: corrupt frame at byte %d (replayed %d records)", i, seg.Prefix, seg.Count()-log.from[i]))
 		}
-		for j := 0; j < seg.Count(); j, n = j+1, n+1 {
+		for j := log.from[i]; j < seg.Count(); j, n = j+1, n+1 {
 			slot := log.slots[n]
 			switch seg.Op(j) {
 			case wal.OpDel:
@@ -1034,30 +1010,44 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 		// What LastRecovery returns must not keep the log's device pages.
 		*seg = wal.Segment{Len: seg.Len, Prefix: seg.Prefix, Corrupt: seg.Corrupt}
 	}
+	if open := len(rec.WAL) - 1; rec.WALGen > 0 && open >= 0 {
+		e.walGen = rec.WALGen + uint64(open)
+		if pos.Gen > e.walGen || pos.Gen == e.walGen && pos.Off > rec.WAL[open].Prefix {
+			if err := e.be.WALRotate(env); err != nil {
+				return entries, walRecords, err
+			}
+			e.walGen++
+			e.walBuf.Restart(nil)
+		}
+	}
 	return entries, walRecords, nil
 }
 
-// logKeys interns the keys of a recovered log: keys[slots[n]] is the key of
-// its n-th record, counting across segments, last[slots[n]] is the index of
-// that key's last record, and index maps each key to its slot.
+// logKeys interns the keys of the records a recovery replays, those of
+// segment i from from[i] on: keys[slots[n]] is the key of the n-th, counting
+// across segments, last[slots[n]] is the index of that key's last one, and
+// index maps each key to its slot.
 type logKeys struct {
+	from  []int
 	index map[string]int32
 	keys  []string
 	last  []int32
 	slots []int32
 }
 
-// internLogKeys walks the keys of every record of log.
-func internLogKeys(log []wal.Segment) logKeys {
-	total := 0
-	for i := range log {
-		total += log[i].Count()
-	}
-	k := logKeys{index: make(map[string]int32), slots: make([]int32, 0, total)}
+// internLogKeys walks the keys of rec's log records past pos. Segment i is
+// generation rec.WALGen+i; a zero WALGen replays every record.
+func internLogKeys(rec *Recovered, pos snapshot.LogPos) logKeys {
+	k := logKeys{from: make([]int, len(rec.WAL)), index: make(map[string]int32)}
 	var scratch []byte
-	for i := range log {
-		seg := &log[i]
-		for j := 0; j < seg.Count(); j++ {
+	for i := range rec.WAL {
+		seg := &rec.WAL[i]
+		if gen := rec.WALGen + uint64(i); rec.WALGen > 0 && gen <= pos.Gen {
+			if k.from[i] = seg.Count(); gen == pos.Gen {
+				k.from[i] = seg.Covered(pos.Off)
+			}
+		}
+		for j := k.from[i]; j < seg.Count(); j++ {
 			key := seg.Key(j, &scratch)
 			slot, ok := k.index[string(key)]
 			if !ok {

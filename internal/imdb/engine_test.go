@@ -261,7 +261,7 @@ func TestForkImageIsPointInTime(t *testing.T) {
 						t.Error(err)
 					}
 				}
-				if !r.db.SnapshotActive() {
+				if !r.db.snapActive {
 					t.Error("the snapshot ended before the overwrites: nothing to tear")
 				}
 				r.db.WaitNoSnapshot(env)
@@ -515,7 +515,7 @@ func TestQueriesServedDuringSnapshot(t *testing.T) {
 		}
 		trig := r.db.TriggerSnapshot(OnDemandSnapshot)
 		trig.Reply.Wait(env) // accepted: snapshot is now active
-		for r.db.SnapshotActive() {
+		for r.db.snapActive {
 			if _, err := r.db.Get(env, "k1"); err != nil {
 				t.Error(err)
 				return
@@ -1027,10 +1027,10 @@ func TestFullLogWithoutWALSnapshotRefusesWrites(t *testing.T) {
 		shutdownErr = r.db.Shutdown(env)
 	})
 	r.eng.RunUntil(sim.Time(10 * sim.Second))
-	// Nor can the log through the snapshot's fork be made durable, so the
-	// snapshot aborts rather than commit an image the log does not reach.
-	if st := r.db.Stats(); st.WALStalls != 0 || len(st.Snapshots) != 0 || st.SnapshotsAbort != 1 {
-		t.Errorf("stats %+v: want no stall and the On-Demand-Snapshot aborted", st)
+	// The image holds every record logged before its fork, so it commits
+	// although no sync can make that log durable.
+	if st := r.db.Stats(); st.WALStalls != 0 || len(st.Snapshots) != 1 || st.SnapshotsAbort != 0 {
+		t.Errorf("stats %+v: want no stall and the On-Demand-Snapshot committed", st)
 	}
 	if late != 0 {
 		t.Errorf("%d of 20 SETs acknowledged after the snapshot completed, with the log full", late)
@@ -1040,6 +1040,24 @@ func TestFullLogWithoutWALSnapshotRefusesWrites(t *testing.T) {
 	}
 	if !errors.Is(shutdownErr, ErrLogFull) {
 		t.Errorf("shutdown = %v, want the full log", shutdownErr)
+	}
+	// Nothing of the log was synced: a recovery is the image, the store
+	// after the 100 SETs before its fork.
+	r.eng.Run()
+	db2 := New(r.eng, r.be, Config{}, nil)
+	r.eng.Spawn("recover", func(env *sim.Env) {
+		if _, _, err := db2.Recover(env); err != nil {
+			t.Error(err)
+		}
+	})
+	r.eng.Run()
+	if n := db2.Store().Len(); n != 100 {
+		t.Fatalf("recovered %d keys, want the image's 100", n)
+	}
+	for i := 0; i < 100; i++ {
+		if got := db2.Store().Get(fmt.Sprintf("key%03d", i)); !bytes.Equal(got, value(i, 100)) {
+			t.Fatalf("key%03d = %q, want the image's %q", i, got, value(i, 100))
+		}
 	}
 }
 
@@ -1123,5 +1141,60 @@ func TestShutdownDrainsParkedLog(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// cutBeforeDiscard keeps what a crash would leave between a WAL-Snapshot's
+// commit and the WALDiscardOld that follows it.
+type cutBeforeDiscard struct {
+	*faulty
+	rec *Recovered
+}
+
+func (c *cutBeforeDiscard) WALDiscardOld(env *sim.Env) error {
+	if c.rec == nil {
+		c.rec, _ = c.Recover(env)
+	}
+	return c.faulty.WALDiscardOld(env)
+}
+
+// A WAL-Snapshot forked while the log is full covers the records the stall
+// parked, which never reach the segment its fork sealed. A crash after its
+// commit and before WALDiscardOld recovers that segment beside the image,
+// and replaying the segment's older value over the image rolls the key back:
+// recovery replays only the records past the image's log position.
+func TestCommittedImageSkipsSealedSegment(t *testing.T) {
+	eng := sim.NewEngine()
+	be := &faulty{Model: &Model{Latency: 50 * sim.Microsecond}}
+	cut := &cutBeforeDiscard{faulty: be}
+	db := New(eng, cut, Config{Policy: PeriodicalLog, WALSnapshotTrigger: 1 << 30}, nil)
+	be.pageSize = db.cfg.Pool.SegSize()
+	db.Start()
+	eng.Spawn("client", func(env *sim.Env) {
+		if err := db.Set(env, "k", []byte("v1")); err != nil {
+			t.Error(err)
+		}
+		env.Sleep(2 * flushInterval) // a tick syncs it
+		be.full = true
+		if err := db.Set(env, "k", []byte("v2")); err != nil { // parks; the stall forks
+			t.Error(err)
+		}
+		for len(db.Stats().Snapshots) == 0 {
+			env.Sleep(sim.Millisecond)
+		}
+		if err := db.Shutdown(env); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Run()
+	if cut.rec == nil || !cut.rec.HaveSnapshot || cut.rec.Kind != WALSnapshot {
+		t.Fatalf("no committed WAL-Snapshot before the discard: %+v", cut.rec)
+	}
+	if recs := cut.rec.WAL[0].Records(); len(cut.rec.WAL) != 2 || len(recs) != 1 || string(recs[0].Value) != "v1" {
+		t.Fatalf("crash state's log %+v: want the sealed segment holding k = v1, then the open one", cut.rec.WAL)
+	}
+	db2, _, walRecs := recoverCanned(t, cut.rec)
+	if got := db2.Store().Get("k"); string(got) != "v2" || walRecs != 0 {
+		t.Fatalf("recovered k = %q after replaying %d records, want the image's v2 and none", got, walRecs)
 	}
 }

@@ -64,6 +64,7 @@ type Model struct {
 
 	log     []byte    // the live log: the sealed segments, then the open one
 	seals   []int     // where each sealed segment ends in log
+	sealed  int       // segments sealed so far: the open one is generation sealed+1
 	synced  int       // log[:synced] is durable
 	dropped int       // bytes discarded so far, to place marks of syncs in flight
 	images  [2][]byte // the committed image of each SnapshotKind, nil if none
@@ -136,6 +137,7 @@ func (m *Model) WALRotate(env *sim.Env) error {
 		return err
 	}
 	m.seals = append(m.seals, len(m.log))
+	m.sealed++
 	return nil
 }
 
@@ -229,7 +231,7 @@ func (m *Model) Records() (appended, acked int) {
 // records and image are views of the model's own buffers, which a later call
 // never rewrites, so they stay valid for as long as a caller keeps them.
 func (m *Model) Recover(env *sim.Env) (*Recovered, error) {
-	rec := &Recovered{WALTruncatedAt: -1}
+	rec := &Recovered{WALTruncatedAt: -1, WALGen: uint64(m.sealed - len(m.seals) + 1)}
 	for _, run := range m.split(m.log[:m.synced]) {
 		rec.WAL = append(rec.WAL, wal.DecodeSegment([][]byte{run}))
 	}

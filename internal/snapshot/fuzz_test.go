@@ -106,12 +106,16 @@ func FuzzDecode(f *testing.F) {
 	f.Add(valid[:len(valid)-7])            // torn inside the trailer
 	f.Add(valid[:len(valid)/2])            // torn-page truncation mid-chunk
 	f.Add(valid[:len(Magic)])              // bare magic
-	f.Add(valid[:len(Magic)+3])            // truncated chunk header
+	f.Add(valid[:headerLen-3])             // truncated log position
+	f.Add(valid[:headerLen+3])             // truncated chunk header
 	f.Add([]byte("NOTMAGIC_rest-of-data")) // wrong magic
 	flip := append([]byte(nil), valid...)
-	flip[len(Magic)+13] ^= 0xFF // corrupt first chunk's payload (CRC must catch)
+	flip[headerLen+13] ^= 0xFF // corrupt first chunk's payload (CRC must catch)
 	f.Add(flip)
-	huge := append([]byte(nil), valid[:len(Magic)]...)
+	pos := append([]byte(nil), valid...)
+	pos[len(Magic)+2] ^= 0xFF // corrupt the log position (the header CRC must catch)
+	f.Add(pos)
+	huge := append([]byte(nil), valid[:headerLen]...)
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0) // absurd lengths
 	f.Add(huge)
 	for _, h := range hostileImages() {
@@ -235,7 +239,7 @@ func TestFuzzSeedRoundTrip(t *testing.T) {
 // lengths; the CRC is always honest, so the length checks and the decoder (not
 // the checksum) are what a hostile chunk runs into.
 func frameImage(comp []byte, rawLen, compLen uint32) []byte {
-	img := append([]byte(nil), Magic...)
+	img := imageHeader(LogPos{})
 	img = binary.LittleEndian.AppendUint32(img, rawLen)
 	img = binary.LittleEndian.AppendUint32(img, compLen)
 	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(comp))
@@ -259,7 +263,7 @@ type hostileImage struct {
 // must fail cleanly and cheaply.
 func hostileImages() []hostileImage {
 	entry := appendEntry(nil, []byte("k"), bytes.Repeat([]byte("v"), 991)) // 1000 raw bytes
-	n := uint32(len(chunkImage(entry, 0, 0)) - len(Magic) - 12)
+	n := uint32(len(chunkImage(entry, 0, 0)) - headerLen - 12)
 	// stream frames a hand-written stream with honest lengths: its compressed
 	// size, and a raw size large enough that only the named fault stops it.
 	stream := func(comp ...byte) []byte { return frameImage(comp, 64, uint32(len(comp))) }
@@ -300,4 +304,13 @@ func TestHostileLengthsFailCheaply(t *testing.T) {
 			t.Errorf("%s: allocated %d bytes decoding a %d-byte image, budget %d", h.name, got, len(h.img), budget)
 		}
 	}
+}
+
+// imageHeader is the header a Writer emits for an image at pos.
+func imageHeader(pos LogPos) []byte {
+	var hdr []byte
+	if _, err := NewWriterAt(0, pos, func(b []byte, _ int) error { hdr = append(hdr, b...); return nil }); err != nil {
+		panic(err)
+	}
+	return hdr
 }

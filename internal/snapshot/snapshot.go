@@ -10,6 +10,8 @@
 // CPU cost of compressing is billed to the snapshot process through the
 // engine's cost model.
 //
+// The header is the magic, then the log position the image is consistent
+// with (LogPos: two little-endian uint64) and the CRC-32 of those 16 bytes.
 // A chunk frame is rawLen, compLen and the CRC-32 of the payload (three
 // little-endian uint32), then compLen payload bytes. compLen < rawLen is a
 // compressed stream; compLen == rawLen is the stored form, the chunk verbatim,
@@ -30,7 +32,10 @@ import (
 
 // Magic opens every snapshot image: a fixed prefix and one format version
 // byte. A reader accepts its own version only.
-var Magic = []byte("SLIMRDB2")
+var Magic = []byte("SLIMRDB3")
+
+// headerLen is the header's length: the magic, the log position, its CRC.
+var headerLen = len(Magic) + 20
 
 // ErrVersion is matched (errors.Is) by the error for an image that has the
 // magic prefix but another format version.
@@ -38,6 +43,15 @@ var ErrVersion = errors.New("snapshot: unsupported format version")
 
 // DefaultChunkSize is the uncompressed chunk target (64 KiB).
 const DefaultChunkSize = 64 << 10
+
+// LogPos is the log position an image is consistent with: a log segment's
+// generation and a byte offset into it. The image holds the effect of every
+// record that ends at or before it, so recovery replays only the records
+// past it. The zero LogPos covers no record.
+type LogPos struct {
+	Gen uint64
+	Off int64
+}
 
 // Entry is one key/value pair in the dump.
 type Entry struct {
@@ -79,15 +93,22 @@ type Writer struct {
 	frame []byte
 }
 
-// NewWriter builds a Writer emitting chunks through emit. chunkSize <= 0
-// selects DefaultChunkSize.
+// NewWriter builds a Writer emitting chunks through emit, for an image that
+// covers no log record. chunkSize <= 0 selects DefaultChunkSize.
 func NewWriter(chunkSize int, emit func(chunk []byte, rawBytes int) error) (*Writer, error) {
+	return NewWriterAt(chunkSize, LogPos{}, emit)
+}
+
+// NewWriterAt is NewWriter for an image consistent with log position pos,
+// which its header records.
+func NewWriterAt(chunkSize int, pos LogPos, emit func(chunk []byte, rawBytes int) error) (*Writer, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
 	w := &Writer{emit: emit, chunkSize: chunkSize}
-	hdr := make([]byte, 0, 16)
-	hdr = append(hdr, Magic...)
+	hdr := binary.LittleEndian.AppendUint64(append(make([]byte, 0, headerLen), Magic...), pos.Gen)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(pos.Off))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr[len(Magic):]))
 	if err := emit(hdr, len(hdr)); err != nil {
 		return nil, err
 	}
@@ -184,6 +205,8 @@ type Reader struct {
 	raw       []byte    // the last compressed chunk, inflated
 	batch     []Entry   // the last chunk's entries
 	sawHeader bool
+	pos       LogPos
+	hdrErr    error
 	done      bool
 	entries   int64
 	declared  int64
@@ -275,25 +298,46 @@ func inflate(dst, comp []byte, rawLen uint32) ([]byte, error) {
 	return raw, nil
 }
 
+// Position reads the image's header, unless Next already has, and returns
+// the log position it records.
+func (r *Reader) Position() (LogPos, error) {
+	if !r.sawHeader {
+		r.sawHeader = true
+		r.pos, r.hdrErr = r.header()
+	}
+	return r.pos, r.hdrErr
+}
+
+func (r *Reader) header() (LogPos, error) {
+	got, err := r.take(len(Magic))
+	if err != nil {
+		return LogPos{}, err
+	}
+	if !bytes.Equal(got, Magic) {
+		if v := len(Magic) - 1; bytes.Equal(got[:v], Magic[:v]) {
+			return LogPos{}, fmt.Errorf("%w: image is version %q, this build reads only %q", ErrVersion, got[v], Magic[v])
+		}
+		return LogPos{}, fmt.Errorf("snapshot: bad magic")
+	}
+	pos, err := r.take(headerLen - len(Magic))
+	if err != nil {
+		return LogPos{}, err
+	}
+	if crc32.ChecksumIEEE(pos[:16]) != binary.LittleEndian.Uint32(pos[16:]) {
+		return LogPos{}, fmt.Errorf("snapshot: header CRC mismatch")
+	}
+	return LogPos{Gen: binary.LittleEndian.Uint64(pos), Off: int64(binary.LittleEndian.Uint64(pos[8:]))}, nil
+}
+
 // Next returns the next batch of entries (one chunk's worth), or io.EOF
-// after the trailer. It validates the per-chunk CRC and, at the end, the
-// declared entry count.
+// after the trailer. It validates the header and the per-chunk CRCs and, at
+// the end, the declared entry count.
 func (r *Reader) Next() ([]Entry, error) {
 	if r.done {
 		return nil, io.EOF
 	}
-	if !r.sawHeader {
-		got, err := r.take(len(Magic))
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(got, Magic) {
-			if v := len(Magic) - 1; bytes.Equal(got[:v], Magic[:v]) {
-				return nil, fmt.Errorf("%w: image is version %q, this build reads only %q", ErrVersion, got[v], Magic[v])
-			}
-			return nil, fmt.Errorf("snapshot: bad magic")
-		}
-		r.sawHeader = true
+	if _, err := r.Position(); err != nil {
+		return nil, err
 	}
 	hdr, err := r.take(12)
 	if err != nil {

@@ -158,6 +158,28 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// The header carries the log position the image is consistent with, under a
+// CRC of its own: Position returns it before any entry is decoded, and a
+// damaged position fails the image rather than naming the wrong record.
+func TestHeaderCarriesLogPosition(t *testing.T) {
+	want := LogPos{Gen: 7, Off: 1<<40 + 3}
+	img := append(imageHeader(want), make([]byte, 12)...) // then an empty trailer
+	r := NewImageReader([][]byte{img[:5], img[5:]})
+	if got, err := r.Position(); err != nil || got != want {
+		t.Fatalf("Position = %+v, %v; want %+v", got, err, want)
+	}
+	if batch, err := r.Next(); err != io.EOF || len(batch) != 0 {
+		t.Fatalf("Next = %d entries, %v; want EOF", len(batch), err)
+	}
+	if got, _ := NewReader(bytes.NewReader(writeSnapshot(t, 0, nil).stream.Bytes())).Position(); got != (LogPos{}) {
+		t.Fatalf("NewWriter's image at %+v, want the zero position", got)
+	}
+	img[len(Magic)+9] ^= 1
+	if _, err := NewImageReader([][]byte{img}).Next(); err == nil || err == io.EOF {
+		t.Fatalf("damaged position: err = %v, want a header CRC error", err)
+	}
+}
+
 // An image of the previous format version is refused by name, not as garbage:
 // there is no second reader to fall back to.
 func TestOldVersionImageRejected(t *testing.T) {
@@ -220,7 +242,7 @@ func TestFrameIsPureFunctionOfChunk(t *testing.T) {
 	}
 	for k, g := range groups {
 		// A fresh Writer's image of the group: magic, one frame, trailer.
-		alone := writeSnapshot(t, chunkSize, g).stream.Bytes()[len(Magic):]
+		alone := writeSnapshot(t, chunkSize, g).stream.Bytes()[headerLen:]
 		if len(alone) != len(whole[k])+12 || !bytes.HasPrefix(alone, whole[k]) {
 			t.Fatalf("chunk %d differs from the frame a fresh Writer emits for its entries", k)
 		}
@@ -270,7 +292,7 @@ func TestReaderDetectsChunkCorruption(t *testing.T) {
 	col := writeSnapshot(t, 4<<10, entries)
 	stream := col.stream.Bytes()
 	// Corrupt a byte inside the first chunk's compressed payload.
-	stream[len(Magic)+12+5] ^= 0xFF
+	stream[headerLen+12+5] ^= 0xFF
 	r := NewReader(bytes.NewReader(stream))
 	for {
 		_, err := r.Next()

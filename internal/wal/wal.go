@@ -154,6 +154,17 @@ func (s *Segment) Op(i int) Op { return s.frames[i].op }
 // ValueLen is the length of record i's value.
 func (s *Segment) ValueLen(i int) int { return int(s.frames[i].valLen) }
 
+// Covered is the number of records that end at or before byte off.
+func (s *Segment) Covered(off int64) int {
+	end := int64(0)
+	for i, f := range s.frames {
+		if end += headerSize + int64(f.keyLen) + int64(f.valLen); end > off {
+			return i
+		}
+	}
+	return len(s.frames)
+}
+
 // Key returns record i's key: a view of the run that holds it or, when it
 // straddles runs, its bytes gathered into *scratch, which grows as needed
 // and is overwritten by the next gather into it.
