@@ -40,9 +40,9 @@ type Breach struct{ Code, Detail string }
 //
 // Recover returns what a crash is guaranteed to leave: each segment's
 // synced prefix and the committed images, WAL-Snapshot preferred. Admits
-// judges what a crash did leave. The engine replays the segments' records
-// in order, so the recovered log must be a concatenation of one prefix of
-// each live segment, every prefix reaching that segment's synced mark.
+// judges what a crash did leave. The engine replays the records past its
+// image's log position in order, so the recovered log must concatenate one
+// prefix of each live segment, each reaching that segment's synced mark.
 // While a call is in flight, its rule widens what a crash may leave:
 //
 //   - WALAppend: the open segment may also hold a prefix of the new records.
