@@ -107,8 +107,10 @@ func TestMetaRecordRoundTrip(t *testing.T) {
 		slotRoles: [3]slotRole{roleWALSnap, roleReserve, roleOnDemand},
 		slotBytes: [3]int64{12345, 0, 999},
 		walHead:   77,
-		walGen:    3,
-		walRot:    5,
+		// The second sealed segment was sealed empty.
+		sealedLens: [maxSealedSegments]int64{600, 0},
+		sealed:     2,
+		walRetired: 3,
 	}
 	enc := m.encode()
 	got, err := decodeMetaRecord(enc)
@@ -240,8 +242,8 @@ func TestWALRotateDiscardTrimsAndAdvances(t *testing.T) {
 		if r.be.Stats().DeallocatedPages < 5 {
 			t.Errorf("deallocated %d pages, want >= 5", r.be.Stats().DeallocatedPages)
 		}
-		if r.be.meta.walGen != 1 {
-			t.Errorf("walGen = %d", r.be.meta.walGen)
+		if r.be.meta.walRetired != 1 {
+			t.Errorf("walRetired = %d", r.be.meta.walRetired)
 		}
 		if r.be.sealedPages() != 0 {
 			t.Error("sealed segments not cleared")
@@ -693,8 +695,8 @@ func TestWALWrapsAroundRegion(t *testing.T) {
 				return
 			}
 		}
-		if r.be.meta.walGen != 4 {
-			t.Errorf("walGen = %d", r.be.meta.walGen)
+		if r.be.meta.walRetired != 4 {
+			t.Errorf("walRetired = %d", r.be.meta.walRetired)
 		}
 	})
 }
@@ -838,9 +840,9 @@ func TestEmptyRotationKeepsGenerations(t *testing.T) {
 		}
 		db.Shutdown(env)
 	})
-	if st := r.be.Stats(); st.WALRotations != 0 || r.be.meta.walRot != 1 || len(db.Stats().Snapshots) != 1 {
-		t.Fatalf("rotations %d, walRot %d, snapshots %d: want the empty segment renumbered, not sealed, under one image",
-			st.WALRotations, r.be.meta.walRot, len(db.Stats().Snapshots))
+	if st := r.be.Stats(); st.WALRotations != 0 || r.be.meta.walRetired != 1 || len(db.Stats().Snapshots) != 1 {
+		t.Fatalf("rotations %d, walRetired %d, snapshots %d: want the empty segment renumbered, not sealed, under one image",
+			st.WALRotations, r.be.meta.walRetired, len(db.Stats().Snapshots))
 	}
 	eng2 := sim.NewEngine()
 	be2, _ := New(eng2, r.dev, Config{MetaPages: 8, SlotPages: 96})
@@ -880,24 +882,7 @@ func TestImagePastDurableLogRotatesAtRecovery(t *testing.T) {
 	r.eng.RunUntil(sim.Time(500 * sim.Millisecond)) // power cut before the first sync
 	r.eng.Shutdown()
 
-	reopen := func(policy imdb.LogPolicy, fn func(env *sim.Env, db *imdb.Engine)) *imdb.Engine {
-		eng := sim.NewEngine()
-		be, err := New(eng, r.dev, Config{MetaPages: 8, SlotPages: 96})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := imdb.New(eng, be, withPool(imdb.Config{Policy: policy}, r.dev), nil)
-		eng.Spawn("restart", func(env *sim.Env) {
-			if _, _, err := db.Recover(env); err != nil {
-				t.Error(err)
-				return
-			}
-			fn(env, db)
-		})
-		eng.Run()
-		return db
-	}
-	reopen(imdb.AlwaysLog, func(env *sim.Env, db *imdb.Engine) {
+	reopen(t, r.dev, func(env *sim.Env, db *imdb.Engine, _ *Backend) {
 		if rec := db.LastRecovery(); !rec.HaveSnapshot || rec.WAL[0].Prefix != 0 {
 			t.Errorf("recovered image %v over a %d-byte log, want the image over an empty one", rec.HaveSnapshot, rec.WAL[0].Prefix)
 		}
@@ -907,11 +892,149 @@ func TestImagePastDurableLogRotatesAtRecovery(t *testing.T) {
 		}
 		db.Shutdown(env)
 	})
-	db3 := reopen(imdb.AlwaysLog, func(*sim.Env, *imdb.Engine) {})
+	db3 := reopen(t, r.dev, func(*sim.Env, *imdb.Engine, *Backend) {})
 	if got := db3.Store().Get("late"); string(got) != "v" || db3.Store().Len() != 9 {
 		t.Fatalf("late = %q among %d keys, want v among the image's 8 and it", got, db3.Store().Len())
 	}
 }
+
+// A WAL-Snapshot that aborts leaves the segment it sealed live. An
+// On-Demand image forked over the empty segment after it, with records still
+// buffered, covers the log past its durable end, so recovery rotates that
+// empty segment: it is sealed with length 0, and the sealed segment before
+// it keeps its generation through the next recovery. Read back one
+// generation late, it would be taken for the image's own segment and its
+// records past the image's offset replayed, rolling keys back.
+func TestEmptyRotationBehindSealedSegment(t *testing.T) {
+	r := newRig(t)
+	db := imdb.New(r.eng, failWALSnapshots{r.be}, withPool(imdb.Config{Policy: imdb.PeriodicalLog}, r.dev), nil)
+	db.Start()
+	set := func(env *sim.Env, from, to int, v string) {
+		for i := from; i < to; i++ {
+			if err := db.Set(env, fmt.Sprintf("k%02d", i), []byte(v)); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	r.eng.Spawn("client", func(env *sim.Env) {
+		set(env, 0, 16, "old")
+		env.Sleep(1200 * sim.Millisecond) // the timer's sync makes them durable
+		db.TriggerSnapshot(imdb.WALSnapshot).Reply.Wait(env)
+		db.WaitNoSnapshot(env)
+		set(env, 8, 16, "new") // less than a page: buffered until the next sync
+		db.TriggerSnapshot(imdb.OnDemandSnapshot).Reply.Wait(env)
+		db.WaitNoSnapshot(env)
+	})
+	r.eng.RunUntil(sim.Time(1800 * sim.Millisecond)) // power cut before the next sync
+	r.eng.Shutdown()
+	if st := db.Stats(); st.SnapshotsAbort != 1 || len(st.Snapshots) != 1 || r.be.meta.sealed != 1 {
+		t.Fatalf("%d aborted, %d committed, %d sealed: want the WAL-Snapshot's sealed segment under the On-Demand image",
+			st.SnapshotsAbort, len(st.Snapshots), r.be.meta.sealed)
+	}
+
+	reopen(t, r.dev, func(env *sim.Env, db *imdb.Engine, be *Backend) {
+		if be.meta.sealed != 2 || be.meta.sealedLens[1] != 0 || be.meta.walRetired != 0 {
+			t.Errorf("sealed %v of %d, %d retired: want the empty segment sealed behind the first", be.meta.sealedLens, be.meta.sealed, be.meta.walRetired)
+		}
+		db.Start()
+		if err := db.Set(env, "late", []byte("v")); err != nil {
+			t.Error(err)
+		}
+		db.Shutdown(env)
+	})
+	db3 := reopen(t, r.dev, func(*sim.Env, *imdb.Engine, *Backend) {})
+	for i := 0; i < 16; i++ {
+		want := map[bool]string{false: "old", true: "new"}[i >= 8]
+		if got := db3.Store().Get(fmt.Sprintf("k%02d", i)); string(got) != want {
+			t.Errorf("k%02d = %q after two recoveries, want %q", i, got, want)
+		}
+	}
+	if got := db3.Store().Get("late"); string(got) != "v" || db3.Store().Len() != 17 {
+		t.Fatalf("late = %q among %d keys, want v among the image's 16 and it", got, db3.Store().Len())
+	}
+}
+
+// Aborted WAL-Snapshots can fill core's segment table. An On-Demand image
+// committed over buffered records then covers every durable record, and the
+// recovery that starts a new segment past it drops the sealed ones to make
+// room, instead of failing.
+func TestRecoveryRotatesPastFullSegmentTable(t *testing.T) {
+	r := newRig(t)
+	db := imdb.New(r.eng, failWALSnapshots{r.be}, withPool(imdb.Config{Policy: imdb.PeriodicalLog}, r.dev), nil)
+	db.Start()
+	r.eng.Spawn("client", func(env *sim.Env) {
+		for i := 0; i < maxSealedSegments; i++ {
+			if err := db.Set(env, fmt.Sprintf("k%d", i), []byte("synced")); err != nil {
+				t.Error(err)
+			}
+			env.Sleep(1100 * sim.Millisecond) // the timer's sync makes it durable
+			db.TriggerSnapshot(imdb.WALSnapshot).Reply.Wait(env)
+			db.WaitNoSnapshot(env)
+		}
+		if err := db.Set(env, "w", []byte("buffered")); err != nil {
+			t.Error(err)
+		}
+		db.TriggerSnapshot(imdb.OnDemandSnapshot).Reply.Wait(env)
+		db.WaitNoSnapshot(env)
+	})
+	r.eng.RunUntil(sim.Time(4700 * sim.Millisecond)) // power cut before the next sync
+	r.eng.Shutdown()
+	if st := db.Stats(); st.SnapshotsAbort != maxSealedSegments || len(st.Snapshots) != 1 || r.be.meta.sealed != maxSealedSegments {
+		t.Fatalf("%d aborted, %d committed, %d sealed: want a full segment table under the On-Demand image",
+			st.SnapshotsAbort, len(st.Snapshots), r.be.meta.sealed)
+	}
+	reopen(t, r.dev, func(env *sim.Env, db *imdb.Engine, be *Backend) {
+		if be.meta.sealed != 0 || be.meta.walRetired != maxSealedSegments+1 {
+			t.Errorf("%d sealed, %d retired: want the covered segments dropped and the empty open one renumbered", be.meta.sealed, be.meta.walRetired)
+		}
+		db.Start()
+		if err := db.Set(env, "late", []byte("v")); err != nil {
+			t.Error(err)
+		}
+		db.Shutdown(env)
+	})
+	db3 := reopen(t, r.dev, func(*sim.Env, *imdb.Engine, *Backend) {})
+	if got := db3.Store().Get("w"); string(got) != "buffered" || db3.Store().Len() != maxSealedSegments+2 {
+		t.Fatalf("w = %q among %d keys, want the image's %d and late", got, db3.Store().Len(), maxSealedSegments+1)
+	}
+}
+
+// reopen recovers an Always-Log engine over core on dev, runs fn, and
+// returns the engine.
+func reopen(t *testing.T, dev *ssd.Device, fn func(env *sim.Env, db *imdb.Engine, be *Backend)) *imdb.Engine {
+	t.Helper()
+	eng := sim.NewEngine()
+	be, err := New(eng, dev, Config{MetaPages: 8, SlotPages: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := imdb.New(eng, be, withPool(imdb.Config{Policy: imdb.AlwaysLog}, dev), nil)
+	eng.Spawn("restart", func(env *sim.Env) {
+		if _, _, err := db.Recover(env); err != nil {
+			t.Error(err)
+			return
+		}
+		fn(env, db, be)
+	})
+	eng.Run()
+	return db
+}
+
+// failWALSnapshots is a core backend whose WAL-Snapshots all fail to write
+// their image, and so abort.
+type failWALSnapshots struct{ *Backend }
+
+func (b failWALSnapshots) BeginSnapshot(env *sim.Env, kind imdb.SnapshotKind) (imdb.SnapshotSink, error) {
+	sink, err := b.Backend.BeginSnapshot(env, kind)
+	if err != nil || kind != imdb.WALSnapshot {
+		return sink, err
+	}
+	return failingSink{sink}, nil
+}
+
+type failingSink struct{ imdb.SnapshotSink }
+
+func (failingSink) Write(*sim.Env, []byte) error { return errors.New("injected image write failure") }
 
 // chain lays raw framed bytes out as the engine's wal.Buffer would for
 // r.be: past the fill of the backend's own tail segment, then in fresh pool

@@ -164,7 +164,7 @@ func TestRotateEmptySegmentIsNoop(t *testing.T) {
 		if err := r.be.WALRotate(env); err != nil {
 			t.Error(err)
 		}
-		if r.be.meta.sealedCount() != 0 {
+		if r.be.meta.sealed != 0 {
 			t.Error("empty rotation sealed a segment")
 		}
 	})
@@ -205,8 +205,8 @@ func TestMetadataRegionWraps(t *testing.T) {
 	if be2.meta.seq != r.be.meta.seq {
 		t.Fatalf("recovered seq %d, want %d (newest record must win)", be2.meta.seq, r.be.meta.seq)
 	}
-	if be2.meta.walGen != uint64(rounds) {
-		t.Fatalf("recovered walGen %d, want %d", be2.meta.walGen, rounds)
+	if be2.meta.walRetired != uint64(rounds) {
+		t.Fatalf("recovered walRetired %d, want %d", be2.meta.walRetired, rounds)
 	}
 }
 

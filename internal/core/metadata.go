@@ -24,31 +24,23 @@ type metaRecord struct {
 	// walHead is the ring offset (in pages, relative to the WAL region
 	// start) where the oldest live segment begins.
 	walHead int64
-	// sealedLens are the byte lengths of sealed segments, oldest first,
-	// laid out consecutively (page-aligned) from walHead. The current
-	// (open) segment follows them and is recovered by scanning.
+	// sealedLens[:sealed] are the byte lengths of the sealed segments,
+	// oldest first, laid out consecutively (page-aligned) from walHead. A
+	// segment sealed empty has length 0 and no pages. The current (open)
+	// segment follows them and is recovered by scanning.
 	sealedLens [maxSealedSegments]int64
-	// walGen increments on every discard, fencing stale segments.
-	walGen uint64
-	// walRot counts rotations: the open segment is log generation walRot+1
-	// (see imdb.Recovered.WALGen).
-	walRot uint64
-}
-
-func (m *metaRecord) sealedCount() int {
-	n := 0
-	for _, l := range m.sealedLens {
-		if l > 0 {
-			n++
-		}
-	}
-	return n
+	sealed     int
+	// walRetired counts the log generations before the oldest live
+	// segment, discarded or renumbered while empty: the oldest live segment
+	// is generation walRetired+1 and each rotation adds one (see
+	// imdb.Recovered.WALGen).
+	walRetired uint64
 }
 
 var metaMagic = []byte("SLIMMETA")
 
 const metaRecordSize = 8 /*magic*/ + 8 /*seq*/ + 3 + 3*8 + 8 /*walHead*/ +
-	maxSealedSegments*8 + 8 /*gen*/ + 8 /*rot*/ + 4 /*crc*/
+	maxSealedSegments*8 + 1 /*sealed*/ + 8 /*retired*/ + 4 /*crc*/
 
 func (m *metaRecord) encode() []byte {
 	buf := make([]byte, metaRecordSize)
@@ -69,9 +61,9 @@ func (m *metaRecord) encode() []byte {
 		binary.LittleEndian.PutUint64(buf[off:off+8], uint64(m.sealedLens[i]))
 		off += 8
 	}
-	binary.LittleEndian.PutUint64(buf[off:off+8], m.walGen)
-	binary.LittleEndian.PutUint64(buf[off+8:off+16], m.walRot)
-	off += 16
+	buf[off] = byte(m.sealed)
+	binary.LittleEndian.PutUint64(buf[off+1:off+9], m.walRetired)
+	off += 9
 	crc := crc32.ChecksumIEEE(buf[:off])
 	binary.LittleEndian.PutUint32(buf[off:off+4], crc)
 	return buf
@@ -109,7 +101,9 @@ func decodeMetaRecord(buf []byte) (*metaRecord, error) {
 		m.sealedLens[i] = int64(binary.LittleEndian.Uint64(buf[off : off+8]))
 		off += 8
 	}
-	m.walGen = binary.LittleEndian.Uint64(buf[off : off+8])
-	m.walRot = binary.LittleEndian.Uint64(buf[off+8 : off+16])
+	if m.sealed = int(buf[off]); m.sealed > maxSealedSegments {
+		return nil, fmt.Errorf("core: metadata names %d sealed segments", m.sealed)
+	}
+	m.walRetired = binary.LittleEndian.Uint64(buf[off+1 : off+9])
 	return m, nil
 }

@@ -159,7 +159,7 @@ func (b *Backend) writeMeta(env *sim.Env, ring *uring.Ring) error {
 // sealedPages is the total page count of all sealed segments.
 func (b *Backend) sealedPages() int64 {
 	var p int64
-	for _, l := range b.meta.sealedLens {
+	for _, l := range b.meta.sealedLens[:b.meta.sealed] {
 		p += pagesNeeded(l, b.pageSize)
 	}
 	return p
@@ -358,23 +358,21 @@ func (b *Backend) WALDurableSize() int64 { return b.walBytes }
 // opens a new one immediately after it in the ring — the fork-point log
 // rotation of a WAL-Snapshot. Costs one metadata page write, plus the write
 // of the open page's unsynced tail, which the next WALSync reaps, so that
-// WALSync makes the sealed segment durable too.
+// WALSync makes the sealed segment durable too. An empty segment with none
+// sealed before it is renumbered instead, and one behind sealed segments is
+// sealed with length 0, so every rotation moves the open segment one
+// generation on.
 func (b *Backend) WALRotate(env *sim.Env) error {
-	if b.walBytes == 0 {
-		// Nothing to seal: the metadata write renumbers the empty segment.
-		b.meta.walRot++
+	if b.walBytes == 0 && b.meta.sealed == 0 {
+		b.meta.walRetired++
 		return b.writeMeta(env, b.walRing)
 	}
-	if b.meta.sealedCount() == maxSealedSegments {
+	if b.meta.sealed == maxSealedSegments {
 		return fmt.Errorf("core: too many sealed WAL segments (%d)", maxSealedSegments)
 	}
 	b.writeTail(env, b.cfg.Trace.Scope())
-	for i := range b.meta.sealedLens {
-		if b.meta.sealedLens[i] == 0 {
-			b.meta.sealedLens[i] = b.walBytes
-			break
-		}
-	}
+	b.meta.sealedLens[b.meta.sealed] = b.walBytes
+	b.meta.sealed++
 	b.walBytes = 0
 	b.walFullPages = 0
 	if b.walTailSeg != nil {
@@ -383,7 +381,6 @@ func (b *Backend) WALRotate(env *sim.Env) error {
 	}
 	b.walTailSynced = 0
 	b.stats.WALRotations++
-	b.meta.walRot++
 	return b.writeMeta(env, b.walRing)
 }
 
@@ -392,10 +389,10 @@ func (b *Backend) WALRotate(env *sim.Env) error {
 // The TRIM is what lets an FDP device reclaim the WAL's reclaim units
 // without copying (§4.3).
 func (b *Backend) WALDiscardOld(env *sim.Env) error {
-	used := b.sealedPages()
-	if used == 0 {
+	if b.meta.sealed == 0 {
 		return nil
 	}
+	used := b.sealedPages() // > 0: the oldest sealed segment is never empty
 	for _, run := range splitWrap(b.lay.walStart, b.lay.walPages, b.meta.walHead, used) {
 		if err := b.walRing.Deallocate(env, run.start, run.n); err != nil {
 			return err
@@ -403,8 +400,9 @@ func (b *Backend) WALDiscardOld(env *sim.Env) error {
 		b.stats.DeallocatedPages += run.n
 	}
 	b.meta.walHead = (b.meta.walHead + used) % b.lay.walPages
+	b.meta.walRetired += uint64(b.meta.sealed)
 	b.meta.sealedLens = [maxSealedSegments]int64{}
-	b.meta.walGen++
+	b.meta.sealed = 0
 	b.stats.WALResets++
 	return b.writeMeta(env, b.walRing)
 }
@@ -661,10 +659,11 @@ func (b *Backend) Recover(env *sim.Env) (*imdb.Recovered, error) {
 	}
 
 	// 3. Sealed segments: exact lengths come from the segment table.
-	out.WALGen = b.meta.walRot + 1 - uint64(b.meta.sealedCount())
+	out.WALGen = b.meta.walRetired + 1
 	segOff := b.meta.walHead
-	for _, segLen := range b.meta.sealedLens {
+	for _, segLen := range b.meta.sealedLens[:b.meta.sealed] {
 		if segLen == 0 {
+			out.WAL = append(out.WAL, wal.Segment{})
 			continue
 		}
 		segPages := pagesNeeded(segLen, b.pageSize)

@@ -132,18 +132,19 @@ func (ev *SnapshotEvent) DeviceWaitTime() sim.Duration {
 
 // Stats aggregates engine counters.
 type Stats struct {
-	Gets, Sets, Dels int64
-	WALFlushes       int64
-	WALSyncs         int64
-	WALStalls        int64
-	WALBytes         int64
-	COWCopies        int64
-	COWStall         sim.Duration
-	ForkStall        sim.Duration
-	PeakMemory       int64
-	BaseMemory       int64
-	Snapshots        []SnapshotEvent
-	SnapshotsAbort   int64
+	Gets, Sets     int64
+	Dels           int64
+	WALFlushes     int64
+	WALSyncs       int64
+	WALStalls      int64
+	WALBytes       int64
+	COWCopies      int64
+	COWStall       sim.Duration
+	ForkStall      sim.Duration
+	PeakMemory     int64
+	BaseMemory     int64
+	Snapshots      []SnapshotEvent
+	SnapshotsAbort int64
 }
 
 // flushInterval is the Periodical-Log durability timer.
@@ -295,14 +296,23 @@ func (e *Engine) Submit(req *Request) {
 		switch req.Op {
 		case OpGet, OpSet, OpDel:
 			req.enqueued = e.eng.Now()
-			req.span = tr.Begin("op", opTraceNames[req.Op], 0, req.enqueued)
+			req.span = tr.Begin("op", opTraceName(req.Op), 0, req.enqueued)
 		}
 	}
 	e.reqQ.Push(req)
 }
 
-// opTraceNames maps a client opcode to its op-span name.
-var opTraceNames = [...]string{OpGet: "get", OpSet: "set", OpDel: "del"}
+// opTraceName maps a client opcode to its op-span name.
+func opTraceName(op Op) string {
+	switch op {
+	case OpGet:
+		return "get"
+	case OpSet:
+		return "set"
+	default:
+		return "del"
+	}
+}
 
 // traceApply stamps the queue and apply children of r's op span: queued
 // from Submit until start, applied over [start, now].
@@ -399,17 +409,19 @@ func (e *Engine) WALPendingBytes() int { return e.walRefused }
 // SyncInFlight reports whether a WAL sync is outstanding.
 func (e *Engine) SyncInFlight() bool { return e.syncing }
 
+// MemoryNow reports the engine's current modelled memory footprint —
+// the instantaneous value whose maximum Stats.PeakMemory records.
+func (e *Engine) MemoryNow() int64 { return e.memoryNow() }
+
 // memoryBase is the steady-state footprint: store payload + per-key
 // overhead.
 func (e *Engine) memoryBase() int64 {
 	return e.store.Bytes() + int64(e.store.Len())*int64(e.cfg.Cost.KeyOverhead)
 }
 
-// MemoryNow reports the engine's current modelled memory footprint, the
-// value whose maximum Stats.PeakMemory records: the steady state plus
-// snapshot-period overheads, COW page copies and the WAL rewrite buffer
-// (Table 1's near-doubling comes from the COW term).
-func (e *Engine) MemoryNow() int64 {
+// memoryNow adds snapshot-period overheads: COW page copies and the WAL
+// rewrite buffer (Table 1's near-doubling comes from the COW term).
+func (e *Engine) memoryNow() int64 {
 	m := e.memoryBase() + int64(e.walBuf.Len())
 	if e.snapActive {
 		// The child shares pages with the parent until COW faults copy them.
@@ -419,7 +431,7 @@ func (e *Engine) MemoryNow() int64 {
 }
 
 func (e *Engine) notePeak() {
-	if m := e.MemoryNow(); m > e.stats.PeakMemory {
+	if m := e.memoryNow(); m > e.stats.PeakMemory {
 		e.stats.PeakMemory = m
 	}
 }
@@ -471,7 +483,11 @@ func (e *Engine) mainLoop(env *sim.Env) {
 					reply(r, Response{Err: fmt.Errorf("imdb: write refused after WAL failure: %w", e.walErr)})
 					continue
 				}
-				e.execWrite(env, r)
+				if r.Op == OpSet {
+					e.execSet(env, r)
+				} else {
+					e.execDel(env, r)
+				}
 				if e.cfg.Policy == AlwaysLog {
 					setReplies = append(setReplies, r)
 				} else {
@@ -594,27 +610,29 @@ func (e *Engine) execGet(env *sim.Env, r *Request) {
 	reply(r, Response{Value: v})
 }
 
-// execWrite applies and logs a SET or a DEL, paying copy-on-write for the
-// pages it touches while a snapshot still shares them (paper §2.2).
-func (e *Engine) execWrite(env *sim.Env, r *Request) {
+func (e *Engine) execSet(env *sim.Env, r *Request) {
 	cost := e.cfg.Cost
 	start := env.Now()
-	op, v := wal.OpSet, r.Value
-	if r.Op == OpDel {
-		op, v = wal.OpDel, nil
-	}
-	env.Work("cmd", cost.CmdBaseCPU+sim.DurationForBytes(int64(len(v)), cost.StoreBandwidth))
-	if op == wal.OpSet {
-		e.copyOnWrite(env, e.store.Set(r.Key, v))
-		e.stats.Sets++
-	} else {
-		e.copyOnWrite(env, e.store.Delete(r.Key))
-		e.stats.Dels++
-	}
-	e.walBuf.AppendString(op, r.Key, v)
+	env.Work("cmd", cost.CmdBaseCPU+sim.DurationForBytes(int64(len(r.Value)), cost.StoreBandwidth))
+	e.copyOnWrite(env, e.store.Set(r.Key, r.Value))
+	e.walBuf.AppendString(wal.OpSet, r.Key, r.Value)
+	e.stats.Sets++
 	e.countOp(env)
 	e.traceApply(env, r, start)
 	e.notePeak()
+}
+
+// execDel removes a key and logs a deletion record; like SETs, deletions
+// during a snapshot pay copy-on-write for the pages they touch.
+func (e *Engine) execDel(env *sim.Env, r *Request) {
+	cost := e.cfg.Cost
+	start := env.Now()
+	env.Work("cmd", cost.CmdBaseCPU)
+	e.copyOnWrite(env, e.store.Delete(r.Key))
+	e.walBuf.AppendString(wal.OpDel, r.Key, nil)
+	e.stats.Dels++
+	e.countOp(env)
+	e.traceApply(env, r, start)
 }
 
 // copyOnWrite bills the pages a write had to copy because the snapshot child
@@ -920,7 +938,9 @@ func (e *Engine) LastRecovery() *Recovered { return e.lastRecovery }
 // loads a multipart AOF's base and then only the incremental files after
 // it: a prefix of what the image covers would roll keys back. An image that
 // covers the log past its durable end would cover the records logged next
-// too, so Recover then rotates the log and they start the next segment.
+// too, so Recover then rotates the log and they start the next segment
+// (dropping the sealed segments, which it covers, if the backend has no room
+// to seal another).
 //
 // It issues the Set/Delete sequence of loading the image and replaying the
 // records past it, but copies only the values the store keeps: each key's last
@@ -1013,7 +1033,15 @@ func (e *Engine) Recover(env *sim.Env) (entries int64, walRecords int64, err err
 	if open := len(rec.WAL) - 1; rec.WALGen > 0 && open >= 0 {
 		e.walGen = rec.WALGen + uint64(open)
 		if pos.Gen > e.walGen || pos.Gen == e.walGen && pos.Off > rec.WAL[open].Prefix {
-			if err := e.be.WALRotate(env); err != nil {
+			// The image covers every durable record, so when the backend
+			// has no room to seal another segment, the sealed ones can go.
+			err := e.be.WALRotate(env)
+			if err != nil && open > 0 {
+				if err = e.be.WALDiscardOld(env); err == nil {
+					err = e.be.WALRotate(env)
+				}
+			}
+			if err != nil {
 				return entries, walRecords, err
 			}
 			e.walGen++

@@ -63,6 +63,9 @@ func (p *Proc) run(yield func(*Proc) bool) {
 	p.fn(&Env{p: p, eng: e})
 }
 
+// Terminated reports whether the process body has returned.
+func (p *Proc) Terminated() bool { return p.done }
+
 // BusyTime reports the virtual CPU time billed under tag via Env.Work.
 func (p *Proc) BusyTime(tag string) Duration {
 	for _, b := range p.busy {
@@ -71,6 +74,15 @@ func (p *Proc) BusyTime(tag string) Duration {
 		}
 	}
 	return 0
+}
+
+// TotalBusyTime reports the sum of all billed CPU time.
+func (p *Proc) TotalBusyTime() Duration {
+	var total Duration
+	for _, b := range p.busy {
+		total += b.d
+	}
+	return total
 }
 
 // bill adds d to tag's row, appending the row on the tag's first bill.

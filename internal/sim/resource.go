@@ -37,6 +37,15 @@ func (r *Resource) Acquire(env *Env) {
 	// The releaser transferred the slot to us (inUse stays counted).
 }
 
+// TryAcquire takes a slot if one is free, without blocking.
+func (r *Resource) TryAcquire() bool {
+	if r.inUse < r.capacity && r.waiters.len() == 0 {
+		r.inUse++
+		return true
+	}
+	return false
+}
+
 // Release frees a slot, handing it directly to the oldest waiter if any.
 // Callable from a process or an engine callback.
 func (r *Resource) Release() {
@@ -50,6 +59,12 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 }
+
+// InUse reports the number of currently held slots.
+func (r *Resource) InUse() int { return r.inUse }
+
+// ContendedAcquisitions reports how many Acquire calls had to wait.
+func (r *Resource) ContendedAcquisitions() int64 { return r.waited }
 
 // Timeline models a serially-occupied facility (a NAND die, a DMA engine) as
 // a busy-until horizon instead of a queue of parked processes. Reserving
