@@ -128,12 +128,17 @@ top-smoke:
 # a layer. A function or method under internal/ has no non-test caller when
 # its name occurs, comments aside, in no non-test file (bench/ included) but
 # where it is defined: a crude grep, since a name shared with a used one
-# counts as used.
+# counts as used. The line after the count lists those names, sorted.
 GO_FILES    = find . -name '*.go' ! -path './bench/*' ! -path '*/testdata/*'
 GO_NONTEST  = $(GO_FILES) ! -name '*_test.go'
 CONFIG_LIKE = Config|Scale|Costs|CostModel|Profile|Geometry|Latencies
 STRUCT_FIELDS = grep -a -cE '^	[A-Z][A-Za-z0-9_, ]* +[^ ]'
 EXP_NONTEST = find internal/exp -maxdepth 1 -name '*.go' ! -name '*_test.go'
+NO_CALLER   = { \
+	find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec grep -hoE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*' {} + | grep -oE '[A-Z][A-Za-z0-9_]*$$'; \
+	echo ---; \
+	find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec sed 's://.*::' {} + | grep -oE '\b[A-Z][A-Za-z0-9_]*\b'; } | \
+	awk '$$0 == "---" { uses = 1; next } !uses { def[$$0]++; next } { use[$$0]++ } END { for (k in def) if (use[k] <= def[k]) print k }'
 census:
 	@echo "non-test Go lines:              $$($(GO_NONTEST) -exec grep -h '' {} + | grep -c '')"
 	@echo "test Go lines:                  $$($(GO_FILES) -name '*_test.go' -exec grep -h '' {} + | grep -c '')"
@@ -146,8 +151,5 @@ census:
 		$$($(EXP_NONTEST) -exec grep -Pzo '(?s)\nconst \(.*?\n\)\n' {} + | grep -a -cE '^	[A-Z]') + \
 		$$($(EXP_NONTEST) -exec grep -Pzo '(?s)\ntype [A-Z]\w* struct \{.*?\n\}\n' {} + | $(STRUCT_FIELDS)) ))"
 	@echo "exported Set* under internal/:  $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec grep -hE '^func \([^)]*\) Set[A-Z]' {} + | grep -c '')"
-	@echo "exported with no non-test caller: $$({ \
-		find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec grep -hoE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*' {} + | grep -oE '[A-Z][A-Za-z0-9_]*$$'; \
-		echo ---; \
-		find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec sed 's://.*::' {} + | grep -oE '\b[A-Z][A-Za-z0-9_]*\b'; } | \
-		awk '$$0 == "---" { uses = 1; next } !uses { def[$$0]++; next } { use[$$0]++ } END { for (k in def) n += use[k] <= def[k]; print n + 0 }')"
+	@echo "exported with no non-test caller: $$($(NO_CALLER) | grep -c '')"
+	@echo "  names: $$($(NO_CALLER) | sort | paste -sd ' ' -)"

@@ -667,10 +667,7 @@ func (b *Backend) Recover(env *sim.Env) (*imdb.Recovered, error) {
 			continue
 		}
 		segPages := pagesNeeded(segLen, b.pageSize)
-		pages, bad, err := b.readRingPages(env, segOff, segPages)
-		if err != nil {
-			return nil, fmt.Errorf("core: sealed segment read: %w", err)
-		}
+		pages, bad, _ := b.readRing(env, make([][]byte, 0, segPages), segOff, segPages, false)
 		if bad > 0 {
 			out.Degraded = append(out.Degraded, fmt.Sprintf("sealed wal segment %d: %d unreadable pages zero-filled", len(out.WAL), bad))
 		}
@@ -680,11 +677,23 @@ func (b *Backend) Recover(env *sim.Env) (*imdb.Recovered, error) {
 		segOff = (segOff + segPages) % b.lay.walPages
 	}
 
-	// 4. Open segment: read forward from its head until the first
-	// unwritten page; the CRC framing then finds the valid prefix.
-	pages, stopNote := b.readWALRaw(env, segOff)
-	if stopNote != "" {
-		out.Degraded = append(out.Degraded, stopNote)
+	// 4. Open segment: read forward from its head, one read-ahead window at
+	// a time, until the first page that does not read or the region end; the
+	// CRC framing then finds the valid prefix. An unwritten page is the
+	// normal end of the log; a device read failure also ends the scan, and
+	// everything durable before it is the recoverable prefix.
+	var pages [][]byte
+	remaining := b.lay.walPages - b.sealedPages()
+	for off := int64(0); off < remaining; off += recoveryReadAhead {
+		var end error
+		pages, _, end = b.readRing(env, pages, segOff+off, min(recoveryReadAhead, remaining-off), true)
+		if end != nil {
+			if nand.IsDeviceError(end) {
+				lpa := b.lay.walStart + (segOff+int64(len(pages)))%b.lay.walPages
+				out.Degraded = append(out.Degraded, fmt.Sprintf("open wal segment: unreadable page at ring offset %d ends the scan: %v", lpa, end))
+			}
+			break
+		}
 	}
 	open := wal.DecodeSegment(pages)
 	out.WAL = append(out.WAL, open)
@@ -717,78 +726,35 @@ func (b *Backend) Recover(env *sim.Env) (*imdb.Recovered, error) {
 	return out, nil
 }
 
-// readWALRaw reads WAL-region pages sequentially from ring offset start
-// (with read-ahead) until an unwritten page or the region end, returning
-// them as pageSize-byte views (see pageView). An unwritten page is the
-// normal end of the log; a device read failure (retries already exhausted
-// below) also ends the scan — everything durable before it is the
-// recoverable prefix — and is reported in the returned note.
-func (b *Backend) readWALRaw(env *sim.Env, start int64) (pages [][]byte, note string) {
-	ra := recoveryReadAhead
-	remaining := b.lay.walPages - b.sealedPages()
-	for off := int64(0); off < remaining; {
-		n := ra
-		if off+n > remaining {
-			n = remaining - off
-		}
-		runs := splitWrap(b.lay.walStart, b.lay.walPages, start+off, n)
-		stop := false
-		for _, run := range runs {
-			data, err := b.walRing.Read(env, run.start, run.n)
-			if err != nil {
-				// Probe page by page to find the exact end.
-				for i := int64(0); i < run.n; i++ {
-					pg, perr := b.walRing.Read(env, run.start+i, 1)
-					if perr != nil {
-						if nand.IsDeviceError(perr) {
-							note = fmt.Sprintf("open wal segment: unreadable page at ring offset %d ends the scan: %v", run.start+i, perr)
-						}
-						stop = true
-						break
-					}
-					pages = append(pages, pageView(pg[0], b.pageSize))
-				}
-			} else {
-				for _, pg := range data {
-					pages = append(pages, pageView(pg, b.pageSize))
-				}
-			}
-			if stop {
-				break
-			}
-		}
-		if stop {
-			break
-		}
-		off += n
-	}
-	return pages, note
-}
-
-// readRingPages reads exactly n pages starting at ring offset start as
-// pageSize-byte views (see pageView), tolerating unwritten pages (an
-// unsynced sealed tail reads as zeros) and unreadable ones (zero-filled; bad
-// counts only real device failures so recovery can report the degradation).
-func (b *Backend) readRingPages(env *sim.Env, start, n int64) (pages [][]byte, bad int64, err error) {
-	pages = make([][]byte, 0, n)
+// readRing appends n pages of the WAL ring, from ring offset start on, to
+// pages as pageSize-byte views (see pageView), with one read per wrap run. A
+// run that fails is re-read page by page. A page that still fails (device
+// retries are already exhausted below) ends the read when stop is set, and
+// end is its error; otherwise it is zero-filled, as an unsynced sealed tail
+// reads as zeros, and bad counts the ones lost to real device failures so
+// recovery can report the degradation.
+func (b *Backend) readRing(env *sim.Env, pages [][]byte, start, n int64, stop bool) (_ [][]byte, bad int64, end error) {
 	for _, run := range splitWrap(b.lay.walStart, b.lay.walPages, start, n) {
 		data, err := b.walRing.Read(env, run.start, run.n)
-		if err != nil {
-			for i := int64(0); i < run.n; i++ {
-				pg, perr := b.walRing.Read(env, run.start+i, 1)
-				if perr != nil {
-					if nand.IsDeviceError(perr) {
-						bad++
-					}
-					pages = append(pages, pageView(nil, b.pageSize))
-					continue
-				}
-				pages = append(pages, pageView(pg[0], b.pageSize))
+		if err == nil {
+			for _, pg := range data {
+				pages = append(pages, pageView(pg, b.pageSize))
 			}
 			continue
 		}
-		for _, pg := range data {
-			pages = append(pages, pageView(pg, b.pageSize))
+		for i := int64(0); i < run.n; i++ {
+			pg, perr := b.walRing.Read(env, run.start+i, 1)
+			if perr == nil {
+				pages = append(pages, pageView(pg[0], b.pageSize))
+				continue
+			}
+			if stop {
+				return pages, bad, perr
+			}
+			if nand.IsDeviceError(perr) {
+				bad++
+			}
+			pages = append(pages, pageView(nil, b.pageSize))
 		}
 	}
 	return pages, bad, nil

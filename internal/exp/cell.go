@@ -253,6 +253,9 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 		endAt = env.Now()
 	})
 	eng.Run()
+	if _, err := series.Errors(); err != nil {
+		runErr = errors.Join(runErr, fmt.Errorf("exp: %s: %w", label, err))
+	}
 	if runErr != nil {
 		tele.DumpFlight("run error: " + runErr.Error()) //nolint:errcheck // the run error wins
 		eng.Shutdown()
@@ -326,16 +329,6 @@ func (res *CellResult) ReleaseHeavy() error {
 // series and the snapshot intervals, plus the mean snapshot duration.
 func splitPhases(res *CellResult) {
 	interval := res.series.Interval()
-	inSnap := func(i int) bool {
-		bStart := sim.Time(int64(i) * int64(interval))
-		bEnd := bStart.Add(interval)
-		for _, ev := range res.Snapshots {
-			if ev.Start < bEnd && ev.End > bStart {
-				return true
-			}
-		}
-		return false
-	}
 	var snapOps, walOps int64
 	var snapBuckets, walBuckets int
 	// Only whole buckets count: the trailing partial bucket would dilute
@@ -345,7 +338,7 @@ func splitPhases(res *CellResult) {
 		lastBucket = res.series.Len()
 	}
 	for i := 0; i < lastBucket; i++ {
-		if inSnap(i) {
+		if overlapsSnapshot(i, interval, res.Snapshots) {
 			snapOps += res.series.Count(i)
 			snapBuckets++
 		} else {
@@ -370,4 +363,17 @@ func splitPhases(res *CellResult) {
 	if n := len(res.Snapshots); n > 0 {
 		res.MeanSnapshotTime = total / sim.Duration(n)
 	}
+}
+
+// overlapsSnapshot reports whether bucket i of a series with the given
+// bucket width overlaps any of snaps.
+func overlapsSnapshot(i int, interval sim.Duration, snaps []imdb.SnapshotEvent) bool {
+	bStart := sim.Time(int64(i) * int64(interval))
+	bEnd := bStart.Add(interval)
+	for _, ev := range snaps {
+		if ev.Start < bEnd && ev.End > bStart {
+			return true
+		}
+	}
+	return false
 }

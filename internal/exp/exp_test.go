@@ -86,6 +86,21 @@ func TestRunCellBasicInvariants(t *testing.T) {
 	}
 }
 
+// TestRunCellReportsDroppedSamples: a cell whose RPS series drops samples
+// (here every op past the series' bucket cap) fails instead of reporting
+// rates over a truncated series.
+func TestRunCellReportsDroppedSamples(t *testing.T) {
+	sc := TinyScale()
+	sc.RPSInterval = sim.Nanosecond
+	_, err := RunCell(CellConfig{
+		Kind: SlimIOFDP, Policy: imdb.PeriodicalLog, Scale: sc,
+		Workload: workload.RedisBench(0, sc.KeyRange),
+	})
+	if err == nil || !strings.Contains(err.Error(), "samples dropped") {
+		t.Fatalf("RunCell with a 1 ns RPS interval: err = %v, want the dropped samples named", err)
+	}
+}
+
 func TestRunCellDeterminism(t *testing.T) {
 	sc := TinyScale()
 	run := func() (*CellResult, error) {

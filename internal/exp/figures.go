@@ -201,6 +201,10 @@ func runTimeline(s timelineSpec, sc Scale, window sim.Duration) (*TimelineResult
 		})
 	}
 	eng.RunUntil(sim.Time(window))
+	if _, err := series.Errors(); err != nil {
+		eng.Shutdown()
+		return nil, fmt.Errorf("exp: %s: %w", s.kind, err)
+	}
 	out := &TimelineResult{
 		Kind:      s.kind,
 		Series:    series,
@@ -265,16 +269,7 @@ func (tr *TimelineResult) Summarize(warmup sim.Duration) TimelineSummary {
 	s := TimelineSummary{MinRPS: -1}
 	interval := tr.Series.Interval()
 	first := int(int64(warmup) / int64(interval))
-	inSnap := func(i int) bool {
-		bStart := sim.Time(int64(i) * int64(interval))
-		bEnd := bStart.Add(interval)
-		for _, ev := range tr.snapshots {
-			if ev.Start < bEnd && ev.End > bStart {
-				return true
-			}
-		}
-		return false
-	}
+	inSnap := func(i int) bool { return overlapsSnapshot(i, interval, tr.snapshots) }
 	var total float64
 	for i := first; i < tr.Series.Len(); i++ {
 		if inSnap(i) {

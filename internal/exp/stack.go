@@ -276,8 +276,8 @@ func BuildStackN(eng *sim.Engine, kind BackendKind, tenants int, sc Scale) (*Sta
 		ReadErrRate:    sc.ReadErrRate,
 		ProgramErrRate: sc.ProgramErrRate,
 		EraseErrRate:   sc.EraseErrRate,
+		Recorder:       sc.FaultRecorder,
 	})
-	plan.SetRecorder(sc.FaultRecorder)
 	st.Fault = plan
 	if plan.Active() {
 		arr.SetFaultHook(plan)

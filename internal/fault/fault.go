@@ -39,6 +39,11 @@ type Config struct {
 	ProgramErrRate float64
 	// EraseErrRate is the per-erase probability of an erase failure.
 	EraseErrRate float64
+	// Recorder, when non-nil, observes every operation boundary. It
+	// activates an otherwise-zero plan; with every rate at zero it observes
+	// without injecting, consuming no randomness, so a recorded run stays
+	// bit-identical to an unhooked one.
+	Recorder Recorder
 }
 
 // Counter names Stats.AddTo exports the injected-fault counts under.
@@ -108,7 +113,6 @@ type Plan struct {
 	cutAt    sim.Time
 	cutArmed bool
 	stats    Stats
-	rec      Recorder
 }
 
 var _ nand.FaultHook = (*Plan)(nil)
@@ -123,14 +127,8 @@ func NewPlan(cfg Config) *Plan {
 // BuildStack skips installing an inactive plan so the hook stays nil
 // (strict no-op).
 func (p *Plan) Active() bool {
-	return p.cfg.ReadErrRate > 0 || p.cfg.ProgramErrRate > 0 || p.cfg.EraseErrRate > 0 || p.cutArmed || p.rec != nil
+	return p.cfg.ReadErrRate > 0 || p.cfg.ProgramErrRate > 0 || p.cfg.EraseErrRate > 0 || p.cutArmed || p.cfg.Recorder != nil
 }
-
-// SetRecorder attaches (or clears) a boundary recorder. A recorder
-// activates an otherwise-zero plan; with every rate at zero it observes
-// without injecting, consuming no randomness, so a recorded run stays
-// bit-identical to an unhooked one.
-func (p *Plan) SetRecorder(r Recorder) { p.rec = r }
 
 // SchedulePowerCut arms a power cut at virtual time at: programs completing
 // after it become torn. The harness pairs this with eng.RunUntil(at) +
@@ -145,8 +143,8 @@ func (p *Plan) Stats() Stats { return p.stats }
 
 // ReadFault implements nand.FaultHook.
 func (p *Plan) ReadFault(now sim.Time, ppa nand.PPA) error {
-	if p.rec != nil {
-		p.rec.RecordRead(now, ppa)
+	if r := p.cfg.Recorder; r != nil {
+		r.RecordRead(now, ppa)
 	}
 	if p.cfg.ReadErrRate > 0 && p.rng.float64() < p.cfg.ReadErrRate {
 		p.stats.ReadErrors++
@@ -158,8 +156,8 @@ func (p *Plan) ReadFault(now sim.Time, ppa nand.PPA) error {
 // ProgramFault implements nand.FaultHook. The power-cut check comes first: a
 // program still in flight when power dies is torn regardless of media health.
 func (p *Plan) ProgramFault(now, done sim.Time, ppa nand.PPA, data []byte) nand.ProgramDecision {
-	if p.rec != nil {
-		p.rec.RecordProgram(now, done, ppa)
+	if r := p.cfg.Recorder; r != nil {
+		r.RecordProgram(now, done, ppa)
 	}
 	if p.cutArmed && done > p.cutAt {
 		p.stats.TornPrograms++
@@ -174,8 +172,8 @@ func (p *Plan) ProgramFault(now, done sim.Time, ppa nand.PPA, data []byte) nand.
 
 // EraseFault implements nand.FaultHook.
 func (p *Plan) EraseFault(now sim.Time, die, block int) error {
-	if p.rec != nil {
-		p.rec.RecordErase(now, die, block)
+	if r := p.cfg.Recorder; r != nil {
+		r.RecordErase(now, die, block)
 	}
 	if p.cfg.EraseErrRate > 0 && p.rng.float64() < p.cfg.EraseErrRate {
 		p.stats.EraseErrors++

@@ -196,9 +196,8 @@ func (r *recordingSink) RecordErase(now sim.Time, die, block int)         { r.er
 // (so the NAND array consults it), every boundary reaches the recorder, and
 // no fault is injected and no randomness consumed while recording.
 func TestRecorderSeam(t *testing.T) {
-	p := NewPlan(Config{Seed: 7})
 	sink := &recordingSink{}
-	p.SetRecorder(sink)
+	p := NewPlan(Config{Seed: 7, Recorder: sink})
 	if !p.Active() {
 		t.Fatal("plan with a recorder must report Active")
 	}
@@ -222,7 +221,7 @@ func TestRecorderSeam(t *testing.T) {
 	if p.Stats() != (Stats{}) {
 		t.Fatalf("recording counted faults: %+v", p.Stats())
 	}
-	p.SetRecorder(nil)
+	p.cfg.Recorder = nil
 	if p.Active() {
 		t.Fatal("clearing the recorder must deactivate a zero-rate plan")
 	}

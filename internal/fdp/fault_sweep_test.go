@@ -78,7 +78,7 @@ func TestReclaimFaultSweep(t *testing.T) {
 					lost++
 					continue
 				}
-				if f.BlockRetired(arr.BlockOf(ppa)) {
+				if f.retired[arr.BlockOf(ppa)] {
 					t.Fatalf("LPA %d maps to retired block %d", lpa, arr.BlockOf(ppa))
 				}
 				data, done, err := f.Read(now, lpa)

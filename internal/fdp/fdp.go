@@ -318,9 +318,6 @@ func (f *FTL) RetiredBlocks() int {
 	return n
 }
 
-// BlockRetired reports whether global block index g is retired.
-func (f *FTL) BlockRetired(g int) bool { return f.retired[g] }
-
 func (f *FTL) checkLPA(lpa int64) error {
 	if lpa < 0 || lpa >= f.usableLPAs {
 		return fmt.Errorf("fdp: LPA %d out of range [0,%d)", lpa, f.usableLPAs)

@@ -381,26 +381,12 @@ func (fs *Filesystem) Names() []string {
 // (tolerateUnwritten), which a WAL decoder treats as a clean unwritten tail.
 // The old Filesystem must not be used afterwards.
 func (fs *Filesystem) Remount(eng *sim.Engine) *Filesystem {
-	nfs := &Filesystem{
-		eng:               eng,
-		dev:               fs.dev,
-		sched:             NewScheduler(eng, fs.dev, fs.sched.mode, fs.costs),
-		costs:             fs.costs,
-		prof:              fs.prof,
-		journal:           sim.NewResource(eng, 1),
-		files:             make(map[string]*File),
-		freeExtents:       append([]int64(nil), fs.freeExtents...),
-		freshCursor:       fs.freshCursor,
-		metaCursor:        fs.metaCursor,
-		wbKick:            sim.NewBroadcast(eng),
-		drained:           sim.NewBroadcast(eng),
-		commitDone:        sim.NewBroadcast(eng),
-		nextTicket:        1,
-		placementHint:     fs.placementHint,
-		tolerateUnwritten: true,
-		pool:              fs.pool,
-		commitRec:         commitRecord(fs.dev.PageSize()),
-	}
+	nfs := NewFilesystem(eng, fs.dev, fs.prof, fs.sched.mode, fs.costs)
+	nfs.freeExtents = append([]int64(nil), fs.freeExtents...)
+	nfs.freshCursor = fs.freshCursor
+	nfs.metaCursor = fs.metaCursor
+	nfs.placementHint = fs.placementHint
+	nfs.tolerateUnwritten = true
 	nfs.SetTracer(fs.trace)
 	for name, f := range fs.files {
 		if f.deleted {
@@ -414,7 +400,6 @@ func (fs *Filesystem) Remount(eng *sim.Engine) *Filesystem {
 			flushDone: sim.NewBroadcast(eng),
 		}
 	}
-	eng.SpawnDaemon("writeback:"+nfs.prof.Name, nfs.writeback)
 	return nfs
 }
 

@@ -170,21 +170,12 @@ func TestSeries(t *testing.T) {
 	if s.Total() != 26 {
 		t.Fatalf("total = %d", s.Total())
 	}
-	if got := s.MinRate(0, 5); got != 0 {
-		t.Fatalf("min rate = %v, want 0 (idle bucket)", got)
-	}
-	if got := s.MinRate(0, 2); got != 5 {
-		t.Fatalf("min rate [0,2) = %v, want 5", got)
-	}
 }
 
 func TestSeriesOutOfRange(t *testing.T) {
 	s := NewSeries(sim.Second)
 	if s.Count(3) != 0 || s.Rate(-1) != 0 {
 		t.Fatal("out-of-range buckets must read 0")
-	}
-	if s.MinRate(5, 2) != 0 {
-		t.Fatal("inverted range must read 0")
 	}
 }
 

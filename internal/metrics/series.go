@@ -89,27 +89,6 @@ func (s *Series) Total() int64 {
 	return t
 }
 
-// MinRate returns the smallest bucket rate over [from, to) bucket indices,
-// clamped to the valid range. Returns 0 for an empty range.
-func (s *Series) MinRate(from, to int) float64 {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(s.counts) {
-		to = len(s.counts)
-	}
-	if from >= to {
-		return 0
-	}
-	min := s.Rate(from)
-	for i := from + 1; i < to; i++ {
-		if r := s.Rate(i); r < min {
-			min = r
-		}
-	}
-	return min
-}
-
 // CSV renders the series as "t_seconds,rate" lines, the format consumed by
 // external plotting of Figures 4-5.
 func (s *Series) CSV() string {

@@ -366,11 +366,6 @@ func (a *Array) NextProgramPage(die, block int) int {
 	return a.blocks[die*a.geo.BlocksPerDie+block].nextPage
 }
 
-// EraseCount returns how many times a block has been erased (wear).
-func (a *Array) EraseCount(die, block int) int64 {
-	return a.blocks[die*a.geo.BlocksPerDie+block].erases
-}
-
 // Read returns the bytes stored at ppa along with the virtual time at which
 // the data is available. Reading a page that was never programmed since its
 // last erase is an FTL bug and returns an error.
@@ -649,20 +644,3 @@ func (a *Array) DieBusyTotal(die int) sim.Duration { return a.dies[die].BusyTota
 // ChannelBusyTotal reports cumulative busy (transfer) time of a channel,
 // for the telemetry plane's per-channel occupancy gauges.
 func (a *Array) ChannelBusyTotal(ch int) sim.Duration { return a.chans[ch].BusyTotal() }
-
-// MaxBusyUntil reports the latest horizon over all dies and channels: the
-// time at which the array fully drains if no further work arrives.
-func (a *Array) MaxBusyUntil() sim.Time {
-	var m sim.Time
-	for i := range a.dies {
-		if t := a.dies[i].BusyUntil(); t > m {
-			m = t
-		}
-	}
-	for i := range a.chans {
-		if t := a.chans[i].BusyUntil(); t > m {
-			m = t
-		}
-	}
-	return m
-}

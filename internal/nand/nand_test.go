@@ -142,8 +142,8 @@ func TestEraseResetsBlock(t *testing.T) {
 	if got := a.NextProgramPage(0, 0); got != 0 {
 		t.Fatalf("erased block next page = %d", got)
 	}
-	if a.EraseCount(0, 0) != 1 {
-		t.Fatalf("erase count = %d", a.EraseCount(0, 0))
+	if got := a.blocks[0].erases; got != 1 {
+		t.Fatalf("erase count = %d", got)
 	}
 	// Old data gone.
 	if _, _, err := a.Read(0, a.PPAOf(0, 0, 3)); err == nil {
@@ -287,17 +287,6 @@ func TestDataIntegrityProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMaxBusyUntil(t *testing.T) {
-	a := testArray(t)
-	if a.MaxBusyUntil() != 0 {
-		t.Fatal("idle array must have zero horizon")
-	}
-	done, _ := a.Program(0, a.PPAOf(0, 0, 0), bufpool.Borrowed([]byte("x")))
-	if a.MaxBusyUntil() != done {
-		t.Fatalf("horizon = %v, want %v", a.MaxBusyUntil(), done)
 	}
 }
 

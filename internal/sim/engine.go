@@ -264,9 +264,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // a fixed observation window.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // Handoffs reports how many times a parking process has yielded to another
 // process (or to the driver) instead of finding its own wake-up next: the
 // coroutine switches the schedule cost, a host-speed measure that does not

@@ -127,9 +127,6 @@ func (b *Broadcast) Notify() {
 	b.waiters = b.waiters[:0]
 }
 
-// Waiting reports how many processes are parked on b.
-func (b *Broadcast) Waiting() int { return len(b.waiters) }
-
 // Queue is an unbounded FIFO message queue between processes, the virtual-
 // time analogue of a Go channel. Push never blocks; Pop blocks the caller
 // while the queue is empty.

@@ -141,8 +141,12 @@ func TestWorkBilling(t *testing.T) {
 	if got := p.BusyTime("compress"); got != 70*Microsecond {
 		t.Errorf("compress busy = %v, want 70µs", got)
 	}
-	if got := p.TotalBusyTime(); got != 110*Microsecond {
-		t.Errorf("total busy = %v, want 110µs", got)
+	var total Duration
+	for _, b := range p.busy {
+		total += b.d
+	}
+	if total != 110*Microsecond {
+		t.Errorf("total busy = %v, want 110µs", total)
 	}
 }
 
@@ -166,11 +170,11 @@ func TestResourceMutexFIFO(t *testing.T) {
 			t.Fatalf("grant order = %v, want FIFO", order)
 		}
 	}
-	if r.ContendedAcquisitions() != 3 {
-		t.Errorf("contended = %d, want 3", r.ContendedAcquisitions())
+	if r.waited != 3 {
+		t.Errorf("contended = %d, want 3", r.waited)
 	}
-	if r.InUse() != 0 {
-		t.Errorf("resource still held: inUse=%d", r.InUse())
+	if r.inUse != 0 {
+		t.Errorf("resource still held: inUse=%d", r.inUse)
 	}
 }
 
@@ -193,21 +197,6 @@ func TestResourceCapacity(t *testing.T) {
 	e.Run()
 	if peak != 2 {
 		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-}
-
-func TestTryAcquire(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	if !r.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded on full resource")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
 	}
 }
 
@@ -436,8 +425,8 @@ func TestBroadcast(t *testing.T) {
 	}
 	e.Spawn("n", func(env *Env) {
 		env.Sleep(10)
-		if b.Waiting() != 3 {
-			t.Errorf("waiting = %d, want 3", b.Waiting())
+		if len(b.waiters) != 3 {
+			t.Errorf("waiting = %d, want 3", len(b.waiters))
 		}
 		b.Notify()
 	})
@@ -549,7 +538,7 @@ func TestStop(t *testing.T) {
 	if count != 7 {
 		t.Fatalf("count = %d, want 7", count)
 	}
-	if !e.Stopped() {
+	if !e.stopped {
 		t.Fatal("engine not marked stopped")
 	}
 }
@@ -578,7 +567,7 @@ func TestProcDoneSignal(t *testing.T) {
 	if observed != 30 {
 		t.Fatalf("parent observed child end at %v, want 30", observed)
 	}
-	if !p.Terminated() {
+	if !p.done {
 		t.Fatal("child not marked terminated")
 	}
 }
@@ -648,7 +637,7 @@ func TestDaemonTerminationCounted(t *testing.T) {
 	e := NewEngine()
 	p := e.SpawnDaemon("short-lived", func(env *Env) { env.Sleep(5) })
 	e.Run()
-	if !p.Terminated() {
+	if !p.done {
 		t.Fatal("daemon did not terminate")
 	}
 	// A later non-daemon deadlock must still panic.

@@ -1,8 +1,7 @@
 // Package ssd provides the NVMe-style front-end over a flash translation
 // layer: page-granular read/write/deallocate commands with an
-// optional FDP placement identifier, per-command controller overhead, and a
-// preconditioning helper that puts a device under garbage-collection
-// pressure for the paper's "under GC" scenarios.
+// optional FDP placement identifier, per-command controller overhead, and
+// injected garbage-collection pressure for the paper's "under GC" scenarios.
 //
 // The front-end is deliberately thin: queueing happens on the NAND die and
 // channel timelines below, and path-specific behaviour (page cache, I/O
@@ -11,7 +10,6 @@ package ssd
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/fdp"
@@ -258,42 +256,6 @@ func (d *Device) Read(env *sim.Env, lpa int64, n int64) ([][]byte, error) {
 	}
 	env.Sleep(done.Sub(env.Now()))
 	return data, nil
-}
-
-// Precondition fills fraction frac of the LPA range [from, to) with
-// synthetic pages and then invalidates every holeEvery-th written page,
-// leaving the device with fragmented mostly-valid data so that subsequent
-// writes trigger garbage collection that must copy. This reproduces the
-// paper's "under GC" scenarios on a simulated device that starts empty.
-// holeEvery <= 0 punches no holes (fully pinned data).
-func Precondition(dev *Device, from, to int64, frac float64, holeEvery int64, rng *rand.Rand) error {
-	if from < 0 || to > dev.Capacity() || from >= to {
-		return fmt.Errorf("ssd: precondition range [%d,%d) invalid for capacity %d", from, to, dev.Capacity())
-	}
-	if frac <= 0 || frac > 1 {
-		return fmt.Errorf("ssd: precondition fraction %v out of (0,1]", frac)
-	}
-	span := to - from
-	n := int64(float64(span) * frac)
-	payload := make([]byte, dev.PageSize())
-	rng.Read(payload)
-	ref := bufpool.Borrowed(payload) // NAND copies borrowed pages into the pool
-	// Issue everything at time zero: the fill is device history, not part
-	// of the measured run; the dies drain the short backlog during warmup.
-	for i := int64(0); i < n; i++ {
-		if _, err := dev.ftl.Write(0, from+i, ref, 0); err != nil {
-			return fmt.Errorf("ssd: precondition write %d: %w", i, err)
-		}
-	}
-	// Punch holes so reclaim victims are fragmented but mostly valid.
-	if holeEvery > 0 {
-		for i := from; i < from+n; i += holeEvery {
-			if err := dev.ftl.Deallocate(i, 1); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // PageWrite names one page of a scattered write command, optionally tagged

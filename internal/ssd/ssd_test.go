@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"github.com/slimio/slimio/internal/bufpool"
@@ -148,42 +147,6 @@ func TestBlockingHelpers(t *testing.T) {
 	eng.Run()
 	if wrote == 0 || read <= wrote {
 		t.Fatalf("blocking ops did not advance time: wrote=%v read=%v", wrote, read)
-	}
-}
-
-func TestPreconditionCreatesGCPressure(t *testing.T) {
-	dev := newConvDevice(t)
-	rng := rand.New(rand.NewSource(1))
-	if err := Precondition(dev, dev.Capacity()/2, dev.Capacity(), 0.95, 2, rng); err != nil {
-		t.Fatal(err)
-	}
-	// Now hammer the lower quarter. Reclaim is line-based: it first runs when
-	// an open reclaim unit fills with the free pool at its low watermark, so
-	// the overwrite volume must walk the whole 8-RU device, not one block.
-	now := sim.Time(0)
-	for i := 0; i < 2*int(dev.Capacity()); i++ {
-		done, err := dev.WritePages(now, int64(i%int(dev.Capacity()/4)), refs(pages(1, 128, 'h')), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = done
-	}
-	if dev.Stats().GCRuns == 0 {
-		t.Fatal("precondition did not induce GC")
-	}
-}
-
-func TestPreconditionValidation(t *testing.T) {
-	dev := newConvDevice(t)
-	rng := rand.New(rand.NewSource(1))
-	if err := Precondition(dev, -1, 10, 0.5, 2, rng); err == nil {
-		t.Fatal("negative from accepted")
-	}
-	if err := Precondition(dev, 0, dev.Capacity()+1, 0.5, 2, rng); err == nil {
-		t.Fatal("past-capacity to accepted")
-	}
-	if err := Precondition(dev, 0, 10, 1.5, 2, rng); err == nil {
-		t.Fatal("fraction > 1 accepted")
 	}
 }
 

@@ -341,14 +341,6 @@ func (c *Cell) Sample(now sim.Time) {
 	c.rows = append(c.rows, Sample{T: now, V: v})
 }
 
-// FlightDumped reports whether this cell has written a flight dump.
-func (c *Cell) FlightDumped() bool {
-	if c == nil {
-		return false
-	}
-	return c.dumped
-}
-
 // DumpFlight writes the flight record (reason, trailing samples, trailing
 // spans) as JSON into the registry's FlightDir, returning the file path.
 // It is a no-op returning "" when the cell is nil, no FlightDir is

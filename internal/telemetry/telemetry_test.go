@@ -112,7 +112,7 @@ func TestDumpFlightLatchesAndParses(t *testing.T) {
 	if filepath.Base(path) != "flight-tbl_cell_1.json" {
 		t.Fatalf("path = %s", path)
 	}
-	if !cell.FlightDumped() {
+	if !cell.dumped {
 		t.Fatal("dumped flag not set")
 	}
 	// First failure wins: a second trigger must not overwrite.
@@ -140,7 +140,7 @@ func TestDumpFlightNoDirIsNoOp(t *testing.T) {
 	if path, err := cell.DumpFlight("whatever"); err != nil || path != "" {
 		t.Fatalf("dump = %q, %v", path, err)
 	}
-	if cell.FlightDumped() {
+	if cell.dumped {
 		t.Fatal("dumped without a FlightDir")
 	}
 }
@@ -370,7 +370,7 @@ func TestDumpFlightRetriesAfterFailedWrite(t *testing.T) {
 	if path, err := cell.DumpFlight("first"); err == nil {
 		t.Fatalf("dump under a regular file succeeded: %q", path)
 	}
-	if cell.FlightDumped() {
+	if cell.dumped {
 		t.Fatal("failed dump latched the recorder")
 	}
 	reg.FlightDir = filepath.Join(dir, "flights")
@@ -382,7 +382,7 @@ func TestDumpFlightRetriesAfterFailedWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, err := ParseFlight(data); err != nil || rec.Reason != "second" || !cell.FlightDumped() {
+	if rec, err := ParseFlight(data); err != nil || rec.Reason != "second" || !cell.dumped {
 		t.Fatalf("record = %+v, %v", rec, err)
 	}
 }

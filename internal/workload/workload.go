@@ -143,14 +143,6 @@ func SteadyTenant(ops, keyRange int64) Config {
 	}
 }
 
-// YCSBB returns a YCSB-B configuration (95% reads, zipfian) — not used by
-// the paper but handy for read-heavy studies on the same stack.
-func YCSBB(ops, records int64) Config {
-	c := YCSBA(ops, records)
-	c.ReadRatio = 0.95
-	return c
-}
-
 // YCSBC returns a YCSB-C configuration (read-only, zipfian).
 func YCSBC(ops, records int64) Config {
 	c := YCSBA(ops, records)

@@ -243,10 +243,6 @@ func TestValuePoolCompressibility(t *testing.T) {
 }
 
 func TestYCSBVariants(t *testing.T) {
-	b := YCSBB(100, 50)
-	if b.ReadRatio != 0.95 || b.Dist != Zipfian {
-		t.Fatalf("YCSB-B = %+v", b)
-	}
 	c := YCSBC(100, 50)
 	if c.ReadRatio != 1.0 {
 		t.Fatalf("YCSB-C = %+v", c)

@@ -116,6 +116,12 @@ run_nets() {
 }
 
 fresh_tree
+# Every patch must apply before the first row runs: a stale one then ends the
+# run in seconds, not after the rows before it, and TABLE.md stays as it was.
+for patch in "${patches[@]}"; do
+	(cd "$tree" && GIT_CEILING_DIRECTORIES="$work" git apply --check "$patch") ||
+		{ echo "mutants: $patch does not apply" >&2; rm -rf "$work"; exit 1; }
+done
 passes=$(cd "$tree" && go test -count=1 -v -run '^TestDeterminismContract$' ./internal/analysis |
 	sed -n 's/^=== RUN   TestDeterminismContract\///p')
 [ -n "$passes" ] || { echo "mutants: TestDeterminismContract ran no pass subtests" >&2; exit 1; }
