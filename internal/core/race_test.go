@@ -1,0 +1,6 @@
+//go:build race
+
+package core
+
+// raceEnabled lets tests skip allocation budgets that race builds break.
+const raceEnabled = true

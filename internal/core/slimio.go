@@ -47,13 +47,18 @@ type Backend struct {
 	// releases exactly what a cut stranded.
 	staged []*bufpool.Segment
 
-	// outstanding holds completion signals of in-flight async WAL writes;
+	// outstanding holds the ring slots of in-flight async WAL writes;
 	// WALSync reaps them (the paper's dedicated CQ-handling thread keeps
 	// the main process from ever blocking on individual submissions). The
 	// set is bounded by maxWALInflight: when the device falls behind
 	// (e.g. garbage collection on a non-FDP drive), the writer blocks on
 	// the oldest completion — the direct-write exposure of Figure 4.
-	outstanding []*sim.Signal
+	// spare is the backing array of the set the last WALSync reaped, which
+	// the next WALSync hands to outstanding; pageList is submitFull's page
+	// list. Both are reused so that an append and a sync allocate nothing.
+	outstanding []*uring.SQE
+	spare       []*uring.SQE
+	pageList    []bufpool.Ref
 
 	snapGen int
 	sinks   []*slotSink // every sink ever opened, for teardown accounting
@@ -217,10 +222,12 @@ func (b *Backend) WALAppend(env *sim.Env, data wal.Chain) error {
 	// Bounded submission: reap oldest completions when too many commands
 	// are in flight.
 	for len(b.outstanding) > maxWALInflight {
-		sig := b.outstanding[0]
-		b.outstanding = b.outstanding[1:]
+		sqe := b.outstanding[0]
+		n := copy(b.outstanding, b.outstanding[1:])
+		b.outstanding[n] = nil
+		b.outstanding = b.outstanding[:n]
 		t := env.Now()
-		cqe := sig.Wait(env).(*uring.CQE)
+		cqe := b.walRing.Reap(env, sqe)
 		tr.Emit("core", "inflight.wait", span, t, env.Now(), 0)
 		if cqe.Err != nil {
 			// Ownership returns to the caller with every reference intact.
@@ -286,19 +293,20 @@ func (b *Backend) submitFull(env *sim.Env, span vtrace.SpanID, segs []*bufpool.S
 	tr := b.cfg.Trace
 	idx := 0
 	for _, run := range splitWrap(b.lay.walStart, b.lay.walPages, b.curHead()+b.walFullPages, int64(len(segs))) {
-		pages := make([]bufpool.Ref, run.n)
-		for i := range pages {
-			s := segs[idx]
-			pages[i] = bufpool.Ref{Seg: s, B: s.Bytes()}
-			idx++
+		pages := b.pageList[:0]
+		for _, s := range segs[idx : idx+int(run.n)] {
+			pages = append(pages, bufpool.Ref{Seg: s, B: s.Bytes()})
 		}
-		// The run's references move to the ring (registered at Submit entry);
-		// unstage them in the same straight-line step.
+		idx += int(run.n)
+		// The run's references move to the ring (registered, with its copy
+		// of the list, before WriteAsync can park); unstage them in the same
+		// straight-line step.
 		b.unstage(int(run.n))
 		tr.SetScope(span)
-		sig := b.walRing.WriteAsync(env, run.start, pages, PIDWAL)
+		sqe := b.walRing.WriteAsync(env, run.start, pages, PIDWAL)
 		tr.SetScope(0)
-		b.outstanding = append(b.outstanding, sig)
+		b.pageList = pages
+		b.outstanding = append(b.outstanding, sqe)
 	}
 	b.walFullPages += int64(len(segs))
 	b.stats.WALPageWrites += int64(len(segs))
@@ -315,17 +323,18 @@ func (b *Backend) WALSync(env *sim.Env) error {
 	defer func() { tr.End(span, env.Now()) }()
 	b.writeTail(env, span)
 	pending := b.outstanding
-	b.outstanding = nil
+	b.outstanding, b.spare = b.spare[:0], nil
 	var firstErr error
 	t := env.Now()
-	for _, sig := range pending {
-		if cqe := sig.Wait(env).(*uring.CQE); cqe.Err != nil && firstErr == nil {
+	for _, sqe := range pending {
+		if cqe := b.walRing.Reap(env, sqe); cqe.Err != nil && firstErr == nil {
 			firstErr = cqe.Err
 		}
 	}
 	if len(pending) > 0 {
 		tr.Emit("core", "reap.wait", span, t, env.Now(), int64(len(pending)))
 	}
+	b.spare = pending
 	return firstErr
 }
 
@@ -343,10 +352,10 @@ func (b *Backend) writeTail(env *sim.Env, span vtrace.SpanID) {
 	lpa := b.walLPA(b.walFullPages)
 	b.walTailSeg.Retain() // the ring releases its reference after issue
 	tr.SetScope(span)
-	sig := b.walRing.WriteAsync(env, lpa,
+	sqe := b.walRing.WriteAsync(env, lpa,
 		[]bufpool.Ref{{Seg: b.walTailSeg, B: b.walTailSeg.Bytes()[:fill]}}, PIDWAL)
 	tr.SetScope(0)
-	b.outstanding = append(b.outstanding, sig)
+	b.outstanding = append(b.outstanding, sqe)
 	b.walTailSynced = fill
 	b.stats.WALTailRewrites++
 }
@@ -418,7 +427,8 @@ type slotSink struct {
 	slot        int
 	off         int64            // bytes written
 	tailSeg     *bufpool.Segment // sink-owned ref to the partial tail page
-	outstanding []*sim.Signal
+	outstanding []*uring.SQE
+	pageList    []bufpool.Ref // Write's page list, reused
 }
 
 // drop releases teardown-time leftovers: the partial tail and any commands
@@ -434,8 +444,8 @@ func (s *slotSink) drop() {
 // reap waits out all in-flight slot writes.
 func (s *slotSink) reap(env *sim.Env) error {
 	var firstErr error
-	for _, sig := range s.outstanding {
-		if cqe := sig.Wait(env).(*uring.CQE); cqe.Err != nil && firstErr == nil {
+	for _, sqe := range s.outstanding {
+		if cqe := s.ring.Reap(env, sqe); cqe.Err != nil && firstErr == nil {
 			firstErr = cqe.Err
 		}
 	}
@@ -455,7 +465,7 @@ func (s *slotSink) Write(env *sim.Env, chunk []byte) error {
 	ps := int(b.pageSize)
 	fill := int(s.off % b.pageSize)
 	startPage := s.off / b.pageSize // page the current tail (or chunk start) lands on
-	var pages []bufpool.Ref
+	pages := s.pageList[:0]
 	for src := chunk; len(src) > 0; {
 		if s.tailSeg == nil {
 			s.tailSeg = b.pool.Get()
@@ -478,9 +488,10 @@ func (s *slotSink) Write(env *sim.Env, chunk []byte) error {
 	// snapshot process compresses the next chunk, overlapping CPU and
 	// device time (§4.1).
 	tr.SetScope(span)
-	sig := s.ring.WriteAsync(env, b.lay.slotStart[s.slot]+startPage, pages, s.pid())
+	sqe := s.ring.WriteAsync(env, b.lay.slotStart[s.slot]+startPage, pages, s.pid())
 	tr.SetScope(0)
-	s.outstanding = append(s.outstanding, sig)
+	s.pageList = pages
+	s.outstanding = append(s.outstanding, sqe)
 	b.stats.SnapshotPageWrites += int64(len(pages))
 	return nil
 }
@@ -507,9 +518,9 @@ func (s *slotSink) Commit(env *sim.Env) error {
 		tail := s.tailSeg
 		s.tailSeg = nil
 		tr.SetScope(span)
-		sig := s.ring.WriteAsync(env, lpa, []bufpool.Ref{{Seg: tail, B: tail.Bytes()[:fill]}}, s.pid())
+		sqe := s.ring.WriteAsync(env, lpa, []bufpool.Ref{{Seg: tail, B: tail.Bytes()[:fill]}}, s.pid())
 		tr.SetScope(0)
-		s.outstanding = append(s.outstanding, sig)
+		s.outstanding = append(s.outstanding, sqe)
 		b.stats.SnapshotPageWrites++
 	}
 	// The image must be fully durable before the promotion record points
@@ -783,23 +794,19 @@ func pageView(pg []byte, pageSize int64) []byte {
 func (b *Backend) readSequential(env *sim.Env, lpa, n int64) (pages [][]byte, bad int64, err error) {
 	pages = make([][]byte, 0, n)
 	ra := recoveryReadAhead
-	issue := func(off int64) *sim.Signal {
-		cnt := ra
-		if off+cnt > n {
-			cnt = n - off
-		}
-		return b.walRing.Submit(env, &uring.SQE{Op: uring.OpRead, LPA: lpa + off, N: cnt})
+	issue := func(off int64) *uring.SQE {
+		return b.walRing.ReadAsync(env, lpa+off, min(ra, n-off))
 	}
 	if n == 0 {
 		return pages, 0, nil
 	}
-	pendingSig := issue(0)
+	next := issue(0)
 	for off := int64(0); off < n; off += ra {
-		sig := pendingSig
+		sqe := next
 		if off+ra < n {
-			pendingSig = issue(off + ra)
+			next = issue(off + ra)
 		}
-		cqe := sig.Wait(env).(*uring.CQE)
+		cqe := b.walRing.Reap(env, sqe)
 		if cqe.Err != nil {
 			cnt := ra
 			if off+cnt > n {

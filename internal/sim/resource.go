@@ -11,9 +11,6 @@ type Resource struct {
 	// waiters is a ring, not a `w = w[1:]` slice: the backing array is
 	// reused forever, so steady-state acquire/release never allocates.
 	waiters ring[*Proc]
-
-	// waited counts Acquire calls that had to park.
-	waited int64
 }
 
 // NewResource returns a resource admitting up to capacity concurrent
@@ -31,7 +28,6 @@ func (r *Resource) Acquire(env *Env) {
 		r.inUse++
 		return
 	}
-	r.waited++
 	r.waiters.push(env.p)
 	env.park()
 	// The releaser transferred the slot to us (inUse stays counted).
